@@ -73,7 +73,7 @@ def main():
     args = parser.parse_args()
     backends = [("pure", kernel_py)]
     if _ckernel is not None:
-        backends.append(("cython", _ckernel))
+        backends.append(("c", _ckernel))
     else:
         print("compiled kernel not built; benchmarking the pure backend only")
     for case in CASES + (HEAVY if args.heavy else []):

@@ -1,27 +1,19 @@
 """Build script for the optional compiled counting kernel.
 
-The package is pure Python except for picardkit.counting._ckernel, a Cython
+The package is pure Python except for picardkit.counting._ckernel, a C
 extension holding the point-enumeration inner loops.  The extension is marked
-optional: if no compiler (or no Cython) is available the install still
-succeeds and the package falls back to the pure-Python kernel at import time.
+optional: if no C compiler is available the install still succeeds and the
+package falls back to the pure-Python kernel at import time.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-PYX = "src/picardkit/counting/_ckernel.pyx"
-
-ext_modules = []
-if os.path.exists(PYX):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("picardkit.counting._ckernel", [PYX], optional=True)],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "picardkit.counting._ckernel",
+            ["src/picardkit/counting/_ckernel.c"],
+            optional=True,
         )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+    ]
+)

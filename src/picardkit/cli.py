@@ -449,12 +449,6 @@ def _add_common(p):
         default=counting.DEFAULT_BUDGET,
         help="evaluation work budget per count (default 2^34)",
     )
-    p.add_argument(
-        "--precision-bits",
-        type=int,
-        default=0,
-        help="reserved; root classification is exact and ignores this",
-    )
     p.add_argument("--no-timing", action="store_true", help="omit timing for byte-stable output")
     p.add_argument("--progress", action="store_true", help="heartbeat lines on stderr")
 

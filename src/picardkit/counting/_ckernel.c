@@ -1,16166 +1,556 @@
-/* Generated by Cython 3.2.8 */
+/* Compiled counting kernel: the same contract as kernel_py, in plain C.
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "name": "picardkit.counting._ckernel",
-        "sources": [
-            "src/picardkit/counting/_ckernel.pyx"
-        ]
-    },
-    "module_name": "picardkit.counting._ckernel"
-}
-END: Cython Metadata */
+   Field elements are int64 table indices; see kernel_py for the table
+   conventions.  count_chart copies its term records into C memory and runs
+   the chart loop without the GIL, so count_points can spread
+   outer-coordinate ranges across threads.  Only a C compiler and the Python
+   headers are needed:  python setup.py build_ext --inplace  */
 
-#ifndef PY_SSIZE_T_CLEAN
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
+#include <Python.h>
+#include <string.h>
 
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
+typedef long long i64;
 
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
+/* degrees and prefix exponents above this are rejected, which keeps every
+   buffer size computed below far from overflow */
+#define MAX_DEG (1LL << 24)
 
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
+static PyObject *array_type; /* array.array */
+
+/* A C-contiguous buffer of 8-byte 'q' items; TypeError otherwise. */
+static int get_q(PyObject *obj, Py_buffer *view)
 {
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->itemsize != 8 || view->format == NULL || strcmp(view->format, "q") != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_TypeError, "expected a buffer of 8-byte 'q' items");
+        return -1;
+    }
+    return 0;
 }
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
+
+/* A zeroed array('q') of n items, with a writable buffer on it in view. */
+static PyObject *new_array(i64 n, Py_buffer *view)
+{
+    PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0), *arr;
+    if (zero == NULL)
+        return NULL;
+    arr = PySequence_Repeat(zero, (Py_ssize_t)n);
+    Py_DECREF(zero);
+    if (arr && PyObject_GetBuffer(arr, view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
+        Py_CLEAR(arr);
+    return arr;
 }
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
+
+/* ------------------------------------------------------------------------
+   table construction: index arithmetic on base-p digit vectors */
+
+static i64 idx_mul(i64 a, i64 b, i64 p, i64 e, const i64 *mod, i64 *va, i64 *vb, i64 *vt)
+{
+    i64 i, j, k, c, idx = 0;
+    if (e == 1)
+        return a * b % p;
+    for (i = 0; i < e; i++, a /= p, b /= p)
+        va[i] = a % p, vb[i] = b % p;
+    memset(vt, 0, sizeof(i64) * 2 * e);
+    for (i = 0; i < e; i++)
+        if (va[i])
+            for (j = 0; j < e; j++)
+                vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p;
+    for (k = 2 * e - 2; k >= e; k--) {
+        c = vt[k];
+        if (!c)
+            continue;
+        for (i = 0; i <= e; i++) {
+            i64 *t = &vt[k - e + i];
+            *t = (*t - c * mod[i]) % p;
+            if (*t < 0)
+                *t += p;
+        }
+        vt[k] = 0;
+    }
+    for (i = e - 1; i >= 0; i--)
+        idx = idx * p + vt[i];
+    return idx;
+}
+
+static i64 idx_pow(i64 a, i64 k, i64 p, i64 e, const i64 *mod, i64 *va, i64 *vb, i64 *vt)
+{
+    i64 r = 1;
+    for (; k; k >>= 1) {
+        if (k & 1)
+            r = idx_mul(r, a, p, e, mod, va, vb, vt);
+        a = idx_mul(a, a, p, e, mod, va, vb, vt);
+    }
+    return r;
+}
+
+static PyObject *build_tables(PyObject *self, PyObject *args)
+{
+    /* q fits in a Py_ssize_t, so e < 64 */
+    i64 p, e, q = 1, i, n, d, nf = 0, factors[64], gen = 1, cand, cur;
+    i64 mod[64], va[64], vb[64], vt[128], *exp, *log, *zech, sizes[3];
+    PyObject *modulus, *seq, *arrs[3] = {NULL, NULL, NULL}, *out = NULL;
+    Py_buffer views[3];
+    int nv = 0;
+
+    if (!PyArg_ParseTuple(args, "LLO", &p, &e, &modulus))
+        return NULL;
+    if (p < 2 || e < 1) {
+        PyErr_SetString(PyExc_ValueError, "need p >= 2 and e >= 1");
         return NULL;
     }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__picardkit__counting___ckernel
-#define __PYX_HAVE_API__picardkit__counting___ckernel
-/* Early includes */
-#include <string.h>
-#include <stdio.h>
-
-    #if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE PyObject *
-    __Pyx_CAPI_PyList_GetItemRef(PyObject *list, Py_ssize_t index)
-    {
-        PyObject *item = PyList_GetItem(list, index);
-        Py_XINCREF(item);
-        return item;
-    }
-    #else
-    #define __Pyx_CAPI_PyList_GetItemRef PyList_GetItemRef
-    #endif
-
-    #if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyList_Extend(PyObject *list, PyObject *iterable)
-    {
-        return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, iterable);
-    }
-
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyList_Clear(PyObject *list)
-    {
-        return PyList_SetSlice(list, 0, PY_SSIZE_T_MAX, NULL);
-    }
-    #else
-    #define __Pyx_CAPI_PyList_Extend PyList_Extend
-    #define __Pyx_CAPI_PyList_Clear PyList_Clear
-    #endif
-    
-
-    #if PY_MAJOR_VERSION >= 3
-      #define __Pyx_PyFloat_FromString(obj)  PyFloat_FromString(obj)
-    #else
-      #define __Pyx_PyFloat_FromString(obj)  PyFloat_FromString(obj, NULL)
-    #endif
-    
-#include <stddef.h>
-
-    #if PY_MAJOR_VERSION <= 2
-    #define PyDict_GetItemWithError _PyDict_GetItemWithError
-    #endif
-
-    #if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyDict_GetItemStringRef(PyObject *mp, const char *key, PyObject **result)
-    {
-        int res;
-        PyObject *key_obj = PyUnicode_FromString(key);
-        if (key_obj == NULL) {
-            *result = NULL;
-            return -1;
-        }
-        res = __Pyx_PyDict_GetItemRef(mp, key_obj, result);
-        Py_DECREF(key_obj);
-        return res;
-    }
-    #else
-    #define __Pyx_CAPI_PyDict_GetItemStringRef PyDict_GetItemStringRef
-    #endif
-    #if PY_VERSION_HEX < 0x030d0000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030F0000)
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyDict_SetDefaultRef(PyObject *d, PyObject *key, PyObject *default_value,
-                        PyObject **result)
-    {
-        PyObject *value;
-        if (__Pyx_PyDict_GetItemRef(d, key, &value) < 0) {
-            // get error
-            if (result) {
-                *result = NULL;
-            }
-            return -1;
-        }
-        if (value != NULL) {
-            // present
-            if (result) {
-                *result = value;
-            }
-            else {
-                Py_DECREF(value);
-            }
-            return 1;
-        }
-
-        // missing: set the item
-        if (PyDict_SetItem(d, key, default_value) < 0) {
-            // set error
-            if (result) {
-                *result = NULL;
-            }
-            return -1;
-        }
-        if (result) {
-            Py_INCREF(default_value);
-            *result = default_value;
-        }
-        return 0;
-    }
-    #else
-    #define __Pyx_CAPI_PyDict_SetDefaultRef PyDict_SetDefaultRef
-    #endif
-    
-
-    #if PY_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int __Pyx_PyWeakref_GetRef(PyObject *ref, PyObject **pobj)
-    {
-        PyObject *obj = PyWeakref_GetObject(ref);
-        if (obj == NULL) {
-            // SystemError if ref is NULL
-            *pobj = NULL;
-            return -1;
-        }
-        if (obj == Py_None) {
-            *pobj = NULL;
-            return 0;
-        }
-        Py_INCREF(obj);
-        *pobj = obj;
-        return 1;
-    }
-    #else
-    #define __Pyx_PyWeakref_GetRef PyWeakref_GetRef
-    #endif
-    
-#include "pythread.h"
-
-    #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM < 0x07030600) && !defined(PyContextVar_Get)
-    #define PyContextVar_Get(var, d, v)         ((d) ?             ((void)(var), Py_INCREF(d), (v)[0] = (d), 0) :             ((v)[0] = NULL, 0)         )
-    #endif
-    
-
-    #if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    #ifdef _MSC_VER
-    #pragma message ("This module uses CPython specific internals of 'array.array', which are not available in PyPy or the limited API.")
-    #else
-    #warning This module uses CPython specific internals of 'array.array', which are not available in PyPy or the limited API.
-    #endif
-    #endif
-    
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/picardkit/counting/_ckernel.pyx",
-  "cpython/contextvars.pxd",
-  "array.pxd",
-  "cpython/type.pxd",
-  "cpython/bool.pxd",
-  "cpython/complex.pxd",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-#ifndef _ARRAYARRAY_H
-struct arrayobject;
-typedef struct arrayobject arrayobject;
-#endif
-struct __pyx_opt_args_7cpython_11contextvars_get_value;
-struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default;
-
-/* "cpython/contextvars.pxd":116
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the default value of the context variable,
-*/
-struct __pyx_opt_args_7cpython_11contextvars_get_value {
-  int __pyx_n;
-  PyObject *default_value;
-};
-
-/* "cpython/contextvars.pxd":134
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value_no_default(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the provided default value if no such value was found.
-*/
-struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default {
-  int __pyx_n;
-  PyObject *default_value;
-};
-struct __pyx_t_9picardkit_8counting_8_ckernel_FOps;
-
-/* "picardkit/counting/_ckernel.pyx":171
- * 
- * 
- * cdef struct FOps:             # <<<<<<<<<<<<<<
- *     long long* exp
- *     long long* log
-*/
-struct __pyx_t_9picardkit_8counting_8_ckernel_FOps {
-  PY_LONG_LONG *exp;
-  PY_LONG_LONG *log;
-  PY_LONG_LONG *zech;
-  PY_LONG_LONG Q;
-  PY_LONG_LONG Qm1;
-  PY_LONG_LONG negone;
-  PY_LONG_LONG p;
-  PY_LONG_LONG tmask;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyLongCompare.proto */
-static CYTHON_INLINE int __Pyx_PyLong_BoolEqObjC(PyObject *op1, PyObject *op2, long intval, long inplace);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAdd(op1, op2) : PyNumber_Add(op1, op2))
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* ExtTypeTest.proto */
-static CYTHON_INLINE int __Pyx_TypeTest(PyObject *obj, PyTypeObject *type);
-
-/* PyRange_Check.proto */
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyRange_Check)
-  #define PyRange_Check(obj)  __Pyx_TypeCheck((obj), &PyRange_Type)
-#endif
-
-/* TypeImport.proto */
-#ifndef __PYX_HAVE_RT_ImportType_proto_3_2_8
-#define __PYX_HAVE_RT_ImportType_proto_3_2_8
-#if defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L
-#include <stdalign.h>
-#endif
-#if (defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L) || __cplusplus >= 201103L
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) alignof(s)
-#else
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) sizeof(void*)
-#endif
-enum __Pyx_ImportType_CheckSize_3_2_8 {
-   __Pyx_ImportType_CheckSize_Error_3_2_8 = 0,
-   __Pyx_ImportType_CheckSize_Warn_3_2_8 = 1,
-   __Pyx_ImportType_CheckSize_Ignore_3_2_8 = 2
-};
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject* module, const char *module_name, const char *class_name, size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size);
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by HasAttr) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* PyDictVersioning.proto (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* ArrayAPI.proto */
-#ifndef _ARRAYARRAY_H
-#define _ARRAYARRAY_H
-typedef struct arraydescr {
-    union {
-        char typecode_char;  // pre-3.15
-        char typecode_array[3]; // post-3.15
-    };
-    int itemsize;
-    PyObject * (*getitem)(struct arrayobject *, Py_ssize_t);
-    int (*setitem)(struct arrayobject *, Py_ssize_t, PyObject *);
-#if PY_VERSION_HEX <= 0x030F00a8
-    char *formats;
-#endif
-} arraydescr;
-typedef union {
-    char *ob_item;
-    float *as_floats;
-    double *as_doubles;
-    int *as_ints;
-    unsigned int *as_uints;
-    unsigned char *as_uchars;
-    signed char *as_schars;
-    char *as_chars;
-    unsigned long *as_ulongs;
-    long *as_longs;
-    unsigned long long *as_ulonglongs;
-    long long *as_longlongs;
-    short *as_shorts;
-    unsigned short *as_ushorts;
-    #if PY_VERSION_HEX >= 0x030d0000
-    Py_DEPRECATED(3.13)
-    #endif
-        wchar_t *as_pyunicodes;
-    void *as_voidptr;
-} __Pyx_data_union;
-struct arrayobject {
-    PyObject_HEAD
-    Py_ssize_t ob_size;
-    __Pyx_data_union data;
-    Py_ssize_t allocated;
-    struct arraydescr *ob_descr;
-    PyObject *weakreflist;
-    int ob_exports;
-};
-#ifndef NO_NEWARRAY_INLINE
-static CYTHON_INLINE PyObject * newarrayobject(PyTypeObject *type, Py_ssize_t size,
-    struct arraydescr *descr) {
-    arrayobject *op;
-    size_t nbytes;
-    if (size < 0) {
-        PyErr_BadInternalCall();
-        return NULL;
-    }
-    nbytes = size * descr->itemsize;
-    if (nbytes / descr->itemsize != (size_t)size) {
-        return PyErr_NoMemory();
-    }
-    op = (arrayobject *) type->tp_alloc(type, 0);
-    if (op == NULL) {
-        return NULL;
-    }
-    op->ob_descr = descr;
-    op->allocated = size;
-    op->weakreflist = NULL;
-    __Pyx_SET_SIZE(op, size);
-    if (size <= 0) {
-        op->data.ob_item = NULL;
-    }
-    else {
-        op->data.ob_item = PyMem_NEW(char, nbytes);
-        if (op->data.ob_item == NULL) {
-            Py_DECREF(op);
+    for (i = 0; i < e; i++) {
+        if (q > PY_SSIZE_T_MAX / 32 / p)
             return PyErr_NoMemory();
-        }
+        q *= p;
     }
-    return (PyObject *) op;
-}
-#else
-PyObject* newarrayobject(PyTypeObject *type, Py_ssize_t size,
-    struct arraydescr *descr);
-#endif
-static CYTHON_INLINE __Pyx_data_union __Pyx_PyArray_Data(arrayobject *self) {
-#if CYTHON_COMPILING_IN_GRAAL
-    __Pyx_data_union data;
-    data.ob_item = GraalPyArray_Data((PyObject*)self);
-    return data;
-#else
-    return self->data;
-#endif
-}
-static CYTHON_INLINE int resize(arrayobject *self, Py_ssize_t n) {
-#if CYTHON_COMPILING_IN_GRAAL
-    return GraalPyArray_Resize((PyObject*)self, n);
-#else
-    void *items = (void*) self->data.ob_item;
-    PyMem_Resize(items, char, (size_t)(n * self->ob_descr->itemsize));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->data.ob_item = (char*) items;
-    __Pyx_SET_SIZE(self, n);
-    self->allocated = n;
-    return 0;
-#endif
-}
-static CYTHON_INLINE int resize_smart(arrayobject *self, Py_ssize_t n) {
-#if CYTHON_COMPILING_IN_GRAAL
-    return GraalPyArray_Resize((PyObject*)self, n);
-#else
-    void *items = (void*) self->data.ob_item;
-    Py_ssize_t newsize;
-    if (n < self->allocated && n*4 > self->allocated) {
-        __Pyx_SET_SIZE(self, n);
-        return 0;
-    }
-    newsize = n + (n / 2) + 1;
-    if (newsize <= n) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    PyMem_Resize(items, char, (size_t)(newsize * self->ob_descr->itemsize));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->data.ob_item = (char*) items;
-    __Pyx_SET_SIZE(self, n);
-    self->allocated = newsize;
-    return 0;
-#endif
-}
-#endif
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4real_real(PyComplexObject *__pyx_v_self); /* proto*/
-#endif
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4imag_imag(PyComplexObject *__pyx_v_self); /* proto*/
-#endif
-static CYTHON_INLINE __Pyx_data_union __pyx_f_7cpython_5array_5array_4data_data(arrayobject *__pyx_v_self); /* proto*/
-
-/* Module declarations from "cpython.version" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.type" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdio" */
-
-/* Module declarations from "cpython.object" */
-
-/* Module declarations from "cpython.ref" */
-
-/* Module declarations from "cpython.exc" */
-
-/* Module declarations from "cpython.module" */
-
-/* Module declarations from "cpython.mem" */
-
-/* Module declarations from "cpython.tuple" */
-
-/* Module declarations from "cpython.list" */
-
-/* Module declarations from "cpython.sequence" */
-
-/* Module declarations from "cpython.mapping" */
-
-/* Module declarations from "cpython.iterator" */
-
-/* Module declarations from "cpython.number" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.bool" */
-
-/* Module declarations from "cpython.long" */
-
-/* Module declarations from "cpython.float" */
-
-/* Module declarations from "cython" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.complex" */
-
-/* Module declarations from "libc.stddef" */
-
-/* Module declarations from "cpython.unicode" */
-
-/* Module declarations from "cpython.pyport" */
-
-/* Module declarations from "cpython.dict" */
-
-/* Module declarations from "cpython.instance" */
-
-/* Module declarations from "cpython.function" */
-
-/* Module declarations from "cpython.method" */
-
-/* Module declarations from "cpython.weakref" */
-
-/* Module declarations from "cpython.getargs" */
-
-/* Module declarations from "cpython.pythread" */
-
-/* Module declarations from "cpython.pystate" */
-
-/* Module declarations from "cpython.set" */
-
-/* Module declarations from "cpython.buffer" */
-
-/* Module declarations from "cpython.bytes" */
-
-/* Module declarations from "cpython.pycapsule" */
-
-/* Module declarations from "cpython.contextvars" */
-
-/* Module declarations from "cpython" */
-
-/* Module declarations from "array" */
-
-/* Module declarations from "cpython.array" */
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend_buffer(arrayobject *, char *, Py_ssize_t); /*proto*/
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "picardkit.counting._ckernel" */
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__idx_mul(PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__idx_pow(PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *); /*proto*/
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_MUL(PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG); /*proto*/
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_ADD(PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG); /*proto*/
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_NEG(PY_LONG_LONG, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_INV(PY_LONG_LONG, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__ptrim(PY_LONG_LONG *, PY_LONG_LONG); /*proto*/
-static void __pyx_f_9picardkit_8counting_8_ckernel__pmonic(PY_LONG_LONG *, PY_LONG_LONG, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__pmod(PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__pgcd(PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__pmulmod(PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__root_count(PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__distinct_roots(PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__chart_loop(struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG); /*proto*/
-static void __pyx_f_9picardkit_8counting_8_ckernel__fill_pow(struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG); /*proto*/
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__run_slice(struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *, PY_LONG_LONG *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "picardkit.counting._ckernel"
-extern int __pyx_module_is_main_picardkit__counting___ckernel;
-int __pyx_module_is_main_picardkit__counting___ckernel = 0;
-
-/* Implementation of "picardkit.counting._ckernel" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_counting_kernel_exact_m[] = "Compiled counting kernel; exact mirror of kernel_py (same contracts).\n\nAll field elements are int64 table indices.  See kernel_py for the table\nconventions.  The chart loop runs without the GIL so count_points can spread\nouter-coordinate ranges across threads.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_9picardkit_8counting_8_ckernel_build_tables(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p_in, PyObject *__pyx_v_e_in, PyObject *__pyx_v_modulus); /* proto */
-static PyObject *__pyx_pf_9picardkit_8counting_8_ckernel_2count_chart(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_Q_in, PyObject *__pyx_v_p_in, PyObject *__pyx_v_tmask_in, PyObject *__pyx_v_exp_arr, PyObject *__pyx_v_log_arr, PyObject *__pyx_v_zech_arr, PyObject *__pyx_v_gen_terms, PyObject *__pyx_v_nprefix_in, PyObject *__pyx_v_use_gcd_in, PyObject *__pyx_v_lo_in, PyObject *__pyx_v_hi_in); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyTypeObject *__pyx_ptype_7cpython_4type_type;
-  PyTypeObject *__pyx_ptype_7cpython_4bool_bool;
-  PyTypeObject *__pyx_ptype_7cpython_7complex_complex;
-  PyTypeObject *__pyx_ptype_7cpython_5array_array;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_codeobj_tab[2];
-  PyObject *__pyx_string_tab[90];
-  PyObject *__pyx_number_tab[3];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_src_picardkit_counting__ckernel __pyx_string_tab[1]
-#define __pyx_n_u_BACKEND __pyx_string_tab[2]
-#define __pyx_n_u_F __pyx_string_tab[3]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[4]
-#define __pyx_n_u_Q __pyx_string_tab[5]
-#define __pyx_n_u_Q_in __pyx_string_tab[6]
-#define __pyx_n_u_annotate __pyx_string_tab[7]
-#define __pyx_n_u_array __pyx_string_tab[8]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[9]
-#define __pyx_n_u_build_tables __pyx_string_tab[10]
-#define __pyx_n_u_cand __pyx_string_tab[11]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[12]
-#define __pyx_n_u_count __pyx_string_tab[13]
-#define __pyx_n_u_count_chart __pyx_string_tab[14]
-#define __pyx_n_u_cur __pyx_string_tab[15]
-#define __pyx_n_u_cython __pyx_string_tab[16]
-#define __pyx_n_u_d __pyx_string_tab[17]
-#define __pyx_n_u_e __pyx_string_tab[18]
-#define __pyx_n_u_e_in __pyx_string_tab[19]
-#define __pyx_n_u_exp __pyx_string_tab[20]
-#define __pyx_n_u_exp_a __pyx_string_tab[21]
-#define __pyx_n_u_exp_arr __pyx_string_tab[22]
-#define __pyx_n_u_f __pyx_string_tab[23]
-#define __pyx_n_u_factors __pyx_string_tab[24]
-#define __pyx_n_u_flat __pyx_string_tab[25]
-#define __pyx_n_u_flat_a __pyx_string_tab[26]
-#define __pyx_n_u_func __pyx_string_tab[27]
-#define __pyx_n_u_gdeg __pyx_string_tab[28]
-#define __pyx_n_u_gdeg_a __pyx_string_tab[29]
-#define __pyx_n_u_gen __pyx_string_tab[30]
-#define __pyx_n_u_gen_terms __pyx_string_tab[31]
-#define __pyx_n_u_gi __pyx_string_tab[32]
-#define __pyx_n_u_goff __pyx_string_tab[33]
-#define __pyx_n_u_goff_a __pyx_string_tab[34]
-#define __pyx_n_u_hi __pyx_string_tab[35]
-#define __pyx_n_u_hi_in __pyx_string_tab[36]
-#define __pyx_n_u_i __pyx_string_tab[37]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[38]
-#define __pyx_n_u_items __pyx_string_tab[39]
-#define __pyx_n_u_k __pyx_string_tab[40]
-#define __pyx_n_u_lo __pyx_string_tab[41]
-#define __pyx_n_u_lo_in __pyx_string_tab[42]
-#define __pyx_n_u_log __pyx_string_tab[43]
-#define __pyx_n_u_log_a __pyx_string_tab[44]
-#define __pyx_n_u_log_arr __pyx_string_tab[45]
-#define __pyx_n_u_main __pyx_string_tab[46]
-#define __pyx_n_u_maxdeg __pyx_string_tab[47]
-#define __pyx_n_u_mod __pyx_string_tab[48]
-#define __pyx_n_u_mod_arr __pyx_string_tab[49]
-#define __pyx_n_u_module __pyx_string_tab[50]
-#define __pyx_n_u_modulus __pyx_string_tab[51]
-#define __pyx_n_u_n __pyx_string_tab[52]
-#define __pyx_n_u_name __pyx_string_tab[53]
-#define __pyx_n_u_ngens __pyx_string_tab[54]
-#define __pyx_n_u_nprefix __pyx_string_tab[55]
-#define __pyx_n_u_nprefix_in __pyx_string_tab[56]
-#define __pyx_n_u_ok __pyx_string_tab[57]
-#define __pyx_n_u_p __pyx_string_tab[58]
-#define __pyx_n_u_p_in __pyx_string_tab[59]
-#define __pyx_n_u_picardkit_counting__ckernel __pyx_string_tab[60]
-#define __pyx_n_u_pm1 __pyx_string_tab[61]
-#define __pyx_n_u_pmax __pyx_string_tab[62]
-#define __pyx_n_u_pmax_a __pyx_string_tab[63]
-#define __pyx_n_u_pop __pyx_string_tab[64]
-#define __pyx_n_u_pos __pyx_string_tab[65]
-#define __pyx_n_u_q __pyx_string_tab[66]
-#define __pyx_n_u_qualname __pyx_string_tab[67]
-#define __pyx_n_u_r __pyx_string_tab[68]
-#define __pyx_n_u_set_name __pyx_string_tab[69]
-#define __pyx_n_u_setdefault __pyx_string_tab[70]
-#define __pyx_n_u_stride __pyx_string_tab[71]
-#define __pyx_n_u_t __pyx_string_tab[72]
-#define __pyx_n_u_t1 __pyx_string_tab[73]
-#define __pyx_n_u_terms __pyx_string_tab[74]
-#define __pyx_n_u_test __pyx_string_tab[75]
-#define __pyx_n_u_tmask_in __pyx_string_tab[76]
-#define __pyx_n_u_total_recs __pyx_string_tab[77]
-#define __pyx_n_u_use_gcd __pyx_string_tab[78]
-#define __pyx_n_u_use_gcd_in __pyx_string_tab[79]
-#define __pyx_n_u_v __pyx_string_tab[80]
-#define __pyx_n_u_va __pyx_string_tab[81]
-#define __pyx_n_u_values __pyx_string_tab[82]
-#define __pyx_n_u_vb __pyx_string_tab[83]
-#define __pyx_n_u_vt __pyx_string_tab[84]
-#define __pyx_n_u_zech __pyx_string_tab[85]
-#define __pyx_n_u_zech_a __pyx_string_tab[86]
-#define __pyx_n_u_zech_arr __pyx_string_tab[87]
-#define __pyx_kp_b_iso88591_q_Q_Q_Q_Q_a_WE_a_WE_a_XV5_U_WBb __pyx_string_tab[88]
-#define __pyx_kp_b_iso88591_q_q_q_U_1_Q_F_5_AQ_a_F_5_Qb_2Rq __pyx_string_tab[89]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_2 __pyx_number_tab[2]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4bool_bool);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_7complex_complex);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_5array_array);
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<90; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4bool_bool);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_7complex_complex);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_5array_array);
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<90; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "cpython/complex.pxd":20
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4real_real(PyComplexObject *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "cpython/complex.pxd":23
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
- *             return self.cval.real             # <<<<<<<<<<<<<<
- * 
- *         # unavailable in limited API
-*/
-  __pyx_r = __pyx_v_self->cval.real;
-  goto __pyx_L0;
-
-  /* "cpython/complex.pxd":20
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/complex.pxd":26
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4imag_imag(PyComplexObject *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "cpython/complex.pxd":29
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
- *             return self.cval.imag             # <<<<<<<<<<<<<<
- * 
- *     # PyTypeObject PyComplex_Type
-*/
-  __pyx_r = __pyx_v_self->cval.imag;
-  goto __pyx_L0;
-
-  /* "cpython/complex.pxd":26
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/contextvars.pxd":115
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE PyObject *__pyx_f_7cpython_11contextvars_get_value(PyObject *__pyx_v_var, struct __pyx_opt_args_7cpython_11contextvars_get_value *__pyx_optional_args) {
-
-  /* "cpython/contextvars.pxd":116
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the default value of the context variable,
-*/
-  PyObject *__pyx_v_default_value = ((PyObject *)Py_None);
-  PyObject *__pyx_v_value;
-  PyObject *__pyx_v_pyvalue = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("get_value", 0);
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_default_value = __pyx_optional_args->default_value;
-    }
-  }
-
-  /* "cpython/contextvars.pxd":121
- *     or None if no such value or default was found.
- *     """
- *     cdef PyObject *value = NULL             # <<<<<<<<<<<<<<
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:
-*/
-  __pyx_v_value = NULL;
-
-  /* "cpython/contextvars.pxd":122
- *     """
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)             # <<<<<<<<<<<<<<
- *     if value is NULL:
- *         # context variable does not have a default
-*/
-  __pyx_t_1 = PyContextVar_Get(__pyx_v_var, NULL, (&__pyx_v_value)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 122, __pyx_L1_error)
-
-  /* "cpython/contextvars.pxd":123
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:             # <<<<<<<<<<<<<<
- *         # context variable does not have a default
- *         pyvalue = default_value
-*/
-  __pyx_t_2 = (__pyx_v_value == NULL);
-  if (__pyx_t_2) {
-
-    /* "cpython/contextvars.pxd":125
- *     if value is NULL:
- *         # context variable does not have a default
- *         pyvalue = default_value             # <<<<<<<<<<<<<<
- *     else:
- *         # value or default value of context variable
-*/
-    __Pyx_INCREF(__pyx_v_default_value);
-    __pyx_v_pyvalue = __pyx_v_default_value;
-
-    /* "cpython/contextvars.pxd":123
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:             # <<<<<<<<<<<<<<
- *         # context variable does not have a default
- *         pyvalue = default_value
-*/
-    goto __pyx_L3;
-  }
-
-  /* "cpython/contextvars.pxd":128
- *     else:
- *         # value or default value of context variable
- *         pyvalue = <object>value             # <<<<<<<<<<<<<<
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue
-*/
-  /*else*/ {
-    __pyx_t_3 = ((PyObject *)__pyx_v_value);
-    __Pyx_INCREF(__pyx_t_3);
-    __pyx_v_pyvalue = __pyx_t_3;
-    __pyx_t_3 = 0;
-
-    /* "cpython/contextvars.pxd":129
- *         # value or default value of context variable
- *         pyvalue = <object>value
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'             # <<<<<<<<<<<<<<
- *     return pyvalue
- * 
-*/
-    Py_XDECREF(__pyx_v_value);
-  }
-  __pyx_L3:;
-
-  /* "cpython/contextvars.pxd":130
- *         pyvalue = <object>value
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_pyvalue);
-  __pyx_r = __pyx_v_pyvalue;
-  goto __pyx_L0;
-
-  /* "cpython/contextvars.pxd":115
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("cpython.contextvars.get_value", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pyvalue);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/contextvars.pxd":133
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value_no_default(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE PyObject *__pyx_f_7cpython_11contextvars_get_value_no_default(PyObject *__pyx_v_var, struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default *__pyx_optional_args) {
-
-  /* "cpython/contextvars.pxd":134
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value_no_default(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the provided default value if no such value was found.
-*/
-  PyObject *__pyx_v_default_value = ((PyObject *)Py_None);
-  PyObject *__pyx_v_value;
-  PyObject *__pyx_v_pyvalue = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("get_value_no_default", 0);
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_default_value = __pyx_optional_args->default_value;
-    }
-  }
-
-  /* "cpython/contextvars.pxd":140
- *     Ignores the default value of the context variable, if any.
- *     """
- *     cdef PyObject *value = NULL             # <<<<<<<<<<<<<<
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)
- *     # value of context variable or 'default_value'
-*/
-  __pyx_v_value = NULL;
-
-  /* "cpython/contextvars.pxd":141
- *     """
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)             # <<<<<<<<<<<<<<
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value
-*/
-  __pyx_t_1 = PyContextVar_Get(__pyx_v_var, ((PyObject *)__pyx_v_default_value), (&__pyx_v_value)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 141, __pyx_L1_error)
-
-  /* "cpython/contextvars.pxd":143
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value             # <<<<<<<<<<<<<<
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_value);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_v_pyvalue = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "cpython/contextvars.pxd":144
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'             # <<<<<<<<<<<<<<
- *     return pyvalue
-*/
-  Py_XDECREF(__pyx_v_value);
-
-  /* "cpython/contextvars.pxd":145
- *     pyvalue = <object>value
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_pyvalue);
-  __pyx_r = __pyx_v_pyvalue;
-  goto __pyx_L0;
-
-  /* "cpython/contextvars.pxd":133
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value_no_default(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("cpython.contextvars.get_value_no_default", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pyvalue);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "array.pxd":105
- *             arraydescr* ob_descr    # struct arraydescr *ob_descr;
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)
-*/
-
-static CYTHON_INLINE __Pyx_data_union __pyx_f_7cpython_5array_5array_4data_data(arrayobject *__pyx_v_self) {
-  __Pyx_data_union __pyx_r;
-
-  /* "array.pxd":107
- *         @property
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)             # <<<<<<<<<<<<<<
- * 
- *     array newarrayobject(PyTypeObject* type, Py_ssize_t size, arraydescr *descr)
-*/
-  __pyx_r = __Pyx_PyArray_Data(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "array.pxd":105
- *             arraydescr* ob_descr    # struct arraydescr *ob_descr;
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":119
- * 
- * 
- * cdef inline array clone(array template, Py_ssize_t length, bint zero):             # <<<<<<<<<<<<<<
- *     """ fast creation of a new array, given a template array.
- *     type will be same as template.
-*/
-
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_clone(arrayobject *__pyx_v_template, Py_ssize_t __pyx_v_length, int __pyx_v_zero) {
-  arrayobject *__pyx_v_op = 0;
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("clone", 0);
-
-  /* "array.pxd":123
- *     type will be same as template.
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)             # <<<<<<<<<<<<<<
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
-*/
-  __pyx_t_1 = ((PyObject *)newarrayobject(Py_TYPE(((PyObject *)__pyx_v_template)), __pyx_v_length, __pyx_v_template->ob_descr)); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_op = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "array.pxd":124
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:             # <<<<<<<<<<<<<<
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op
-*/
-  if (__pyx_v_zero) {
-  } else {
-    __pyx_t_2 = __pyx_v_zero;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (((PyObject *)__pyx_v_op) != Py_None);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "array.pxd":125
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)             # <<<<<<<<<<<<<<
- *     return op
- * 
-*/
-    (void)(memset(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_op).as_chars, 0, (__pyx_v_length * __pyx_v_op->ob_descr->itemsize)));
-
-    /* "array.pxd":124
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:             # <<<<<<<<<<<<<<
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op
-*/
-  }
-
-  /* "array.pxd":126
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op             # <<<<<<<<<<<<<<
- * 
- * cdef inline array copy(array self):
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_op);
-  __pyx_r = __pyx_v_op;
-  goto __pyx_L0;
-
-  /* "array.pxd":119
- * 
- * 
- * cdef inline array clone(array template, Py_ssize_t length, bint zero):             # <<<<<<<<<<<<<<
- *     """ fast creation of a new array, given a template array.
- *     type will be same as template.
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cpython.array.clone", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_op);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "array.pxd":128
- *     return op
- * 
- * cdef inline array copy(array self):             # <<<<<<<<<<<<<<
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
-*/
-
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_copy(arrayobject *__pyx_v_self) {
-  arrayobject *__pyx_v_op = 0;
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("copy", 0);
-
-  /* "array.pxd":130
- * cdef inline array copy(array self):
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)             # <<<<<<<<<<<<<<
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)
- *     return op
-*/
-  __pyx_t_1 = ((PyObject *)newarrayobject(Py_TYPE(((PyObject *)__pyx_v_self)), Py_SIZE(((PyObject *)__pyx_v_self)), __pyx_v_self->ob_descr)); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 130, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_op = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "array.pxd":131
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)             # <<<<<<<<<<<<<<
- *     return op
- * 
-*/
-  (void)(memcpy(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_op).as_chars, __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars, (Py_SIZE(((PyObject *)__pyx_v_op)) * __pyx_v_op->ob_descr->itemsize)));
-
-  /* "array.pxd":132
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)
- *     return op             # <<<<<<<<<<<<<<
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_op);
-  __pyx_r = __pyx_v_op;
-  goto __pyx_L0;
-
-  /* "array.pxd":128
- *     return op
- * 
- * cdef inline array copy(array self):             # <<<<<<<<<<<<<<
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cpython.array.copy", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_op);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "array.pxd":134
- *     return op
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:             # <<<<<<<<<<<<<<
- *     """ efficient appending of new stuff of same type
- *     (e.g. of same array type)
-*/
-
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend_buffer(arrayobject *__pyx_v_self, char *__pyx_v_stuff, Py_ssize_t __pyx_v_n) {
-  Py_ssize_t __pyx_v_itemsize;
-  Py_ssize_t __pyx_v_origsize;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "array.pxd":138
- *     (e.g. of same array type)
- *     n: number of elements (not number of bytes!) """
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)
-*/
-  __pyx_t_1 = __pyx_v_self->ob_descr->itemsize;
-  __pyx_v_itemsize = __pyx_t_1;
-
-  /* "array.pxd":139
- *     n: number of elements (not number of bytes!) """
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize
- *     cdef Py_ssize_t origsize = Py_SIZE(self)             # <<<<<<<<<<<<<<
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
-*/
-  __pyx_v_origsize = Py_SIZE(((PyObject *)__pyx_v_self));
-
-  /* "array.pxd":140
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)             # <<<<<<<<<<<<<<
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
- *     return 0
-*/
-  __pyx_t_1 = resize_smart(__pyx_v_self, (__pyx_v_origsize + __pyx_v_n)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(2, 140, __pyx_L1_error)
-
-  /* "array.pxd":141
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  (void)(memcpy((__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars + (__pyx_v_origsize * __pyx_v_itemsize)), __pyx_v_stuff, (__pyx_v_n * __pyx_v_itemsize)));
-
-  /* "array.pxd":142
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * cdef inline int extend(array self, array other) except -1:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "array.pxd":134
- *     return op
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:             # <<<<<<<<<<<<<<
- *     """ efficient appending of new stuff of same type
- *     (e.g. of same array type)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cpython.array.extend_buffer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":144
- *     return 0
- * 
- * cdef inline int extend(array self, array other) except -1:             # <<<<<<<<<<<<<<
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
-*/
-
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend(arrayobject *__pyx_v_self, arrayobject *__pyx_v_other) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "array.pxd":146
- * cdef inline int extend(array self, array other) except -1:
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:             # <<<<<<<<<<<<<<
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
-*/
-  __pyx_t_1 = (__pyx_v_self->ob_descr->typecode_char != __pyx_v_other->ob_descr->typecode_char);
-  if (__pyx_t_1) {
-
-    /* "array.pxd":147
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
- *         PyErr_BadArgument()             # <<<<<<<<<<<<<<
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
-*/
-    __pyx_t_2 = PyErr_BadArgument(); if (unlikely(__pyx_t_2 == ((int)0))) __PYX_ERR(2, 147, __pyx_L1_error)
-
-    /* "array.pxd":146
- * cdef inline int extend(array self, array other) except -1:
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:             # <<<<<<<<<<<<<<
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
-*/
-  }
-
-  /* "array.pxd":148
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))             # <<<<<<<<<<<<<<
- * 
- * cdef inline void zero(array self) noexcept:
-*/
-  __pyx_t_2 = __pyx_f_7cpython_5array_extend_buffer(__pyx_v_self, __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_other).as_chars, Py_SIZE(((PyObject *)__pyx_v_other))); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(2, 148, __pyx_L1_error)
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "array.pxd":144
- *     return 0
- * 
- * cdef inline int extend(array self, array other) except -1:             # <<<<<<<<<<<<<<
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cpython.array.extend", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":150
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
- * cdef inline void zero(array self) noexcept:             # <<<<<<<<<<<<<<
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)
-*/
-
-static CYTHON_INLINE void __pyx_f_7cpython_5array_zero(arrayobject *__pyx_v_self) {
-
-  /* "array.pxd":152
- * cdef inline void zero(array self) noexcept:
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)             # <<<<<<<<<<<<<<
-*/
-  (void)(memset(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars, 0, (Py_SIZE(((PyObject *)__pyx_v_self)) * __pyx_v_self->ob_descr->itemsize)));
-
-  /* "array.pxd":150
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
- * cdef inline void zero(array self) noexcept:             # <<<<<<<<<<<<<<
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)
-*/
-
-  /* function exit code */
-}
-
-/* "picardkit/counting/_ckernel.pyx":18
- * 
- * 
- * def build_tables(p_in, e_in, modulus):             # <<<<<<<<<<<<<<
- *     """exp/log/Zech tables for F_{p^e}; identical output to kernel_py."""
- *     cdef long long p = p_in
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9picardkit_8counting_8_ckernel_1build_tables(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9picardkit_8counting_8_ckernel_build_tables, "exp/log/Zech tables for F_{p^e}; identical output to kernel_py.");
-static PyMethodDef __pyx_mdef_9picardkit_8counting_8_ckernel_1build_tables = {"build_tables", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9picardkit_8counting_8_ckernel_1build_tables, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9picardkit_8counting_8_ckernel_build_tables};
-static PyObject *__pyx_pw_9picardkit_8counting_8_ckernel_1build_tables(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p_in = 0;
-  PyObject *__pyx_v_e_in = 0;
-  PyObject *__pyx_v_modulus = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("build_tables (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p_in,&__pyx_mstate_global->__pyx_n_u_e_in,&__pyx_mstate_global->__pyx_n_u_modulus,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 18, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 18, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 18, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 18, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "build_tables", 0) < (0)) __PYX_ERR(0, 18, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("build_tables", 1, 3, 3, i); __PYX_ERR(0, 18, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 18, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 18, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 18, __pyx_L3_error)
-    }
-    __pyx_v_p_in = values[0];
-    __pyx_v_e_in = values[1];
-    __pyx_v_modulus = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("build_tables", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 18, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("picardkit.counting._ckernel.build_tables", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9picardkit_8counting_8_ckernel_build_tables(__pyx_self, __pyx_v_p_in, __pyx_v_e_in, __pyx_v_modulus);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9picardkit_8counting_8_ckernel_build_tables(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p_in, PyObject *__pyx_v_e_in, PyObject *__pyx_v_modulus) {
-  PY_LONG_LONG __pyx_v_p;
-  PY_LONG_LONG __pyx_v_e;
-  PY_LONG_LONG __pyx_v_q;
-  PY_LONG_LONG __pyx_v_i;
-  arrayobject *__pyx_v_mod_arr = 0;
-  PY_LONG_LONG *__pyx_v_mod;
-  arrayobject *__pyx_v_exp_arr = 0;
-  arrayobject *__pyx_v_log_arr = 0;
-  arrayobject *__pyx_v_zech_arr = 0;
-  PY_LONG_LONG *__pyx_v_exp;
-  PY_LONG_LONG *__pyx_v_log;
-  PY_LONG_LONG *__pyx_v_zech;
-  PY_LONG_LONG *__pyx_v_va;
-  PY_LONG_LONG *__pyx_v_vb;
-  PY_LONG_LONG *__pyx_v_vt;
-  PyObject *__pyx_v_factors = NULL;
-  PyObject *__pyx_v_n = NULL;
-  PyObject *__pyx_v_d = NULL;
-  PY_LONG_LONG __pyx_v_gen;
-  PY_LONG_LONG __pyx_v_cand;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_ok;
-  PyObject *__pyx_v_f = NULL;
-  PY_LONG_LONG __pyx_v_cur;
-  PyObject *__pyx_v_pm1 = NULL;
-  PyObject *__pyx_v_t = NULL;
-  PyObject *__pyx_v_t1 = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PY_LONG_LONG __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  PY_LONG_LONG *__pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  Py_ssize_t __pyx_t_14;
-  PY_LONG_LONG __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  char const *__pyx_t_18;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("build_tables", 0);
-
-  /* "picardkit/counting/_ckernel.pyx":20
- * def build_tables(p_in, e_in, modulus):
- *     """exp/log/Zech tables for F_{p^e}; identical output to kernel_py."""
- *     cdef long long p = p_in             # <<<<<<<<<<<<<<
- *     cdef long long e = e_in
- *     cdef long long q = 1
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_p_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 20, __pyx_L1_error)
-  __pyx_v_p = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":21
- *     """exp/log/Zech tables for F_{p^e}; identical output to kernel_py."""
- *     cdef long long p = p_in
- *     cdef long long e = e_in             # <<<<<<<<<<<<<<
- *     cdef long long q = 1
- *     cdef long long i
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_e_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 21, __pyx_L1_error)
-  __pyx_v_e = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":22
- *     cdef long long p = p_in
- *     cdef long long e = e_in
- *     cdef long long q = 1             # <<<<<<<<<<<<<<
- *     cdef long long i
- *     for i in range(e):
-*/
-  __pyx_v_q = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":24
- *     cdef long long q = 1
- *     cdef long long i
- *     for i in range(e):             # <<<<<<<<<<<<<<
- *         q *= p
- * 
-*/
-  __pyx_t_1 = __pyx_v_e;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "picardkit/counting/_ckernel.pyx":25
- *     cdef long long i
- *     for i in range(e):
- *         q *= p             # <<<<<<<<<<<<<<
- * 
- *     cdef array.array mod_arr = array.array("q", list(modulus))
-*/
-    __pyx_v_q = (__pyx_v_q * __pyx_v_p);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":27
- *         q *= p
- * 
- *     cdef array.array mod_arr = array.array("q", list(modulus))             # <<<<<<<<<<<<<<
- *     cdef long long* mod = mod_arr.data.as_longlongs
- * 
-*/
-  __pyx_t_5 = NULL;
-  __pyx_t_6 = PySequence_List(__pyx_v_modulus); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 27, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_5, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_6};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_7, (3-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 27, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_4);
-  }
-  __pyx_v_mod_arr = ((arrayobject *)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":28
- * 
- *     cdef array.array mod_arr = array.array("q", list(modulus))
- *     cdef long long* mod = mod_arr.data.as_longlongs             # <<<<<<<<<<<<<<
- * 
- *     cdef array.array exp_arr = array.array("q", bytes(8 * (q - 1)))
-*/
-  __pyx_t_8 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_mod_arr).as_longlongs;
-  __pyx_v_mod = __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":30
- *     cdef long long* mod = mod_arr.data.as_longlongs
- * 
- *     cdef array.array exp_arr = array.array("q", bytes(8 * (q - 1)))             # <<<<<<<<<<<<<<
- *     cdef array.array log_arr = array.array("q", bytes(8 * q))
- *     cdef array.array zech_arr = array.array("q", bytes(8 * (q - 1)))
-*/
-  __pyx_t_6 = NULL;
-  __pyx_t_9 = NULL;
-  __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG((8 * (__pyx_v_q - 1))); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 30, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_10};
-    __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 30, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-  }
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_6, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_5};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_7, (3-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 30, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_4);
-  }
-  __pyx_v_exp_arr = ((arrayobject *)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":31
- * 
- *     cdef array.array exp_arr = array.array("q", bytes(8 * (q - 1)))
- *     cdef array.array log_arr = array.array("q", bytes(8 * q))             # <<<<<<<<<<<<<<
- *     cdef array.array zech_arr = array.array("q", bytes(8 * (q - 1)))
- *     cdef long long* exp = exp_arr.data.as_longlongs
-*/
-  __pyx_t_5 = NULL;
-  __pyx_t_10 = NULL;
-  __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG((8 * __pyx_v_q)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 31, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_9};
-    __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 31, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-  }
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_5, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_6};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_7, (3-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 31, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_4);
-  }
-  __pyx_v_log_arr = ((arrayobject *)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":32
- *     cdef array.array exp_arr = array.array("q", bytes(8 * (q - 1)))
- *     cdef array.array log_arr = array.array("q", bytes(8 * q))
- *     cdef array.array zech_arr = array.array("q", bytes(8 * (q - 1)))             # <<<<<<<<<<<<<<
- *     cdef long long* exp = exp_arr.data.as_longlongs
- *     cdef long long* log = log_arr.data.as_longlongs
-*/
-  __pyx_t_6 = NULL;
-  __pyx_t_9 = NULL;
-  __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG((8 * (__pyx_v_q - 1))); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_10};
-    __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 32, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-  }
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_6, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_5};
-    __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_7, (3-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 32, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_4);
-  }
-  __pyx_v_zech_arr = ((arrayobject *)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":33
- *     cdef array.array log_arr = array.array("q", bytes(8 * q))
- *     cdef array.array zech_arr = array.array("q", bytes(8 * (q - 1)))
- *     cdef long long* exp = exp_arr.data.as_longlongs             # <<<<<<<<<<<<<<
- *     cdef long long* log = log_arr.data.as_longlongs
- *     cdef long long* zech = zech_arr.data.as_longlongs
-*/
-  __pyx_t_8 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_exp_arr).as_longlongs;
-  __pyx_v_exp = __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":34
- *     cdef array.array zech_arr = array.array("q", bytes(8 * (q - 1)))
- *     cdef long long* exp = exp_arr.data.as_longlongs
- *     cdef long long* log = log_arr.data.as_longlongs             # <<<<<<<<<<<<<<
- *     cdef long long* zech = zech_arr.data.as_longlongs
- * 
-*/
-  __pyx_t_8 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_log_arr).as_longlongs;
-  __pyx_v_log = __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":35
- *     cdef long long* exp = exp_arr.data.as_longlongs
- *     cdef long long* log = log_arr.data.as_longlongs
- *     cdef long long* zech = zech_arr.data.as_longlongs             # <<<<<<<<<<<<<<
- * 
- *     cdef long long* va = <long long*> malloc(8 * e)
-*/
-  __pyx_t_8 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_zech_arr).as_longlongs;
-  __pyx_v_zech = __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":37
- *     cdef long long* zech = zech_arr.data.as_longlongs
- * 
- *     cdef long long* va = <long long*> malloc(8 * e)             # <<<<<<<<<<<<<<
- *     cdef long long* vb = <long long*> malloc(8 * e)
- *     cdef long long* vt = <long long*> malloc(8 * (2 * e))
-*/
-  __pyx_v_va = ((PY_LONG_LONG *)malloc((8 * __pyx_v_e)));
-
-  /* "picardkit/counting/_ckernel.pyx":38
- * 
- *     cdef long long* va = <long long*> malloc(8 * e)
- *     cdef long long* vb = <long long*> malloc(8 * e)             # <<<<<<<<<<<<<<
- *     cdef long long* vt = <long long*> malloc(8 * (2 * e))
- *     if va == NULL or vb == NULL or vt == NULL:
-*/
-  __pyx_v_vb = ((PY_LONG_LONG *)malloc((8 * __pyx_v_e)));
-
-  /* "picardkit/counting/_ckernel.pyx":39
- *     cdef long long* va = <long long*> malloc(8 * e)
- *     cdef long long* vb = <long long*> malloc(8 * e)
- *     cdef long long* vt = <long long*> malloc(8 * (2 * e))             # <<<<<<<<<<<<<<
- *     if va == NULL or vb == NULL or vt == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_vt = ((PY_LONG_LONG *)malloc((8 * (2 * __pyx_v_e))));
-
-  /* "picardkit/counting/_ckernel.pyx":40
- *     cdef long long* vb = <long long*> malloc(8 * e)
- *     cdef long long* vt = <long long*> malloc(8 * (2 * e))
- *     if va == NULL or vb == NULL or vt == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- * 
-*/
-  __pyx_t_12 = (__pyx_v_va == NULL);
-  if (!__pyx_t_12) {
-  } else {
-    __pyx_t_11 = __pyx_t_12;
-    goto __pyx_L6_bool_binop_done;
-  }
-  __pyx_t_12 = (__pyx_v_vb == NULL);
-  if (!__pyx_t_12) {
-  } else {
-    __pyx_t_11 = __pyx_t_12;
-    goto __pyx_L6_bool_binop_done;
-  }
-  __pyx_t_12 = (__pyx_v_vt == NULL);
-  __pyx_t_11 = __pyx_t_12;
-  __pyx_L6_bool_binop_done:;
-  if (unlikely(__pyx_t_11)) {
-
-    /* "picardkit/counting/_ckernel.pyx":41
- *     cdef long long* vt = <long long*> malloc(8 * (2 * e))
- *     if va == NULL or vb == NULL or vt == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- * 
- *     # factor q - 1 (python ints fine here)
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 41, __pyx_L1_error)
-
-    /* "picardkit/counting/_ckernel.pyx":40
- *     cdef long long* vb = <long long*> malloc(8 * e)
- *     cdef long long* vt = <long long*> malloc(8 * (2 * e))
- *     if va == NULL or vb == NULL or vt == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- * 
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":44
- * 
- *     # factor q - 1 (python ints fine here)
- *     factors = []             # <<<<<<<<<<<<<<
- *     n = q - 1
- *     d = 2
-*/
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 44, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_factors = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":45
- *     # factor q - 1 (python ints fine here)
- *     factors = []
- *     n = q - 1             # <<<<<<<<<<<<<<
- *     d = 2
- *     while d * d <= n:
-*/
-  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_q - 1)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 45, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_n = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":46
- *     factors = []
- *     n = q - 1
- *     d = 2             # <<<<<<<<<<<<<<
- *     while d * d <= n:
- *         if n % d == 0:
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-  __pyx_v_d = __pyx_mstate_global->__pyx_int_2;
-
-  /* "picardkit/counting/_ckernel.pyx":47
- *     n = q - 1
- *     d = 2
- *     while d * d <= n:             # <<<<<<<<<<<<<<
- *         if n % d == 0:
- *             factors.append(d)
-*/
-  while (1) {
-    __pyx_t_4 = PyNumber_Multiply(__pyx_v_d, __pyx_v_d); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 47, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = PyObject_RichCompare(__pyx_t_4, __pyx_v_n, Py_LE); __Pyx_XGOTREF(__pyx_t_5); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 47, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_5); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 47, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (!__pyx_t_11) break;
-
-    /* "picardkit/counting/_ckernel.pyx":48
- *     d = 2
- *     while d * d <= n:
- *         if n % d == 0:             # <<<<<<<<<<<<<<
- *             factors.append(d)
- *             while n % d == 0:
-*/
-    __pyx_t_5 = PyNumber_Remainder(__pyx_v_n, __pyx_v_d); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 48, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_11 = (__Pyx_PyLong_BoolEqObjC(__pyx_t_5, __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 48, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (__pyx_t_11) {
-
-      /* "picardkit/counting/_ckernel.pyx":49
- *     while d * d <= n:
- *         if n % d == 0:
- *             factors.append(d)             # <<<<<<<<<<<<<<
- *             while n % d == 0:
- *                 n //= d
-*/
-      __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_factors, __pyx_v_d); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 49, __pyx_L1_error)
-
-      /* "picardkit/counting/_ckernel.pyx":50
- *         if n % d == 0:
- *             factors.append(d)
- *             while n % d == 0:             # <<<<<<<<<<<<<<
- *                 n //= d
- *         d += 1
-*/
-      while (1) {
-        __pyx_t_5 = PyNumber_Remainder(__pyx_v_n, __pyx_v_d); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 50, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_11 = (__Pyx_PyLong_BoolEqObjC(__pyx_t_5, __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 50, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        if (!__pyx_t_11) break;
-
-        /* "picardkit/counting/_ckernel.pyx":51
- *             factors.append(d)
- *             while n % d == 0:
- *                 n //= d             # <<<<<<<<<<<<<<
- *         d += 1
- *     if n > 1:
-*/
-        __pyx_t_5 = PyNumber_InPlaceFloorDivide(__pyx_v_n, __pyx_v_d); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 51, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_DECREF_SET(__pyx_v_n, __pyx_t_5);
-        __pyx_t_5 = 0;
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":48
- *     d = 2
- *     while d * d <= n:
- *         if n % d == 0:             # <<<<<<<<<<<<<<
- *             factors.append(d)
- *             while n % d == 0:
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":52
- *             while n % d == 0:
- *                 n //= d
- *         d += 1             # <<<<<<<<<<<<<<
- *     if n > 1:
- *         factors.append(n)
-*/
-    __pyx_t_5 = __Pyx_PyLong_AddObjC(__pyx_v_d, __pyx_mstate_global->__pyx_int_1, 1, 1, 0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 52, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF_SET(__pyx_v_d, __pyx_t_5);
-    __pyx_t_5 = 0;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":53
- *                 n //= d
- *         d += 1
- *     if n > 1:             # <<<<<<<<<<<<<<
- *         factors.append(n)
- * 
-*/
-  __pyx_t_5 = PyObject_RichCompare(__pyx_v_n, __pyx_mstate_global->__pyx_int_1, Py_GT); __Pyx_XGOTREF(__pyx_t_5); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 53, __pyx_L1_error)
-  __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_5); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 53, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  if (__pyx_t_11) {
-
-    /* "picardkit/counting/_ckernel.pyx":54
- *         d += 1
- *     if n > 1:
- *         factors.append(n)             # <<<<<<<<<<<<<<
- * 
- *     cdef long long gen = 1
-*/
-    __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_factors, __pyx_v_n); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 54, __pyx_L1_error)
-
-    /* "picardkit/counting/_ckernel.pyx":53
- *                 n //= d
- *         d += 1
- *     if n > 1:             # <<<<<<<<<<<<<<
- *         factors.append(n)
- * 
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":56
- *         factors.append(n)
- * 
- *     cdef long long gen = 1             # <<<<<<<<<<<<<<
- *     cdef long long cand, k, r, ok
- *     try:
-*/
-  __pyx_v_gen = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":58
- *     cdef long long gen = 1
- *     cdef long long cand, k, r, ok
- *     try:             # <<<<<<<<<<<<<<
- *         if q > 2:
- *             for cand in range(2, q):
-*/
-  /*try:*/ {
-
-    /* "picardkit/counting/_ckernel.pyx":59
- *     cdef long long cand, k, r, ok
- *     try:
- *         if q > 2:             # <<<<<<<<<<<<<<
- *             for cand in range(2, q):
- *                 ok = 1
-*/
-    __pyx_t_11 = (__pyx_v_q > 2);
-    if (__pyx_t_11) {
-
-      /* "picardkit/counting/_ckernel.pyx":60
- *     try:
- *         if q > 2:
- *             for cand in range(2, q):             # <<<<<<<<<<<<<<
- *                 ok = 1
- *                 for f in factors:
-*/
-      __pyx_t_1 = __pyx_v_q;
-      __pyx_t_2 = __pyx_t_1;
-      for (__pyx_t_3 = 2; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-        __pyx_v_cand = __pyx_t_3;
-
-        /* "picardkit/counting/_ckernel.pyx":61
- *         if q > 2:
- *             for cand in range(2, q):
- *                 ok = 1             # <<<<<<<<<<<<<<
- *                 for f in factors:
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:
-*/
-        __pyx_v_ok = 1;
-
-        /* "picardkit/counting/_ckernel.pyx":62
- *             for cand in range(2, q):
- *                 ok = 1
- *                 for f in factors:             # <<<<<<<<<<<<<<
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:
- *                         ok = 0
-*/
-        __pyx_t_5 = __pyx_v_factors; __Pyx_INCREF(__pyx_t_5);
-        __pyx_t_14 = 0;
-        for (;;) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_5);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 62, __pyx_L16_error)
-            #endif
-            if (__pyx_t_14 >= __pyx_temp) break;
-          }
-          __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_5, __pyx_t_14, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_14;
-          if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 62, __pyx_L16_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __Pyx_XDECREF_SET(__pyx_v_f, __pyx_t_4);
-          __pyx_t_4 = 0;
-
-          /* "picardkit/counting/_ckernel.pyx":63
- *                 ok = 1
- *                 for f in factors:
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                         break
-*/
-          __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_q - 1)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 63, __pyx_L16_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_6 = PyNumber_FloorDivide(__pyx_t_4, __pyx_v_f); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 63, __pyx_L16_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __pyx_t_15 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_6); if (unlikely((__pyx_t_15 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 63, __pyx_L16_error)
-          __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-          __pyx_t_11 = (__pyx_f_9picardkit_8counting_8_ckernel__idx_pow(__pyx_v_cand, __pyx_t_15, __pyx_v_p, __pyx_v_e, __pyx_v_mod, __pyx_v_va, __pyx_v_vb, __pyx_v_vt) == 1);
-          if (__pyx_t_11) {
-
-            /* "picardkit/counting/_ckernel.pyx":64
- *                 for f in factors:
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:
- *                         ok = 0             # <<<<<<<<<<<<<<
- *                         break
- *                 if ok:
-*/
-            __pyx_v_ok = 0;
-
-            /* "picardkit/counting/_ckernel.pyx":65
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:
- *                         ok = 0
- *                         break             # <<<<<<<<<<<<<<
- *                 if ok:
- *                     gen = cand
-*/
-            goto __pyx_L22_break;
-
-            /* "picardkit/counting/_ckernel.pyx":63
- *                 ok = 1
- *                 for f in factors:
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:             # <<<<<<<<<<<<<<
- *                         ok = 0
- *                         break
-*/
-          }
-
-          /* "picardkit/counting/_ckernel.pyx":62
- *             for cand in range(2, q):
- *                 ok = 1
- *                 for f in factors:             # <<<<<<<<<<<<<<
- *                     if _idx_pow(cand, (q - 1) // f, p, e, mod, va, vb, vt) == 1:
- *                         ok = 0
-*/
-        }
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        goto __pyx_L24_for_end;
-        __pyx_L22_break:;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        goto __pyx_L24_for_end;
-        __pyx_L24_for_end:;
-
-        /* "picardkit/counting/_ckernel.pyx":66
- *                         ok = 0
- *                         break
- *                 if ok:             # <<<<<<<<<<<<<<
- *                     gen = cand
- *                     break
-*/
-        __pyx_t_11 = (__pyx_v_ok != 0);
-        if (__pyx_t_11) {
-
-          /* "picardkit/counting/_ckernel.pyx":67
- *                         break
- *                 if ok:
- *                     gen = cand             # <<<<<<<<<<<<<<
- *                     break
- * 
-*/
-          __pyx_v_gen = __pyx_v_cand;
-
-          /* "picardkit/counting/_ckernel.pyx":68
- *                 if ok:
- *                     gen = cand
- *                     break             # <<<<<<<<<<<<<<
- * 
- *         cur = 1
-*/
-          goto __pyx_L20_break;
-
-          /* "picardkit/counting/_ckernel.pyx":66
- *                         ok = 0
- *                         break
- *                 if ok:             # <<<<<<<<<<<<<<
- *                     gen = cand
- *                     break
-*/
-        }
-      }
-      __pyx_L20_break:;
-
-      /* "picardkit/counting/_ckernel.pyx":59
- *     cdef long long cand, k, r, ok
- *     try:
- *         if q > 2:             # <<<<<<<<<<<<<<
- *             for cand in range(2, q):
- *                 ok = 1
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":70
- *                     break
- * 
- *         cur = 1             # <<<<<<<<<<<<<<
- *         for i in range(q):
- *             log[i] = -1
-*/
-    __pyx_v_cur = 1;
-
-    /* "picardkit/counting/_ckernel.pyx":71
- * 
- *         cur = 1
- *         for i in range(q):             # <<<<<<<<<<<<<<
- *             log[i] = -1
- *         for i in range(q - 1):
-*/
-    __pyx_t_1 = __pyx_v_q;
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_i = __pyx_t_3;
-
-      /* "picardkit/counting/_ckernel.pyx":72
- *         cur = 1
- *         for i in range(q):
- *             log[i] = -1             # <<<<<<<<<<<<<<
- *         for i in range(q - 1):
- *             exp[i] = cur
-*/
-      (__pyx_v_log[__pyx_v_i]) = -1LL;
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":73
- *         for i in range(q):
- *             log[i] = -1
- *         for i in range(q - 1):             # <<<<<<<<<<<<<<
- *             exp[i] = cur
- *             log[cur] = i
-*/
-    __pyx_t_1 = (__pyx_v_q - 1);
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_i = __pyx_t_3;
-
-      /* "picardkit/counting/_ckernel.pyx":74
- *             log[i] = -1
- *         for i in range(q - 1):
- *             exp[i] = cur             # <<<<<<<<<<<<<<
- *             log[cur] = i
- *             cur = _idx_mul(cur, gen, p, e, mod, va, vb, vt)
-*/
-      (__pyx_v_exp[__pyx_v_i]) = __pyx_v_cur;
-
-      /* "picardkit/counting/_ckernel.pyx":75
- *         for i in range(q - 1):
- *             exp[i] = cur
- *             log[cur] = i             # <<<<<<<<<<<<<<
- *             cur = _idx_mul(cur, gen, p, e, mod, va, vb, vt)
- * 
-*/
-      (__pyx_v_log[__pyx_v_cur]) = __pyx_v_i;
-
-      /* "picardkit/counting/_ckernel.pyx":76
- *             exp[i] = cur
- *             log[cur] = i
- *             cur = _idx_mul(cur, gen, p, e, mod, va, vb, vt)             # <<<<<<<<<<<<<<
- * 
- *         pm1 = p - 1
-*/
-      __pyx_v_cur = __pyx_f_9picardkit_8counting_8_ckernel__idx_mul(__pyx_v_cur, __pyx_v_gen, __pyx_v_p, __pyx_v_e, __pyx_v_mod, __pyx_v_va, __pyx_v_vb, __pyx_v_vt);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":78
- *             cur = _idx_mul(cur, gen, p, e, mod, va, vb, vt)
- * 
- *         pm1 = p - 1             # <<<<<<<<<<<<<<
- *         for k in range(q - 1):
- *             t = exp[k]
-*/
-    __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_p - 1)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 78, __pyx_L16_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_v_pm1 = __pyx_t_5;
-    __pyx_t_5 = 0;
-
-    /* "picardkit/counting/_ckernel.pyx":79
- * 
- *         pm1 = p - 1
- *         for k in range(q - 1):             # <<<<<<<<<<<<<<
- *             t = exp[k]
- *             if t % p < pm1:
-*/
-    __pyx_t_1 = (__pyx_v_q - 1);
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_k = __pyx_t_3;
-
-      /* "picardkit/counting/_ckernel.pyx":80
- *         pm1 = p - 1
- *         for k in range(q - 1):
- *             t = exp[k]             # <<<<<<<<<<<<<<
- *             if t % p < pm1:
- *                 t1 = t + 1
-*/
-      __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_exp[__pyx_v_k])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 80, __pyx_L16_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_XDECREF_SET(__pyx_v_t, __pyx_t_5);
-      __pyx_t_5 = 0;
-
-      /* "picardkit/counting/_ckernel.pyx":81
- *         for k in range(q - 1):
- *             t = exp[k]
- *             if t % p < pm1:             # <<<<<<<<<<<<<<
- *                 t1 = t + 1
- *             else:
-*/
-      __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_p); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 81, __pyx_L16_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = PyNumber_Remainder(__pyx_v_t, __pyx_t_5); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 81, __pyx_L16_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_5 = PyObject_RichCompare(__pyx_t_6, __pyx_v_pm1, Py_LT); __Pyx_XGOTREF(__pyx_t_5); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 81, __pyx_L16_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_5); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 81, __pyx_L16_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (__pyx_t_11) {
-
-        /* "picardkit/counting/_ckernel.pyx":82
- *             t = exp[k]
- *             if t % p < pm1:
- *                 t1 = t + 1             # <<<<<<<<<<<<<<
- *             else:
- *                 t1 = t - pm1
-*/
-        __pyx_t_5 = __Pyx_PyLong_AddObjC(__pyx_v_t, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 82, __pyx_L16_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_XDECREF_SET(__pyx_v_t1, __pyx_t_5);
-        __pyx_t_5 = 0;
-
-        /* "picardkit/counting/_ckernel.pyx":81
- *         for k in range(q - 1):
- *             t = exp[k]
- *             if t % p < pm1:             # <<<<<<<<<<<<<<
- *                 t1 = t + 1
- *             else:
-*/
-        goto __pyx_L32;
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":84
- *                 t1 = t + 1
- *             else:
- *                 t1 = t - pm1             # <<<<<<<<<<<<<<
- *             zech[k] = log[t1] if t1 else -1
- *     finally:
-*/
-      /*else*/ {
-        __pyx_t_5 = PyNumber_Subtract(__pyx_v_t, __pyx_v_pm1); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 84, __pyx_L16_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_XDECREF_SET(__pyx_v_t1, __pyx_t_5);
-        __pyx_t_5 = 0;
-      }
-      __pyx_L32:;
-
-      /* "picardkit/counting/_ckernel.pyx":85
- *             else:
- *                 t1 = t - pm1
- *             zech[k] = log[t1] if t1 else -1             # <<<<<<<<<<<<<<
- *     finally:
- *         free(va)
-*/
-      __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_v_t1); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 85, __pyx_L16_error)
-      if (__pyx_t_11) {
-        __pyx_t_14 = __Pyx_PyIndex_AsSsize_t(__pyx_v_t1); if (unlikely((__pyx_t_14 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 85, __pyx_L16_error)
-        __pyx_t_15 = (__pyx_v_log[__pyx_t_14]);
-      } else {
-        __pyx_t_15 = -1LL;
-      }
-      (__pyx_v_zech[__pyx_v_k]) = __pyx_t_15;
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":87
- *             zech[k] = log[t1] if t1 else -1
- *     finally:
- *         free(va)             # <<<<<<<<<<<<<<
- *         free(vb)
- *         free(vt)
-*/
-  /*finally:*/ {
-    /*normal exit:*/{
-      free(__pyx_v_va);
-
-      /* "picardkit/counting/_ckernel.pyx":88
- *     finally:
- *         free(va)
- *         free(vb)             # <<<<<<<<<<<<<<
- *         free(vt)
- *     return exp_arr, log_arr, zech_arr
-*/
-      free(__pyx_v_vb);
-
-      /* "picardkit/counting/_ckernel.pyx":89
- *         free(va)
- *         free(vb)
- *         free(vt)             # <<<<<<<<<<<<<<
- *     return exp_arr, log_arr, zech_arr
- * 
-*/
-      free(__pyx_v_vt);
-      goto __pyx_L17;
-    }
-    __pyx_L16_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0;
-      __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_22, &__pyx_t_23, &__pyx_t_24);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21) < 0)) __Pyx_ErrFetch(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __pyx_t_16 = __pyx_lineno; __pyx_t_17 = __pyx_clineno; __pyx_t_18 = __pyx_filename;
-      {
-
-        /* "picardkit/counting/_ckernel.pyx":87
- *             zech[k] = log[t1] if t1 else -1
- *     finally:
- *         free(va)             # <<<<<<<<<<<<<<
- *         free(vb)
- *         free(vt)
-*/
-        free(__pyx_v_va);
-
-        /* "picardkit/counting/_ckernel.pyx":88
- *     finally:
- *         free(va)
- *         free(vb)             # <<<<<<<<<<<<<<
- *         free(vt)
- *     return exp_arr, log_arr, zech_arr
-*/
-        free(__pyx_v_vb);
-
-        /* "picardkit/counting/_ckernel.pyx":89
- *         free(va)
- *         free(vb)
- *         free(vt)             # <<<<<<<<<<<<<<
- *     return exp_arr, log_arr, zech_arr
- * 
-*/
-        free(__pyx_v_vt);
-      }
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_ExceptionReset(__pyx_t_22, __pyx_t_23, __pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_ErrRestore(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-      __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0;
-      __pyx_lineno = __pyx_t_16; __pyx_clineno = __pyx_t_17; __pyx_filename = __pyx_t_18;
-      goto __pyx_L1_error;
-    }
-    __pyx_L17:;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":90
- *         free(vb)
- *         free(vt)
- *     return exp_arr, log_arr, zech_arr             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = PyTuple_New(3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 90, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_INCREF((PyObject *)__pyx_v_exp_arr);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_exp_arr);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, ((PyObject *)__pyx_v_exp_arr)) != (0)) __PYX_ERR(0, 90, __pyx_L1_error);
-  __Pyx_INCREF((PyObject *)__pyx_v_log_arr);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_log_arr);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, ((PyObject *)__pyx_v_log_arr)) != (0)) __PYX_ERR(0, 90, __pyx_L1_error);
-  __Pyx_INCREF((PyObject *)__pyx_v_zech_arr);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_zech_arr);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, ((PyObject *)__pyx_v_zech_arr)) != (0)) __PYX_ERR(0, 90, __pyx_L1_error);
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":18
- * 
- * 
- * def build_tables(p_in, e_in, modulus):             # <<<<<<<<<<<<<<
- *     """exp/log/Zech tables for F_{p^e}; identical output to kernel_py."""
- *     cdef long long p = p_in
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("picardkit.counting._ckernel.build_tables", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_mod_arr);
-  __Pyx_XDECREF((PyObject *)__pyx_v_exp_arr);
-  __Pyx_XDECREF((PyObject *)__pyx_v_log_arr);
-  __Pyx_XDECREF((PyObject *)__pyx_v_zech_arr);
-  __Pyx_XDECREF(__pyx_v_factors);
-  __Pyx_XDECREF(__pyx_v_n);
-  __Pyx_XDECREF(__pyx_v_d);
-  __Pyx_XDECREF(__pyx_v_f);
-  __Pyx_XDECREF(__pyx_v_pm1);
-  __Pyx_XDECREF(__pyx_v_t);
-  __Pyx_XDECREF(__pyx_v_t1);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":93
- * 
- * 
- * cdef long long _idx_mul(long long a, long long b, long long p, long long e,             # <<<<<<<<<<<<<<
- *                         long long* mod, long long* va, long long* vb,
- *                         long long* vt) noexcept nogil:
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__idx_mul(PY_LONG_LONG __pyx_v_a, PY_LONG_LONG __pyx_v_b, PY_LONG_LONG __pyx_v_p, PY_LONG_LONG __pyx_v_e, PY_LONG_LONG *__pyx_v_mod, PY_LONG_LONG *__pyx_v_va, PY_LONG_LONG *__pyx_v_vb, PY_LONG_LONG *__pyx_v_vt) {
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_v_j;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_c;
-  PY_LONG_LONG __pyx_v_idx;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  PY_LONG_LONG __pyx_t_6;
-  PY_LONG_LONG __pyx_t_7;
-  PY_LONG_LONG __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":97
- *                         long long* vt) noexcept nogil:
- *     cdef long long i, j, k, c, idx
- *     if e == 1:             # <<<<<<<<<<<<<<
- *         return (a * b) % p
- *     for i in range(e):
-*/
-  __pyx_t_1 = (__pyx_v_e == 1);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":98
- *     cdef long long i, j, k, c, idx
- *     if e == 1:
- *         return (a * b) % p             # <<<<<<<<<<<<<<
- *     for i in range(e):
- *         va[i] = a % p
-*/
-    __pyx_r = ((__pyx_v_a * __pyx_v_b) % __pyx_v_p);
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":97
- *                         long long* vt) noexcept nogil:
- *     cdef long long i, j, k, c, idx
- *     if e == 1:             # <<<<<<<<<<<<<<
- *         return (a * b) % p
- *     for i in range(e):
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":99
- *     if e == 1:
- *         return (a * b) % p
- *     for i in range(e):             # <<<<<<<<<<<<<<
- *         va[i] = a % p
- *         a //= p
-*/
-  __pyx_t_2 = __pyx_v_e;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "picardkit/counting/_ckernel.pyx":100
- *         return (a * b) % p
- *     for i in range(e):
- *         va[i] = a % p             # <<<<<<<<<<<<<<
- *         a //= p
- *         vb[i] = b % p
-*/
-    (__pyx_v_va[__pyx_v_i]) = (__pyx_v_a % __pyx_v_p);
-
-    /* "picardkit/counting/_ckernel.pyx":101
- *     for i in range(e):
- *         va[i] = a % p
- *         a //= p             # <<<<<<<<<<<<<<
- *         vb[i] = b % p
- *         b //= p
-*/
-    __pyx_v_a = (__pyx_v_a / __pyx_v_p);
-
-    /* "picardkit/counting/_ckernel.pyx":102
- *         va[i] = a % p
- *         a //= p
- *         vb[i] = b % p             # <<<<<<<<<<<<<<
- *         b //= p
- *     for i in range(2 * e):
-*/
-    (__pyx_v_vb[__pyx_v_i]) = (__pyx_v_b % __pyx_v_p);
-
-    /* "picardkit/counting/_ckernel.pyx":103
- *         a //= p
- *         vb[i] = b % p
- *         b //= p             # <<<<<<<<<<<<<<
- *     for i in range(2 * e):
- *         vt[i] = 0
-*/
-    __pyx_v_b = (__pyx_v_b / __pyx_v_p);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":104
- *         vb[i] = b % p
- *         b //= p
- *     for i in range(2 * e):             # <<<<<<<<<<<<<<
- *         vt[i] = 0
- *     for i in range(e):
-*/
-  __pyx_t_2 = (2 * __pyx_v_e);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "picardkit/counting/_ckernel.pyx":105
- *         b //= p
- *     for i in range(2 * e):
- *         vt[i] = 0             # <<<<<<<<<<<<<<
- *     for i in range(e):
- *         if va[i]:
-*/
-    (__pyx_v_vt[__pyx_v_i]) = 0;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":106
- *     for i in range(2 * e):
- *         vt[i] = 0
- *     for i in range(e):             # <<<<<<<<<<<<<<
- *         if va[i]:
- *             for j in range(e):
-*/
-  __pyx_t_2 = __pyx_v_e;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "picardkit/counting/_ckernel.pyx":107
- *         vt[i] = 0
- *     for i in range(e):
- *         if va[i]:             # <<<<<<<<<<<<<<
- *             for j in range(e):
- *                 vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p
-*/
-    __pyx_t_1 = ((__pyx_v_va[__pyx_v_i]) != 0);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":108
- *     for i in range(e):
- *         if va[i]:
- *             for j in range(e):             # <<<<<<<<<<<<<<
- *                 vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p
- *     for k in range(2 * e - 2, e - 1, -1):
-*/
-      __pyx_t_5 = __pyx_v_e;
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_j = __pyx_t_7;
-
-        /* "picardkit/counting/_ckernel.pyx":109
- *         if va[i]:
- *             for j in range(e):
- *                 vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p             # <<<<<<<<<<<<<<
- *     for k in range(2 * e - 2, e - 1, -1):
- *         c = vt[k]
-*/
-        (__pyx_v_vt[(__pyx_v_i + __pyx_v_j)]) = (((__pyx_v_vt[(__pyx_v_i + __pyx_v_j)]) + ((__pyx_v_va[__pyx_v_i]) * (__pyx_v_vb[__pyx_v_j]))) % __pyx_v_p);
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":107
- *         vt[i] = 0
- *     for i in range(e):
- *         if va[i]:             # <<<<<<<<<<<<<<
- *             for j in range(e):
- *                 vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p
-*/
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":110
- *             for j in range(e):
- *                 vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p
- *     for k in range(2 * e - 2, e - 1, -1):             # <<<<<<<<<<<<<<
- *         c = vt[k]
- *         if c:
-*/
-  __pyx_t_2 = (__pyx_v_e - 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = ((2 * __pyx_v_e) - 2); __pyx_t_4 > __pyx_t_3; __pyx_t_4-=1) {
-    __pyx_v_k = __pyx_t_4;
-
-    /* "picardkit/counting/_ckernel.pyx":111
- *                 vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p
- *     for k in range(2 * e - 2, e - 1, -1):
- *         c = vt[k]             # <<<<<<<<<<<<<<
- *         if c:
- *             for i in range(e + 1):
-*/
-    __pyx_v_c = (__pyx_v_vt[__pyx_v_k]);
-
-    /* "picardkit/counting/_ckernel.pyx":112
- *     for k in range(2 * e - 2, e - 1, -1):
- *         c = vt[k]
- *         if c:             # <<<<<<<<<<<<<<
- *             for i in range(e + 1):
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p
-*/
-    __pyx_t_1 = (__pyx_v_c != 0);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":113
- *         c = vt[k]
- *         if c:
- *             for i in range(e + 1):             # <<<<<<<<<<<<<<
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p
- *                 if vt[k - e + i] < 0:
-*/
-      __pyx_t_5 = (__pyx_v_e + 1);
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_i = __pyx_t_7;
-
-        /* "picardkit/counting/_ckernel.pyx":114
- *         if c:
- *             for i in range(e + 1):
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p             # <<<<<<<<<<<<<<
- *                 if vt[k - e + i] < 0:
- *                     vt[k - e + i] += p
-*/
-        (__pyx_v_vt[((__pyx_v_k - __pyx_v_e) + __pyx_v_i)]) = (((__pyx_v_vt[((__pyx_v_k - __pyx_v_e) + __pyx_v_i)]) - (__pyx_v_c * (__pyx_v_mod[__pyx_v_i]))) % __pyx_v_p);
-
-        /* "picardkit/counting/_ckernel.pyx":115
- *             for i in range(e + 1):
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p
- *                 if vt[k - e + i] < 0:             # <<<<<<<<<<<<<<
- *                     vt[k - e + i] += p
- *             vt[k] = 0
-*/
-        __pyx_t_1 = ((__pyx_v_vt[((__pyx_v_k - __pyx_v_e) + __pyx_v_i)]) < 0);
-        if (__pyx_t_1) {
-
-          /* "picardkit/counting/_ckernel.pyx":116
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p
- *                 if vt[k - e + i] < 0:
- *                     vt[k - e + i] += p             # <<<<<<<<<<<<<<
- *             vt[k] = 0
- *     idx = 0
-*/
-          __pyx_t_8 = ((__pyx_v_k - __pyx_v_e) + __pyx_v_i);
-          (__pyx_v_vt[__pyx_t_8]) = ((__pyx_v_vt[__pyx_t_8]) + __pyx_v_p);
-
-          /* "picardkit/counting/_ckernel.pyx":115
- *             for i in range(e + 1):
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p
- *                 if vt[k - e + i] < 0:             # <<<<<<<<<<<<<<
- *                     vt[k - e + i] += p
- *             vt[k] = 0
-*/
-        }
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":117
- *                 if vt[k - e + i] < 0:
- *                     vt[k - e + i] += p
- *             vt[k] = 0             # <<<<<<<<<<<<<<
- *     idx = 0
- *     for i in range(e - 1, -1, -1):
-*/
-      (__pyx_v_vt[__pyx_v_k]) = 0;
-
-      /* "picardkit/counting/_ckernel.pyx":112
- *     for k in range(2 * e - 2, e - 1, -1):
- *         c = vt[k]
- *         if c:             # <<<<<<<<<<<<<<
- *             for i in range(e + 1):
- *                 vt[k - e + i] = (vt[k - e + i] - c * mod[i]) % p
-*/
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":118
- *                     vt[k - e + i] += p
- *             vt[k] = 0
- *     idx = 0             # <<<<<<<<<<<<<<
- *     for i in range(e - 1, -1, -1):
- *         idx = idx * p + vt[i]
-*/
-  __pyx_v_idx = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":119
- *             vt[k] = 0
- *     idx = 0
- *     for i in range(e - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         idx = idx * p + vt[i]
- *     return idx
-*/
-  for (__pyx_t_2 = (__pyx_v_e - 1); __pyx_t_2 > -1LL; __pyx_t_2-=1) {
-    __pyx_v_i = __pyx_t_2;
-
-    /* "picardkit/counting/_ckernel.pyx":120
- *     idx = 0
- *     for i in range(e - 1, -1, -1):
- *         idx = idx * p + vt[i]             # <<<<<<<<<<<<<<
- *     return idx
- * 
-*/
-    __pyx_v_idx = ((__pyx_v_idx * __pyx_v_p) + (__pyx_v_vt[__pyx_v_i]));
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":121
- *     for i in range(e - 1, -1, -1):
- *         idx = idx * p + vt[i]
- *     return idx             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_idx;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":93
- * 
- * 
- * cdef long long _idx_mul(long long a, long long b, long long p, long long e,             # <<<<<<<<<<<<<<
- *                         long long* mod, long long* va, long long* vb,
- *                         long long* vt) noexcept nogil:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":124
- * 
- * 
- * cdef long long _idx_pow(long long a, long long k, long long p, long long e,             # <<<<<<<<<<<<<<
- *                         long long* mod, long long* va, long long* vb,
- *                         long long* vt) noexcept nogil:
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__idx_pow(PY_LONG_LONG __pyx_v_a, PY_LONG_LONG __pyx_v_k, PY_LONG_LONG __pyx_v_p, PY_LONG_LONG __pyx_v_e, PY_LONG_LONG *__pyx_v_mod, PY_LONG_LONG *__pyx_v_va, PY_LONG_LONG *__pyx_v_vb, PY_LONG_LONG *__pyx_v_vt) {
-  PY_LONG_LONG __pyx_v_r;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":127
- *                         long long* mod, long long* va, long long* vb,
- *                         long long* vt) noexcept nogil:
- *     cdef long long r = 1             # <<<<<<<<<<<<<<
- *     while k:
- *         if k & 1:
-*/
-  __pyx_v_r = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":128
- *                         long long* vt) noexcept nogil:
- *     cdef long long r = 1
- *     while k:             # <<<<<<<<<<<<<<
- *         if k & 1:
- *             r = _idx_mul(r, a, p, e, mod, va, vb, vt)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_k != 0);
-    if (!__pyx_t_1) break;
-
-    /* "picardkit/counting/_ckernel.pyx":129
- *     cdef long long r = 1
- *     while k:
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             r = _idx_mul(r, a, p, e, mod, va, vb, vt)
- *         a = _idx_mul(a, a, p, e, mod, va, vb, vt)
-*/
-    __pyx_t_1 = ((__pyx_v_k & 1) != 0);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":130
- *     while k:
- *         if k & 1:
- *             r = _idx_mul(r, a, p, e, mod, va, vb, vt)             # <<<<<<<<<<<<<<
- *         a = _idx_mul(a, a, p, e, mod, va, vb, vt)
- *         k >>= 1
-*/
-      __pyx_v_r = __pyx_f_9picardkit_8counting_8_ckernel__idx_mul(__pyx_v_r, __pyx_v_a, __pyx_v_p, __pyx_v_e, __pyx_v_mod, __pyx_v_va, __pyx_v_vb, __pyx_v_vt);
-
-      /* "picardkit/counting/_ckernel.pyx":129
- *     cdef long long r = 1
- *     while k:
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             r = _idx_mul(r, a, p, e, mod, va, vb, vt)
- *         a = _idx_mul(a, a, p, e, mod, va, vb, vt)
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":131
- *         if k & 1:
- *             r = _idx_mul(r, a, p, e, mod, va, vb, vt)
- *         a = _idx_mul(a, a, p, e, mod, va, vb, vt)             # <<<<<<<<<<<<<<
- *         k >>= 1
- *     return r
-*/
-    __pyx_v_a = __pyx_f_9picardkit_8counting_8_ckernel__idx_mul(__pyx_v_a, __pyx_v_a, __pyx_v_p, __pyx_v_e, __pyx_v_mod, __pyx_v_va, __pyx_v_vb, __pyx_v_vt);
-
-    /* "picardkit/counting/_ckernel.pyx":132
- *             r = _idx_mul(r, a, p, e, mod, va, vb, vt)
- *         a = _idx_mul(a, a, p, e, mod, va, vb, vt)
- *         k >>= 1             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_k = (__pyx_v_k >> 1);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":133
- *         a = _idx_mul(a, a, p, e, mod, va, vb, vt)
- *         k >>= 1
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":124
- * 
- * 
- * cdef long long _idx_pow(long long a, long long k, long long p, long long e,             # <<<<<<<<<<<<<<
- *                         long long* mod, long long* va, long long* vb,
- *                         long long* vt) noexcept nogil:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":140
- * 
- * 
- * cdef inline long long MUL(long long a, long long b, long long* exp,             # <<<<<<<<<<<<<<
- *                           long long* log, long long Qm1) noexcept nogil:
- *     cdef long long s
-*/
-
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_MUL(PY_LONG_LONG __pyx_v_a, PY_LONG_LONG __pyx_v_b, PY_LONG_LONG *__pyx_v_exp, PY_LONG_LONG *__pyx_v_log, PY_LONG_LONG __pyx_v_Qm1) {
-  PY_LONG_LONG __pyx_v_s;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "picardkit/counting/_ckernel.pyx":143
- *                           long long* log, long long Qm1) noexcept nogil:
- *     cdef long long s
- *     if a == 0 or b == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     s = log[a] + log[b]
-*/
-  __pyx_t_2 = (__pyx_v_a == 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_b == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":144
- *     cdef long long s
- *     if a == 0 or b == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     s = log[a] + log[b]
- *     if s >= Qm1:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":143
- *                           long long* log, long long Qm1) noexcept nogil:
- *     cdef long long s
- *     if a == 0 or b == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     s = log[a] + log[b]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":145
- *     if a == 0 or b == 0:
- *         return 0
- *     s = log[a] + log[b]             # <<<<<<<<<<<<<<
- *     if s >= Qm1:
- *         s -= Qm1
-*/
-  __pyx_v_s = ((__pyx_v_log[__pyx_v_a]) + (__pyx_v_log[__pyx_v_b]));
-
-  /* "picardkit/counting/_ckernel.pyx":146
- *         return 0
- *     s = log[a] + log[b]
- *     if s >= Qm1:             # <<<<<<<<<<<<<<
- *         s -= Qm1
- *     return exp[s]
-*/
-  __pyx_t_1 = (__pyx_v_s >= __pyx_v_Qm1);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":147
- *     s = log[a] + log[b]
- *     if s >= Qm1:
- *         s -= Qm1             # <<<<<<<<<<<<<<
- *     return exp[s]
- * 
-*/
-    __pyx_v_s = (__pyx_v_s - __pyx_v_Qm1);
-
-    /* "picardkit/counting/_ckernel.pyx":146
- *         return 0
- *     s = log[a] + log[b]
- *     if s >= Qm1:             # <<<<<<<<<<<<<<
- *         s -= Qm1
- *     return exp[s]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":148
- *     if s >= Qm1:
- *         s -= Qm1
- *     return exp[s]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_exp[__pyx_v_s]);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":140
- * 
- * 
- * cdef inline long long MUL(long long a, long long b, long long* exp,             # <<<<<<<<<<<<<<
- *                           long long* log, long long Qm1) noexcept nogil:
- *     cdef long long s
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":151
- * 
- * 
- * cdef inline long long ADD(long long a, long long b, long long* exp,             # <<<<<<<<<<<<<<
- *                           long long* log, long long* zech,
- *                           long long Qm1) noexcept nogil:
-*/
-
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_ADD(PY_LONG_LONG __pyx_v_a, PY_LONG_LONG __pyx_v_b, PY_LONG_LONG *__pyx_v_exp, PY_LONG_LONG *__pyx_v_log, PY_LONG_LONG *__pyx_v_zech, PY_LONG_LONG __pyx_v_Qm1) {
-  PY_LONG_LONG __pyx_v_dd;
-  PY_LONG_LONG __pyx_v_z;
-  PY_LONG_LONG __pyx_v_s;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":155
- *                           long long Qm1) noexcept nogil:
- *     cdef long long dd, z, s
- *     if a == 0:             # <<<<<<<<<<<<<<
- *         return b
- *     if b == 0:
-*/
-  __pyx_t_1 = (__pyx_v_a == 0);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":156
- *     cdef long long dd, z, s
- *     if a == 0:
- *         return b             # <<<<<<<<<<<<<<
- *     if b == 0:
- *         return a
-*/
-    __pyx_r = __pyx_v_b;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":155
- *                           long long Qm1) noexcept nogil:
- *     cdef long long dd, z, s
- *     if a == 0:             # <<<<<<<<<<<<<<
- *         return b
- *     if b == 0:
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":157
- *     if a == 0:
- *         return b
- *     if b == 0:             # <<<<<<<<<<<<<<
- *         return a
- *     dd = log[b] - log[a]
-*/
-  __pyx_t_1 = (__pyx_v_b == 0);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":158
- *         return b
- *     if b == 0:
- *         return a             # <<<<<<<<<<<<<<
- *     dd = log[b] - log[a]
- *     if dd < 0:
-*/
-    __pyx_r = __pyx_v_a;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":157
- *     if a == 0:
- *         return b
- *     if b == 0:             # <<<<<<<<<<<<<<
- *         return a
- *     dd = log[b] - log[a]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":159
- *     if b == 0:
- *         return a
- *     dd = log[b] - log[a]             # <<<<<<<<<<<<<<
- *     if dd < 0:
- *         dd += Qm1
-*/
-  __pyx_v_dd = ((__pyx_v_log[__pyx_v_b]) - (__pyx_v_log[__pyx_v_a]));
-
-  /* "picardkit/counting/_ckernel.pyx":160
- *         return a
- *     dd = log[b] - log[a]
- *     if dd < 0:             # <<<<<<<<<<<<<<
- *         dd += Qm1
- *     z = zech[dd]
-*/
-  __pyx_t_1 = (__pyx_v_dd < 0);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":161
- *     dd = log[b] - log[a]
- *     if dd < 0:
- *         dd += Qm1             # <<<<<<<<<<<<<<
- *     z = zech[dd]
- *     if z < 0:
-*/
-    __pyx_v_dd = (__pyx_v_dd + __pyx_v_Qm1);
-
-    /* "picardkit/counting/_ckernel.pyx":160
- *         return a
- *     dd = log[b] - log[a]
- *     if dd < 0:             # <<<<<<<<<<<<<<
- *         dd += Qm1
- *     z = zech[dd]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":162
- *     if dd < 0:
- *         dd += Qm1
- *     z = zech[dd]             # <<<<<<<<<<<<<<
- *     if z < 0:
- *         return 0
-*/
-  __pyx_v_z = (__pyx_v_zech[__pyx_v_dd]);
-
-  /* "picardkit/counting/_ckernel.pyx":163
- *         dd += Qm1
- *     z = zech[dd]
- *     if z < 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     s = log[a] + z
-*/
-  __pyx_t_1 = (__pyx_v_z < 0);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":164
- *     z = zech[dd]
- *     if z < 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     s = log[a] + z
- *     if s >= Qm1:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":163
- *         dd += Qm1
- *     z = zech[dd]
- *     if z < 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     s = log[a] + z
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":165
- *     if z < 0:
- *         return 0
- *     s = log[a] + z             # <<<<<<<<<<<<<<
- *     if s >= Qm1:
- *         s -= Qm1
-*/
-  __pyx_v_s = ((__pyx_v_log[__pyx_v_a]) + __pyx_v_z);
-
-  /* "picardkit/counting/_ckernel.pyx":166
- *         return 0
- *     s = log[a] + z
- *     if s >= Qm1:             # <<<<<<<<<<<<<<
- *         s -= Qm1
- *     return exp[s]
-*/
-  __pyx_t_1 = (__pyx_v_s >= __pyx_v_Qm1);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":167
- *     s = log[a] + z
- *     if s >= Qm1:
- *         s -= Qm1             # <<<<<<<<<<<<<<
- *     return exp[s]
- * 
-*/
-    __pyx_v_s = (__pyx_v_s - __pyx_v_Qm1);
-
-    /* "picardkit/counting/_ckernel.pyx":166
- *         return 0
- *     s = log[a] + z
- *     if s >= Qm1:             # <<<<<<<<<<<<<<
- *         s -= Qm1
- *     return exp[s]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":168
- *     if s >= Qm1:
- *         s -= Qm1
- *     return exp[s]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_exp[__pyx_v_s]);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":151
- * 
- * 
- * cdef inline long long ADD(long long a, long long b, long long* exp,             # <<<<<<<<<<<<<<
- *                           long long* log, long long* zech,
- *                           long long Qm1) noexcept nogil:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":182
- * 
- * 
- * cdef inline long long NEG(long long a, FOps* F) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return MUL(a, F.negone, F.exp, F.log, F.Qm1)
- * 
-*/
-
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_NEG(PY_LONG_LONG __pyx_v_a, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_r;
-
-  /* "picardkit/counting/_ckernel.pyx":183
- * 
- * cdef inline long long NEG(long long a, FOps* F) noexcept nogil:
- *     return MUL(a, F.negone, F.exp, F.log, F.Qm1)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_a, __pyx_v_F->negone, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":182
- * 
- * 
- * cdef inline long long NEG(long long a, FOps* F) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return MUL(a, F.negone, F.exp, F.log, F.Qm1)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":186
- * 
- * 
- * cdef inline long long INV(long long a, FOps* F) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef long long s = F.Qm1 - F.log[a]
- *     if s >= F.Qm1:
-*/
-
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel_INV(PY_LONG_LONG __pyx_v_a, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_s;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":187
- * 
- * cdef inline long long INV(long long a, FOps* F) noexcept nogil:
- *     cdef long long s = F.Qm1 - F.log[a]             # <<<<<<<<<<<<<<
- *     if s >= F.Qm1:
- *         s -= F.Qm1
-*/
-  __pyx_v_s = (__pyx_v_F->Qm1 - (__pyx_v_F->log[__pyx_v_a]));
-
-  /* "picardkit/counting/_ckernel.pyx":188
- * cdef inline long long INV(long long a, FOps* F) noexcept nogil:
- *     cdef long long s = F.Qm1 - F.log[a]
- *     if s >= F.Qm1:             # <<<<<<<<<<<<<<
- *         s -= F.Qm1
- *     return F.exp[s]
-*/
-  __pyx_t_1 = (__pyx_v_s >= __pyx_v_F->Qm1);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":189
- *     cdef long long s = F.Qm1 - F.log[a]
- *     if s >= F.Qm1:
- *         s -= F.Qm1             # <<<<<<<<<<<<<<
- *     return F.exp[s]
- * 
-*/
-    __pyx_v_s = (__pyx_v_s - __pyx_v_F->Qm1);
-
-    /* "picardkit/counting/_ckernel.pyx":188
- * cdef inline long long INV(long long a, FOps* F) noexcept nogil:
- *     cdef long long s = F.Qm1 - F.log[a]
- *     if s >= F.Qm1:             # <<<<<<<<<<<<<<
- *         s -= F.Qm1
- *     return F.exp[s]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":190
- *     if s >= F.Qm1:
- *         s -= F.Qm1
- *     return F.exp[s]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_F->exp[__pyx_v_s]);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":186
- * 
- * 
- * cdef inline long long INV(long long a, FOps* F) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef long long s = F.Qm1 - F.log[a]
- *     if s >= F.Qm1:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":193
- * 
- * 
- * cdef long long _ptrim(long long* a, long long n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     while n > 0 and a[n - 1] == 0:
- *         n -= 1
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__ptrim(PY_LONG_LONG *__pyx_v_a, PY_LONG_LONG __pyx_v_n) {
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "picardkit/counting/_ckernel.pyx":194
- * 
- * cdef long long _ptrim(long long* a, long long n) noexcept nogil:
- *     while n > 0 and a[n - 1] == 0:             # <<<<<<<<<<<<<<
- *         n -= 1
- *     return n
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_n > 0);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L5_bool_binop_done;
-    }
-    __pyx_t_2 = ((__pyx_v_a[(__pyx_v_n - 1)]) == 0);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L5_bool_binop_done:;
-    if (!__pyx_t_1) break;
-
-    /* "picardkit/counting/_ckernel.pyx":195
- * cdef long long _ptrim(long long* a, long long n) noexcept nogil:
- *     while n > 0 and a[n - 1] == 0:
- *         n -= 1             # <<<<<<<<<<<<<<
- *     return n
- * 
-*/
-    __pyx_v_n = (__pyx_v_n - 1);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":196
- *     while n > 0 and a[n - 1] == 0:
- *         n -= 1
- *     return n             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_n;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":193
- * 
- * 
- * cdef long long _ptrim(long long* a, long long n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     while n > 0 and a[n - 1] == 0:
- *         n -= 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":199
- * 
- * 
- * cdef void _pmonic(long long* a, long long n, FOps* F) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef long long s, i
- *     if n == 0 or a[n - 1] == 1:
-*/
-
-static void __pyx_f_9picardkit_8counting_8_ckernel__pmonic(PY_LONG_LONG *__pyx_v_a, PY_LONG_LONG __pyx_v_n, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_s;
-  PY_LONG_LONG __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-
-  /* "picardkit/counting/_ckernel.pyx":201
- * cdef void _pmonic(long long* a, long long n, FOps* F) noexcept nogil:
- *     cdef long long s, i
- *     if n == 0 or a[n - 1] == 1:             # <<<<<<<<<<<<<<
- *         return
- *     s = INV(a[n - 1], F)
-*/
-  __pyx_t_2 = (__pyx_v_n == 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_a[(__pyx_v_n - 1)]) == 1);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":202
- *     cdef long long s, i
- *     if n == 0 or a[n - 1] == 1:
- *         return             # <<<<<<<<<<<<<<
- *     s = INV(a[n - 1], F)
- *     for i in range(n):
-*/
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":201
- * cdef void _pmonic(long long* a, long long n, FOps* F) noexcept nogil:
- *     cdef long long s, i
- *     if n == 0 or a[n - 1] == 1:             # <<<<<<<<<<<<<<
- *         return
- *     s = INV(a[n - 1], F)
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":203
- *     if n == 0 or a[n - 1] == 1:
- *         return
- *     s = INV(a[n - 1], F)             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         a[i] = MUL(a[i], s, F.exp, F.log, F.Qm1)
-*/
-  __pyx_v_s = __pyx_f_9picardkit_8counting_8_ckernel_INV((__pyx_v_a[(__pyx_v_n - 1)]), __pyx_v_F);
-
-  /* "picardkit/counting/_ckernel.pyx":204
- *         return
- *     s = INV(a[n - 1], F)
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         a[i] = MUL(a[i], s, F.exp, F.log, F.Qm1)
- * 
-*/
-  __pyx_t_3 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "picardkit/counting/_ckernel.pyx":205
- *     s = INV(a[n - 1], F)
- *     for i in range(n):
- *         a[i] = MUL(a[i], s, F.exp, F.log, F.Qm1)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_a[__pyx_v_i]) = __pyx_f_9picardkit_8counting_8_ckernel_MUL((__pyx_v_a[__pyx_v_i]), __pyx_v_s, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":199
- * 
- * 
- * cdef void _pmonic(long long* a, long long n, FOps* F) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef long long s, i
- *     if n == 0 or a[n - 1] == 1:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "picardkit/counting/_ckernel.pyx":208
- * 
- * 
- * cdef long long _pmod(long long* a, long long na, long long* m, long long nm,             # <<<<<<<<<<<<<<
- *                      FOps* F) noexcept nogil:
- *     # a mod monic m, in place; returns new length of a
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__pmod(PY_LONG_LONG *__pyx_v_a, PY_LONG_LONG __pyx_v_na, PY_LONG_LONG *__pyx_v_m, PY_LONG_LONG __pyx_v_nm, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_dm;
-  PY_LONG_LONG __pyx_v_c;
-  PY_LONG_LONG __pyx_v_nc;
-  PY_LONG_LONG __pyx_v_off;
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-
-  /* "picardkit/counting/_ckernel.pyx":211
- *                      FOps* F) noexcept nogil:
- *     # a mod monic m, in place; returns new length of a
- *     cdef long long dm = nm - 1             # <<<<<<<<<<<<<<
- *     cdef long long c, nc, off, i
- *     while na - 1 >= dm and na > 0:
-*/
-  __pyx_v_dm = (__pyx_v_nm - 1);
-
-  /* "picardkit/counting/_ckernel.pyx":213
- *     cdef long long dm = nm - 1
- *     cdef long long c, nc, off, i
- *     while na - 1 >= dm and na > 0:             # <<<<<<<<<<<<<<
- *         c = a[na - 1]
- *         if c:
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_na - 1) >= __pyx_v_dm);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L5_bool_binop_done;
-    }
-    __pyx_t_2 = (__pyx_v_na > 0);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L5_bool_binop_done:;
-    if (!__pyx_t_1) break;
-
-    /* "picardkit/counting/_ckernel.pyx":214
- *     cdef long long c, nc, off, i
- *     while na - 1 >= dm and na > 0:
- *         c = a[na - 1]             # <<<<<<<<<<<<<<
- *         if c:
- *             nc = NEG(c, F)
-*/
-    __pyx_v_c = (__pyx_v_a[(__pyx_v_na - 1)]);
-
-    /* "picardkit/counting/_ckernel.pyx":215
- *     while na - 1 >= dm and na > 0:
- *         c = a[na - 1]
- *         if c:             # <<<<<<<<<<<<<<
- *             nc = NEG(c, F)
- *             off = na - 1 - dm
-*/
-    __pyx_t_1 = (__pyx_v_c != 0);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":216
- *         c = a[na - 1]
- *         if c:
- *             nc = NEG(c, F)             # <<<<<<<<<<<<<<
- *             off = na - 1 - dm
- *             for i in range(dm):
-*/
-      __pyx_v_nc = __pyx_f_9picardkit_8counting_8_ckernel_NEG(__pyx_v_c, __pyx_v_F);
-
-      /* "picardkit/counting/_ckernel.pyx":217
- *         if c:
- *             nc = NEG(c, F)
- *             off = na - 1 - dm             # <<<<<<<<<<<<<<
- *             for i in range(dm):
- *                 a[off + i] = ADD(a[off + i], MUL(nc, m[i], F.exp, F.log, F.Qm1),
-*/
-      __pyx_v_off = ((__pyx_v_na - 1) - __pyx_v_dm);
-
-      /* "picardkit/counting/_ckernel.pyx":218
- *             nc = NEG(c, F)
- *             off = na - 1 - dm
- *             for i in range(dm):             # <<<<<<<<<<<<<<
- *                 a[off + i] = ADD(a[off + i], MUL(nc, m[i], F.exp, F.log, F.Qm1),
- *                                  F.exp, F.log, F.zech, F.Qm1)
-*/
-      __pyx_t_3 = __pyx_v_dm;
-      __pyx_t_4 = __pyx_t_3;
-      for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-        __pyx_v_i = __pyx_t_5;
-
-        /* "picardkit/counting/_ckernel.pyx":219
- *             off = na - 1 - dm
- *             for i in range(dm):
- *                 a[off + i] = ADD(a[off + i], MUL(nc, m[i], F.exp, F.log, F.Qm1),             # <<<<<<<<<<<<<<
- *                                  F.exp, F.log, F.zech, F.Qm1)
- *         na -= 1
-*/
-        (__pyx_v_a[(__pyx_v_off + __pyx_v_i)]) = __pyx_f_9picardkit_8counting_8_ckernel_ADD((__pyx_v_a[(__pyx_v_off + __pyx_v_i)]), __pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_nc, (__pyx_v_m[__pyx_v_i]), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->zech, __pyx_v_F->Qm1);
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":215
- *     while na - 1 >= dm and na > 0:
- *         c = a[na - 1]
- *         if c:             # <<<<<<<<<<<<<<
- *             nc = NEG(c, F)
- *             off = na - 1 - dm
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":221
- *                 a[off + i] = ADD(a[off + i], MUL(nc, m[i], F.exp, F.log, F.Qm1),
- *                                  F.exp, F.log, F.zech, F.Qm1)
- *         na -= 1             # <<<<<<<<<<<<<<
- *         na = _ptrim(a, na)
- *     return na
-*/
-    __pyx_v_na = (__pyx_v_na - 1);
-
-    /* "picardkit/counting/_ckernel.pyx":222
- *                                  F.exp, F.log, F.zech, F.Qm1)
- *         na -= 1
- *         na = _ptrim(a, na)             # <<<<<<<<<<<<<<
- *     return na
- * 
-*/
-    __pyx_v_na = __pyx_f_9picardkit_8counting_8_ckernel__ptrim(__pyx_v_a, __pyx_v_na);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":223
- *         na -= 1
- *         na = _ptrim(a, na)
- *     return na             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_na;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":208
- * 
- * 
- * cdef long long _pmod(long long* a, long long na, long long* m, long long nm,             # <<<<<<<<<<<<<<
- *                      FOps* F) noexcept nogil:
- *     # a mod monic m, in place; returns new length of a
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":226
- * 
- * 
- * cdef long long _pgcd(long long* a, long long na, long long* b, long long nb,             # <<<<<<<<<<<<<<
- *                      FOps* F) noexcept nogil:
- *     # gcd into a; returns length; clobbers both inputs
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__pgcd(PY_LONG_LONG *__pyx_v_a, PY_LONG_LONG __pyx_v_na, PY_LONG_LONG *__pyx_v_b, PY_LONG_LONG __pyx_v_nb, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_v_t;
-  PY_LONG_LONG *__pyx_v_pa;
-  PY_LONG_LONG *__pyx_v_pb;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  PY_LONG_LONG *__pyx_t_2;
-  PY_LONG_LONG *__pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  PY_LONG_LONG __pyx_t_6;
-
-  /* "picardkit/counting/_ckernel.pyx":230
- *     # gcd into a; returns length; clobbers both inputs
- *     cdef long long i, t
- *     cdef long long* pa = a             # <<<<<<<<<<<<<<
- *     cdef long long* pb = b
- *     while nb > 0:
-*/
-  __pyx_v_pa = __pyx_v_a;
-
-  /* "picardkit/counting/_ckernel.pyx":231
- *     cdef long long i, t
- *     cdef long long* pa = a
- *     cdef long long* pb = b             # <<<<<<<<<<<<<<
- *     while nb > 0:
- *         _pmonic(pb, nb, F)
-*/
-  __pyx_v_pb = __pyx_v_b;
-
-  /* "picardkit/counting/_ckernel.pyx":232
- *     cdef long long* pa = a
- *     cdef long long* pb = b
- *     while nb > 0:             # <<<<<<<<<<<<<<
- *         _pmonic(pb, nb, F)
- *         na = _pmod(pa, na, pb, nb, F)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_nb > 0);
-    if (!__pyx_t_1) break;
-
-    /* "picardkit/counting/_ckernel.pyx":233
- *     cdef long long* pb = b
- *     while nb > 0:
- *         _pmonic(pb, nb, F)             # <<<<<<<<<<<<<<
- *         na = _pmod(pa, na, pb, nb, F)
- *         # swap
-*/
-    __pyx_f_9picardkit_8counting_8_ckernel__pmonic(__pyx_v_pb, __pyx_v_nb, __pyx_v_F);
-
-    /* "picardkit/counting/_ckernel.pyx":234
- *     while nb > 0:
- *         _pmonic(pb, nb, F)
- *         na = _pmod(pa, na, pb, nb, F)             # <<<<<<<<<<<<<<
- *         # swap
- *         t = na; na = nb; nb = t
-*/
-    __pyx_v_na = __pyx_f_9picardkit_8counting_8_ckernel__pmod(__pyx_v_pa, __pyx_v_na, __pyx_v_pb, __pyx_v_nb, __pyx_v_F);
-
-    /* "picardkit/counting/_ckernel.pyx":236
- *         na = _pmod(pa, na, pb, nb, F)
- *         # swap
- *         t = na; na = nb; nb = t             # <<<<<<<<<<<<<<
- *         pa, pb = pb, pa
- *     if pa != a:
-*/
-    __pyx_v_t = __pyx_v_na;
-    __pyx_v_na = __pyx_v_nb;
-    __pyx_v_nb = __pyx_v_t;
-
-    /* "picardkit/counting/_ckernel.pyx":237
- *         # swap
- *         t = na; na = nb; nb = t
- *         pa, pb = pb, pa             # <<<<<<<<<<<<<<
- *     if pa != a:
- *         for i in range(na):
-*/
-    __pyx_t_2 = __pyx_v_pb;
-    __pyx_t_3 = __pyx_v_pa;
-    __pyx_v_pa = __pyx_t_2;
-    __pyx_v_pb = __pyx_t_3;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":238
- *         t = na; na = nb; nb = t
- *         pa, pb = pb, pa
- *     if pa != a:             # <<<<<<<<<<<<<<
- *         for i in range(na):
- *             a[i] = pa[i]
-*/
-  __pyx_t_1 = (__pyx_v_pa != __pyx_v_a);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":239
- *         pa, pb = pb, pa
- *     if pa != a:
- *         for i in range(na):             # <<<<<<<<<<<<<<
- *             a[i] = pa[i]
- *     return na
-*/
-    __pyx_t_4 = __pyx_v_na;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "picardkit/counting/_ckernel.pyx":240
- *     if pa != a:
- *         for i in range(na):
- *             a[i] = pa[i]             # <<<<<<<<<<<<<<
- *     return na
- * 
-*/
-      (__pyx_v_a[__pyx_v_i]) = (__pyx_v_pa[__pyx_v_i]);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":238
- *         t = na; na = nb; nb = t
- *         pa, pb = pb, pa
- *     if pa != a:             # <<<<<<<<<<<<<<
- *         for i in range(na):
- *             a[i] = pa[i]
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":241
- *         for i in range(na):
- *             a[i] = pa[i]
- *     return na             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_na;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":226
- * 
- * 
- * cdef long long _pgcd(long long* a, long long na, long long* b, long long nb,             # <<<<<<<<<<<<<<
- *                      FOps* F) noexcept nogil:
- *     # gcd into a; returns length; clobbers both inputs
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":244
- * 
- * 
- * cdef long long _pmulmod(long long* a, long long na, long long* b, long long nb,             # <<<<<<<<<<<<<<
- *                         long long* m, long long nm, long long* out,
- *                         FOps* F) noexcept nogil:
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__pmulmod(PY_LONG_LONG *__pyx_v_a, PY_LONG_LONG __pyx_v_na, PY_LONG_LONG *__pyx_v_b, PY_LONG_LONG __pyx_v_nb, PY_LONG_LONG *__pyx_v_m, PY_LONG_LONG __pyx_v_nm, PY_LONG_LONG *__pyx_v_out, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_v_j;
-  PY_LONG_LONG __pyx_v_n;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  PY_LONG_LONG __pyx_t_6;
-  PY_LONG_LONG __pyx_t_7;
-  PY_LONG_LONG __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":249
- *     # out = a*b mod monic m; returns length
- *     cdef long long i, j, n
- *     if na == 0 or nb == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     n = na + nb - 1
-*/
-  __pyx_t_2 = (__pyx_v_na == 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_nb == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":250
- *     cdef long long i, j, n
- *     if na == 0 or nb == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     n = na + nb - 1
- *     for i in range(n):
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":249
- *     # out = a*b mod monic m; returns length
- *     cdef long long i, j, n
- *     if na == 0 or nb == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     n = na + nb - 1
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":251
- *     if na == 0 or nb == 0:
- *         return 0
- *     n = na + nb - 1             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         out[i] = 0
-*/
-  __pyx_v_n = ((__pyx_v_na + __pyx_v_nb) - 1);
-
-  /* "picardkit/counting/_ckernel.pyx":252
- *         return 0
- *     n = na + nb - 1
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         out[i] = 0
- *     for i in range(na):
-*/
-  __pyx_t_3 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "picardkit/counting/_ckernel.pyx":253
- *     n = na + nb - 1
- *     for i in range(n):
- *         out[i] = 0             # <<<<<<<<<<<<<<
- *     for i in range(na):
- *         if a[i]:
-*/
-    (__pyx_v_out[__pyx_v_i]) = 0;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":254
- *     for i in range(n):
- *         out[i] = 0
- *     for i in range(na):             # <<<<<<<<<<<<<<
- *         if a[i]:
- *             for j in range(nb):
-*/
-  __pyx_t_3 = __pyx_v_na;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "picardkit/counting/_ckernel.pyx":255
- *         out[i] = 0
- *     for i in range(na):
- *         if a[i]:             # <<<<<<<<<<<<<<
- *             for j in range(nb):
- *                 if b[j]:
-*/
-    __pyx_t_1 = ((__pyx_v_a[__pyx_v_i]) != 0);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":256
- *     for i in range(na):
- *         if a[i]:
- *             for j in range(nb):             # <<<<<<<<<<<<<<
- *                 if b[j]:
- *                     out[i + j] = ADD(out[i + j],
-*/
-      __pyx_t_6 = __pyx_v_nb;
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_j = __pyx_t_8;
-
-        /* "picardkit/counting/_ckernel.pyx":257
- *         if a[i]:
- *             for j in range(nb):
- *                 if b[j]:             # <<<<<<<<<<<<<<
- *                     out[i + j] = ADD(out[i + j],
- *                                      MUL(a[i], b[j], F.exp, F.log, F.Qm1),
-*/
-        __pyx_t_1 = ((__pyx_v_b[__pyx_v_j]) != 0);
-        if (__pyx_t_1) {
-
-          /* "picardkit/counting/_ckernel.pyx":258
- *             for j in range(nb):
- *                 if b[j]:
- *                     out[i + j] = ADD(out[i + j],             # <<<<<<<<<<<<<<
- *                                      MUL(a[i], b[j], F.exp, F.log, F.Qm1),
- *                                      F.exp, F.log, F.zech, F.Qm1)
-*/
-          (__pyx_v_out[(__pyx_v_i + __pyx_v_j)]) = __pyx_f_9picardkit_8counting_8_ckernel_ADD((__pyx_v_out[(__pyx_v_i + __pyx_v_j)]), __pyx_f_9picardkit_8counting_8_ckernel_MUL((__pyx_v_a[__pyx_v_i]), (__pyx_v_b[__pyx_v_j]), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->zech, __pyx_v_F->Qm1);
-
-          /* "picardkit/counting/_ckernel.pyx":257
- *         if a[i]:
- *             for j in range(nb):
- *                 if b[j]:             # <<<<<<<<<<<<<<
- *                     out[i + j] = ADD(out[i + j],
- *                                      MUL(a[i], b[j], F.exp, F.log, F.Qm1),
-*/
-        }
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":255
- *         out[i] = 0
- *     for i in range(na):
- *         if a[i]:             # <<<<<<<<<<<<<<
- *             for j in range(nb):
- *                 if b[j]:
-*/
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":261
- *                                      MUL(a[i], b[j], F.exp, F.log, F.Qm1),
- *                                      F.exp, F.log, F.zech, F.Qm1)
- *     return _pmod(out, n, m, nm, F)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_9picardkit_8counting_8_ckernel__pmod(__pyx_v_out, __pyx_v_n, __pyx_v_m, __pyx_v_nm, __pyx_v_F);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":244
- * 
- * 
- * cdef long long _pmulmod(long long* a, long long na, long long* b, long long nb,             # <<<<<<<<<<<<<<
- *                         long long* m, long long nm, long long* out,
- *                         FOps* F) noexcept nogil:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":264
- * 
- * 
- * cdef long long _root_count(long long* g, long long ng, long long* s1,             # <<<<<<<<<<<<<<
- *                            long long* s2, long long* s3, FOps* F) noexcept nogil:
- *     # closed forms for degrees 1 and 2, x^Q ladder beyond
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__root_count(PY_LONG_LONG *__pyx_v_g, PY_LONG_LONG __pyx_v_ng, PY_LONG_LONG *__pyx_v_s1, PY_LONG_LONG *__pyx_v_s2, PY_LONG_LONG *__pyx_v_s3, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_a;
-  PY_LONG_LONG __pyx_v_b;
-  PY_LONG_LONG __pyx_v_c;
-  PY_LONG_LONG __pyx_v_v;
-  PY_LONG_LONG __pyx_v_disc;
-  PY_LONG_LONG __pyx_v_four;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-
-  /* "picardkit/counting/_ckernel.pyx":268
- *     # closed forms for degrees 1 and 2, x^Q ladder beyond
- *     cdef long long a, b, c, v, disc, four, k
- *     if ng == 2:             # <<<<<<<<<<<<<<
- *         return 1
- *     if ng == 3:
-*/
-  __pyx_t_1 = (__pyx_v_ng == 2);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":269
- *     cdef long long a, b, c, v, disc, four, k
- *     if ng == 2:
- *         return 1             # <<<<<<<<<<<<<<
- *     if ng == 3:
- *         c = g[0]; b = g[1]; a = g[2]
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":268
- *     # closed forms for degrees 1 and 2, x^Q ladder beyond
- *     cdef long long a, b, c, v, disc, four, k
- *     if ng == 2:             # <<<<<<<<<<<<<<
- *         return 1
- *     if ng == 3:
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":270
- *     if ng == 2:
- *         return 1
- *     if ng == 3:             # <<<<<<<<<<<<<<
- *         c = g[0]; b = g[1]; a = g[2]
- *         if F.p == 2:
-*/
-  __pyx_t_1 = (__pyx_v_ng == 3);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":271
- *         return 1
- *     if ng == 3:
- *         c = g[0]; b = g[1]; a = g[2]             # <<<<<<<<<<<<<<
- *         if F.p == 2:
- *             if b == 0:
-*/
-    __pyx_v_c = (__pyx_v_g[0]);
-    __pyx_v_b = (__pyx_v_g[1]);
-    __pyx_v_a = (__pyx_v_g[2]);
-
-    /* "picardkit/counting/_ckernel.pyx":272
- *     if ng == 3:
- *         c = g[0]; b = g[1]; a = g[2]
- *         if F.p == 2:             # <<<<<<<<<<<<<<
- *             if b == 0:
- *                 return 1
-*/
-    __pyx_t_1 = (__pyx_v_F->p == 2);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":273
- *         c = g[0]; b = g[1]; a = g[2]
- *         if F.p == 2:
- *             if b == 0:             # <<<<<<<<<<<<<<
- *                 return 1
- *             v = MUL(MUL(a, c, F.exp, F.log, F.Qm1),
-*/
-      __pyx_t_1 = (__pyx_v_b == 0);
-      if (__pyx_t_1) {
-
-        /* "picardkit/counting/_ckernel.pyx":274
- *         if F.p == 2:
- *             if b == 0:
- *                 return 1             # <<<<<<<<<<<<<<
- *             v = MUL(MUL(a, c, F.exp, F.log, F.Qm1),
- *                     INV(MUL(b, b, F.exp, F.log, F.Qm1), F),
-*/
-        __pyx_r = 1;
-        goto __pyx_L0;
-
-        /* "picardkit/counting/_ckernel.pyx":273
- *         c = g[0]; b = g[1]; a = g[2]
- *         if F.p == 2:
- *             if b == 0:             # <<<<<<<<<<<<<<
- *                 return 1
- *             v = MUL(MUL(a, c, F.exp, F.log, F.Qm1),
-*/
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":275
- *             if b == 0:
- *                 return 1
- *             v = MUL(MUL(a, c, F.exp, F.log, F.Qm1),             # <<<<<<<<<<<<<<
- *                     INV(MUL(b, b, F.exp, F.log, F.Qm1), F),
- *                     F.exp, F.log, F.Qm1)
-*/
-      __pyx_v_v = __pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_a, __pyx_v_c, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_f_9picardkit_8counting_8_ckernel_INV(__pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_b, __pyx_v_b, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_v_F), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1);
-
-      /* "picardkit/counting/_ckernel.pyx":278
- *                     INV(MUL(b, b, F.exp, F.log, F.Qm1), F),
- *                     F.exp, F.log, F.Qm1)
- *             if v == 0:             # <<<<<<<<<<<<<<
- *                 return 2
- *             k = v & F.tmask
-*/
-      __pyx_t_1 = (__pyx_v_v == 0);
-      if (__pyx_t_1) {
-
-        /* "picardkit/counting/_ckernel.pyx":279
- *                     F.exp, F.log, F.Qm1)
- *             if v == 0:
- *                 return 2             # <<<<<<<<<<<<<<
- *             k = v & F.tmask
- *             k ^= k >> 32; k ^= k >> 16; k ^= k >> 8
-*/
-        __pyx_r = 2;
-        goto __pyx_L0;
-
-        /* "picardkit/counting/_ckernel.pyx":278
- *                     INV(MUL(b, b, F.exp, F.log, F.Qm1), F),
- *                     F.exp, F.log, F.Qm1)
- *             if v == 0:             # <<<<<<<<<<<<<<
- *                 return 2
- *             k = v & F.tmask
-*/
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":280
- *             if v == 0:
- *                 return 2
- *             k = v & F.tmask             # <<<<<<<<<<<<<<
- *             k ^= k >> 32; k ^= k >> 16; k ^= k >> 8
- *             k ^= k >> 4; k ^= k >> 2; k ^= k >> 1
-*/
-      __pyx_v_k = (__pyx_v_v & __pyx_v_F->tmask);
-
-      /* "picardkit/counting/_ckernel.pyx":281
- *                 return 2
- *             k = v & F.tmask
- *             k ^= k >> 32; k ^= k >> 16; k ^= k >> 8             # <<<<<<<<<<<<<<
- *             k ^= k >> 4; k ^= k >> 2; k ^= k >> 1
- *             return 0 if (k & 1) else 2
-*/
-      __pyx_v_k = (__pyx_v_k ^ (__pyx_v_k >> 32));
-      __pyx_v_k = (__pyx_v_k ^ (__pyx_v_k >> 16));
-      __pyx_v_k = (__pyx_v_k ^ (__pyx_v_k >> 8));
-
-      /* "picardkit/counting/_ckernel.pyx":282
- *             k = v & F.tmask
- *             k ^= k >> 32; k ^= k >> 16; k ^= k >> 8
- *             k ^= k >> 4; k ^= k >> 2; k ^= k >> 1             # <<<<<<<<<<<<<<
- *             return 0 if (k & 1) else 2
- *         four = 4 % F.p
-*/
-      __pyx_v_k = (__pyx_v_k ^ (__pyx_v_k >> 4));
-      __pyx_v_k = (__pyx_v_k ^ (__pyx_v_k >> 2));
-      __pyx_v_k = (__pyx_v_k ^ (__pyx_v_k >> 1));
-
-      /* "picardkit/counting/_ckernel.pyx":283
- *             k ^= k >> 32; k ^= k >> 16; k ^= k >> 8
- *             k ^= k >> 4; k ^= k >> 2; k ^= k >> 1
- *             return 0 if (k & 1) else 2             # <<<<<<<<<<<<<<
- *         four = 4 % F.p
- *         disc = ADD(MUL(b, b, F.exp, F.log, F.Qm1),
-*/
-      __pyx_t_1 = ((__pyx_v_k & 1) != 0);
-      if (__pyx_t_1) {
-        __pyx_t_2 = 0;
-      } else {
-        __pyx_t_2 = 2;
-      }
-      __pyx_r = __pyx_t_2;
-      goto __pyx_L0;
-
-      /* "picardkit/counting/_ckernel.pyx":272
- *     if ng == 3:
- *         c = g[0]; b = g[1]; a = g[2]
- *         if F.p == 2:             # <<<<<<<<<<<<<<
- *             if b == 0:
- *                 return 1
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":284
- *             k ^= k >> 4; k ^= k >> 2; k ^= k >> 1
- *             return 0 if (k & 1) else 2
- *         four = 4 % F.p             # <<<<<<<<<<<<<<
- *         disc = ADD(MUL(b, b, F.exp, F.log, F.Qm1),
- *                    NEG(MUL(four, MUL(a, c, F.exp, F.log, F.Qm1),
-*/
-    __pyx_v_four = (4 % __pyx_v_F->p);
-
-    /* "picardkit/counting/_ckernel.pyx":285
- *             return 0 if (k & 1) else 2
- *         four = 4 % F.p
- *         disc = ADD(MUL(b, b, F.exp, F.log, F.Qm1),             # <<<<<<<<<<<<<<
- *                    NEG(MUL(four, MUL(a, c, F.exp, F.log, F.Qm1),
- *                            F.exp, F.log, F.Qm1), F),
-*/
-    __pyx_v_disc = __pyx_f_9picardkit_8counting_8_ckernel_ADD(__pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_b, __pyx_v_b, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_f_9picardkit_8counting_8_ckernel_NEG(__pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_four, __pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_a, __pyx_v_c, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), __pyx_v_F), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->zech, __pyx_v_F->Qm1);
-
-    /* "picardkit/counting/_ckernel.pyx":289
- *                            F.exp, F.log, F.Qm1), F),
- *                    F.exp, F.log, F.zech, F.Qm1)
- *         if disc == 0:             # <<<<<<<<<<<<<<
- *             return 1
- *         return 2 if (F.log[disc] % 2 == 0) else 0
-*/
-    __pyx_t_1 = (__pyx_v_disc == 0);
-    if (__pyx_t_1) {
-
-      /* "picardkit/counting/_ckernel.pyx":290
- *                    F.exp, F.log, F.zech, F.Qm1)
- *         if disc == 0:
- *             return 1             # <<<<<<<<<<<<<<
- *         return 2 if (F.log[disc] % 2 == 0) else 0
- *     return _distinct_roots(g, ng, s1, s2, s3, F)
-*/
-      __pyx_r = 1;
-      goto __pyx_L0;
-
-      /* "picardkit/counting/_ckernel.pyx":289
- *                            F.exp, F.log, F.Qm1), F),
- *                    F.exp, F.log, F.zech, F.Qm1)
- *         if disc == 0:             # <<<<<<<<<<<<<<
- *             return 1
- *         return 2 if (F.log[disc] % 2 == 0) else 0
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":291
- *         if disc == 0:
- *             return 1
- *         return 2 if (F.log[disc] % 2 == 0) else 0             # <<<<<<<<<<<<<<
- *     return _distinct_roots(g, ng, s1, s2, s3, F)
- * 
-*/
-    __pyx_t_1 = (((__pyx_v_F->log[__pyx_v_disc]) % 2) == 0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = 2;
-    } else {
-      __pyx_t_2 = 0;
-    }
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":270
- *     if ng == 2:
- *         return 1
- *     if ng == 3:             # <<<<<<<<<<<<<<
- *         c = g[0]; b = g[1]; a = g[2]
- *         if F.p == 2:
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":292
- *             return 1
- *         return 2 if (F.log[disc] % 2 == 0) else 0
- *     return _distinct_roots(g, ng, s1, s2, s3, F)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_9picardkit_8counting_8_ckernel__distinct_roots(__pyx_v_g, __pyx_v_ng, __pyx_v_s1, __pyx_v_s2, __pyx_v_s3, __pyx_v_F);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":264
- * 
- * 
- * cdef long long _root_count(long long* g, long long ng, long long* s1,             # <<<<<<<<<<<<<<
- *                            long long* s2, long long* s3, FOps* F) noexcept nogil:
- *     # closed forms for degrees 1 and 2, x^Q ladder beyond
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":295
- * 
- * 
- * cdef long long _distinct_roots(long long* g, long long ng, long long* s1,             # <<<<<<<<<<<<<<
- *                                long long* s2, long long* s3, FOps* F) noexcept nogil:
- *     # number of distinct roots of g in F_Q; g clobbered, buffers >= 2*ng
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__distinct_roots(PY_LONG_LONG *__pyx_v_g, PY_LONG_LONG __pyx_v_ng, PY_LONG_LONG *__pyx_v_s1, PY_LONG_LONG *__pyx_v_s2, PY_LONG_LONG *__pyx_v_s3, struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F) {
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_nbase;
-  PY_LONG_LONG __pyx_v_nres;
-  PY_LONG_LONG __pyx_v_nt;
-  PY_LONG_LONG __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-
-  /* "picardkit/counting/_ckernel.pyx":299
- *     # number of distinct roots of g in F_Q; g clobbered, buffers >= 2*ng
- *     cdef long long i, k, nbase, nres, nt
- *     _pmonic(g, ng, F)             # <<<<<<<<<<<<<<
- *     # base = x mod g
- *     s1[0] = 0; s1[1] = 1
-*/
-  __pyx_f_9picardkit_8counting_8_ckernel__pmonic(__pyx_v_g, __pyx_v_ng, __pyx_v_F);
-
-  /* "picardkit/counting/_ckernel.pyx":301
- *     _pmonic(g, ng, F)
- *     # base = x mod g
- *     s1[0] = 0; s1[1] = 1             # <<<<<<<<<<<<<<
- *     nbase = _pmod(s1, 2, g, ng, F)
- *     # result = 1
-*/
-  (__pyx_v_s1[0]) = 0;
-  (__pyx_v_s1[1]) = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":302
- *     # base = x mod g
- *     s1[0] = 0; s1[1] = 1
- *     nbase = _pmod(s1, 2, g, ng, F)             # <<<<<<<<<<<<<<
- *     # result = 1
- *     s2[0] = 1
-*/
-  __pyx_v_nbase = __pyx_f_9picardkit_8counting_8_ckernel__pmod(__pyx_v_s1, 2, __pyx_v_g, __pyx_v_ng, __pyx_v_F);
-
-  /* "picardkit/counting/_ckernel.pyx":304
- *     nbase = _pmod(s1, 2, g, ng, F)
- *     # result = 1
- *     s2[0] = 1             # <<<<<<<<<<<<<<
- *     nres = 1
- *     k = F.Q
-*/
-  (__pyx_v_s2[0]) = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":305
- *     # result = 1
- *     s2[0] = 1
- *     nres = 1             # <<<<<<<<<<<<<<
- *     k = F.Q
- *     while k:
-*/
-  __pyx_v_nres = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":306
- *     s2[0] = 1
- *     nres = 1
- *     k = F.Q             # <<<<<<<<<<<<<<
- *     while k:
- *         if k & 1:
-*/
-  __pyx_t_1 = __pyx_v_F->Q;
-  __pyx_v_k = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":307
- *     nres = 1
- *     k = F.Q
- *     while k:             # <<<<<<<<<<<<<<
- *         if k & 1:
- *             nt = _pmulmod(s2, nres, s1, nbase, g, ng, s3, F)
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_k != 0);
-    if (!__pyx_t_2) break;
-
-    /* "picardkit/counting/_ckernel.pyx":308
- *     k = F.Q
- *     while k:
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             nt = _pmulmod(s2, nres, s1, nbase, g, ng, s3, F)
- *             for i in range(nt):
-*/
-    __pyx_t_2 = ((__pyx_v_k & 1) != 0);
-    if (__pyx_t_2) {
-
-      /* "picardkit/counting/_ckernel.pyx":309
- *     while k:
- *         if k & 1:
- *             nt = _pmulmod(s2, nres, s1, nbase, g, ng, s3, F)             # <<<<<<<<<<<<<<
- *             for i in range(nt):
- *                 s2[i] = s3[i]
-*/
-      __pyx_v_nt = __pyx_f_9picardkit_8counting_8_ckernel__pmulmod(__pyx_v_s2, __pyx_v_nres, __pyx_v_s1, __pyx_v_nbase, __pyx_v_g, __pyx_v_ng, __pyx_v_s3, __pyx_v_F);
-
-      /* "picardkit/counting/_ckernel.pyx":310
- *         if k & 1:
- *             nt = _pmulmod(s2, nres, s1, nbase, g, ng, s3, F)
- *             for i in range(nt):             # <<<<<<<<<<<<<<
- *                 s2[i] = s3[i]
- *             nres = nt
-*/
-      __pyx_t_1 = __pyx_v_nt;
-      __pyx_t_3 = __pyx_t_1;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-        __pyx_v_i = __pyx_t_4;
-
-        /* "picardkit/counting/_ckernel.pyx":311
- *             nt = _pmulmod(s2, nres, s1, nbase, g, ng, s3, F)
- *             for i in range(nt):
- *                 s2[i] = s3[i]             # <<<<<<<<<<<<<<
- *             nres = nt
- *         nt = _pmulmod(s1, nbase, s1, nbase, g, ng, s3, F)
-*/
-        (__pyx_v_s2[__pyx_v_i]) = (__pyx_v_s3[__pyx_v_i]);
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":312
- *             for i in range(nt):
- *                 s2[i] = s3[i]
- *             nres = nt             # <<<<<<<<<<<<<<
- *         nt = _pmulmod(s1, nbase, s1, nbase, g, ng, s3, F)
- *         for i in range(nt):
-*/
-      __pyx_v_nres = __pyx_v_nt;
-
-      /* "picardkit/counting/_ckernel.pyx":308
- *     k = F.Q
- *     while k:
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             nt = _pmulmod(s2, nres, s1, nbase, g, ng, s3, F)
- *             for i in range(nt):
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":313
- *                 s2[i] = s3[i]
- *             nres = nt
- *         nt = _pmulmod(s1, nbase, s1, nbase, g, ng, s3, F)             # <<<<<<<<<<<<<<
- *         for i in range(nt):
- *             s1[i] = s3[i]
-*/
-    __pyx_v_nt = __pyx_f_9picardkit_8counting_8_ckernel__pmulmod(__pyx_v_s1, __pyx_v_nbase, __pyx_v_s1, __pyx_v_nbase, __pyx_v_g, __pyx_v_ng, __pyx_v_s3, __pyx_v_F);
-
-    /* "picardkit/counting/_ckernel.pyx":314
- *             nres = nt
- *         nt = _pmulmod(s1, nbase, s1, nbase, g, ng, s3, F)
- *         for i in range(nt):             # <<<<<<<<<<<<<<
- *             s1[i] = s3[i]
- *         nbase = nt
-*/
-    __pyx_t_1 = __pyx_v_nt;
-    __pyx_t_3 = __pyx_t_1;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "picardkit/counting/_ckernel.pyx":315
- *         nt = _pmulmod(s1, nbase, s1, nbase, g, ng, s3, F)
- *         for i in range(nt):
- *             s1[i] = s3[i]             # <<<<<<<<<<<<<<
- *         nbase = nt
- *         k >>= 1
-*/
-      (__pyx_v_s1[__pyx_v_i]) = (__pyx_v_s3[__pyx_v_i]);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":316
- *         for i in range(nt):
- *             s1[i] = s3[i]
- *         nbase = nt             # <<<<<<<<<<<<<<
- *         k >>= 1
- *     # r = result - x
-*/
-    __pyx_v_nbase = __pyx_v_nt;
-
-    /* "picardkit/counting/_ckernel.pyx":317
- *             s1[i] = s3[i]
- *         nbase = nt
- *         k >>= 1             # <<<<<<<<<<<<<<
- *     # r = result - x
- *     nt = nres
-*/
-    __pyx_v_k = (__pyx_v_k >> 1);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":319
- *         k >>= 1
- *     # r = result - x
- *     nt = nres             # <<<<<<<<<<<<<<
- *     if nt < 2:
- *         nt = 2
-*/
-  __pyx_v_nt = __pyx_v_nres;
-
-  /* "picardkit/counting/_ckernel.pyx":320
- *     # r = result - x
- *     nt = nres
- *     if nt < 2:             # <<<<<<<<<<<<<<
- *         nt = 2
- *     for i in range(nres, nt):
-*/
-  __pyx_t_2 = (__pyx_v_nt < 2);
-  if (__pyx_t_2) {
-
-    /* "picardkit/counting/_ckernel.pyx":321
- *     nt = nres
- *     if nt < 2:
- *         nt = 2             # <<<<<<<<<<<<<<
- *     for i in range(nres, nt):
- *         s2[i] = 0
-*/
-    __pyx_v_nt = 2;
-
-    /* "picardkit/counting/_ckernel.pyx":320
- *     # r = result - x
- *     nt = nres
- *     if nt < 2:             # <<<<<<<<<<<<<<
- *         nt = 2
- *     for i in range(nres, nt):
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":322
- *     if nt < 2:
- *         nt = 2
- *     for i in range(nres, nt):             # <<<<<<<<<<<<<<
- *         s2[i] = 0
- *     s2[1] = ADD(s2[1], NEG(1, F), F.exp, F.log, F.zech, F.Qm1)
-*/
-  __pyx_t_1 = __pyx_v_nt;
-  __pyx_t_3 = __pyx_t_1;
-  for (__pyx_t_4 = __pyx_v_nres; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "picardkit/counting/_ckernel.pyx":323
- *         nt = 2
- *     for i in range(nres, nt):
- *         s2[i] = 0             # <<<<<<<<<<<<<<
- *     s2[1] = ADD(s2[1], NEG(1, F), F.exp, F.log, F.zech, F.Qm1)
- *     nt = _ptrim(s2, nt)
-*/
-    (__pyx_v_s2[__pyx_v_i]) = 0;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":324
- *     for i in range(nres, nt):
- *         s2[i] = 0
- *     s2[1] = ADD(s2[1], NEG(1, F), F.exp, F.log, F.zech, F.Qm1)             # <<<<<<<<<<<<<<
- *     nt = _ptrim(s2, nt)
- *     if nt == 0:
-*/
-  (__pyx_v_s2[1]) = __pyx_f_9picardkit_8counting_8_ckernel_ADD((__pyx_v_s2[1]), __pyx_f_9picardkit_8counting_8_ckernel_NEG(1, __pyx_v_F), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->zech, __pyx_v_F->Qm1);
-
-  /* "picardkit/counting/_ckernel.pyx":325
- *         s2[i] = 0
- *     s2[1] = ADD(s2[1], NEG(1, F), F.exp, F.log, F.zech, F.Qm1)
- *     nt = _ptrim(s2, nt)             # <<<<<<<<<<<<<<
- *     if nt == 0:
- *         return ng - 1
-*/
-  __pyx_v_nt = __pyx_f_9picardkit_8counting_8_ckernel__ptrim(__pyx_v_s2, __pyx_v_nt);
-
-  /* "picardkit/counting/_ckernel.pyx":326
- *     s2[1] = ADD(s2[1], NEG(1, F), F.exp, F.log, F.zech, F.Qm1)
- *     nt = _ptrim(s2, nt)
- *     if nt == 0:             # <<<<<<<<<<<<<<
- *         return ng - 1
- *     return _pgcd(g, ng, s2, nt, F) - 1
-*/
-  __pyx_t_2 = (__pyx_v_nt == 0);
-  if (__pyx_t_2) {
-
-    /* "picardkit/counting/_ckernel.pyx":327
- *     nt = _ptrim(s2, nt)
- *     if nt == 0:
- *         return ng - 1             # <<<<<<<<<<<<<<
- *     return _pgcd(g, ng, s2, nt, F) - 1
- * 
-*/
-    __pyx_r = (__pyx_v_ng - 1);
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":326
- *     s2[1] = ADD(s2[1], NEG(1, F), F.exp, F.log, F.zech, F.Qm1)
- *     nt = _ptrim(s2, nt)
- *     if nt == 0:             # <<<<<<<<<<<<<<
- *         return ng - 1
- *     return _pgcd(g, ng, s2, nt, F) - 1
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":328
- *     if nt == 0:
- *         return ng - 1
- *     return _pgcd(g, ng, s2, nt, F) - 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_f_9picardkit_8counting_8_ckernel__pgcd(__pyx_v_g, __pyx_v_ng, __pyx_v_s2, __pyx_v_nt, __pyx_v_F) - 1);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":295
- * 
- * 
- * cdef long long _distinct_roots(long long* g, long long ng, long long* s1,             # <<<<<<<<<<<<<<
- *                                long long* s2, long long* s3, FOps* F) noexcept nogil:
- *     # number of distinct roots of g in F_Q; g clobbered, buffers >= 2*ng
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":331
- * 
- * 
- * def count_chart(Q_in, p_in, tmask_in, exp_arr, log_arr, zech_arr, gen_terms,             # <<<<<<<<<<<<<<
- *                 nprefix_in, use_gcd_in, lo_in, hi_in):
- *     """Count points of one affine chart; same contract as kernel_py."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9picardkit_8counting_8_ckernel_3count_chart(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9picardkit_8counting_8_ckernel_2count_chart, "Count points of one affine chart; same contract as kernel_py.");
-static PyMethodDef __pyx_mdef_9picardkit_8counting_8_ckernel_3count_chart = {"count_chart", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9picardkit_8counting_8_ckernel_3count_chart, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9picardkit_8counting_8_ckernel_2count_chart};
-static PyObject *__pyx_pw_9picardkit_8counting_8_ckernel_3count_chart(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_Q_in = 0;
-  PyObject *__pyx_v_p_in = 0;
-  PyObject *__pyx_v_tmask_in = 0;
-  PyObject *__pyx_v_exp_arr = 0;
-  PyObject *__pyx_v_log_arr = 0;
-  PyObject *__pyx_v_zech_arr = 0;
-  PyObject *__pyx_v_gen_terms = 0;
-  PyObject *__pyx_v_nprefix_in = 0;
-  PyObject *__pyx_v_use_gcd_in = 0;
-  PyObject *__pyx_v_lo_in = 0;
-  PyObject *__pyx_v_hi_in = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[11] = {0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("count_chart (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_Q_in,&__pyx_mstate_global->__pyx_n_u_p_in,&__pyx_mstate_global->__pyx_n_u_tmask_in,&__pyx_mstate_global->__pyx_n_u_exp_arr,&__pyx_mstate_global->__pyx_n_u_log_arr,&__pyx_mstate_global->__pyx_n_u_zech_arr,&__pyx_mstate_global->__pyx_n_u_gen_terms,&__pyx_mstate_global->__pyx_n_u_nprefix_in,&__pyx_mstate_global->__pyx_n_u_use_gcd_in,&__pyx_mstate_global->__pyx_n_u_lo_in,&__pyx_mstate_global->__pyx_n_u_hi_in,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 331, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 331, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "count_chart", 0) < (0)) __PYX_ERR(0, 331, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 11; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("count_chart", 1, 11, 11, i); __PYX_ERR(0, 331, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 11)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 331, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 331, __pyx_L3_error)
-    }
-    __pyx_v_Q_in = values[0];
-    __pyx_v_p_in = values[1];
-    __pyx_v_tmask_in = values[2];
-    __pyx_v_exp_arr = values[3];
-    __pyx_v_log_arr = values[4];
-    __pyx_v_zech_arr = values[5];
-    __pyx_v_gen_terms = values[6];
-    __pyx_v_nprefix_in = values[7];
-    __pyx_v_use_gcd_in = values[8];
-    __pyx_v_lo_in = values[9];
-    __pyx_v_hi_in = values[10];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("count_chart", 1, 11, 11, __pyx_nargs); __PYX_ERR(0, 331, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("picardkit.counting._ckernel.count_chart", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9picardkit_8counting_8_ckernel_2count_chart(__pyx_self, __pyx_v_Q_in, __pyx_v_p_in, __pyx_v_tmask_in, __pyx_v_exp_arr, __pyx_v_log_arr, __pyx_v_zech_arr, __pyx_v_gen_terms, __pyx_v_nprefix_in, __pyx_v_use_gcd_in, __pyx_v_lo_in, __pyx_v_hi_in);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9picardkit_8counting_8_ckernel_2count_chart(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_Q_in, PyObject *__pyx_v_p_in, PyObject *__pyx_v_tmask_in, PyObject *__pyx_v_exp_arr, PyObject *__pyx_v_log_arr, PyObject *__pyx_v_zech_arr, PyObject *__pyx_v_gen_terms, PyObject *__pyx_v_nprefix_in, PyObject *__pyx_v_use_gcd_in, PyObject *__pyx_v_lo_in, PyObject *__pyx_v_hi_in) {
-  PY_LONG_LONG __pyx_v_Q;
-  PY_LONG_LONG __pyx_v_nprefix;
-  PY_LONG_LONG __pyx_v_use_gcd;
-  PY_LONG_LONG __pyx_v_lo;
-  PY_LONG_LONG __pyx_v_hi;
-  arrayobject *__pyx_v_exp_a = 0;
-  arrayobject *__pyx_v_log_a = 0;
-  arrayobject *__pyx_v_zech_a = 0;
-  struct __pyx_t_9picardkit_8counting_8_ckernel_FOps __pyx_v_F;
-  PY_LONG_LONG __pyx_v_ngens;
-  PY_LONG_LONG __pyx_v_stride;
-  PY_LONG_LONG __pyx_v_total_recs;
-  PyObject *__pyx_v_terms = NULL;
-  arrayobject *__pyx_v_flat_a = 0;
-  arrayobject *__pyx_v_goff_a = 0;
-  PY_LONG_LONG *__pyx_v_flat;
-  PY_LONG_LONG *__pyx_v_goff;
-  PY_LONG_LONG __pyx_v_pos;
-  PY_LONG_LONG __pyx_v_gi;
-  PyObject *__pyx_v_v = NULL;
-  PY_LONG_LONG __pyx_v_maxdeg;
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_v_t;
-  arrayobject *__pyx_v_gdeg_a = 0;
-  PY_LONG_LONG *__pyx_v_gdeg;
-  arrayobject *__pyx_v_pmax_a = 0;
-  PY_LONG_LONG *__pyx_v_pmax;
-  PY_LONG_LONG __pyx_v_count;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PY_LONG_LONG __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PY_LONG_LONG *__pyx_t_3;
-  int __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  PyObject *(*__pyx_t_6)(PyObject *);
-  PyObject *__pyx_t_7 = NULL;
-  Py_ssize_t __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  long __pyx_t_11;
-  PY_LONG_LONG __pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  size_t __pyx_t_14;
-  PyObject *(*__pyx_t_15)(PyObject *);
-  PY_LONG_LONG __pyx_t_16;
-  PY_LONG_LONG __pyx_t_17;
-  PY_LONG_LONG __pyx_t_18;
-  PY_LONG_LONG __pyx_t_19;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("count_chart", 0);
-
-  /* "picardkit/counting/_ckernel.pyx":334
- *                 nprefix_in, use_gcd_in, lo_in, hi_in):
- *     """Count points of one affine chart; same contract as kernel_py."""
- *     cdef long long Q = Q_in             # <<<<<<<<<<<<<<
- *     cdef long long nprefix = nprefix_in
- *     cdef long long use_gcd = use_gcd_in
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_Q_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 334, __pyx_L1_error)
-  __pyx_v_Q = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":335
- *     """Count points of one affine chart; same contract as kernel_py."""
- *     cdef long long Q = Q_in
- *     cdef long long nprefix = nprefix_in             # <<<<<<<<<<<<<<
- *     cdef long long use_gcd = use_gcd_in
- *     cdef long long lo = lo_in
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_nprefix_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 335, __pyx_L1_error)
-  __pyx_v_nprefix = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":336
- *     cdef long long Q = Q_in
- *     cdef long long nprefix = nprefix_in
- *     cdef long long use_gcd = use_gcd_in             # <<<<<<<<<<<<<<
- *     cdef long long lo = lo_in
- *     cdef long long hi = hi_in
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_use_gcd_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 336, __pyx_L1_error)
-  __pyx_v_use_gcd = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":337
- *     cdef long long nprefix = nprefix_in
- *     cdef long long use_gcd = use_gcd_in
- *     cdef long long lo = lo_in             # <<<<<<<<<<<<<<
- *     cdef long long hi = hi_in
- * 
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_lo_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 337, __pyx_L1_error)
-  __pyx_v_lo = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":338
- *     cdef long long use_gcd = use_gcd_in
- *     cdef long long lo = lo_in
- *     cdef long long hi = hi_in             # <<<<<<<<<<<<<<
- * 
- *     cdef array.array exp_a = exp_arr
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_hi_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L1_error)
-  __pyx_v_hi = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":340
- *     cdef long long hi = hi_in
- * 
- *     cdef array.array exp_a = exp_arr             # <<<<<<<<<<<<<<
- *     cdef array.array log_a = log_arr
- *     cdef array.array zech_a = zech_arr
-*/
-  __pyx_t_2 = __pyx_v_exp_arr;
-  __Pyx_INCREF(__pyx_t_2);
-  if (!(likely(((__pyx_t_2) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_2, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 340, __pyx_L1_error)
-  __pyx_v_exp_a = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":341
- * 
- *     cdef array.array exp_a = exp_arr
- *     cdef array.array log_a = log_arr             # <<<<<<<<<<<<<<
- *     cdef array.array zech_a = zech_arr
- * 
-*/
-  __pyx_t_2 = __pyx_v_log_arr;
-  __Pyx_INCREF(__pyx_t_2);
-  if (!(likely(((__pyx_t_2) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_2, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 341, __pyx_L1_error)
-  __pyx_v_log_a = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":342
- *     cdef array.array exp_a = exp_arr
- *     cdef array.array log_a = log_arr
- *     cdef array.array zech_a = zech_arr             # <<<<<<<<<<<<<<
- * 
- *     cdef FOps F
-*/
-  __pyx_t_2 = __pyx_v_zech_arr;
-  __Pyx_INCREF(__pyx_t_2);
-  if (!(likely(((__pyx_t_2) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_2, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 342, __pyx_L1_error)
-  __pyx_v_zech_a = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":345
- * 
- *     cdef FOps F
- *     F.exp = exp_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     F.log = log_a.data.as_longlongs
- *     F.zech = zech_a.data.as_longlongs
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_exp_a).as_longlongs;
-  __pyx_v_F.exp = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":346
- *     cdef FOps F
- *     F.exp = exp_a.data.as_longlongs
- *     F.log = log_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     F.zech = zech_a.data.as_longlongs
- *     F.Q = Q
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_log_a).as_longlongs;
-  __pyx_v_F.log = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":347
- *     F.exp = exp_a.data.as_longlongs
- *     F.log = log_a.data.as_longlongs
- *     F.zech = zech_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     F.Q = Q
- *     F.Qm1 = Q - 1
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_zech_a).as_longlongs;
-  __pyx_v_F.zech = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":348
- *     F.log = log_a.data.as_longlongs
- *     F.zech = zech_a.data.as_longlongs
- *     F.Q = Q             # <<<<<<<<<<<<<<
- *     F.Qm1 = Q - 1
- *     F.p = p_in
-*/
-  __pyx_v_F.Q = __pyx_v_Q;
-
-  /* "picardkit/counting/_ckernel.pyx":349
- *     F.zech = zech_a.data.as_longlongs
- *     F.Q = Q
- *     F.Qm1 = Q - 1             # <<<<<<<<<<<<<<
- *     F.p = p_in
- *     F.tmask = tmask_in
-*/
-  __pyx_v_F.Qm1 = (__pyx_v_Q - 1);
-
-  /* "picardkit/counting/_ckernel.pyx":350
- *     F.Q = Q
- *     F.Qm1 = Q - 1
- *     F.p = p_in             # <<<<<<<<<<<<<<
- *     F.tmask = tmask_in
- *     if F.Qm1 % 2:
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_p_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 350, __pyx_L1_error)
-  __pyx_v_F.p = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":351
- *     F.Qm1 = Q - 1
- *     F.p = p_in
- *     F.tmask = tmask_in             # <<<<<<<<<<<<<<
- *     if F.Qm1 % 2:
- *         F.negone = 1
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_tmask_in); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 351, __pyx_L1_error)
-  __pyx_v_F.tmask = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":352
- *     F.p = p_in
- *     F.tmask = tmask_in
- *     if F.Qm1 % 2:             # <<<<<<<<<<<<<<
- *         F.negone = 1
- *     else:
-*/
-  __pyx_t_4 = ((__pyx_v_F.Qm1 % 2) != 0);
-  if (__pyx_t_4) {
-
-    /* "picardkit/counting/_ckernel.pyx":353
- *     F.tmask = tmask_in
- *     if F.Qm1 % 2:
- *         F.negone = 1             # <<<<<<<<<<<<<<
- *     else:
- *         F.negone = F.exp[F.Qm1 // 2]
-*/
-    __pyx_v_F.negone = 1;
-
-    /* "picardkit/counting/_ckernel.pyx":352
- *     F.p = p_in
- *     F.tmask = tmask_in
- *     if F.Qm1 % 2:             # <<<<<<<<<<<<<<
- *         F.negone = 1
- *     else:
-*/
-    goto __pyx_L3;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":355
- *         F.negone = 1
- *     else:
- *         F.negone = F.exp[F.Qm1 // 2]             # <<<<<<<<<<<<<<
- * 
- *     cdef long long ngens = len(gen_terms)
-*/
-  /*else*/ {
-    __pyx_v_F.negone = (__pyx_v_F.exp[(__pyx_v_F.Qm1 / 2)]);
-  }
-  __pyx_L3:;
-
-  /* "picardkit/counting/_ckernel.pyx":357
- *         F.negone = F.exp[F.Qm1 // 2]
- * 
- *     cdef long long ngens = len(gen_terms)             # <<<<<<<<<<<<<<
- *     cdef long long stride = 2 + nprefix
- * 
-*/
-  __pyx_t_5 = PyObject_Length(__pyx_v_gen_terms); if (unlikely(__pyx_t_5 == ((Py_ssize_t)-1))) __PYX_ERR(0, 357, __pyx_L1_error)
-  __pyx_v_ngens = __pyx_t_5;
-
-  /* "picardkit/counting/_ckernel.pyx":358
- * 
- *     cdef long long ngens = len(gen_terms)
- *     cdef long long stride = 2 + nprefix             # <<<<<<<<<<<<<<
- * 
- *     # flatten generator terms
-*/
-  __pyx_v_stride = (2 + __pyx_v_nprefix);
-
-  /* "picardkit/counting/_ckernel.pyx":361
- * 
- *     # flatten generator terms
- *     cdef long long total_recs = 0             # <<<<<<<<<<<<<<
- *     for terms in gen_terms:
- *         total_recs += len(terms) // stride
-*/
-  __pyx_v_total_recs = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":362
- *     # flatten generator terms
- *     cdef long long total_recs = 0
- *     for terms in gen_terms:             # <<<<<<<<<<<<<<
- *         total_recs += len(terms) // stride
- *     cdef array.array flat_a = array.array("q", bytes(8 * max(total_recs * stride, 1)))
-*/
-  if (likely(PyList_CheckExact(__pyx_v_gen_terms)) || PyTuple_CheckExact(__pyx_v_gen_terms)) {
-    __pyx_t_2 = __pyx_v_gen_terms; __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_5 = 0;
-    __pyx_t_6 = NULL;
-  } else {
-    __pyx_t_5 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_gen_terms); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 362, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 362, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_6)) {
-      if (likely(PyList_CheckExact(__pyx_t_2))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 362, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        __pyx_t_7 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_5, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_5;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 362, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_7 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_5));
-        #else
-        __pyx_t_7 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_5);
-        #endif
-        ++__pyx_t_5;
-      }
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 362, __pyx_L1_error)
-    } else {
-      __pyx_t_7 = __pyx_t_6(__pyx_t_2);
-      if (unlikely(!__pyx_t_7)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 362, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_XDECREF_SET(__pyx_v_terms, __pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "picardkit/counting/_ckernel.pyx":363
- *     cdef long long total_recs = 0
- *     for terms in gen_terms:
- *         total_recs += len(terms) // stride             # <<<<<<<<<<<<<<
- *     cdef array.array flat_a = array.array("q", bytes(8 * max(total_recs * stride, 1)))
- *     cdef array.array goff_a = array.array("q", bytes(8 * (ngens + 1)))
-*/
-    __pyx_t_8 = PyObject_Length(__pyx_v_terms); if (unlikely(__pyx_t_8 == ((Py_ssize_t)-1))) __PYX_ERR(0, 363, __pyx_L1_error)
-    __pyx_v_total_recs = (__pyx_v_total_recs + (__pyx_t_8 / __pyx_v_stride));
-
-    /* "picardkit/counting/_ckernel.pyx":362
- *     # flatten generator terms
- *     cdef long long total_recs = 0
- *     for terms in gen_terms:             # <<<<<<<<<<<<<<
- *         total_recs += len(terms) // stride
- *     cdef array.array flat_a = array.array("q", bytes(8 * max(total_recs * stride, 1)))
-*/
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":364
- *     for terms in gen_terms:
- *         total_recs += len(terms) // stride
- *     cdef array.array flat_a = array.array("q", bytes(8 * max(total_recs * stride, 1)))             # <<<<<<<<<<<<<<
- *     cdef array.array goff_a = array.array("q", bytes(8 * (ngens + 1)))
- *     cdef long long* flat = flat_a.data.as_longlongs
-*/
-  __pyx_t_7 = NULL;
-  __pyx_t_10 = NULL;
-  __pyx_t_11 = 1;
-  __pyx_t_1 = (__pyx_v_total_recs * __pyx_v_stride);
-  __pyx_t_4 = (__pyx_t_11 > __pyx_t_1);
-  if (__pyx_t_4) {
-    __pyx_t_12 = __pyx_t_11;
-  } else {
-    __pyx_t_12 = __pyx_t_1;
-  }
-  __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG((8 * __pyx_t_12)); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 364, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_13};
-    __pyx_t_9 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 364, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-  }
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_7, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_9};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_14, (3-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 364, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_2);
-  }
-  __pyx_v_flat_a = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":365
- *         total_recs += len(terms) // stride
- *     cdef array.array flat_a = array.array("q", bytes(8 * max(total_recs * stride, 1)))
- *     cdef array.array goff_a = array.array("q", bytes(8 * (ngens + 1)))             # <<<<<<<<<<<<<<
- *     cdef long long* flat = flat_a.data.as_longlongs
- *     cdef long long* goff = goff_a.data.as_longlongs
-*/
-  __pyx_t_9 = NULL;
-  __pyx_t_13 = NULL;
-  __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG((8 * (__pyx_v_ngens + 1))); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 365, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_13, __pyx_t_10};
-    __pyx_t_7 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 365, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-  }
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_9, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_7};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_14, (3-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 365, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_2);
-  }
-  __pyx_v_goff_a = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":366
- *     cdef array.array flat_a = array.array("q", bytes(8 * max(total_recs * stride, 1)))
- *     cdef array.array goff_a = array.array("q", bytes(8 * (ngens + 1)))
- *     cdef long long* flat = flat_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     cdef long long* goff = goff_a.data.as_longlongs
- *     cdef long long pos = 0
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_flat_a).as_longlongs;
-  __pyx_v_flat = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":367
- *     cdef array.array goff_a = array.array("q", bytes(8 * (ngens + 1)))
- *     cdef long long* flat = flat_a.data.as_longlongs
- *     cdef long long* goff = goff_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     cdef long long pos = 0
- *     cdef long long gi = 0
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_goff_a).as_longlongs;
-  __pyx_v_goff = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":368
- *     cdef long long* flat = flat_a.data.as_longlongs
- *     cdef long long* goff = goff_a.data.as_longlongs
- *     cdef long long pos = 0             # <<<<<<<<<<<<<<
- *     cdef long long gi = 0
- *     for terms in gen_terms:
-*/
-  __pyx_v_pos = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":369
- *     cdef long long* goff = goff_a.data.as_longlongs
- *     cdef long long pos = 0
- *     cdef long long gi = 0             # <<<<<<<<<<<<<<
- *     for terms in gen_terms:
- *         goff[gi] = pos
-*/
-  __pyx_v_gi = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":370
- *     cdef long long pos = 0
- *     cdef long long gi = 0
- *     for terms in gen_terms:             # <<<<<<<<<<<<<<
- *         goff[gi] = pos
- *         for v in terms:
-*/
-  if (likely(PyList_CheckExact(__pyx_v_gen_terms)) || PyTuple_CheckExact(__pyx_v_gen_terms)) {
-    __pyx_t_2 = __pyx_v_gen_terms; __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_5 = 0;
-    __pyx_t_6 = NULL;
-  } else {
-    __pyx_t_5 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_gen_terms); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 370, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 370, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_6)) {
-      if (likely(PyList_CheckExact(__pyx_t_2))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 370, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        __pyx_t_7 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_5, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_5;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 370, __pyx_L1_error)
-          #endif
-          if (__pyx_t_5 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_7 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_5));
-        #else
-        __pyx_t_7 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_5);
-        #endif
-        ++__pyx_t_5;
-      }
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 370, __pyx_L1_error)
-    } else {
-      __pyx_t_7 = __pyx_t_6(__pyx_t_2);
-      if (unlikely(!__pyx_t_7)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 370, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_XDECREF_SET(__pyx_v_terms, __pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "picardkit/counting/_ckernel.pyx":371
- *     cdef long long gi = 0
- *     for terms in gen_terms:
- *         goff[gi] = pos             # <<<<<<<<<<<<<<
- *         for v in terms:
- *             flat[pos] = v
-*/
-    (__pyx_v_goff[__pyx_v_gi]) = __pyx_v_pos;
-
-    /* "picardkit/counting/_ckernel.pyx":372
- *     for terms in gen_terms:
- *         goff[gi] = pos
- *         for v in terms:             # <<<<<<<<<<<<<<
- *             flat[pos] = v
- *             pos += 1
-*/
-    if (likely(PyList_CheckExact(__pyx_v_terms)) || PyTuple_CheckExact(__pyx_v_terms)) {
-      __pyx_t_7 = __pyx_v_terms; __Pyx_INCREF(__pyx_t_7);
-      __pyx_t_8 = 0;
-      __pyx_t_15 = NULL;
-    } else {
-      __pyx_t_8 = -1; __pyx_t_7 = PyObject_GetIter(__pyx_v_terms); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 372, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_15 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_7); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 372, __pyx_L1_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_15)) {
-        if (likely(PyList_CheckExact(__pyx_t_7))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_7);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 372, __pyx_L1_error)
-            #endif
-            if (__pyx_t_8 >= __pyx_temp) break;
-          }
-          __pyx_t_9 = __Pyx_PyList_GetItemRefFast(__pyx_t_7, __pyx_t_8, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_8;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_7);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 372, __pyx_L1_error)
-            #endif
-            if (__pyx_t_8 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_9 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_7, __pyx_t_8));
-          #else
-          __pyx_t_9 = __Pyx_PySequence_ITEM(__pyx_t_7, __pyx_t_8);
-          #endif
-          ++__pyx_t_8;
-        }
-        if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 372, __pyx_L1_error)
-      } else {
-        __pyx_t_9 = __pyx_t_15(__pyx_t_7);
-        if (unlikely(!__pyx_t_9)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 372, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_XDECREF_SET(__pyx_v_v, __pyx_t_9);
-      __pyx_t_9 = 0;
-
-      /* "picardkit/counting/_ckernel.pyx":373
- *         goff[gi] = pos
- *         for v in terms:
- *             flat[pos] = v             # <<<<<<<<<<<<<<
- *             pos += 1
- *         gi += 1
-*/
-      __pyx_t_12 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_v); if (unlikely((__pyx_t_12 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 373, __pyx_L1_error)
-      (__pyx_v_flat[__pyx_v_pos]) = __pyx_t_12;
-
-      /* "picardkit/counting/_ckernel.pyx":374
- *         for v in terms:
- *             flat[pos] = v
- *             pos += 1             # <<<<<<<<<<<<<<
- *         gi += 1
- *     goff[ngens] = pos
-*/
-      __pyx_v_pos = (__pyx_v_pos + 1);
-
-      /* "picardkit/counting/_ckernel.pyx":372
- *     for terms in gen_terms:
- *         goff[gi] = pos
- *         for v in terms:             # <<<<<<<<<<<<<<
- *             flat[pos] = v
- *             pos += 1
-*/
-    }
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-    /* "picardkit/counting/_ckernel.pyx":375
- *             flat[pos] = v
- *             pos += 1
- *         gi += 1             # <<<<<<<<<<<<<<
- *     goff[ngens] = pos
- * 
-*/
-    __pyx_v_gi = (__pyx_v_gi + 1);
-
-    /* "picardkit/counting/_ckernel.pyx":370
- *     cdef long long pos = 0
- *     cdef long long gi = 0
- *     for terms in gen_terms:             # <<<<<<<<<<<<<<
- *         goff[gi] = pos
- *         for v in terms:
-*/
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":376
- *             pos += 1
- *         gi += 1
- *     goff[ngens] = pos             # <<<<<<<<<<<<<<
- * 
- *     # degrees
-*/
-  (__pyx_v_goff[__pyx_v_ngens]) = __pyx_v_pos;
-
-  /* "picardkit/counting/_ckernel.pyx":379
- * 
- *     # degrees
- *     cdef long long maxdeg = 0             # <<<<<<<<<<<<<<
- *     cdef long long i, t
- *     cdef array.array gdeg_a = array.array("q", bytes(8 * max(ngens, 1)))
-*/
-  __pyx_v_maxdeg = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":381
- *     cdef long long maxdeg = 0
- *     cdef long long i, t
- *     cdef array.array gdeg_a = array.array("q", bytes(8 * max(ngens, 1)))             # <<<<<<<<<<<<<<
- *     cdef long long* gdeg = gdeg_a.data.as_longlongs
- *     for gi in range(ngens):
-*/
-  __pyx_t_7 = NULL;
-  __pyx_t_10 = NULL;
-  __pyx_t_11 = 1;
-  __pyx_t_12 = __pyx_v_ngens;
-  __pyx_t_4 = (__pyx_t_11 > __pyx_t_12);
-  if (__pyx_t_4) {
-    __pyx_t_1 = __pyx_t_11;
-  } else {
-    __pyx_t_1 = __pyx_t_12;
-  }
-  __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG((8 * __pyx_t_1)); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 381, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_13};
-    __pyx_t_9 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 381, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-  }
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_7, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_9};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_14, (3-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 381, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_2);
-  }
-  __pyx_v_gdeg_a = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":382
- *     cdef long long i, t
- *     cdef array.array gdeg_a = array.array("q", bytes(8 * max(ngens, 1)))
- *     cdef long long* gdeg = gdeg_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     for gi in range(ngens):
- *         gdeg[gi] = 0
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_gdeg_a).as_longlongs;
-  __pyx_v_gdeg = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":383
- *     cdef array.array gdeg_a = array.array("q", bytes(8 * max(ngens, 1)))
- *     cdef long long* gdeg = gdeg_a.data.as_longlongs
- *     for gi in range(ngens):             # <<<<<<<<<<<<<<
- *         gdeg[gi] = 0
- *         for t in range(goff[gi], goff[gi + 1], stride):
-*/
-  __pyx_t_1 = __pyx_v_ngens;
-  __pyx_t_12 = __pyx_t_1;
-  for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_12; __pyx_t_16+=1) {
-    __pyx_v_gi = __pyx_t_16;
-
-    /* "picardkit/counting/_ckernel.pyx":384
- *     cdef long long* gdeg = gdeg_a.data.as_longlongs
- *     for gi in range(ngens):
- *         gdeg[gi] = 0             # <<<<<<<<<<<<<<
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             if flat[t + 1] > gdeg[gi]:
-*/
-    (__pyx_v_gdeg[__pyx_v_gi]) = 0;
-
-    /* "picardkit/counting/_ckernel.pyx":385
- *     for gi in range(ngens):
- *         gdeg[gi] = 0
- *         for t in range(goff[gi], goff[gi + 1], stride):             # <<<<<<<<<<<<<<
- *             if flat[t + 1] > gdeg[gi]:
- *                 gdeg[gi] = flat[t + 1]
-*/
-    __pyx_t_9 = NULL;
-    __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_goff[__pyx_v_gi])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 385, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_goff[(__pyx_v_gi + 1)])); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 385, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_stride); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 385, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_14 = 1;
-    {
-      PyObject *__pyx_callargs[4] = {__pyx_t_9, __pyx_t_7, __pyx_t_13, __pyx_t_10};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(&PyRange_Type), __pyx_callargs+__pyx_t_14, (4-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 385, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __pyx_t_10 = PyObject_GetIter(__pyx_t_2); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 385, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_10); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 385, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    for (;;) {
-      {
-        __pyx_t_2 = __pyx_t_6(__pyx_t_10);
-        if (unlikely(!__pyx_t_2)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 385, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_17 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_2); if (unlikely((__pyx_t_17 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 385, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __pyx_v_t = __pyx_t_17;
-
-      /* "picardkit/counting/_ckernel.pyx":386
- *         gdeg[gi] = 0
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             if flat[t + 1] > gdeg[gi]:             # <<<<<<<<<<<<<<
- *                 gdeg[gi] = flat[t + 1]
- *         if gdeg[gi] > maxdeg:
-*/
-      __pyx_t_4 = ((__pyx_v_flat[(__pyx_v_t + 1)]) > (__pyx_v_gdeg[__pyx_v_gi]));
-      if (__pyx_t_4) {
-
-        /* "picardkit/counting/_ckernel.pyx":387
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             if flat[t + 1] > gdeg[gi]:
- *                 gdeg[gi] = flat[t + 1]             # <<<<<<<<<<<<<<
- *         if gdeg[gi] > maxdeg:
- *             maxdeg = gdeg[gi]
-*/
-        (__pyx_v_gdeg[__pyx_v_gi]) = (__pyx_v_flat[(__pyx_v_t + 1)]);
-
-        /* "picardkit/counting/_ckernel.pyx":386
- *         gdeg[gi] = 0
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             if flat[t + 1] > gdeg[gi]:             # <<<<<<<<<<<<<<
- *                 gdeg[gi] = flat[t + 1]
- *         if gdeg[gi] > maxdeg:
-*/
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":385
- *     for gi in range(ngens):
- *         gdeg[gi] = 0
- *         for t in range(goff[gi], goff[gi + 1], stride):             # <<<<<<<<<<<<<<
- *             if flat[t + 1] > gdeg[gi]:
- *                 gdeg[gi] = flat[t + 1]
-*/
-    }
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-
-    /* "picardkit/counting/_ckernel.pyx":388
- *             if flat[t + 1] > gdeg[gi]:
- *                 gdeg[gi] = flat[t + 1]
- *         if gdeg[gi] > maxdeg:             # <<<<<<<<<<<<<<
- *             maxdeg = gdeg[gi]
- * 
-*/
-    __pyx_t_4 = ((__pyx_v_gdeg[__pyx_v_gi]) > __pyx_v_maxdeg);
-    if (__pyx_t_4) {
-
-      /* "picardkit/counting/_ckernel.pyx":389
- *                 gdeg[gi] = flat[t + 1]
- *         if gdeg[gi] > maxdeg:
- *             maxdeg = gdeg[gi]             # <<<<<<<<<<<<<<
- * 
- *     cdef array.array pmax_a = array.array("q", bytes(8 * max(nprefix, 1)))
-*/
-      __pyx_v_maxdeg = (__pyx_v_gdeg[__pyx_v_gi]);
-
-      /* "picardkit/counting/_ckernel.pyx":388
- *             if flat[t + 1] > gdeg[gi]:
- *                 gdeg[gi] = flat[t + 1]
- *         if gdeg[gi] > maxdeg:             # <<<<<<<<<<<<<<
- *             maxdeg = gdeg[gi]
- * 
-*/
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":391
- *             maxdeg = gdeg[gi]
- * 
- *     cdef array.array pmax_a = array.array("q", bytes(8 * max(nprefix, 1)))             # <<<<<<<<<<<<<<
- *     cdef long long* pmax = pmax_a.data.as_longlongs
- *     for i in range(nprefix):
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_7 = NULL;
-  __pyx_t_11 = 1;
-  __pyx_t_1 = __pyx_v_nprefix;
-  __pyx_t_4 = (__pyx_t_11 > __pyx_t_1);
-  if (__pyx_t_4) {
-    __pyx_t_12 = __pyx_t_11;
-  } else {
-    __pyx_t_12 = __pyx_t_1;
-  }
-  __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG((8 * __pyx_t_12)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_9};
-    __pyx_t_13 = __Pyx_PyObject_FastCall((PyObject*)(&PyBytes_Type), __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 391, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-  }
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_2, __pyx_mstate_global->__pyx_n_u_q, __pyx_t_13};
-    __pyx_t_10 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7cpython_5array_array, __pyx_callargs+__pyx_t_14, (3-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 391, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_10);
-  }
-  __pyx_v_pmax_a = ((arrayobject *)__pyx_t_10);
-  __pyx_t_10 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":392
- * 
- *     cdef array.array pmax_a = array.array("q", bytes(8 * max(nprefix, 1)))
- *     cdef long long* pmax = pmax_a.data.as_longlongs             # <<<<<<<<<<<<<<
- *     for i in range(nprefix):
- *         pmax[i] = 0
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_pmax_a).as_longlongs;
-  __pyx_v_pmax = __pyx_t_3;
-
-  /* "picardkit/counting/_ckernel.pyx":393
- *     cdef array.array pmax_a = array.array("q", bytes(8 * max(nprefix, 1)))
- *     cdef long long* pmax = pmax_a.data.as_longlongs
- *     for i in range(nprefix):             # <<<<<<<<<<<<<<
- *         pmax[i] = 0
- *     for gi in range(ngens):
-*/
-  __pyx_t_12 = __pyx_v_nprefix;
-  __pyx_t_1 = __pyx_t_12;
-  for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_1; __pyx_t_16+=1) {
-    __pyx_v_i = __pyx_t_16;
-
-    /* "picardkit/counting/_ckernel.pyx":394
- *     cdef long long* pmax = pmax_a.data.as_longlongs
- *     for i in range(nprefix):
- *         pmax[i] = 0             # <<<<<<<<<<<<<<
- *     for gi in range(ngens):
- *         for t in range(goff[gi], goff[gi + 1], stride):
-*/
-    (__pyx_v_pmax[__pyx_v_i]) = 0;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":395
- *     for i in range(nprefix):
- *         pmax[i] = 0
- *     for gi in range(ngens):             # <<<<<<<<<<<<<<
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             for i in range(nprefix):
-*/
-  __pyx_t_12 = __pyx_v_ngens;
-  __pyx_t_1 = __pyx_t_12;
-  for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_1; __pyx_t_16+=1) {
-    __pyx_v_gi = __pyx_t_16;
-
-    /* "picardkit/counting/_ckernel.pyx":396
- *         pmax[i] = 0
- *     for gi in range(ngens):
- *         for t in range(goff[gi], goff[gi + 1], stride):             # <<<<<<<<<<<<<<
- *             for i in range(nprefix):
- *                 if flat[t + 2 + i] > pmax[i]:
-*/
-    __pyx_t_13 = NULL;
-    __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_goff[__pyx_v_gi])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 396, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_goff[(__pyx_v_gi + 1)])); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 396, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_stride); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 396, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_14 = 1;
-    {
-      PyObject *__pyx_callargs[4] = {__pyx_t_13, __pyx_t_2, __pyx_t_9, __pyx_t_7};
-      __pyx_t_10 = __Pyx_PyObject_FastCall((PyObject*)(&PyRange_Type), __pyx_callargs+__pyx_t_14, (4-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 396, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-    }
-    __pyx_t_7 = PyObject_GetIter(__pyx_t_10); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 396, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_7); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 396, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    for (;;) {
-      {
-        __pyx_t_10 = __pyx_t_6(__pyx_t_7);
-        if (unlikely(!__pyx_t_10)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 396, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_10);
-      __pyx_t_17 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_10); if (unlikely((__pyx_t_17 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 396, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __pyx_v_t = __pyx_t_17;
-
-      /* "picardkit/counting/_ckernel.pyx":397
- *     for gi in range(ngens):
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             for i in range(nprefix):             # <<<<<<<<<<<<<<
- *                 if flat[t + 2 + i] > pmax[i]:
- *                     pmax[i] = flat[t + 2 + i]
-*/
-      __pyx_t_17 = __pyx_v_nprefix;
-      __pyx_t_18 = __pyx_t_17;
-      for (__pyx_t_19 = 0; __pyx_t_19 < __pyx_t_18; __pyx_t_19+=1) {
-        __pyx_v_i = __pyx_t_19;
-
-        /* "picardkit/counting/_ckernel.pyx":398
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             for i in range(nprefix):
- *                 if flat[t + 2 + i] > pmax[i]:             # <<<<<<<<<<<<<<
- *                     pmax[i] = flat[t + 2 + i]
- * 
-*/
-        __pyx_t_4 = ((__pyx_v_flat[((__pyx_v_t + 2) + __pyx_v_i)]) > (__pyx_v_pmax[__pyx_v_i]));
-        if (__pyx_t_4) {
-
-          /* "picardkit/counting/_ckernel.pyx":399
- *             for i in range(nprefix):
- *                 if flat[t + 2 + i] > pmax[i]:
- *                     pmax[i] = flat[t + 2 + i]             # <<<<<<<<<<<<<<
- * 
- *     cdef long long count = 0
-*/
-          (__pyx_v_pmax[__pyx_v_i]) = (__pyx_v_flat[((__pyx_v_t + 2) + __pyx_v_i)]);
-
-          /* "picardkit/counting/_ckernel.pyx":398
- *         for t in range(goff[gi], goff[gi + 1], stride):
- *             for i in range(nprefix):
- *                 if flat[t + 2 + i] > pmax[i]:             # <<<<<<<<<<<<<<
- *                     pmax[i] = flat[t + 2 + i]
- * 
-*/
-        }
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":396
- *         pmax[i] = 0
- *     for gi in range(ngens):
- *         for t in range(goff[gi], goff[gi + 1], stride):             # <<<<<<<<<<<<<<
- *             for i in range(nprefix):
- *                 if flat[t + 2 + i] > pmax[i]:
-*/
-    }
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":401
- *                     pmax[i] = flat[t + 2 + i]
- * 
- *     cdef long long count = 0             # <<<<<<<<<<<<<<
- *     with nogil:
- *         count = _chart_loop(&F, flat, goff, gdeg, pmax, ngens, stride, nprefix,
-*/
-  __pyx_v_count = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":402
- * 
- *     cdef long long count = 0
- *     with nogil:             # <<<<<<<<<<<<<<
- *         count = _chart_loop(&F, flat, goff, gdeg, pmax, ngens, stride, nprefix,
- *                             maxdeg, use_gcd, lo, hi)
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "picardkit/counting/_ckernel.pyx":403
- *     cdef long long count = 0
- *     with nogil:
- *         count = _chart_loop(&F, flat, goff, gdeg, pmax, ngens, stride, nprefix,             # <<<<<<<<<<<<<<
- *                             maxdeg, use_gcd, lo, hi)
- *     if count < 0:
-*/
-        __pyx_v_count = __pyx_f_9picardkit_8counting_8_ckernel__chart_loop((&__pyx_v_F), __pyx_v_flat, __pyx_v_goff, __pyx_v_gdeg, __pyx_v_pmax, __pyx_v_ngens, __pyx_v_stride, __pyx_v_nprefix, __pyx_v_maxdeg, __pyx_v_use_gcd, __pyx_v_lo, __pyx_v_hi);
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":402
- * 
- *     cdef long long count = 0
- *     with nogil:             # <<<<<<<<<<<<<<
- *         count = _chart_loop(&F, flat, goff, gdeg, pmax, ngens, stride, nprefix,
- *                             maxdeg, use_gcd, lo, hi)
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L32;
-        }
-        __pyx_L32:;
-      }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":405
- *         count = _chart_loop(&F, flat, goff, gdeg, pmax, ngens, stride, nprefix,
- *                             maxdeg, use_gcd, lo, hi)
- *     if count < 0:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     return count
-*/
-  __pyx_t_4 = (__pyx_v_count < 0);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "picardkit/counting/_ckernel.pyx":406
- *                             maxdeg, use_gcd, lo, hi)
- *     if count < 0:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     return count
- * 
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 406, __pyx_L1_error)
-
-    /* "picardkit/counting/_ckernel.pyx":405
- *         count = _chart_loop(&F, flat, goff, gdeg, pmax, ngens, stride, nprefix,
- *                             maxdeg, use_gcd, lo, hi)
- *     if count < 0:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     return count
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":407
- *     if count < 0:
- *         raise MemoryError()
- *     return count             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_count); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 407, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_r = __pyx_t_7;
-  __pyx_t_7 = 0;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":331
- * 
- * 
- * def count_chart(Q_in, p_in, tmask_in, exp_arr, log_arr, zech_arr, gen_terms,             # <<<<<<<<<<<<<<
- *                 nprefix_in, use_gcd_in, lo_in, hi_in):
- *     """Count points of one affine chart; same contract as kernel_py."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("picardkit.counting._ckernel.count_chart", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_exp_a);
-  __Pyx_XDECREF((PyObject *)__pyx_v_log_a);
-  __Pyx_XDECREF((PyObject *)__pyx_v_zech_a);
-  __Pyx_XDECREF(__pyx_v_terms);
-  __Pyx_XDECREF((PyObject *)__pyx_v_flat_a);
-  __Pyx_XDECREF((PyObject *)__pyx_v_goff_a);
-  __Pyx_XDECREF(__pyx_v_v);
-  __Pyx_XDECREF((PyObject *)__pyx_v_gdeg_a);
-  __Pyx_XDECREF((PyObject *)__pyx_v_pmax_a);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":410
- * 
- * 
- * cdef long long _chart_loop(FOps* F, long long* flat, long long* goff,             # <<<<<<<<<<<<<<
- *                            long long* gdeg, long long* pmax, long long ngens,
- *                            long long stride, long long nprefix,
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__chart_loop(struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F, PY_LONG_LONG *__pyx_v_flat, PY_LONG_LONG *__pyx_v_goff, PY_LONG_LONG *__pyx_v_gdeg, PY_LONG_LONG *__pyx_v_pmax, PY_LONG_LONG __pyx_v_ngens, PY_LONG_LONG __pyx_v_stride, PY_LONG_LONG __pyx_v_nprefix, PY_LONG_LONG __pyx_v_maxdeg, PY_LONG_LONG __pyx_v_use_gcd, PY_LONG_LONG __pyx_v_lo, PY_LONG_LONG __pyx_v_hi) {
-  PY_LONG_LONG __pyx_v_Q;
-  PY_LONG_LONG __pyx_v_D;
-  PY_LONG_LONG __pyx_v_bufsz;
-  PY_LONG_LONG __pyx_v_powstride;
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG *__pyx_v_powcache;
-  PY_LONG_LONG *__pyx_v_values;
-  PY_LONG_LONG *__pyx_v_ucoef;
-  PY_LONG_LONG *__pyx_v_udeg;
-  PY_LONG_LONG *__pyx_v_g;
-  PY_LONG_LONG *__pyx_v_s1;
-  PY_LONG_LONG *__pyx_v_s2;
-  PY_LONG_LONG *__pyx_v_s3;
-  PY_LONG_LONG __pyx_v_count;
-  PY_LONG_LONG __pyx_v_level;
-  PY_LONG_LONG __pyx_v_limit;
-  PY_LONG_LONG __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  int __pyx_t_4;
-  long __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "picardkit/counting/_ckernel.pyx":415
- *                            long long maxdeg, long long use_gcd, long long lo,
- *                            long long hi) noexcept nogil:
- *     cdef long long Q = F.Q             # <<<<<<<<<<<<<<
- *     cdef long long D = maxdeg + 1
- *     cdef long long bufsz = 2 * D + 2
-*/
-  __pyx_t_1 = __pyx_v_F->Q;
-  __pyx_v_Q = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":416
- *                            long long hi) noexcept nogil:
- *     cdef long long Q = F.Q
- *     cdef long long D = maxdeg + 1             # <<<<<<<<<<<<<<
- *     cdef long long bufsz = 2 * D + 2
- *     cdef long long powstride = 0
-*/
-  __pyx_v_D = (__pyx_v_maxdeg + 1);
-
-  /* "picardkit/counting/_ckernel.pyx":417
- *     cdef long long Q = F.Q
- *     cdef long long D = maxdeg + 1
- *     cdef long long bufsz = 2 * D + 2             # <<<<<<<<<<<<<<
- *     cdef long long powstride = 0
- *     cdef long long i
-*/
-  __pyx_v_bufsz = ((2 * __pyx_v_D) + 2);
-
-  /* "picardkit/counting/_ckernel.pyx":418
- *     cdef long long D = maxdeg + 1
- *     cdef long long bufsz = 2 * D + 2
- *     cdef long long powstride = 0             # <<<<<<<<<<<<<<
- *     cdef long long i
- *     for i in range(nprefix):
-*/
-  __pyx_v_powstride = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":420
- *     cdef long long powstride = 0
- *     cdef long long i
- *     for i in range(nprefix):             # <<<<<<<<<<<<<<
- *         if pmax[i] + 1 > powstride:
- *             powstride = pmax[i] + 1
-*/
-  __pyx_t_1 = __pyx_v_nprefix;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "picardkit/counting/_ckernel.pyx":421
- *     cdef long long i
- *     for i in range(nprefix):
- *         if pmax[i] + 1 > powstride:             # <<<<<<<<<<<<<<
- *             powstride = pmax[i] + 1
- *     if powstride == 0:
-*/
-    __pyx_t_4 = (((__pyx_v_pmax[__pyx_v_i]) + 1) > __pyx_v_powstride);
-    if (__pyx_t_4) {
-
-      /* "picardkit/counting/_ckernel.pyx":422
- *     for i in range(nprefix):
- *         if pmax[i] + 1 > powstride:
- *             powstride = pmax[i] + 1             # <<<<<<<<<<<<<<
- *     if powstride == 0:
- *         powstride = 1
-*/
-      __pyx_v_powstride = ((__pyx_v_pmax[__pyx_v_i]) + 1);
-
-      /* "picardkit/counting/_ckernel.pyx":421
- *     cdef long long i
- *     for i in range(nprefix):
- *         if pmax[i] + 1 > powstride:             # <<<<<<<<<<<<<<
- *             powstride = pmax[i] + 1
- *     if powstride == 0:
-*/
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":423
- *         if pmax[i] + 1 > powstride:
- *             powstride = pmax[i] + 1
- *     if powstride == 0:             # <<<<<<<<<<<<<<
- *         powstride = 1
- * 
-*/
-  __pyx_t_4 = (__pyx_v_powstride == 0);
-  if (__pyx_t_4) {
-
-    /* "picardkit/counting/_ckernel.pyx":424
- *             powstride = pmax[i] + 1
- *     if powstride == 0:
- *         powstride = 1             # <<<<<<<<<<<<<<
- * 
- *     cdef long long* powcache = <long long*> malloc(8 * max(nprefix, 1) * powstride)
-*/
-    __pyx_v_powstride = 1;
-
-    /* "picardkit/counting/_ckernel.pyx":423
- *         if pmax[i] + 1 > powstride:
- *             powstride = pmax[i] + 1
- *     if powstride == 0:             # <<<<<<<<<<<<<<
- *         powstride = 1
- * 
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":426
- *         powstride = 1
- * 
- *     cdef long long* powcache = <long long*> malloc(8 * max(nprefix, 1) * powstride)             # <<<<<<<<<<<<<<
- *     cdef long long* values = <long long*> malloc(8 * max(nprefix, 1))
- *     cdef long long* ucoef = <long long*> malloc(8 * ngens * D)
-*/
-  __pyx_t_5 = 1;
-  __pyx_t_1 = __pyx_v_nprefix;
-  __pyx_t_4 = (__pyx_t_5 > __pyx_t_1);
-  if (__pyx_t_4) {
-    __pyx_t_2 = __pyx_t_5;
-  } else {
-    __pyx_t_2 = __pyx_t_1;
-  }
-  __pyx_v_powcache = ((PY_LONG_LONG *)malloc(((8 * __pyx_t_2) * __pyx_v_powstride)));
-
-  /* "picardkit/counting/_ckernel.pyx":427
- * 
- *     cdef long long* powcache = <long long*> malloc(8 * max(nprefix, 1) * powstride)
- *     cdef long long* values = <long long*> malloc(8 * max(nprefix, 1))             # <<<<<<<<<<<<<<
- *     cdef long long* ucoef = <long long*> malloc(8 * ngens * D)
- *     cdef long long* udeg = <long long*> malloc(8 * max(ngens, 1))
-*/
-  __pyx_t_5 = 1;
-  __pyx_t_2 = __pyx_v_nprefix;
-  __pyx_t_4 = (__pyx_t_5 > __pyx_t_2);
-  if (__pyx_t_4) {
-    __pyx_t_1 = __pyx_t_5;
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-  }
-  __pyx_v_values = ((PY_LONG_LONG *)malloc((8 * __pyx_t_1)));
-
-  /* "picardkit/counting/_ckernel.pyx":428
- *     cdef long long* powcache = <long long*> malloc(8 * max(nprefix, 1) * powstride)
- *     cdef long long* values = <long long*> malloc(8 * max(nprefix, 1))
- *     cdef long long* ucoef = <long long*> malloc(8 * ngens * D)             # <<<<<<<<<<<<<<
- *     cdef long long* udeg = <long long*> malloc(8 * max(ngens, 1))
- *     cdef long long* g = <long long*> malloc(8 * bufsz)
-*/
-  __pyx_v_ucoef = ((PY_LONG_LONG *)malloc(((8 * __pyx_v_ngens) * __pyx_v_D)));
-
-  /* "picardkit/counting/_ckernel.pyx":429
- *     cdef long long* values = <long long*> malloc(8 * max(nprefix, 1))
- *     cdef long long* ucoef = <long long*> malloc(8 * ngens * D)
- *     cdef long long* udeg = <long long*> malloc(8 * max(ngens, 1))             # <<<<<<<<<<<<<<
- *     cdef long long* g = <long long*> malloc(8 * bufsz)
- *     cdef long long* s1 = <long long*> malloc(8 * bufsz)
-*/
-  __pyx_t_5 = 1;
-  __pyx_t_1 = __pyx_v_ngens;
-  __pyx_t_4 = (__pyx_t_5 > __pyx_t_1);
-  if (__pyx_t_4) {
-    __pyx_t_2 = __pyx_t_5;
-  } else {
-    __pyx_t_2 = __pyx_t_1;
-  }
-  __pyx_v_udeg = ((PY_LONG_LONG *)malloc((8 * __pyx_t_2)));
-
-  /* "picardkit/counting/_ckernel.pyx":430
- *     cdef long long* ucoef = <long long*> malloc(8 * ngens * D)
- *     cdef long long* udeg = <long long*> malloc(8 * max(ngens, 1))
- *     cdef long long* g = <long long*> malloc(8 * bufsz)             # <<<<<<<<<<<<<<
- *     cdef long long* s1 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)
-*/
-  __pyx_v_g = ((PY_LONG_LONG *)malloc((8 * __pyx_v_bufsz)));
-
-  /* "picardkit/counting/_ckernel.pyx":431
- *     cdef long long* udeg = <long long*> malloc(8 * max(ngens, 1))
- *     cdef long long* g = <long long*> malloc(8 * bufsz)
- *     cdef long long* s1 = <long long*> malloc(8 * bufsz)             # <<<<<<<<<<<<<<
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)
-*/
-  __pyx_v_s1 = ((PY_LONG_LONG *)malloc((8 * __pyx_v_bufsz)));
-
-  /* "picardkit/counting/_ckernel.pyx":432
- *     cdef long long* g = <long long*> malloc(8 * bufsz)
- *     cdef long long* s1 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)             # <<<<<<<<<<<<<<
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL
-*/
-  __pyx_v_s2 = ((PY_LONG_LONG *)malloc((8 * __pyx_v_bufsz)));
-
-  /* "picardkit/counting/_ckernel.pyx":433
- *     cdef long long* s1 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)             # <<<<<<<<<<<<<<
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):
-*/
-  __pyx_v_s3 = ((PY_LONG_LONG *)malloc((8 * __pyx_v_bufsz)));
-
-  /* "picardkit/counting/_ckernel.pyx":434
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL             # <<<<<<<<<<<<<<
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):
- *         if powcache != NULL: free(powcache)
-*/
-  __pyx_t_6 = (__pyx_v_powcache == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_values == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_ucoef == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":435
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):             # <<<<<<<<<<<<<<
- *         if powcache != NULL: free(powcache)
- *         if values != NULL: free(values)
-*/
-  __pyx_t_6 = (__pyx_v_udeg == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_g == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_s1 == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_s2 == NULL);
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_4 = __pyx_t_6;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_s3 == NULL);
-  __pyx_t_4 = __pyx_t_6;
-  __pyx_L8_bool_binop_done:;
-
-  /* "picardkit/counting/_ckernel.pyx":434
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL             # <<<<<<<<<<<<<<
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):
- *         if powcache != NULL: free(powcache)
-*/
-  if (__pyx_t_4) {
-
-    /* "picardkit/counting/_ckernel.pyx":436
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):
- *         if powcache != NULL: free(powcache)             # <<<<<<<<<<<<<<
- *         if values != NULL: free(values)
- *         if ucoef != NULL: free(ucoef)
-*/
-    __pyx_t_4 = (__pyx_v_powcache != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_powcache);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":437
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):
- *         if powcache != NULL: free(powcache)
- *         if values != NULL: free(values)             # <<<<<<<<<<<<<<
- *         if ucoef != NULL: free(ucoef)
- *         if udeg != NULL: free(udeg)
-*/
-    __pyx_t_4 = (__pyx_v_values != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_values);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":438
- *         if powcache != NULL: free(powcache)
- *         if values != NULL: free(values)
- *         if ucoef != NULL: free(ucoef)             # <<<<<<<<<<<<<<
- *         if udeg != NULL: free(udeg)
- *         if g != NULL: free(g)
-*/
-    __pyx_t_4 = (__pyx_v_ucoef != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_ucoef);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":439
- *         if values != NULL: free(values)
- *         if ucoef != NULL: free(ucoef)
- *         if udeg != NULL: free(udeg)             # <<<<<<<<<<<<<<
- *         if g != NULL: free(g)
- *         if s1 != NULL: free(s1)
-*/
-    __pyx_t_4 = (__pyx_v_udeg != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_udeg);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":440
- *         if ucoef != NULL: free(ucoef)
- *         if udeg != NULL: free(udeg)
- *         if g != NULL: free(g)             # <<<<<<<<<<<<<<
- *         if s1 != NULL: free(s1)
- *         if s2 != NULL: free(s2)
-*/
-    __pyx_t_4 = (__pyx_v_g != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_g);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":441
- *         if udeg != NULL: free(udeg)
- *         if g != NULL: free(g)
- *         if s1 != NULL: free(s1)             # <<<<<<<<<<<<<<
- *         if s2 != NULL: free(s2)
- *         if s3 != NULL: free(s3)
-*/
-    __pyx_t_4 = (__pyx_v_s1 != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_s1);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":442
- *         if g != NULL: free(g)
- *         if s1 != NULL: free(s1)
- *         if s2 != NULL: free(s2)             # <<<<<<<<<<<<<<
- *         if s3 != NULL: free(s3)
- *         return -1
-*/
-    __pyx_t_4 = (__pyx_v_s2 != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_s2);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":443
- *         if s1 != NULL: free(s1)
- *         if s2 != NULL: free(s2)
- *         if s3 != NULL: free(s3)             # <<<<<<<<<<<<<<
- *         return -1
- * 
-*/
-    __pyx_t_4 = (__pyx_v_s3 != NULL);
-    if (__pyx_t_4) {
-      free(__pyx_v_s3);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":444
- *         if s2 != NULL: free(s2)
- *         if s3 != NULL: free(s3)
- *         return -1             # <<<<<<<<<<<<<<
- * 
- *     cdef long long count = 0
-*/
-    __pyx_r = -1LL;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":434
- *     cdef long long* s2 = <long long*> malloc(8 * bufsz)
- *     cdef long long* s3 = <long long*> malloc(8 * bufsz)
- *     if (powcache == NULL or values == NULL or ucoef == NULL or udeg == NULL             # <<<<<<<<<<<<<<
- *             or g == NULL or s1 == NULL or s2 == NULL or s3 == NULL):
- *         if powcache != NULL: free(powcache)
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":446
- *         return -1
- * 
- *     cdef long long count = 0             # <<<<<<<<<<<<<<
- *     cdef long long level, limit, v
- * 
-*/
-  __pyx_v_count = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":449
- *     cdef long long level, limit, v
- * 
- *     if nprefix == 0:             # <<<<<<<<<<<<<<
- *         count += _run_slice(F, flat, goff, gdeg, ngens, stride, nprefix, D,
- *                             powcache, powstride, ucoef, udeg, use_gcd,
-*/
-  __pyx_t_4 = (__pyx_v_nprefix == 0);
-  if (__pyx_t_4) {
-
-    /* "picardkit/counting/_ckernel.pyx":450
- * 
- *     if nprefix == 0:
- *         count += _run_slice(F, flat, goff, gdeg, ngens, stride, nprefix, D,             # <<<<<<<<<<<<<<
- *                             powcache, powstride, ucoef, udeg, use_gcd,
- *                             g, s1, s2, s3)
-*/
-    __pyx_v_count = (__pyx_v_count + __pyx_f_9picardkit_8counting_8_ckernel__run_slice(__pyx_v_F, __pyx_v_flat, __pyx_v_goff, __pyx_v_gdeg, __pyx_v_ngens, __pyx_v_stride, __pyx_v_nprefix, __pyx_v_D, __pyx_v_powcache, __pyx_v_powstride, __pyx_v_ucoef, __pyx_v_udeg, __pyx_v_use_gcd, __pyx_v_g, __pyx_v_s1, __pyx_v_s2, __pyx_v_s3));
-
-    /* "picardkit/counting/_ckernel.pyx":449
- *     cdef long long level, limit, v
- * 
- *     if nprefix == 0:             # <<<<<<<<<<<<<<
- *         count += _run_slice(F, flat, goff, gdeg, ngens, stride, nprefix, D,
- *                             powcache, powstride, ucoef, udeg, use_gcd,
-*/
-    goto __pyx_L24;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":455
- *     else:
- *         # odometer over prefix coordinates, outermost restricted to [lo, hi)
- *         for i in range(nprefix):             # <<<<<<<<<<<<<<
- *             values[i] = 0
- *         values[0] = lo
-*/
-  /*else*/ {
-    __pyx_t_2 = __pyx_v_nprefix;
-    __pyx_t_1 = __pyx_t_2;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_1; __pyx_t_3+=1) {
-      __pyx_v_i = __pyx_t_3;
-
-      /* "picardkit/counting/_ckernel.pyx":456
- *         # odometer over prefix coordinates, outermost restricted to [lo, hi)
- *         for i in range(nprefix):
- *             values[i] = 0             # <<<<<<<<<<<<<<
- *         values[0] = lo
- *         if lo < hi:
-*/
-      (__pyx_v_values[__pyx_v_i]) = 0;
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":457
- *         for i in range(nprefix):
- *             values[i] = 0
- *         values[0] = lo             # <<<<<<<<<<<<<<
- *         if lo < hi:
- *             for i in range(nprefix):
-*/
-    (__pyx_v_values[0]) = __pyx_v_lo;
-
-    /* "picardkit/counting/_ckernel.pyx":458
- *             values[i] = 0
- *         values[0] = lo
- *         if lo < hi:             # <<<<<<<<<<<<<<
- *             for i in range(nprefix):
- *                 _fill_pow(F, powcache, powstride, i, values[i], pmax[i])
-*/
-    __pyx_t_4 = (__pyx_v_lo < __pyx_v_hi);
-    if (__pyx_t_4) {
-
-      /* "picardkit/counting/_ckernel.pyx":459
- *         values[0] = lo
- *         if lo < hi:
- *             for i in range(nprefix):             # <<<<<<<<<<<<<<
- *                 _fill_pow(F, powcache, powstride, i, values[i], pmax[i])
- *             while True:
-*/
-      __pyx_t_2 = __pyx_v_nprefix;
-      __pyx_t_1 = __pyx_t_2;
-      for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_1; __pyx_t_3+=1) {
-        __pyx_v_i = __pyx_t_3;
-
-        /* "picardkit/counting/_ckernel.pyx":460
- *         if lo < hi:
- *             for i in range(nprefix):
- *                 _fill_pow(F, powcache, powstride, i, values[i], pmax[i])             # <<<<<<<<<<<<<<
- *             while True:
- *                 count += _run_slice(F, flat, goff, gdeg, ngens, stride,
-*/
-        __pyx_f_9picardkit_8counting_8_ckernel__fill_pow(__pyx_v_F, __pyx_v_powcache, __pyx_v_powstride, __pyx_v_i, (__pyx_v_values[__pyx_v_i]), (__pyx_v_pmax[__pyx_v_i]));
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":461
- *             for i in range(nprefix):
- *                 _fill_pow(F, powcache, powstride, i, values[i], pmax[i])
- *             while True:             # <<<<<<<<<<<<<<
- *                 count += _run_slice(F, flat, goff, gdeg, ngens, stride,
- *                                     nprefix, D, powcache, powstride, ucoef,
-*/
-      while (1) {
-
-        /* "picardkit/counting/_ckernel.pyx":462
- *                 _fill_pow(F, powcache, powstride, i, values[i], pmax[i])
- *             while True:
- *                 count += _run_slice(F, flat, goff, gdeg, ngens, stride,             # <<<<<<<<<<<<<<
- *                                     nprefix, D, powcache, powstride, ucoef,
- *                                     udeg, use_gcd, g, s1, s2, s3)
-*/
-        __pyx_v_count = (__pyx_v_count + __pyx_f_9picardkit_8counting_8_ckernel__run_slice(__pyx_v_F, __pyx_v_flat, __pyx_v_goff, __pyx_v_gdeg, __pyx_v_ngens, __pyx_v_stride, __pyx_v_nprefix, __pyx_v_D, __pyx_v_powcache, __pyx_v_powstride, __pyx_v_ucoef, __pyx_v_udeg, __pyx_v_use_gcd, __pyx_v_g, __pyx_v_s1, __pyx_v_s2, __pyx_v_s3));
-
-        /* "picardkit/counting/_ckernel.pyx":465
- *                                     nprefix, D, powcache, powstride, ucoef,
- *                                     udeg, use_gcd, g, s1, s2, s3)
- *                 level = nprefix - 1             # <<<<<<<<<<<<<<
- *                 while level >= 0:
- *                     values[level] += 1
-*/
-        __pyx_v_level = (__pyx_v_nprefix - 1);
-
-        /* "picardkit/counting/_ckernel.pyx":466
- *                                     udeg, use_gcd, g, s1, s2, s3)
- *                 level = nprefix - 1
- *                 while level >= 0:             # <<<<<<<<<<<<<<
- *                     values[level] += 1
- *                     limit = hi if level == 0 else Q
-*/
-        while (1) {
-          __pyx_t_4 = (__pyx_v_level >= 0);
-          if (!__pyx_t_4) break;
-
-          /* "picardkit/counting/_ckernel.pyx":467
- *                 level = nprefix - 1
- *                 while level >= 0:
- *                     values[level] += 1             # <<<<<<<<<<<<<<
- *                     limit = hi if level == 0 else Q
- *                     if values[level] < limit:
-*/
-          __pyx_t_2 = __pyx_v_level;
-          (__pyx_v_values[__pyx_t_2]) = ((__pyx_v_values[__pyx_t_2]) + 1);
-
-          /* "picardkit/counting/_ckernel.pyx":468
- *                 while level >= 0:
- *                     values[level] += 1
- *                     limit = hi if level == 0 else Q             # <<<<<<<<<<<<<<
- *                     if values[level] < limit:
- *                         _fill_pow(F, powcache, powstride, level, values[level],
-*/
-          __pyx_t_4 = (__pyx_v_level == 0);
-          if (__pyx_t_4) {
-            __pyx_t_2 = __pyx_v_hi;
-          } else {
-            __pyx_t_2 = __pyx_v_Q;
-          }
-          __pyx_v_limit = __pyx_t_2;
-
-          /* "picardkit/counting/_ckernel.pyx":469
- *                     values[level] += 1
- *                     limit = hi if level == 0 else Q
- *                     if values[level] < limit:             # <<<<<<<<<<<<<<
- *                         _fill_pow(F, powcache, powstride, level, values[level],
- *                                   pmax[level])
-*/
-          __pyx_t_4 = ((__pyx_v_values[__pyx_v_level]) < __pyx_v_limit);
-          if (__pyx_t_4) {
-
-            /* "picardkit/counting/_ckernel.pyx":470
- *                     limit = hi if level == 0 else Q
- *                     if values[level] < limit:
- *                         _fill_pow(F, powcache, powstride, level, values[level],             # <<<<<<<<<<<<<<
- *                                   pmax[level])
- *                         break
-*/
-            __pyx_f_9picardkit_8counting_8_ckernel__fill_pow(__pyx_v_F, __pyx_v_powcache, __pyx_v_powstride, __pyx_v_level, (__pyx_v_values[__pyx_v_level]), (__pyx_v_pmax[__pyx_v_level]));
-
-            /* "picardkit/counting/_ckernel.pyx":472
- *                         _fill_pow(F, powcache, powstride, level, values[level],
- *                                   pmax[level])
- *                         break             # <<<<<<<<<<<<<<
- *                     values[level] = 0
- *                     _fill_pow(F, powcache, powstride, level, 0, pmax[level])
-*/
-            goto __pyx_L33_break;
-
-            /* "picardkit/counting/_ckernel.pyx":469
- *                     values[level] += 1
- *                     limit = hi if level == 0 else Q
- *                     if values[level] < limit:             # <<<<<<<<<<<<<<
- *                         _fill_pow(F, powcache, powstride, level, values[level],
- *                                   pmax[level])
-*/
-          }
-
-          /* "picardkit/counting/_ckernel.pyx":473
- *                                   pmax[level])
- *                         break
- *                     values[level] = 0             # <<<<<<<<<<<<<<
- *                     _fill_pow(F, powcache, powstride, level, 0, pmax[level])
- *                     level -= 1
-*/
-          (__pyx_v_values[__pyx_v_level]) = 0;
-
-          /* "picardkit/counting/_ckernel.pyx":474
- *                         break
- *                     values[level] = 0
- *                     _fill_pow(F, powcache, powstride, level, 0, pmax[level])             # <<<<<<<<<<<<<<
- *                     level -= 1
- *                 if level < 0:
-*/
-          __pyx_f_9picardkit_8counting_8_ckernel__fill_pow(__pyx_v_F, __pyx_v_powcache, __pyx_v_powstride, __pyx_v_level, 0, (__pyx_v_pmax[__pyx_v_level]));
-
-          /* "picardkit/counting/_ckernel.pyx":475
- *                     values[level] = 0
- *                     _fill_pow(F, powcache, powstride, level, 0, pmax[level])
- *                     level -= 1             # <<<<<<<<<<<<<<
- *                 if level < 0:
- *                     break
-*/
-          __pyx_v_level = (__pyx_v_level - 1);
-        }
-        __pyx_L33_break:;
-
-        /* "picardkit/counting/_ckernel.pyx":476
- *                     _fill_pow(F, powcache, powstride, level, 0, pmax[level])
- *                     level -= 1
- *                 if level < 0:             # <<<<<<<<<<<<<<
- *                     break
- * 
-*/
-        __pyx_t_4 = (__pyx_v_level < 0);
-        if (__pyx_t_4) {
-
-          /* "picardkit/counting/_ckernel.pyx":477
- *                     level -= 1
- *                 if level < 0:
- *                     break             # <<<<<<<<<<<<<<
- * 
- *     free(powcache); free(values); free(ucoef); free(udeg)
-*/
-          goto __pyx_L31_break;
-
-          /* "picardkit/counting/_ckernel.pyx":476
- *                     _fill_pow(F, powcache, powstride, level, 0, pmax[level])
- *                     level -= 1
- *                 if level < 0:             # <<<<<<<<<<<<<<
- *                     break
- * 
-*/
-        }
-      }
-      __pyx_L31_break:;
-
-      /* "picardkit/counting/_ckernel.pyx":458
- *             values[i] = 0
- *         values[0] = lo
- *         if lo < hi:             # <<<<<<<<<<<<<<
- *             for i in range(nprefix):
- *                 _fill_pow(F, powcache, powstride, i, values[i], pmax[i])
-*/
-    }
-  }
-  __pyx_L24:;
-
-  /* "picardkit/counting/_ckernel.pyx":479
- *                     break
- * 
- *     free(powcache); free(values); free(ucoef); free(udeg)             # <<<<<<<<<<<<<<
- *     free(g); free(s1); free(s2); free(s3)
- *     return count
-*/
-  free(__pyx_v_powcache);
-  free(__pyx_v_values);
-  free(__pyx_v_ucoef);
-  free(__pyx_v_udeg);
-
-  /* "picardkit/counting/_ckernel.pyx":480
- * 
- *     free(powcache); free(values); free(ucoef); free(udeg)
- *     free(g); free(s1); free(s2); free(s3)             # <<<<<<<<<<<<<<
- *     return count
- * 
-*/
-  free(__pyx_v_g);
-  free(__pyx_v_s1);
-  free(__pyx_v_s2);
-  free(__pyx_v_s3);
-
-  /* "picardkit/counting/_ckernel.pyx":481
- *     free(powcache); free(values); free(ucoef); free(udeg)
- *     free(g); free(s1); free(s2); free(s3)
- *     return count             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_count;
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":410
- * 
- * 
- * cdef long long _chart_loop(FOps* F, long long* flat, long long* goff,             # <<<<<<<<<<<<<<
- *                            long long* gdeg, long long* pmax, long long ngens,
- *                            long long stride, long long nprefix,
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "picardkit/counting/_ckernel.pyx":484
- * 
- * 
- * cdef void _fill_pow(FOps* F, long long* powcache, long long powstride,             # <<<<<<<<<<<<<<
- *                     long long t, long long v, long long md) noexcept nogil:
- *     cdef long long* row = powcache + t * powstride
-*/
-
-static void __pyx_f_9picardkit_8counting_8_ckernel__fill_pow(struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F, PY_LONG_LONG *__pyx_v_powcache, PY_LONG_LONG __pyx_v_powstride, PY_LONG_LONG __pyx_v_t, PY_LONG_LONG __pyx_v_v, PY_LONG_LONG __pyx_v_md) {
-  PY_LONG_LONG *__pyx_v_row;
-  PY_LONG_LONG __pyx_v_k;
-  int __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-
-  /* "picardkit/counting/_ckernel.pyx":486
- * cdef void _fill_pow(FOps* F, long long* powcache, long long powstride,
- *                     long long t, long long v, long long md) noexcept nogil:
- *     cdef long long* row = powcache + t * powstride             # <<<<<<<<<<<<<<
- *     cdef long long k
- *     row[0] = 1
-*/
-  __pyx_v_row = (__pyx_v_powcache + (__pyx_v_t * __pyx_v_powstride));
-
-  /* "picardkit/counting/_ckernel.pyx":488
- *     cdef long long* row = powcache + t * powstride
- *     cdef long long k
- *     row[0] = 1             # <<<<<<<<<<<<<<
- *     if md >= 1:
- *         row[1] = v
-*/
-  (__pyx_v_row[0]) = 1;
-
-  /* "picardkit/counting/_ckernel.pyx":489
- *     cdef long long k
- *     row[0] = 1
- *     if md >= 1:             # <<<<<<<<<<<<<<
- *         row[1] = v
- *         for k in range(2, md + 1):
-*/
-  __pyx_t_1 = (__pyx_v_md >= 1);
-  if (__pyx_t_1) {
-
-    /* "picardkit/counting/_ckernel.pyx":490
- *     row[0] = 1
- *     if md >= 1:
- *         row[1] = v             # <<<<<<<<<<<<<<
- *         for k in range(2, md + 1):
- *             row[k] = MUL(row[k - 1], v, F.exp, F.log, F.Qm1)
-*/
-    (__pyx_v_row[1]) = __pyx_v_v;
-
-    /* "picardkit/counting/_ckernel.pyx":491
- *     if md >= 1:
- *         row[1] = v
- *         for k in range(2, md + 1):             # <<<<<<<<<<<<<<
- *             row[k] = MUL(row[k - 1], v, F.exp, F.log, F.Qm1)
- * 
-*/
-    __pyx_t_2 = (__pyx_v_md + 1);
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 2; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_k = __pyx_t_4;
-
-      /* "picardkit/counting/_ckernel.pyx":492
- *         row[1] = v
- *         for k in range(2, md + 1):
- *             row[k] = MUL(row[k - 1], v, F.exp, F.log, F.Qm1)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      (__pyx_v_row[__pyx_v_k]) = __pyx_f_9picardkit_8counting_8_ckernel_MUL((__pyx_v_row[(__pyx_v_k - 1)]), __pyx_v_v, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":489
- *     cdef long long k
- *     row[0] = 1
- *     if md >= 1:             # <<<<<<<<<<<<<<
- *         row[1] = v
- *         for k in range(2, md + 1):
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":484
- * 
- * 
- * cdef void _fill_pow(FOps* F, long long* powcache, long long powstride,             # <<<<<<<<<<<<<<
- *                     long long t, long long v, long long md) noexcept nogil:
- *     cdef long long* row = powcache + t * powstride
-*/
-
-  /* function exit code */
-}
-
-/* "picardkit/counting/_ckernel.pyx":495
- * 
- * 
- * cdef long long _run_slice(FOps* F, long long* flat, long long* goff,             # <<<<<<<<<<<<<<
- *                           long long* gdeg, long long ngens, long long stride,
- *                           long long nprefix, long long D, long long* powcache,
-*/
-
-static PY_LONG_LONG __pyx_f_9picardkit_8counting_8_ckernel__run_slice(struct __pyx_t_9picardkit_8counting_8_ckernel_FOps *__pyx_v_F, PY_LONG_LONG *__pyx_v_flat, PY_LONG_LONG *__pyx_v_goff, PY_LONG_LONG *__pyx_v_gdeg, PY_LONG_LONG __pyx_v_ngens, PY_LONG_LONG __pyx_v_stride, PY_LONG_LONG __pyx_v_nprefix, PY_LONG_LONG __pyx_v_D, PY_LONG_LONG *__pyx_v_powcache, PY_LONG_LONG __pyx_v_powstride, PY_LONG_LONG *__pyx_v_ucoef, PY_LONG_LONG *__pyx_v_udeg, PY_LONG_LONG __pyx_v_use_gcd, PY_LONG_LONG *__pyx_v_g, PY_LONG_LONG *__pyx_v_s1, PY_LONG_LONG *__pyx_v_s2, PY_LONG_LONG *__pyx_v_s3) {
-  PY_LONG_LONG __pyx_v_Q;
-  PY_LONG_LONG __pyx_v_gi;
-  PY_LONG_LONG __pyx_v_t;
-  PY_LONG_LONG __pyx_v_i;
-  PY_LONG_LONG __pyx_v_m;
-  PY_LONG_LONG __pyx_v_e;
-  PY_LONG_LONG __pyx_v_nu;
-  PY_LONG_LONG __pyx_v_acc;
-  PY_LONG_LONG __pyx_v_v;
-  PY_LONG_LONG __pyx_v_ok;
-  PY_LONG_LONG __pyx_v_cnt;
-  PY_LONG_LONG __pyx_v_ng;
-  PY_LONG_LONG __pyx_v_nactive;
-  PY_LONG_LONG __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  PY_LONG_LONG __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  PY_LONG_LONG __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-
-  /* "picardkit/counting/_ckernel.pyx":501
- *                           long long* udeg, long long use_gcd, long long* g,
- *                           long long* s1, long long* s2, long long* s3) noexcept nogil:
- *     cdef long long Q = F.Q             # <<<<<<<<<<<<<<
- *     cdef long long gi, t, i, m, e, nu, acc, v, ok
- *     cdef long long cnt = 0
-*/
-  __pyx_t_1 = __pyx_v_F->Q;
-  __pyx_v_Q = __pyx_t_1;
-
-  /* "picardkit/counting/_ckernel.pyx":503
- *     cdef long long Q = F.Q
- *     cdef long long gi, t, i, m, e, nu, acc, v, ok
- *     cdef long long cnt = 0             # <<<<<<<<<<<<<<
- *     cdef long long ng = 0
- *     cdef long long nactive = 0
-*/
-  __pyx_v_cnt = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":504
- *     cdef long long gi, t, i, m, e, nu, acc, v, ok
- *     cdef long long cnt = 0
- *     cdef long long ng = 0             # <<<<<<<<<<<<<<
- *     cdef long long nactive = 0
- *     # build univariate slice polynomials
-*/
-  __pyx_v_ng = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":505
- *     cdef long long cnt = 0
- *     cdef long long ng = 0
- *     cdef long long nactive = 0             # <<<<<<<<<<<<<<
- *     # build univariate slice polynomials
- *     for gi in range(ngens):
-*/
-  __pyx_v_nactive = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":507
- *     cdef long long nactive = 0
- *     # build univariate slice polynomials
- *     for gi in range(ngens):             # <<<<<<<<<<<<<<
- *         for i in range(gdeg[gi] + 1):
- *             ucoef[nactive * D + i] = 0
-*/
-  __pyx_t_1 = __pyx_v_ngens;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_gi = __pyx_t_3;
-
-    /* "picardkit/counting/_ckernel.pyx":508
- *     # build univariate slice polynomials
- *     for gi in range(ngens):
- *         for i in range(gdeg[gi] + 1):             # <<<<<<<<<<<<<<
- *             ucoef[nactive * D + i] = 0
- *         t = goff[gi]
-*/
-    __pyx_t_4 = ((__pyx_v_gdeg[__pyx_v_gi]) + 1);
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "picardkit/counting/_ckernel.pyx":509
- *     for gi in range(ngens):
- *         for i in range(gdeg[gi] + 1):
- *             ucoef[nactive * D + i] = 0             # <<<<<<<<<<<<<<
- *         t = goff[gi]
- *         while t < goff[gi + 1]:
-*/
-      (__pyx_v_ucoef[((__pyx_v_nactive * __pyx_v_D) + __pyx_v_i)]) = 0;
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":510
- *         for i in range(gdeg[gi] + 1):
- *             ucoef[nactive * D + i] = 0
- *         t = goff[gi]             # <<<<<<<<<<<<<<
- *         while t < goff[gi + 1]:
- *             m = flat[t]
-*/
-    __pyx_v_t = (__pyx_v_goff[__pyx_v_gi]);
-
-    /* "picardkit/counting/_ckernel.pyx":511
- *             ucoef[nactive * D + i] = 0
- *         t = goff[gi]
- *         while t < goff[gi + 1]:             # <<<<<<<<<<<<<<
- *             m = flat[t]
- *             for i in range(nprefix):
-*/
-    while (1) {
-      __pyx_t_7 = (__pyx_v_t < (__pyx_v_goff[(__pyx_v_gi + 1)]));
-      if (!__pyx_t_7) break;
-
-      /* "picardkit/counting/_ckernel.pyx":512
- *         t = goff[gi]
- *         while t < goff[gi + 1]:
- *             m = flat[t]             # <<<<<<<<<<<<<<
- *             for i in range(nprefix):
- *                 e = flat[t + 2 + i]
-*/
-      __pyx_v_m = (__pyx_v_flat[__pyx_v_t]);
-
-      /* "picardkit/counting/_ckernel.pyx":513
- *         while t < goff[gi + 1]:
- *             m = flat[t]
- *             for i in range(nprefix):             # <<<<<<<<<<<<<<
- *                 e = flat[t + 2 + i]
- *                 if e and m:
-*/
-      __pyx_t_4 = __pyx_v_nprefix;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_i = __pyx_t_6;
-
-        /* "picardkit/counting/_ckernel.pyx":514
- *             m = flat[t]
- *             for i in range(nprefix):
- *                 e = flat[t + 2 + i]             # <<<<<<<<<<<<<<
- *                 if e and m:
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)
-*/
-        __pyx_v_e = (__pyx_v_flat[((__pyx_v_t + 2) + __pyx_v_i)]);
-
-        /* "picardkit/counting/_ckernel.pyx":515
- *             for i in range(nprefix):
- *                 e = flat[t + 2 + i]
- *                 if e and m:             # <<<<<<<<<<<<<<
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)
- *             if m:
-*/
-        __pyx_t_8 = (__pyx_v_e != 0);
-        if (__pyx_t_8) {
-        } else {
-          __pyx_t_7 = __pyx_t_8;
-          goto __pyx_L12_bool_binop_done;
-        }
-        __pyx_t_8 = (__pyx_v_m != 0);
-        __pyx_t_7 = __pyx_t_8;
-        __pyx_L12_bool_binop_done:;
-        if (__pyx_t_7) {
-
-          /* "picardkit/counting/_ckernel.pyx":516
- *                 e = flat[t + 2 + i]
- *                 if e and m:
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)             # <<<<<<<<<<<<<<
- *             if m:
- *                 ucoef[nactive * D + flat[t + 1]] = ADD(
-*/
-          __pyx_v_m = __pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_m, (__pyx_v_powcache[((__pyx_v_i * __pyx_v_powstride) + __pyx_v_e)]), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1);
-
-          /* "picardkit/counting/_ckernel.pyx":515
- *             for i in range(nprefix):
- *                 e = flat[t + 2 + i]
- *                 if e and m:             # <<<<<<<<<<<<<<
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)
- *             if m:
-*/
-        }
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":517
- *                 if e and m:
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)
- *             if m:             # <<<<<<<<<<<<<<
- *                 ucoef[nactive * D + flat[t + 1]] = ADD(
- *                     ucoef[nactive * D + flat[t + 1]], m,
-*/
-      __pyx_t_7 = (__pyx_v_m != 0);
-      if (__pyx_t_7) {
-
-        /* "picardkit/counting/_ckernel.pyx":518
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)
- *             if m:
- *                 ucoef[nactive * D + flat[t + 1]] = ADD(             # <<<<<<<<<<<<<<
- *                     ucoef[nactive * D + flat[t + 1]], m,
- *                     F.exp, F.log, F.zech, F.Qm1)
-*/
-        (__pyx_v_ucoef[((__pyx_v_nactive * __pyx_v_D) + (__pyx_v_flat[(__pyx_v_t + 1)]))]) = __pyx_f_9picardkit_8counting_8_ckernel_ADD((__pyx_v_ucoef[((__pyx_v_nactive * __pyx_v_D) + (__pyx_v_flat[(__pyx_v_t + 1)]))]), __pyx_v_m, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->zech, __pyx_v_F->Qm1);
-
-        /* "picardkit/counting/_ckernel.pyx":517
- *                 if e and m:
- *                     m = MUL(m, powcache[i * powstride + e], F.exp, F.log, F.Qm1)
- *             if m:             # <<<<<<<<<<<<<<
- *                 ucoef[nactive * D + flat[t + 1]] = ADD(
- *                     ucoef[nactive * D + flat[t + 1]], m,
-*/
-      }
-
-      /* "picardkit/counting/_ckernel.pyx":521
- *                     ucoef[nactive * D + flat[t + 1]], m,
- *                     F.exp, F.log, F.zech, F.Qm1)
- *             t += stride             # <<<<<<<<<<<<<<
- *         nu = _ptrim(ucoef + nactive * D, gdeg[gi] + 1)
- *         if nu == 0:
-*/
-      __pyx_v_t = (__pyx_v_t + __pyx_v_stride);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":522
- *                     F.exp, F.log, F.zech, F.Qm1)
- *             t += stride
- *         nu = _ptrim(ucoef + nactive * D, gdeg[gi] + 1)             # <<<<<<<<<<<<<<
- *         if nu == 0:
- *             continue  # identically zero: imposes nothing
-*/
-    __pyx_v_nu = __pyx_f_9picardkit_8counting_8_ckernel__ptrim((__pyx_v_ucoef + (__pyx_v_nactive * __pyx_v_D)), ((__pyx_v_gdeg[__pyx_v_gi]) + 1));
-
-    /* "picardkit/counting/_ckernel.pyx":523
- *             t += stride
- *         nu = _ptrim(ucoef + nactive * D, gdeg[gi] + 1)
- *         if nu == 0:             # <<<<<<<<<<<<<<
- *             continue  # identically zero: imposes nothing
- *         if nu == 1:
-*/
-    __pyx_t_7 = (__pyx_v_nu == 0);
-    if (__pyx_t_7) {
-
-      /* "picardkit/counting/_ckernel.pyx":524
- *         nu = _ptrim(ucoef + nactive * D, gdeg[gi] + 1)
- *         if nu == 0:
- *             continue  # identically zero: imposes nothing             # <<<<<<<<<<<<<<
- *         if nu == 1:
- *             return 0  # nonzero constant: no solutions
-*/
-      goto __pyx_L3_continue;
-
-      /* "picardkit/counting/_ckernel.pyx":523
- *             t += stride
- *         nu = _ptrim(ucoef + nactive * D, gdeg[gi] + 1)
- *         if nu == 0:             # <<<<<<<<<<<<<<
- *             continue  # identically zero: imposes nothing
- *         if nu == 1:
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":525
- *         if nu == 0:
- *             continue  # identically zero: imposes nothing
- *         if nu == 1:             # <<<<<<<<<<<<<<
- *             return 0  # nonzero constant: no solutions
- *         udeg[nactive] = nu
-*/
-    __pyx_t_7 = (__pyx_v_nu == 1);
-    if (__pyx_t_7) {
-
-      /* "picardkit/counting/_ckernel.pyx":526
- *             continue  # identically zero: imposes nothing
- *         if nu == 1:
- *             return 0  # nonzero constant: no solutions             # <<<<<<<<<<<<<<
- *         udeg[nactive] = nu
- *         nactive += 1
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "picardkit/counting/_ckernel.pyx":525
- *         if nu == 0:
- *             continue  # identically zero: imposes nothing
- *         if nu == 1:             # <<<<<<<<<<<<<<
- *             return 0  # nonzero constant: no solutions
- *         udeg[nactive] = nu
-*/
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":527
- *         if nu == 1:
- *             return 0  # nonzero constant: no solutions
- *         udeg[nactive] = nu             # <<<<<<<<<<<<<<
- *         nactive += 1
- *     if nactive == 0:
-*/
-    (__pyx_v_udeg[__pyx_v_nactive]) = __pyx_v_nu;
-
-    /* "picardkit/counting/_ckernel.pyx":528
- *             return 0  # nonzero constant: no solutions
- *         udeg[nactive] = nu
- *         nactive += 1             # <<<<<<<<<<<<<<
- *     if nactive == 0:
- *         return Q
-*/
-    __pyx_v_nactive = (__pyx_v_nactive + 1);
-    __pyx_L3_continue:;
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":529
- *         udeg[nactive] = nu
- *         nactive += 1
- *     if nactive == 0:             # <<<<<<<<<<<<<<
- *         return Q
- *     if not use_gcd:
-*/
-  __pyx_t_7 = (__pyx_v_nactive == 0);
-  if (__pyx_t_7) {
-
-    /* "picardkit/counting/_ckernel.pyx":530
- *         nactive += 1
- *     if nactive == 0:
- *         return Q             # <<<<<<<<<<<<<<
- *     if not use_gcd:
- *         for v in range(Q):
-*/
-    __pyx_r = __pyx_v_Q;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":529
- *         udeg[nactive] = nu
- *         nactive += 1
- *     if nactive == 0:             # <<<<<<<<<<<<<<
- *         return Q
- *     if not use_gcd:
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":531
- *     if nactive == 0:
- *         return Q
- *     if not use_gcd:             # <<<<<<<<<<<<<<
- *         for v in range(Q):
- *             ok = 1
-*/
-  __pyx_t_7 = (!(__pyx_v_use_gcd != 0));
-  if (__pyx_t_7) {
-
-    /* "picardkit/counting/_ckernel.pyx":532
- *         return Q
- *     if not use_gcd:
- *         for v in range(Q):             # <<<<<<<<<<<<<<
- *             ok = 1
- *             for gi in range(nactive):
-*/
-    __pyx_t_1 = __pyx_v_Q;
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_v = __pyx_t_3;
-
-      /* "picardkit/counting/_ckernel.pyx":533
- *     if not use_gcd:
- *         for v in range(Q):
- *             ok = 1             # <<<<<<<<<<<<<<
- *             for gi in range(nactive):
- *                 acc = 0
-*/
-      __pyx_v_ok = 1;
-
-      /* "picardkit/counting/_ckernel.pyx":534
- *         for v in range(Q):
- *             ok = 1
- *             for gi in range(nactive):             # <<<<<<<<<<<<<<
- *                 acc = 0
- *                 i = udeg[gi] - 1
-*/
-      __pyx_t_4 = __pyx_v_nactive;
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_gi = __pyx_t_6;
-
-        /* "picardkit/counting/_ckernel.pyx":535
- *             ok = 1
- *             for gi in range(nactive):
- *                 acc = 0             # <<<<<<<<<<<<<<
- *                 i = udeg[gi] - 1
- *                 while i >= 0:
-*/
-        __pyx_v_acc = 0;
-
-        /* "picardkit/counting/_ckernel.pyx":536
- *             for gi in range(nactive):
- *                 acc = 0
- *                 i = udeg[gi] - 1             # <<<<<<<<<<<<<<
- *                 while i >= 0:
- *                     acc = ADD(MUL(acc, v, F.exp, F.log, F.Qm1),
-*/
-        __pyx_v_i = ((__pyx_v_udeg[__pyx_v_gi]) - 1);
-
-        /* "picardkit/counting/_ckernel.pyx":537
- *                 acc = 0
- *                 i = udeg[gi] - 1
- *                 while i >= 0:             # <<<<<<<<<<<<<<
- *                     acc = ADD(MUL(acc, v, F.exp, F.log, F.Qm1),
- *                               ucoef[gi * D + i], F.exp, F.log, F.zech, F.Qm1)
-*/
-        while (1) {
-          __pyx_t_7 = (__pyx_v_i >= 0);
-          if (!__pyx_t_7) break;
-
-          /* "picardkit/counting/_ckernel.pyx":538
- *                 i = udeg[gi] - 1
- *                 while i >= 0:
- *                     acc = ADD(MUL(acc, v, F.exp, F.log, F.Qm1),             # <<<<<<<<<<<<<<
- *                               ucoef[gi * D + i], F.exp, F.log, F.zech, F.Qm1)
- *                     i -= 1
-*/
-          __pyx_v_acc = __pyx_f_9picardkit_8counting_8_ckernel_ADD(__pyx_f_9picardkit_8counting_8_ckernel_MUL(__pyx_v_acc, __pyx_v_v, __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->Qm1), (__pyx_v_ucoef[((__pyx_v_gi * __pyx_v_D) + __pyx_v_i)]), __pyx_v_F->exp, __pyx_v_F->log, __pyx_v_F->zech, __pyx_v_F->Qm1);
-
-          /* "picardkit/counting/_ckernel.pyx":540
- *                     acc = ADD(MUL(acc, v, F.exp, F.log, F.Qm1),
- *                               ucoef[gi * D + i], F.exp, F.log, F.zech, F.Qm1)
- *                     i -= 1             # <<<<<<<<<<<<<<
- *                 if acc:
- *                     ok = 0
-*/
-          __pyx_v_i = (__pyx_v_i - 1);
-        }
-
-        /* "picardkit/counting/_ckernel.pyx":541
- *                               ucoef[gi * D + i], F.exp, F.log, F.zech, F.Qm1)
- *                     i -= 1
- *                 if acc:             # <<<<<<<<<<<<<<
- *                     ok = 0
- *                     break
-*/
-        __pyx_t_7 = (__pyx_v_acc != 0);
-        if (__pyx_t_7) {
-
-          /* "picardkit/counting/_ckernel.pyx":542
- *                     i -= 1
- *                 if acc:
- *                     ok = 0             # <<<<<<<<<<<<<<
- *                     break
- *             if ok:
-*/
-          __pyx_v_ok = 0;
-
-          /* "picardkit/counting/_ckernel.pyx":543
- *                 if acc:
- *                     ok = 0
- *                     break             # <<<<<<<<<<<<<<
- *             if ok:
- *                 cnt += 1
-*/
-          goto __pyx_L22_break;
-
-          /* "picardkit/counting/_ckernel.pyx":541
- *                               ucoef[gi * D + i], F.exp, F.log, F.zech, F.Qm1)
- *                     i -= 1
- *                 if acc:             # <<<<<<<<<<<<<<
- *                     ok = 0
- *                     break
-*/
-        }
-      }
-      __pyx_L22_break:;
-
-      /* "picardkit/counting/_ckernel.pyx":544
- *                     ok = 0
- *                     break
- *             if ok:             # <<<<<<<<<<<<<<
- *                 cnt += 1
- *         return cnt
-*/
-      __pyx_t_7 = (__pyx_v_ok != 0);
-      if (__pyx_t_7) {
-
-        /* "picardkit/counting/_ckernel.pyx":545
- *                     break
- *             if ok:
- *                 cnt += 1             # <<<<<<<<<<<<<<
- *         return cnt
- *     # gcd-slice
-*/
-        __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-        /* "picardkit/counting/_ckernel.pyx":544
- *                     ok = 0
- *                     break
- *             if ok:             # <<<<<<<<<<<<<<
- *                 cnt += 1
- *         return cnt
-*/
-      }
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":546
- *             if ok:
- *                 cnt += 1
- *         return cnt             # <<<<<<<<<<<<<<
- *     # gcd-slice
- *     ng = udeg[0]
-*/
-    __pyx_r = __pyx_v_cnt;
-    goto __pyx_L0;
-
-    /* "picardkit/counting/_ckernel.pyx":531
- *     if nactive == 0:
- *         return Q
- *     if not use_gcd:             # <<<<<<<<<<<<<<
- *         for v in range(Q):
- *             ok = 1
-*/
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":548
- *         return cnt
- *     # gcd-slice
- *     ng = udeg[0]             # <<<<<<<<<<<<<<
- *     for i in range(ng):
- *         g[i] = ucoef[i]
-*/
-  __pyx_v_ng = (__pyx_v_udeg[0]);
-
-  /* "picardkit/counting/_ckernel.pyx":549
- *     # gcd-slice
- *     ng = udeg[0]
- *     for i in range(ng):             # <<<<<<<<<<<<<<
- *         g[i] = ucoef[i]
- *     for gi in range(1, nactive):
-*/
-  __pyx_t_1 = __pyx_v_ng;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "picardkit/counting/_ckernel.pyx":550
- *     ng = udeg[0]
- *     for i in range(ng):
- *         g[i] = ucoef[i]             # <<<<<<<<<<<<<<
- *     for gi in range(1, nactive):
- *         for i in range(udeg[gi]):
-*/
-    (__pyx_v_g[__pyx_v_i]) = (__pyx_v_ucoef[__pyx_v_i]);
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":551
- *     for i in range(ng):
- *         g[i] = ucoef[i]
- *     for gi in range(1, nactive):             # <<<<<<<<<<<<<<
- *         for i in range(udeg[gi]):
- *             s1[i] = ucoef[gi * D + i]
-*/
-  __pyx_t_1 = __pyx_v_nactive;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_gi = __pyx_t_3;
-
-    /* "picardkit/counting/_ckernel.pyx":552
- *         g[i] = ucoef[i]
- *     for gi in range(1, nactive):
- *         for i in range(udeg[gi]):             # <<<<<<<<<<<<<<
- *             s1[i] = ucoef[gi * D + i]
- *         ng = _pgcd(g, ng, s1, udeg[gi], F)
-*/
-    __pyx_t_4 = (__pyx_v_udeg[__pyx_v_gi]);
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "picardkit/counting/_ckernel.pyx":553
- *     for gi in range(1, nactive):
- *         for i in range(udeg[gi]):
- *             s1[i] = ucoef[gi * D + i]             # <<<<<<<<<<<<<<
- *         ng = _pgcd(g, ng, s1, udeg[gi], F)
- *         if ng == 1:
-*/
-      (__pyx_v_s1[__pyx_v_i]) = (__pyx_v_ucoef[((__pyx_v_gi * __pyx_v_D) + __pyx_v_i)]);
-    }
-
-    /* "picardkit/counting/_ckernel.pyx":554
- *         for i in range(udeg[gi]):
- *             s1[i] = ucoef[gi * D + i]
- *         ng = _pgcd(g, ng, s1, udeg[gi], F)             # <<<<<<<<<<<<<<
- *         if ng == 1:
- *             return 0
-*/
-    __pyx_v_ng = __pyx_f_9picardkit_8counting_8_ckernel__pgcd(__pyx_v_g, __pyx_v_ng, __pyx_v_s1, (__pyx_v_udeg[__pyx_v_gi]), __pyx_v_F);
-
-    /* "picardkit/counting/_ckernel.pyx":555
- *             s1[i] = ucoef[gi * D + i]
- *         ng = _pgcd(g, ng, s1, udeg[gi], F)
- *         if ng == 1:             # <<<<<<<<<<<<<<
- *             return 0
- *     return _root_count(g, ng, s1, s2, s3, F)
-*/
-    __pyx_t_7 = (__pyx_v_ng == 1);
-    if (__pyx_t_7) {
-
-      /* "picardkit/counting/_ckernel.pyx":556
- *         ng = _pgcd(g, ng, s1, udeg[gi], F)
- *         if ng == 1:
- *             return 0             # <<<<<<<<<<<<<<
- *     return _root_count(g, ng, s1, s2, s3, F)
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "picardkit/counting/_ckernel.pyx":555
- *             s1[i] = ucoef[gi * D + i]
- *         ng = _pgcd(g, ng, s1, udeg[gi], F)
- *         if ng == 1:             # <<<<<<<<<<<<<<
- *             return 0
- *     return _root_count(g, ng, s1, s2, s3, F)
-*/
-    }
-  }
-
-  /* "picardkit/counting/_ckernel.pyx":557
- *         if ng == 1:
- *             return 0
- *     return _root_count(g, ng, s1, s2, s3, F)             # <<<<<<<<<<<<<<
-*/
-  __pyx_r = __pyx_f_9picardkit_8counting_8_ckernel__root_count(__pyx_v_g, __pyx_v_ng, __pyx_v_s1, __pyx_v_s2, __pyx_v_s3, __pyx_v_F);
-  goto __pyx_L0;
-
-  /* "picardkit/counting/_ckernel.pyx":495
- * 
- * 
- * cdef long long _run_slice(FOps* F, long long* flat, long long* goff,             # <<<<<<<<<<<<<<
- *                           long long* gdeg, long long ngens, long long stride,
- *                           long long nprefix, long long D, long long* powcache,
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(3, 9, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4type_type = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "type",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyTypeObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyHeapTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyHeapTypeObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4type_type) __PYX_ERR(3, 9, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(4, 8, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4bool_bool = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "bool",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyLongObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyLongObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyLongObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyLongObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4bool_bool) __PYX_ERR(4, 8, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(5, 16, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_7complex_complex = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "complex",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyComplexObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyComplexObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyComplexObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyComplexObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_7complex_complex) __PYX_ERR(5, 16, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule("array"); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 69, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_5array_array = __Pyx_ImportType_3_2_8(__pyx_t_1, "array", "array",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #else
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_5array_array) __PYX_ERR(2, 69, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__ckernel(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__ckernel},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_ckernel",
-      __pyx_k_Compiled_counting_kernel_exact_m, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__ckernel(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__ckernel(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
+    if ((seq = PySequence_Fast(modulus, "modulus must be a sequence")) == NULL)
         return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__ckernel(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_ckernel' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_ckernel" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__ckernel", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_picardkit__counting___ckernel) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "picardkit.counting._ckernel")) {
-      if (unlikely((PyDict_SetItemString(modules, "picardkit.counting._ckernel", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_import_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "picardkit/counting/_ckernel.pyx":10
- * 
- * from cpython cimport array
- * import array             # <<<<<<<<<<<<<<
- * 
- * from libc.stdlib cimport free, malloc
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_array, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 10, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_array, __pyx_t_2) < (0)) __PYX_ERR(0, 10, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":15
- * from libc.string cimport memset
- * 
- * BACKEND = "cython"             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND, __pyx_mstate_global->__pyx_n_u_cython) < (0)) __PYX_ERR(0, 15, __pyx_L1_error)
-
-  /* "picardkit/counting/_ckernel.pyx":18
- * 
- * 
- * def build_tables(p_in, e_in, modulus):             # <<<<<<<<<<<<<<
- *     """exp/log/Zech tables for F_{p^e}; identical output to kernel_py."""
- *     cdef long long p = p_in
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9picardkit_8counting_8_ckernel_1build_tables, 0, __pyx_mstate_global->__pyx_n_u_build_tables, NULL, __pyx_mstate_global->__pyx_n_u_picardkit_counting__ckernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_build_tables, __pyx_t_2) < (0)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":331
- * 
- * 
- * def count_chart(Q_in, p_in, tmask_in, exp_arr, log_arr, zech_arr, gen_terms,             # <<<<<<<<<<<<<<
- *                 nprefix_in, use_gcd_in, lo_in, hi_in):
- *     """Count points of one affine chart; same contract as kernel_py."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9picardkit_8counting_8_ckernel_3count_chart, 0, __pyx_mstate_global->__pyx_n_u_count_chart, NULL, __pyx_mstate_global->__pyx_n_u_picardkit_counting__ckernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 331, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_count_chart, __pyx_t_2) < (0)) __PYX_ERR(0, 331, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "picardkit/counting/_ckernel.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3             # <<<<<<<<<<<<<<
- * """Compiled counting kernel; exact mirror of kernel_py (same contracts).
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init picardkit.counting._ckernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init picardkit.counting._ckernel");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{35},{7},{1},{20},{1},{4},{12},{5},{18},{12},{4},{18},{5},{11},{3},{6},{1},{1},{4},{3},{5},{7},{1},{7},{4},{6},{8},{4},{6},{3},{9},{2},{4},{6},{2},{5},{1},{13},{5},{1},{2},{5},{3},{5},{7},{8},{6},{3},{7},{10},{7},{1},{8},{5},{7},{10},{2},{1},{4},{27},{3},{4},{6},{3},{3},{1},{12},{1},{12},{10},{6},{1},{2},{5},{8},{8},{10},{7},{10},{1},{2},{6},{2},{2},{4},{6},{8},{669},{613}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1162 bytes) */
-const char* const cstring = "BZh91AY&SY\371\211Si\000\000\364\177\377\377\377\377\377?\301\277\340\277)\177\350\277\357\377\360@@@@@@@@@@@@@\000@\000P\004\033\302)p\007\003\\\r5\nA0\032M\031\243\365&\310\236L\232@\000\006\206\215\000M1\036\232\214&L\323M\242\rM\004\311\212lCR3)3\325?T\365=F\200\000\r\000\000\000\000\000\000\003M\002(h\210\323@\000\001\210h\0004\000\000h\320\r\003i\033S\332\232\201\300\003@\320\r\r\000\000\r1\r\032h\000\000\000\320\310\000\003\t\"\004LJ\036)\3522zCjh\007\250\r\r\000\000\001\240\000\000\000\031(0\353\217\322\023\373e\306v1.6\231\2444R\330\020\220+9\002\177H\000\224BD\303!\206\001\2310\314\314\323\377\027#d+TK\327\246KY\030hRr\007{,\260\006`L2\222\t>\314\240\304q\263\246\224\222P@W\234\207\202*b\010\205\301f\301\027\340\303\326A\242\352\332\021\201 \206\200\321\235/\336\t\221\031N`U\024\251\243;/\250R\262\374\"\256dW\273\201\030\210\233M\202W\221j\025\036\270\022\340\215\266R\305%UZAg\300\357q\023\225+@+B\350'7W\016-f]\\+\202\250.%\212\021\230\"\261`[(X\253\026L\303\214\266a.\002\200\2402\306\237\221B;\312e\240z\324H\023\263\001\221\204\336\362\256\236Ioe@\rR\335[S\305\365|>\345O\236\027\231ia\007d\345c\276\2667\010\251\332\250\030#T\275\014\3159\302\240AB\354\224 \213\231\270=\333\032\372\333\374n]N2\306\333\242\336&\344\331}q4\177\00555.\315\340w\2521\347_\275m\370\252\013\ng\220\371\212\t}\255\271\216\232\021\262\331*\233X\01421\323\177umz\271+j\334\013.\223\231]\214\241\231\207\212\341\302y\372:\027T\252\024\006\214rM\231\206\001\317\021*\020\201\234\2662\336|\030\326P\370\210\330m\030k]!Mc\014\217\0143\034\272n4\303\242\277\361\233\227I\034\021\2503`b\031B\036\214\036\027\216U\357\265\204p\005l\t\010\017u\371\200hR\302D\211/%.\203\323\2513\022\334\214i\210\336\302\245Y\006\225\256\007 @\316)\210@IF\230=jm\002\267\350\245K\201\354{X\222\262\250\034\344\223B\224\212\303*\0219\323\"v\206\302\201H \030\263\205\024\n\367P\320\022g\\\006@s0\247\033\005g% \010\014\201D\235v#\325\032'c\006\026[\263x\033|\001\002,P\017\2109\306\222\026\006L\355\317 \251\005Qp\022\024""\030\021&\017\016\003\001P\321~\263\204\004\003\224\362L\352\371\2627\235\222\313\010\010\006g\246t\344t\252\010\222T\334\353\010\327\2540%\307;\257n\235]Qu\333+\307\030\226\342`E\025-#0\013\251T\312\354\346\224\3035\010\2551\312\333~\251}{\014d\346\343\344i%\"\224\300\330F\220\2227\251\017qO\206MNb\0050\237\277\202\240\212\034\264\220\341N\361\n\014\254E\230\377\035F\2412\207\243\022\222\022G@\313\004\264(\202%\n\215\005\021\241\250\332\271\0130\216\271\335\312\357\214\032\241\227*a\354\201\025\325\224\260\313\016V\232D\322\271\252\266BL\376\272\205n\367\212\271\371\3171j\004\005t\310\256B\313\317\210\364m=\254\036\202\005)\030\244\263\005\207\274\342!Hu\"\036\224\004B\210]\025-h!\377\371QX\265\014\204\020\305f\275\001\343B\207d6$\274\371\204O[\357\331\236#E\022\235n\323\312\276\230-i\201\256\344`k\211n\037\276:&KC\211\253\247\250\326\344\317\014\232c\037u\266\323`\315\302\014\231\030\364\254\315\301Y\261\360\014K81\006\034\006\r\346\226.\205`\035\232\267\006\022\t\224\\\021W\303\003g,Z\303\212H\227\203?\211/\357%?{{y\245\311\305\2432\335\305\303\273\035\241\311\335\002wg<\357\212<'\212z\242\212\362\301U\215\r\014\271#F\032\010\247\013B(\025\331j(\254\312\236\230QZJ\270u\004\335zh\305\312\326\256\354U\346 \324\230\225\252\322\220\334Y\254_h?\361w$S\205\t\017\230\2256\220";
-    PyObject *data = __Pyx_DecompressString(cstring, 1162, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1122 bytes) */
-const char* const cstring = "x\332uT;o\343F\020\216d\311\226\317J\254\207u~\235\003\310>_\256\262!?.I\025Pg\0318\0048D\362\343\356\220b\261\242(\231\020EJ\313\245\"\247r\271\345\226[n\311\222%K\225.S\262\324O\310O\310,%;\262\017\007\354c8;;\363\315\314\267\374\315%\372a\337\3241iuMz\250;\236MM\273s\210\364\256Al\303:\350\337\216\252\332\373\337k\037\317\316\021\372\343v\004\363\314\324)\372h\214h\303h\327\353\310\264\021\302\266\355PL\r\220\010\301\267\330\275\265u\3239\320\035\342x\340\317p\233\236i\265\020\305M\313pul\267t\013\264\352*%X7\232X\357\306\241\343\005\3517\230P\335#\372-\275q\354\226\241\014\215Q\037\006\302\361BH\273\215u\352\020\267ma\252&\302\010\265=[G\250\3232:j\"\3341l\030\210\032\244\347v\314\216\323n\253\211\360\215yc\202G\230.zDhR\243\347v-\307r\340\310r:0\020\216\027B\020\352a\225e\017\217\300q\317i\301\230\351\235\226g\031\263\335s\301\306\306=\370V\201]\273O\214\2669\232m\340\326\351\366\373\260=\226\373\340\241\334\007\017\345\356\367*}\210\242&\302}\247\337w\334\001B\003\017[S\277\020\3225\350,\010H-\243\215=\213\272\224\230-\203\322J\234+\202\224]\nk\017\273]\210G\2415\026\"\206\356z\256\201:zk\266\301\321p\210\207\330\362\014w\330\034\322\277\r\375FM\204\247+!w\211\177\027\277Ko\360A\224\332\021\365\331\262!\022\3612\231\323\375(\260\262\\\274\373\304j\274\304q\224J\317\213\237\3315?U\327\322wW\254<=\254\262&\237\327|a`\272t7`i\326`\203(\263\314\266xe2\335\370\231H\210\274\330\027\256,OR\333\342X`\001\230^\211\252h\312\030cY\202\257\014[\346\371(\363\222\353`\374\223,J-J\355\311w~\336\337\367\275@\013\032\3010\374\363>y\377\366\237\306\305\363\0237|3N\216\001\311\266x'K\022\317\t\233\"?\313z\026 \3134H\250\242\204\032|gs<\301\327\341<[T\312\037T\"\031\226`\233\274\254\240\355\010m\362\025\214Ocm.B\206-2\003\322\324\236\371\206\362q**\242&\327d]\352~\301?\361\007Qv\225Q0\256\362\246X\020G\342R\346e9\312\255q\215_\213\0231\220I\271\013\231gV\330\t\033\360\024\330\341([\342\227P\223\362\327@\276\214\361\023 iv\305\313\323\370\232\022\237\201\373&\246\034O\363+Q\026""\225(W\344'| \222b7n\317\202<\222\227\020\262\034\255A\rEI\264d\031T\rI\340jEu\263\022-\277\21029\276\002^5q!\027e\333?\017\336\204K\341h<\210^\275\226\037\374\313 \257\3101\234Q#J\255\260\312\0350p]Q\363a\231\314\303\377\236\325'\251\327\362\334/\373\247A\n\222\005\226n\001) \315\377\365\351\240\0364\303\205\360(l\204\340\343\251:\031B\362\373\362\332\257\370\265\240\024\340\200\204\305\260\0326\307\211GOs\302\266\370E\236\372\000iS\354\000~\315o\370D\201\376\346\247\033\354\006\325 \346\274\313\366\000\366\036\277\200~\236B\301\216\241\254@\263e\305\236\325)\233\222l\227i1\255\242\324\013\220\325\353YPy\256\260#(\n\341E\350\017\360\357\347\270\005\331\002\337\235\361\003\372\361\022\010\240\352\241B\021V`pk\225\375\005m\034(\264\371I*\375\340&\356cF\244E]\3502\037\345J\274\256\210U\203\007\260\266\316G\300\255\245\270m\307\276\036\024\203\367\360h\366C:>\031\323\373\343{\034m\250_\301\306\246\"@%Z\333\022\320\361\322$~\016\217\304\211\311;\340\213|NGDAAV\3724\304\213\205%eY\340o!\233S\231\226\027\376B\334\305\2630\241\0346y\022\210\371\334AN\025DUa\025\312Q\340G\274\001N \205\006\030\344'\017\302\364\265\226f\277\210M\277<\211\231^\217\236n@\260_\371\007Q\377\017\004\303\311\235";
-    PyObject *data = __Pyx_DecompressString(cstring, 1122, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (1824 bytes) */
-const char* const bytes = "?src/picardkit/counting/_ckernel.pyxBACKENDF__Pyx_PyDict_NextRefQQ_in__annotate__arrayasyncio.coroutinesbuild_tablescandcline_in_tracebackcountcount_chartcurcythondee_inexpexp_aexp_arrffactorsflatflat_a__func__gdeggdeg_agengen_termsgigoffgoff_ahihi_ini_is_coroutineitemsklolo_inloglog_alog_arr__main__maxdegmodmod_arr__module__modulusn__name__ngensnprefixnprefix_inokpp_inpicardkit.counting._ckernelpm1pmaxpmax_apopposq__qualname__r__set_name__setdefaultstridett1terms__test__tmask_intotal_recsuse_gcduse_gcd_invvavaluesvbvtzechzech_azech_arr\200\001\360\006\000\005\030\220q\330\004\035\230Q\330\004\035\230Q\330\004\030\230\001\330\004\030\230\001\340\004\035\230Q\330\004\035\230Q\330\004\036\230a\360\006\000\005\006\200W\210E\220\025\220a\330\004\005\200W\210E\220\025\220a\330\004\005\200X\210V\2205\230\001\330\004\005\200U\210!\330\004\005\200W\210B\210b\220\001\330\004\005\200U\210!\330\004\005\200Y\210a\330\004\007\200q\210\005\210R\210q\330\010\t\210\032\2201\340\010\t\210\032\2201\220D\230\001\230\021\230%\230s\240!\340\004\033\2303\230a\230q\330\004\034\230B\230b\240\001\360\006\000\005!\240\001\330\004\010\210\t\220\021\330\010\026\220c\230\021\230'\240\023\240A\330\004#\2406\250\021\250%\250u\260A\260R\260v\270[\310\002\310(\320RS\330\004#\2406\250\021\250%\250u\260A\260R\260s\270&\300\002\300!\330\004\033\2306\240\025\240a\330\004\033\2306\240\025\240a\330\004\031\230\021\330\004\030\230\001\330\004\010\210\t\220\021\330\010\014\210A\210V\2201\330\010\014\210E\220\021\330\014\020\220\001\220\027\230\001\330\014\023\2201\330\010\016\210a\330\004\010\210\001\210\031\220!\360\006\000\005\035\230A\340\004#\2406\250\021\250%\250u\260A\260R\260v\270W\300A\330\004\033\2306\240\025\240a\330\004\010\210\006\210e\2201\220A\330\010\014\210A\210V\2201\330\010\014\210E\220\025\220a\220t\2301\230E\240\024\240Q\240c\250\022\2504\250q\330\014\017\210t\2201\220B\220b\230\003\2302\230T\240\021\240!\330\020\024\220A\220V\2304\230q\240\002\240\"\240A\330\010\013\2104\210q\220\004""\220B\220a\330\014\025\220T\230\021\230!\340\004#\2406\250\021\250%\250u\260A\260R\260v\270Y\300a\330\004\033\2306\240\025\240a\330\004\010\210\005\210U\220!\2201\330\010\014\210A\210U\220!\330\004\010\210\006\210e\2201\220A\330\010\014\210E\220\025\220a\220t\2301\230E\240\024\240Q\240c\250\022\2504\250q\330\014\020\220\005\220U\230!\2301\330\020\023\2204\220q\230\002\230\"\230B\230b\240\003\2402\240T\250\021\250!\330\024\030\230\001\230\025\230d\240!\2402\240R\240r\250\022\2501\340\004\033\2301\330\t\n\330\010\020\220\013\2301\230A\230S\240\006\240f\250F\260&\270\007\270x\300q\330\034$\240I\250T\260\021\330\004\007\200v\210R\210q\330\010\t\330\004\013\2101\200\001\340\004\027\220q\330\004\027\220q\330\004\027\220q\340\004\010\210\005\210U\220!\2201\330\010\r\210Q\340\004$\240F\250!\2505\260\004\260A\260Q\330\004\032\230'\240\025\240a\340\004$\240F\250!\2505\260\005\260Q\260b\270\003\2702\270R\270q\330\004$\240F\250!\2505\260\005\260Q\260b\270\002\270!\330\004%\240V\2501\250E\260\025\260a\260r\270\023\270B\270b\300\001\330\004\032\230'\240\025\240a\330\004\032\230'\240\025\240a\330\004\033\2308\2405\250\001\340\004\031\230\035\240f\250A\250R\250r\260\021\330\004\031\230\035\240f\250A\250R\250r\260\021\330\004\031\230\035\240f\250A\250R\250s\260\"\260B\260a\330\004\007\200s\210#\210U\220#\220S\230\003\2305\240\003\2403\240c\250\021\330\010\t\360\006\000\005\017\210a\330\004\010\210\002\210\"\210A\330\004\010\210\001\330\004\n\210\"\210B\210b\220\003\2201\330\010\013\2102\210R\210r\220\023\220A\330\014\023\2207\230!\2301\330\014\022\220\"\220B\220b\230\003\2301\330\020\026\220a\330\010\r\210Q\330\004\007\200r\210\022\2101\330\010\017\210w\220a\220q\340\004\031\230\021\340\004\005\330\010\013\2102\210R\210q\330\014\020\220\010\230\005\230Q\230c\240\021\330\020\025\220Q\330\020\024\220E\230\021\330\024\027\220x\230q\240\007\240r\250\022\2503\250c\260\023\260C\260s\270%\270t\3004\300t\3103\310a\330\030\035\230Q\330\030\031\330\020\023\2201\330\024\032\230!\330\024\025""\340\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\017\210q\220\006\220a\330\010\014\210E\220\025\220a\220r\230\022\2301\330\014\017\210q\220\005\220Q\330\014\017\210q\220\007\220q\330\014\022\220(\230!\2305\240\005\240S\250\003\2505\260\004\260D\270\001\340\010\016\210b\220\002\220!\330\010\014\210E\220\025\220a\220r\230\022\2301\330\014\020\220\003\2201\220A\330\014\017\210r\220\022\2202\220R\220q\330\020\025\220R\220r\230\021\340\020\025\220R\220r\230\021\330\014\020\220\001\220\025\220c\230\021\230'\240\031\250!\340\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\004\013\2109\220I\230Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 88; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 2) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 88; i < 90; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 90; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 88;
-      for (Py_ssize_t i=0; i<2; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,2};
-    for (int i = 0; i < 3; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<3; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 6;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 31, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 18};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p_in, __pyx_mstate->__pyx_n_u_e_in, __pyx_mstate->__pyx_n_u_modulus, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_mod_arr, __pyx_mstate->__pyx_n_u_mod, __pyx_mstate->__pyx_n_u_exp_arr, __pyx_mstate->__pyx_n_u_log_arr, __pyx_mstate->__pyx_n_u_zech_arr, __pyx_mstate->__pyx_n_u_exp, __pyx_mstate->__pyx_n_u_log, __pyx_mstate->__pyx_n_u_zech, __pyx_mstate->__pyx_n_u_va, __pyx_mstate->__pyx_n_u_vb, __pyx_mstate->__pyx_n_u_vt, __pyx_mstate->__pyx_n_u_factors, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_gen, __pyx_mstate->__pyx_n_u_cand, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_f, __pyx_mstate->__pyx_n_u_cur, __pyx_mstate->__pyx_n_u_pm1, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_t1};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_picardkit_counting__ckernel, __pyx_mstate->__pyx_n_u_build_tables, __pyx_mstate->__pyx_kp_b_iso88591_q_q_q_U_1_Q_F_5_AQ_a_F_5_Qb_2Rq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {11, 0, 0, 39, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 331};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_Q_in, __pyx_mstate->__pyx_n_u_p_in, __pyx_mstate->__pyx_n_u_tmask_in, __pyx_mstate->__pyx_n_u_exp_arr, __pyx_mstate->__pyx_n_u_log_arr, __pyx_mstate->__pyx_n_u_zech_arr, __pyx_mstate->__pyx_n_u_gen_terms, __pyx_mstate->__pyx_n_u_nprefix_in, __pyx_mstate->__pyx_n_u_use_gcd_in, __pyx_mstate->__pyx_n_u_lo_in, __pyx_mstate->__pyx_n_u_hi_in, __pyx_mstate->__pyx_n_u_Q, __pyx_mstate->__pyx_n_u_nprefix, __pyx_mstate->__pyx_n_u_use_gcd, __pyx_mstate->__pyx_n_u_lo, __pyx_mstate->__pyx_n_u_hi, __pyx_mstate->__pyx_n_u_exp_a, __pyx_mstate->__pyx_n_u_log_a, __pyx_mstate->__pyx_n_u_zech_a, __pyx_mstate->__pyx_n_u_F, __pyx_mstate->__pyx_n_u_ngens, __pyx_mstate->__pyx_n_u_stride, __pyx_mstate->__pyx_n_u_total_recs, __pyx_mstate->__pyx_n_u_terms, __pyx_mstate->__pyx_n_u_flat_a, __pyx_mstate->__pyx_n_u_goff_a, __pyx_mstate->__pyx_n_u_flat, __pyx_mstate->__pyx_n_u_goff, __pyx_mstate->__pyx_n_u_pos, __pyx_mstate->__pyx_n_u_gi, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_maxdeg, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_gdeg_a, __pyx_mstate->__pyx_n_u_gdeg, __pyx_mstate->__pyx_n_u_pmax_a, __pyx_mstate->__pyx_n_u_pmax, __pyx_mstate->__pyx_n_u_count};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_picardkit_counting__ckernel, __pyx_mstate->__pyx_n_u_count_chart, __pyx_mstate->__pyx_kp_b_iso88591_q_Q_Q_Q_Q_a_WE_a_WE_a_XV5_U_WBb, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyLongCompare */
-static CYTHON_INLINE int __Pyx_PyLong_BoolEqObjC(PyObject *op1, PyObject *op2, long intval, long inplace) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(inplace);
-    if (op1 == op2) {
-        return 1;
-    }
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        int unequal;
-        unsigned long uintval;
-        Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-        const digit* digits = __Pyx_PyLong_Digits(op1);
-        if (intval == 0) {
-            return (__Pyx_PyLong_IsZero(op1) == 1);
-        } else if (intval < 0) {
-            if (__Pyx_PyLong_IsNonNeg(op1))
-                return 0;
-            intval = -intval;
-        } else {
-            if (__Pyx_PyLong_IsNeg(op1))
-                return 0;
-        }
-        uintval = (unsigned long) intval;
-#if PyLong_SHIFT * 4 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 4)) {
-            unequal = (size != 5) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[4] != ((uintval >> (4 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 3 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 3)) {
-            unequal = (size != 4) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 2 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 2)) {
-            unequal = (size != 3) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 1 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 1)) {
-            unequal = (size != 2) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-            unequal = (size != 1) || (((unsigned long) digits[0]) != (uintval & (unsigned long) PyLong_MASK));
-        return (unequal == 0);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        const long b = intval;
-        double a = __Pyx_PyFloat_AS_DOUBLE(op1);
-        return ((double)a == (double)b);
-    }
-    return __Pyx_PyObject_IsTrueAndDecref(
-        PyObject_RichCompare(op1, op2, Py_EQ));
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAdd : PyNumber_Add)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_add(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a + b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla + llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_AddObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) + (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_AddObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_AddObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyErrFetchRestore */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* ExtTypeTest */
-static CYTHON_INLINE int __Pyx_TypeTest(PyObject *obj, PyTypeObject *type) {
-    __Pyx_TypeName obj_type_name;
-    __Pyx_TypeName type_name;
-    if (unlikely(!type)) {
-        PyErr_SetString(PyExc_SystemError, "Missing type object");
-        return 0;
-    }
-    if (likely(__Pyx_TypeCheck(obj, type)))
-        return 1;
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    type_name = __Pyx_PyType_GetFullyQualifiedName(type);
-    PyErr_Format(PyExc_TypeError,
-                 "Cannot convert " __Pyx_FMT_TYPENAME " to " __Pyx_FMT_TYPENAME,
-                 obj_type_name, type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-}
-
-/* TypeImport */
-#ifndef __PYX_HAVE_RT_ImportType_3_2_8
-#define __PYX_HAVE_RT_ImportType_3_2_8
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject *module, const char *module_name, const char *class_name,
-    size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size)
-{
-    PyObject *result = 0;
-    Py_ssize_t basicsize;
-    Py_ssize_t itemsize;
-#if defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API)
-    PyObject *py_basicsize;
-    PyObject *py_itemsize;
-#endif
-    result = PyObject_GetAttrString(module, class_name);
-    if (!result)
-        goto bad;
-    if (!PyType_Check(result)) {
-        PyErr_Format(PyExc_TypeError,
-            "%.200s.%.200s is not a type object",
-            module_name, class_name);
-        goto bad;
-    }
-#if !( defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API) )
-    basicsize = ((PyTypeObject *)result)->tp_basicsize;
-    itemsize = ((PyTypeObject *)result)->tp_itemsize;
-#else
-    if (size == 0) {
-        return (PyTypeObject *)result;
-    }
-    py_basicsize = PyObject_GetAttrString(result, "__basicsize__");
-    if (!py_basicsize)
-        goto bad;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = 0;
-    if (basicsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-    py_itemsize = PyObject_GetAttrString(result, "__itemsize__");
-    if (!py_itemsize)
-        goto bad;
-    itemsize = PyLong_AsSsize_t(py_itemsize);
-    Py_DECREF(py_itemsize);
-    py_itemsize = 0;
-    if (itemsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-#endif
-    if (itemsize) {
-        if (size % alignment) {
-            alignment = size % alignment;
-        }
-        if (itemsize < (Py_ssize_t)alignment)
-            itemsize = (Py_ssize_t)alignment;
-    }
-    if ((size_t)(basicsize + itemsize) < size) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd from PyObject",
-            module_name, class_name, size, basicsize+itemsize);
-        goto bad;
-    }
-    if (check_size == __Pyx_ImportType_CheckSize_Error_3_2_8 &&
-            ((size_t)basicsize > size || (size_t)(basicsize + itemsize) < size)) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd-%zd from PyObject",
-            module_name, class_name, size, basicsize, basicsize+itemsize);
-        goto bad;
-    }
-    else if (check_size == __Pyx_ImportType_CheckSize_Warn_3_2_8 && (size_t)basicsize > size) {
-        if (PyErr_WarnFormat(NULL, 0,
-                "%.200s.%.200s size changed, may indicate binary incompatibility. "
-                "Expected %zd from C header, got %zd from PyObject",
-                module_name, class_name, size, basicsize) < 0) {
-            goto bad;
-        }
-    }
-    return (PyTypeObject *)result;
-bad:
-    Py_XDECREF(result);
-    return NULL;
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by HasAttr) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
+    if (PySequence_Fast_GET_SIZE(seq) != e + 1) {
+        PyErr_SetString(PyExc_ValueError, "modulus must have e + 1 coefficients");
         goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
     }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
+    for (i = 0; i <= e; i++) {
+        i64 v = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (v == -1 && PyErr_Occurred())
+            goto done;
+        mod[i] = (v % p + p) % p;
+    }
+    sizes[0] = q - 1, sizes[1] = q, sizes[2] = q - 1;
+    for (; nv < 3; nv++)
+        if ((arrs[nv] = new_array(sizes[nv], &views[nv])) == NULL)
+            goto done;
+    exp = views[0].buf, log = views[1].buf, zech = views[2].buf;
+
+    for (n = q - 1, d = 2; d * d <= n; d++)
+        if (n % d == 0) {
+            factors[nf++] = d;
+            while (n % d == 0)
+                n /= d;
         }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
+    if (n > 1)
+        factors[nf++] = n;
+    /* the generator is the first index of multiplicative order q - 1 */
+    for (cand = 2; q > 2 && cand < q; cand++) {
+        for (i = 0; i < nf; i++)
+            if (idx_pow(cand, (q - 1) / factors[i], p, e, mod, va, vb, vt) == 1)
+                break;
+        if (i == nf) {
+            gen = cand;
+            break;
+        }
     }
+
+    for (i = 0; i < q; i++)
+        log[i] = -1;
+    for (i = 0, cur = 1; i < q - 1; i++) {
+        exp[i] = cur;
+        log[cur] = i;
+        cur = idx_mul(cur, gen, p, e, mod, va, vb, vt);
+    }
+    /* adding one increments the constant digit mod p */
+    for (i = 0; i < q - 1; i++) {
+        i64 t = exp[i], t1 = t % p < p - 1 ? t + 1 : t - (p - 1);
+        zech[i] = t1 ? log[t1] : -1;
+    }
+
+    out = PyTuple_Pack(3, arrs[0], arrs[1], arrs[2]);
 done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
+    while (nv > 0)
+        PyBuffer_Release(&views[--nv]);
+    for (i = 0; i < 3; i++)
+        Py_XDECREF(arrs[i]);
+    Py_DECREF(seq);
+    return out;
 }
 
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
+/* ------------------------------------------------------------------------
+   field and small-degree polynomial arithmetic on table indices */
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
+typedef struct {
+    const i64 *exp, *log, *zech;
+    i64 Q, Qm1, negone, p, tmask;
+} FOps;
 
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
+static inline i64 el_mul(const FOps *F, i64 a, i64 b)
 {
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* PyDictVersioning (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
+    i64 s;
+    if (a == 0 || b == 0)
         return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
+    s = F->log[a] + F->log[b];
+    return F->exp[s >= F->Qm1 ? s - F->Qm1 : s];
 }
-#endif
 
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+static inline i64 el_add(const FOps *F, i64 a, i64 b)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
+    i64 d, z, s;
+    if (a == 0 || b == 0)
+        return a + b;
+    d = F->log[b] - F->log[a];
+    z = F->zech[d < 0 ? d + F->Qm1 : d];
+    if (z < 0)
+        return 0;
+    s = F->log[a] + z;
+    return F->exp[s >= F->Qm1 ? s - F->Qm1 : s];
 }
 
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
+static inline i64 el_neg(const FOps *F, i64 a) { return el_mul(F, a, F->negone); }
 
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
+static inline i64 el_inv(const FOps *F, i64 a)
 {
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
+    i64 s = F->Qm1 - F->log[a];
+    return F->exp[s >= F->Qm1 ? s - F->Qm1 : s];
 }
 
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
+/* Dense polynomials are (coefficient pointer, length), index = degree. */
+
+static i64 ptrim(const i64 *a, i64 n)
+{
+    while (n > 0 && a[n - 1] == 0)
+        n--;
+    return n;
 }
 
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
+static void pmonic(const FOps *F, i64 *a, i64 n)
+{
+    i64 s, i;
+    if (n == 0 || a[n - 1] == 1)
+        return;
+    s = el_inv(F, a[n - 1]);
+    for (i = 0; i < n; i++)
+        a[i] = el_mul(F, a[i], s);
 }
 
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
+/* a mod monic m, in place; returns the new length of a */
+static i64 pmod(const FOps *F, i64 *a, i64 na, const i64 *m, i64 nm)
+{
+    i64 dm = nm - 1, c, off, i;
+    while (na > 0 && na - 1 >= dm) {
+        c = a[na - 1];
+        if (c) {
+            c = el_neg(F, c);
+            off = na - 1 - dm;
+            for (i = 0; i < dm; i++)
+                a[off + i] = el_add(F, a[off + i], el_mul(F, c, m[i]));
         }
+        na = ptrim(a, na - 1);
+    }
+    return na;
+}
+
+/* monic gcd into a; returns its length; clobbers b */
+static i64 pgcd(const FOps *F, i64 *a, i64 na, i64 *b, i64 nb)
+{
+    i64 *pa = a, *pb = b, *t, n;
+    while (nb > 0) {
+        pmonic(F, pb, nb);
+        na = pmod(F, pa, na, pb, nb);
+        t = pa, pa = pb, pb = t;
+        n = na, na = nb, nb = n;
+    }
+    if (pa != a)
+        memcpy(a, pa, sizeof(i64) * na);
+    return na;
+}
+
+/* out = a*b mod monic m; returns the length of out */
+static i64 pmulmod(const FOps *F, const i64 *a, i64 na, const i64 *b, i64 nb,
+                   const i64 *m, i64 nm, i64 *out)
+{
+    i64 i, j, n;
+    if (na == 0 || nb == 0)
         return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
+    n = na + nb - 1;
+    memset(out, 0, sizeof(i64) * n);
+    for (i = 0; i < na; i++)
+        if (a[i])
+            for (j = 0; j < nb; j++)
+                if (b[j])
+                    out[i + j] = el_add(F, out[i + j], el_mul(F, a[i], b[j]));
+    return pmod(F, out, n, m, nm);
 }
 
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
+/* Number of distinct roots in F_Q of g (nonconstant, length ng): closed
+   forms for degrees 1 and 2, gcd(g, x^Q - x) beyond.  g is clobbered;
+   s1, s2, s3 hold at least 2 * ng entries each. */
+static i64 root_count(const FOps *F, i64 *g, i64 ng, i64 *s1, i64 *s2, i64 *s3)
+{
+    i64 a, b, c, v, disc, k, nb, nr, nt;
+    if (ng == 2)
         return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
+    if (ng == 3) {
+        c = g[0], b = g[1], a = g[2];
+        if (F->p == 2) {
+            unsigned long long bits;
+            if (b == 0)
+                return 1; /* squaring is bijective */
+            v = el_mul(F, el_mul(F, a, c), el_inv(F, el_mul(F, b, b)));
+            if (v == 0)
+                return 2;
+            /* absolute trace of v: parity of its masked digit bits */
+            bits = (unsigned long long)(v & F->tmask);
+            for (k = 32; k; k >>= 1)
+                bits ^= bits >> k;
+            return (bits & 1) ? 0 : 2;
+        }
+        /* constant elements are their own index */
+        disc = el_add(F, el_mul(F, b, b), el_neg(F, el_mul(F, 4 % F->p, el_mul(F, a, c))));
+        if (disc == 0)
+            return 1;
+        return F->log[disc] % 2 == 0 ? 2 : 0;
+    }
+    pmonic(F, g, ng);
+    /* s2 = x^Q mod g by square and multiply; s1 holds x^(2^i) mod g */
+    s1[0] = 0, s1[1] = 1;
+    nb = pmod(F, s1, 2, g, ng);
+    s2[0] = 1, nr = 1;
+    for (k = F->Q; k; k >>= 1) {
+        if (k & 1) {
+            nr = pmulmod(F, s2, nr, s1, nb, g, ng, s3);
+            memcpy(s2, s3, sizeof(i64) * nr);
+        }
+        nb = pmulmod(F, s1, nb, s1, nb, g, ng, s3);
+        memcpy(s1, s3, sizeof(i64) * nb);
+    }
+    /* s2 -= x */
+    for (nt = nr; nt < 2; nt++)
+        s2[nt] = 0;
+    s2[1] = el_add(F, s2[1], el_neg(F, 1));
+    nt = ptrim(s2, nt);
+    if (nt == 0)
+        return ng - 1;
+    return pgcd(F, g, ng, s2, nt) - 1;
+}
+
+/* ------------------------------------------------------------------------
+   chart counting */
+
+typedef struct {
+    i64 *flat, *goff, *gdeg, *pmax; /* term records, per generator */
+    i64 ngens, stride, nprefix, D, powstride, use_gcd;
+    i64 *powcache, *values, *ucoef, *udeg, *g, *s1, *s2, *s3; /* scratch */
+} Chart;
+
+/* row t of powcache = v^0 .. v^md */
+static void fill_pow(const FOps *F, Chart *C, i64 t, i64 v)
+{
+    i64 *row = C->powcache + t * C->powstride, k, md = C->pmax[t];
+    row[0] = 1;
+    for (k = 1; k <= md; k++)
+        row[k] = el_mul(F, row[k - 1], v);
+}
+
+/* points on the slice fixed by the current prefix powers */
+static i64 run_slice(const FOps *F, Chart *C)
+{
+    i64 gi, t, i, m, ex, nu, acc, v, ng, cnt = 0, nactive = 0, D = C->D;
+    for (gi = 0; gi < C->ngens; gi++) {
+        i64 *u = C->ucoef + nactive * D;
+        memset(u, 0, sizeof(i64) * (C->gdeg[gi] + 1));
+        for (t = C->goff[gi]; t < C->goff[gi + 1]; t += C->stride) {
+            m = C->flat[t];
+            for (i = 0; i < C->nprefix && m; i++) {
+                ex = C->flat[t + 2 + i];
+                if (ex)
+                    m = el_mul(F, m, C->powcache[i * C->powstride + ex]);
+            }
+            if (m)
+                u[C->flat[t + 1]] = el_add(F, u[C->flat[t + 1]], m);
+        }
+        nu = ptrim(u, C->gdeg[gi] + 1);
+        if (nu == 0)
+            continue; /* identically zero: imposes nothing */
+        if (nu == 1)
+            return 0; /* nonzero constant: no solutions */
+        C->udeg[nactive++] = nu;
+    }
+    if (nactive == 0)
+        return F->Q;
+    if (!C->use_gcd) {
+        for (v = 0; v < F->Q; v++) {
+            for (gi = 0; gi < nactive; gi++) {
+                for (acc = 0, i = C->udeg[gi] - 1; i >= 0; i--)
+                    acc = el_add(F, el_mul(F, acc, v), C->ucoef[gi * D + i]);
+                if (acc)
+                    break;
+            }
+            cnt += gi == nactive;
+        }
+        return cnt;
+    }
+    ng = C->udeg[0];
+    memcpy(C->g, C->ucoef, sizeof(i64) * ng);
+    for (gi = 1; gi < nactive; gi++) {
+        memcpy(C->s1, C->ucoef + gi * D, sizeof(i64) * C->udeg[gi]);
+        ng = pgcd(F, C->g, ng, C->s1, C->udeg[gi]);
+        if (ng == 1)
+            return 0;
+    }
+    return root_count(F, C->g, ng, C->s1, C->s2, C->s3);
+}
+
+/* Odometer over the prefix coordinates, the outermost restricted to
+   [lo, hi).  Touches no Python object. */
+static i64 chart_loop(const FOps *F, Chart *C, i64 lo, i64 hi)
+{
+    i64 i, level, count = 0, *values = C->values;
+    if (C->nprefix == 0)
+        return run_slice(F, C);
+    if (lo >= hi)
+        return 0;
+    memset(values, 0, sizeof(i64) * C->nprefix);
+    values[0] = lo;
+    for (i = 0; i < C->nprefix; i++)
+        fill_pow(F, C, i, values[i]);
+    for (;;) {
+        count += run_slice(F, C);
+        for (level = C->nprefix - 1; level >= 0; level--) {
+            if (++values[level] < (level == 0 ? hi : F->Q)) {
+                fill_pow(F, C, level, values[level]);
+                break;
+            }
+            values[level] = 0;
+            fill_pow(F, C, level, 0);
+        }
+        if (level < 0)
+            return count;
     }
 }
 
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
+static PyObject *count_chart(PyObject *self, PyObject *args)
+{
+    i64 Q, p, tmask, nprefix, use_gcd, lo, hi, count, n, total = 0, gi, t, i, bufsz;
+    PyObject *tabs[3], *gen_terms, *seq = NULL, *out = NULL;
+    Py_buffer tv[3], b;
+    int ntv, ok;
+    i64 *meta = NULL, *work = NULL;
+    FOps F;
+    Chart C = {0};
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
+    if (!PyArg_ParseTuple(args, "LLLOOOOLLLL", &Q, &p, &tmask, &tabs[0], &tabs[1],
+                          &tabs[2], &gen_terms, &nprefix, &use_gcd, &lo, &hi))
         return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+    for (ntv = 0; ntv < 3; ntv++)
+        if (get_q(tabs[ntv], &tv[ntv]) < 0)
+            goto done;
+    if (Q < 2 || p < 2 || nprefix < 0 || tv[0].len / 8 < Q - 1 || tv[1].len / 8 < Q
+        || tv[2].len / 8 < Q - 1 || (nprefix > 0 && (lo < 0 || hi > Q))) {
+        PyErr_SetString(PyExc_ValueError, "tables, nprefix or range do not fit Q");
         goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    if ((seq = PySequence_Fast(gen_terms, "gen_terms must be a sequence")) == NULL)
+        goto done;
+    C.ngens = PySequence_Fast_GET_SIZE(seq), C.stride = 2 + nprefix;
+    C.nprefix = nprefix, C.use_gcd = use_gcd, C.D = 1, C.powstride = 1;
+
+    /* copy the generators' term records into one block */
+    for (gi = 0; gi < C.ngens; gi++) {
+        if (get_q(PySequence_Fast_GET_ITEM(seq, gi), &b) < 0)
+            goto done;
+        total += b.len / 8;
+        PyBuffer_Release(&b);
+    }
+    if ((meta = PyMem_Calloc((size_t)(total + 2 * C.ngens + nprefix + 1), sizeof(i64))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    C.flat = meta, C.goff = meta + total, C.gdeg = C.goff + C.ngens + 1;
+    C.pmax = C.gdeg + C.ngens;
+    for (gi = 0, n = 0; gi < C.ngens; gi++) {
+        if (get_q(PySequence_Fast_GET_ITEM(seq, gi), &b) < 0)
+            goto done;
+        C.goff[gi] = n;
+        ok = (b.len / 8) % C.stride == 0 && n + b.len / 8 <= total;
+        if (ok)
+            memcpy(C.flat + n, b.buf, (size_t)b.len), n += b.len / 8;
+        PyBuffer_Release(&b);
+        if (!ok) {
+            PyErr_SetString(PyExc_ValueError, "term array length is not a multiple of 2 + nprefix");
+            goto done;
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
+    C.goff[C.ngens] = n;
+
+    /* degrees in the inner variable and in each prefix coordinate */
+    for (gi = 0; gi < C.ngens; gi++)
+        for (t = C.goff[gi]; t < C.goff[gi + 1]; t += C.stride) {
+            i64 d = C.flat[t + 1];
+            if (C.flat[t] < 0 || C.flat[t] >= Q || d < 0 || d >= MAX_DEG)
+                goto bad_term;
+            C.gdeg[gi] = d > C.gdeg[gi] ? d : C.gdeg[gi];
+            C.D = d + 1 > C.D ? d + 1 : C.D;
+            for (i = 0; i < nprefix; i++) {
+                i64 ex = C.flat[t + 2 + i];
+                if (ex < 0 || ex >= MAX_DEG)
+                    goto bad_term;
+                C.pmax[i] = ex > C.pmax[i] ? ex : C.pmax[i];
+                C.powstride = ex + 1 > C.powstride ? ex + 1 : C.powstride;
+            }
+        }
+
+    bufsz = 2 * C.D + 2;
+    work = PyMem_Calloc((size_t)(nprefix * (C.powstride + 1) + C.ngens * (C.D + 1) + 4 * bufsz),
+                        sizeof(i64));
+    if (work == NULL) {
+        PyErr_NoMemory();
+        goto done;
     }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    C.powcache = work, C.values = work + nprefix * C.powstride, C.ucoef = C.values + nprefix;
+    C.udeg = C.ucoef + C.ngens * C.D, C.g = C.udeg + C.ngens;
+    C.s1 = C.g + bufsz, C.s2 = C.s1 + bufsz, C.s3 = C.s2 + bufsz;
+
+    F = (FOps){tv[0].buf, tv[1].buf, tv[2].buf, Q, Q - 1, 1, p, tmask};
+    /* index of -1: char 2 has -1 = 1; otherwise g^((Q-1)/2) */
+    if (Q % 2)
+        F.negone = F.exp[(Q - 1) / 2];
+
+    Py_BEGIN_ALLOW_THREADS
+    count = chart_loop(&F, &C, lo, hi);
+    Py_END_ALLOW_THREADS
+    out = PyLong_FromLongLong(count);
+    goto done;
+
+bad_term:
+    PyErr_SetString(PyExc_ValueError, "term record out of range");
+done:
+    PyMem_Free(work);
+    PyMem_Free(meta);
+    Py_XDECREF(seq);
+    while (ntv > 0)
+        PyBuffer_Release(&tv[--ntv]);
+    return out;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static PyMethodDef methods[] = {
+    {"build_tables", build_tables, METH_VARARGS,
+     "build_tables(p, e, modulus) -> (exp, log, zech)\n\n"
+     "exp/log/Zech tables for F_{p^e}; identical output to kernel_py."},
+    {"count_chart", count_chart, METH_VARARGS,
+     "count_chart(Q, p, tmask, exp, log, zech, gen_terms, nprefix, use_gcd, lo, hi)\n\n"
+     "Count points of one affine chart; same contract as kernel_py."},
+    {NULL, NULL, 0, NULL},
+};
 
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_ckernel",
+    "Compiled counting kernel; exact mirror of kernel_py (same contracts).",
+    -1, methods,
+};
 
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyMODINIT_FUNC PyInit__ckernel(void)
+{
+    PyObject *m, *array_mod = PyImport_ImportModule("array");
+    if (array_mod == NULL)
+        return NULL;
+    array_type = PyObject_GetAttrString(array_mod, "array");
+    Py_DECREF(array_mod);
+    if (array_type == NULL)
+        return NULL;
+    m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0)
+        Py_CLEAR(m);
+    return m;
+}

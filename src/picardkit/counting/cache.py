@@ -1,8 +1,9 @@
 """Append-only point-count cache.
 
-One JSON record per line: {"hash": ..., "n": ..., "count": ...}.  A corrupt
-trailing record (interrupted write) is truncated on load.  Single-writer
-contract: concurrent invocations must use distinct cache files.
+One JSON record per line: {"hash": ..., "n": ..., "count": ...}.  On load, a
+corrupt record after the last newline (an interrupted write) is truncated
+away and any other corrupt line is skipped, so no valid record is lost.
+Single-writer contract: concurrent invocations must use distinct cache files.
 """
 
 from __future__ import annotations
@@ -20,24 +21,19 @@ class CountCache:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        good_bytes = 0
         with open(self.path, "rb") as fh:
             data = fh.read()
-        pos = 0
-        for line in data.splitlines(keepends=True):
-            stripped = line.strip()
-            if stripped:
-                try:
-                    rec = json.loads(stripped)
-                    self.records[(rec["hash"], rec["n"])] = rec["count"]
-                except (ValueError, KeyError):
-                    # corrupt record: truncate the file here and stop
+        lines = data.split(b"\n")
+        for i, line in enumerate(lines):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                self.records[(rec["hash"], rec["n"])] = rec["count"]
+            except (ValueError, KeyError, TypeError):
+                if i == len(lines) - 1:
                     with open(self.path, "r+b") as fh:
-                        fh.truncate(good_bytes)
-                    return
-            pos += len(line)
-            if line.endswith(b"\n"):
-                good_bytes = pos
+                        fh.truncate(len(data) - len(line))
 
     def get(self, variety_hash, n):
         return self.records.get((variety_hash, n))
@@ -47,8 +43,15 @@ class CountCache:
             return
         self.records[(variety_hash, n)] = count
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"hash": variety_hash, "n": n, "count": count}) + "\n")
+        line = json.dumps({"hash": variety_hash, "n": n, "count": count}).encode() + b"\n"
+        with open(self.path, "a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                # a last record without its newline must not merge with this one
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
             fh.flush()
 
 

@@ -10,27 +10,17 @@ import os
 
 from . import kernel_py
 
-_impl = None
-BACKEND = "pure"
-
+_impl = kernel_py
 if not os.environ.get("PICARDKIT_PURE"):
     try:
-        from . import _ckernel as _compiled
-
-        _impl = _compiled
-        BACKEND = "cython"
+        from . import _ckernel as _impl
     except ImportError:
-        _impl = kernel_py
-else:
-    _impl = kernel_py
+        pass
+BACKEND = _impl.BACKEND
 
 
 def backend_module():
     return _impl
-
-
-def backend_name():
-    return BACKEND
 
 
 _TABLE_CACHE = {}

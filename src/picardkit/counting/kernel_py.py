@@ -1,6 +1,6 @@
 """Pure-Python counting kernel: reference implementation.
 
-The compiled kernel in _ckernel.pyx mirrors this module function for
+The compiled kernel in _ckernel.c mirrors this module function for
 function; both must produce identical counts on identical inputs (tested).
 Field elements are integer indices (the base-p digit encoding of coefficient
 vectors); multiplication and addition go through exp/log/Zech tables.

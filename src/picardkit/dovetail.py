@@ -30,21 +30,6 @@ class Task:
         raise NotImplementedError
 
 
-class FunctionTask(Task):
-    """Wraps fn(state) -> ("running", new_state) | ("halted", result)."""
-
-    def __init__(self, fn, state=None):
-        self.fn = fn
-        self.state = state
-
-    def step(self):
-        status, payload = self.fn(self.state)
-        if status == "running":
-            self.state = payload
-            return "running", None
-        return "halted", payload
-
-
 class PlantedTask(Task):
     """Halts with `result` after exactly `halt_after` steps (0 = never)."""
 

@@ -33,34 +33,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
-def rank(m):
-    """Rank over Q."""
-    if not m or not m[0]:
-        return 0
-    a = mat_copy_frac(m)
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def rref(m):
     """Reduced row echelon form over Q; returns (matrix, pivot columns)."""
     a = mat_copy_frac(m)
@@ -87,6 +59,21 @@ def rref(m):
     return a, pivots
 
 
+def rank(m):
+    """Rank over Q."""
+    return len(rref(m)[1])
+
+
+def inverse(m):
+    """Inverse over Q of a square matrix, or None when it is singular."""
+    n = len(m)
+    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
 def solve(m, b):
     """One solution of m x = b over Q, or None if inconsistent."""
     if not m:
@@ -101,23 +88,6 @@ def solve(m, b):
     for r, col in enumerate(pivots):
         x[col] = red[r][-1]
     return x
-
-
-def nullspace(m):
-    """Basis of the rational kernel of m (list of column vectors)."""
-    if not m or not m[0]:
-        return []
-    cols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -red[r][f]
-        basis.append(v)
-    return basis
 
 
 def det_frac(m):

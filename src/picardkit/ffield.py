@@ -101,7 +101,8 @@ def _ppowmod(a, k, m, p):
 
 
 def _pgcd(a, b, p):
-    a, b = list(a), list(b)
+    """Monic gcd mod p; the inputs need not be reduced mod p."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
     while b:
         # reduce a mod b after making b monic
         inv = pow(b[-1], p - 2, p)

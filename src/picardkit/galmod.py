@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .exactla import det_bareiss
 from .ffield import is_prime
 from .lattice import diagonal_of, integer_kernel, snf
 
@@ -72,7 +73,7 @@ class FiniteLModule:
                         raise GalmodError(
                             "action matrix does not respect the relation lattice"
                         )
-            if _det_mod(g, self.ell) == 0:
+            if det_bareiss(g) % self.ell == 0:
                 raise GalmodError("action matrix is not invertible mod l")
 
     @property
@@ -134,26 +135,6 @@ class FiniteLModule:
             invariant_factors=list(obj["invariantFactors"]),
             actions=[[list(r) for r in g] for g in obj.get("actions", [])],
         )
-
-
-def _det_mod(m, p):
-    n = len(m)
-    a = [[x % p for x in row] for row in m]
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], p - 2, p)
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return det % p
 
 
 def invariants(mod):
@@ -456,7 +437,7 @@ def minkowski_trivial(m, ell):
     k = len(m)
     if any(len(row) != k for row in m):
         raise GalmodError("matrix is not square")
-    if _det_mod(m, ell) == 0:
+    if det_bareiss(m) % ell == 0:
         raise GalmodError("matrix is not invertible over Z_l")
     lp = lprime(ell)
     return all(

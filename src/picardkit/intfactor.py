@@ -11,6 +11,7 @@ from math import gcd as intgcd
 from math import isqrt
 
 from . import upoly
+from .ffield import _pgcd, _pmul, _pmulmod, _ppowmod, _trim
 
 _PRIMES = [
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -19,12 +20,9 @@ _PRIMES = [
 
 
 # -- arithmetic mod p (dense coefficient lists, index = degree) --------------
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+# products, monic remainders, powers and gcds come from ffield (_pmul
+# reduces modulo any integer, so Hensel lifting uses it mod p^k too);
+# _mdivmod is for a quotient or a divisor that is not monic
 
 
 def _mod(a, p):
@@ -35,17 +33,6 @@ def _maddmul(a, b, c, p):
     # a + c*b mod p
     n = max(len(a), len(b))
     out = [((a[i] if i < len(a) else 0) + c * (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _trim(out)
-
-
-def _mmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
     return _trim(out)
 
 
@@ -63,28 +50,6 @@ def _mdivmod(a, b, p):
                 a[k + i] = (a[k + i] - c * b[i]) % p
         a.pop()
     return _trim(q), _trim(a)
-
-
-def _mgcd(a, b, p):
-    a, b = _mod(a, p), _mod(b, p)
-    while b:
-        _, r = _mdivmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _mpowmod(base, k, m, p):
-    result = [1]
-    base = _mdivmod(base, m, p)[1]
-    while k:
-        if k & 1:
-            result = _mdivmod(_mmul(result, base, p), m, p)[1]
-        base = _mdivmod(_mmul(base, base, p), m, p)[1]
-        k >>= 1
-    return result
 
 
 # -- Berlekamp (deterministic, small p) ---------------------------------------
@@ -125,10 +90,10 @@ def _berlekamp(f, p):
     d = len(f) - 1
     if d <= 1:
         return [f]
-    xp = _mpowmod([0, 1], p, f, p)
+    xp = _ppowmod([0, 1], p, f, p)
     cols = [[1] + [0] * (d - 1)]
     for _ in range(1, d):
-        cols.append(_pad(_mdivmod(_mmul(cols[-1], xp, p), f, p)[1], d))
+        cols.append(_pad(_pmulmod(cols[-1], xp, f, p), d))
     # kernel of (Q - I)^T: v with v(x)^p = v(x) mod f
     mat = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(d)] for i in range(d)]
     kernel = _nullspace_mod(mat, p)
@@ -150,7 +115,7 @@ def _berlekamp(f, p):
             for c in range(p):
                 if len(rem_u) - 1 < 1:
                     break
-                g = _mgcd(rem_u, _maddmul(v, [1], -c, p), p)
+                g = _pgcd(rem_u, _maddmul(v, [1], -c, p), p)
                 if 0 < len(g) - 1 < len(rem_u) - 1:
                     rem_u = _mdivmod(rem_u, g, p)[0]
                     new.append(g)
@@ -166,17 +131,6 @@ def _pad(a, n):
 
 
 # -- Hensel lifting -----------------------------------------------------------
-
-
-def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _trim(out)
 
 
 def _zsub(a, b, m):
@@ -206,20 +160,20 @@ def _hensel_pair(f, g, h, s, t, p, bound):
     m = p
     while m <= bound:
         m2 = m * m
-        e = _zsub(f, _zmul(g, h, m2), m2)
-        q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
+        e = _zsub(f, _pmul(g, h, m2), m2)
+        q, r = _zdivmod_monic(_pmul(s, e, m2), h, m2)
         g_new = _trim([
             (gi + ti + qi) % m2
-            for gi, ti, qi in _zip3(g, _zmul(t, e, m2), _zmul(q, g, m2))
+            for gi, ti, qi in _zip3(g, _pmul(t, e, m2), _pmul(q, g, m2))
         ])
         h_new = _trim([(hi + ri) % m2 for hi, ri in _zip2(h, r)])
-        b = _zsub(_zadd(_zmul(s, g_new, m2), _zmul(t, h_new, m2), m2), [1], m2)
-        c, d = _zdivmod_monic(_zmul(s, b, m2), h_new, m2)
+        b = _zsub(_zadd(_pmul(s, g_new, m2), _pmul(t, h_new, m2), m2), [1], m2)
+        c, d = _zdivmod_monic(_pmul(s, b, m2), h_new, m2)
         s_new = _zsub(s, d, m2)
-        t_new = _zsub(_zsub(t, _zmul(t, b, m2), m2), _zmul(c, g_new, m2), m2)
+        t_new = _zsub(_zsub(t, _pmul(t, b, m2), m2), _pmul(c, g_new, m2), m2)
         g, h, s, t = g_new, h_new, s_new, t_new
         m = m2
-    assert not _zsub(f, _zmul(g, h, m), m), "Hensel lift self-check failed"
+    assert not _zsub(f, _pmul(g, h, m), m), "Hensel lift self-check failed"
     return g, h, m
 
 
@@ -257,10 +211,10 @@ def _hensel_tree(f, parts, p, bound):
     half = len(parts) // 2
     g0 = [1]
     for u in parts[:half]:
-        g0 = _mmul(g0, u, p)
+        g0 = _pmul(g0, u, p)
     h0 = [1]
     for u in parts[half:]:
-        h0 = _mmul(h0, u, p)
+        h0 = _pmul(h0, u, p)
     s, t = _bezout_mod(g0, h0, p)
     g, h, m = _hensel_pair(f, g0, h0, s, t, p, bound)
     left, _ = _hensel_tree(g, parts[:half], p, bound)
@@ -280,16 +234,11 @@ def _bezout_mod(a, b, p):
     while r1:
         q, r = _mdivmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zsubp(s0, _mmul(q, s1, p), p)
-        t0, t1 = t1, _zsubp(t0, _mmul(q, t1, p), p)
+        s0, s1 = s1, _zsub(s0, _pmul(q, s1, p), p)
+        t0, t1 = t1, _zsub(t0, _pmul(q, t1, p), p)
     # r0 is a unit constant
     inv = pow(r0[0], p - 2, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _zsubp(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
 
 
 # -- Zassenhaus ----------------------------------------------------------------
@@ -311,7 +260,7 @@ def _factor_monic_squarefree(f):
         fp = _mod(f, p)
         if upoly.deg(fp) != d:
             continue
-        if upoly.deg(_mgcd(fp, _mod(upoly.derivative(f), p), p)) == 0:
+        if upoly.deg(_pgcd(fp, _mod(upoly.derivative(f), p), p)) == 0:
             prime = p
             break
     if prime is None:
@@ -332,7 +281,7 @@ def _factor_monic_squarefree(f):
         for combo in combinations(remaining, size):
             g = [1]
             for i in combo:
-                g = _zmul(g, lifted[i], m)
+                g = _pmul(g, lifted[i], m)
             g = [_balanced(c, m) for c in g]
             g = upoly.trim(g)
             q = upoly.int_quotient(f_cur, g)

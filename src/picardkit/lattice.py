@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import det_bareiss, identity, mat_mul, rank as q_rank, rref, solve
+from .exactla import det_bareiss, identity, inverse, mat_mul, rank as q_rank, solve
 
 
 class LatticeError(ValueError):
@@ -300,18 +300,12 @@ def independence_certificate(m):
 
 def mat_inverse_int(m):
     """Exact inverse of a unimodular integer matrix."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    inv = inverse(m)
+    if inv is None:
         raise LatticeError("matrix is not invertible")
-    out = []
-    for row in red:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise LatticeError("matrix is not unimodular")
-        out.append([int(x) for x in vals])
-    return out
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise LatticeError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 @dataclass

@@ -60,16 +60,6 @@ def mul_many(polys):
     return out
 
 
-def pow_(a, k):
-    out = [1]
-    while k:
-        if k & 1:
-            out = mul(out, a)
-        a = mul(a, a)
-        k >>= 1
-    return out
-
-
 def evaluate(a, x):
     acc = 0
     for c in reversed(a):
@@ -165,16 +155,6 @@ def primitive(a):
 def reverse(a):
     """x^deg * a(1/x); valid as an exact operation when a(0) != 0."""
     return trim(list(reversed(a)))
-
-
-def compose_scale(a, s):
-    """a(s*x)."""
-    out = []
-    power = 1
-    for c in a:
-        out.append(c * power)
-        power *= s
-    return trim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import upoly
-from .exactla import charpoly, rref
+from .exactla import charpoly, inverse
 from .intfactor import factor_int_poly
 
 
@@ -70,15 +70,6 @@ def _companion(monic):
     return m
 
 
-def _mat_inverse(m):
-    n = len(m)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def certify_root_modulus(f, s2):
     """True iff every reciprocal root alpha of f satisfies |alpha|^2 = s2.
 
@@ -101,7 +92,7 @@ def certify_root_modulus(f, s2):
     lead = rev[-1]
     monic = [c / lead for c in rev]
     comp = _companion(monic)
-    inv = _mat_inverse(comp)
+    inv = inverse(comp)
     assert inv is not None  # f(0) != 0 makes the companion invertible
     n = len(comp)
     a = [[comp[i][j] + s2 * inv[i][j] for j in range(n)] for i in range(n)]

@@ -47,7 +47,7 @@ from picardkit.upoly import mul
 from picardkit.weil import betti_numbers, cyclotomic_multiplicity, dim_v_mu, picard_upper_bound
 from picardkit.zeta import ZetaFunction
 
-TIMED = counting.BACKEND == "cython"
+TIMED = counting.BACKEND != "pure"
 
 
 def _clock(limit):
@@ -63,7 +63,11 @@ def _clock(limit):
 
 
 def _announce(n, label, elapsed):
-    print(f"\nACCEPTANCE {n} ({label}): PASS  [{elapsed:.2f}s]")
+    bound = "asserted" if TIMED else "not asserted"
+    print(
+        f"\nACCEPTANCE {n} ({label}): PASS  [{elapsed:.2f}s]"
+        f"  backend={counting.BACKEND}, runtime bound {bound}"
+    )
 
 
 def run_cli(capsys, *argv):

@@ -176,6 +176,30 @@ def test_cache_truncates_corrupt_tail(tmp_path):
         json.loads(line)
 
 
+def test_cache_keeps_records_after_a_corrupt_line(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    first = json.dumps({"hash": "abc", "n": 1, "count": 7})
+    last = json.dumps({"hash": "abc", "n": 2, "count": 9})
+    path.write_text(first + "\n{not json\n" + last + "\n")
+    for _ in range(2):  # the first load must not cut the file
+        cache = CountCache(str(path))
+        assert cache.get("abc", 1) == 7
+        assert cache.get("abc", 2) == 9
+
+
+def test_cache_put_after_record_without_newline(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    path.write_text(json.dumps({"hash": "abc", "n": 1, "count": 7}))
+    cache = CountCache(str(path))
+    assert cache.get("abc", 1) == 7
+    cache.put("abc", 2, 9)
+    reloaded = CountCache(str(path))
+    assert reloaded.get("abc", 1) == 7
+    assert reloaded.get("abc", 2) == 9
+    for line in path.read_text().splitlines():
+        json.loads(line)
+
+
 def test_variety_hash_distinguishes():
     a = ideal_over(2, 1, 3, "x0^2 + x1*x2")
     b = ideal_over(3, 1, 3, "x0^2 + x1*x2")

@@ -1,52 +1,83 @@
-"""The compiled and pure kernels must agree bit for bit."""
+"""The compiled and pure kernels must agree bit for bit.
+
+Uses the in-place build of picardkit.counting._ckernel when there is one;
+otherwise compiles _ckernel.c into a temporary directory with setuptools'
+build_ext.  Skips only when no C compiler is found.
+"""
+
+import importlib.util
+import shlex
+import shutil
+import sysconfig
+from array import array
+from pathlib import Path
 
 import pytest
 
-from picardkit.counting import count_points, kernel_py
+from picardkit.counting import count_points, kernel, kernel_py
 from picardkit.counting.charts import compile_charts
+from picardkit.counting.kernel import trace_mask
 from picardkit.ffield import extend, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
-try:
-    from picardkit.counting import _ckernel
-except ImportError:
-    _ckernel = None
 
-needs_compiled = pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
+@pytest.fixture(scope="module")
+def ckernel(tmp_path_factory):
+    try:
+        from picardkit.counting import _ckernel
+
+        return _ckernel
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler found")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("ckernel")
+    source = Path(kernel.__file__).with_name("_ckernel.c")
+    cmd = build_ext(Distribution({"ext_modules": [Extension("_ckernel", [str(source)])]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location("_ckernel", cmd.get_ext_fullpath("_ckernel"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
-@needs_compiled
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 4), (3, 2), (7, 1)])
-def test_tables_identical(p, e):
+def test_tables_identical(ckernel, p, e):
     f = make_field(p, e)
     a = kernel_py.build_tables(f.p, f.e, f.modulus)
-    b = _ckernel.build_tables(f.p, f.e, f.modulus)
+    b = ckernel.build_tables(f.p, f.e, f.modulus)
     for x, y in zip(a, b):
         assert list(x) == list(y)
 
 
-@needs_compiled
 @pytest.mark.parametrize(
-    "p,gens,nvars,n",
+    "p,e,gens,nvars,n",
     [
-        (2, ["x0^2 + x1*x2"], 3, 2),
-        (3, ["x0^3 + x1^3 + x2^3"], 3, 2),
-        (5, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 3, 2),
-        (2, ["x0*x3 + x1*x2", "x0^2 + x1^2"], 4, 2),
-        (2, ["x0^3 + x1^3 + x2^3 + x3^3"], 4, 2),
+        (2, 1, ["x0^2 + x1*x2"], 3, 2),
+        (3, 1, ["x0^3 + x1^3 + x2^3"], 3, 2),
+        (5, 1, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 3, 2),
+        (2, 1, ["x0*x3 + x1*x2", "x0^2 + x1^2"], 4, 2),
+        (2, 1, ["x0^3 + x1^3 + x2^3 + x3^3"], 4, 2),
+        # odd characteristic over a non-prime base: F_9 into F_81
+        (3, 2, ["x1^2*x2 - x0^3 - g*x0*x2^2 - x2^3"], 3, 2),
     ],
 )
-def test_chart_counts_identical(p, gens, nvars, n):
-    from picardkit.counting.kernel import trace_mask
-
-    f = make_field(p, 1)
+def test_chart_counts_identical(ckernel, p, e, gens, nvars, n):
+    f = make_field(p, e)
     ideal = HomIdeal([poly_from_str(g, nvars, f) for g in gens])
     emb = extend(f, n)
     ext = emb.ext
     tmask = trace_mask(ext)
     charts = compile_charts(ideal, emb, ext.to_index)
     tabs_py = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
-    tabs_c = _ckernel.build_tables(ext.p, ext.e, ext.modulus)
+    tabs_c = ckernel.build_tables(ext.p, ext.e, ext.modulus)
     for chart in charts:
         if chart.nfree == 0 or not chart.gen_terms:
             continue
@@ -55,24 +86,44 @@ def test_chart_counts_identical(p, gens, nvars, n):
             a = kernel_py.count_chart(
                 ext.q, ext.p, tmask, *tabs_py, chart.gen_terms, chart.nprefix, use_gcd, lo, hi
             )
-            b = _ckernel.count_chart(
+            b = ckernel.count_chart(
                 ext.q, ext.p, tmask, *tabs_c, chart.gen_terms, chart.nprefix, use_gcd, lo, hi
             )
             assert a == b
 
 
-@needs_compiled
-def test_split_ranges_sum_to_whole():
+def test_split_ranges_sum_to_whole(ckernel):
     f = make_field(3, 1)
     ideal = HomIdeal([poly_from_str("x0*x3 - x1*x2", 4, f)])
     emb = extend(f, 2)
     ext = emb.ext
     charts = compile_charts(ideal, emb, ext.to_index)
-    tabs = _ckernel.build_tables(ext.p, ext.e, ext.modulus)
+    tabs = ckernel.build_tables(ext.p, ext.e, ext.modulus)
     chart = charts[0]
     args = (ext.q, ext.p, 0, *tabs, chart.gen_terms, chart.nprefix, 1)
-    whole = _ckernel.count_chart(*args, 0, ext.q)
+    whole = ckernel.count_chart(*args, 0, ext.q)
     mid = ext.q // 2
-    a = _ckernel.count_chart(*args, 0, mid)
-    b = _ckernel.count_chart(*args, mid, ext.q)
+    a = ckernel.count_chart(*args, 0, mid)
+    b = ckernel.count_chart(*args, mid, ext.q)
     assert a + b == whole
+
+
+def test_threads_agree_on_compiled_backend(ckernel, monkeypatch):
+    monkeypatch.setattr(kernel, "_impl", ckernel)
+    f = make_field(2, 1)
+    ideal = HomIdeal([poly_from_str("x0^3 + x1^3 + x2^3 + x3^3", 4, f)])
+    lone = count_points(ideal, 4, threads=1)
+    assert count_points(ideal, 4, threads=2) == lone
+    monkeypatch.setattr(kernel, "_impl", kernel_py)
+    assert count_points(ideal, 4, threads=1) == lone
+
+
+def test_rejects_buffers_that_are_not_int64(ckernel):
+    exp, log, zech = ckernel.build_tables(2, 2, make_field(2, 2).modulus)
+    terms = [array("q", [1, 1, 0])]
+    ref = kernel_py.count_chart(4, 2, 0, exp, log, zech, terms, 1, 1, 0, 4)
+    assert ckernel.count_chart(4, 2, 0, exp, log, zech, terms, 1, 1, 0, 4) == ref
+    with pytest.raises(TypeError):
+        ckernel.count_chart(4, 2, 0, array("i", exp), log, zech, terms, 1, 1, 0, 4)
+    with pytest.raises(TypeError):
+        ckernel.count_chart(4, 2, 0, exp, log, zech, [[1, 1, 0]], 1, 1, 0, 4)
