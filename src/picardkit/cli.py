@@ -86,10 +86,15 @@ def _cache_from_args(args):
 
 
 def _budget_descriptor(flags, args, ambient):
-    if getattr(args, "budget", None):
-        return {"budget": args.budget}
-    if flags.get("budget"):
-        return {"budget": flags["budget"]}
+    budget = args.budget if args.budget is not None else flags.get("budget")
+    if budget is not None:
+        try:
+            budget = int(budget)
+        except (TypeError, ValueError):
+            budget = 0
+        if budget < 2:
+            raise CliError("budget must be an integer of at least 2", EXIT_INVALID_INPUT)
+        return {"budget": budget}
     if flags.get("hypersurfaceDegree"):
         return {"hypersurface_degree": flags["hypersurfaceDegree"], "ambient_dim": ambient}
     return {}
@@ -105,10 +110,15 @@ def _check_smooth(ideal, flags):
 
 
 def _zeta_pipeline(ideal, flags, args, report):
+    """Counts, the zeta function and its factorization; returns
+    (z, factored) with factored as weil.factor_zeta gives it."""
     ambient = ideal.nvars - 1
+    desc = _budget_descriptor(flags, args, ambient)
     dim, degree = dimension_degree(ideal)
     if dim < 0:
         raise CliError("the ideal cuts out the empty scheme", EXIT_INVALID_INPUT)
+    if not 0 <= getattr(args, "p", 0) <= dim:
+        raise CliError("codimension out of range", EXIT_INVALID_INPUT)
     report["variety"] = {"dim": dim, "degree": degree, "ambientDim": ambient}
     _check_smooth(ideal, flags)
     cache = _cache_from_args(args)
@@ -119,10 +129,8 @@ def _zeta_pipeline(ideal, flags, args, report):
     if flags.get("b1b3Zero") and dim == 2:
         if flags.get("b2"):
             b2 = int(flags["b2"])
-        else:
-            desc = _budget_descriptor(flags, args, ambient)
-            if "hypersurface_degree" in desc:
-                b2 = zeta_mod.betti_budget(desc).betti[2]
+        elif "hypersurface_degree" in desc:
+            b2 = zeta_mod.betti_budget(desc).betti[2]
     try:
         if b2 is not None:
             # start at the minimal count depth; deepen while the
@@ -150,7 +158,6 @@ def _zeta_pipeline(ideal, flags, args, report):
             z = candidates[0]
             z.dim = dim
         else:
-            desc = _budget_descriptor(flags, args, ambient)
             budget = zeta_mod.betti_budget(desc)
             counts = count_tower(
                 ideal, 2 * budget.B, cache=cache, budget=args.eval_budget,
@@ -172,19 +179,15 @@ def _zeta_pipeline(ideal, flags, args, report):
     report["counts"] = {"q": q, "values": counts.counts}
     report["zeta"] = z.to_json()
     report["zeta"]["functionalEquationSign"] = sign
-    report["zeta"]["factored"] = _factored_form(z)
-    return z
-
-
-def _factored_form(z):
-    out = {}
-    for side, poly in (("num", z.num), ("den", z.den)):
-        content, factors = weil.factor_z_poly(poly)
-        out[side] = {
+    factored = weil.factor_zeta(z)
+    report["zeta"]["factored"] = {
+        side: {
             "content": content,
             "factors": [{"poly": f, "multiplicity": m} for f, m in factors],
         }
-    return out
+        for side, (content, factors) in factored.items()
+    }
+    return z, factored
 
 
 def _report_base(command, args, inputs):
@@ -242,9 +245,9 @@ def cmd_betti(args):
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
     report = _report_base("betti", args, {"digest": variety_hash(ideal)})
-    z = _zeta_pipeline(ideal, flags, args, report)
+    z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
-        report["betti"] = weil.betti_numbers(z)
+        report["betti"] = weil.betti_numbers(z, weil.classify_weights(z, factored))
     except weil.UnclassifiableFactorError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
     _emit(report, args, started)
@@ -256,14 +259,13 @@ def cmd_tate(args):
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
     report = _report_base("tate-bound", args, {"digest": variety_hash(ideal)})
-    z = _zeta_pipeline(ideal, flags, args, report)
+    z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
-        report["betti"] = weil.betti_numbers(z)
-        bound = weil.dim_v_mu(z, args.p)
+        pieces = weil.classify_weights(z, factored)
+        report["betti"] = weil.betti_numbers(z, pieces)
     except weil.UnclassifiableFactorError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
+    bound = weil.dim_v_mu(z, pieces, args.p)
     report["tateBound"] = bound.to_json()
     _emit(report, args, started)
     return EXIT_OK
@@ -291,9 +293,9 @@ def cmd_rank(args):
     ideal, flags = _variety_from_spec(spec)
     digest = variety_hash(ideal)
     report = _report_base("rank", args, {"digest": digest})
-    z = _zeta_pipeline(ideal, flags, args, report)
+    z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
-        bound = weil.dim_v_mu(z, args.p)
+        bound = weil.dim_v_mu(z, weil.classify_weights(z, factored), args.p)
     except weil.UnclassifiableFactorError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
     report["tateBound"] = bound.to_json()

@@ -34,11 +34,16 @@ def mat_mul(a, b):
 
 
 def rref(m):
-    """Reduced row echelon form over Q; returns (matrix, pivot columns)."""
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Returns (matrix, pivot columns, pivot rows): pivot rows[k] is the index
+    in m of the row that became row k, so those rows of m are independent.
+    """
     a = mat_copy_frac(m)
     if not a or not a[0]:
-        return a, []
+        return a, [], []
     rows, cols = len(a), len(a[0])
+    row_ids = list(range(rows))
     pivots = []
     r = 0
     for col in range(cols):
@@ -46,6 +51,7 @@ def rref(m):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        row_ids[r], row_ids[piv] = row_ids[piv], row_ids[r]
         inv = 1 / a[r][col]
         a[r] = [x * inv for x in a[r]]
         for i in range(rows):
@@ -56,7 +62,7 @@ def rref(m):
         r += 1
         if r == rows:
             break
-    return a, pivots
+    return a, pivots, row_ids[:r]
 
 
 def rank(m):
@@ -68,7 +74,7 @@ def inverse(m):
     """Inverse over Q of a square matrix, or None when it is singular."""
     n = len(m)
     aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    red, pivots, _ = rref(aug)
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
@@ -80,7 +86,7 @@ def solve(m, b):
         return [] if not any(b) else None
     cols = len(m[0])
     aug = [list(row) + [bb] for row, bb in zip(m, b)]
-    red, pivots = rref(aug)
+    red, pivots, _ = rref(aug)
     # inconsistent if a pivot lands in the augmented column
     if cols in pivots:
         return None
@@ -88,29 +94,6 @@ def solve(m, b):
     for r, col in enumerate(pivots):
         x[col] = red[r][-1]
     return x
-
-
-def det_frac(m):
-    """Determinant over Q by Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = mat_copy_frac(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
 
 
 def det_bareiss(m):
@@ -134,41 +117,3 @@ def det_bareiss(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def charpoly(m):
-    """Characteristic polynomial det(xI - m) of a square Fraction matrix.
-
-    Returned as a coefficient list (index = degree) of Fractions, monic.
-    Computed by exact evaluation at x = 0..n and Lagrange interpolation.
-    """
-    n = len(m)
-    if n == 0:
-        return [Fraction(1)]
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = [
-            [Fraction(x) - Fraction(m[i][j]) if i == j else -Fraction(m[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        ys.append(det_frac(shifted))
-    # Lagrange interpolation on n+1 points
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        f = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += f * c
-    return coeffs

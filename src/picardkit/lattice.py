@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import det_bareiss, identity, inverse, mat_mul, rank as q_rank, solve
+from .exactla import det_bareiss, identity, inverse, mat_mul, rank as q_rank, rref, solve
 
 
 class LatticeError(ValueError):
@@ -263,35 +263,13 @@ def independence_certificate(m):
     The returned index sets give one maximal nonsingular square minor; the
     determinant is recomputed fraction-free as a recheck.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    row_ids = list(range(rows))
-    pivot_rows, pivot_cols = [], []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        row_ids[r], row_ids[piv] = row_ids[piv], row_ids[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_rows.append(row_ids[r])
-        pivot_cols.append(col)
-        r += 1
-        if r == rows:
-            break
-    pivot_rows_sorted = sorted(pivot_rows)
-    minor = [[m[i][j] for j in pivot_cols] for i in pivot_rows_sorted]
+    _, cols, rows = rref(m)
+    rows = sorted(rows)
+    minor = [[m[i][j] for j in cols] for i in rows]
     det = det_bareiss(minor) if minor else 1
-    if r and det == 0:
+    if rows and det == 0:
         raise LatticeError("internal: singular certified minor")
-    return r, pivot_rows_sorted, pivot_cols, det
+    return len(rows), rows, cols, det
 
 
 # ---------------------------------------------------------------------------

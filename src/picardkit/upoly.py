@@ -158,6 +158,35 @@ def reverse(a):
 
 
 # ---------------------------------------------------------------------------
+# Newton's identities: c = prod (1 - alpha T) against s_k = sum alpha^k,
+# k c_k = -sum_{i=1..k} s_i c_{k-i}
+
+
+def power_sums(coeffs, n_max):
+    """Power sums s_1..s_n_max of the reciprocal roots of a polynomial with
+    c_0 = 1."""
+    d = deg(coeffs)
+    sums = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        acc = -n * (coeffs[n] if n <= d else 0)
+        for i in range(1, n):
+            if i <= d:
+                acc -= coeffs[i] * sums[n - i]
+        sums[n] = acc
+    return sums[1:]
+
+
+def from_power_sums(sums):
+    """Coefficients c_0 = 1, c_1..c_m (Fractions, untrimmed) of the
+    polynomial prod (1 - alpha T) whose reciprocal roots alpha have power
+    sums s_1..s_m."""
+    c = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        c.append(-sum(sums[i - 1] * c[k - i] for i in range(1, k + 1)) / k)
+    return c
+
+
+# ---------------------------------------------------------------------------
 # Sturm sequences: exact real-root counting
 
 

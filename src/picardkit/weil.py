@@ -1,20 +1,23 @@
 """Weight classification of zeta factors and root-of-unity pole counts.
 
-Every irreducible factor of a zeta function's numerator or denominator is
-assigned the unique cohomological weight i with all reciprocal-root moduli
-q^(i/2).  The assignment is certified exactly: the candidate i is read off
-the leading coefficient, and the claim |alpha| = q^(i/2) for every root is
-verified with no floating point via the trace polynomial
-prod (beta - (alpha + q^i/alpha)) and Sturm real-root counts.
+The numerator and denominator of a zeta function are factored once
+(`factor_zeta`), and every irreducible factor is assigned the unique
+cohomological weight i with all reciprocal-root moduli q^(i/2).  The
+assignment is certified exactly: the candidate i is read off the leading
+coefficient, and the claim |alpha| = q^(i/2) for every root is verified
+with no floating point.  The trace polynomial prod (y - (alpha + q^i/alpha))
+comes from Newton power sums: the sums of alpha^k and of alpha^-k give
+those of the traces, which convert back to coefficients; Sturm real-root
+counts then decide.  Betti numbers and dim V_mu read the classified factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import upoly
-from .exactla import charpoly, inverse
 from .intfactor import factor_int_poly
 
 
@@ -24,10 +27,12 @@ class UnclassifiableFactorError(ValueError):
 
 @dataclass
 class WeilFactor:
-    """The weight-i piece of a zeta function: P_i with P_i(0) = 1."""
+    """The weight-i piece of a zeta function: P_i with P_i(0) = 1, and its
+    irreducible factors with multiplicity."""
 
     weight: int
     poly: list
+    factors: list
 
     def degree(self):
         return upoly.deg(self.poly)
@@ -46,57 +51,32 @@ class TateBound:
 
 
 # ---------------------------------------------------------------------------
-# factorization of zeta polynomials
-
-
-def factor_z_poly(poly):
-    """Irreducible integer factors (with multiplicity) of a nonzero integer
-    polynomial; content * product reproduces the input exactly."""
-    content, factors = factor_int_poly(poly)
-    return content, factors
-
-
-# ---------------------------------------------------------------------------
 # exact root-modulus certification
-
-
-def _companion(monic):
-    d = len(monic) - 1
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(1, d):
-        m[i][i - 1] = Fraction(1)
-    for i in range(d):
-        m[i][d - 1] = -Fraction(monic[i])
-    return m
 
 
 def certify_root_modulus(f, s2):
     """True iff every reciprocal root alpha of f satisfies |alpha|^2 = s2.
 
     f is an integer (or rational) polynomial with f(0) != 0; s2 a positive
-    integer.  Exact: builds the trace polynomial with roots
-    beta = alpha + s2/alpha, demands it totally real, and bounds beta^2 by
-    4*s2 through Sturm counts with rational endpoints.
+    integer.  Exact: the power sums S_k of the alpha and S_-k of the
+    1/alpha (k = 1..deg f, from f and its reverse) give the power sums
+    P_k = sum_j C(k, j) s2^(k-j) S_(2j-k) of the traces beta = alpha + s2/alpha,
+    and Newton's identities turn those into the trace polynomial
+    prod (y - beta).  It must be totally real, with every beta^2 <= 4*s2
+    (Sturm counts with rational endpoints).
     """
     f = upoly.trim([Fraction(c) for c in f])
     if not f or f[0] == 0:
         raise ValueError("certification needs f(0) != 0")
     d = upoly.deg(f)
-    if d == 0:
-        return True
-    if d == 1:
-        alpha2 = (f[1] / f[0]) ** 2  # alpha = -c1/c0
-        return alpha2 == s2
-    # monic polynomial with the reciprocal roots as honest roots
-    rev = list(reversed(f))
-    lead = rev[-1]
-    monic = [c / lead for c in rev]
-    comp = _companion(monic)
-    inv = inverse(comp)
-    assert inv is not None  # f(0) != 0 makes the companion invertible
-    n = len(comp)
-    a = [[comp[i][j] + s2 * inv[i][j] for j in range(n)] for i in range(n)]
-    trace_poly = charpoly(a)
+    up = upoly.power_sums([c / f[0] for c in f], d)
+    down = upoly.power_sums([c / f[-1] for c in reversed(f)], d)
+    s = down[::-1] + [d] + up  # s[d + m] = S_m for m = -d..d
+    traces = [
+        sum(comb(k, j) * s2 ** (k - j) * s[d + 2 * j - k] for j in range(k + 1))
+        for k in range(1, d + 1)
+    ]
+    trace_poly = upoly.from_power_sums(traces)[::-1]
     sf = upoly.squarefree_part(trace_poly)
     if upoly.deg(sf) == 0:
         return True
@@ -115,6 +95,12 @@ def certify_root_modulus(f, s2):
 # weight classification and Betti numbers
 
 
+def factor_zeta(z):
+    """{"num": (content, factors), "den": (content, factors)}: one
+    factor_int_poly result for each side of the zeta function."""
+    return {"num": factor_int_poly(z.num), "den": factor_int_poly(z.den)}
+
+
 def _candidate_weight(factor, q, two_d):
     m = upoly.deg(factor)
     lead2 = factor[-1] * factor[-1]
@@ -124,33 +110,25 @@ def _candidate_weight(factor, q, two_d):
     return None
 
 
-def classify_weights(z):
+def classify_weights(z, factored):
     """WeilFactor list P_0..P_2d for a zeta function that passed the
-    functional-equation check.  Denominator factors take even weights,
-    numerator factors odd ones; every assignment is certified."""
+    functional-equation check, from its factorization `factored` (as
+    factor_zeta returns it).  Denominator factors take even weights,
+    numerator factors odd ones; every irreducible factor is certified once.
+    Each factor has constant term 1: it divides num(0) = den(0) = 1, and
+    factor_int_poly makes it positive."""
     if z.dim is None:
         raise ValueError("weight classification needs the dimension")
     two_d = 2 * z.dim
-    pieces = {i: [1] for i in range(two_d + 1)}
-    for side, poly in (("den", z.den), ("num", z.num)):
-        if upoly.deg(poly) == 0:
-            continue
-        content, factors = factor_z_poly(poly)
-        if abs(content) != 1:
-            raise UnclassifiableFactorError("zeta polynomial has nontrivial content")
-        for f, mult in factors:
-            # normalize to constant term 1
-            if f[0] == -1:
-                f = [-c for c in f]
-            if f[0] != 1:
-                raise UnclassifiableFactorError(f"factor {f} lacks unit constant term")
+    pieces = [WeilFactor(weight=i, poly=[1], factors=[]) for i in range(two_d + 1)]
+    for side, parity in (("den", 0), ("num", 1)):
+        for f, mult in factored[side][1]:
             i = _candidate_weight(f, z.q, two_d)
             if i is None:
                 raise UnclassifiableFactorError(
                     f"no weight matches the leading coefficient of {f}"
                 )
-            expected_parity = 0 if side == "den" else 1
-            if i % 2 != expected_parity:
+            if i % 2 != parity:
                 raise UnclassifiableFactorError(
                     f"factor {f} has weight {i} on the wrong side of the zeta function"
                 )
@@ -158,15 +136,17 @@ def classify_weights(z):
                 raise UnclassifiableFactorError(
                     f"roots of {f} are not certified at modulus q^({i}/2)"
                 )
+            piece = pieces[i]
+            piece.factors.append((f, mult))
             for _ in range(mult):
-                pieces[i] = upoly.mul(pieces[i], f)
-    return [WeilFactor(weight=i, poly=pieces[i]) for i in range(two_d + 1)]
+                piece.poly = upoly.mul(piece.poly, f)
+    return pieces
 
 
-def betti_numbers(z):
-    """b_i = deg P_i; checks the endpoints and the Euler characteristic."""
-    factors = classify_weights(z)
-    betti = [f.degree() for f in factors]
+def betti_numbers(z, pieces):
+    """b_i = deg P_i over the classify_weights pieces; checks the endpoints
+    and the Euler characteristic."""
+    betti = [piece.degree() for piece in pieces]
     if betti[0] != 1 or betti[-1] != 1:
         raise UnclassifiableFactorError("b_0 and b_2d must equal 1")
     chi = sum((-1) ** i * b for i, b in enumerate(betti))
@@ -242,25 +222,21 @@ def cyclotomic_multiplicity(poly):
     return total, breakdown
 
 
-def dim_v_mu(z, p):
+def dim_v_mu(z, pieces, p):
     """dim V_mu for codimension p: the number of zeta poles that are a root
-    of unity times q^-p, counted with multiplicity."""
+    of unity times q^-p, counted with multiplicity.  Sums, over the
+    irreducible factors of P_2p in the classify_weights pieces, the
+    multiplicity times the root-of-unity roots of P(T / q^p)."""
     if not 0 <= p <= (z.dim if z.dim is not None else 0):
         raise ValueError("codimension out of range")
-    factors = classify_weights(z)
-    p2 = factors[2 * p].poly
-    deg = upoly.deg(p2)
-    if deg == 0:
-        return TateBound(p=p, v_mu=0, per_factor=[])
-    # clear denominators of P(T / q^p)
-    scaled = [p2[k] * z.q ** (p * (deg - k)) for k in range(deg + 1)]
-    total, breakdown = cyclotomic_multiplicity(scaled)
+    total = 0
     per_factor = []
-    _, irred = factor_z_poly(p2)
-    for f, mult in irred:
+    for f, mult in pieces[2 * p].factors:
         fd = upoly.deg(f)
+        # clear denominators of f(T / q^p)
         fs = [f[k] * z.q ** (p * (fd - k)) for k in range(fd + 1)]
         ftot, fbreak = cyclotomic_multiplicity(fs)
+        total += mult * ftot
         per_factor.append(
             {
                 "factor": [int(c) for c in f],
@@ -277,4 +253,4 @@ def picard_upper_bound(z):
     (rank of divisor classes modulo torsion over the separable closure)."""
     if z.dim is None or z.dim < 1:
         raise ValueError("needs a variety of dimension at least 1")
-    return dim_v_mu(z, 1).v_mu
+    return dim_v_mu(z, classify_weights(z, factor_zeta(z)), 1).v_mu

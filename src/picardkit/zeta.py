@@ -100,7 +100,7 @@ def betti_budget(descriptor):
         that degree in P^{ambient_dim}, whose Betti numbers are classical.
     No general effective bound is implemented; anything else is an error.
     """
-    if descriptor.get("budget"):
+    if descriptor.get("budget") is not None:
         return DegreeBudget(B=int(descriptor["budget"]), source="user-config")
     D = descriptor.get("hypersurface_degree")
     amb = descriptor.get("ambient_dim")
@@ -193,23 +193,10 @@ def reconstruct(counts, budget, dim=None):
     raise NoSolutionError("no rational function of the budgeted degree matches")
 
 
-def power_sums(coeffs, n_max):
-    """Power sums of the reciprocal roots of a polynomial with c_0 = 1."""
-    d = upoly.deg(coeffs)
-    sums = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = -n * (coeffs[n] if n <= d else 0)
-        for i in range(1, n):
-            if i <= d:
-                acc -= coeffs[i] * sums[n - i]
-        sums[n] = acc
-    return sums[1:]
-
-
 def expand(z, n_max):
     """Counts N_1..N_n_max encoded by the zeta function (exact integers)."""
-    s_den = power_sums(z.den, n_max)
-    s_num = power_sums(z.num, n_max)
+    s_den = upoly.power_sums(z.den, n_max)
+    s_num = upoly.power_sums(z.num, n_max)
     return [int(a - b) for a, b in zip(s_den, s_num)]
 
 
@@ -265,16 +252,8 @@ def reconstruct_surface(counts, q, b2):
 
     m_avail = min(len(ns), b2)
     s = [ns[n - 1] - 1 - q ** (2 * n) for n in range(1, m_avail + 1)]
-    # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} s_i
-    e = [Fraction(1)]
-    for k in range(1, m_avail + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * s[i - 1]
-        e.append(acc / k)
     c_known = {}
-    for k in range(0, m_avail + 1):
-        ck = (-1) ** k * e[k]
+    for k, ck in enumerate(upoly.from_power_sums(s)):
         if ck.denominator != 1:
             raise NonIntegerCoefficientsError("counts give non-integer coefficients")
         c_known[k] = int(ck)

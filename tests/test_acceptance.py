@@ -44,10 +44,21 @@ from picardkit.lattice import (
 )
 from picardkit.polysys import HomIdeal, poly_from_str, proper_intersection_number, smoothness_check
 from picardkit.upoly import mul
-from picardkit.weil import betti_numbers, cyclotomic_multiplicity, dim_v_mu, picard_upper_bound
+from picardkit.weil import (
+    betti_numbers,
+    classify_weights,
+    cyclotomic_multiplicity,
+    dim_v_mu,
+    factor_zeta,
+    picard_upper_bound,
+)
 from picardkit.zeta import ZetaFunction
 
 TIMED = counting.BACKEND != "pure"
+
+
+def pieces(z):
+    return classify_weights(z, factor_zeta(z))
 
 
 def _clock(limit):
@@ -111,9 +122,9 @@ def test_criterion_1_projective_spaces(tmp_path, capsys):
             assert report["zeta"]["den"] == expected_den
             z = ZetaFunction.from_json(report["zeta"])
             expected_betti = [1 if i % 2 == 0 else 0 for i in range(2 * m + 1)]
-            assert betti_numbers(z) == expected_betti
+            assert betti_numbers(z, pieces(z)) == expected_betti
             for p in range(m + 1):
-                assert dim_v_mu(z, p).v_mu == 1
+                assert dim_v_mu(z, pieces(z), p).v_mu == 1
     _announce(1, "projective spaces", check())
 
 
@@ -178,7 +189,7 @@ def test_criterion_2_quadric_surfaces(tmp_path, capsys):
         p2 = mul([1, -p], [1, -p])
         assert report["zeta"]["den"] == mul(mul([1, -1], p2), [1, -(p**2)])
         z = ZetaFunction.from_json(report["zeta"])
-        assert betti_numbers(z) == [1, 0, 2, 0, 1]
+        assert betti_numbers(z, pieces(z)) == [1, 0, 2, 0, 1]
         assert picard_upper_bound(z) == 2
 
         # rank pipeline, rational rulings: halts at 2, fixed rank 2
@@ -275,7 +286,7 @@ def test_criterion_3_elliptic_curves(tmp_path, capsys):
         assert report["zeta"]["functionalEquationSign"] in (1, -1)
         z = ZetaFunction.from_json(report["zeta"])
         # weight certification places both reciprocal roots at modulus sqrt 5
-        assert betti_numbers(z) == [1, 2, 1]
+        assert betti_numbers(z, pieces(z)) == [1, 2, 1]
     _announce(3, "elliptic curves over F_5", check())
 
 
@@ -327,10 +338,10 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
     assert len(report["counts"]["values"]) <= 4  # n <= 4 suffices for b2 = 7
     z = ZetaFunction.from_json(report["zeta"])
     assert z.den == mul(mul([1, -1], P2_CUBIC), [1, -4])
-    assert betti_numbers(z) == [1, 0, 7, 0, 1]
+    assert betti_numbers(z, pieces(z)) == [1, 0, 7, 0, 1]
 
     # every reciprocal root of the middle factor is 2 * (root of unity)
-    bound = dim_v_mu(z, 1)
+    bound = dim_v_mu(z, pieces(z), 1)
     assert bound.v_mu == 7
     scaled = [c * 2 ** (7 - k) for k, c in enumerate(P2_CUBIC)]
     total, breakdown = cyclotomic_multiplicity(scaled)
@@ -345,6 +356,13 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
     rank, rows, cols, det = independence_certificate(pairings)
     assert rank == 7
     assert det != 0
+    # the elimination order is pinned: these are the rows, columns and
+    # determinant the certificate has always reported for this block, also
+    # with its rows reversed (so the pivot rows are not a prefix)
+    assert (rows, cols, det) == ([0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 9, 10], -1)
+    assert independence_certificate(pairings[::-1]) == (
+        7, [0, 1, 2, 5, 6, 9, 10], [0, 1, 2, 3, 4, 9, 10], -1
+    )
 
     cert = RankCertificate(
         "lower", rank, {"minor": [[pairings[i][j] for j in cols] for i in rows]}
@@ -636,7 +654,7 @@ def test_criterion_9_quartic_k3_long(tmp_path, capsys):
     )
     assert code == 0
     z = ZetaFunction.from_json(report["zeta"])
-    assert betti_numbers(z) == [1, 0, 22, 0, 1]
+    assert betti_numbers(z, pieces(z)) == [1, 0, 22, 0, 1]
     rho_bound = picard_upper_bound(z)
     assert 1 <= rho_bound <= 22
     print(f"\nACCEPTANCE 9 (quartic K3 over F_2): PASS  [{time.monotonic() - start:.1f}s, "

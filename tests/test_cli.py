@@ -288,6 +288,114 @@ def test_parser_tolerates_spacing(tmp_path, capsys):
     assert code == 0
 
 
+def cubic_f2_spec(tmp_path):
+    return write_json(
+        tmp_path / "cubic-f2.json",
+        {
+            "field": {"p": 2, "e": 1},
+            "ambientDim": 3,
+            "generators": ["x0^3 + x1^3 + x2^3 + x3^3"],
+            "flags": {"hypersurfaceDegree": 3, "b1b3Zero": True},
+        },
+    )
+
+
+@pytest.mark.parametrize("command", ["tate-bound", "rank"])
+@pytest.mark.parametrize("p", ["3", "-1"])
+def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, command, p):
+    # an empty cache with a one-unit evaluation budget exits 3 as soon as
+    # anything is counted, so exit 2 shows the check comes first
+    spec = cubic_f2_spec(tmp_path)
+    head = ["tate-bound", spec] if command == "tate-bound" else [
+        "rank", "--zeta", spec,
+        "--cycles", write_json(tmp_path / "cycles.json", {"basisCycles": [], "pairings": []}),
+    ]
+    code, _, err = run_cli(
+        capsys, *head, "-p", p, "--cache-dir", str(tmp_path / "cache"),
+        "--eval-budget", "1", "--no-timing",
+    )
+    assert code == 2
+    assert "codimension out of range" in err
+
+
+@pytest.mark.parametrize(
+    "flag_budget, cli_budget",
+    [(None, "1"), (None, "0"), (None, "-3"), (1, None), (0, None), ("x", None), (3, "1")],
+)
+def test_budget_below_two_is_invalid_input(tmp_path, capsys, flag_budget, cli_budget):
+    # a budget of 0 used to fall back to the hypersurface formula here
+    flags = {"hypersurfaceDegree": 2, "assumeSmooth": True}
+    if flag_budget is not None:
+        flags["budget"] = flag_budget
+    spec = write_json(
+        tmp_path / "conic.json",
+        {"field": {"p": 2, "e": 1}, "ambientDim": 2, "generators": ["x0*x2 + x1^2"], "flags": flags},
+    )
+    argv = ["zeta", spec, "--no-timing", "--cache-dir", str(tmp_path / "cache")]
+    if cli_budget is not None:
+        argv += ["--budget", cli_budget]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "budget must be" in err
+
+
+# the quartic K3 over F_2 of the benchmark's warm workload and its counts
+K3_EQUATION = "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"
+K3_COUNTS = [5, 9, 89, 289, 1185, 4545, 16385, 66049, 263681, 1051649, 4194305]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap `name` wherever a picardkit module binds it; returns the list
+    the wrapper appends one entry per call to."""
+    orig = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("picardkit") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypatch):
+    from picardkit import intfactor, weil
+    from picardkit.counting import CountCache, variety_hash
+    from picardkit.ffield import make_field
+    from picardkit.polysys import HomIdeal, poly_from_str
+
+    spec = write_json(
+        tmp_path / "k3.json",
+        {
+            "field": {"p": 2, "e": 1},
+            "ambientDim": 3,
+            "generators": [K3_EQUATION],
+            "flags": {"hypersurfaceDegree": 4, "b1b3Zero": True},
+        },
+    )
+    cache_path = str(tmp_path / "counts.ndjson")
+    cache = CountCache(cache_path)
+    digest = variety_hash(HomIdeal([poly_from_str(K3_EQUATION, 4, make_field(2, 1))]))
+    for n, count in enumerate(K3_COUNTS, start=1):
+        cache.put(digest, n, count)
+
+    factor_calls = _count_calls(monkeypatch, intfactor, "factor_int_poly")
+    classify_calls = _count_calls(monkeypatch, weil, "classify_weights")
+    code, out, _ = run_cli(
+        capsys, "tate-bound", spec, "-p", "1", "--cache-dir", cache_path,
+        "--eval-budget", "1", "--no-timing",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["betti"] == [1, 0, 22, 0, 1]
+    assert report["tateBound"]["vMu"] == 22
+    assert len(factor_calls) <= 2
+    assert len(classify_calls) == 1
+
+
 def _help_check(argv):
     """Run ``argv`` against this checkout's source and assert it prints the
     CLI help and exits 0."""

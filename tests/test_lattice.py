@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from picardkit.exactla import det_bareiss, mat_mul
+from picardkit.exactla import det_bareiss, mat_mul, rref
 from picardkit.lattice import (
     AlgorithmB,
     CertificateInvalidError,
@@ -138,6 +138,13 @@ def test_independence_certificate_examples():
     assert r == 2 and abs(det) == 1
     r, rows, cols, det = independence_certificate([[0, 0], [0, 0]])
     assert r == 0
+
+
+def test_independence_certificate_tracks_original_rows():
+    # row 0 is zero and row 2 is twice row 1: the pivots land on rows 1 and 3
+    assert independence_certificate([[0, 0], [1, 2], [2, 4], [0, 1]]) == (2, [1, 3], [0, 1], 1)
+    _, pivots, pivot_rows = rref([[0, 0], [1, 2], [2, 4], [0, 1]])
+    assert (pivots, pivot_rows) == ([0, 1], [1, 3])
 
 
 def test_independence_certificate_minor_is_nonsingular():

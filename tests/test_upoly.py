@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-from picardkit.exactla import charpoly, det_bareiss, det_frac
 from picardkit.upoly import (
     NEG_INF,
     POS_INF,
@@ -72,31 +71,6 @@ def test_sturm_random_integer_roots():
         expected = sum(1 for r in roots if lo < r <= hi)
         assert count_real_roots(p, lo=lo, hi=hi) == expected
         assert count_real_roots(p, NEG_INF, POS_INF) == len(roots)
-
-
-def test_charpoly_companion():
-    # companion of x^2 - 3x + 2 has eigenvalues 1 and 2
-    m = [[Fraction(0), Fraction(-2)], [Fraction(1), Fraction(3)]]
-    cp = charpoly(m)
-    assert cp == [Fraction(2), Fraction(-3), Fraction(1)]
-    assert evaluate(cp, 1) == 0 and evaluate(cp, 2) == 0
-
-
-def test_charpoly_random_matches_dets():
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        cp = charpoly(m)
-        # det(xI - m) at x = 7 equals the evaluated charpoly
-        shifted = [
-            [Fraction(7) - m[i][j] if i == j else -m[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        assert evaluate(cp, 7) == det_frac(shifted)
-        # constant term = (-1)^n det(m)
-        mi = [[int(x) for x in row] for row in m]
-        assert cp[0] == (-1) ** n * det_bareiss(mi)
 
 
 def test_derivative():

@@ -1,11 +1,13 @@
 import random
+from math import isqrt
 
 import pytest
 
 from picardkit.counting import count_tower
+from picardkit.intfactor import factor_int_poly
 from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
-from picardkit.upoly import mul
+from picardkit.upoly import int_quotient, mul
 from picardkit.weil import (
     UnclassifiableFactorError,
     betti_numbers,
@@ -14,10 +16,14 @@ from picardkit.weil import (
     cyclotomic_multiplicity,
     cyclotomic_polynomial,
     dim_v_mu,
-    factor_z_poly,
+    factor_zeta,
     picard_upper_bound,
 )
 from picardkit.zeta import DegreeBudget, ZetaFunction, reconstruct, reconstruct_surface
+
+
+def pieces(z):
+    return classify_weights(z, factor_zeta(z))
 
 
 def z_projective(q, m):
@@ -28,14 +34,14 @@ def z_projective(q, m):
 
 
 def test_factor_1_minus_t_squared():
-    content, factors = factor_z_poly([1, 0, -1])
+    content, factors = factor_int_poly([1, 0, -1])
     assert content == 1
     assert factors == [([1, -1], 1), ([1, 1], 1)]
 
 
 def test_factor_with_multiplicities():
     poly = mul(mul([1, -2], [1, -2]), [1, -1])
-    content, factors = factor_z_poly(poly)
+    content, factors = factor_int_poly(poly)
     recon = [content]
     for f, m in factors:
         for _ in range(m):
@@ -49,7 +55,7 @@ def test_factor_elliptic_numerator_by_remultiplication():
     ideal = HomIdeal([poly_from_str("x1^2*x2 - x0^3 - x0*x2^2 - x2^3", 3, f5)])
     counts = count_tower(ideal, 8)
     z = reconstruct(counts, DegreeBudget(4, "user-config"), dim=1)
-    content, factors = factor_z_poly(z.num)
+    content, factors = factor_int_poly(z.num)
     recon = [content]
     for f, m in factors:
         for _ in range(m):
@@ -66,7 +72,7 @@ def test_factor_random_products():
         for a in chosen:
             for _ in range(rng.randint(1, 2)):
                 poly = mul(poly, a)
-        content, factors = factor_z_poly(poly)
+        content, factors = factor_int_poly(poly)
         recon = [content]
         for f, m in factors:
             for _ in range(m):
@@ -94,15 +100,15 @@ def test_certify_weight_zero():
 
 def test_classify_weights_p2():
     z = z_projective(2, 2)
-    factors = classify_weights(z)
+    factors = pieces(z)
     assert [f.poly for f in factors] == [[1, -1], [1], [1, -2], [1], [1, -4]]
 
 
 def test_classify_weights_quadric():
     z = reconstruct_surface_zeta()
-    factors = classify_weights(z)
+    factors = pieces(z)
     assert factors[2].poly == mul([1, -2], [1, -2])
-    assert betti_numbers(z) == [1, 0, 2, 0, 1]
+    assert betti_numbers(z, pieces(z)) == [1, 0, 2, 0, 1]
 
 
 def reconstruct_surface_zeta():
@@ -116,20 +122,21 @@ def test_classify_weights_elliptic():
     ideal = HomIdeal([poly_from_str("x1^2*x2 - x0^3 - x0*x2^2 - x2^3", 3, f5)])
     counts = count_tower(ideal, 8)
     z = reconstruct(counts, DegreeBudget(4, "user-config"), dim=1)
-    factors = classify_weights(z)
+    factors = pieces(z)
     assert factors[1].degree() == 2  # both roots certified at modulus sqrt(5)
-    assert betti_numbers(z) == [1, 2, 1]
+    assert betti_numbers(z, pieces(z)) == [1, 2, 1]
 
 
 def test_classify_rejects_wrong_side():
     # weight-1 polynomial in the denominator is not a valid zeta shape
     z = ZetaFunction(q=5, num=[1], den=mul(mul([1, -1], [1, -3, 5]), [1, -5]), dim=1)
     with pytest.raises(UnclassifiableFactorError):
-        classify_weights(z)
+        pieces(z)
 
 
 def test_betti_numbers_p3():
-    assert betti_numbers(z_projective(2, 3)) == [1, 0, 1, 0, 1, 0, 1]
+    z = z_projective(2, 3)
+    assert betti_numbers(z, pieces(z)) == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_cyclotomic_polynomials():
@@ -165,23 +172,23 @@ def test_dim_v_mu_projective_spaces():
     for q, m in [(2, 1), (3, 2), (2, 3)]:
         z = z_projective(q, m)
         for p in range(m + 1):
-            assert dim_v_mu(z, p).v_mu == 1
+            assert dim_v_mu(z, pieces(z), p).v_mu == 1
 
 
 def test_dim_v_mu_quadric():
     z = reconstruct_surface_zeta()
-    bound = dim_v_mu(z, 1)
+    bound = dim_v_mu(z, pieces(z), 1)
     assert bound.v_mu == 2
     assert picard_upper_bound(z) == 2
-    assert dim_v_mu(z, 0).v_mu == 1
-    assert dim_v_mu(z, 2).v_mu == 1
+    assert dim_v_mu(z, pieces(z), 0).v_mu == 1
+    assert dim_v_mu(z, pieces(z), 2).v_mu == 1
 
 
 def test_weights_partition_all_factors():
     from picardkit.upoly import deg
 
     for z in [z_projective(2, 2), z_projective(3, 3), reconstruct_surface_zeta()]:
-        factors = classify_weights(z)
+        factors = pieces(z)
         assert sum(f.degree() for f in factors) == deg(z.num) + deg(z.den)
 
 
@@ -196,7 +203,7 @@ def test_reducible_scheme_zeta_rejected():
     counts = CountSeries(q=q, counts=[2 * q ** (2 * n) + q**n + 1 for n in range(1, 9)])
     z = reconstruct(counts, DegreeBudget(4, "user-config"), dim=2)
     with pytest.raises(UnclassifiableFactorError):
-        betti_numbers(z)
+        betti_numbers(z, pieces(z))
 
 
 def test_mixed_weight_factor_rejected():
@@ -205,20 +212,20 @@ def test_mixed_weight_factor_rejected():
     bad = mul(mul([1, -1], mul([1, -2], [1, -3])), [1, -4])
     z = ZetaFunction(q=2, num=[1], den=bad, dim=2)
     with pytest.raises(UnclassifiableFactorError):
-        classify_weights(z)
+        pieces(z)
 
 
 def test_factor_irreducible_despite_splitting_mod_every_prime():
     # x^4 + 1 splits modulo every prime yet is irreducible over Z: the
     # subset recombination must conclude irreducibility
-    content, factors = factor_z_poly([1, 0, 0, 0, 1])
+    content, factors = factor_int_poly([1, 0, 0, 0, 1])
     assert content == 1
     assert factors == [([1, 0, 0, 0, 1], 1)]
 
 
 def test_factor_products_of_stubborn_factors():
     poly = mul([1, 0, 0, 0, 1], mul([-2, 0, 1], [-3, 0, 1]))
-    content, factors = factor_z_poly(poly)
+    content, factors = factor_int_poly(poly)
     recon = [content]
     for f, m in factors:
         for _ in range(m):
@@ -233,3 +240,42 @@ def test_certify_odd_weight_three():
     assert certify_root_modulus([1, -5, 8], 8)
     assert not certify_root_modulus([1, 6, 8], 8)  # real split roots
     assert certify_root_modulus([1, 0, 8], 8)
+
+
+def _weil_quadratic(rng, s, inside):
+    """1 - a T + s T^2 with a^2 <= 4s (roots of modulus sqrt(s)) when
+    `inside`, else with a^2 > 4s (two real roots of different moduli)."""
+    bound = isqrt(4 * s)
+    if inside:
+        return [1, -rng.randint(-bound, bound), s]
+    return [1, -rng.choice([-1, 1]) * rng.randint(bound + 1, bound + 4), s]
+
+
+def test_certify_products_of_many_quadratics():
+    from picardkit.upoly import mul_many
+
+    rng = random.Random(11)
+    for trial in range(12):
+        s = rng.choice([2, 3, 4, 5, 8, 9])
+        quads = [_weil_quadratic(rng, s, True) for _ in range(rng.randint(5, 11))]
+        assert certify_root_modulus(mul_many(quads), s)
+        k = rng.randrange(len(quads))
+        outside = quads[:k] + [_weil_quadratic(rng, s, False)] + quads[k + 1:]
+        assert not certify_root_modulus(mul_many(outside), s)
+        other = s + rng.choice([-1, 1]) if s > 2 else s + 1
+        moved = quads[:k] + [_weil_quadratic(rng, other, True)] + quads[k + 1:]
+        assert not certify_root_modulus(mul_many(moved), s)
+
+
+# the quartic K3 over F_2 of the benchmark: Z = 1 / ((1 - T) P_2(T) (1 - 4T))
+K3_DEN = [1, -5, 8, -28, 56, -96, 256, -64, 384, 0, -1536, 1024, -12288, 4096,
+          -24576, 0, 98304, -65536, 1048576, -1572864, 3670016, -7340032,
+          8388608, -20971520, 16777216]
+
+
+def test_certify_k3_middle_factor():
+    p2 = int_quotient(K3_DEN, mul([1, -1], [1, -4]))
+    assert len(p2) == 23
+    assert certify_root_modulus(p2, 4)
+    assert not certify_root_modulus(p2, 2)
+    assert not certify_root_modulus(mul(p2, [1, -3]), 4)

@@ -166,7 +166,7 @@ def test_klein_quartic_curve_end_to_end():
     # all six reciprocal roots certified at modulus sqrt(2)
     from conftest import brute_force_projective_count
     from picardkit.polysys import smoothness_check
-    from picardkit.weil import betti_numbers
+    from picardkit.weil import betti_numbers, classify_weights, factor_zeta
 
     f2 = make_field(2, 1)
     ideal = HomIdeal([poly_from_str("x0^3*x1 + x1^3*x2 + x2^3*x0", 3, f2)])
@@ -179,7 +179,7 @@ def test_klein_quartic_curve_end_to_end():
     assert z.num == [1, 0, 0, 5, 0, 0, 8]
     holds, sign = functional_equation_check(z)
     assert holds
-    assert betti_numbers(z) == [1, 6, 1]
+    assert betti_numbers(z, classify_weights(z, factor_zeta(z))) == [1, 6, 1]
     assert expand(z, 16) == counts.counts
 
 
