@@ -291,6 +291,12 @@ def cmd_rank(args):
     spec = _load_json(args.spec)
     cycles = _load_json(args.cycles)
     ideal, flags = _variety_from_spec(spec)
+    try:
+        k = len(cycles["basisCycles"])
+        pairings = [list(map(int, row)) for row in cycles["pairings"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
+    action, relations = _parse_action(cycles.get("action", {}), k)
     digest = variety_hash(ideal)
     report = _report_base("rank", args, {"digest": digest})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
@@ -300,14 +306,6 @@ def cmd_rank(args):
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
     report["tateBound"] = bound.to_json()
     v_mu = bound.v_mu
-
-    try:
-        basis_names = cycles["basisCycles"]
-        pairings = [list(map(int, row)) for row in cycles["pairings"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
-    k = len(basis_names)
-    action, relations = _parse_action(cycles.get("action", {}), k)
 
     algo = lattice.AlgorithmB(
         v_mu=v_mu,

@@ -135,7 +135,9 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
     `n` is the extension degree (or a FieldDesc of the canonical extension).
-    Raises BudgetExceededError when the work estimate exceeds `budget`.
+    Raises BudgetExceededError, before the field tables are built, when the
+    work estimate (Q units for the tables plus each chart's cost) exceeds
+    `budget`.
     """
     dom = ideal.domain
     if dom is None:
@@ -153,7 +155,7 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
         return sum(Q**i for i in range(ideal.nvars))
 
     charts = compile_charts(ideal, emb, ext.to_index)
-    total_cost = 0
+    total_cost = Q  # the three field tables of length Q
     plans = []
     for chart in charts:
         if chart.nfree == 0:

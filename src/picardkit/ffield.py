@@ -442,7 +442,9 @@ def extend(base, n):
 
     The extension is the canonical degree-(e*n) field over the prime field;
     the base generator is sent to its first root (in enumeration order) of
-    the base modulus inside the extension.
+    the base modulus inside the extension.  The roots lie in the subfield
+    F_{p^e} of the extension, so they are looked for there: O(p^e) field
+    operations per extension instead of O(q^n).
     """
     key = (base.p, base.e, base.modulus, n)
     if key in _EMBED_CACHE:
@@ -462,18 +464,35 @@ def extend(base, n):
 
 
 def _find_root(modulus, ext):
-    # first root in enumeration order; extension sizes with e > 1 bases stay
-    # small in practice, so a linear scan is acceptable
-    consts = [ext.from_int(c) for c in modulus]
-    for idx in range(ext.q):
-        x = ext.from_index(idx)
+    # The e roots of the irreducible degree-e modulus are units of the
+    # subfield F_{p^e}, and y -> y^((Q-1)/(p^e-1)) maps the units of the
+    # extension onto that subfield's units.  Once such an image z generates
+    # them, the powers of z reach a root, and its Frobenius conjugates are
+    # the other roots.  The one of smallest index is the root a scan of the
+    # whole extension in enumeration order would meet first.
+    e = len(modulus) - 1
+    order = ext.p**e - 1
+    cofactor = (ext.q - 1) // order
+    small = [order // ell for ell in _prime_divisors(order)]
+    coeffs = [ext.from_int(c) for c in reversed(modulus)]
+    one = ext.one()
+    # the first y in enumeration order whose image has the full order p^e - 1
+    z = next(
+        z
+        for z in (ext.from_index(idx) ** cofactor for idx in range(1, ext.q))
+        if all(z**k != one for k in small)
+    )
+    w = z
+    for _ in range(order):
         acc = ext.zero()
-        power = ext.one()
-        for c in consts:
-            acc = acc + c * power
-            power = power * x
+        for c in coeffs:
+            acc = acc * w + c
         if not acc:
-            return x
+            roots = [w]
+            for _ in range(e - 1):
+                roots.append(roots[-1].frobenius())
+            return min(roots, key=ext.to_index)
+        w = w * z
     raise FieldError("modulus has no root in the requested extension")
 
 

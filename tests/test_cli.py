@@ -319,6 +319,20 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
+    "cycles", [{}, {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, "x"]]}]
+)
+def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
+    # as above: exit 3 would mean the points were counted first
+    code, _, err = run_cli(
+        capsys, "rank", "--zeta", cubic_f2_spec(tmp_path),
+        "--cycles", write_json(tmp_path / "cycles.json", cycles),
+        "--cache-dir", str(tmp_path / "cache"), "--eval-budget", "1", "--no-timing",
+    )
+    assert code == 2
+    assert "malformed cycles file" in err
+
+
+@pytest.mark.parametrize(
     "flag_budget, cli_budget",
     [(None, "1"), (None, "0"), (None, "-3"), (1, None), (0, None), ("x", None), (3, "1")],
 )

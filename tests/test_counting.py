@@ -138,6 +138,18 @@ def test_budget_error():
         count_points(ideal, 6, budget=1000)
 
 
+def test_budget_charges_field_tables(monkeypatch):
+    # a conic on P^1 has a tiny chart cost, but the tables over F_{2^22}
+    # would be three int64 arrays of length 2^22
+    def refuse(ext):
+        pytest.fail("field tables were built past the budget")
+
+    monkeypatch.setattr("picardkit.counting.field_tables", refuse)
+    ideal = ideal_over(2, 1, 2, "x0^2 + x0*x1 + x1^2")
+    with pytest.raises(BudgetExceededError):
+        count_points(ideal, 22, budget=1000)
+
+
 def test_tower_budget_reports_completed():
     ideal = ideal_over(5, 1, 4, "x0^4 + x1^4 + x2^4 + x3^4")
     try:

@@ -103,6 +103,45 @@ def test_extend_f4_to_f16_root_check():
     assert not acc
 
 
+def _first_root_by_scan(base, ext):
+    # the embedding's definition: the first root of the base modulus when
+    # the whole extension is scanned in enumeration order
+    for x in ext.elements():
+        acc = ext.zero()
+        for c in reversed(base.modulus):
+            acc = acc * x + ext.from_int(c)
+        if not acc:
+            return x
+    raise AssertionError("the base modulus has no root in the extension")
+
+
+def _nonprime_extension_cases(limit):
+    from picardkit.ffield import is_prime
+
+    return [
+        (p, e, n)
+        for p in range(2, limit)
+        if is_prime(p)
+        for e in range(2, limit.bit_length())
+        for n in range(2, limit.bit_length())
+        if p ** (e * n) <= limit
+    ]
+
+
+@pytest.mark.parametrize("p,e,n", _nonprime_extension_cases(4096))
+def test_extend_gives_the_first_root_in_enumeration_order(p, e, n):
+    base = make_field(p, e)
+    emb = extend(base, n)
+    assert emb.gen_image == _first_root_by_scan(base, emb.ext)
+
+
+@pytest.mark.parametrize("e,n,index", [(2, 7, 5106), (2, 8, 1842), (4, 4, 34988)])
+def test_extend_embedding_indices_are_frozen(e, n, index):
+    # values of the full scan; counts, cache keys and reports depend on them
+    emb = extend(make_field(2, e), n)
+    assert emb.ext.to_index(emb.gen_image) == index
+
+
 def _prime_powers_up_to(limit):
     from picardkit.ffield import is_prime
 
