@@ -24,6 +24,8 @@ except ImportError:
     _ckernel = None
 
 
+CUBIC_THREEFOLD = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"  # charts with 3 prefix coordinates
+
 # (label, p, e, nvars, generators, n): the variety over F_{p^e}, counted
 # over F_{p^(e*n)}
 CASES = [
@@ -31,11 +33,13 @@ CASES = [
     ("cubic surface/F_2, n=4", 2, 1, 4, ["x0^3 + x1^3 + x2^3 + x3^3"], 4),
     ("elliptic curve/F_5, n=5", 5, 1, 3, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 5),
     ("elliptic curve/F_4, n=8", 2, 2, 3, ["x1^2*x2 + x1*x2^2 + x0^3"], 8),
+    ("cubic threefold/F_2, n=5", 2, 1, 5, [CUBIC_THREEFOLD], 5),
 ]
 
 HEAVY = [
     ("elliptic curve/F_5, n=7", 5, 1, 3, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 7),
     ("quartic/F_2, n=8", 2, 1, 4, ["x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"], 8),
+    ("cubic threefold/F_2, n=6", 2, 1, 5, [CUBIC_THREEFOLD], 6),
 ]
 
 

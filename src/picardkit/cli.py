@@ -95,9 +95,19 @@ def _budget_descriptor(flags, args, ambient):
         if budget < 2:
             raise CliError("budget must be an integer of at least 2", EXIT_INVALID_INPUT)
         return {"budget": budget}
-    if flags.get("hypersurfaceDegree"):
-        return {"hypersurface_degree": flags["hypersurfaceDegree"], "ambient_dim": ambient}
-    return {}
+    degree = flags.get("hypersurfaceDegree")
+    if degree is None:
+        return {}
+    if type(degree) is not int or degree < 1:
+        raise CliError("hypersurfaceDegree must be an integer of at least 1", EXIT_INVALID_INPUT)
+    return {"hypersurface_degree": degree, "ambient_dim": ambient}
+
+
+def _validate_counts(series, betti=None):
+    try:
+        series.validate(betti)
+    except ValueError as exc:
+        raise CliError(f"invalid counts: {exc}", EXIT_INCONSISTENT) from None
 
 
 def _check_smooth(ideal, flags):
@@ -119,51 +129,38 @@ def _zeta_pipeline(ideal, flags, args, report):
         raise CliError("the ideal cuts out the empty scheme", EXIT_INVALID_INPUT)
     if not 0 <= getattr(args, "p", 0) <= dim:
         raise CliError("codimension out of range", EXIT_INVALID_INPUT)
+    if "hypersurface_degree" in desc and (
+        len(ideal.generators) != 1 or (dim, degree) != (ambient - 1, desc["hypersurface_degree"])
+    ):
+        raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
     report["variety"] = {"dim": dim, "degree": degree, "ambientDim": ambient}
     _check_smooth(ideal, flags)
     cache = _cache_from_args(args)
     q = ideal.domain.q
     progress = getattr(args, "progress", False)
 
-    b2 = None
-    if flags.get("b1b3Zero") and dim == 2:
-        if flags.get("b2"):
-            b2 = int(flags["b2"])
-        elif "hypersurface_degree" in desc:
-            b2 = zeta_mod.betti_budget(desc).betti[2]
     try:
-        if b2 is not None:
-            # start at the minimal count depth; deepen while the
-            # functional-equation sign stays ambiguous (cache keeps the
-            # earlier levels free)
-            n_max = max(-(-b2 // 2), 1)
-            while True:
-                counts = count_tower(
-                    ideal, n_max, cache=cache, budget=args.eval_budget,
-                    threads=args.threads, progress=progress,
-                )
-                candidates = zeta_mod.reconstruct_surface(counts, q, b2)
-                if len(candidates) == 1 or n_max >= b2:
-                    break
-                n_max = min(b2, 2 * n_max)
-            if len(candidates) > 1:
-                report["zeta"] = {
-                    "ambiguous": True,
-                    "candidates": [z.to_json() for z in candidates],
-                }
-                raise CliError(
-                    "functional-equation sign is ambiguous at this count depth",
-                    EXIT_UNDECIDED,
-                )
-            z = candidates[0]
-            z.dim = dim
-        else:
-            budget = zeta_mod.betti_budget(desc)
+        budget = zeta_mod.betti_budget(desc)
+        n_max = budget.levels
+        while True:
             counts = count_tower(
-                ideal, 2 * budget.B, cache=cache, budget=args.eval_budget,
+                ideal, n_max, cache=cache, budget=args.eval_budget,
                 threads=args.threads, progress=progress,
             )
-            z = zeta_mod.reconstruct(counts, budget, dim=dim)
+            _validate_counts(counts, budget.betti)
+            try:
+                z = zeta_mod.reconstruct(counts, budget, dim=dim)
+                break
+            except zeta_mod.AmbiguousSignError as exc:
+                # deepen (the cache keeps the earlier levels free) up to b_d
+                # counts, which fix every coefficient
+                if n_max >= budget.betti[dim]:
+                    report["zeta"] = {
+                        "ambiguous": True,
+                        "candidates": [c.to_json() for c in exc.candidates],
+                    }
+                    raise CliError(str(exc), EXIT_UNDECIDED) from None
+                n_max = min(budget.betti[dim], 2 * n_max)
     except BudgetExceededError as exc:
         done = len(exc.completed.counts) if exc.completed else 0
         raise CliError(
@@ -224,7 +221,7 @@ def cmd_count(args):
         raise CliError(
             f"evaluation budget exceeded (largest completed n = {done})", EXIT_BUDGET
         ) from None
-    series.validate()
+    _validate_counts(series)
     report["counts"] = {"q": series.q, "values": series.counts}
     _emit(report, args, started)
     return EXIT_OK
@@ -271,6 +268,14 @@ def cmd_tate(args):
     return EXIT_OK
 
 
+def _int_row(row):
+    """A list of JSON integers, as given: 1.5, true and "1" are rejected,
+    not truncated to 1."""
+    if not isinstance(row, list) or any(type(x) is not int for x in row):
+        raise ValueError(f"not a list of integers: {row!r}")
+    return row
+
+
 def _parse_action(obj, k):
     gens = []
     for g in obj.get("generators", []):
@@ -293,8 +298,12 @@ def cmd_rank(args):
     ideal, flags = _variety_from_spec(spec)
     try:
         k = len(cycles["basisCycles"])
-        pairings = [list(map(int, row)) for row in cycles["pairings"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        pairings = [_int_row(row) for row in cycles["pairings"]]
+        candidates = [
+            (cand.get("name", "?"), _int_row(cand["pairingVector"]))
+            for cand in cycles.get("candidates", [])
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
     action, relations = _parse_action(cycles.get("action", {}), k)
     digest = variety_hash(ideal)
@@ -342,10 +351,9 @@ def cmd_rank(args):
         try:
             lat, class_map = lattice.build_n(pairings, action, rho, relations=relations)
             report["rank"]["rankNumX"] = lattice.invariants_rank(lat)
-            verdicts = []
-            for cand in cycles.get("candidates", []):
-                coords = class_map([int(x) for x in cand["pairingVector"]])
-                verdicts.append({"name": cand.get("name", "?"), "coords": coords})
+            verdicts = [
+                {"name": name, "coords": class_map(vector)} for name, vector in candidates
+            ]
             if verdicts:
                 report["rank"]["candidates"] = verdicts
         except lattice.RankMismatchError as exc:

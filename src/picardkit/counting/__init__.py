@@ -62,12 +62,21 @@ class CountSeries:
     def __len__(self):
         return len(self.counts)
 
-    def validate(self):
+    def validate(self, betti=None):
         """Sanity checks: ambient bound and the closed-point decomposition.
 
         N_n = sum_{d | n} d * a_d must be solvable with every a_d a
         nonnegative integer (a_d = number of closed points of degree d).
+        With the Betti numbers of a smooth hypersurface of dimension d (every
+        degree but d as for P^d), also the Weil bound
+        (N_n - sum_{k != d/2} q^(kn))^2 <= b_d^2 q^(nd).
         """
+        if betti is not None:
+            d = len(betti) // 2
+            for n, N in enumerate(self.counts, start=1):
+                r = N - sum(self.q ** (k * n) for k in range(d + 1) if 2 * k != d)
+                if r * r > betti[d] ** 2 * self.q ** (n * d):
+                    raise ValueError(f"N_{n} = {N} breaks the Weil bound")
         for n, N in enumerate(self.counts, start=1):
             if self.ambient_dim:
                 qn = self.q**n

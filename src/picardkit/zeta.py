@@ -1,11 +1,11 @@
 """Exact zeta functions from point counts.
 
-Z(T) = exp(sum N_n T^n / n) is recovered as a reduced rational function with
-integer coefficients and constant terms 1, by exact linear algebra on the
-truncated exponential series.  For surfaces with b1 = b3 = 0 a dedicated
-reduction pins the degree-b2 middle factor from far fewer counts using the
-functional equation.  Everything is Fraction/int arithmetic; a float
-anywhere here would be unsound.
+When the budget carries the Betti numbers of a smooth hypersurface, only
+the middle factor P_d is unknown: Newton's identities give its low half and
+the functional equation the rest, from about b_d / 2 counts.  Otherwise
+Z(T) = exp(sum N_n T^n / n) is recovered from 2B counts as a reduced
+rational function by exact linear algebra on the truncated exponential
+series.  Everything is Fraction/int arithmetic; a float would be unsound.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ class InsufficientCountsError(ZetaError):
 
 class NoConsistentSignError(ZetaError):
     pass
+
+
+class AmbiguousSignError(ZetaError):
+    """Both signs of the functional equation fit the counts; count deeper."""
+
+    def __init__(self, candidates):
+        super().__init__("functional-equation sign is ambiguous at this count depth")
+        self.candidates = candidates
 
 
 @dataclass
@@ -85,6 +93,15 @@ class DegreeBudget:
     def __post_init__(self):
         if self.B < 2:
             raise ZetaError("budget must be at least 2")
+
+    @property
+    def levels(self):
+        """Counts `reconstruct` needs (an even d may need more for the sign)."""
+        if self.betti is None:
+            return 2 * self.B
+        d = len(self.betti) // 2
+        b = self.betti[d]
+        return b // 2 + 1 if d % 2 else max(-(-b // 2), 1)
 
 
 class MissingBudgetError(ZetaError):
@@ -144,17 +161,21 @@ def exp_series(counts, order):
 
 
 def reconstruct(counts, budget, dim=None):
-    """The unique rational function of degree <= B matching the counts.
+    """The zeta function matching the counts (a CountSeries, or anything
+    with .q and .counts), from at least `budget.levels` of them.
 
-    counts: a CountSeries (or anything with .q and .counts) holding at least
-    2B entries.  Minimal denominator degree is found first; the result is
-    validated by re-expansion against every supplied count.
+    A budget with Betti numbers takes the middle route (`_reconstruct_middle`,
+    whose dimension is len(betti) // 2).  Otherwise this is the unique
+    rational function of degree <= B: minimal denominator degree is found
+    first, and the result is validated by re-expansion against every count.
     """
-    B = budget.B if isinstance(budget, DegreeBudget) else int(budget)
     q = counts.q
     ns = list(counts.counts)
-    if len(ns) < 2 * B:
-        raise InsufficientCountsError(f"need at least {2 * B} counts, got {len(ns)}")
+    if len(ns) < budget.levels:
+        raise InsufficientCountsError(f"need at least {budget.levels} counts, got {len(ns)}")
+    if budget.betti is not None:
+        return _reconstruct_middle(q, ns, budget.betti)
+    B = budget.B
     M = len(ns)
     W = exp_series(ns, M)
 
@@ -228,64 +249,48 @@ def functional_equation_check(z, dim=None):
     return holds, None
 
 
-def reconstruct_surface(counts, q, b2):
-    """Middle zeta factor of a surface with b1 = b3 = 0, from few counts.
+def _reconstruct_middle(q, ns, betti):
+    """Zeta function of a d-fold whose cohomology outside degree d is that
+    of P^d: Z = P_d^((-1)^(d+1)) / prod (1 - q^k T), k = 0..d, k != d/2.
 
-    Z = 1 / ((1-T) P2(T) (1-q^2 T)) with deg P2 = b2.  Newton's identities
-    recover the low half of P2 from ceil(b2/2) counts; the functional
-    equation P2(T) = ±q^b2 T^b2 P2(1/(q^2 T)) fills the rest.  Both signs
-    are tried; survivors must have integer coefficients, all reciprocal-root
-    moduli exactly q, and must reproduce every supplied count.  Returns the
-    list of surviving candidates (two entries means genuinely ambiguous).
+    Newton's identities on s_n = (-1)^d (N_n - sum_k q^(kn)) give c_0..c_m
+    of P_d, m = min(#counts, b); c_k = sign * c_(b-k) * q^(d(2k-b)/2) gives
+    the rest.  The sign is +1 for odd d; for even d both are tried, and two
+    survivors (roots of modulus q^(d/2), every count reproduced) raise
+    AmbiguousSignError.
     """
     from .weil import certify_root_modulus
 
-    ns = list(counts.counts) if hasattr(counts, "counts") else list(counts)
-    need = -(-b2 // 2)
-    if len(ns) < need:
-        raise InsufficientCountsError(f"need at least {need} counts, got {len(ns)}")
-    if b2 == 0:
-        z = ZetaFunction(q=q, num=[1], den=upoly.mul([1, -1], [1, -(q**2)]), dim=2)
-        if expand(z, len(ns)) != ns:
-            raise NoSolutionError("counts do not match a b2 = 0 surface")
-        return [z]
-
-    m_avail = min(len(ns), b2)
-    s = [ns[n - 1] - 1 - q ** (2 * n) for n in range(1, m_avail + 1)]
-    c_known = {}
-    for k, ck in enumerate(upoly.from_power_sums(s)):
-        if ck.denominator != 1:
-            raise NonIntegerCoefficientsError("counts give non-integer coefficients")
-        c_known[k] = int(ck)
+    d = len(betti) // 2
+    b = betti[d]
+    known = [k for k in range(d + 1) if 2 * k != d]
+    m = min(len(ns), b)
+    s = [(-1) ** d * (ns[n - 1] - sum(q ** (k * n) for k in known)) for n in range(1, m + 1)]
+    low = upoly.from_power_sums(s)
+    if any(c.denominator != 1 for c in low):
+        raise NonIntegerCoefficientsError("counts give non-integer coefficients")
+    outer = [1]
+    for k in known:
+        outer = upoly.mul(outer, [1, -(q**k)])
 
     candidates = []
-    for sign in (1, -1):
-        # c_k = sign * c_{b2-k} * q^(2k - b2) for every k
-        c = [c_known.get(k) for k in range(b2 + 1)]
-        ok = True
-        for k in range(m_avail + 1, b2 + 1):
-            j = b2 - k  # j <= m_avail since m_avail >= ceil(b2/2)
-            c[k] = sign * c[j] * q ** (2 * k - b2)
-        for k in range(0, m_avail + 1):
-            j = b2 - k
-            if k <= j <= m_avail and c_known[j] != sign * c_known[k] * q ** (b2 - 2 * k):
-                ok = False
+    for sign in (1,) if d % 2 else (1, -1):
+        c = [int(x) for x in low] + [0] * (b - m)
+        for k in range(b // 2 + 1):  # c_k is a count-given coefficient
+            mirror = sign * c[k] * q ** (d * (b - 2 * k) // 2)
+            if b - k > m:
+                c[b - k] = mirror
+            elif c[b - k] != mirror:
                 break
-        if not ok:
-            continue
-        p2 = list(c)
-        if p2[0] != 1 or upoly.deg(upoly.trim(list(p2))) != b2:
-            continue
-        if not certify_root_modulus(p2, q * q):
-            continue
-        den = upoly.mul(upoly.mul([1, -1], p2), [1, -(q**2)])
-        z = ZetaFunction(q=q, num=[1], den=den, dim=2)
-        if expand(z, len(ns)) != ns:
-            continue
-        if all(z != other for other in candidates):
-            candidates.append(z)
+        else:
+            num, den = (c, outer) if d % 2 else ([1], upoly.mul(outer, c))
+            z = ZetaFunction(q=q, num=num, den=den, dim=d)
+            if certify_root_modulus(c, q**d) and expand(z, len(ns)) == ns:
+                candidates.append(z)
     if not candidates:
         raise NoConsistentSignError(
             "no sign of the functional equation is consistent with the counts"
         )
-    return candidates
+    if len(candidates) > 1:
+        raise AmbiguousSignError(candidates)
+    return candidates[0]

@@ -319,7 +319,15 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
-    "cycles", [{}, {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, "x"]]}]
+    "cycles",
+    [
+        {},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, "x"]]},
+        {"basisCycles": ["a"], "pairings": [[1.5]]},
+        {"basisCycles": ["a"], "pairings": [[True]]},
+        {"basisCycles": ["a"], "pairings": [["1"]]},
+        {"basisCycles": ["a"], "pairings": [[1]], "candidates": [{"pairingVector": [0.5]}]},
+    ],
 )
 def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
     # as above: exit 3 would mean the points were counted first
@@ -330,6 +338,163 @@ def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
     )
     assert code == 2
     assert "malformed cycles file" in err
+
+
+@pytest.mark.parametrize(
+    "generators, degree",
+    [(["x0*x3 + x1*x2"], d) for d in (3, "2", True, 0)] + [(["x0*x3 + x1*x2"] * 2, 2)],
+)
+def test_hypersurface_degree_checked_before_counting(tmp_path, capsys, generators, degree):
+    # x0*x3 + x1*x2 is one quadric: any other declaration would pick the
+    # wrong Betti numbers for the fewest-counts route
+    spec = write_json(
+        tmp_path / "q.json",
+        {
+            "field": {"p": 2, "e": 1},
+            "ambientDim": 3,
+            "generators": generators,
+            "flags": {"hypersurfaceDegree": degree},
+        },
+    )
+    code, out, err = run_cli(
+        capsys, "zeta", spec, "--cache-dir", str(tmp_path / "cache"),
+        "--eval-budget", "1", "--no-timing",
+    )
+    assert code == 2
+    assert out == ""
+    assert "hypersurfaceDegree" in err
+
+
+def _fill_cache(tmp_path, spec_path, counts):
+    """Cache file holding `counts` as N_1, N_2, ... for the spec's variety."""
+    from picardkit.cli import _variety_from_spec
+    from picardkit.counting import CountCache, variety_hash
+
+    ideal, _ = _variety_from_spec(json.loads(Path(spec_path).read_text()))
+    cache_path = str(tmp_path / "counts.ndjson")
+    cache = CountCache(cache_path)
+    for n, count in enumerate(counts, start=1):
+        cache.put(variety_hash(ideal), n, count)
+    return cache_path
+
+
+@pytest.mark.parametrize(
+    "cached, command",
+    [
+        # 9 - 8 is odd: no closed-point decomposition
+        ([8, 9], ["count", "-n", "2"]),
+        ([8, 9], ["zeta"]),
+        # a closed-point decomposition within #P^2(F_5), but
+        # (11 - 1 - 5)^2 > 2^2 * 5 breaks the Weil bound for genus 1
+        ([11, 31], ["zeta"]),
+    ],
+)
+def test_corrupt_cached_counts_are_inconsistent(tmp_path, capsys, cached, command):
+    spec = elliptic_spec(tmp_path)
+    cache = _fill_cache(tmp_path, spec, cached)
+    code, out, err = run_cli(
+        capsys, command[0], spec, *command[1:], "--cache-dir", cache,
+        "--eval-budget", "1", "--no-timing",
+    )
+    assert code == 5
+    assert out == ""
+    assert "invalid counts" in err
+
+
+CUBIC_THREEFOLD_F2 = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
+CUBIC_THREEFOLD_COUNTS = [15, 165, 585, 3729, 33825, 271425]
+
+
+def cubic_threefold_spec(tmp_path):
+    return write_json(
+        tmp_path / "cubic3.json",
+        {
+            "field": {"p": 2, "e": 1},
+            "ambientDim": 4,
+            "generators": [CUBIC_THREEFOLD_F2],
+            "flags": {"hypersurfaceDegree": 3},
+        },
+    )
+
+
+def test_zeta_cubic_threefold_from_six_counts(tmp_path, capsys):
+    from conftest import brute_force_projective_count
+    from picardkit.counting import count_tower
+    from picardkit.ffield import make_field
+    from picardkit.polysys import HomIdeal, poly_from_str
+    from picardkit.weil import betti_numbers, classify_weights, factor_zeta
+    from picardkit.zeta import ZetaFunction
+
+    spec = cubic_threefold_spec(tmp_path)
+    cache = _fill_cache(tmp_path, spec, CUBIC_THREEFOLD_COUNTS)
+    code, out, _ = run_cli(
+        capsys, "zeta", spec, "--cache-dir", cache, "--eval-budget", "1", "--no-timing"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"]["values"] == CUBIC_THREEFOLD_COUNTS
+    p3 = [1]
+    for _ in range(5):
+        p3 = mul(p3, [1, 0, 8])
+    assert report["zeta"]["num"] == p3
+    z = ZetaFunction.from_json(report["zeta"])
+    assert betti_numbers(z, classify_weights(z, factor_zeta(z))) == [1, 0, 1, 10, 1, 0, 1]
+    assert z.expand(7)[6] == 2113665  # N_7, counted separately
+
+    ideal = HomIdeal([poly_from_str(CUBIC_THREEFOLD_F2, 5, make_field(2, 1))])
+    assert CUBIC_THREEFOLD_COUNTS[:2] == [brute_force_projective_count(ideal, n) for n in (1, 2)]
+    assert CUBIC_THREEFOLD_COUNTS[:4] == count_tower(ideal, 4).counts
+
+
+@pytest.mark.long
+def test_zeta_cubic_threefold_cold(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "zeta", cubic_threefold_spec(tmp_path),
+        "--cache-dir", str(tmp_path / "cache"), "--no-timing",
+    )
+    assert code == 0
+    assert json.loads(out)["counts"]["values"] == CUBIC_THREEFOLD_COUNTS
+
+
+def test_tate_bound_klein_quartic_counts_four_levels(tmp_path, capsys):
+    spec = write_json(
+        tmp_path / "klein.json",
+        {
+            "field": {"p": 2, "e": 1},
+            "ambientDim": 2,
+            "generators": ["x0^3*x1 + x1^3*x2 + x2^3*x0"],
+            "flags": {"hypersurfaceDegree": 4},
+        },
+    )
+    code, out, _ = run_cli(
+        capsys, "tate-bound", spec, "--cache-dir", str(tmp_path / "cache"), "--no-timing"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"]["values"] == [3, 5, 24, 17]
+    assert report["zeta"]["num"] == [1, 0, 0, 5, 0, 0, 8]
+    assert report["betti"] == [1, 6, 1]
+    assert report["tateBound"]["vMu"] == 1
+
+
+def test_zeta_point_pair_deepens_past_ambiguous_sign(tmp_path, capsys):
+    # two conjugate points over F_2: N_1 = 0 fits both signs, N_2 = 2 one
+    spec = write_json(
+        tmp_path / "pair.json",
+        {
+            "field": {"p": 2, "e": 1},
+            "ambientDim": 1,
+            "generators": ["x0^2 + x0*x1 + x1^2"],
+            "flags": {"hypersurfaceDegree": 2},
+        },
+    )
+    code, out, _ = run_cli(
+        capsys, "zeta", spec, "--cache-dir", str(tmp_path / "cache"), "--no-timing"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"]["values"] == [0, 2]
+    assert (report["zeta"]["num"], report["zeta"]["den"]) == ([1], [1, 0, -1])
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from picardkit.weil import (
     factor_zeta,
     picard_upper_bound,
 )
-from picardkit.zeta import DegreeBudget, ZetaFunction, reconstruct, reconstruct_surface
+from picardkit.zeta import DegreeBudget, ZetaFunction, betti_budget, reconstruct
 
 
 def pieces(z):
@@ -114,7 +114,8 @@ def test_classify_weights_quadric():
 def reconstruct_surface_zeta():
     from picardkit.counting import CountSeries
 
-    return reconstruct_surface(CountSeries(q=2, counts=[9]), 2, 2)[0]
+    budget = betti_budget({"hypersurface_degree": 2, "ambient_dim": 3})
+    return reconstruct(CountSeries(q=2, counts=[9]), budget, dim=2)
 
 
 def test_classify_weights_elliptic():

@@ -5,16 +5,17 @@ from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 from picardkit.upoly import mul
 from picardkit.zeta import (
+    AmbiguousSignError,
     DegreeBudget,
     InsufficientCountsError,
     MissingBudgetError,
+    NoConsistentSignError,
     NoSolutionError,
     ZetaFunction,
     betti_budget,
     expand,
     functional_equation_check,
     reconstruct,
-    reconstruct_surface,
 )
 
 
@@ -135,25 +136,61 @@ def test_betti_budget_missing():
         betti_budget({})
 
 
+QUADRIC_SURFACE = betti_budget({"hypersurface_degree": 2, "ambient_dim": 3})
+
+
 def test_reconstruct_surface_quadric():
-    counts = series(2, [9])
-    cands = reconstruct_surface(counts, 2, 2)
-    assert len(cands) == 1
-    z = cands[0]
+    z = reconstruct(series(2, [9]), QUADRIC_SURFACE, dim=2)
     p2 = mul([1, -2], [1, -2])
     assert z.den == mul(mul([1, -1], p2), [1, -4])
     assert z.num == [1]
 
 
 def test_reconstruct_surface_b2_zero():
-    counts = series(2, [1 + 4])  # N_1 = 1 + q^2 with empty middle
-    cands = reconstruct_surface(counts, 2, 0)
-    assert len(cands) == 1
+    # N_1 = 1 + q^2 with empty middle
+    z = reconstruct(series(2, [1 + 4]), DegreeBudget(2, "hypersurface-formula", (1, 0, 0, 0, 1)))
+    assert z.den == mul([1, -1], [1, -4])
 
 
 def test_reconstruct_surface_insufficient():
     with pytest.raises(InsufficientCountsError):
-        reconstruct_surface(series(2, []), 2, 2)
+        reconstruct(series(2, []), QUADRIC_SURFACE, dim=2)
+
+
+# x0^2 + x0*x1 + x1^2 over F_2: two conjugate points, b_0 = 2
+POINT_PAIR = betti_budget({"hypersurface_degree": 2, "ambient_dim": 1})
+
+
+def test_reconstruct_middle_dimension_zero_deepens():
+    # N_1 = 0 fits P_0 = 1 + T^2 and 1 - T^2; N_2 = 2 leaves only 1 - T^2
+    assert POINT_PAIR.levels == 1
+    with pytest.raises(AmbiguousSignError) as err:
+        reconstruct(series(2, [0]), POINT_PAIR, dim=0)
+    assert [z.den for z in err.value.candidates] == [[1, 0, 1], [1, 0, -1]]
+    z = reconstruct(series(2, [0, 2]), POINT_PAIR, dim=0)
+    assert (z.num, z.den) == ([1], [1, 0, -1])
+
+
+@pytest.mark.parametrize(
+    "q, counts",
+    [(4, [9, 9]), (5, [9, 27]), (2, [3, 5, 24, 17])],
+    ids=["elliptic-f4", "elliptic-f5", "klein-f2"],
+)
+def test_reconstruct_middle_curves_match_pade(q, counts):
+    # the middle route needs b/2 + 1 counts; the Pade fit on 2B counts of
+    # the same curve gives the same zeta function
+    budget = betti_budget({"hypersurface_degree": 3 if len(counts) == 2 else 4, "ambient_dim": 2})
+    assert budget.levels == len(counts)
+    z = reconstruct(series(q, counts), budget, dim=1)
+    full = expand(z, 2 * budget.B)
+    assert reconstruct(series(q, full), DegreeBudget(budget.B, "user-config"), dim=1) == z
+
+
+def test_reconstruct_middle_rejects_inconsistent_counts():
+    budget = betti_budget({"hypersurface_degree": 3, "ambient_dim": 2})
+    # N_2 = 29 gives c_2 = 6, but the functional equation needs c_2 = 5
+    with pytest.raises(NoConsistentSignError):
+        reconstruct(series(5, [9, 29]), budget, dim=1)
 
 
 def test_zeta_json_round_trip():
