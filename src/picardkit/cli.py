@@ -7,6 +7,9 @@ stderr.  Exit codes: 0 success, 2 invalid input, 3 budget exceeded,
 4 undecided / still running, 5 internal inconsistency in the inputs
 (no matching zeta function, unclassifiable factors, inconsistent tables),
 1 unexpected error.
+
+Start-up is most of a warm request, so this module imports only the
+standard library; each subcommand imports the picardkit modules it uses.
 """
 
 from __future__ import annotations
@@ -16,19 +19,6 @@ import json
 import os
 import sys
 import time
-
-from . import counting, galmod, lattice, weil, zeta as zeta_mod
-from .counting import BudgetExceededError, CountCache, count_tower, variety_hash
-from .dovetail import IntegerSearchTask, PlantedTask, export_trace, run_geometric
-from .ffield import FieldError, make_field
-from .polysys import (
-    HomIdeal,
-    PolyError,
-    dimension_degree,
-    poly_from_str,
-    poly_to_str,
-    smoothness_check,
-)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -57,6 +47,9 @@ def _load_json(path):
 
 
 def _variety_from_spec(obj):
+    from .ffield import FieldError, make_field
+    from .polysys import HomIdeal, PolyError, poly_from_str
+
     try:
         fieldspec = obj["field"]
         p, e = int(fieldspec["p"]), int(fieldspec.get("e", 1))
@@ -77,12 +70,21 @@ def _variety_from_spec(obj):
 
 
 def _cache_from_args(args):
+    from .counting import CountCache, default_cache
+
     if getattr(args, "cache_dir", None):
         path = args.cache_dir
         if os.path.isdir(path) or not os.path.splitext(path)[1]:
             path = os.path.join(path, "counts.ndjson")
         return CountCache(path)
-    return counting.default_cache()
+    return default_cache()
+
+
+def _eval_budget(args):
+    """--eval-budget, or counting's default when it was not given."""
+    from .counting import DEFAULT_BUDGET
+
+    return DEFAULT_BUDGET if args.eval_budget is None else args.eval_budget
 
 
 def _budget_descriptor(flags, args, ambient):
@@ -111,6 +113,8 @@ def _validate_counts(series, betti=None):
 
 
 def _check_smooth(ideal, flags):
+    from .polysys import smoothness_check
+
     if flags.get("assumeSmooth"):
         return None
     smooth = smoothness_check(ideal)
@@ -122,6 +126,10 @@ def _check_smooth(ideal, flags):
 def _zeta_pipeline(ideal, flags, args, report):
     """Counts, the zeta function and its factorization; returns
     (z, factored) with factored as weil.factor_zeta gives it."""
+    from . import weil, zeta as zeta_mod
+    from .counting import BudgetExceededError, count_tower
+    from .polysys import dimension_degree
+
     ambient = ideal.nvars - 1
     desc = _budget_descriptor(flags, args, ambient)
     dim, degree = dimension_degree(ideal)
@@ -144,7 +152,7 @@ def _zeta_pipeline(ideal, flags, args, report):
         n_max = budget.levels
         while True:
             counts = count_tower(
-                ideal, n_max, cache=cache, budget=args.eval_budget,
+                ideal, n_max, cache=cache, budget=_eval_budget(args),
                 threads=args.threads, progress=progress,
             )
             _validate_counts(counts, budget.betti)
@@ -206,6 +214,8 @@ def _emit(report, args, started):
 
 
 def cmd_count(args):
+    from .counting import BudgetExceededError, count_tower, variety_hash
+
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
@@ -213,7 +223,7 @@ def cmd_count(args):
     cache = _cache_from_args(args)
     try:
         series = count_tower(
-            ideal, args.n, cache=cache, budget=args.eval_budget,
+            ideal, args.n, cache=cache, budget=_eval_budget(args),
             threads=args.threads, progress=args.progress,
         )
     except BudgetExceededError as exc:
@@ -228,6 +238,8 @@ def cmd_count(args):
 
 
 def cmd_zeta(args):
+    from .counting import variety_hash
+
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
@@ -238,6 +250,9 @@ def cmd_zeta(args):
 
 
 def cmd_betti(args):
+    from . import weil
+    from .counting import variety_hash
+
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
@@ -252,6 +267,9 @@ def cmd_betti(args):
 
 
 def cmd_tate(args):
+    from . import weil
+    from .counting import variety_hash
+
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
@@ -280,9 +298,9 @@ def _parse_action(obj, k):
     gens = []
     for g in obj.get("generators", []):
         if g and isinstance(g[0], list):
-            mat = [list(map(int, row)) for row in g]
+            mat = [_int_row(row) for row in g]
         else:
-            perm = list(map(int, g))
+            perm = _int_row(g)
             if sorted(perm) != list(range(k)):
                 raise CliError("permutation generator is not a permutation", EXIT_INVALID_INPUT)
             mat = [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
@@ -292,6 +310,9 @@ def _parse_action(obj, k):
 
 
 def cmd_rank(args):
+    from . import lattice, weil
+    from .counting import variety_hash
+
     started = time.time()
     spec = _load_json(args.spec)
     cycles = _load_json(args.cycles)
@@ -303,9 +324,9 @@ def cmd_rank(args):
             (cand.get("name", "?"), _int_row(cand["pairingVector"]))
             for cand in cycles.get("candidates", [])
         ]
+        action, relations = _parse_action(cycles.get("action", {}), k)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
-    action, relations = _parse_action(cycles.get("action", {}), k)
     digest = variety_hash(ideal)
     report = _report_base("rank", args, {"digest": digest})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
@@ -365,6 +386,8 @@ def cmd_rank(args):
 
 
 def cmd_torsion(args):
+    from . import galmod
+
     started = time.time()
     obj = _load_json(args.table)
     try:
@@ -390,6 +413,8 @@ def cmd_torsion(args):
 
 
 def cmd_galois_rank(args):
+    from . import galmod
+
     started = time.time()
     obj = _load_json(args.family)
     try:
@@ -416,6 +441,8 @@ def cmd_galois_rank(args):
 
 
 def cmd_dovetail(args):
+    from .dovetail import IntegerSearchTask, PlantedTask, export_trace, run_geometric
+
     started = time.time()
     if not args.demo:
         raise CliError("only --demo mode is implemented", EXIT_INVALID_INPUT)
@@ -454,7 +481,6 @@ def _add_common(p):
     p.add_argument(
         "--eval-budget",
         type=int,
-        default=counting.DEFAULT_BUDGET,
         help="evaluation work budget per count (default 2^34)",
     )
     p.add_argument("--no-timing", action="store_true", help="omit timing for byte-stable output")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..ffield import extend
@@ -203,6 +202,10 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
                 use_gcd, lo, hi,
             )
         else:
+            # imported here: concurrent.futures pulls in logging, which a
+            # one-thread request never needs
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futs = [
                     pool.submit(

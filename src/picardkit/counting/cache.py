@@ -3,11 +3,13 @@
 One JSON record per line: {"hash": ..., "n": ..., "count": ...}.  On load, a
 corrupt record after the last newline (an interrupted write) is truncated
 away and any other corrupt line is skipped, so no valid record is lost.
-Single-writer contract: concurrent invocations must use distinct cache files.
+Concurrent invocations may share one file: each append, and each truncation
+of a corrupt tail, holds an exclusive flock on it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 
@@ -32,8 +34,17 @@ class CountCache:
                 self.records[(rec["hash"], rec["n"])] = rec["count"]
             except (ValueError, KeyError, TypeError):
                 if i == len(lines) - 1:
-                    with open(self.path, "r+b") as fh:
-                        fh.truncate(len(data) - len(line))
+                    self._truncate_tail()
+
+    def _truncate_tail(self):
+        """Drop the unterminated record at the end of the file.  The file is
+        read again under the lock: what looked cut off may have been an
+        append still in progress, which now ends with its newline."""
+        with open(self.path, "r+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            data = fh.read()
+            if not data.endswith(b"\n"):
+                fh.truncate(data.rfind(b"\n") + 1)
 
     def get(self, variety_hash, n):
         return self.records.get((variety_hash, n))
@@ -45,6 +56,7 @@ class CountCache:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         line = json.dumps({"hash": variety_hash, "n": n, "count": count}).encode() + b"\n"
         with open(self.path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
             end = fh.seek(0, os.SEEK_END)
             if end:
                 # a last record without its newline must not merge with this one

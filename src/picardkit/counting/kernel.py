@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import os
 
-from . import kernel_py
-
-_impl = kernel_py
+_impl = None
 if not os.environ.get("PICARDKIT_PURE"):
     try:
         from . import _ckernel as _impl
     except ImportError:
         pass
+if _impl is None:
+    from . import kernel_py as _impl
 BACKEND = _impl.BACKEND
 
 

@@ -99,7 +99,23 @@ def divides_exactly(b, a):
 
 
 def int_quotient(a, b):
-    """Exact quotient in Z[x]; returns None when b does not divide a over Z."""
+    """Exact quotient in Z[x]; returns None when b does not divide a over Z.
+
+    Integer polynomials with a divisor of leading coefficient +-1 are divided
+    in Z[x] directly; everything else goes through divmod_frac."""
+    if b and b[-1] in (1, -1) and all(type(c) is int for c in (*a, *b)):
+        lead, nb = b[-1], len(b)
+        r = list(a)
+        q = [0] * max(len(r) - nb + 1, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + nb - 1] * lead
+            q[k] = c
+            if c:
+                for i in range(nb):
+                    r[k + i] -= c * b[i]
+        if any(r[: nb - 1]):
+            return None
+        return trim(q)
     ok, q = divides_exactly(b, a)
     if not ok:
         return None

@@ -327,6 +327,11 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
         {"basisCycles": ["a"], "pairings": [[True]]},
         {"basisCycles": ["a"], "pairings": [["1"]]},
         {"basisCycles": ["a"], "pairings": [[1]], "candidates": [{"pairingVector": [0.5]}]},
+        # action generators are integers too, not truncated to the swap [1, 0]
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": [[1.7, 0.2]]}},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": ["10"]}},
     ],
 )
 def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
@@ -575,12 +580,18 @@ def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypat
     assert len(classify_calls) == 1
 
 
-def _help_check(argv):
-    """Run ``argv`` against this checkout's source and assert it prints the
-    CLI help and exits 0."""
+def _source_env():
+    """The environment with this checkout's source first on PYTHONPATH."""
     src = str(Path(picardkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _help_check(argv):
+    """Run ``argv`` against this checkout's source and assert it prints the
+    CLI help and exits 0."""
+    env = _source_env()
     env["COLUMNS"] = "200"  # argparse must not wrap "exit codes: 0 ok"
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -616,3 +627,86 @@ INSTALLED_SCRIPT = shutil.which("picardkit", path=sysconfig.get_path("scripts"))
 )
 def test_installed_console_script_help():
     _help_check([INSTALLED_SCRIPT, "--help"])
+
+
+# what each subcommand imports: run it in a fresh interpreter, then read
+# sys.modules
+_MODULE_PROBE = """
+import json, sys
+from picardkit.cli import main
+
+out, argv = sys.argv[1], sys.argv[2:]
+code = main(argv)
+kernel = sys.modules.get("picardkit.counting.kernel")
+with open(out, "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules),
+               "backend": kernel.BACKEND if kernel else None}, fh)
+"""
+
+VARIETY_UNUSED = ["picardkit.galmod", "picardkit.lattice", "picardkit.dovetail",
+                  "concurrent.futures"]
+GALMOD_UNUSED = ["picardkit.counting", "picardkit.polysys", "picardkit.zeta",
+                 "picardkit.weil", "picardkit.intfactor", "picardkit.dovetail"]
+
+
+def _modules_after(tmp_path, *argv, pure=False):
+    env = _source_env()
+    env.pop("PICARDKIT_PURE", None)
+    if pure:
+        env["PICARDKIT_PURE"] = "1"
+    out = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, str(out), *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["code"] == 0, proc.stderr
+    return result
+
+
+def _loaded(modules, names):
+    """The modules among `modules` that are one of `names` or inside one."""
+    return sorted(m for m in modules for n in names if m == n or m.startswith(n + "."))
+
+
+def _warm_elliptic(tmp_path, capsys):
+    spec = elliptic_spec(tmp_path)
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "betti", spec, "--cache-dir", cache, "--no-timing")[0] == 0
+    return [spec, "--cache-dir", cache, "--eval-budget", "1", "--no-timing"]
+
+
+@pytest.mark.parametrize("command", ["betti", "zeta"])
+def test_warm_variety_request_imports_no_other_subsystem(tmp_path, capsys, command):
+    result = _modules_after(tmp_path, command, *_warm_elliptic(tmp_path, capsys))
+    assert _loaded(result["modules"], VARIETY_UNUSED) == []
+    if result["backend"] == "c":
+        assert "picardkit.counting.kernel_py" not in result["modules"]
+
+
+def test_pure_backend_forced_by_environment(tmp_path, capsys):
+    result = _modules_after(tmp_path, "betti", *_warm_elliptic(tmp_path, capsys), pure=True)
+    assert result["backend"] == "pure"
+    assert "picardkit.counting._ckernel" not in result["modules"]
+
+
+def test_galmod_requests_import_no_counting(tmp_path):
+    table = size_table_from_profile(3, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4)
+    family = {"ell": 5, "t": 0, "modules": [
+        {"ell": 5, "n": 1, "invariantFactors": [1, 1], "actions": [[[1, 0], [0, 1]]]},
+    ]}
+    for argv in (
+        ["torsion", write_json(tmp_path / "table.json", table.to_json()), "-i", "2"],
+        ["galois-rank", write_json(tmp_path / "family.json", family)],
+    ):
+        result = _modules_after(tmp_path, *argv, "--no-timing")
+        assert "picardkit.galmod" in result["modules"]
+        assert _loaded(result["modules"], GALMOD_UNUSED) == []
+
+
+def test_dovetail_demo_imports_only_dovetail(tmp_path):
+    result = _modules_after(tmp_path, "dovetail", "--demo", "--no-timing")
+    assert _loaded(result["modules"], ["picardkit"]) == [
+        "picardkit", "picardkit.cli", "picardkit.dovetail",
+    ]

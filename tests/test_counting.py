@@ -1,8 +1,15 @@
+import fcntl
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import picardkit
 from picardkit.counting import (
     BudgetExceededError,
     CountCache,
@@ -210,6 +217,60 @@ def test_cache_put_after_record_without_newline(tmp_path):
     assert reloaded.get("abc", 2) == 9
     for line in path.read_text().splitlines():
         json.loads(line)
+
+
+_CACHE_WRITER = """
+import sys
+from picardkit.counting.cache import CountCache
+
+path, tag, records = sys.argv[1], sys.argv[2], int(sys.argv[3])
+print("ready", flush=True)
+for n in range(1, records + 1):
+    # a fresh load per put, so loads also race with the other writer's appends
+    CountCache(path).put(tag, n, 10**600 + n)
+"""
+
+
+def _cache_writer(path, tag, records):
+    src = str(Path(picardkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", _CACHE_WRITER, str(path), tag, str(records)],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def test_cache_put_waits_for_the_file_lock(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    path.write_bytes(b"")
+    with open(path, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        writer = _cache_writer(path, "w", 1)
+        assert writer.stdout.readline() == "ready\n"
+        time.sleep(0.3)
+        assert path.read_bytes() == b""  # the append waits for the lock
+    with writer:
+        assert writer.wait(timeout=60) == 0
+    assert CountCache(str(path)).get("w", 1) == 10**600 + 1
+
+
+def test_cache_two_processes_write_one_file(tmp_path):
+    path = tmp_path / "counts.ndjson"
+    records = 150
+    writers = [_cache_writer(path, tag, records) for tag in ("left", "right")]
+    for w in writers:
+        w.communicate(timeout=120)
+    assert [w.returncode for w in writers] == [0, 0]
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    assert len(lines) - 1 == 2 * records  # no duplicate, no lost line
+    for line in lines[:-1]:
+        json.loads(line)
+    cache = CountCache(str(path))
+    for tag in ("left", "right"):
+        for n in range(1, records + 1):
+            assert cache.get(tag, n) == 10**600 + n
 
 
 def test_variety_hash_distinguishes():

@@ -6,9 +6,11 @@ from picardkit.upoly import (
     POS_INF,
     count_real_roots,
     derivative,
+    divides_exactly,
     divmod_frac,
     evaluate,
     gcd_frac,
+    int_quotient,
     is_totally_real,
     mul,
     mul_many,
@@ -25,6 +27,35 @@ def test_divmod_exact():
     q, r = divmod_frac(a, [1, 2, 1])
     assert r == []
     assert q == [Fraction(3), Fraction(-1)]
+
+
+def _fraction_int_quotient(a, b):
+    """int_quotient's contract computed over Q, as the reference."""
+    ok, q = divides_exactly(b, a)
+    if not ok or any(c.denominator != 1 for c in q):
+        return None
+    return [int(c) for c in q]
+
+
+def test_int_quotient_unit_divisor_matches_fraction_division():
+    # divisors with leading coefficient 1 or -1 take the integer path; the
+    # dividends are exact multiples, multiples plus a remainder, and random
+    rng = random.Random(7)
+    for trial in range(300):
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice((1, -1))]
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        a = mul(q, b)
+        if trial % 3 == 1:
+            a = [c + rng.randint(-2, 2) for c in a + [0]]
+            while a and not a[-1]:
+                a.pop()
+        elif trial % 3 == 2:
+            a = [rng.randint(-20, 20) for _ in range(rng.randint(0, 7))]
+        assert int_quotient(a, b) == _fraction_int_quotient(a, b), (a, b)
+    assert int_quotient(mul([2, 0, 5], [3, -1]), [3, -1]) == [2, 0, 5]
+    assert int_quotient([1, 2, 1], [1, 0, -1]) is None  # remainder 2 + 2x
+    assert int_quotient([1, 0, 0, 1], [1, 1, 0, 0, -1]) is None  # deg a < deg b
+    assert int_quotient([], [5, -1]) == []
 
 
 def test_gcd_monic():
