@@ -99,32 +99,28 @@ def divides_exactly(b, a):
 
 
 def int_quotient(a, b):
-    """Exact quotient in Z[x]; returns None when b does not divide a over Z.
+    """Exact quotient in Z[x] of integer polynomials; None when b does not
+    divide a in Z[x].
 
-    Integer polynomials with a divisor of leading coefficient +-1 are divided
-    in Z[x] directly; everything else goes through divmod_frac."""
-    if b and b[-1] in (1, -1) and all(type(c) is int for c in (*a, *b)):
-        lead, nb = b[-1], len(b)
-        r = list(a)
-        q = [0] * max(len(r) - nb + 1, 0)
-        for k in range(len(q) - 1, -1, -1):
-            c = r[k + nb - 1] * lead
-            q[k] = c
-            if c:
-                for i in range(nb):
-                    r[k + i] -= c * b[i]
-        if any(r[: nb - 1]):
+    Long division in Z[x]: if the quotient is integral, every step's top
+    coefficient is divisible by b's leading coefficient, so a nonzero
+    remainder there already rules it out."""
+    if not b or not b[-1]:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead, nb = b[-1], len(b)
+    r = list(a)
+    q = [0] * max(len(r) - nb + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + nb - 1], lead)
+        if rem:
             return None
-        return trim(q)
-    ok, q = divides_exactly(b, a)
-    if not ok:
+        q[k] = c
+        if c:
+            for i in range(nb - 1):
+                r[k + i] -= c * b[i]
+    if any(r[: nb - 1]):
         return None
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    return out
+    return trim(q)
 
 
 def gcd_frac(a, b):

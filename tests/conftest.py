@@ -1,7 +1,11 @@
-"""Shared test helpers: independent brute-force oracles."""
+"""Shared test helpers: independent brute-force oracles, and the environment
+for subprocesses that run this checkout's source."""
 
 import itertools
+import os
+from pathlib import Path
 
+import picardkit
 from picardkit.ffield import enumerate_field, extend
 
 
@@ -33,3 +37,11 @@ def brute_force_projective_count(ideal, n):
             if ok:
                 count += 1
     return count
+
+
+def source_env():
+    """The environment with this checkout's source first on PYTHONPATH."""
+    src = str(Path(picardkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -9,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-import picardkit
 from picardkit.cli import main
 from picardkit.galmod import size_table_from_profile
 from picardkit.upoly import mul
+
+from conftest import source_env
 
 
 def run_cli(capsys, *argv):
@@ -580,18 +580,10 @@ def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypat
     assert len(classify_calls) == 1
 
 
-def _source_env():
-    """The environment with this checkout's source first on PYTHONPATH."""
-    src = str(Path(picardkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def _help_check(argv):
     """Run ``argv`` against this checkout's source and assert it prints the
     CLI help and exits 0."""
-    env = _source_env()
+    env = source_env()
     env["COLUMNS"] = "200"  # argparse must not wrap "exit codes: 0 ok"
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -650,7 +642,7 @@ GALMOD_UNUSED = ["picardkit.counting", "picardkit.polysys", "picardkit.zeta",
 
 
 def _modules_after(tmp_path, *argv, pure=False):
-    env = _source_env()
+    env = source_env()
     env.pop("PICARDKIT_PURE", None)
     if pure:
         env["PICARDKIT_PURE"] = "1"

@@ -1,15 +1,12 @@
 import fcntl
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import picardkit
 from picardkit.counting import (
     BudgetExceededError,
     CountCache,
@@ -32,7 +29,7 @@ def ideal_over(p, e, nvars, *gens):
     return ideal
 
 
-from conftest import brute_force_projective_count as brute_force_count
+from conftest import brute_force_projective_count as brute_force_count, source_env
 
 
 def test_zech_tables_consistent_with_field_arithmetic():
@@ -232,12 +229,9 @@ for n in range(1, records + 1):
 
 
 def _cache_writer(path, tag, records):
-    src = str(Path(picardkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-c", _CACHE_WRITER, str(path), tag, str(records)],
-        env=env, stdout=subprocess.PIPE, text=True,
+        env=source_env(), stdout=subprocess.PIPE, text=True,
     )
 
 

@@ -37,12 +37,13 @@ def _fraction_int_quotient(a, b):
     return [int(c) for c in q]
 
 
-def test_int_quotient_unit_divisor_matches_fraction_division():
-    # divisors with leading coefficient 1 or -1 take the integer path; the
-    # dividends are exact multiples, multiples plus a remainder, and random
+def test_int_quotient_matches_fraction_division():
+    # divisors of every leading coefficient, +-1 included; the dividends are
+    # exact multiples, multiples plus a remainder, and random
     rng = random.Random(7)
-    for trial in range(300):
-        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice((1, -1))]
+    for trial in range(600):
+        lead = rng.choice((1, -1)) if trial % 2 else rng.choice((2, -3, 4, 6, -8))
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [lead]
         q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
         a = mul(q, b)
         if trial % 3 == 1:
@@ -53,7 +54,11 @@ def test_int_quotient_unit_divisor_matches_fraction_division():
             a = [rng.randint(-20, 20) for _ in range(rng.randint(0, 7))]
         assert int_quotient(a, b) == _fraction_int_quotient(a, b), (a, b)
     assert int_quotient(mul([2, 0, 5], [3, -1]), [3, -1]) == [2, 0, 5]
+    assert int_quotient(mul([1, 0, 7], [1, 0, 8]), [1, 0, 8]) == [1, 0, 7]
     assert int_quotient([1, 2, 1], [1, 0, -1]) is None  # remainder 2 + 2x
+    assert int_quotient([1, 3], [1, 2]) is None  # quotient 3/2 over Q
+    assert int_quotient([4, 6], [2, 2]) is None  # remainder -2 after quotient 3
+    assert int_quotient([2, 4], [2]) == [1, 2]  # non-primitive divisor
     assert int_quotient([1, 0, 0, 1], [1, 1, 0, 0, -1]) is None  # deg a < deg b
     assert int_quotient([], [5, -1]) == []
 
