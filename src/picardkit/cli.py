@@ -112,6 +112,13 @@ def _validate_counts(series, betti=None):
         raise CliError(f"invalid counts: {exc}", EXIT_INCONSISTENT) from None
 
 
+def _budget_error(exc):
+    """Exit 3 for a counting.BudgetExceededError, saying which limit (work
+    or memory) the next level hit and how far the tower got."""
+    done = len(exc.completed.counts) if exc.completed else 0
+    return CliError(f"{exc} (largest completed n = {done})", EXIT_BUDGET)
+
+
 def _check_smooth(ideal, flags):
     from .polysys import smoothness_check
 
@@ -160,20 +167,18 @@ def _zeta_pipeline(ideal, flags, args, report):
                 z = zeta_mod.reconstruct(counts, budget, dim=dim)
                 break
             except zeta_mod.AmbiguousSignError as exc:
-                # deepen (the cache keeps the earlier levels free) up to b_d
-                # counts, which fix every coefficient
-                if n_max >= budget.betti[dim]:
+                # deepen one level at a time (the cache keeps the earlier
+                # levels free) up to D counts, which fix every coefficient of
+                # the unknown factor; the sign is never guessed
+                if n_max >= budget.unknown_degree:
                     report["zeta"] = {
                         "ambiguous": True,
                         "candidates": [c.to_json() for c in exc.candidates],
                     }
                     raise CliError(str(exc), EXIT_UNDECIDED) from None
-                n_max = min(budget.betti[dim], 2 * n_max)
+                n_max += 1
     except BudgetExceededError as exc:
-        done = len(exc.completed.counts) if exc.completed else 0
-        raise CliError(
-            f"evaluation budget exceeded (largest completed n = {done})", EXIT_BUDGET
-        ) from None
+        raise _budget_error(exc) from None
     except zeta_mod.MissingBudgetError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     except zeta_mod.ZetaError as exc:
@@ -227,10 +232,7 @@ def cmd_count(args):
             threads=args.threads, progress=args.progress,
         )
     except BudgetExceededError as exc:
-        done = len(exc.completed.counts) if exc.completed else 0
-        raise CliError(
-            f"evaluation budget exceeded (largest completed n = {done})", EXIT_BUDGET
-        ) from None
+        raise _budget_error(exc) from None
     _validate_counts(series)
     report["counts"] = {"q": series.q, "values": series.counts}
     _emit(report, args, started)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -139,13 +140,19 @@ def _estimate_chart_cost(chart, Q, strategy):
     return slices * (build + per), chosen
 
 
+def physical_memory():
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
     `n` is the extension degree (or a FieldDesc of the canonical extension).
     Raises BudgetExceededError, before the field tables are built, when the
-    work estimate (Q units for the tables plus each chart's cost) exceeds
-    `budget`.
+    three int64 tables of length Q = q^n (24 Q bytes) exceed physical memory,
+    or when the work estimate (Q units for the tables plus each chart's cost)
+    exceeds `budget`.
     """
     dom = ideal.domain
     if dom is None:
@@ -161,6 +168,12 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
     if not ideal.generators:
         # empty ideal: all of P^(nvars-1), counted in closed form
         return sum(Q**i for i in range(ideal.nvars))
+    memory = physical_memory()
+    if 24 * Q > memory:
+        raise BudgetExceededError(
+            f"field tables at n={n} need {24 * Q} bytes, more than the "
+            f"{memory} bytes of physical memory"
+        )
 
     charts = compile_charts(ideal, emb, ext.to_index)
     total_cost = Q  # the three field tables of length Q

@@ -1,7 +1,8 @@
 """Exact zeta functions from point counts.
 
 When the budget carries the Betti numbers of a smooth hypersurface, only
-the middle factor P_d is unknown: Newton's identities give its low half and
+the middle factor P_d is unknown, less the factor (1 - q^(d/2) T) of the
+hyperplane class when d is even: Newton's identities give its low half and
 the functional equation the rest, from about b_d / 2 counts.  Otherwise
 Z(T) = exp(sum N_n T^n / n) is recovered from 2B counts as a reduced
 rational function by exact linear algebra on the truncated exponential
@@ -95,13 +96,23 @@ class DegreeBudget:
             raise ZetaError("budget must be at least 2")
 
     @property
+    def unknown_degree(self):
+        """Degree of the part of P_d that counts must fix: b_d, less the
+        factor (1 - q^(d/2) T) of the rational class h^(d/2) when d is even."""
+        d = len(self.betti) // 2
+        b = self.betti[d]
+        return b - 1 if d % 2 == 0 and b else b
+
+    @property
     def levels(self):
-        """Counts `reconstruct` needs (an even d may need more for the sign)."""
+        """Counts `reconstruct` needs: b_d / 2 + 1 for odd d, whose sign is
+        +1.  For even d the sign is unknown, and an unknown factor of degree
+        D = `unknown_degree` needs D // 2 (at least 1); D counts fix every
+        coefficient when the sign stays ambiguous."""
         if self.betti is None:
             return 2 * self.B
         d = len(self.betti) // 2
-        b = self.betti[d]
-        return b // 2 + 1 if d % 2 else max(-(-b // 2), 1)
+        return self.betti[d] // 2 + 1 if d % 2 else max(self.unknown_degree // 2, 1)
 
 
 class MissingBudgetError(ZetaError):
@@ -174,7 +185,7 @@ def reconstruct(counts, budget, dim=None):
     if len(ns) < budget.levels:
         raise InsufficientCountsError(f"need at least {budget.levels} counts, got {len(ns)}")
     if budget.betti is not None:
-        return _reconstruct_middle(q, ns, budget.betti)
+        return _reconstruct_middle(q, ns, budget)
     B = budget.B
     M = len(ns)
     W = exp_series(ns, M)
@@ -249,40 +260,47 @@ def functional_equation_check(z, dim=None):
     return holds, None
 
 
-def _reconstruct_middle(q, ns, betti):
+def _reconstruct_middle(q, ns, budget):
     """Zeta function of a d-fold whose cohomology outside degree d is that
     of P^d: Z = P_d^((-1)^(d+1)) / prod (1 - q^k T), k = 0..d, k != d/2.
 
-    Newton's identities on s_n = (-1)^d (N_n - sum_k q^(kn)) give c_0..c_m
-    of P_d, m = min(#counts, b); c_k = sign * c_(b-k) * q^(d(2k-b)/2) gives
-    the rest.  The sign is +1 for odd d; for even d both are tried, and two
-    survivors (roots of modulus q^(d/2), every count reproduced) raise
-    AmbiguousSignError.
+    For even d the rational class h^(d/2) gives P_d = (1 - q^(d/2) T) P'
+    (when b_d >= 1); otherwise P' = P_d.  Newton's identities on
+    s_n = (-1)^d (N_n - sum_k q^(kn)), k over the known exponents (those of
+    the poles, and d/2 when P' != P_d), give c_0..c_m of P', m =
+    min(#counts, D) with D = deg P'; c_k = sign * c_(D-k) * q^(d(2k-D)/2)
+    gives the rest.  The sign is +1 for odd d; for even d both are tried,
+    and two survivors (roots of P_d of modulus q^(d/2), every count
+    reproduced) raise AmbiguousSignError.
     """
     from .weil import certify_root_modulus
 
-    d = len(betti) // 2
-    b = betti[d]
-    known = [k for k in range(d + 1) if 2 * k != d]
-    m = min(len(ns), b)
+    d = len(budget.betti) // 2
+    D = budget.unknown_degree
+    hyperplane = D < budget.betti[d]
+    poles = [k for k in range(d + 1) if 2 * k != d]
+    known = poles + [d // 2] if hyperplane else poles
+    m = min(len(ns), D)
     s = [(-1) ** d * (ns[n - 1] - sum(q ** (k * n) for k in known)) for n in range(1, m + 1)]
     low = upoly.from_power_sums(s)
     if any(c.denominator != 1 for c in low):
         raise NonIntegerCoefficientsError("counts give non-integer coefficients")
     outer = [1]
-    for k in known:
+    for k in poles:
         outer = upoly.mul(outer, [1, -(q**k)])
 
     candidates = []
     for sign in (1,) if d % 2 else (1, -1):
-        c = [int(x) for x in low] + [0] * (b - m)
-        for k in range(b // 2 + 1):  # c_k is a count-given coefficient
-            mirror = sign * c[k] * q ** (d * (b - 2 * k) // 2)
-            if b - k > m:
-                c[b - k] = mirror
-            elif c[b - k] != mirror:
+        c = [int(x) for x in low] + [0] * (D - m)
+        for k in range(D // 2 + 1):  # c_k is a count-given coefficient
+            mirror = sign * c[k] * q ** (d * (D - 2 * k) // 2)
+            if D - k > m:
+                c[D - k] = mirror
+            elif c[D - k] != mirror:
                 break
         else:
+            if hyperplane:
+                c = upoly.mul([1, -(q ** (d // 2))], c)
             num, den = (c, outer) if d % 2 else ([1], upoly.mul(outer, c))
             z = ZetaFunction(q=q, num=num, den=den, dim=d)
             if certify_root_modulus(c, q**d) and expand(z, len(ns)) == ns:

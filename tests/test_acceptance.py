@@ -177,7 +177,7 @@ def test_criterion_2_quadric_surfaces(tmp_path, capsys):
                 "field": {"p": p, "e": 1},
                 "ambientDim": 3,
                 "generators": [eq],
-                "flags": {"hypersurfaceDegree": 2, "b1b3Zero": True},
+                "flags": {"hypersurfaceDegree": 2},
             },
         )
         code, report = run_cli(capsys, "count", spec, "-n", "4", "--no-timing")
@@ -229,7 +229,7 @@ def test_criterion_2_quadric_surfaces(tmp_path, capsys):
                 "generators": [
                     "x0^2 + x0*x1 + x1^2 + x2*x3" if p == 2 else "x0^2 + x1^2 - x2*x3"
                 ],
-                "flags": {"hypersurfaceDegree": 2, "b1b3Zero": True},
+                "flags": {"hypersurfaceDegree": 2},
             },
         )
         ncycles = write_json(
@@ -330,7 +330,7 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
             "field": {"p": 2, "e": 1},
             "ambientDim": 3,
             "generators": [CUBIC_F2],
-            "flags": {"hypersurfaceDegree": 3, "b1b3Zero": True},
+            "flags": {"hypersurfaceDegree": 3},
         },
     )
     code, report = run_cli(capsys, "zeta", spec, "--no-timing")
@@ -645,7 +645,7 @@ def test_criterion_9_quartic_k3_long(tmp_path, capsys):
             "field": {"p": 2, "e": 1},
             "ambientDim": 3,
             "generators": [K3_F2],
-            "flags": {"hypersurfaceDegree": 4, "b1b3Zero": True},
+            "flags": {"hypersurfaceDegree": 4},
         },
     )
     code, report = run_cli(
@@ -653,6 +653,8 @@ def test_criterion_9_quartic_k3_long(tmp_path, capsys):
         "--cache-dir", str(tmp_path / "cache"),
     )
     assert code == 0
+    # (1 - 4T) divided out of P_2 leaves degree 21: 10 levels, not 11
+    assert len(report["counts"]["values"]) == 10
     z = ZetaFunction.from_json(report["zeta"])
     assert betti_numbers(z, pieces(z)) == [1, 0, 22, 0, 1]
     rho_bound = picard_upper_bound(z)

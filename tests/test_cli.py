@@ -46,7 +46,7 @@ def quadric_spec(tmp_path, p=2):
             "field": {"p": p, "e": 1},
             "ambientDim": 3,
             "generators": [eq],
-            "flags": {"hypersurfaceDegree": 2, "b1b3Zero": True},
+            "flags": {"hypersurfaceDegree": 2},
         },
     )
 
@@ -281,7 +281,7 @@ def test_parser_tolerates_spacing(tmp_path, capsys):
             "field": {"p": 2, "e": 1},
             "ambientDim": 3,
             "generators": ["  x0 *x3   +x1* x2 "],
-            "flags": {"hypersurfaceDegree": 2, "b1b3Zero": True},
+            "flags": {"hypersurfaceDegree": 2},
         },
     )
     code, out, _ = run_cli(capsys, "zeta", spec, "--no-timing")
@@ -295,7 +295,7 @@ def cubic_f2_spec(tmp_path):
             "field": {"p": 2, "e": 1},
             "ambientDim": 3,
             "generators": ["x0^3 + x1^3 + x2^3 + x3^3"],
-            "flags": {"hypersurfaceDegree": 3, "b1b3Zero": True},
+            "flags": {"hypersurfaceDegree": 3},
         },
     )
 
@@ -482,24 +482,66 @@ def test_tate_bound_klein_quartic_counts_four_levels(tmp_path, capsys):
     assert report["tateBound"]["vMu"] == 1
 
 
-def test_zeta_point_pair_deepens_past_ambiguous_sign(tmp_path, capsys):
-    # two conjugate points over F_2: N_1 = 0 fits both signs, N_2 = 2 one
-    spec = write_json(
-        tmp_path / "pair.json",
+def point_set_spec(tmp_path, generator, degree):
+    return write_json(
+        tmp_path / "points.json",
         {
             "field": {"p": 2, "e": 1},
             "ambientDim": 1,
-            "generators": ["x0^2 + x0*x1 + x1^2"],
-            "flags": {"hypersurfaceDegree": 2},
+            "generators": [generator],
+            "flags": {"hypersurfaceDegree": degree},
         },
     )
+
+
+def test_zeta_point_pair_from_one_count(tmp_path, capsys):
+    # two conjugate points over F_2: the rational class of their sum
+    # leaves an unknown factor of degree 1, which N_1 = 0 fixes
+    spec = point_set_spec(tmp_path, "x0^2 + x0*x1 + x1^2", 2)
     code, out, _ = run_cli(
         capsys, "zeta", spec, "--cache-dir", str(tmp_path / "cache"), "--no-timing"
     )
     assert code == 0
     report = json.loads(out)
-    assert report["counts"]["values"] == [0, 2]
+    assert report["counts"]["values"] == [0]
     assert (report["zeta"]["num"], report["zeta"]["den"]) == ([1], [1, 0, -1])
+
+
+def test_zeta_four_points_deepens_one_level(tmp_path, capsys):
+    # four conjugate points over F_2: N_1 = 0 fits both signs, and one more
+    # level (not a doubling to four) settles it
+    spec = point_set_spec(tmp_path, "x0^4 + x0*x1^3 + x1^4", 4)
+    code, out, _ = run_cli(
+        capsys, "zeta", spec, "--cache-dir", str(tmp_path / "cache"), "--no-timing"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"]["values"] == [0, 0]
+    assert (report["zeta"]["num"], report["zeta"]["den"]) == ([1], [1, 0, 0, 0, -1])
+
+
+def test_count_refuses_tables_beyond_memory(tmp_path, capsys, monkeypatch):
+    # with 2^8 table entries of memory, n = 9 on F_2 is refused (exit 3)
+    # before its field tables are built; levels 1..8 are counted
+    from picardkit import counting
+
+    build = counting.field_tables
+
+    def guarded(ext):
+        if ext.q > 2**8:
+            pytest.fail("field tables were built past physical memory")
+        return build(ext)
+
+    monkeypatch.setattr(counting, "physical_memory", lambda: 24 * 2**8)
+    monkeypatch.setattr(counting, "field_tables", guarded)
+    spec = point_set_spec(tmp_path, "x0^2 + x0*x1 + x1^2", 2)
+    code, out, err = run_cli(
+        capsys, "count", spec, "-n", "33", "--cache-dir", str(tmp_path / "cache")
+    )
+    assert code == 3
+    assert out == ""
+    assert "physical memory" in err
+    assert "largest completed n = 8" in err
 
 
 @pytest.mark.parametrize(
@@ -557,7 +599,7 @@ def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypat
             "field": {"p": 2, "e": 1},
             "ambientDim": 3,
             "generators": [K3_EQUATION],
-            "flags": {"hypersurfaceDegree": 4, "b1b3Zero": True},
+            "flags": {"hypersurfaceDegree": 4},
         },
     )
     cache_path = str(tmp_path / "counts.ndjson")

@@ -154,6 +154,19 @@ def test_budget_charges_field_tables(monkeypatch):
         count_points(ideal, 22, budget=1000)
 
 
+def test_memory_check_refuses_tables_before_building(monkeypatch):
+    # n = 33 costs about 2^33 work units, under the default budget, but its
+    # tables need 24 * 2^33 bytes (192 GiB)
+    def refuse(ext):
+        pytest.fail("field tables were built past physical memory")
+
+    monkeypatch.setattr("picardkit.counting.physical_memory", lambda: 2**30)
+    monkeypatch.setattr("picardkit.counting.field_tables", refuse)
+    ideal = ideal_over(2, 1, 2, "x0^2 + x0*x1 + x1^2")
+    with pytest.raises(BudgetExceededError, match="physical memory"):
+        count_points(ideal, 33)
+
+
 def test_tower_budget_reports_completed():
     ideal = ideal_over(5, 1, 4, "x0^4 + x1^4 + x2^4 + x3^4")
     try:

@@ -157,18 +157,62 @@ def test_reconstruct_surface_insufficient():
         reconstruct(series(2, []), QUADRIC_SURFACE, dim=2)
 
 
+@pytest.mark.parametrize(
+    "degree, ambient, levels",
+    [(3, 3, 3), (4, 3, 10), (2, 3, 1), (3, 2, 2), (4, 2, 4), (3, 4, 6)],
+    ids=["cubic-surface", "quartic-k3", "quadric-surface",
+         "elliptic-curve", "plane-quartic", "cubic-threefold"],
+)
+def test_levels_for_hypersurfaces(degree, ambient, levels):
+    # even d: the unknown factor of P_d has degree D = b_d - 1 once
+    # (1 - q^(d/2) T) is divided out, and needs D // 2 counts; odd d keeps
+    # b_d / 2 + 1
+    assert betti_budget({"hypersurface_degree": degree, "ambient_dim": ambient}).levels == levels
+
+
 # x0^2 + x0*x1 + x1^2 over F_2: two conjugate points, b_0 = 2
 POINT_PAIR = betti_budget({"hypersurface_degree": 2, "ambient_dim": 1})
 
 
-def test_reconstruct_middle_dimension_zero_deepens():
-    # N_1 = 0 fits P_0 = 1 + T^2 and 1 - T^2; N_2 = 2 leaves only 1 - T^2
+def test_reconstruct_point_pair_from_one_count():
+    # P_0 = (1 - T) P' with P' of degree 1: N_1 = 0 gives P' = 1 + T, and
+    # 1 + T^2 (roots +-i) is no candidate, since the sum of the two points
+    # is a rational class
     assert POINT_PAIR.levels == 1
-    with pytest.raises(AmbiguousSignError) as err:
-        reconstruct(series(2, [0]), POINT_PAIR, dim=0)
-    assert [z.den for z in err.value.candidates] == [[1, 0, 1], [1, 0, -1]]
-    z = reconstruct(series(2, [0, 2]), POINT_PAIR, dim=0)
+    z = reconstruct(series(2, [0]), POINT_PAIR, dim=0)
     assert (z.num, z.den) == ([1], [1, 0, -1])
+
+
+# x0^4 + x0*x1^3 + x1^4 over F_2: four conjugate points, b_0 = 4
+POINT_QUARTET = betti_budget({"hypersurface_degree": 4, "ambient_dim": 1})
+
+
+def test_reconstruct_four_conjugate_points_deepens_one_level():
+    # P' has degree 3: N_1 = 0 fits P_0 = 1 - T^4 and (1 - T^2)^2, and
+    # N_2 = 0 leaves only 1 - T^4
+    assert POINT_QUARTET.levels == 1
+    with pytest.raises(AmbiguousSignError) as err:
+        reconstruct(series(2, [0]), POINT_QUARTET, dim=0)
+    assert [z.den for z in err.value.candidates] == [[1, 0, 0, 0, -1], [1, 0, -2, 0, 1]]
+    z = reconstruct(series(2, [0, 0]), POINT_QUARTET, dim=0)
+    assert (z.num, z.den) == ([1], [1, 0, 0, 0, -1])
+
+
+# the quartic K3 over F_2 x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3
+K3_COUNTS = [5, 9, 89, 289, 1185, 4545, 16385, 66049, 263681, 1051649]
+K3_P2 = [
+    1, -5, 8, -28, 56, -96, 256, -64, 384, 0, -1536, 1024, -12288, 4096, -24576, 0,
+    98304, -65536, 1048576, -1572864, 3670016, -7340032, 8388608, -20971520, 16777216,
+]
+
+
+def test_reconstruct_k3_from_ten_counts():
+    # with 10 counts only one sign passes certification; the result is the
+    # zeta function that all 11 counted levels give, N_11 included
+    budget = betti_budget({"hypersurface_degree": 4, "ambient_dim": 3})
+    z = reconstruct(series(2, K3_COUNTS), budget, dim=2)
+    assert (z.num, z.den) == ([1], K3_P2)
+    assert expand(z, 11) == K3_COUNTS + [4194305]
 
 
 @pytest.mark.parametrize(
