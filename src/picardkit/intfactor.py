@@ -2,12 +2,19 @@
 recombination.  Deterministic throughout (fixed prime choice, exhaustive
 splitting, lexicographic subset order); input degrees here stay around 24,
 where this classical route is cheap.
+
+The monic end is factored: a polynomial whose constant term is smaller in
+absolute value than its leading coefficient is factored through its
+reverse, and the factors are reversed back.  Every zeta side has f(0) = 1,
+so its reverse is monic, where the substitution lc^(d-1) f(x / lc) that
+makes the other end monic would inflate the coefficients (lc = 2^24 for
+the quartic K3's denominator).  Gcds in the squarefree decomposition are
+integer remainder sequences (`upoly.int_gcd`).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd as intgcd
 from math import isqrt
 
 from . import upoly
@@ -303,7 +310,7 @@ def _squarefree_decomposition(f):
     """Yun: [(g_i, i)] with f = prod g_i^i, each g_i squarefree, over Z."""
     out = []
     df = upoly.derivative(f)
-    a = _int_gcd_poly(f, df)
+    a = upoly.int_gcd(f, df)
     if upoly.deg(a) == 0:
         return [(list(f), 1)]
     b = upoly.int_quotient(f, a)
@@ -311,7 +318,7 @@ def _squarefree_decomposition(f):
     d = upoly.trim([x - y for x, y in _zip2(c, upoly.derivative(b))])
     i = 1
     while upoly.deg(b) > 0:
-        g = _int_gcd_poly(b, d)
+        g = upoly.int_gcd(b, d)
         if upoly.deg(g) > 0:
             out.append((g, i))
         if upoly.deg(g) == 0:
@@ -322,19 +329,6 @@ def _squarefree_decomposition(f):
         b = b2
         i += 1
     return out
-
-
-def _int_gcd_poly(a, b):
-    """Primitive gcd in Z[x] with positive leading coefficient."""
-    g = upoly.gcd_frac(a, b)
-    if not g:
-        return []
-    den = 1
-    for c in g:
-        den = den * c.denominator // intgcd(den, c.denominator)
-    ints = [int(c * den) for c in g]
-    _, prim = upoly.primitive(ints)
-    return prim
 
 
 def factor_int_poly(f):
@@ -357,6 +351,11 @@ def factor_int_poly(f):
     if k:
         factors.append(([0, 1], k))
     if upoly.deg(prim) >= 1:
+        # factor the end with the smaller coefficient: the reverse of a zeta
+        # side (f(0) = 1) is monic, so the substitution below is trivial
+        flip = abs(prim[0]) < abs(prim[-1])
+        if flip:
+            prim = upoly.reverse(prim)
         # make monic by the leading-coefficient substitution
         lc = prim[-1]
         if lc < 0:
@@ -370,7 +369,7 @@ def factor_int_poly(f):
                 # undo the substitution: g(lc*x), then primitive part
                 back = [g[i] * lc**i for i in range(len(g))]
                 _, back = upoly.primitive(back)
-                factors.append((back, mult))
+                factors.append((upoly.reverse(back) if flip else back, mult))
     # sign normalization: constant term positive when nonzero
     normalized = []
     sign_total = 1

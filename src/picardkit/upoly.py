@@ -1,14 +1,18 @@
-"""Dense univariate polynomial helpers over exact coefficients (int / Fraction).
+"""Dense univariate polynomials over Z: arithmetic, exact division, gcd,
+Newton's identities and Sturm real-root counts.
 
 Polynomials are plain lists of coefficients, index = degree, with no trailing
-zeros; the zero polynomial is the empty list.  Everything here is exact; no
-floats anywhere.
+zeros; the zero polynomial is the empty list.  Division, gcd and Sturm
+chains stay in Z[x] (pseudo-remainders with a positive multiplier); a
+rational polynomial enters through `integral`, and only `from_power_sums`
+returns Fractions.  Everything here is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _intgcd
+from math import lcm as _intlcm
 
 
 def trim(c):
@@ -60,42 +64,8 @@ def mul_many(polys):
     return out
 
 
-def evaluate(a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(a):
     return trim([i * a[i] for i in range(1, len(a))])
-
-
-def divmod_frac(a, b):
-    """Quotient and remainder over Q (coefficients coerced to Fraction)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        a.pop()
-        a = trim(a)
-    return trim(q), trim(a)
-
-
-def divides_exactly(b, a):
-    """True (with quotient) iff b divides a over Q; quotient returned trimmed."""
-    q, r = divmod_frac(a, b)
-    if r:
-        return False, None
-    return True, q
 
 
 def int_quotient(a, b):
@@ -123,32 +93,6 @@ def int_quotient(a, b):
     return trim(q)
 
 
-def gcd_frac(a, b):
-    """Monic gcd over Q."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b:
-        _, r = divmod_frac(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def squarefree_part(a):
-    """a / gcd(a, a') over Q, monic."""
-    if not a:
-        return []
-    g = gcd_frac(a, derivative(a))
-    q, r = divmod_frac(a, g)
-    assert not r
-    if q:
-        inv = 1 / Fraction(q[-1])
-        q = [Fraction(c) * inv for c in q]
-    return q
-
-
 def content(a):
     g = 0
     for c in a:
@@ -162,6 +106,48 @@ def primitive(a):
         return 0, []
     sign = 1 if a[-1] > 0 else -1
     return c * sign, [x // (c * sign) for x in a]
+
+
+def integral(a):
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of the nonzero polynomial a (int or
+    Fraction coefficients): the same roots, with multiplicity."""
+    den = _intlcm(*(c.denominator for c in a))
+    return primitive([int(c * den) for c in a])[1]
+
+
+def _shrink(a):
+    """a divided by its positive content, so every sign is kept."""
+    g = content(a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _prem(a, b):
+    """|lc b|^(deg a - deg b + 1) * a reduced mod b in Z[x]: the
+    pseudo-remainder with a positive multiplier, so it is a positive
+    multiple of the remainder over Q."""
+    lead, nb = b[-1], len(b)
+    scale_by = abs(lead)
+    r = list(a)
+    for k in range(len(r) - nb, -1, -1):
+        c = r[-1] if lead > 0 else -r[-1]
+        r = [x * scale_by for x in r[:-1]]
+        if c:
+            for i in range(nb - 1):
+                r[k + i] -= c * b[i]
+    return trim(r)
+
+
+def int_gcd(a, b):
+    """gcd in Z[x] of two integer polynomials: primitive, with positive
+    leading coefficient; [] when both are zero.  Primitive remainder
+    sequence."""
+    a, b = primitive(a)[1], primitive(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, primitive(_prem(a, b))[1]
+    return a
 
 
 def reverse(a):
@@ -199,7 +185,7 @@ def from_power_sums(sums):
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences: exact real-root counting
+# Sturm sequences: exact real-root counting in Z[x]
 
 
 NEG_INF = object()
@@ -207,6 +193,8 @@ POS_INF = object()
 
 
 def _sign_at(p, x):
+    """Sign of p at x: +-infinity, or a rational point a/b, where the
+    homogenized sum of p_i a^i b^(n-i) (b > 0) has the sign of p(a/b)."""
     if not p:
         return 0
     if x is POS_INF:
@@ -214,47 +202,63 @@ def _sign_at(p, x):
     elif x is NEG_INF:
         c = p[-1] * (-1) ** deg(p)
     else:
-        c = evaluate(p, Fraction(x))
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        c, bk = p[-1], 1
+        for coeff in reversed(p[:-1]):
+            bk *= b
+            c = c * a + coeff * bk
     return (c > 0) - (c < 0)
 
 
-def _sturm_chain(p):
-    p = [Fraction(c) for c in p]
-    chain = [trim(p)]
-    d = derivative(chain[0])
+def sturm_chain(p):
+    """Sturm chain of a nonzero integer polynomial, in Z[x]: p, p', then
+    each member is minus the pseudo-remainder (`_prem`) of the two before
+    it, divided by its positive content.  Every member is a positive
+    multiple of the classical one, so sign changes are unchanged.  The last
+    member is gcd(p, p') up to a positive factor: a constant iff p is
+    squarefree, and otherwise p divided by it (exact in Z[x] for a
+    primitive p, by Gauss's lemma) is the squarefree part."""
+    chain = [p]
+    d = derivative(p)
     if d:
-        chain.append(d)
-        while True:
-            _, r = divmod_frac(chain[-2], chain[-1])
+        chain.append(_shrink(d))
+        while deg(chain[-1]) > 0:
+            r = _prem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(neg(r))
+            chain.append(_shrink(neg(r)))
     return chain
+
+
+def sign_changes(chain, x):
+    """Sign changes along a Sturm chain at x, zeros skipped."""
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(p, lo=NEG_INF, hi=POS_INF):
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    p must be nonzero; it is replaced by its squarefree part internally, so
-    multiplicities are ignored.
+    p must be nonzero (int or Fraction coefficients); multiplicities are
+    ignored.  The chain of p counts distinct roots wherever its last member
+    gcd(p, p') is nonzero; when a finite endpoint is a root of it, the chain
+    of the squarefree part is used instead.
     """
     if not p:
         raise ValueError("zero polynomial")
-    sf = squarefree_part(p)
-    if deg(sf) == 0:
-        return 0
-    chain = _sturm_chain(sf)
-
-    def changes(x):
-        signs = [s for s in (_sign_at(q, x) for q in chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return changes(lo) - changes(hi)
+    p = integral(p)
+    chain = sturm_chain(p)
+    g = chain[-1]
+    finite = [x for x in (lo, hi) if x is not NEG_INF and x is not POS_INF]
+    if deg(g) > 0 and any(not _sign_at(g, x) for x in finite):
+        chain = sturm_chain(int_quotient(p, g))
+    return sign_changes(chain, lo) - sign_changes(chain, hi)
 
 
 def is_totally_real(p):
     """True iff every complex root of p is real (multiplicity ignored)."""
-    sf = squarefree_part(p)
-    if deg(sf) <= 0:
-        return True
-    return count_real_roots(sf) == deg(sf)
+    p = integral(p)
+    chain = sturm_chain(p)
+    distinct = deg(p) - deg(chain[-1])
+    return sign_changes(chain, NEG_INF) - sign_changes(chain, POS_INF) == distinct

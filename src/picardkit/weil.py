@@ -5,16 +5,18 @@ The numerator and denominator of a zeta function are factored once
 cohomological weight i with all reciprocal-root moduli q^(i/2).  The
 assignment is certified exactly: the candidate i is read off the leading
 coefficient, and the claim |alpha| = q^(i/2) for every root is verified
-with no floating point.  The trace polynomial prod (y - (alpha + q^i/alpha))
-comes from Newton power sums: the sums of alpha^k and of alpha^-k give
-those of the traces, which convert back to coefficients; Sturm real-root
-counts then decide.  Betti numbers and dim V_mu read the classified factors.
+in Z[x], with no floating point and no rational polynomial division.  The
+trace polynomial prod (y - (alpha + q^i/alpha)) comes from integer Newton
+power sums (of scaled alpha^k and alpha^-k); Sturm chains built from
+pseudo-remainders with positive multipliers (`upoly.sturm_chain`) then
+count its real roots and those of the squared traces beyond 4 q^i.
+Root-of-unity multiplicities divide by Phi_m in Z[x].  Betti numbers and
+dim V_mu read the classified factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import upoly
@@ -57,38 +59,58 @@ class TateBound:
 def certify_root_modulus(f, s2):
     """True iff every reciprocal root alpha of f satisfies |alpha|^2 = s2.
 
-    f is an integer (or rational) polynomial with f(0) != 0; s2 a positive
-    integer.  Exact: the power sums S_k of the alpha and S_-k of the
-    1/alpha (k = 1..deg f, from f and its reverse) give the power sums
-    P_k = sum_j C(k, j) s2^(k-j) S_(2j-k) of the traces beta = alpha + s2/alpha,
-    and Newton's identities turn those into the trace polynomial
-    prod (y - beta).  It must be totally real, with every beta^2 <= 4*s2
-    (Sturm counts with rational endpoints).
+    f is an integer (or rational) polynomial with f(0) != 0, taken as the
+    primitive integer polynomial with its roots; s2 a positive integer.
+    Exact and in Z: with u = f0 * alpha and v = lc / alpha (algebraic
+    integers), the integer power sums of the u and of the v give those of
+    m * beta, beta = alpha + s2/alpha and m = f0 * lc, and Newton's
+    identities (exact integer division) turn them into the integer trace
+    polynomial, a multiple of prod (y - beta); for a Weil polynomial its
+    primitive part is monic.  It must be totally real, with every
+    beta^2 <= 4*s2: Sturm counts on integer chains (`upoly.sturm_chain`).
     """
-    f = upoly.trim([Fraction(c) for c in f])
-    if not f or f[0] == 0:
+    f = upoly.trim(f)
+    if not f or not f[0]:
         raise ValueError("certification needs f(0) != 0")
+    f = upoly.integral(f)
     d = upoly.deg(f)
-    up = upoly.power_sums([c / f[0] for c in f], d)
-    down = upoly.power_sums([c / f[-1] for c in reversed(f)], d)
-    s = down[::-1] + [d] + up  # s[d + m] = S_m for m = -d..d
-    traces = [
-        sum(comb(k, j) * s2 ** (k - j) * s[d + 2 * j - k] for j in range(k + 1))
-        for k in range(1, d + 1)
-    ]
-    trace_poly = upoly.from_power_sums(traces)[::-1]
-    sf = upoly.squarefree_part(trace_poly)
-    if upoly.deg(sf) == 0:
+    if d == 0:
         return True
-    if upoly.count_real_roots(sf) != upoly.deg(sf):
+    f0, lc = f[0], f[-1]
+    m = f0 * lc
+    up = [d] + upoly.power_sums([1] + [f[i] * f0 ** (i - 1) for i in range(1, d + 1)], d)
+    down = [d] + upoly.power_sums([1] + [f[d - i] * lc ** (i - 1) for i in range(1, d + 1)], d)
+    # N_k = sum over the roots of (m beta)^k = (lc u + s2 f0 v)^k
+    sums = []
+    for k in range(1, d + 1):
+        acc = 0
+        for j in range(k + 1):
+            term = comb(k, j) * lc**j * (s2 * f0) ** (k - j)
+            if 2 * j >= k:
+                acc += term * m ** (k - j) * up[2 * j - k]
+            else:
+                acc += term * m**j * down[k - 2 * j]
+        sums.append(acc)
+    # elementary symmetric functions e_k of the m beta, all integers
+    e = [1]
+    for k in range(1, d + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1))
+        ek, rem = divmod(acc, k)
+        assert not rem, "trace power sums are not integral"
+        e.append(ek)
+    # m^d prod (y - beta), index = degree
+    trace_poly = upoly.primitive([(-1) ** (d - i) * e[d - i] * m**i for i in range(d + 1)])[1]
+    chain = upoly.sturm_chain(trace_poly)
+    g = chain[-1]
+    sf = trace_poly if upoly.deg(g) == 0 else upoly.int_quotient(trace_poly, g)
+    real = upoly.sign_changes(chain, upoly.NEG_INF) - upoly.sign_changes(chain, upoly.POS_INF)
+    if real != upoly.deg(sf):
         return False
     # H(gamma) = E(gamma)^2 - gamma * O(gamma)^2 has roots beta^2
     even = sf[0::2]
     odd = sf[1::2]
-    h = upoly.sub(upoly.mul(even, even), upoly.mul([Fraction(0), Fraction(1)], upoly.mul(odd, odd)))
-    if upoly.deg(upoly.squarefree_part(h)) == 0:
-        return True
-    return upoly.count_real_roots(h, lo=Fraction(4 * s2)) == 0
+    h = upoly.sub(upoly.mul(even, even), upoly.mul([0, 1], upoly.mul(odd, odd)))
+    return upoly.count_real_roots(h, lo=4 * s2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +216,10 @@ def cyclotomic_multiplicity(poly):
     sum multiplicity * phi(m), i.e. the number of roots that are roots of
     unity counted with multiplicity.
     """
-    poly = upoly.trim([Fraction(c) for c in poly])
+    poly = upoly.trim(poly)
     if not poly:
         raise ValueError("zero polynomial")
+    poly = upoly.integral(poly)
     d = upoly.deg(poly)
     if d == 0:
         return 0, {}
@@ -210,8 +233,8 @@ def cyclotomic_multiplicity(poly):
         cyc = cyclotomic_polynomial(m)
         mult = 0
         while True:
-            ok, q = upoly.divides_exactly(cyc, poly)
-            if not ok:
+            q = upoly.int_quotient(poly, cyc)  # Phi_m is monic: exact over Q
+            if q is None:
                 break
             poly = q
             mult += 1

@@ -207,18 +207,18 @@ def reconstruct(counts, budget, dim=None):
         num = upoly.trim(num)
         if not num or num[0] != 1:
             continue
-        g = upoly.gcd_frac(num, den)
+        # reduce in Z[x]; num(0) = den(0) = 1 fixes the scaling back
+        num, den = upoly.integral(num), upoly.integral(den)
+        g = upoly.int_gcd(num, den)
         if upoly.deg(g) > 0:
-            num, _ = upoly.divmod_frac(num, g)
-            den, _ = upoly.divmod_frac(den, g)
-            c = den[0]
-            num = [x / c for x in num]
-            den = [x / c for x in den]
-        if any(c.denominator != 1 for c in num + den):
+            num, den = upoly.int_quotient(num, g), upoly.int_quotient(den, g)
+        if any(c % num[0] for c in num) or any(c % den[0] for c in den):
             raise NonIntegerCoefficientsError(
                 "matched rational function has non-integer coefficients"
             )
-        z = ZetaFunction(q=q, num=[int(c) for c in num], den=[int(c) for c in den], dim=dim)
+        num = [c // num[0] for c in num]
+        den = [c // den[0] for c in den]
+        z = ZetaFunction(q=q, num=num, den=den, dim=dim)
         if expand(z, M) != ns:
             raise NoSolutionError("re-expansion mismatch: counts are inconsistent")
         return z

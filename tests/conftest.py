@@ -1,6 +1,8 @@
-"""Shared test helpers: independent brute-force oracles, and the environment
-for subprocesses that run this checkout's source."""
+"""Shared test helpers: independent brute-force oracles, the environment
+for subprocesses that run this checkout's source, and a report header with
+the counting backend and the state of the bytecode."""
 
+import importlib.util
 import itertools
 import os
 from pathlib import Path
@@ -45,3 +47,34 @@ def source_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def bytecode_state(source):
+    """'current', 'stale' or 'missing': whether the timestamp-checked .pyc
+    of `source` matches its mtime and size, as the import system checks."""
+    pyc = Path(importlib.util.cache_from_source(source))
+    if not pyc.is_file():
+        return "missing"
+    header = pyc.read_bytes()[:16]
+    st = os.stat(source)
+    current = (
+        header[:4] == importlib.util.MAGIC_NUMBER
+        and int.from_bytes(header[4:8], "little") == 0
+        and int.from_bytes(header[8:12], "little") == int(st.st_mtime) & 0xFFFFFFFF
+        and int.from_bytes(header[12:16], "little") == st.st_size & 0xFFFFFFFF
+    )
+    return "current" if current else "stale"
+
+
+def pytest_report_header(config):
+    from picardkit import cli
+    from picardkit.counting import BACKEND
+
+    return [f"picardkit: counting backend {BACKEND}, cli bytecode {bytecode_state(cli.__file__)}"]
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header; repeat it at the end so a quiet run shows it too
+    if config.get_verbosity() < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)

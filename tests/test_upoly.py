@@ -6,15 +6,13 @@ from picardkit.upoly import (
     POS_INF,
     count_real_roots,
     derivative,
-    divides_exactly,
-    divmod_frac,
-    evaluate,
-    gcd_frac,
+    int_gcd,
     int_quotient,
+    integral,
     is_totally_real,
     mul,
     mul_many,
-    squarefree_part,
+    sturm_chain,
 )
 
 
@@ -22,17 +20,39 @@ def poly_from_roots(roots):
     return mul_many([[-r, 1] for r in roots])
 
 
+def frac_divmod(a, b):
+    """Reference: quotient and remainder over Q by schoolbook long division
+    in Fractions, independent of the Z[x] routines under test."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    while len(a) >= len(b) and a:
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for i in range(len(b)):
+            a[k + i] -= c * b[i]
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    while q and not q[-1]:
+        q.pop()
+    return q, a
+
+
 def test_divmod_exact():
     a = mul([1, 2, 1], [3, -1])  # (x+1)^2 (3-x)... coefficient order: index=degree
-    q, r = divmod_frac(a, [1, 2, 1])
+    q, r = frac_divmod(a, [1, 2, 1])
     assert r == []
     assert q == [Fraction(3), Fraction(-1)]
+    assert int_quotient(a, [1, 2, 1]) == [3, -1]
+    q, r = frac_divmod([1, 3], [1, 2])
+    assert (q, r) == ([Fraction(3, 2)], [Fraction(-1, 2)])
 
 
 def _fraction_int_quotient(a, b):
     """int_quotient's contract computed over Q, as the reference."""
-    ok, q = divides_exactly(b, a)
-    if not ok or any(c.denominator != 1 for c in q):
+    q, r = frac_divmod(a, b)
+    if r or any(c.denominator != 1 for c in q):
         return None
     return [int(c) for c in q]
 
@@ -66,14 +86,38 @@ def test_int_quotient_matches_fraction_division():
 def test_gcd_monic():
     a = mul([1, 1], [2, 1])
     b = mul([1, 1], [5, 1])
-    g = gcd_frac(a, b)
-    assert g == [Fraction(1), Fraction(1)]
+    assert int_gcd(a, b) == [1, 1]
+    assert int_gcd(mul([3, 6], [1, 0, 1]), mul([-2, -4], [5, 2])) == [1, 2]  # primitive
+    assert int_gcd([2, 0, -2], []) == [-1, 0, 1]  # positive leading coefficient
+    assert int_gcd([], []) == []
+    assert int_gcd([1, 1], [1, -1]) == [1]
+
+
+def test_int_gcd_matches_planted_common_factor():
+    rng = random.Random(3)
+
+    def rand_poly(max_low, leads):
+        return [rng.randint(-6, 6) for _ in range(rng.randint(0, max_low))] + [rng.choice(leads)]
+
+    for _ in range(200):
+        common = rand_poly(3, (1, 2, -3))
+        a = mul(common, rand_poly(3, (1, -2, 5)))
+        b = mul(common, rand_poly(3, (1, 3, -4)))
+        g = int_gcd(a, b)
+        # g divides both, and the cofactors are coprime over Q
+        qa, ra = frac_divmod(a, g)
+        qb, rb = frac_divmod(b, g)
+        assert ra == [] and rb == [] and g[-1] > 0
+        assert int_gcd(integral(qa), integral(qb)) == [1]
+        assert int_quotient(g, integral(common)) is not None
 
 
 def test_squarefree_part():
     p = mul(mul([1, 1], [1, 1]), [2, 1])
-    sf = squarefree_part(p)
-    assert sf == gcd_frac(mul([1, 1], [2, 1]), mul([1, 1], [2, 1]))
+    chain = sturm_chain(p)
+    assert chain[-1] == [1, 1]  # gcd(p, p') up to a positive factor
+    assert int_quotient(p, chain[-1]) == mul([1, 1], [2, 1])
+    assert len(sturm_chain(mul([1, 1], [2, 1]))[-1]) == 1  # squarefree: constant
 
 
 def test_sturm_known_roots():
@@ -107,6 +151,48 @@ def test_sturm_random_integer_roots():
         expected = sum(1 for r in roots if lo < r <= hi)
         assert count_real_roots(p, lo=lo, hi=hi) == expected
         assert count_real_roots(p, NEG_INF, POS_INF) == len(roots)
+
+
+def test_sturm_endpoints_at_multiple_roots():
+    # p = (2x - 1)^2 (x + 2)^3 (x - 3): the endpoints 1/2 and -2 are roots of
+    # gcd(p, p'), where the chain of p itself vanishes entirely
+    p = mul_many([[-1, 2], [-1, 2], [2, 1], [2, 1], [2, 1], [-3, 1]])
+    roots = [Fraction(1, 2), Fraction(-2), Fraction(3)]
+    points = [NEG_INF, Fraction(-3), Fraction(-2), Fraction(0), Fraction(1, 2),
+              Fraction(2, 3), Fraction(3), Fraction(7, 2), POS_INF]
+    for i, lo in enumerate(points):
+        for hi in points[i + 1:]:
+            expected = sum(
+                1 for r in roots
+                if (lo is NEG_INF or r > lo) and (hi is POS_INF or r <= hi)
+            )
+            assert count_real_roots(p, lo=lo, hi=hi) == expected, (lo, hi)
+    # Fraction coefficients and non-primitive input count the same roots
+    assert count_real_roots([Fraction(c, 6) for c in p], lo=Fraction(1, 2)) == 1
+    assert count_real_roots([-4 * c for c in p], hi=Fraction(1, 2)) == 2
+
+
+def test_sturm_chain_signs_match_fraction_chain():
+    # every member is a positive multiple of the classical Sturm chain
+    rng = random.Random(19)
+    for _ in range(40):
+        # products of linear factors, repeats included, and 1 + c x^2
+        p = integral(mul_many([[rng.randint(-4, 4), rng.choice((1, 2, 3))]
+                               for _ in range(rng.randint(1, 6))] + [[1, 0, rng.randint(0, 2)]]))
+        chain = sturm_chain(p)
+        ref = [[Fraction(c) for c in p]]
+        d = derivative(p)
+        if d:
+            ref.append([Fraction(c) for c in d])
+            while len(ref[-1]) > 1:
+                _, r = frac_divmod(ref[-2], ref[-1])
+                if not r:
+                    break
+                ref.append([-c for c in r])
+        assert len(chain) == len(ref)
+        for got, want in zip(chain, ref):
+            ratio = Fraction(got[-1]) / want[-1]
+            assert ratio > 0 and [ratio * c for c in want] == got
 
 
 def test_derivative():

@@ -280,3 +280,101 @@ def test_certify_k3_middle_factor():
     assert certify_root_modulus(p2, 4)
     assert not certify_root_modulus(p2, 2)
     assert not certify_root_modulus(mul(p2, [1, -3]), 4)
+
+
+def test_certify_boundary_roots():
+    # alpha = +-2 with s2 = 4: beta = +-4, so beta^2 = 4 * s2 is a root of H,
+    # and for both signs at once a double root at the endpoint of the count
+    assert certify_root_modulus([1, -2], 4)
+    assert certify_root_modulus([1, 2], 4)
+    assert certify_root_modulus(mul([1, -2], [1, 2]), 4)
+    assert certify_root_modulus([1, -4, 4], 4)  # (1 - 2T)^2, a = 4: a^2 = 4s
+    assert not certify_root_modulus([1, -2], 5)
+    assert not certify_root_modulus(mul([1, -2], [1, -3]), 4)
+
+
+def test_certify_non_squarefree_trace_polynomials():
+    # repeated factors repeat the traces, so the trace polynomial and H are
+    # not squarefree; (1 - 2T)^2 (1 + 2T) is a P_d with multiplicities, as
+    # reconstruct certifies them
+    assert certify_root_modulus(mul([1, -3, 5], [1, -3, 5]), 5)
+    assert certify_root_modulus(mul(mul([1, -2], [1, -2]), [1, 2]), 4)
+    assert certify_root_modulus(mul(mul([1, -3, 5], [1, -3, 5]), [1, 3, 5]), 5)
+    assert not certify_root_modulus(mul(mul([1, -3, 5], [1, -3, 5]), [1, -5, 5]), 5)
+    assert not certify_root_modulus(mul(mul([1, -2], [1, -2]), [1, 3]), 4)
+
+
+def test_certify_against_explicit_roots():
+    # oracle: 1 - aT + sT^2 has reciprocal roots of modulus sqrt(s) iff
+    # a^2 <= 4s (complex conjugates, or a double root at the boundary);
+    # otherwise two real roots of different moduli.  Factors repeat, and a
+    # square s allows the linear factors 1 -+ sqrt(s) T.
+    from picardkit.upoly import mul_many
+
+    rng = random.Random(23)
+    for _ in range(60):
+        s = rng.choice([2, 3, 4, 5, 9, 16])
+        bound = isqrt(4 * s)
+        atoms = [[1, -a, s] for a in range(-bound, bound + 1)]
+        if isqrt(s) ** 2 == s:
+            atoms += [[1, -isqrt(s)], [1, isqrt(s)]]
+        chosen = [rng.choice(atoms) for _ in range(rng.randint(1, 6))]
+        assert certify_root_modulus(mul_many(chosen), s), chosen
+        a = rng.choice([-1, 1]) * rng.randint(bound + 1, bound + 3)
+        k = rng.randrange(len(chosen))
+        bad = chosen[:k] + [[1, -a, s]] + chosen[k + 1:]
+        assert not certify_root_modulus(mul_many(bad), s), bad
+
+
+def _factor_map(poly):
+    content, factors = factor_int_poly(poly)
+    return content, {tuple(f): m for f, m in factors}
+
+
+def test_factor_k3_denominator_pinned():
+    assert factor_int_poly(K3_DEN) == (1, [
+        ([1, -4], 1), ([1, -2], 2), ([1, -1], 1), ([1, 0, 4], 1), ([1, 2, 4], 1),
+        ([1, 2, 4, 8, 16], 1), ([1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096], 1),
+    ])
+
+
+def _eisenstein(rng):
+    """A monic irreducible integer polynomial with a large constant term:
+    Eisenstein at p, x^k + p*(...) with constant p * c > 0, p not dividing
+    c, so it is already normalized."""
+    p = rng.choice([2, 3, 5])
+    k = rng.randint(1, 3)
+    c = rng.randint(1, 40)
+    while c % p == 0:
+        c += 1
+    return [p * c] + [p * rng.randint(-3, 3) for _ in range(k - 1)] + [1]
+
+
+def test_factor_both_orientations_recover_planted_factors():
+    # products of Eisenstein polynomials (monic, large constant term) and
+    # their reverses (unit constant term, large leading coefficient, as a
+    # zeta side), repeated factors included
+    from picardkit.upoly import reverse
+
+    rng = random.Random(31)
+    for _ in range(20):
+        planted = {}
+        for _ in range(rng.randint(1, 4)):
+            g = _eisenstein(rng)
+            planted[tuple(g)] = planted.get(tuple(g), 0) + rng.randint(1, 2)
+        poly = [1]
+        for g, mult in planted.items():
+            for _ in range(mult):
+                poly = mul(poly, list(g))
+        assert _factor_map(poly) == (1, planted)
+        rev = reverse(poly)
+        assert rev[0] == 1 and abs(rev[-1]) > 1
+        mirrored = {tuple(reverse(list(g))): m for g, m in planted.items()}
+        assert _factor_map(rev) == (1, mirrored)
+
+
+def test_factor_strips_powers_of_t():
+    assert factor_int_poly([0, 0, 1, -3]) == (1, [([0, 1], 2), ([1, -3], 1)])
+    assert factor_int_poly([0, -2, 0, 32]) == (-2, [([0, 1], 1), ([1, -4], 1), ([1, 4], 1)])
+    assert factor_int_poly(mul([0, 0, 0, 1], [1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096])) == (
+        1, [([0, 1], 3), ([1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096], 1)])
