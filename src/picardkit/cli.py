@@ -301,13 +301,17 @@ def _parse_action(obj, k):
     for g in obj.get("generators", []):
         if g and isinstance(g[0], list):
             mat = [_int_row(row) for row in g]
+            if len(mat) != k or any(len(row) != k for row in mat):
+                raise ValueError(f"action generator is not {k}x{k}")
         else:
             perm = _int_row(g)
             if sorted(perm) != list(range(k)):
                 raise CliError("permutation generator is not a permutation", EXIT_INVALID_INPUT)
             mat = [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
         gens.append(mat)
-    relations = obj.get("relations", [])
+    relations = [_int_row(word) for word in obj.get("relations", [])]
+    if any(not 0 < abs(i) <= len(gens) for word in relations for i in word):
+        raise ValueError("relation words use signed 1-based generator indices")
     return gens, relations
 
 
@@ -327,6 +331,8 @@ def cmd_rank(args):
             for cand in cycles.get("candidates", [])
         ]
         action, relations = _parse_action(cycles.get("action", {}), k)
+        if any(len(row) != k for row in pairings) or any(len(v) != k for _, v in candidates):
+            raise ValueError(f"pairing vectors must have length {k}, one entry per basis cycle")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
     digest = variety_hash(ideal)

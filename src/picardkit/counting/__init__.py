@@ -107,8 +107,9 @@ def variety_hash(ideal):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _estimate_chart_cost(chart, Q, strategy):
-    """Deterministic per-chart work estimate, in kernel operation units.
+def _estimate_chart_cost(chart, Q):
+    """Deterministic per-chart work estimate, in kernel operation units, and
+    the cheaper slice method.
 
     enumerate: ~Q points per slice, each costing the cheapest generator's
     Horner evaluation; gcd: one modular exponentiation x^Q plus gcds, at
@@ -128,15 +129,10 @@ def _estimate_chart_cost(chart, Q, strategy):
         gcd_cost = (
             (2 * (Q.bit_length() + 1)) * (d_max + 1) ** 2 + 4 * (d_max + 1) ** 2 + 16
         )
-    if strategy == "enumerate":
-        per, chosen = enum_cost, "enumerate"
-    elif strategy == "gcd":
+    if gcd_cost < enum_cost:
         per, chosen = gcd_cost, "gcd"
     else:
-        if gcd_cost < enum_cost:
-            per, chosen = gcd_cost, "gcd"
-        else:
-            per, chosen = enum_cost, "enumerate"
+        per, chosen = enum_cost, "enumerate"
     return slices * (build + per), chosen
 
 
@@ -145,7 +141,7 @@ def physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
+def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
     `n` is the extension degree (or a FieldDesc of the canonical extension).
@@ -182,7 +178,7 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, strategy="auto"):
         if chart.nfree == 0:
             plans.append((chart, "origin", 1))
             continue
-        cost, chosen = _estimate_chart_cost(chart, Q, strategy)
+        cost, chosen = _estimate_chart_cost(chart, Q)
         total_cost += cost
         plans.append((chart, chosen, cost))
     if total_cost > budget:
@@ -239,7 +235,6 @@ def count_tower(
     cache=None,
     budget=DEFAULT_BUDGET,
     threads=1,
-    strategy="auto",
     progress=None,
 ):
     """CountSeries for n = 1..n_max, consulting and filling the cache.
@@ -261,7 +256,7 @@ def count_tower(
         if progress:
             print(f"# counting n={n} (q^n={q**n})", file=sys.stderr, flush=True)
         try:
-            N = count_points(ideal, n, budget=budget, threads=threads, strategy=strategy)
+            N = count_points(ideal, n, budget=budget, threads=threads)
         except BudgetExceededError as err:
             raise BudgetExceededError(str(err), completed=series) from None
         counts.append(N)

@@ -70,16 +70,6 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def inverse(m):
-    """Inverse over Q of a square matrix, or None when it is singular."""
-    n = len(m)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots, _ = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def solve(m, b):
     """One solution of m x = b over Q, or None if inconsistent."""
     if not m:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .exactla import det_bareiss
 from .ffield import is_prime
-from .lattice import diagonal_of, integer_kernel, snf
+from .lattice import coords_in_hnf, diagonal_of, integer_kernel, snf
 
 
 class GalmodError(ValueError):
@@ -160,7 +160,9 @@ def invariants(mod):
             row_moduli.append(mods[i])
     nrows = len(rows)
     # S = {x in Z^k : stacked(x) = 0 row-wise mod the moduli}: project the
-    # integer kernel of [A | diag(m)]
+    # integer kernel of [A | diag(m)].  diag(m) is nonsingular, so a kernel
+    # vector vanishing on the first k coordinates is zero: the k Hermite
+    # rows pivot in columns 0..k-1 and their projections stay echelon.
     aug = [rows[r] + [row_moduli[r] if c == r else 0 for c in range(nrows)] for r in range(nrows)]
     kernel = integer_kernel(aug)
     basis = [v[:k] for v in kernel]
@@ -170,7 +172,7 @@ def invariants(mod):
     coords = []
     for i in range(k):
         target = [mods[i] if j == i else 0 for j in range(k)]
-        c = _solve_int(basis, target)
+        c = coords_in_hnf(basis, target)
         if c is None:
             raise GalmodError("internal: relation lattice escapes the fixed lattice")
         coords.append(c)
@@ -191,19 +193,6 @@ def invariants(mod):
         exps.append(e)
     exps.sort(reverse=True)
     return sum(exps), exps
-
-
-def _solve_int(basis_rows, target):
-    from fractions import Fraction
-
-    from .exactla import solve
-
-    k = len(target)
-    mat = [[Fraction(basis_rows[j][i]) for j in range(len(basis_rows))] for i in range(k)]
-    sol = solve(mat, [Fraction(x) for x in target])
-    if sol is None or any(x.denominator != 1 for x in sol):
-        return None
-    return [int(x) for x in sol]
 
 
 @dataclass

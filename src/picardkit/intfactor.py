@@ -28,8 +28,10 @@ _PRIMES = [
 
 # -- arithmetic mod p (dense coefficient lists, index = degree) --------------
 # products, monic remainders, powers and gcds come from ffield (_pmul
-# reduces modulo any integer, so Hensel lifting uses it mod p^k too);
-# _mdivmod is for a quotient or a divisor that is not monic
+# reduces modulo any integer, so Hensel lifting uses it mod p^k too, as it
+# does _maddmul and _mdivmod); _mdivmod inverts the divisor's leading
+# coefficient by Fermat, which needs a prime modulus unless the divisor is
+# monic, whose leading inverse is 1 for any modulus
 
 
 def _mod(a, p):
@@ -44,7 +46,7 @@ def _maddmul(a, b, c, p):
 
 
 def _mdivmod(a, b, p):
-    # b nonzero mod p
+    # p prime and b nonzero mod p, or b monic and p any modulus
     a = list(a)
     inv = pow(b[-1], p - 2, p)
     q = [0] * max(len(a) - len(b) + 1, 1)
@@ -140,26 +142,6 @@ def _pad(a, n):
 # -- Hensel lifting -----------------------------------------------------------
 
 
-def _zsub(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
-
-
-def _zdivmod_monic(a, b, m):
-    # b monic mod m
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    while a and len(a) >= len(b):
-        c = a[-1] % m
-        k = len(a) - len(b)
-        if c:
-            q[k] = c
-            for i in range(len(b)):
-                a[k + i] = (a[k + i] - c * b[i]) % m
-        a.pop()
-    return _trim(q), _trim(a)
-
-
 def _hensel_pair(f, g, h, s, t, p, bound):
     """Lift f = g*h (mod p) with s*g + t*h = 1 (mod p) until modulus > bound.
 
@@ -167,26 +149,21 @@ def _hensel_pair(f, g, h, s, t, p, bound):
     m = p
     while m <= bound:
         m2 = m * m
-        e = _zsub(f, _pmul(g, h, m2), m2)
-        q, r = _zdivmod_monic(_pmul(s, e, m2), h, m2)
+        e = _maddmul(f, _pmul(g, h, m2), -1, m2)
+        q, r = _mdivmod(_pmul(s, e, m2), h, m2)
         g_new = _trim([
             (gi + ti + qi) % m2
             for gi, ti, qi in _zip3(g, _pmul(t, e, m2), _pmul(q, g, m2))
         ])
         h_new = _trim([(hi + ri) % m2 for hi, ri in _zip2(h, r)])
-        b = _zsub(_zadd(_pmul(s, g_new, m2), _pmul(t, h_new, m2), m2), [1], m2)
-        c, d = _zdivmod_monic(_pmul(s, b, m2), h_new, m2)
-        s_new = _zsub(s, d, m2)
-        t_new = _zsub(_zsub(t, _pmul(t, b, m2), m2), _pmul(c, g_new, m2), m2)
+        b = _maddmul(_maddmul(_pmul(s, g_new, m2), _pmul(t, h_new, m2), 1, m2), [1], -1, m2)
+        c, d = _mdivmod(_pmul(s, b, m2), h_new, m2)
+        s_new = _maddmul(s, d, -1, m2)
+        t_new = _maddmul(_maddmul(t, _pmul(t, b, m2), -1, m2), _pmul(c, g_new, m2), -1, m2)
         g, h, s, t = g_new, h_new, s_new, t_new
         m = m2
-    assert not _zsub(f, _pmul(g, h, m), m), "Hensel lift self-check failed"
+    assert not _maddmul(f, _pmul(g, h, m), -1, m), "Hensel lift self-check failed"
     return g, h, m
-
-
-def _zadd(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
 
 
 def _zip2(a, b):
@@ -241,8 +218,8 @@ def _bezout_mod(a, b, p):
     while r1:
         q, r = _mdivmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zsub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _zsub(t0, _pmul(q, t1, p), p)
+        s0, s1 = s1, _maddmul(s0, _pmul(q, s1, p), -1, p)
+        t0, t1 = t1, _maddmul(t0, _pmul(q, t1, p), -1, p)
     # r0 is a unit constant
     inv = pow(r0[0], p - 2, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]

@@ -2,7 +2,7 @@
 certificates, invariant ranks under a finite group, and the upper-meets-lower
 rank loop with checkpointing.
 
-All arithmetic is arbitrary-precision integer or Fraction; SNF pivoting is
+All arithmetic is arbitrary-precision integer; SNF pivoting is
 deterministic (smallest nonzero absolute value, ties by lowest row then
 column) so outputs are reproducible.
 """
@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exactla import det_bareiss, identity, inverse, mat_mul, rank as q_rank, rref, solve
+from .exactla import det_bareiss, identity, mat_mul, rank as q_rank, rref
 
 
 class LatticeError(ValueError):
@@ -37,8 +36,12 @@ class CertificateInvalidError(LatticeError):
 # Smith normal form
 
 
-def _hermite_rows_inplace(a, u):
-    """One row-Hermite pass with entry reduction; updates a, u in place."""
+def _hermite_rows_inplace(a, u=None):
+    """Bring a to row Hermite form in place, zero rows last, applying the
+    same row operations to u when given (so u*a_before = a_after for
+    u = identity)."""
+    if u is None:
+        u = [[] for _ in a]  # zero-width rows: no transform to track
     rows = len(a)
     cols = len(a[0]) if rows else 0
     r = 0
@@ -195,35 +198,26 @@ def hnf_rows(mat):
     """Row Hermite normal form: canonical basis of the row lattice with
     positive pivots and entries above each pivot reduced modulo it.  Keeps
     coefficient growth in check after SNF-derived bases."""
-    work = [list(r) for r in mat if any(r)]
-    if not work:
-        return []
-    cols = len(work[0])
-    out = []
-    r = 0
-    for col in range(cols):
-        live = [i for i in range(r, len(work)) if work[i][col]]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(work[i][col]))
-            base = live[0]
-            for i in live[1:]:
-                q = work[i][col] // work[base][col]
-                work[i] = [x - q * y for x, y in zip(work[i], work[base])]
-            live = [i for i in live if work[i][col]]
-        piv = live[0]
-        work[r], work[piv] = work[piv], work[r]
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][col] // work[r][col]
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return [row for row in work[:r]]
+    work = [list(r) for r in mat]
+    _hermite_rows_inplace(work)
+    return [row for row in work if any(row)]
+
+
+def coords_in_hnf(basis, vector):
+    """Integer coordinates of vector in an echelon basis (nonzero rows whose
+    pivot columns strictly increase, such as a Hermite form), or None when
+    the vector is off the row lattice."""
+    residual = list(vector)
+    coords = []
+    for row in basis:
+        piv = next(j for j, x in enumerate(row) if x)
+        c, rem = divmod(residual[piv], row[piv])
+        if rem:
+            return None
+        coords.append(c)
+        if c:
+            residual = [x - c * y for x, y in zip(residual, row)]
+    return None if any(residual) else coords
 
 
 def integer_kernel(m):
@@ -277,13 +271,20 @@ def independence_certificate(m):
 
 
 def mat_inverse_int(m):
-    """Exact inverse of a unimodular integer matrix."""
-    inv = inverse(m)
-    if inv is None:
-        raise LatticeError("matrix is not invertible")
-    if any(x.denominator != 1 for row in inv for x in row):
+    """Exact inverse of a unimodular integer matrix.
+
+    The Hermite form of a square m is the identity exactly when m is
+    unimodular, and the row operations that reach it then multiply to m^-1.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise LatticeError("matrix is not square")
+    a = [list(row) for row in m]
+    u = identity(n)
+    _hermite_rows_inplace(a, u)
+    if a != identity(n):
         raise LatticeError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return u
 
 
 @dataclass
@@ -376,7 +377,7 @@ def build_n(pairings, action_on_y, rho, relations=None, labels=None):
         mat = []
         for b in basis:
             moved = [sum(b[a] * ginv[a][j] for a in range(k)) for j in range(k)]
-            coords = _coords_in_basis(basis, moved)
+            coords = coords_in_hnf(basis, moved)
             if coords is None:
                 raise LatticeError("action does not stabilize the lattice")
             mat.append(coords)
@@ -384,23 +385,12 @@ def build_n(pairings, action_on_y, rho, relations=None, labels=None):
     lat = GLattice(rank=len(basis), action=induced, relations=relations or [], markers=labels)
 
     def class_map(vector):
-        coords = _coords_in_basis(basis, list(vector))
+        coords = coords_in_hnf(basis, vector)
         if coords is None:
             raise LatticeError("cycle class does not lie in the lattice model")
         return coords
 
     return lat, class_map
-
-
-def _coords_in_basis(basis, vector):
-    if not basis:
-        return [] if not any(vector) else None
-    cols = len(basis)
-    mat = [[Fraction(basis[j][i]) for j in range(cols)] for i in range(len(vector))]
-    sol = solve(mat, [Fraction(x) for x in vector])
-    if sol is None or any(x.denominator != 1 for x in sol):
-        return None
-    return [int(x) for x in sol]
 
 
 # ---------------------------------------------------------------------------

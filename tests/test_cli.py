@@ -332,6 +332,20 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
          "action": {"generators": [[1.7, 0.2]]}},
         {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
          "action": {"generators": ["10"]}},
+        # every pairing vector and generator matches the basis cycles
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0]]},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0, 0], [0, 1, 0]]},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]]}},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "candidates": [{"pairingVector": [1]}]},
+        # relation words index the generators from 1; 0 is not the last one
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": [[1, 0]], "relations": [[0, 0]]}},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": [[1, 0]], "relations": [[2]]}},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": [[1, 0]], "relations": [1]}},
     ],
 )
 def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):

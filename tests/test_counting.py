@@ -14,7 +14,8 @@ from picardkit.counting import (
     count_tower,
     variety_hash,
 )
-from picardkit.counting.kernel import field_tables
+from picardkit.counting.charts import compile_charts
+from picardkit.counting.kernel import field_tables, trace_mask
 from picardkit.counting import kernel_py
 from picardkit.ffield import enumerate_field, extend, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
@@ -114,7 +115,10 @@ def test_matches_brute_force_oracle():
             assert count_points(ideal, n) == brute_force_count(ideal, n)
 
 
-def test_strategies_agree():
+def test_slice_methods_agree_on_every_chart():
+    # the kernel's two slice methods, enumeration (use_gcd 0) and gcd root
+    # counting (use_gcd 1), count each chart alike whichever the cost
+    # model would pick
     cases = [
         ideal_over(2, 1, 3, "x0^2 + x1*x2"),
         ideal_over(5, 1, 3, "x1^2*x2 - x0^3 - x0*x2^2 - x2^3"),
@@ -124,9 +128,19 @@ def test_strategies_agree():
     ]
     for ideal in cases:
         for n in (1, 2, 3):
-            a = count_points(ideal, n, strategy="enumerate")
-            b = count_points(ideal, n, strategy="gcd")
-            assert a == b
+            emb = extend(ideal.domain, n)
+            ext = emb.ext
+            exp, log, zech = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
+            charts = [
+                c for c in compile_charts(ideal, emb, ext.to_index)
+                if c.nfree and c.gen_terms
+            ]
+            assert charts
+            for chart in charts:
+                args = (ext.q, ext.p, trace_mask(ext), exp, log, zech,
+                        chart.gen_terms, chart.nprefix)
+                hi = 1 if chart.nprefix == 0 else ext.q
+                assert kernel_py.count_chart(*args, 0, 0, hi) == kernel_py.count_chart(*args, 1, 0, hi)
 
 
 def test_parallel_determinism():

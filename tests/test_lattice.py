@@ -9,12 +9,15 @@ from picardkit.lattice import (
     AlgorithmB,
     CertificateInvalidError,
     GLattice,
+    LatticeError,
     RankCertificate,
     RankMismatchError,
     RelationViolationError,
     build_n,
+    coords_in_hnf,
     diagonal_of,
     generate_group,
+    hnf_rows,
     independence_certificate,
     invariants_rank,
     mat_inverse_int,
@@ -105,6 +108,7 @@ def test_saturate_idempotent_and_index():
             for row in span:
                 c = _coords(sat, row)
                 assert c is not None
+                assert coords_in_hnf(sat, row) == c
                 coords.append(c)
             # volume of span lattice inside saturation basis
             sq = [c for c in coords]
@@ -120,6 +124,56 @@ def _coords(basis, vector):
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return [int(x) for x in sol]
+
+
+def test_coords_in_hnf_matches_fraction_oracle():
+    rng = random.Random(23)
+    assert coords_in_hnf([], [0, 0]) == _coords([], [0, 0]) == []
+    assert coords_in_hnf([], [0, 1]) is _coords([], [0, 1]) is None
+    for _ in range(150):
+        cols = rng.randint(1, 5)
+        basis = hnf_rows(rand_matrix(rng, rng.randint(1, cols), cols, -6, 6))
+        if not basis:
+            continue
+        # Hermite form: pivots strictly increase, are positive, and reduce
+        # the entries above them
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        for i, (row, j) in enumerate(zip(basis, pivots)):
+            assert row[j] > 0
+            assert all(0 <= basis[h][j] < row[j] for h in range(i))
+        coeffs = [rng.randint(-4, 4) for _ in basis]
+        on = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(cols)]
+        assert coords_in_hnf(basis, on) == _coords(basis, on) == coeffs
+        # in d*lattice, `on` lies in the rational span and is off the lattice
+        # unless d divides every coefficient
+        d = rng.randint(2, 5)
+        coarse = hnf_rows([[d * x for x in row] for row in basis])
+        expect = [c // d for c in coeffs] if all(c % d == 0 for c in coeffs) else None
+        assert coords_in_hnf(coarse, on) == _coords(coarse, on) == expect
+        # a random vector: off the rational span too when the rank is lower
+        vector = [rng.randint(-9, 9) for _ in range(cols)]
+        assert coords_in_hnf(basis, vector) == _coords(basis, vector)
+
+
+def test_mat_inverse_int():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(6):  # random signed shears and swaps
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                c = rng.randint(-3, 3)
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+                m[i], m[j] = m[j], [-x for x in m[i]]
+        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        inv = mat_inverse_int(m)
+        assert mat_mul(m, inv) == mat_mul(inv, m) == ident
+    assert mat_inverse_int([]) == []
+    for bad in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 0]]):
+        with pytest.raises(LatticeError):
+            mat_inverse_int(bad)
 
 
 def _lattice_index(rows, rank):
@@ -201,6 +255,7 @@ def test_invariants_rank_random_conjugated_perms():
             continue
         s[i][j] = rng.randint(-2, 2)
         sinv = mat_inverse_int(s)
+        assert mat_mul(s, sinv) == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         gc = mat_mul(mat_mul(s, g), sinv)
         lat = GLattice(rank=n, action=[gc])
         group = generate_group([gc])
