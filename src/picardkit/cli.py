@@ -316,6 +316,8 @@ def _parse_action(obj, k):
 
 
 def cmd_rank(args):
+    import hashlib
+
     from . import lattice, weil
     from .counting import variety_hash
 
@@ -333,9 +335,24 @@ def cmd_rank(args):
         action, relations = _parse_action(cycles.get("action", {}), k)
         if any(len(row) != k for row in pairings) or any(len(v) != k for _, v in candidates):
             raise ValueError(f"pairing vectors must have length {k}, one entry per basis cycle")
+        names = cycles.get("cycleNames", [f"z{i}" for i in range(len(pairings))])
+        if (
+            not isinstance(names, list)
+            or len(names) != len(pairings)
+            or any(not isinstance(name, str) for name in names)
+        ):
+            raise ValueError("cycleNames must be a list of strings, one per pairings row")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
     digest = variety_hash(ideal)
+    # a checkpoint holds a bound for one variety, cycles file and codimension;
+    # one written for other inputs is rejected before anything is counted
+    inputs = {"variety": digest, "cycles": cycles, "p": args.p}
+    inputs_digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    try:
+        lattice.read_checkpoint(args.checkpoint, inputs_digest)
+    except lattice.LatticeError as exc:
+        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     report = _report_base("rank", args, {"digest": digest})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
@@ -345,12 +362,15 @@ def cmd_rank(args):
     report["tateBound"] = bound.to_json()
     v_mu = bound.v_mu
 
-    algo = lattice.AlgorithmB(
-        v_mu=v_mu,
-        p=args.p,
-        inputs_digest=digest,
-        checkpoint_path=args.checkpoint,
-    )
+    try:
+        algo = lattice.AlgorithmB(
+            v_mu=v_mu,
+            p=args.p,
+            inputs_digest=inputs_digest,
+            checkpoint_path=args.checkpoint,
+        )
+    except lattice.LatticeError as exc:
+        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     try:
         rank, rows, cols, det = lattice.independence_certificate(pairings)
         cert = lattice.RankCertificate(
@@ -361,9 +381,7 @@ def cmd_rank(args):
                 "rows": rows,
                 "cols": cols,
                 "det": det,
-                "labels": [cycles.get("cycleNames", [f"z{i}" for i in range(len(pairings))])[i] for i in rows]
-                if rank
-                else [],
+                "labels": [names[i] for i in rows],
             },
         )
         algo.offer(cert)

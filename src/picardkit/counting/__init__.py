@@ -1,12 +1,11 @@
 """Exhaustive projective point counting over finite-field extension towers.
 
 N_n = #X(F_{q^n}) is computed chart by chart; within a chart all but the
-innermost coordinate are enumerated, and the innermost is resolved either by
-direct evaluation with early exit ("enumerate") or by exact root counting of
-the univariate slice via gcd with x^Q - x ("gcd").  Both strategies give
-identical counts; a deterministic cost model picks the cheaper one, and an
-explicit work budget turns infeasible requests into errors rather than
-silent stalls.
+innermost coordinate are enumerated, and the innermost is resolved by exact
+root counting of the univariate slice through its gcd with x^Q - x (closed
+forms for degrees 1 and 2).  A deterministic cost model estimates the work,
+and an explicit work budget turns infeasible requests into errors rather
+than silent stalls.
 """
 
 from __future__ import annotations
@@ -108,20 +107,16 @@ def variety_hash(ideal):
 
 
 def _estimate_chart_cost(chart, Q):
-    """Deterministic per-chart work estimate, in kernel operation units, and
-    the cheaper slice method.
+    """Deterministic per-chart work estimate, in kernel operation units.
 
-    enumerate: ~Q points per slice, each costing the cheapest generator's
-    Horner evaluation; gcd: one modular exponentiation x^Q plus gcds, at
+    Each of the Q^nprefix slices builds its univariate polynomials and then
+    counts their roots: one modular exponentiation x^Q plus gcds, at
     ~2*log2(Q) multiplications of degree<D polynomials.
     """
-    if chart.nfree == 0 or not chart.gen_terms:
-        return 1, "enumerate"
-    slices = Q**chart.nprefix
+    if not chart.gen_terms:
+        return 1
     build = max(chart.term_count(), 1) * max(chart.nprefix, 1)
-    d_cheap = chart.cheapest_gen_deg()
     d_max = chart.max_last_deg()
-    enum_cost = Q * (d_cheap + 1)
     if d_max <= 2:
         # closed-form root counting per slice
         gcd_cost = 24
@@ -129,11 +124,7 @@ def _estimate_chart_cost(chart, Q):
         gcd_cost = (
             (2 * (Q.bit_length() + 1)) * (d_max + 1) ** 2 + 4 * (d_max + 1) ** 2 + 16
         )
-    if gcd_cost < enum_cost:
-        per, chosen = gcd_cost, "gcd"
-    else:
-        per, chosen = enum_cost, "enumerate"
-    return slices * (build + per), chosen
+    return Q**chart.nprefix * (build + gcd_cost)
 
 
 def physical_memory():
@@ -172,15 +163,8 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
         )
 
     charts = compile_charts(ideal, emb, ext.to_index)
-    total_cost = Q  # the three field tables of length Q
-    plans = []
-    for chart in charts:
-        if chart.nfree == 0:
-            plans.append((chart, "origin", 1))
-            continue
-        cost, chosen = _estimate_chart_cost(chart, Q)
-        total_cost += cost
-        plans.append((chart, chosen, cost))
+    # the three field tables of length Q, then every chart but the origin
+    total_cost = Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree)
     if total_cost > budget:
         raise BudgetExceededError(
             f"estimated work {total_cost} exceeds budget {budget} at n={n}"
@@ -191,39 +175,29 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     tmask = trace_mask(ext)
     p = ext.p
     total = 0
-    for chart, chosen, _cost in plans:
-        if chosen == "origin":
+    for chart in charts:
+        if chart.nfree == 0:
             total += evaluate_origin_chart(ideal, emb, ext, chart.chart)
             continue
         if not chart.gen_terms:
             total += Q**chart.nfree
             continue
-        use_gcd = 1 if chosen == "gcd" else 0
         if chart.nprefix == 0 or threads <= 1:
             ranges = [(0, 1)] if chart.nprefix == 0 else [(0, Q)]
         else:
             step = max(1, -(-Q // threads))
             ranges = [(lo, min(lo + step, Q)) for lo in range(0, Q, step)]
+        # the ninth argument, 1, selects gcd root counting, the only method
+        args = (Q, p, tmask, exp, log, zech, chart.gen_terms, chart.nprefix, 1)
         if len(ranges) == 1:
-            lo, hi = ranges[0]
-            total += mod.count_chart(
-                Q, p, tmask, exp, log, zech, chart.gen_terms, chart.nprefix,
-                use_gcd, lo, hi,
-            )
+            total += mod.count_chart(*args, *ranges[0])
         else:
             # imported here: concurrent.futures pulls in logging, which a
             # one-thread request never needs
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = [
-                    pool.submit(
-                        mod.count_chart,
-                        Q, p, tmask, exp, log, zech,
-                        chart.gen_terms, chart.nprefix, use_gcd, lo, hi,
-                    )
-                    for lo, hi in ranges
-                ]
+                futs = [pool.submit(mod.count_chart, *args, lo, hi) for lo, hi in ranges]
                 # ordered reduction keeps the sum deterministic
                 total += sum(f.result() for f in futs)
     return total

@@ -1,10 +1,13 @@
 /* Compiled counting kernel: the same contract as kernel_py, in plain C.
 
    Field elements are int64 table indices; see kernel_py for the table
-   conventions.  count_chart copies its term records into C memory and runs
-   the chart loop without the GIL, so count_points can spread
-   outer-coordinate ranges across threads.  Only a C compiler and the Python
-   headers are needed:  python setup.py build_ext --inplace  */
+   conventions.  Every slice is resolved as in kernel_py, by counting the
+   distinct roots of the gcd of its univariate polynomials (closed forms for
+   degrees 1 and 2, gcd with x^Q - x beyond).  count_chart copies its term
+   records into C memory and runs the chart loop without the GIL, so
+   count_points can spread outer-coordinate ranges across threads.  Only a
+   C compiler and the Python headers are needed:
+   python setup.py build_ext --inplace  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -330,7 +333,7 @@ static i64 root_count(const FOps *F, i64 *g, i64 ng, i64 *s1, i64 *s2, i64 *s3)
 
 typedef struct {
     i64 *flat, *goff, *gdeg, *pmax; /* term records, per generator */
-    i64 ngens, stride, nprefix, D, powstride, use_gcd;
+    i64 ngens, stride, nprefix, D, powstride;
     i64 *powcache, *values, *ucoef, *udeg, *g, *s1, *s2, *s3; /* scratch */
 } Chart;
 
@@ -346,7 +349,7 @@ static void fill_pow(const FOps *F, Chart *C, i64 t, i64 v)
 /* points on the slice fixed by the current prefix powers */
 static i64 run_slice(const FOps *F, Chart *C)
 {
-    i64 gi, t, i, m, ex, nu, acc, v, ng, cnt = 0, nactive = 0, D = C->D;
+    i64 gi, t, i, m, ex, nu, ng, nactive = 0, D = C->D;
     for (gi = 0; gi < C->ngens; gi++) {
         i64 *u = C->ucoef + nactive * D;
         memset(u, 0, sizeof(i64) * (C->gdeg[gi] + 1));
@@ -369,18 +372,6 @@ static i64 run_slice(const FOps *F, Chart *C)
     }
     if (nactive == 0)
         return F->Q;
-    if (!C->use_gcd) {
-        for (v = 0; v < F->Q; v++) {
-            for (gi = 0; gi < nactive; gi++) {
-                for (acc = 0, i = C->udeg[gi] - 1; i >= 0; i--)
-                    acc = el_add(F, el_mul(F, acc, v), C->ucoef[gi * D + i]);
-                if (acc)
-                    break;
-            }
-            cnt += gi == nactive;
-        }
-        return cnt;
-    }
     ng = C->udeg[0];
     memcpy(C->g, C->ucoef, sizeof(i64) * ng);
     for (gi = 1; gi < nactive; gi++) {
@@ -433,6 +424,11 @@ static PyObject *count_chart(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "LLLOOOOLLLL", &Q, &p, &tmask, &tabs[0], &tabs[1],
                           &tabs[2], &gen_terms, &nprefix, &use_gcd, &lo, &hi))
         return NULL;
+    if (use_gcd != 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "use_gcd must be 1: slices are resolved by gcd root counting");
+        return NULL;
+    }
     for (ntv = 0; ntv < 3; ntv++)
         if (get_q(tabs[ntv], &tv[ntv]) < 0)
             goto done;
@@ -444,7 +440,7 @@ static PyObject *count_chart(PyObject *self, PyObject *args)
     if ((seq = PySequence_Fast(gen_terms, "gen_terms must be a sequence")) == NULL)
         goto done;
     C.ngens = PySequence_Fast_GET_SIZE(seq), C.stride = 2 + nprefix;
-    C.nprefix = nprefix, C.use_gcd = use_gcd, C.D = 1, C.powstride = 1;
+    C.nprefix = nprefix, C.D = 1, C.powstride = 1;
 
     /* copy the generators' term records into one block */
     for (gi = 0; gi < C.ngens; gi++) {
@@ -530,7 +526,7 @@ static PyMethodDef methods[] = {
      "exp/log/Zech tables for F_{p^e}; identical output to kernel_py."},
     {"count_chart", count_chart, METH_VARARGS,
      "count_chart(Q, p, tmask, exp, log, zech, gen_terms, nprefix, use_gcd, lo, hi)\n\n"
-     "Count points of one affine chart; same contract as kernel_py."},
+     "Count points of one affine chart; same contract as kernel_py (use_gcd must be 1)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -36,13 +36,6 @@ class CompiledChart:
                     out = terms[t]
         return out
 
-    def cheapest_gen_deg(self):
-        stride = 2 + self.nprefix
-        degs = []
-        for terms in self.gen_terms:
-            degs.append(max((terms[t] for t in range(1, len(terms), stride)), default=0))
-        return min(degs) if degs else 0
-
     def term_count(self):
         stride = 2 + self.nprefix
         return sum(len(t) // stride for t in self.gen_terms)

@@ -5,6 +5,11 @@ function; both must produce identical counts on identical inputs (tested).
 Field elements are integer indices (the base-p digit encoding of coefficient
 vectors); multiplication and addition go through exp/log/Zech tables.
 
+count_chart enumerates every coordinate of a chart but the inner one.  Each
+such slice leaves one univariate polynomial per generator; the slice's
+points are the distinct roots in F_Q of their gcd, counted in closed form
+for degrees 1 and 2 and through gcd(g, x^Q - x) beyond.
+
 Index conventions inside the tables:
     0 encodes the zero element, 1 encodes one;
     exp[i] = index of g^i, log[idx] = discrete log (log[0] = -1),
@@ -252,8 +257,12 @@ def count_chart(Q, p, tmask, exp, log, zech, gen_terms, nprefix, use_gcd, lo, hi
 
     gen_terms: per generator, a flat int array of records
     [coeff_idx, last_deg, e_1..e_nprefix]; a point counts when every
-    generator vanishes.  Pass lo=0, hi=1 when nprefix == 0.
+    generator vanishes.  Pass lo=0, hi=1 when nprefix == 0.  use_gcd must
+    be 1, gcd root counting being the only slice method; any other value
+    raises ValueError.
     """
+    if use_gcd != 1:
+        raise ValueError("use_gcd must be 1: slices are resolved by gcd root counting")
     ops = _Ops(Q, p, tmask, exp, log, zech)
     stride = 2 + nprefix
     gens = []
@@ -294,19 +303,6 @@ def count_chart(Q, p, tmask, exp, log, zech, gen_terms, nprefix, use_gcd, lo, hi
             return
         if any(len(u) == 1 for u in upolys):
             return  # a nonzero constant condition: no solutions
-        if not use_gcd:
-            for v in range(Q):
-                ok = True
-                for ucoef in upolys:
-                    acc = 0
-                    for c in reversed(ucoef):
-                        acc = ops.add(ops.mul(acc, v), c)
-                    if acc:
-                        ok = False
-                        break
-                if ok:
-                    count += 1
-            return
         g = upolys[0]
         for u in upolys[1:]:
             g = ops.pgcd(g, u)

@@ -14,10 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 
-class TaskFailed(Exception):
-    pass
-
-
 class Task:
     """A resumable unit of work.  Subclasses implement step().
 

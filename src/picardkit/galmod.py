@@ -80,9 +80,6 @@ class FiniteLModule:
     def rank(self):
         return len(self.invariant_factors)
 
-    def order_exponent(self):
-        return sum(self.invariant_factors)
-
     def moduli(self):
         return [self.ell**e for e in self.invariant_factors]
 

@@ -435,11 +435,10 @@ class AlgorithmB:
         self.p = p
         self.inputs_digest = inputs_digest
         self.checkpoint_path = checkpoint_path
-        self.best = 0
-        self.best_certificate = None
-        self.halted = v_mu == 0
-        if checkpoint_path and os.path.exists(checkpoint_path):
-            self._load()
+        self.best, self.best_certificate = read_checkpoint(checkpoint_path, inputs_digest) or (0, None)
+        if not 0 <= self.best <= v_mu:
+            raise LatticeError(f"checkpoint bound {self.best} is outside 0..{v_mu}")
+        self.halted = self.best == v_mu
 
     def offer(self, cert):
         """Consume one certificate; returns the current status string."""
@@ -486,14 +485,25 @@ class AlgorithmB:
         with open(self.checkpoint_path, "w", encoding="utf-8") as fh:
             json.dump(state, fh, sort_keys=True)
 
-    def _load(self):
-        with open(self.checkpoint_path, encoding="utf-8") as fh:
+
+def read_checkpoint(path, inputs_digest):
+    """(best, best certificate or None) from the AlgorithmB state saved at
+    `path`, or None when there is no such file.
+
+    Raises LatticeError when the file is unreadable or malformed, or was
+    written for inputs with another digest.
+    """
+    if not path or not os.path.exists(path):
+        return None
+    try:
+        with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
-        if state.get("inputsDigest") != self.inputs_digest:
-            raise LatticeError("checkpoint belongs to different inputs")
-        self.best = state["best"]
-        if state.get("bestCertificate"):
-            c = state["bestCertificate"]
-            self.best_certificate = RankCertificate(c["kind"], c["value"], c["witness"])
-        if self.best == self.v_mu:
-            self.halted = True
+        digest, best, c = state.get("inputsDigest"), state["best"], state.get("bestCertificate")
+        cert = RankCertificate(c["kind"], c["value"], c["witness"]) if c else None
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise LatticeError(f"unreadable checkpoint {path}: {exc}") from None
+    if digest != inputs_digest:
+        raise LatticeError("checkpoint belongs to different inputs")
+    if type(best) is not int:
+        raise LatticeError(f"unreadable checkpoint {path}: best is not an integer")
+    return best, cert

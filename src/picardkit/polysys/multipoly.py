@@ -74,12 +74,6 @@ class MultiPoly:
         return MultiPoly(nvars, domain, {(0,) * nvars: c})
 
     @staticmethod
-    def var(nvars, i, domain=None):
-        e = [0] * nvars
-        e[i] = 1
-        return MultiPoly(nvars, domain, {tuple(e): 1})
-
-    @staticmethod
     def monomial(nvars, exps, c=1, domain=None):
         return MultiPoly(nvars, domain, {tuple(exps): c})
 

@@ -11,34 +11,38 @@ import picardkit
 from picardkit.ffield import enumerate_field, extend
 
 
-def brute_force_projective_count(ideal, n):
-    """Oracle: enumerate canonical representatives of projective points and
-    evaluate every generator directly with FieldElement arithmetic.
-    Independent of the counting kernels."""
+def brute_force_chart_count(ideal, n, j):
+    """Oracle: the points over F_{q^n} of chart j, where x_0 = ... = x_{j-1}
+    = 0 and x_j = 1, found by evaluating every generator directly with
+    FieldElement arithmetic.  Independent of the counting kernels."""
     emb = extend(ideal.domain, n)
     ext = emb.ext
     elems = enumerate_field(ext)
     gens = [{e: emb(c) for e, c in g.terms.items()} for g in ideal.generators]
-    nvars = ideal.nvars
     count = 0
-    for j in range(nvars):
-        for tail in itertools.product(elems, repeat=nvars - 1 - j):
-            pt = [ext.zero()] * j + [ext.one()] + list(tail)
-            ok = True
-            for g in gens:
-                acc = ext.zero()
-                for exps, c in g.items():
-                    term = c
-                    for x, e in zip(pt, exps):
-                        for _ in range(e):
-                            term = term * x
-                    acc = acc + term
-                if acc:
-                    ok = False
-                    break
-            if ok:
-                count += 1
+    for tail in itertools.product(elems, repeat=ideal.nvars - 1 - j):
+        pt = [ext.zero()] * j + [ext.one()] + list(tail)
+        ok = True
+        for g in gens:
+            acc = ext.zero()
+            for exps, c in g.items():
+                term = c
+                for x, e in zip(pt, exps):
+                    for _ in range(e):
+                        term = term * x
+                acc = acc + term
+            if acc:
+                ok = False
+                break
+        if ok:
+            count += 1
     return count
+
+
+def brute_force_projective_count(ideal, n):
+    """Oracle: #X(F_{q^n}) as the sum of the brute-force chart counts; each
+    projective point has one canonical representative on one chart."""
+    return sum(brute_force_chart_count(ideal, n, j) for j in range(ideal.nvars))
 
 
 def source_env():

@@ -3,8 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines.  Stated runtime bounds are asserted only when the compiled
 counting kernel is active (the pure fallback is a correctness reference, not
-a performance target).  Criterion 9 (quartic K3 over F_2) is marked `long`
-and deselected by default; enable with `-m long`.
+a performance target).
 """
 
 import json
@@ -629,13 +628,12 @@ def test_criterion_8_dovetail_suite():
     _announce(8, "dovetail suite", check())
 
 
-# -- criterion 9: quartic K3 over F_2 (long; deselected by default) --------------
+# -- criterion 9: quartic K3 over F_2 ---------------------------------------------
 
 
 K3_F2 = "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"
 
 
-@pytest.mark.long
 def test_criterion_9_quartic_k3_long(tmp_path, capsys):
     start = time.monotonic()
     spec = write_json(

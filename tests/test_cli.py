@@ -174,6 +174,60 @@ def test_rank_checkpoint_written(tmp_path, capsys):
     assert state["best"] == 1
 
 
+def _rank_with_checkpoint(capsys, tmp_path, pairings, ckpt, *extra):
+    cycles = write_json(
+        tmp_path / "c.json",
+        {"basisCycles": ["a", "b"], "pairings": pairings, "action": {"generators": []}},
+    )
+    return run_cli(
+        capsys,
+        "rank", "--zeta", quadric_spec(tmp_path, p=3), "--cycles", cycles,
+        "--checkpoint", str(ckpt), "--cache-dir", str(tmp_path / "cache"), "--no-timing",
+        *extra,
+    )
+
+
+def test_rank_checkpoint_resumes_only_its_own_inputs(tmp_path, capsys):
+    ckpt = tmp_path / "state.json"
+    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0], [0, 1]], ckpt)
+    assert code == 0
+    # the state of other cycles must not stand in for this file's bound: at
+    # best 2 it would assert rank 2 against a pairing rank of 1
+    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert (code, out) == (2, "")
+    assert "checkpoint belongs to different inputs" in err
+    # the same inputs resume
+    ckpt.unlink()
+    for _ in range(2):
+        code, out, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+        assert code == 4
+        assert json.loads(out)["rank"]["bestLower"] == 1
+    # the codimension is part of the inputs too
+    code, _, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt, "-p", "2")
+    assert code == 2
+    assert "checkpoint belongs to different inputs" in err
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        '{"inputsDigest": "0000", "best": 1, "bestCertificate": null}',
+        "not json",
+        '{"inputsDigest": "0000"}',
+        "[1]",
+    ],
+)
+def test_bad_checkpoint_rejected_before_counting(tmp_path, capsys, state):
+    # an empty cache with a one-unit evaluation budget exits 3 as soon as
+    # anything is counted
+    ckpt = tmp_path / "state.json"
+    ckpt.write_text(state)
+    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt, "--eval-budget", "1")
+    assert (code, out) == (2, "")
+    assert "checkpoint" in err
+    assert ckpt.read_text() == state
+
+
 def test_torsion_command(tmp_path, capsys):
     table = size_table_from_profile(3, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4)
     path = write_json(tmp_path / "table.json", table.to_json())
@@ -346,6 +400,10 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
          "action": {"generators": [[1, 0]], "relations": [[2]]}},
         {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
          "action": {"generators": [[1, 0]], "relations": [1]}},
+        # one cycle name per pairings row, each a string
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]], "cycleNames": ["z"]},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]], "cycleNames": ["z", 1]},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]], "cycleNames": "zw"},
     ],
 )
 def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
@@ -465,7 +523,6 @@ def test_zeta_cubic_threefold_from_six_counts(tmp_path, capsys):
     assert CUBIC_THREEFOLD_COUNTS[:4] == count_tower(ideal, 4).counts
 
 
-@pytest.mark.long
 def test_zeta_cubic_threefold_cold(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "zeta", cubic_threefold_spec(tmp_path),

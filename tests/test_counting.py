@@ -30,7 +30,11 @@ def ideal_over(p, e, nvars, *gens):
     return ideal
 
 
-from conftest import brute_force_projective_count as brute_force_count, source_env
+from conftest import (
+    brute_force_chart_count,
+    brute_force_projective_count as brute_force_count,
+    source_env,
+)
 
 
 def test_zech_tables_consistent_with_field_arithmetic():
@@ -115,10 +119,9 @@ def test_matches_brute_force_oracle():
             assert count_points(ideal, n) == brute_force_count(ideal, n)
 
 
-def test_slice_methods_agree_on_every_chart():
-    # the kernel's two slice methods, enumeration (use_gcd 0) and gcd root
-    # counting (use_gcd 1), count each chart alike whichever the cost
-    # model would pick
+def test_pure_kernel_matches_chart_oracle():
+    # every chart the kernel resolves by gcd root counting, against direct
+    # evaluation at each of the chart's points
     cases = [
         ideal_over(2, 1, 3, "x0^2 + x1*x2"),
         ideal_over(5, 1, 3, "x1^2*x2 - x0^3 - x0*x2^2 - x2^3"),
@@ -137,10 +140,12 @@ def test_slice_methods_agree_on_every_chart():
             ]
             assert charts
             for chart in charts:
-                args = (ext.q, ext.p, trace_mask(ext), exp, log, zech,
-                        chart.gen_terms, chart.nprefix)
                 hi = 1 if chart.nprefix == 0 else ext.q
-                assert kernel_py.count_chart(*args, 0, 0, hi) == kernel_py.count_chart(*args, 1, 0, hi)
+                got = kernel_py.count_chart(
+                    ext.q, ext.p, trace_mask(ext), exp, log, zech,
+                    chart.gen_terms, chart.nprefix, 1, 0, hi,
+                )
+                assert got == brute_force_chart_count(ideal, n, chart.chart)
 
 
 def test_parallel_determinism():

@@ -20,6 +20,8 @@ from picardkit.counting.kernel import trace_mask
 from picardkit.ffield import extend, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
+from conftest import brute_force_chart_count
+
 
 @pytest.fixture(scope="module")
 def ckernel(tmp_path_factory):
@@ -81,15 +83,14 @@ def test_chart_counts_identical(ckernel, p, e, gens, nvars, n):
     for chart in charts:
         if chart.nfree == 0 or not chart.gen_terms:
             continue
-        for use_gcd in (0, 1):
-            lo, hi = (0, 1) if chart.nprefix == 0 else (0, ext.q)
-            a = kernel_py.count_chart(
-                ext.q, ext.p, tmask, *tabs_py, chart.gen_terms, chart.nprefix, use_gcd, lo, hi
-            )
-            b = ckernel.count_chart(
-                ext.q, ext.p, tmask, *tabs_c, chart.gen_terms, chart.nprefix, use_gcd, lo, hi
-            )
-            assert a == b
+        hi = 1 if chart.nprefix == 0 else ext.q
+        a = kernel_py.count_chart(
+            ext.q, ext.p, tmask, *tabs_py, chart.gen_terms, chart.nprefix, 1, 0, hi
+        )
+        b = ckernel.count_chart(
+            ext.q, ext.p, tmask, *tabs_c, chart.gen_terms, chart.nprefix, 1, 0, hi
+        )
+        assert a == b == brute_force_chart_count(ideal, n, chart.chart)
 
 
 def test_split_ranges_sum_to_whole(ckernel):
@@ -127,3 +128,19 @@ def test_rejects_buffers_that_are_not_int64(ckernel):
         ckernel.count_chart(4, 2, 0, array("i", exp), log, zech, terms, 1, 1, 0, 4)
     with pytest.raises(TypeError):
         ckernel.count_chart(4, 2, 0, exp, log, zech, [[1, 1, 0]], 1, 1, 0, 4)
+
+
+@pytest.mark.parametrize("backend", ["pure", "c"])
+def test_count_chart_accepts_only_gcd_slices(ckernel, backend):
+    # the ninth of the eleven positional arguments selects the slice method,
+    # and gcd root counting (1) is the only one left: 0 must not quietly
+    # count by gcd
+    mod = kernel_py if backend == "pure" else ckernel
+    exp, log, zech = mod.build_tables(2, 2, make_field(2, 2).modulus)
+    terms = [array("q", [1, 1, 0])]
+    assert mod.count_chart(4, 2, 0, exp, log, zech, terms, 1, 1, 0, 4) == 4
+    for method in (0, 2, -1):
+        with pytest.raises(ValueError):
+            mod.count_chart(4, 2, 0, exp, log, zech, terms, 1, method, 0, 4)
+    with pytest.raises(TypeError):
+        mod.count_chart(4, 2, 0, exp, log, zech, terms, 1, 0, 4)

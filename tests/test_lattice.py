@@ -338,3 +338,17 @@ def test_algorithm_b_checkpoint_resume(tmp_path):
     resumed.offer(RankCertificate("lower", 3, {"minor": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     assert resumed.status() == "halted"
     assert resumed.result() == 3
+
+
+def test_algorithm_b_checkpoint_rejects_other_inputs(tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    algo = AlgorithmB(v_mu=3, inputs_digest="abc", checkpoint_path=path)
+    algo.offer(RankCertificate("lower", 2, {"minor": [[0, 1], [1, 0]]}))
+    with pytest.raises(LatticeError, match="different inputs"):
+        AlgorithmB(v_mu=3, inputs_digest="abd", checkpoint_path=path)
+    # a bound above the upper one cannot come from this upper bound's run
+    with pytest.raises(LatticeError, match="outside"):
+        AlgorithmB(v_mu=1, inputs_digest="abc", checkpoint_path=path)
+    (tmp_path / "ckpt.json").write_text("{")
+    with pytest.raises(LatticeError, match="unreadable"):
+        AlgorithmB(v_mu=3, inputs_digest="abc", checkpoint_path=path)
