@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -52,8 +51,10 @@ def _variety_from_spec(obj):
 
     try:
         fieldspec = obj["field"]
-        p, e = int(fieldspec["p"]), int(fieldspec.get("e", 1))
-        ambient = int(obj["ambientDim"])
+        p, e, ambient = fieldspec["p"], fieldspec.get("e", 1), obj["ambientDim"]
+        if any(type(x) is not int for x in (p, e, ambient)):
+            # JSON integers only: 2.9, true and "2" are rejected, not truncated
+            raise ValueError("field.p, field.e and ambientDim must be integers")
         gens = obj.get("generators", [])
         flags = obj.get("flags", {})
     except (KeyError, TypeError, ValueError) as exc:
@@ -70,13 +71,10 @@ def _variety_from_spec(obj):
 
 
 def _cache_from_args(args):
-    from .counting import CountCache, default_cache
+    from .counting.cache import CountCache, cache_file, default_cache
 
     if getattr(args, "cache_dir", None):
-        path = args.cache_dir
-        if os.path.isdir(path) or not os.path.splitext(path)[1]:
-            path = os.path.join(path, "counts.ndjson")
-        return CountCache(path)
+        return CountCache(cache_file(args.cache_dir))
     return default_cache()
 
 
@@ -200,7 +198,7 @@ def _zeta_pipeline(ideal, flags, args, report):
     return z, factored
 
 
-def _report_base(command, args, inputs):
+def _report_base(command, inputs):
     return {
         "schema": SCHEMA,
         "command": command,
@@ -224,7 +222,7 @@ def cmd_count(args):
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
-    report = _report_base("count", args, {"digest": variety_hash(ideal)})
+    report = _report_base("count", {"digest": variety_hash(ideal)})
     cache = _cache_from_args(args)
     try:
         series = count_tower(
@@ -245,7 +243,7 @@ def cmd_zeta(args):
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
-    report = _report_base("zeta", args, {"digest": variety_hash(ideal)})
+    report = _report_base("zeta", {"digest": variety_hash(ideal)})
     _zeta_pipeline(ideal, flags, args, report)
     _emit(report, args, started)
     return EXIT_OK
@@ -258,7 +256,7 @@ def cmd_betti(args):
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
-    report = _report_base("betti", args, {"digest": variety_hash(ideal)})
+    report = _report_base("betti", {"digest": variety_hash(ideal)})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         report["betti"] = weil.betti_numbers(z, weil.classify_weights(z, factored))
@@ -275,7 +273,7 @@ def cmd_tate(args):
     started = time.time()
     spec = _load_json(args.spec)
     ideal, flags = _variety_from_spec(spec)
-    report = _report_base("tate-bound", args, {"digest": variety_hash(ideal)})
+    report = _report_base("tate-bound", {"digest": variety_hash(ideal)})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         pieces = weil.classify_weights(z, factored)
@@ -353,7 +351,7 @@ def cmd_rank(args):
         lattice.read_checkpoint(args.checkpoint, inputs_digest)
     except lattice.LatticeError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    report = _report_base("rank", args, {"digest": digest})
+    report = _report_base("rank", {"digest": digest})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         bound = weil.dim_v_mu(z, weil.classify_weights(z, factored), args.p)
@@ -420,7 +418,7 @@ def cmd_torsion(args):
         table = galmod.SizeTable.from_json(obj)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed size table: {exc}", EXIT_INVALID_INPUT) from None
-    report = _report_base("torsion", args, {"ell": table.ell, "degree": args.degree})
+    report = _report_base("torsion", {"ell": table.ell, "degree": args.degree})
     try:
         res = galmod.torsion_from_sizes(table, args.degree)
     except galmod.InconsistentTableError as exc:
@@ -450,7 +448,7 @@ def cmd_galois_rank(args):
         raise CliError(f"malformed module family: {exc}", EXIT_INVALID_INPUT) from None
     except galmod.GalmodError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    report = _report_base("galois-rank", args, {"t": t, "modules": len(modules)})
+    report = _report_base("galois-rank", {"t": t, "modules": len(modules)})
     try:
         bounds = galmod.rank_upper_bounds(
             modules, t, check_hypothesis=not obj.get("skipHypothesisCheck", False)
@@ -479,7 +477,7 @@ def cmd_dovetail(args):
         PlantedTask(9, "planted"),
     ]
     res = run_geometric(tasks, max_rounds=args.rounds)
-    report = _report_base("dovetail", args, {"tasks": len(tasks)})
+    report = _report_base("dovetail", {"tasks": len(tasks)})
     report["dovetail"] = {
         "rounds": res.rounds,
         "totalQuanta": res.total_quanta,

@@ -135,7 +135,7 @@ def physical_memory():
 def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
-    `n` is the extension degree (or a FieldDesc of the canonical extension).
+    `n` is the extension degree.
     Raises BudgetExceededError, before the field tables are built, when the
     three int64 tables of length Q = q^n (24 Q bytes) exceed physical memory,
     or when the work estimate (Q units for the tables plus each chart's cost)
@@ -144,10 +144,6 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     dom = ideal.domain
     if dom is None:
         raise ValueError("point counting requires a finite base field")
-    if not isinstance(n, int):
-        if n.e % dom.e:
-            raise ValueError("extension degree is not a multiple of the base degree")
-        n = n.e // dom.e
     emb = extend(dom, n)
     ext = emb.ext
     Q = ext.q

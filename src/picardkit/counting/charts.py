@@ -24,7 +24,6 @@ class CompiledChart:
     chart: int
     nfree: int
     nprefix: int
-    inner_var: int  # ambient variable index resolved per slice
     gen_terms: list  # list of array('q'), one per generator, possibly empty
 
     def max_last_deg(self):
@@ -75,9 +74,7 @@ def compile_charts(ideal, embedding, ext_index_of):
             if terms:
                 survivors.append(terms)
         if nfree == 0:
-            charts.append(
-                CompiledChart(chart=j, nfree=0, nprefix=0, inner_var=-1, gen_terms=[])
-            )
+            charts.append(CompiledChart(chart=j, nfree=0, nprefix=0, gen_terms=[]))
             continue
         # inner variable: smallest max-degree across generators, ties last
         maxdeg = {v: 0 for v in free_vars}
@@ -110,7 +107,6 @@ def compile_charts(ideal, embedding, ext_index_of):
                 chart=j,
                 nfree=nfree,
                 nprefix=nprefix,
-                inner_var=inner,
                 gen_terms=gen_terms,
             )
         )

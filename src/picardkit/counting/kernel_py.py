@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from array import array
 
+from ..ffield import _pmulmod, _ppowmod, _prime_divisors
+
 BACKEND = "pure"
 
 
@@ -45,48 +47,15 @@ def build_tables(p, e, modulus):
             idx = idx * p + c
         return idx
 
-    def vmul(a, b):
-        out = [0] * (2 * e - 1) if e > 1 else [a[0] * b[0] % p]
-        if e > 1:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
-            for k in range(len(out) - 1, e - 1, -1):
-                c = out[k]
-                if c:
-                    for i in range(e + 1):
-                        out[k - e + i] = (out[k - e + i] - c * mod[i]) % p
-                out[k] = 0
-        return out[:e]
-
     def idx_mul(a, b):
-        return vec_to_idx(vmul(idx_to_vec(a), idx_to_vec(b)))
+        return vec_to_idx(_pmulmod(idx_to_vec(a), idx_to_vec(b), mod, p))
 
-    def idx_pow(a, k):
-        r = 1
-        while k:
-            if k & 1:
-                r = idx_mul(r, a)
-            a = idx_mul(a, a)
-            k >>= 1
-        return r
-
-    factors = []
-    n = q - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = _prime_divisors(q - 1)
     gen = 1
     if q > 2:
         for cand in range(2, q):
-            if all(idx_pow(cand, (q - 1) // f) != 1 for f in factors):
+            v = idx_to_vec(cand)
+            if all(_ppowmod(v, (q - 1) // f, mod, p) != [1] for f in factors):
                 gen = cand
                 break
 

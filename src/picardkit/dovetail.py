@@ -61,7 +61,6 @@ class IntegerSearchTask(Task):
 @dataclass
 class Schedule:
     quantum: int = 1  # step() calls per quantum
-    policy: str = "geometric"
 
 
 @dataclass

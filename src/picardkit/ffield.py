@@ -1,4 +1,5 @@
-"""Exact arithmetic in finite fields F_{p^e} and their extension towers.
+"""Exact arithmetic in finite fields F_{p^e} and their extension towers, and
+the dense Z/m[x] arithmetic it rests on, which integer factoring shares.
 
 A field is described by its characteristic p and a monic irreducible modulus
 of degree e over Z/pZ; elements are coefficient vectors in the power basis of
@@ -52,6 +53,11 @@ def is_prime(n):
 
 # ---------------------------------------------------------------------------
 # dense univariate arithmetic over Z/pZ (coefficient lists, index = degree)
+#
+# The only copy of this arithmetic: integer factoring (`intfactor`) uses it
+# mod a prime for Berlekamp and mod its powers for Hensel lifting, so p need
+# only be prime where a routine says so.  Inputs are reduced mod p unless a
+# routine says it reduces them.
 
 
 def _trim(a):
@@ -71,18 +77,35 @@ def _pmul(a, b, p):
     return _trim(out)
 
 
-def _pmod(a, m, p):
-    # m monic
+def _paddmul(a, b, c, p):
+    """a + c*b mod p."""
+    n = max(len(a), len(b))
+    return _trim(
+        [((a[i] if i < len(a) else 0) + c * (b[i] if i < len(b) else 0)) % p for i in range(n)]
+    )
+
+
+def _pdivmod(a, b, p):
+    """(q, r) with a = q*b + r mod p and deg r < deg b: b monic, for any
+    modulus p, or p prime and b nonzero."""
     a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
+    db = len(b) - 1
+    # no inversion for a monic divisor: field multiplication divides every
+    # product by the monic modulus
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        c = a.pop() * inv % p
         if c:
-            off = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[off + i] = (a[off + i] - c * m[i]) % p
-        a.pop()
-    return _trim(a)
+            k = len(a) - db
+            q[k] = c
+            for i in range(db):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    return _trim(q), _trim(a)
+
+
+def _pmod(a, m, p):
+    return _pdivmod(a, m, p)[1]
 
 
 def _pmulmod(a, b, m, p):
@@ -101,17 +124,28 @@ def _ppowmod(a, k, m, p):
 
 
 def _pgcd(a, b, p):
-    """Monic gcd mod p; the inputs need not be reduced mod p."""
+    """Monic gcd mod a prime p; the inputs need not be reduced mod p."""
     a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
     while b:
-        # reduce a mod b after making b monic
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
+        a, b = b, _pmod(a, b, p)
     if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
     return a
+
+
+def _pxgcd(a, b, p):
+    """Extended Euclid mod a prime p: (g, s, t) with s*a + t*b = g, the monic
+    gcd; the inputs, not both zero, need not be reduced mod p."""
+    r0, r1 = _trim([c % p for c in a]), _trim([c % p for c in b])
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _paddmul(s0, _pmul(q, s1, p), -1, p)
+        t0, t1 = t1, _paddmul(t0, _pmul(q, t1, p), -1, p)
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 def _is_irreducible(m, p):
@@ -126,16 +160,14 @@ def _is_irreducible(m, p):
     t = x
     for _ in range(e):
         t = _ppowmod(t, p, m, p)
-    if _trim([(ti - xi) % p for ti, xi in itertools.zip_longest(t, x, fillvalue=0)]):
+    if _paddmul(t, x, -1, p):
         return False
     # gcd(x^(p^(e/l)) - x, m) = 1 for every prime l | e
     for ell in _prime_divisors(e):
         t = x
         for _ in range(e // ell):
             t = _ppowmod(t, p, m, p)
-        diff = _trim([(ti - xi) % p for ti, xi in itertools.zip_longest(t, x, fillvalue=0)])
-        g = _pgcd(diff, m, p)
-        if len(g) - 1 != 0:
+        if len(_pgcd(_paddmul(t, x, -1, p), m, p)) != 1:
             return False
     return True
 
@@ -229,18 +261,6 @@ class FieldDesc:
         for idx in range(self.q):
             yield self.from_index(idx)
 
-    def to_json(self):
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-    @staticmethod
-    def from_json(obj):
-        f = FieldDesc(obj["p"], obj["e"], obj["modulus"])
-        if not is_prime(f.p):
-            raise FieldError(f"{f.p} is not prime")
-        if len(f.modulus) != f.e + 1 or f.modulus[-1] != 1:
-            raise FieldError("modulus is not monic of the declared degree")
-        return f
-
 
 class FieldElement:
     """An element of a FieldDesc, as a coefficient vector in the power basis."""
@@ -301,42 +321,9 @@ class FieldElement:
         if not self:
             raise ZeroDivisionError("inversion of zero field element")
         f = self.field
-        # extended Euclid over Z/pZ[x]
-        a, b = list(f.modulus), _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        p = f.p
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            bm = [(c * inv) % p for c in b]
-            # quotient of a by bm
-            q = []
-            rem = list(a)
-            db = len(bm) - 1
-            qco = [0] * max(len(rem) - db, 1)
-            while len(rem) - 1 >= db and rem:
-                c = rem[-1]
-                off = len(rem) - 1 - db
-                if c:
-                    qco[off] = c
-                    for i in range(db + 1):
-                        rem[off + i] = (rem[off + i] - c * bm[i]) % p
-                rem.pop()
-            q = _trim(qco)
-            # scale q by inv to account for monic normalization of b
-            q = [(c * inv) % p for c in q]
-            a, b = b, _trim(rem)
-            s0, s1 = s1, _trim(
-                [
-                    (x - y) % p
-                    for x, y in itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)
-                ]
-            )
-        # a is now gcd (a unit);
-        lead_inv = pow(a[-1], p - 2, p)
-        s0 = [(c * lead_inv) % p for c in s0]
-        s0 = _pmod(s0, list(f.modulus), p)
-        s0 += [0] * (f.e - len(s0))
-        return FieldElement(f, tuple(s0))
+        _, s, _ = _pxgcd(self.coeffs, f.modulus, f.p)
+        s += [0] * (f.e - len(s))
+        return FieldElement(f, tuple(s))
 
     def __truediv__(self, other):
         self._check(other)

@@ -10,6 +10,9 @@ so its reverse is monic, where the substitution lc^(d-1) f(x / lc) that
 makes the other end monic would inflate the coefficients (lc = 2^24 for
 the quartic K3's denominator).  Gcds in the squarefree decomposition are
 integer remainder sequences (`upoly.int_gcd`).
+
+Arithmetic in Z/m[x] (mod p for Berlekamp, mod p^k for Hensel lifting) is
+`ffield`'s; arithmetic in Z[x] is `upoly`'s.
 """
 
 from __future__ import annotations
@@ -18,47 +21,12 @@ from itertools import combinations
 from math import isqrt
 
 from . import upoly
-from .ffield import _pgcd, _pmul, _pmulmod, _ppowmod, _trim
+from .ffield import _paddmul, _pdivmod, _pgcd, _pmul, _pmulmod, _ppowmod, _pxgcd, _trim
 
 _PRIMES = [
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
     73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
 ]
-
-
-# -- arithmetic mod p (dense coefficient lists, index = degree) --------------
-# products, monic remainders, powers and gcds come from ffield (_pmul
-# reduces modulo any integer, so Hensel lifting uses it mod p^k too, as it
-# does _maddmul and _mdivmod); _mdivmod inverts the divisor's leading
-# coefficient by Fermat, which needs a prime modulus unless the divisor is
-# monic, whose leading inverse is 1 for any modulus
-
-
-def _mod(a, p):
-    return _trim([c % p for c in a])
-
-
-def _maddmul(a, b, c, p):
-    # a + c*b mod p
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + c * (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _trim(out)
-
-
-def _mdivmod(a, b, p):
-    # p prime and b nonzero mod p, or b monic and p any modulus
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    while a and len(a) >= len(b):
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
-        if c:
-            q[k] = c
-            for i in range(len(b)):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-        a.pop()
-    return _trim(q), _trim(a)
 
 
 # -- Berlekamp (deterministic, small p) ---------------------------------------
@@ -102,7 +70,8 @@ def _berlekamp(f, p):
     xp = _ppowmod([0, 1], p, f, p)
     cols = [[1] + [0] * (d - 1)]
     for _ in range(1, d):
-        cols.append(_pad(_pmulmod(cols[-1], xp, f, p), d))
+        col = _pmulmod(cols[-1], xp, f, p)
+        cols.append(col + [0] * (d - len(col)))
     # kernel of (Q - I)^T: v with v(x)^p = v(x) mod f
     mat = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(d)] for i in range(d)]
     kernel = _nullspace_mod(mat, p)
@@ -124,19 +93,15 @@ def _berlekamp(f, p):
             for c in range(p):
                 if len(rem_u) - 1 < 1:
                     break
-                g = _pgcd(rem_u, _maddmul(v, [1], -c, p), p)
+                g = _pgcd(rem_u, _paddmul(v, [1], -c, p), p)
                 if 0 < len(g) - 1 < len(rem_u) - 1:
-                    rem_u = _mdivmod(rem_u, g, p)[0]
+                    rem_u = _pdivmod(rem_u, g, p)[0]
                     new.append(g)
             if len(rem_u) - 1 >= 1:
                 new.append(rem_u)
         factors = new
     factors.sort()
     return factors
-
-
-def _pad(a, n):
-    return list(a) + [0] * (n - len(a))
 
 
 # -- Hensel lifting -----------------------------------------------------------
@@ -149,38 +114,18 @@ def _hensel_pair(f, g, h, s, t, p, bound):
     m = p
     while m <= bound:
         m2 = m * m
-        e = _maddmul(f, _pmul(g, h, m2), -1, m2)
-        q, r = _mdivmod(_pmul(s, e, m2), h, m2)
-        g_new = _trim([
-            (gi + ti + qi) % m2
-            for gi, ti, qi in _zip3(g, _pmul(t, e, m2), _pmul(q, g, m2))
-        ])
-        h_new = _trim([(hi + ri) % m2 for hi, ri in _zip2(h, r)])
-        b = _maddmul(_maddmul(_pmul(s, g_new, m2), _pmul(t, h_new, m2), 1, m2), [1], -1, m2)
-        c, d = _mdivmod(_pmul(s, b, m2), h_new, m2)
-        s_new = _maddmul(s, d, -1, m2)
-        t_new = _maddmul(_maddmul(t, _pmul(t, b, m2), -1, m2), _pmul(c, g_new, m2), -1, m2)
+        e = _paddmul(f, _pmul(g, h, m2), -1, m2)
+        q, r = _pdivmod(_pmul(s, e, m2), h, m2)
+        g_new = _paddmul(_paddmul(g, _pmul(t, e, m2), 1, m2), _pmul(q, g, m2), 1, m2)
+        h_new = _paddmul(h, r, 1, m2)
+        b = _paddmul(_paddmul(_pmul(s, g_new, m2), _pmul(t, h_new, m2), 1, m2), [1], -1, m2)
+        c, d = _pdivmod(_pmul(s, b, m2), h_new, m2)
+        s_new = _paddmul(s, d, -1, m2)
+        t_new = _paddmul(_paddmul(t, _pmul(t, b, m2), -1, m2), _pmul(c, g_new, m2), -1, m2)
         g, h, s, t = g_new, h_new, s_new, t_new
         m = m2
-    assert not _maddmul(f, _pmul(g, h, m), -1, m), "Hensel lift self-check failed"
+    assert not _paddmul(f, _pmul(g, h, m), -1, m), "Hensel lift self-check failed"
     return g, h, m
-
-
-def _zip2(a, b):
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)) for i in range(n)]
-
-
-def _zip3(a, b, c):
-    n = max(len(a), len(b), len(c))
-    return [
-        (
-            a[i] if i < len(a) else 0,
-            b[i] if i < len(b) else 0,
-            c[i] if i < len(c) else 0,
-        )
-        for i in range(n)
-    ]
 
 
 def _hensel_tree(f, parts, p, bound):
@@ -191,7 +136,7 @@ def _hensel_tree(f, parts, p, bound):
         m = p
         while m <= bound:
             m *= m
-        return [_mod_sym_none(f, m)], m
+        return [f], m
     half = len(parts) // 2
     g0 = [1]
     for u in parts[:half]:
@@ -199,30 +144,11 @@ def _hensel_tree(f, parts, p, bound):
     h0 = [1]
     for u in parts[half:]:
         h0 = _pmul(h0, u, p)
-    s, t = _bezout_mod(g0, h0, p)
+    _, s, t = _pxgcd(g0, h0, p)
     g, h, m = _hensel_pair(f, g0, h0, s, t, p, bound)
     left, _ = _hensel_tree(g, parts[:half], p, bound)
     right, _ = _hensel_tree(h, parts[half:], p, bound)
     return left + right, m
-
-
-def _mod_sym_none(f, m):
-    return [c % m for c in f]
-
-
-def _bezout_mod(a, b, p):
-    # s*a + t*b = 1 mod p for coprime a, b
-    r0, r1 = _mod(a, p), _mod(b, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _mdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _maddmul(s0, _pmul(q, s1, p), -1, p)
-        t0, t1 = t1, _maddmul(t0, _pmul(q, t1, p), -1, p)
-    # r0 is a unit constant
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 # -- Zassenhaus ----------------------------------------------------------------
@@ -241,10 +167,10 @@ def _factor_monic_squarefree(f):
     fp = None
     prime = None
     for p in _PRIMES:
-        fp = _mod(f, p)
+        fp = _trim([c % p for c in f])
         if upoly.deg(fp) != d:
             continue
-        if upoly.deg(_pgcd(fp, _mod(upoly.derivative(f), p), p)) == 0:
+        if upoly.deg(_pgcd(fp, upoly.derivative(f), p)) == 0:
             prime = p
             break
     if prime is None:
@@ -292,7 +218,7 @@ def _squarefree_decomposition(f):
         return [(list(f), 1)]
     b = upoly.int_quotient(f, a)
     c = upoly.int_quotient(df, a)
-    d = upoly.trim([x - y for x, y in _zip2(c, upoly.derivative(b))])
+    d = upoly.sub(c, upoly.derivative(b))
     i = 1
     while upoly.deg(b) > 0:
         g = upoly.int_gcd(b, d)
@@ -302,7 +228,7 @@ def _squarefree_decomposition(f):
             g = [1] if not g else g
         b2 = upoly.int_quotient(b, g)
         c2 = upoly.int_quotient(d, g)
-        d = upoly.trim([x - y for x, y in _zip2(c2, upoly.derivative(b2))])
+        d = upoly.sub(c2, upoly.derivative(b2))
         b = b2
         i += 1
     return out

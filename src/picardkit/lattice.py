@@ -299,7 +299,6 @@ class GLattice:
     rank: int
     action: list
     relations: list = field(default_factory=list)
-    markers: list | None = None
 
     def __post_init__(self):
         for g in self.action:
@@ -357,7 +356,7 @@ def _key(m):
     return tuple(tuple(row) for row in m)
 
 
-def build_n(pairings, action_on_y, rho, relations=None, labels=None):
+def build_n(pairings, action_on_y, rho, relations=None):
     """Saturated model N of the cycle classes, with its induced action.
 
     pairings: rows are the pairing vectors of candidate cycles against the
@@ -382,7 +381,7 @@ def build_n(pairings, action_on_y, rho, relations=None, labels=None):
                 raise LatticeError("action does not stabilize the lattice")
             mat.append(coords)
         induced.append(mat)
-    lat = GLattice(rank=len(basis), action=induced, relations=relations or [], markers=labels)
+    lat = GLattice(rank=len(basis), action=induced, relations=relations or [])
 
     def class_map(vector):
         coords = coords_in_hnf(basis, vector)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .. import upoly
 from .groebner import HomIdeal, groebner, ideal_sum, leading, order_key
 from .multipoly import MultiPoly, PolyError
 
@@ -77,7 +78,7 @@ def _hilbert_numerator(gens, nvars, memo):
             for g in gens:
                 d = sum(g)
                 factor = [1] + [0] * (d - 1) + [-1]
-                result = _poly_mul(result, factor)
+                result = upoly.mul(result, factor)
         else:
             # pivot on the variable most shared among non-pure-power
             # generators; restricting to those guarantees I + (x_j) != I
@@ -99,42 +100,9 @@ def _hilbert_numerator(gens, nvars, memo):
             )
             a = _hilbert_numerator(sum_gens, nvars, memo)
             b = _hilbert_numerator(quo_gens, nvars, memo)
-            result = _poly_add(a, [0] + b)
+            result = upoly.add(a, [0] + b)
     memo[key] = result
     return result
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _divide_by_one_minus_t(n):
-    # exact quotient of n by (1 - t); assumes n(1) == 0
-    out = []
-    acc = 0
-    for c in n[:-1] if n else []:
-        acc += c
-        out.append(acc)
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def hilbert_series_data(ideal):
@@ -151,7 +119,7 @@ def hilbert_series_data(ideal):
     num = _hilbert_numerator(gens, ideal.nvars, memo)
     d = ideal.nvars
     while num and sum(num) == 0:
-        num = _divide_by_one_minus_t(num)
+        num = upoly.int_quotient(num, [1, -1])
         d -= 1
     if not num:
         return [], 0
@@ -162,15 +130,7 @@ def _binomial_poly(shift, k):
     """C(t + shift, k) as a polynomial in t (Fraction coefficients)."""
     out = [Fraction(1)]
     for i in range(1, k + 1):
-        out = [c / Fraction(i) for c in _poly_mul_frac(out, [Fraction(shift - k + i), Fraction(1)])]
-    return out
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        out = [c / Fraction(i) for c in upoly.mul(out, [Fraction(shift - k + i), Fraction(1)])]
     return out
 
 

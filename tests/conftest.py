@@ -1,6 +1,7 @@
 """Shared test helpers: independent brute-force oracles, the environment
 for subprocesses that run this checkout's source, and a report header with
-the counting backend and the state of the bytecode."""
+the counting backend and every picardkit module whose bytecode is stale or
+missing."""
 
 import importlib.util
 import itertools
@@ -71,10 +72,18 @@ def bytecode_state(source):
 
 
 def pytest_report_header(config):
-    from picardkit import cli
     from picardkit.counting import BACKEND
 
-    return [f"picardkit: counting backend {BACKEND}, cli bytecode {bytecode_state(cli.__file__)}"]
+    package = Path(picardkit.__file__).parent
+    not_current = {}
+    for source in sorted(package.rglob("*.py")):
+        state = bytecode_state(source)
+        if state != "current":
+            parts = source.relative_to(package.parent).with_suffix("").parts
+            name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            not_current.setdefault(state, []).append(name)
+    bytecode = "; ".join(f"{state} {', '.join(names)}" for state, names in sorted(not_current.items()))
+    return [f"picardkit: counting backend {BACKEND}, bytecode {bytecode or 'current'}"]
 
 
 def pytest_terminal_summary(terminalreporter, config):

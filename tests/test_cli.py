@@ -95,6 +95,43 @@ def test_count_uses_cache(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_cache_env_and_flag_name_the_same_file(tmp_path, capsys, monkeypatch):
+    # a path without an extension is a directory holding counts.ndjson, by
+    # either spelling; the second run reads levels 1 and 2 from the first
+    from picardkit import counting
+
+    counted = []
+    count_points = counting.count_points
+
+    def recording(ideal, n, **kwargs):
+        counted.append(n)
+        return count_points(ideal, n, **kwargs)
+
+    monkeypatch.setattr(counting, "count_points", recording)
+    spec = quadric_spec(tmp_path)
+    store = tmp_path / "d" / "store"
+    monkeypatch.setenv("PICARDKIT_CACHE", str(store))
+    assert run_cli(capsys, "count", spec, "-n", "2", "--no-timing")[0] == 0
+    monkeypatch.delenv("PICARDKIT_CACHE")
+    code, out, _ = run_cli(capsys, "count", spec, "-n", "3", "--cache-dir", str(store), "--no-timing")
+    assert code == 0
+    assert json.loads(out)["counts"]["values"] == [(2**n + 1) ** 2 for n in (1, 2, 3)]
+    assert counted == [1, 2, 3]
+    lines = (store / "counts.ndjson").read_text().splitlines()
+    assert [json.loads(line)["n"] for line in lines] == [1, 2, 3]
+
+
+def test_cache_path_naming_an_existing_file_is_that_file(tmp_path, capsys):
+    # a cache file without an extension, as PICARDKIT_CACHE used to write
+    # one, is read and appended to, not taken for a directory
+    spec = quadric_spec(tmp_path)
+    store = tmp_path / "store"
+    assert run_cli(capsys, "count", spec, "-n", "2", "--cache-dir", f"{store}.ndjson")[0] == 0
+    (tmp_path / "store.ndjson").rename(store)
+    assert run_cli(capsys, "count", spec, "-n", "3", "--cache-dir", str(store))[0] == 0
+    assert [json.loads(line)["n"] for line in store.read_text().splitlines()] == [1, 2, 3]
+
+
 def test_zeta_quadric_surface_reduction(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "zeta", quadric_spec(tmp_path), "--no-timing")
     assert code == 0
@@ -285,6 +322,27 @@ def test_invalid_spec_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "zeta", str(bad), "--no-timing")
     assert code == 2
     assert "picardkit" in err
+
+
+@pytest.mark.parametrize(
+    "field, ambient",
+    [({"p": 2.9}, 2), ({"p": 2, "e": True}, 2), ({"p": 2}, 2.5), ({"p": "2"}, 2), ({"p": 2}, "2")],
+)
+def test_non_integer_variety_spec_is_invalid_input(tmp_path, capsys, field, ambient):
+    # these used to be truncated by int() and counted as the Klein quartic
+    spec = write_json(
+        tmp_path / "klein.json",
+        {
+            "field": field,
+            "ambientDim": ambient,
+            "generators": ["x0^3*x1 + x1^3*x2 + x2^3*x0"],
+            "flags": {"hypersurfaceDegree": 4},
+        },
+    )
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "must be integers" in err
 
 
 def test_nonexistent_file_exit_code(capsys):

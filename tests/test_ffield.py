@@ -1,9 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+from picardkit import upoly
 from picardkit.ffield import (
     FieldError,
+    _pdivmod,
+    _pmul,
+    _pxgcd,
     enumerate_field,
     extend,
     make_field,
@@ -51,6 +56,66 @@ def test_inverse_f5():
     assert f.from_int(2).inv() == f.from_int(3)
     with pytest.raises(ZeroDivisionError):
         f.zero().inv()
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (2, 4), (5, 2)])
+def test_inverse_of_every_nonzero_element(p, e):
+    f = make_field(p, e)
+    for x in list(f.elements())[1:]:
+        assert x * x.inv() == f.one()
+
+
+def _mod_poly(a, m):
+    return upoly.trim([c % m for c in a])
+
+
+def _divides(g, a, p):
+    # schoolbook division by the monic g over Z, reduced mod p at the end
+    a = list(a)
+    while len(a) >= len(g):
+        c = a.pop()
+        k = len(a) - len(g) + 1
+        for i in range(len(g) - 1):
+            a[k + i] -= c * g[i]
+    return not any(c % p for c in a)
+
+
+def _brute_force_gcd(a, b, p):
+    """The monic common divisor of largest degree, by enumeration."""
+    for d in range(min(len(a), len(b)) - 1, -1, -1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            if _divides(g, a, p) and _divides(g, b, p):
+                return g
+    raise AssertionError("1 divides everything")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pxgcd_is_bezout_and_the_gcd(p):
+    rng = random.Random(p)
+
+    def rand(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    for _ in range(12):
+        common = rand(rng.randrange(3))
+        a = _pmul(common, rand(rng.randrange(3)), p)
+        b = _pmul(common, rand(rng.randrange(3)), p)
+        g, s, t = _pxgcd(a, b, p)
+        assert g == _brute_force_gcd(a, b, p)
+        assert _mod_poly(upoly.add(upoly.mul(s, a), upoly.mul(t, b)), p) == g
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 4), (5, 3), (7, 2)])
+def test_pdivmod_by_monic_divisor_mod_prime_power(p, k):
+    m = p**k
+    rng = random.Random(m)
+    for _ in range(20):
+        a = upoly.trim([rng.randrange(m) for _ in range(rng.randrange(12))])
+        b = [rng.randrange(m) for _ in range(rng.randrange(1, 6))] + [1]
+        q, r = _pdivmod(a, b, m)
+        assert len(r) < len(b)
+        assert _mod_poly(upoly.add(upoly.mul(q, b), r), m) == a
 
 
 def test_frobenius_squared_is_identity_on_f9():
