@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from ..ffield import extend
 from ..polysys import poly_to_str
@@ -49,14 +48,16 @@ class BudgetExceededError(RuntimeError):
         self.completed = completed
 
 
-@dataclass
 class CountSeries:
     """Point counts N_1..N_m of one variety over a tower of extensions."""
 
-    q: int
-    counts: list
-    variety_hash: str = ""
-    ambient_dim: int = 0
+    __slots__ = ("q", "counts", "variety_hash", "ambient_dim")
+
+    def __init__(self, q, counts, variety_hash="", ambient_dim=0):
+        self.q = q
+        self.counts = counts
+        self.variety_hash = variety_hash
+        self.ambient_dim = ambient_dim
 
     def __len__(self):
         return len(self.counts)

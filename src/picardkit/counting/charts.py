@@ -16,15 +16,16 @@ closed-form root counts.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 
-@dataclass
 class CompiledChart:
-    chart: int
-    nfree: int
-    nprefix: int
-    gen_terms: list  # list of array('q'), one per generator, possibly empty
+    __slots__ = ("chart", "nfree", "nprefix", "gen_terms")
+
+    def __init__(self, chart, nfree, nprefix, gen_terms):
+        self.chart = chart
+        self.nfree = nfree
+        self.nprefix = nprefix
+        self.gen_terms = gen_terms  # list of array('q'), one per generator, possibly empty
 
     def max_last_deg(self):
         out = 0

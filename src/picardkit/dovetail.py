@@ -11,7 +11,6 @@ one side is guaranteed to halt.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 class Task:
@@ -58,18 +57,22 @@ class IntegerSearchTask(Task):
         return "running", None
 
 
-@dataclass
 class Schedule:
-    quantum: int = 1  # step() calls per quantum
+    __slots__ = ("quantum",)
+
+    def __init__(self, quantum=1):
+        self.quantum = quantum  # step() calls per quantum
 
 
-@dataclass
 class TraceEvent:
-    round: int
-    task_id: int
-    quanta: int
-    status: str  # "running" | "halted" | "failed"
-    result: object = None
+    __slots__ = ("round", "task_id", "quanta", "status", "result")
+
+    def __init__(self, round, task_id, quanta, status, result=None):
+        self.round = round
+        self.task_id = task_id
+        self.quanta = quanta
+        self.status = status  # "running" | "halted" | "failed"
+        self.result = result
 
     def to_json(self):
         out = {
@@ -83,13 +86,15 @@ class TraceEvent:
         return out
 
 
-@dataclass
 class RunResult:
-    events: list
-    results: dict  # task_id -> result for halted tasks
-    failures: dict  # task_id -> error string
-    rounds: int
-    total_quanta: int
+    __slots__ = ("events", "results", "failures", "rounds", "total_quanta")
+
+    def __init__(self, events, results, failures, rounds, total_quanta):
+        self.events = events
+        self.results = results  # task_id -> result for halted tasks
+        self.failures = failures  # task_id -> error string
+        self.rounds = rounds
+        self.total_quanta = total_quanta
 
     def quanta_per_task(self):
         out = {}

@@ -15,7 +15,6 @@ explicit embedding of the degree-e field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
 class FieldError(ValueError):
@@ -397,17 +396,24 @@ def make_field(p, e):
             return field
 
 
-@dataclass(frozen=True)
 class Embedding:
     """Ring embedding of a base field into an extension field.
 
     `gen_image` is the image of the base power-basis generator; constants map
-    to constants.
+    to constants.  Immutable: `extend` shares one instance per tower level.
     """
 
-    base: FieldDesc
-    ext: FieldDesc
-    gen_image: FieldElement
+    __slots__ = ("base", "ext", "gen_image")
+
+    def __init__(self, base, ext, gen_image):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "ext", ext)
+        object.__setattr__(self, "gen_image", gen_image)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Embedding is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def __call__(self, x):
         if x.field != self.base:

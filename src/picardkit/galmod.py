@@ -8,8 +8,6 @@ user-supplied data, and this module does the exact group theory on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactla import det_bareiss
 from .ffield import is_prime
 from .lattice import coords_in_hnf, diagonal_of, integer_kernel, snf
@@ -40,7 +38,6 @@ def lprime_level(ell):
     return 2 if ell == 2 else 1
 
 
-@dataclass
 class FiniteLModule:
     """A finite abelian l-group with a group action by integer matrices.
 
@@ -49,12 +46,13 @@ class FiniteLModule:
     column j into the module, entries read modulo l^{e_i} row-wise.
     """
 
-    ell: int
-    n: int
-    invariant_factors: list
-    actions: list = field(default_factory=list)
+    __slots__ = ("ell", "n", "invariant_factors", "actions")
 
-    def __post_init__(self):
+    def __init__(self, ell, n, invariant_factors, actions=None):
+        self.ell = ell
+        self.n = n
+        self.invariant_factors = invariant_factors
+        self.actions = [] if actions is None else actions
         if not is_prime(self.ell):
             raise GalmodError(f"{self.ell} is not prime")
         e = list(self.invariant_factors)
@@ -192,15 +190,17 @@ def invariants(mod):
     return sum(exps), exps
 
 
-@dataclass
 class RankBounds:
     """Per-level upper bounds u_n and their running minimum."""
 
-    ell: int
-    t: int
-    per_level: list  # [(n, u_n)]
-    running_min: list
-    value: int
+    __slots__ = ("ell", "t", "per_level", "running_min", "value")
+
+    def __init__(self, ell, t, per_level, running_min, value):
+        self.ell = ell
+        self.t = t
+        self.per_level = per_level  # [(n, u_n)]
+        self.running_min = running_min
+        self.value = value
 
 
 def rank_upper_bounds(family, t, check_hypothesis=True):
@@ -250,14 +250,16 @@ def rank_upper_bounds(family, t, check_hypothesis=True):
 # size tables and torsion recovery
 
 
-@dataclass
 class SizeTable:
     """Sizes of H^j with Z/l^n coefficients, as l-exponents, plus Betti
     numbers; entries[(j, n)] = log_l #H^j(Z/l^n)."""
 
-    ell: int
-    betti: list
-    entries: dict
+    __slots__ = ("ell", "betti", "entries")
+
+    def __init__(self, ell, betti, entries):
+        self.ell = ell
+        self.betti = betti
+        self.entries = entries
 
     def levels(self):
         js = range(len(self.betti))
@@ -288,21 +290,23 @@ class SizeTable:
         return SizeTable(ell=obj["ell"], betti=list(obj["betti"]), entries=entries)
 
 
-@dataclass
 class TorsionResult:
     """Recovered torsion of one cohomology degree.
 
     exponents lists the invariant factors (as l-exponents, nonincreasing)
-    when `exact`; otherwise the table ended before stabilization and
+    when `exact`, else None; then the table ended before stabilization and
     `exponent_at_least` bounds the exponent from below.
     """
 
-    ell: int
-    degree: int
-    exact: bool
-    exponents: list | None
-    r_by_level: dict
-    exponent_at_least: int = 0
+    __slots__ = ("ell", "degree", "exact", "exponents", "r_by_level", "exponent_at_least")
+
+    def __init__(self, ell, degree, exact, exponents, r_by_level, exponent_at_least=0):
+        self.ell = ell
+        self.degree = degree
+        self.exact = exact
+        self.exponents = exponents
+        self.r_by_level = r_by_level
+        self.exponent_at_least = exponent_at_least
 
 
 def _torsion_exponents_all_degrees(table, n):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 
 from .exactla import det_bareiss, identity, mat_mul, rank as q_rank, rref
 
@@ -287,7 +286,6 @@ def mat_inverse_int(m):
     return u
 
 
-@dataclass
 class GLattice:
     """Finite-rank free Z-module with a finite-group action.
 
@@ -296,11 +294,12 @@ class GLattice:
     must multiply to the identity and are verified at construction.
     """
 
-    rank: int
-    action: list
-    relations: list = field(default_factory=list)
+    __slots__ = ("rank", "action", "relations")
 
-    def __post_init__(self):
+    def __init__(self, rank, action, relations=None):
+        self.rank = rank
+        self.action = action
+        self.relations = [] if relations is None else relations
         for g in self.action:
             if len(g) != self.rank or any(len(row) != self.rank for row in g):
                 raise LatticeError("action matrix has wrong shape")
@@ -396,13 +395,15 @@ def build_n(pairings, action_on_y, rho, relations=None):
 # certificates and the bounded search loop
 
 
-@dataclass
 class RankCertificate:
     """A lower or upper bound on a cycle-class rank, with its witness."""
 
-    kind: str  # "lower" | "upper"
-    value: int
-    witness: dict = field(default_factory=dict)
+    __slots__ = ("kind", "value", "witness")
+
+    def __init__(self, kind, value, witness=None):
+        self.kind = kind  # "lower" | "upper"
+        self.value = value
+        self.witness = {} if witness is None else witness
 
     def recheck(self):
         """Re-verify a lower bound: the witness minor must be nonsingular

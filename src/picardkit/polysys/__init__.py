@@ -5,7 +5,6 @@ from .geometry import (
     HilbertPoly,
     ImproperIntersectionError,
     dimension_degree,
-    graded_dimension,
     hilbert_data,
     hilbert_polynomial,
     hilbert_series_data,
@@ -22,7 +21,6 @@ __all__ = [
     "MultiPoly",
     "PolyError",
     "dimension_degree",
-    "graded_dimension",
     "hilbert_data",
     "groebner",
     "hilbert_polynomial",

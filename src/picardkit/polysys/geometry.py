@@ -7,7 +7,6 @@ through free resolutions; the two agree and this route is simpler to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,11 +23,24 @@ class ImproperIntersectionError(ValueError):
     """
 
 
-@dataclass(frozen=True)
 class HilbertPoly:
-    """Polynomial in t with rational coefficients, index = degree."""
+    """Polynomial in t with rational coefficients, index = degree.  Immutable."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"HilbertPoly is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, HilbertPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -168,53 +180,6 @@ def dimension_degree(ideal):
     degree = sum(num)
     assert degree > 0
     return dim, degree
-
-
-def graded_dimension(ideal, d):
-    """dim over the base field of (S/I)_d, by exact rank of the span of
-    degree-d multiples of the generators.  Independent of Groebner bases;
-    used as a cross-check oracle."""
-    from ..exactla import rank
-
-    nvars = ideal.nvars
-    monos = _monomials_of_degree(nvars, d)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in ideal.generators:
-        dg = g.total_degree()
-        if dg > d:
-            continue
-        for m in _monomials_of_degree(nvars, d - dg):
-            row = [0] * len(monos)
-            for e, c in g.terms.items():
-                ee = tuple(a + b for a, b in zip(e, m))
-                row[index[ee]] = _to_rational(c, g.domain)
-            rows.append(row)
-    return len(monos) - (rank(rows) if rows else 0)
-
-
-def _to_rational(c, domain):
-    if domain is None:
-        return c
-    # prime-field coefficients embed as integers; larger fields would need a
-    # vector-space refinement, which the oracle tests do not require
-    return c.to_int()
-
-
-def _monomials_of_degree(nvars, d):
-    if nvars == 1:
-        return [(d,)]
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], d, nvars)
-    return out
 
 
 def smoothness_check(ideal):

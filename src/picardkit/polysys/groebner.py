@@ -3,9 +3,17 @@
 Term orders: degrevlex (default) and lex.  Output bases are reduced (auto-
 reduced, monic leading coefficients), hence unique for the order.  No F4/F5:
 the ideals this package meets are small, and auditability wins.
+
+Open pairs wait in a heap keyed by (key(lcm), (i, j)), so each step pops
+the next pair instead of scanning all of them.  The leading monomial and
+coefficient of each basis element are computed once, when it joins the
+basis, and the pair keys, both criteria, every reduction (`normal_form`'s
+`leads`) and the final auto-reduction read them from one list.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .multipoly import MultiPoly, PolyError, dom_one
 
@@ -77,17 +85,22 @@ def _monomial_mul(p, exps, coeff):
     return out
 
 
-def normal_form(f, basis, key):
-    """Full remainder of f modulo basis (every term reduced)."""
+def normal_form(f, basis, key, leads=None):
+    """Full remainder of f modulo basis (every term reduced).
+
+    `leads`, when given, lists (leading monomial, coefficient) of each basis
+    element, as `groebner` keeps them; otherwise they are computed here.
+    """
     if not basis:
         return f
-    lead_cache = [leading(g, key) for g in basis]
+    if leads is None:
+        leads = [leading(g, key) for g in basis]
     remainder = {}
     work = dict(f.terms)
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        for g, (le, lc) in zip(basis, lead_cache):
+        for g, (le, lc) in zip(basis, leads):
             if _divides(le, e):
                 factor = c / lc
                 shift = tuple(a - b for a, b in zip(e, le))
@@ -122,41 +135,41 @@ def s_polynomial(f, g, key):
 def groebner(ideal):
     """Reduced Groebner basis of a HomIdeal.
 
-    Pair selection is the normal strategy (smallest lcm in the term order);
-    pairs are skipped by the coprimality criterion and the chain criterion.
+    Pair selection is the normal strategy (smallest lcm in the term order,
+    ties to the smallest index pair, from the pair heap); pairs are skipped
+    by the coprimality criterion and the chain criterion.
     """
     key = order_key(ideal.term_order)
-    gens = [g for g in ideal.generators if g]
-    if not gens:
-        return []
-    G = []
-    for g in gens:
-        _, lc = leading(g, key)
-        G.append(g.scaled(dom_one(g.domain) / lc))
+    G, leads, heap = [], [], []
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    def add(g):
+        e, lc = leading(g, key)
+        g = g.scaled(dom_one(g.domain) / lc)
+        n = len(G)
+        for m, (le, _) in enumerate(leads):
+            l = _lcm(le, e)
+            heapq.heappush(heap, (key(l), (m, n), l))
+        G.append(g)
+        leads.append((e, g.terms[e]))
+
+    for g in ideal.generators:
+        if g:
+            add(g)
     done = set()
-
-    def lcm_of(i, j):
-        return _lcm(leading(G[i], key)[0], leading(G[j], key)[0])
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
+    while heap:
+        _, (i, j), l = heapq.heappop(heap)
         done.add((i, j))
-        le_i = leading(G[i], key)[0]
-        le_j = leading(G[j], key)[0]
-        l = _lcm(le_i, le_j)
+        le_i, le_j = leads[i][0], leads[j][0]
         # coprimality criterion
         if all(a + b == c for a, b, c in zip(le_i, le_j, l)):
             continue
         # chain criterion: a third element divides the lcm and both side
         # pairs were already treated
         skip = False
-        for k in range(len(G)):
+        for k, (le_k, _) in enumerate(leads):
             if k in (i, j):
                 continue
-            if _divides(leading(G[k], key)[0], l):
+            if _divides(le_k, l):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a in done and b in done:
@@ -164,37 +177,28 @@ def groebner(ideal):
                     break
         if skip:
             continue
-        s = normal_form(s_polynomial(G[i], G[j], key), G, key)
+        s = normal_form(s_polynomial(G[i], G[j], key), G, key, leads)
         if s:
-            _, lc = leading(s, key)
-            s = s.scaled(dom_one(s.domain) / lc)
-            G.append(s)
-            n = len(G) - 1
-            for m in range(n):
-                pairs.add((m, n))
-    return _reduce_basis(G, key)
+            add(s)
+    return _reduce_basis(G, key, leads)
 
 
-def _reduce_basis(G, key):
+def _reduce_basis(G, key, leads):
     # drop elements whose leading monomial is divisible by another's
-    leads = [leading(g, key)[0] for g in G]
-    keep = []
-    for i, g in enumerate(G):
-        if any(
-            j != i and _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
-            for j in range(len(G))
-        ):
-            continue
-        keep.append(g)
-    # fully reduce each kept element against the others
+    keep = [
+        i
+        for i, (le_i, _) in enumerate(leads)
+        if not any(
+            j != i and _divides(le_j, le_i) and (le_j != le_i or j < i)
+            for j, (le_j, _) in enumerate(leads)
+        )
+    ]
+    # fully reduce each kept element against the others; no other kept
+    # leading monomial divides its own, so the monic leading term survives
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, key) if others else g
-        if r:
-            _, lc = leading(r, key)
-            reduced.append(r.scaled(dom_one(r.domain) / lc))
-    reduced.sort(key=lambda p: key(leading(p, key)[0]))
+    for i in sorted(keep, key=lambda i: key(leads[i][0])):
+        others = [k for k in keep if k != i]
+        reduced.append(normal_form(G[i], [G[k] for k in others], key, [leads[k] for k in others]))
     return reduced
 
 

@@ -16,7 +16,6 @@ dim V_mu read the classified factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from . import upoly
@@ -27,26 +26,30 @@ class UnclassifiableFactorError(ValueError):
     """A factor admits no certified weight: non-smooth or corrupted input."""
 
 
-@dataclass
 class WeilFactor:
     """The weight-i piece of a zeta function: P_i with P_i(0) = 1, and its
     irreducible factors with multiplicity."""
 
-    weight: int
-    poly: list
-    factors: list
+    __slots__ = ("weight", "poly", "factors")
+
+    def __init__(self, weight, poly, factors):
+        self.weight = weight
+        self.poly = poly
+        self.factors = factors
 
     def degree(self):
         return upoly.deg(self.poly)
 
 
-@dataclass
 class TateBound:
     """Upper bound dim V_mu on the rank of codimension-p classes."""
 
-    p: int
-    v_mu: int
-    per_factor: list = field(default_factory=list)
+    __slots__ = ("p", "v_mu", "per_factor")
+
+    def __init__(self, p, v_mu, per_factor=None):
+        self.p = p
+        self.v_mu = v_mu
+        self.per_factor = [] if per_factor is None else per_factor
 
     def to_json(self):
         return {"p": self.p, "vMu": self.v_mu, "perFactor": self.per_factor}

@@ -11,7 +11,6 @@ series.  Everything is Fraction/int arithmetic; a float would be unsound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import upoly
@@ -46,22 +45,20 @@ class AmbiguousSignError(ZetaError):
         self.candidates = candidates
 
 
-@dataclass
 class ZetaFunction:
     """num/den with integer coefficients, num(0) = den(0) = 1, coprime."""
 
-    q: int
-    num: list
-    den: list
-    dim: int | None = None
+    __slots__ = ("q", "num", "den", "dim")
 
-    def __post_init__(self):
-        if not self.num or not self.den or self.num[0] != 1 or self.den[0] != 1:
+    def __init__(self, q, num, den, dim=None):
+        if not num or not den or num[0] != 1 or den[0] != 1:
             raise ZetaError("numerator and denominator must have constant term 1")
-        if any(int(c) != c for c in self.num + self.den):
+        if any(int(c) != c for c in num + den):
             raise NonIntegerCoefficientsError("non-integer coefficients")
-        self.num = [int(c) for c in self.num]
-        self.den = [int(c) for c in self.den]
+        self.q = q
+        self.num = [int(c) for c in num]
+        self.den = [int(c) for c in den]
+        self.dim = dim
 
     def euler_characteristic(self):
         return upoly.deg(self.den) - upoly.deg(self.num)
@@ -83,17 +80,22 @@ class ZetaFunction:
         )
 
 
-@dataclass(frozen=True)
 class DegreeBudget:
     """Upper bound on the total Betti number, driving the count requirement."""
 
-    B: int
-    source: str  # "user-config" | "hypersurface-formula"
-    betti: tuple | None = None  # predicted Betti vector when derivable
+    __slots__ = ("B", "source", "betti")
 
-    def __post_init__(self):
-        if self.B < 2:
+    def __init__(self, B, source, betti=None):
+        if B < 2:
             raise ZetaError("budget must be at least 2")
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "source", source)  # "user-config" | "hypersurface-formula"
+        object.__setattr__(self, "betti", betti)  # predicted Betti vector when derivable
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DegreeBudget is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def unknown_degree(self):

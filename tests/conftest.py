@@ -9,6 +9,7 @@ import os
 from pathlib import Path
 
 import picardkit
+from picardkit.exactla import rank
 from picardkit.ffield import enumerate_field, extend
 
 
@@ -44,6 +45,51 @@ def brute_force_projective_count(ideal, n):
     """Oracle: #X(F_{q^n}) as the sum of the brute-force chart counts; each
     projective point has one canonical representative on one chart."""
     return sum(brute_force_chart_count(ideal, n, j) for j in range(ideal.nvars))
+
+
+def graded_dimension(ideal, d):
+    """dim over the base field of (S/I)_d, by exact rank of the span of
+    degree-d multiples of the generators.  Independent of Groebner bases;
+    used as a cross-check oracle."""
+    nvars = ideal.nvars
+    monos = _monomials_of_degree(nvars, d)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in ideal.generators:
+        dg = g.total_degree()
+        if dg > d:
+            continue
+        for m in _monomials_of_degree(nvars, d - dg):
+            row = [0] * len(monos)
+            for e, c in g.terms.items():
+                ee = tuple(a + b for a, b in zip(e, m))
+                row[index[ee]] = _to_rational(c, g.domain)
+            rows.append(row)
+    return len(monos) - (rank(rows) if rows else 0)
+
+
+def _to_rational(c, domain):
+    if domain is None:
+        return c
+    # prime-field coefficients embed as integers; larger fields would need a
+    # vector-space refinement, which the oracle tests do not require
+    return c.to_int()
+
+
+def _monomials_of_degree(nvars, d):
+    if nvars == 1:
+        return [(d,)]
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(tuple(prefix + [remaining]))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e, slots - 1)
+
+    rec([], d, nvars)
+    return out
 
 
 def source_env():

@@ -536,6 +536,27 @@ def test_corrupt_cached_counts_are_inconsistent(tmp_path, capsys, cached, comman
     assert "invalid counts" in err
 
 
+def test_warm_request_still_checks_smoothness(tmp_path, capsys):
+    # counts for this nodal cubic are cached and --eval-budget 1 leaves no
+    # room to count; the smoothness check still runs, before the cache is read
+    spec = write_json(
+        tmp_path / "nodal.json",
+        {
+            "field": {"p": 5, "e": 1},
+            "ambientDim": 2,
+            "generators": ["x1^2*x2 - x0^3 - x0^2*x2"],
+            "flags": {"hypersurfaceDegree": 3},
+        },
+    )
+    cache = _fill_cache(tmp_path, spec, [5, 25])
+    code, out, err = run_cli(
+        capsys, "betti", spec, "--cache-dir", cache, "--eval-budget", "1", "--no-timing"
+    )
+    assert code == 2
+    assert out == ""
+    assert "smoothness" in err
+
+
 CUBIC_THREEFOLD_F2 = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
 CUBIC_THREEFOLD_COUNTS = [15, 165, 585, 3729, 33825, 271425]
 
@@ -854,15 +875,19 @@ def test_pure_backend_forced_by_environment(tmp_path, capsys):
     assert "picardkit.counting._ckernel" not in result["modules"]
 
 
-def test_galmod_requests_import_no_counting(tmp_path):
+def _galmod_requests(tmp_path):
     table = size_table_from_profile(3, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4)
     family = {"ell": 5, "t": 0, "modules": [
         {"ell": 5, "n": 1, "invariantFactors": [1, 1], "actions": [[[1, 0], [0, 1]]]},
     ]}
-    for argv in (
-        ["torsion", write_json(tmp_path / "table.json", table.to_json()), "-i", "2"],
-        ["galois-rank", write_json(tmp_path / "family.json", family)],
-    ):
+    return {
+        "torsion": ["torsion", write_json(tmp_path / "table.json", table.to_json()), "-i", "2"],
+        "galois-rank": ["galois-rank", write_json(tmp_path / "family.json", family)],
+    }
+
+
+def test_galmod_requests_import_no_counting(tmp_path):
+    for argv in _galmod_requests(tmp_path).values():
         result = _modules_after(tmp_path, *argv, "--no-timing")
         assert "picardkit.galmod" in result["modules"]
         assert _loaded(result["modules"], GALMOD_UNUSED) == []
@@ -873,3 +898,36 @@ def test_dovetail_demo_imports_only_dovetail(tmp_path):
     assert _loaded(result["modules"], ["picardkit"]) == [
         "picardkit", "picardkit.cli", "picardkit.dovetail",
     ]
+
+
+def _request(tmp_path, command):
+    """A cold request of `command` that exits 0: the quadric surface for the
+    variety subcommands, the galmod tables, the dovetail demo."""
+    if command in ("torsion", "galois-rank"):
+        return _galmod_requests(tmp_path)[command]
+    if command == "dovetail":
+        return ["dovetail", "--demo"]
+    spec = quadric_spec(tmp_path)
+    tail = ["--cache-dir", str(tmp_path / "cache")]
+    if command == "count":
+        return ["count", spec, "-n", "2", *tail]
+    if command == "tate-bound":
+        return ["tate-bound", spec, "-p", "1", *tail]
+    if command == "rank":
+        cycles = write_json(tmp_path / "cycles.json", {
+            "basisCycles": ["ruling-a", "ruling-b"],
+            "pairings": [[1, 0], [0, 1]],
+            "action": {"generators": [], "relations": []},
+        })
+        return ["rank", "--zeta", spec, "--cycles", cycles, *tail]
+    return [command, spec, *tail]
+
+
+@pytest.mark.parametrize("command", [
+    "count", "zeta", "betti", "tate-bound", "rank", "torsion", "galois-rank", "dovetail",
+])
+def test_no_request_imports_dataclasses_or_inspect(tmp_path, command):
+    # `dataclasses` imports inspect, ast, dis and tokenize: about 10 ms of
+    # start-up that every request would pay
+    result = _modules_after(tmp_path, *_request(tmp_path, command), "--no-timing")
+    assert _loaded(result["modules"], ["dataclasses", "inspect"]) == []

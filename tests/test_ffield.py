@@ -152,6 +152,19 @@ def test_extend_trivial_cases():
     assert e2(f2.one()) == e2.ext.one()
 
 
+def test_embeddings_are_immutable():
+    # extend() hands every caller the one cached Embedding of a level, so a
+    # mutable one would leak a change into every later use of that level
+    emb = extend(make_field(2, 2), 2)
+    assert extend(make_field(2, 2), 2) is emb
+    for name in ("base", "ext", "gen_image"):
+        with pytest.raises(AttributeError):
+            setattr(emb, name, None)
+    with pytest.raises(AttributeError):
+        del emb.gen_image
+    assert emb.gen_image.field == emb.ext
+
+
 def test_extend_f4_to_f16_root_check():
     f4 = make_field(2, 2)
     emb = extend(f4, 2)

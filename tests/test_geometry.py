@@ -10,13 +10,14 @@ from picardkit.polysys import (
     ImproperIntersectionError,
     MultiPoly,
     dimension_degree,
-    graded_dimension,
     hilbert_polynomial,
     poly_from_str,
     proper_intersection_number,
     smoothness_check,
 )
 from picardkit.polysys.geometry import _poly_det
+
+from conftest import graded_dimension
 
 
 def q(s, nvars):
@@ -31,6 +32,17 @@ def test_hilbert_projective_plane():
     hp = hilbert_polynomial(P(3))
     # (t+1)(t+2)/2
     assert hp.coeffs == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+
+
+def test_hilbert_polynomial_is_immutable_and_hashable():
+    hp = hilbert_polynomial(P(3))
+    with pytest.raises(AttributeError):
+        hp.coeffs = ()
+    with pytest.raises(AttributeError):
+        del hp.coeffs
+    same = hilbert_polynomial(P(3))
+    assert same == hp and hash(same) == hash(hp)
+    assert len({hp, same, hilbert_polynomial(P(2))}) == 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from picardkit.polysys import (
     poly_to_str,
     s_polynomial,
 )
+from picardkit.polysys.groebner import _divides, _lcm, leading
+from picardkit.polysys.multipoly import dom_one
 
 
 def q(s, nvars):
@@ -124,6 +127,116 @@ def test_groebner_twisted_cubic():
     basis = groebner(HomIdeal(gens))
     assert _buchberger_criterion_holds(basis, "degrevlex")
     assert len(basis) == 3
+
+
+def reference_groebner(ideal):
+    """Buchberger as it stood before the pair heap: each step takes the
+    smallest (key(lcm), (i, j)) by `min` over every open pair, with leading
+    monomials recomputed, and no leading data is shared."""
+    key = order_key(ideal.term_order)
+    gens = [g for g in ideal.generators if g]
+    if not gens:
+        return []
+    G = []
+    for g in gens:
+        _, lc = leading(g, key)
+        G.append(g.scaled(dom_one(g.domain) / lc))
+
+    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    done = set()
+
+    def lcm_of(i, j):
+        return _lcm(leading(G[i], key)[0], leading(G[j], key)[0])
+
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
+        pairs.discard((i, j))
+        done.add((i, j))
+        le_i = leading(G[i], key)[0]
+        le_j = leading(G[j], key)[0]
+        l = _lcm(le_i, le_j)
+        # coprimality criterion
+        if all(a + b == c for a, b, c in zip(le_i, le_j, l)):
+            continue
+        # chain criterion: a third element divides the lcm and both side
+        # pairs were already treated
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if _divides(leading(G[k], key)[0], l):
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a in done and b in done:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s = normal_form(s_polynomial(G[i], G[j], key), G, key)
+        if s:
+            _, lc = leading(s, key)
+            s = s.scaled(dom_one(s.domain) / lc)
+            G.append(s)
+            n = len(G) - 1
+            for m in range(n):
+                pairs.add((m, n))
+    return _reference_reduce_basis(G, key)
+
+
+def _reference_reduce_basis(G, key):
+    # drop elements whose leading monomial is divisible by another's
+    leads = [leading(g, key)[0] for g in G]
+    keep = []
+    for i, g in enumerate(G):
+        if any(
+            j != i and _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+            for j in range(len(G))
+        ):
+            continue
+        keep.append(g)
+    # fully reduce each kept element against the others
+    reduced = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        r = normal_form(g, others, key) if others else g
+        if r:
+            _, lc = leading(r, key)
+            reduced.append(r.scaled(dom_one(r.domain) / lc))
+    reduced.sort(key=lambda p: key(leading(p, key)[0]))
+    return reduced
+
+
+def _random_form(rng, field, nvars, degree):
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = field.from_index(rng.randrange(1, field.q))
+    return MultiPoly(nvars, field, terms)
+
+
+def _singular_locus_ideals(seed, count):
+    """`count` random homogeneous ideals over F_2, F_3, F_4 and F_5 in 3 to 5
+    variables, each with its generators' partial derivatives added, as
+    `smoothness_check` builds the singular locus of a hypersurface."""
+    rng = random.Random(seed)
+    fields = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1)]
+    for _ in range(count):
+        field = fields[rng.randrange(len(fields))]
+        nvars = rng.randint(3, 5)
+        gens = [
+            _random_form(rng, field, nvars, rng.randint(2, 3))
+            for _ in range(rng.randint(1, 2))
+        ]
+        yield gens + [g.partial(i) for g in gens for i in range(nvars)]
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_groebner_matches_reference_on_random_ideals(order):
+    for gens in _singular_locus_ideals(1303, 100):
+        ideal = HomIdeal(gens, order)
+        assert groebner(ideal) == reference_groebner(ideal), [poly_to_str(g) for g in gens]
 
 
 def test_homogeneity_enforced():

@@ -131,6 +131,16 @@ def test_betti_budget_plane_cubic_curve():
     assert b.B == 4
 
 
+def test_degree_budget_is_immutable():
+    budget = betti_budget({"hypersurface_degree": 3, "ambient_dim": 3})
+    for name in ("B", "source", "betti"):
+        with pytest.raises(AttributeError):
+            setattr(budget, name, None)
+    with pytest.raises(AttributeError):
+        del budget.betti
+    assert (budget.B, budget.betti) == (9, (1, 0, 7, 0, 1))
+
+
 def test_betti_budget_missing():
     with pytest.raises(MissingBudgetError):
         betti_budget({})
