@@ -14,10 +14,10 @@ standard library; each subcommand imports the picardkit modules it uses.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -73,9 +73,7 @@ def _variety_from_spec(obj):
 def _cache_from_args(args):
     from .counting.cache import CountCache, cache_file, default_cache
 
-    if getattr(args, "cache_dir", None):
-        return CountCache(cache_file(args.cache_dir))
-    return default_cache()
+    return CountCache(cache_file(args.cache_dir)) if args.cache_dir else default_cache()
 
 
 def _eval_budget(args):
@@ -120,12 +118,8 @@ def _budget_error(exc):
 def _check_smooth(ideal, flags):
     from .polysys import smoothness_check
 
-    if flags.get("assumeSmooth"):
-        return None
-    smooth = smoothness_check(ideal)
-    if not smooth:
+    if not flags.get("assumeSmooth") and not smoothness_check(ideal):
         raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
-    return True
 
 
 def _zeta_pipeline(ideal, flags, args, report):
@@ -150,7 +144,6 @@ def _zeta_pipeline(ideal, flags, args, report):
     _check_smooth(ideal, flags)
     cache = _cache_from_args(args)
     q = ideal.domain.q
-    progress = getattr(args, "progress", False)
 
     try:
         budget = zeta_mod.betti_budget(desc)
@@ -158,7 +151,7 @@ def _zeta_pipeline(ideal, flags, args, report):
         while True:
             counts = count_tower(
                 ideal, n_max, cache=cache, budget=_eval_budget(args),
-                threads=args.threads, progress=progress,
+                threads=args.threads, progress=args.progress,
             )
             _validate_counts(counts, budget.betti)
             try:
@@ -199,11 +192,7 @@ def _zeta_pipeline(ideal, flags, args, report):
 
 
 def _report_base(command, inputs):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": inputs,
-    }
+    return {"schema": SCHEMA, "command": command, "inputs": inputs}
 
 
 def _emit(report, args, started):
@@ -220,8 +209,7 @@ def cmd_count(args):
     from .counting import BudgetExceededError, count_tower, variety_hash
 
     started = time.time()
-    spec = _load_json(args.spec)
-    ideal, flags = _variety_from_spec(spec)
+    ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("count", {"digest": variety_hash(ideal)})
     cache = _cache_from_args(args)
     try:
@@ -241,8 +229,7 @@ def cmd_zeta(args):
     from .counting import variety_hash
 
     started = time.time()
-    spec = _load_json(args.spec)
-    ideal, flags = _variety_from_spec(spec)
+    ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("zeta", {"digest": variety_hash(ideal)})
     _zeta_pipeline(ideal, flags, args, report)
     _emit(report, args, started)
@@ -254,8 +241,7 @@ def cmd_betti(args):
     from .counting import variety_hash
 
     started = time.time()
-    spec = _load_json(args.spec)
-    ideal, flags = _variety_from_spec(spec)
+    ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("betti", {"digest": variety_hash(ideal)})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
@@ -271,8 +257,7 @@ def cmd_tate(args):
     from .counting import variety_hash
 
     started = time.time()
-    spec = _load_json(args.spec)
-    ideal, flags = _variety_from_spec(spec)
+    ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("tate-bound", {"digest": variety_hash(ideal)})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
@@ -314,10 +299,8 @@ def _parse_action(obj, k):
 
 
 def cmd_rank(args):
-    import hashlib
-
     from . import lattice, weil
-    from .counting import variety_hash
+    from .counting import sha256, variety_hash
 
     started = time.time()
     spec = _load_json(args.spec)
@@ -346,7 +329,7 @@ def cmd_rank(args):
     # a checkpoint holds a bound for one variety, cycles file and codimension;
     # one written for other inputs is rejected before anything is counted
     inputs = {"variety": digest, "cycles": cycles, "p": args.p}
-    inputs_digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    inputs_digest = sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
     try:
         lattice.read_checkpoint(args.checkpoint, inputs_digest)
     except lattice.LatticeError as exc:
@@ -484,100 +467,116 @@ def cmd_dovetail(args):
         "results": {str(k): v for k, v in res.results.items()},
         "events": [e.to_json() for e in res.events],
     }
+    if args.trace_file == "-":
+        export_trace(res.events, sys.stdout)
+        return EXIT_OK
     if args.trace_file:
-        if args.trace_file == "-":
-            export_trace(res.events, sys.stdout)
-        else:
-            with open(args.trace_file, "w", encoding="utf-8") as fh:
-                export_trace(res.events, fh)
-    if args.trace_file != "-":
-        _emit(report, args, started)
+        with open(args.trace_file, "w", encoding="utf-8") as fh:
+            export_trace(res.events, fh)
+    _emit(report, args, started)
     return EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------
 
+# One table drives parsing and help.  An option is (flags, dest, type, default,
+# help): type str, int or AT_LEAST_1 takes one value and None makes a flag;
+# default REQUIRED makes the option required.  Accepted forms: `--long value`,
+# `--long=value` and `-x value`.
+REQUIRED, AT_LEAST_1 = object(), "an integer of at least 1"
+SPEC, P_OPT = [("spec", "variety spec JSON")], ("-p", "p", int, 1, "codimension, default 1")
+COMMON = [
+    ("--cache-dir", "cache_dir", str, None, "directory (or file) for the point-count cache"),
+    ("--threads", "threads", AT_LEAST_1, 1, "worker threads for counting"),
+    ("--budget", "budget", int, None, "override the Betti-sum budget B"),
+    ("--eval-budget", "eval_budget", AT_LEAST_1, None, "work budget per count, default 2^34"),
+    ("--no-timing", "no_timing", None, False, "omit timing for byte-stable output"),
+    ("--progress", "progress", None, False, "heartbeat lines on stderr"),
+]
+COMMANDS = {  # name: (driver, help, positionals as (dest, help), options besides COMMON)
+    "count": (cmd_count, "point counts N_1..N_n", SPEC,
+              [("-n", "n", AT_LEAST_1, REQUIRED, "largest extension degree")]),
+    "zeta": (cmd_zeta, "exact zeta function", SPEC, []),
+    "betti": (cmd_betti, "Betti numbers from the zeta function", SPEC, []),
+    "tate-bound": (cmd_tate, "dim V_mu upper bound for codimension p", SPEC, [P_OPT]),
+    "rank": (cmd_rank, "bounded rank pipeline from cycle data", [], [
+        ("--zeta", "spec", str, REQUIRED, "variety spec JSON"),
+        ("--cycles", "cycles", str, REQUIRED, "cycle pairing data JSON"),
+        P_OPT, ("--checkpoint", "checkpoint", str, None, "resumable state file")]),
+    "torsion": (cmd_torsion, "torsion recovery from a size table", [("table", "size table JSON")],
+                [("-i --degree", "degree", int, REQUIRED, "cohomological degree")]),
+    "galois-rank": (cmd_galois_rank, "rank upper bounds from a module family",
+                    [("family", "module family JSON")], []),
+    "dovetail": (cmd_dovetail, "fair interleaving demo / trace export", [], [
+        ("--demo", "demo", None, False, "run the demo tasks"),
+        ("--rounds", "rounds", AT_LEAST_1, 10, "scheduling rounds, default 10"),
+        ("--trace-file", "trace_file", str, None, "NDJSON event trace ('-' for stdout)")]),
+}
 
-def _add_common(p):
-    p.add_argument("--cache-dir", help="directory (or file) for the point-count cache")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for counting")
-    p.add_argument("--budget", type=int, help="override the Betti-sum budget B")
-    p.add_argument(
-        "--eval-budget",
-        type=int,
-        help="evaluation work budget per count (default 2^34)",
-    )
-    p.add_argument("--no-timing", action="store_true", help="omit timing for byte-stable output")
-    p.add_argument("--progress", action="store_true", help="heartbeat lines on stderr")
+
+def _help(name):
+    """Help lines: usage, description, a row per command or option, exit codes."""
+    usage, text = "COMMAND ...", "Exact zeta functions over finite fields and cycle-rank bounds."
+    rows = [(cmd, entry[1]) for cmd, entry in COMMANDS.items()]
+    if name in COMMANDS:
+        _, text, rows, options = COMMANDS[name]
+        required = [f"{o[0].split()[0]} {o[1].upper()}" for o in options if o[3] is REQUIRED]
+        usage = " ".join([name] + [dest for dest, _ in rows] + required + ["[options]"])
+        rows = rows + [(", ".join(o[0].split()) + f" {o[1].upper()}" * (o[2] is not None),
+                        o[4] + f" ({o[2]})" * (o[2] is AT_LEAST_1)) for o in options + COMMON]
+    rows.append(("-h, --help", "show this help and exit"))
+    return [f"usage: picardkit {usage}", "", text, ""] + [f"  {a:<25} {b}" for a, b in rows] + [
+        "", "exit codes: 0 ok, 2 invalid input, 3 budget exceeded, 4 undecided/still-running, "
+        "5 inconsistent inputs, 1 unexpected error"]
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="picardkit",
-        description="Exact zeta functions over finite fields and cycle-rank bounds.",
-        epilog=(
-            "exit codes: 0 ok, 2 invalid input, 3 budget exceeded, "
-            "4 undecided/still-running, 5 inconsistent inputs, 1 unexpected error"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv):
+    """The namespace a command's driver reads, or None once help is printed;
+    a usage error raises CliError (exit 2) with the usage line."""
+    name = argv[0] if argv else None
 
-    p = sub.add_parser("count", help="point counts N_1..N_n")
-    p.add_argument("spec", help="variety spec JSON")
-    p.add_argument("-n", type=int, required=True, help="largest extension degree")
-    _add_common(p)
-    p.set_defaults(fn=cmd_count)
+    def fail(message):
+        raise CliError(f"{message}\n{_help(name)[0]}", EXIT_INVALID_INPUT)
 
-    p = sub.add_parser("zeta", help="exact zeta function")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(fn=cmd_zeta)
-
-    p = sub.add_parser("betti", help="Betti numbers from the zeta function")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(fn=cmd_betti)
-
-    p = sub.add_parser("tate-bound", help="dim V_mu upper bound for codimension p")
-    p.add_argument("spec")
-    p.add_argument("-p", type=int, default=1, help="codimension (default 1)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_tate)
-
-    p = sub.add_parser("rank", help="bounded rank pipeline from cycle data")
-    p.add_argument("--zeta", dest="spec", required=True, help="variety spec JSON")
-    p.add_argument("--cycles", required=True, help="cycle pairing data JSON")
-    p.add_argument("-p", type=int, default=1)
-    p.add_argument("--checkpoint", help="resumable state file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("torsion", help="torsion recovery from a size table")
-    p.add_argument("table", help="size table JSON")
-    p.add_argument("-i", "--degree", type=int, required=True, help="cohomological degree")
-    _add_common(p)
-    p.set_defaults(fn=cmd_torsion)
-
-    p = sub.add_parser("galois-rank", help="rank upper bounds from a module family")
-    p.add_argument("family", help="module family JSON")
-    _add_common(p)
-    p.set_defaults(fn=cmd_galois_rank)
-
-    p = sub.add_parser("dovetail", help="fair interleaving demo / trace export")
-    p.add_argument("--demo", action="store_true")
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--trace-file", help="NDJSON event trace ('-' for stdout)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_dovetail)
-
-    return parser
+    if name not in COMMANDS and name not in ("-h", "--help"):
+        fail(f"unknown command {name!r}" if name else "a command is required")
+    if {"-h", "--help"} & set(argv):
+        return print("\n".join(_help(name)))
+    fn, _, positionals, options = COMMANDS[name]
+    table = {flag: opt for opt in options + COMMON for flag in opt[0].split()}
+    args = SimpleNamespace(command=name, fn=fn)
+    vars(args).update((o[1], None if o[3] is REQUIRED else o[3]) for o in options + COMMON)
+    words, rest = [], iter(argv[1:])
+    for word in rest:
+        if word == "-" or word[:1] != "-":
+            words.append(word)
+            continue
+        flag, eq, value = word.partition("=") if word[:2] == "--" else (word, "", "")
+        _, dest, kind, _, _ = table.get(flag, (None,) * 5)
+        if dest is None or kind is None and eq:
+            fail(f"unrecognized argument {word!r}")
+        if not eq and kind is not None:
+            value = next(rest, None)
+            if value is None or value != "-" and value[:1] == "-" and not value[1:].isdecimal():
+                fail(f"argument {flag} expects a value")
+        if kind is int or kind is AT_LEAST_1:
+            if not value.removeprefix("-").isdecimal() or kind is AT_LEAST_1 and int(value) < 1:
+                fail(f"argument {flag} expects {'an integer' if kind is int else kind}: {value!r}")
+            value = int(value)
+        setattr(args, dest, True if kind is None else value)
+    if len(words) != len(positionals):
+        fail(f"{name} takes {len(positionals)} positional argument(s), got {len(words)}")
+    vars(args).update(zip([dest for dest, _ in positionals], words))
+    missing = [o[0].split()[0] for o in options if o[3] is REQUIRED and getattr(args, o[1]) is None]
+    if missing:
+        fail(f"the following options are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return args.fn(args) if args else EXIT_OK
     except CliError as exc:
         print(f"picardkit: {exc}", file=sys.stderr)
         return exc.code

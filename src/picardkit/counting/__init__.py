@@ -10,10 +10,14 @@ than silent stalls.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
+
+try:  # CPython's built-in sha256: hashlib would load OpenSSL at every start-up
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed the module _sha2
+    from hashlib import sha256
 
 from ..ffield import extend
 from ..polysys import poly_to_str
@@ -104,7 +108,7 @@ def variety_hash(ideal):
         "generators": sorted(poly_to_str(g) for g in ideal.generators),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def _estimate_chart_cost(chart, Q):

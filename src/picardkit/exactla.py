@@ -1,17 +1,13 @@
-"""Small exact linear-algebra routines over Q (Fraction) and Z.
+"""Small exact linear-algebra routines over Z and Q.
 
 Matrices are lists of row lists.  These are helpers for modest sizes (the
 systems in this package stay well under 100x100); no pivot-size cleverness
-beyond what exactness requires.
+beyond what exactness requires.  Ranks and independent minors come from a
+fraction-free integer echelon; only `rref` and `solve` (the Pade route)
+work over Q, so only they import `fractions`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def mat_copy_frac(m):
-    return [[Fraction(x) for x in row] for row in m]
 
 
 def identity(n):
@@ -39,7 +35,9 @@ def rref(m):
     Returns (matrix, pivot columns, pivot rows): pivot rows[k] is the index
     in m of the row that became row k, so those rows of m are independent.
     """
-    a = mat_copy_frac(m)
+    from fractions import Fraction
+
+    a = [[Fraction(x) for x in row] for row in m]
     if not a or not a[0]:
         return a, [], []
     rows, cols = len(a), len(a[0])
@@ -65,13 +63,44 @@ def rref(m):
     return a, pivots, row_ids[:r]
 
 
+def echelon(m):
+    """(pivot columns, pivot rows) of an integer matrix, as `rref` returns
+    them: the same pivot choice (the first nonzero entry at or below the
+    current row) by fraction-free elimination below each pivot, dividing
+    by the previous pivot as Bareiss does.  Every entry stays an integer
+    minor of m, so it is zero exactly where Gauss-Jordan's is."""
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    row_ids = list(range(rows))
+    pivots = []
+    prev = 1
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        row_ids[r], row_ids[piv] = row_ids[piv], row_ids[r]
+        top, lead = a[r], a[r][col]
+        for i in range(r + 1, rows):
+            f = a[i][col]
+            a[i] = [(x * lead - f * y) // prev for x, y in zip(a[i], top)]
+        prev = lead
+        pivots.append(col)
+        if len(pivots) == rows:
+            break
+    return pivots, row_ids[: len(pivots)]
+
+
 def rank(m):
-    """Rank over Q."""
-    return len(rref(m)[1])
+    """Rank over Q of an integer matrix."""
+    return len(echelon(m)[0])
 
 
 def solve(m, b):
     """One solution of m x = b over Q, or None if inconsistent."""
+    from fractions import Fraction
+
     if not m:
         return [] if not any(b) else None
     cols = len(m[0])

@@ -134,17 +134,17 @@ def _pgcd(a, b, p):
 
 
 def _pxgcd(a, b, p):
-    """Extended Euclid mod a prime p: (g, s, t) with s*a + t*b = g, the monic
-    gcd; the inputs, not both zero, need not be reduced mod p."""
+    """Extended Euclid mod a prime p: (g, s) with s*a + t*b = g, the monic
+    gcd, for some t; the inputs, not both zero, need not be reduced mod p.
+    Only s is tracked: a caller that needs t divides g - s*a by b exactly."""
     r0, r1 = _trim([c % p for c in a]), _trim([c % p for c in b])
-    s0, s1, t0, t1 = [1], [], [], [1]
+    s0, s1 = [1], []
     while r1:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _paddmul(s0, _pmul(q, s1, p), -1, p)
-        t0, t1 = t1, _paddmul(t0, _pmul(q, t1, p), -1, p)
     inv = pow(r0[-1], -1, p)
-    return [c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0]
+    return [c * inv % p for c in r0], [c * inv % p for c in s0]
 
 
 def _is_irreducible(m, p):
@@ -320,7 +320,7 @@ class FieldElement:
         if not self:
             raise ZeroDivisionError("inversion of zero field element")
         f = self.field
-        _, s, _ = _pxgcd(self.coeffs, f.modulus, f.p)
+        _, s = _pxgcd(self.coeffs, f.modulus, f.p)
         s += [0] * (f.e - len(s))
         return FieldElement(f, tuple(s))
 

@@ -144,7 +144,9 @@ def _hensel_tree(f, parts, p, bound):
     h0 = [1]
     for u in parts[half:]:
         h0 = _pmul(h0, u, p)
-    _, s, t = _pxgcd(g0, h0, p)
+    one, s = _pxgcd(g0, h0, p)  # the parts are pairwise coprime
+    t, rem = _pdivmod(_paddmul(one, _pmul(s, g0, p), -1, p), h0, p)
+    assert not rem, "Bezout cofactor is not exact"
     g, h, m = _hensel_pair(f, g0, h0, s, t, p, bound)
     left, _ = _hensel_tree(g, parts[:half], p, bound)
     right, _ = _hensel_tree(h, parts[half:], p, bound)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-from .exactla import det_bareiss, identity, mat_mul, rank as q_rank, rref
+from .exactla import det_bareiss, echelon, identity, mat_mul, rank as q_rank
 
 
 class LatticeError(ValueError):
@@ -256,7 +256,7 @@ def independence_certificate(m):
     The returned index sets give one maximal nonsingular square minor; the
     determinant is recomputed fraction-free as a recheck.
     """
-    _, cols, rows = rref(m)
+    cols, rows = echelon(m)
     rows = sorted(rows)
     minor = [[m[i][j] for j in cols] for i in rows]
     det = det_bareiss(minor) if minor else 1

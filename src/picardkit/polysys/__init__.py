@@ -1,12 +1,9 @@
-"""Multivariate polynomial algebra: Groebner bases, Hilbert polynomials,
+"""Multivariate polynomial algebra: Groebner bases, Hilbert series,
 dimension and degree, smoothness, and proper intersection numbers."""
 
 from .geometry import (
-    HilbertPoly,
     ImproperIntersectionError,
     dimension_degree,
-    hilbert_data,
-    hilbert_polynomial,
     hilbert_series_data,
     proper_intersection_number,
     smoothness_check,
@@ -15,15 +12,12 @@ from .groebner import HomIdeal, groebner, ideal_sum, normal_form, order_key, s_p
 from .multipoly import MultiPoly, PolyError, poly_from_str, poly_to_str
 
 __all__ = [
-    "HilbertPoly",
     "HomIdeal",
     "ImproperIntersectionError",
     "MultiPoly",
     "PolyError",
     "dimension_degree",
-    "hilbert_data",
     "groebner",
-    "hilbert_polynomial",
     "hilbert_series_data",
     "ideal_sum",
     "normal_form",

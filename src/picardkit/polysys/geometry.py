@@ -1,13 +1,12 @@
-"""Hilbert polynomials, dimension/degree, smoothness, intersection numbers.
+"""Hilbert series, dimension/degree, smoothness, intersection numbers.
 
-The Hilbert polynomial is computed from the initial ideal of a Groebner
-basis followed by a combinatorial recursion on monomial ideals, rather than
+The Hilbert series is computed from the initial ideal of a Groebner basis
+followed by a combinatorial recursion on monomial ideals, rather than
 through free resolutions; the two agree and this route is simpler to audit.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .. import upoly
@@ -21,41 +20,6 @@ class ImproperIntersectionError(ValueError):
     Making the representatives transverse would need a moving search; this
     library only reports the obstruction.
     """
-
-
-class HilbertPoly:
-    """Polynomial in t with rational coefficients, index = degree.  Immutable."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"HilbertPoly is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return isinstance(other, HilbertPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, t):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def _minimalize(gens):
@@ -136,39 +100,6 @@ def hilbert_series_data(ideal):
     if not num:
         return [], 0
     return num, d
-
-
-def _binomial_poly(shift, k):
-    """C(t + shift, k) as a polynomial in t (Fraction coefficients)."""
-    out = [Fraction(1)]
-    for i in range(1, k + 1):
-        out = [c / Fraction(i) for c in upoly.mul(out, [Fraction(shift - k + i), Fraction(1)])]
-    return out
-
-
-def hilbert_polynomial(ideal):
-    """Hilbert polynomial of Proj(S/I); the zero polynomial for empty schemes."""
-    return hilbert_data(ideal)[0]
-
-
-def hilbert_data(ideal):
-    """(Hilbert polynomial, agreement bound): the polynomial matches the
-    graded dimension dim (S/I)_d for every d >= the bound."""
-    num, d_series = hilbert_series_data(ideal)
-    if not num or d_series == 0:
-        # finite-length tail: the function is 0 beyond the series support
-        return HilbertPoly(()), len(num)
-    k = d_series - 1
-    coeffs = [Fraction(0)] * (k + 1)
-    for j, nj in enumerate(num):
-        if nj:
-            bp = _binomial_poly(k - j, k)
-            for i, c in enumerate(bp):
-                coeffs[i] += nj * c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    bound = max(0, (len(num) - 1) - d_series + 1)
-    return HilbertPoly(tuple(coeffs)), bound
 
 
 def dimension_degree(ideal):

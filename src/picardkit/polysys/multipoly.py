@@ -9,7 +9,6 @@ a FieldDesc).  The plain-text grammar (EBNF in the README) covers terms like
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from ..ffield import FieldDesc, FieldElement
 
@@ -18,23 +17,30 @@ class PolyError(ValueError):
     pass
 
 
+def _rational(c):
+    """c as a coefficient over Q; `fractions` is imported only when one is made."""
+    from fractions import Fraction
+
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise PolyError(f"bad rational coefficient {c!r}")
+
+
 def dom_zero(domain):
-    return Fraction(0) if domain is None else domain.zero()
+    return _rational(0) if domain is None else domain.zero()
 
 
 def dom_one(domain):
-    return Fraction(1) if domain is None else domain.one()
+    return _rational(1) if domain is None else domain.one()
 
 
 def dom_from_int(domain, k):
-    return Fraction(k) if domain is None else domain.from_int(k)
+    return _rational(k) if domain is None else domain.from_int(k)
 
 
 def _coerce(domain, c):
     if domain is None:
-        if isinstance(c, (int, Fraction)):
-            return Fraction(c)
-        raise PolyError(f"bad rational coefficient {c!r}")
+        return _rational(c)
     if isinstance(c, FieldElement):
         if c.field != domain:
             raise PolyError("coefficient from a different field")
@@ -236,7 +242,7 @@ def poly_from_str(s, nvars, domain=None):
                     pos += 1
                     if domain is not None:
                         raise PolyError("rational coefficients need domain Q")
-                    coeff = coeff * Fraction(val, int(den))
+                    coeff = coeff * _rational(val) / int(den)
                 else:
                     coeff = coeff * dom_from_int(domain, val)
             elif tok == "g":

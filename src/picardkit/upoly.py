@@ -4,13 +4,12 @@ Newton's identities and Sturm real-root counts.
 Polynomials are plain lists of coefficients, index = degree, with no trailing
 zeros; the zero polynomial is the empty list.  Division, gcd and Sturm
 chains stay in Z[x] (pseudo-remainders with a positive multiplier); a
-rational polynomial enters through `integral`, and only `from_power_sums`
-returns Fractions.  Everything here is exact; no floats anywhere.
+rational polynomial enters through `integral`.  Everything here is exact;
+no floats anywhere, and no Fractions are made.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _intgcd
 from math import lcm as _intlcm
 
@@ -175,12 +174,16 @@ def power_sums(coeffs, n_max):
 
 
 def from_power_sums(sums):
-    """Coefficients c_0 = 1, c_1..c_m (Fractions, untrimmed) of the
-    polynomial prod (1 - alpha T) whose reciprocal roots alpha have power
-    sums s_1..s_m."""
-    c = [Fraction(1)]
+    """Coefficients c_0 = 1, c_1..c_m (untrimmed) of the integer polynomial
+    prod (1 - alpha T) whose reciprocal roots alpha have the integer power
+    sums s_1..s_m; None when some k c_k is not divisible by k, so that no
+    such integer polynomial exists."""
+    c = [1]
     for k in range(1, len(sums) + 1):
-        c.append(-sum(sums[i - 1] * c[k - i] for i in range(1, k + 1)) / k)
+        ck, rem = divmod(-sum(sums[i - 1] * c[k - i] for i in range(1, k + 1)), k)
+        if rem:
+            return None
+        c.append(ck)
     return c
 
 
@@ -193,8 +196,9 @@ POS_INF = object()
 
 
 def _sign_at(p, x):
-    """Sign of p at x: +-infinity, or a rational point a/b, where the
-    homogenized sum of p_i a^i b^(n-i) (b > 0) has the sign of p(a/b)."""
+    """Sign of p at x: +-infinity, or a rational point a/b (an int or a
+    Fraction), where the homogenized sum of p_i a^i b^(n-i) (b > 0) has the
+    sign of p(a/b)."""
     if not p:
         return 0
     if x is POS_INF:
@@ -202,7 +206,6 @@ def _sign_at(p, x):
     elif x is NEG_INF:
         c = p[-1] * (-1) ** deg(p)
     else:
-        x = Fraction(x)
         a, b = x.numerator, x.denominator
         c, bk = p[-1], 1
         for coeff in reversed(p[:-1]):

@@ -6,12 +6,11 @@ hyperplane class when d is even: Newton's identities give its low half and
 the functional equation the rest, from about b_d / 2 counts.  Otherwise
 Z(T) = exp(sum N_n T^n / n) is recovered from 2B counts as a reduced
 rational function by exact linear algebra on the truncated exponential
-series.  Everything is Fraction/int arithmetic; a float would be unsound.
+series.  Everything is exact: the middle route stays in Z, and only the
+Pade route imports `fractions`; a float would be unsound.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import upoly
 from .exactla import solve
@@ -163,6 +162,8 @@ def betti_budget(descriptor):
 
 def exp_series(counts, order):
     """Taylor coefficients of exp(sum N_n T^n / n) through T^order."""
+    from fractions import Fraction
+
     E = [Fraction(1)] + [Fraction(0)] * order
     for k in range(1, order + 1):
         acc = Fraction(0)
@@ -195,12 +196,12 @@ def reconstruct(counts, budget, dim=None):
     for dd in range(0, B + 1):
         dn = B - dd
         ks = list(range(dn + 1, M + 1))
-        A = [[W[k - i] if k - i >= 0 else Fraction(0) for i in range(1, dd + 1)] for k in ks]
+        A = [[W[k - i] if k - i >= 0 else 0 for i in range(1, dd + 1)] for k in ks]
         rhs = [-W[k] for k in ks]
         sol = solve(A, rhs) if dd else ([] if not any(rhs) else None)
         if sol is None:
             continue
-        den = [Fraction(1)] + list(sol)
+        den = [1] + list(sol)
         den = upoly.trim(den)
         num = [
             sum(den[i] * W[k - i] for i in range(min(len(den), k + 1)))
@@ -285,7 +286,7 @@ def _reconstruct_middle(q, ns, budget):
     m = min(len(ns), D)
     s = [(-1) ** d * (ns[n - 1] - sum(q ** (k * n) for k in known)) for n in range(1, m + 1)]
     low = upoly.from_power_sums(s)
-    if any(c.denominator != 1 for c in low):
+    if low is None:
         raise NonIntegerCoefficientsError("counts give non-integer coefficients")
     outer = [1]
     for k in poles:
@@ -293,7 +294,7 @@ def _reconstruct_middle(q, ns, budget):
 
     candidates = []
     for sign in (1,) if d % 2 else (1, -1):
-        c = [int(x) for x in low] + [0] * (D - m)
+        c = low + [0] * (D - m)
         for k in range(D // 2 + 1):  # c_k is a count-given coefficient
             mirror = sign * c[k] * q ** (d * (D - 2 * k) // 2)
             if D - k > m:

@@ -1,16 +1,21 @@
-"""Shared test helpers: independent brute-force oracles, the environment
-for subprocesses that run this checkout's source, and a report header with
-the counting backend and every picardkit module whose bytecode is stale or
+"""Shared test helpers: independent brute-force oracles, the Hilbert
+polynomial over Q (an oracle only tests use), the environment for
+subprocesses that run this checkout's source, and a report header with the
+counting backend and every picardkit module whose bytecode is stale or
 missing."""
 
 import importlib.util
 import itertools
 import os
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import picardkit
+from picardkit import upoly
 from picardkit.exactla import rank
 from picardkit.ffield import enumerate_field, extend
+from picardkit.polysys import hilbert_series_data
 
 
 def brute_force_chart_count(ideal, n, j):
@@ -64,8 +69,78 @@ def graded_dimension(ideal, d):
             for e, c in g.terms.items():
                 ee = tuple(a + b for a, b in zip(e, m))
                 row[index[ee]] = _to_rational(c, g.domain)
-            rows.append(row)
+            # rank over Q is unchanged by clearing each row's denominators
+            den = lcm(*(x.denominator for x in row))
+            rows.append([int(x * den) for x in row])
     return len(monos) - (rank(rows) if rows else 0)
+
+
+class HilbertPoly:
+    """Polynomial in t with rational coefficients, index = degree.  Immutable."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"HilbertPoly is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, HilbertPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __call__(self, t):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * t + c
+        return acc
+
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def is_zero(self):
+        return not self.coeffs
+
+
+def _binomial_poly(shift, k):
+    """C(t + shift, k) as a polynomial in t (Fraction coefficients)."""
+    out = [Fraction(1)]
+    for i in range(1, k + 1):
+        out = [c / Fraction(i) for c in upoly.mul(out, [Fraction(shift - k + i), Fraction(1)])]
+    return out
+
+
+def hilbert_polynomial(ideal):
+    """Hilbert polynomial of Proj(S/I); the zero polynomial for empty schemes."""
+    return hilbert_data(ideal)[0]
+
+
+def hilbert_data(ideal):
+    """(Hilbert polynomial, agreement bound): the polynomial matches the
+    graded dimension dim (S/I)_d for every d >= the bound."""
+    num, d_series = hilbert_series_data(ideal)
+    if not num or d_series == 0:
+        # finite-length tail: the function is 0 beyond the series support
+        return HilbertPoly(()), len(num)
+    k = d_series - 1
+    coeffs = [Fraction(0)] * (k + 1)
+    for j, nj in enumerate(num):
+        if nj:
+            bp = _binomial_poly(k - j, k)
+            for i, c in enumerate(bp):
+                coeffs[i] += nj * c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    bound = max(0, (len(num) - 1) - d_series + 1)
+    return HilbertPoly(tuple(coeffs)), bound
 
 
 def _to_rational(c, domain):

@@ -775,9 +775,7 @@ def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypat
 def _help_check(argv):
     """Run ``argv`` against this checkout's source and assert it prints the
     CLI help and exits 0."""
-    env = source_env()
-    env["COLUMNS"] = "200"  # argparse must not wrap "exit codes: 0 ok"
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert "usage: picardkit" in proc.stdout
     assert "exit codes: 0 ok" in proc.stdout
@@ -931,3 +929,53 @@ def test_no_request_imports_dataclasses_or_inspect(tmp_path, command):
     # start-up that every request would pay
     result = _modules_after(tmp_path, *_request(tmp_path, command), "--no-timing")
     assert _loaded(result["modules"], ["dataclasses", "inspect"]) == []
+
+
+@pytest.mark.parametrize("command", [
+    "count", "zeta", "betti", "tate-bound", "rank", "torsion", "galois-rank", "dovetail", "--help",
+])
+def test_no_request_imports_argparse_openssl_or_fractions(tmp_path, command):
+    # argparse loads gettext and locale, hashlib OpenSSL's _hashlib, and
+    # fractions decimal and numbers: start-up that no result needs.  Only
+    # the Pade route (a spec or --budget with a Betti-sum budget) makes
+    # Fractions.
+    argv = ["--help"] if command == "--help" else [*_request(tmp_path, command), "--no-timing"]
+    result = _modules_after(tmp_path, *argv)
+    unused = ["argparse", "gettext", "_hashlib", "fractions", "decimal"]
+    assert _loaded(result["modules"], unused) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "SPEC", "-n", "0"],
+    ["count", "SPEC", "-n", "-2"],
+    ["count", "SPEC", "-n", "2", "--threads", "0"],
+    ["count", "SPEC", "-n", "2", "--threads", "-1"],
+    ["count", "SPEC", "-n", "2", "--eval-budget", "0"],
+    ["betti", "SPEC", "--eval-budget", "-5"],
+    ["dovetail", "--demo", "--rounds", "-3"],
+])
+def test_numeric_option_below_one_exits_2_before_any_work(tmp_path, capsys, argv):
+    cache = tmp_path / "cache"
+    argv = [quadric_spec(tmp_path) if a == "SPEC" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache), "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+    assert not cache.exists()
+
+
+def test_k3_digest_is_unchanged():
+    # the built-in sha256 gives hashlib's digests, so existing caches and
+    # rank checkpoints still match
+    import hashlib
+
+    from picardkit.counting import sha256, variety_hash
+    from picardkit.ffield import make_field
+    from picardkit.polysys import HomIdeal, poly_from_str
+
+    ideal = HomIdeal([poly_from_str(K3_EQUATION, 4, make_field(2, 1))])
+    assert variety_hash(ideal) == (
+        "6c2bd4550a1d59a278195994eb6f50fc0dd573abc2135b4991f22f7c139532c9"
+    )
+    blob = b'{"cycles": {}, "p": 1, "variety": "6c2b"}'
+    assert sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()

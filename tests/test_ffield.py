@@ -101,8 +101,11 @@ def test_pxgcd_is_bezout_and_the_gcd(p):
         common = rand(rng.randrange(3))
         a = _pmul(common, rand(rng.randrange(3)), p)
         b = _pmul(common, rand(rng.randrange(3)), p)
-        g, s, t = _pxgcd(a, b, p)
+        g, s = _pxgcd(a, b, p)
         assert g == _brute_force_gcd(a, b, p)
+        # _pxgcd returns only s; its t is the exact quotient (g - s*a) / b
+        t, rem = _pdivmod(_mod_poly(upoly.sub(g, upoly.mul(s, a)), p), b, p)
+        assert rem == []
         assert _mod_poly(upoly.add(upoly.mul(s, a), upoly.mul(t, b)), p) == g
 
 

@@ -10,14 +10,13 @@ from picardkit.polysys import (
     ImproperIntersectionError,
     MultiPoly,
     dimension_degree,
-    hilbert_polynomial,
     poly_from_str,
     proper_intersection_number,
     smoothness_check,
 )
 from picardkit.polysys.geometry import _poly_det
 
-from conftest import graded_dimension
+from conftest import graded_dimension, hilbert_data, hilbert_polynomial
 
 
 def q(s, nvars):
@@ -214,8 +213,6 @@ def test_intersection_improper_raises():
 
 
 def test_hilbert_agreement_bound_against_graded_oracle():
-    from picardkit.polysys import hilbert_data
-
     corpus = [
         HomIdeal([q("x0^2 - x1*x2", 3)]),
         HomIdeal([q("x0*x2 - x1^2", 4), q("x0*x3 - x1*x2", 4), q("x1*x3 - x2^2", 4)]),

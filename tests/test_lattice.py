@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from picardkit.exactla import det_bareiss, mat_mul, rref
+from picardkit.exactla import det_bareiss, echelon, mat_mul, rank, rref
 from picardkit.lattice import (
     AlgorithmB,
     CertificateInvalidError,
@@ -199,6 +199,30 @@ def test_independence_certificate_tracks_original_rows():
     assert independence_certificate([[0, 0], [1, 2], [2, 4], [0, 1]]) == (2, [1, 3], [0, 1], 1)
     _, pivots, pivot_rows = rref([[0, 0], [1, 2], [2, 4], [0, 1]])
     assert (pivots, pivot_rows) == ([0, 1], [1, 3])
+
+
+def test_integer_echelon_matches_gauss_jordan():
+    # the fraction-free echelon behind rank and independence certificates
+    # picks rref's pivots: same rank, pivot rows and pivot columns
+    rng = random.Random(29)
+    for trial in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = rand_matrix(rng, rows, cols, -5, 5)
+        if trial % 2:  # rank-deficient: rows from a smaller random basis
+            basis = rand_matrix(rng, rng.randint(1, 3), cols, -3, 3)
+            m = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(cols)]
+                 for _ in range(rows)]
+        if trial % 3 == 0:  # zero rows and zero columns
+            zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+            m[zero_row] = [0] * cols
+            for row in m:
+                row[zero_col] = 0
+        _, pivots, pivot_rows = rref(m)
+        assert echelon(m) == (pivots, pivot_rows), m
+        assert rank(m) == len(pivots)
+        r, cert_rows, cert_cols, _ = independence_certificate(m)
+        assert (r, cert_rows, cert_cols) == (len(pivots), sorted(pivot_rows), pivots)
+    assert echelon([]) == ([], []) and echelon([[0, 0]]) == ([], [])
 
 
 def test_independence_certificate_minor_is_nonsingular():

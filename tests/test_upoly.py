@@ -6,12 +6,14 @@ from picardkit.upoly import (
     POS_INF,
     count_real_roots,
     derivative,
+    from_power_sums,
     int_gcd,
     int_quotient,
     integral,
     is_totally_real,
     mul,
     mul_many,
+    power_sums,
     sturm_chain,
 )
 
@@ -198,3 +200,12 @@ def test_sturm_chain_signs_match_fraction_chain():
 def test_derivative():
     assert derivative([5, 3, 2]) == [3, 4]
     assert derivative([7]) == []
+
+
+def test_from_power_sums_inverts_power_sums_in_z():
+    rng = random.Random(11)
+    for _ in range(200):
+        c = [1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        assert from_power_sums(power_sums(c, len(c) - 1)) == c
+    # 2 c_2 = -(s_1 c_1 + s_2) = -1: no integer polynomial has these sums
+    assert from_power_sums([0, 1]) is None

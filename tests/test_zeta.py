@@ -10,6 +10,7 @@ from picardkit.zeta import (
     InsufficientCountsError,
     MissingBudgetError,
     NoConsistentSignError,
+    NonIntegerCoefficientsError,
     NoSolutionError,
     ZetaFunction,
     betti_budget,
@@ -61,6 +62,14 @@ def test_reconstruct_quadric_product_structure():
 def test_reconstruct_needs_enough_counts():
     with pytest.raises(InsufficientCountsError):
         reconstruct(series(2, [3, 5]), DegreeBudget(2, "user-config"))
+
+
+def test_middle_route_rejects_counts_with_non_integer_coefficients():
+    # a plane cubic over F_2: s_1 = 3 - N_1 = 0 and s_2 = 5 - N_2 = 1 give
+    # 2 c_2 = -1, so no integer P_1 matches
+    budget = betti_budget({"hypersurface_degree": 3, "ambient_dim": 2})
+    with pytest.raises(NonIntegerCoefficientsError):
+        reconstruct(series(2, [3, 4]), budget, dim=1)
 
 
 def test_reconstruct_rejects_garbage_counts():
