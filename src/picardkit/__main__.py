@@ -1,7 +1,5 @@
 """Run the CLI as ``python -m picardkit <command>``, like the ``picardkit`` script."""
 
-import sys
+from picardkit.cli import run
 
-from picardkit.cli import main
-
-sys.exit(main())
+run()

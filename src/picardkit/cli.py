@@ -8,6 +8,11 @@ stderr.  Exit codes: 0 success, 2 invalid input, 3 budget exceeded,
 (no matching zeta function, unclassifiable factors, inconsistent tables),
 1 unexpected error.
 
+`run()` is the process entry point (`python -m picardkit`, `python -m
+picardkit.cli`, the `picardkit` script): the process exits right after
+flushing its report.  Embedders call `main(argv)`, which returns the exit
+code.
+
 Start-up is most of a warm request, so this module imports only the
 standard library; each subcommand imports the picardkit modules it uses.
 """
@@ -15,6 +20,7 @@ standard library; each subcommand imports the picardkit modules it uses.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -197,7 +203,7 @@ def _report_base(command, inputs):
 
 def _emit(report, args, started):
     if not getattr(args, "no_timing", False):
-        report["timing"] = {"seconds": round(time.time() - started, 6)}
+        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
 
@@ -208,7 +214,7 @@ def _emit(report, args, started):
 def cmd_count(args):
     from .counting import BudgetExceededError, count_tower, variety_hash
 
-    started = time.time()
+    started = time.perf_counter()
     ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("count", {"digest": variety_hash(ideal)})
     cache = _cache_from_args(args)
@@ -228,7 +234,7 @@ def cmd_count(args):
 def cmd_zeta(args):
     from .counting import variety_hash
 
-    started = time.time()
+    started = time.perf_counter()
     ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("zeta", {"digest": variety_hash(ideal)})
     _zeta_pipeline(ideal, flags, args, report)
@@ -240,7 +246,7 @@ def cmd_betti(args):
     from . import weil
     from .counting import variety_hash
 
-    started = time.time()
+    started = time.perf_counter()
     ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("betti", {"digest": variety_hash(ideal)})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
@@ -256,7 +262,7 @@ def cmd_tate(args):
     from . import weil
     from .counting import variety_hash
 
-    started = time.time()
+    started = time.perf_counter()
     ideal, flags = _variety_from_spec(_load_json(args.spec))
     report = _report_base("tate-bound", {"digest": variety_hash(ideal)})
     z, factored = _zeta_pipeline(ideal, flags, args, report)
@@ -302,7 +308,7 @@ def cmd_rank(args):
     from . import lattice, weil
     from .counting import sha256, variety_hash
 
-    started = time.time()
+    started = time.perf_counter()
     spec = _load_json(args.spec)
     cycles = _load_json(args.cycles)
     ideal, flags = _variety_from_spec(spec)
@@ -395,7 +401,7 @@ def cmd_rank(args):
 def cmd_torsion(args):
     from . import galmod
 
-    started = time.time()
+    started = time.perf_counter()
     obj = _load_json(args.table)
     try:
         table = galmod.SizeTable.from_json(obj)
@@ -422,7 +428,7 @@ def cmd_torsion(args):
 def cmd_galois_rank(args):
     from . import galmod
 
-    started = time.time()
+    started = time.perf_counter()
     obj = _load_json(args.family)
     try:
         t = int(obj["t"])
@@ -450,7 +456,7 @@ def cmd_galois_rank(args):
 def cmd_dovetail(args):
     from .dovetail import IntegerSearchTask, PlantedTask, export_trace, run_geometric
 
-    started = time.time()
+    started = time.perf_counter()
     if not args.demo:
         raise CliError("only --demo mode is implemented", EXIT_INVALID_INPUT)
     tasks = [
@@ -585,5 +591,23 @@ def main(argv=None):
         return EXIT_UNEXPECTED
 
 
+def run():
+    """The process entry point: main(), then flush and os._exit(code)."""
+    code = main()
+    # os._exit skips teardown (final gc, module clean-up, atexit), which no result
+    # needs: files are written in `with` blocks (CountCache.put flushes first, and
+    # closing releases its flock), the ThreadPoolExecutor is joined by its `with`
+    # block, and picardkit registers no atexit handler (logging's, which
+    # concurrent.futures brings in, has no logging handler to flush)
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except Exception as exc:  # noqa: BLE001 - the report did not reach its reader
+        code = EXIT_UNEXPECTED
+        print(f"picardkit: unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    finally:
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

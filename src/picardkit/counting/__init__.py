@@ -137,6 +137,15 @@ def physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
@@ -144,7 +153,8 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     Raises BudgetExceededError, before the field tables are built, when the
     three int64 tables of length Q = q^n (24 Q bytes) exceed physical memory,
     or when the work estimate (Q units for the tables plus each chart's cost)
-    exceeds `budget`.
+    exceeds `budget`.  At most `threads` worker threads run, and never more
+    than `_usable_cpus()`; the count is the same for any number.
     """
     dom = ideal.domain
     if dom is None:
@@ -175,6 +185,7 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     exp, log, zech = field_tables(ext)
     tmask = trace_mask(ext)
     p = ext.p
+    threads = min(threads, _usable_cpus())
     total = 0
     for chart in charts:
         if chart.nfree == 0:

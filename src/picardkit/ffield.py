@@ -148,24 +148,17 @@ def _pxgcd(a, b, p):
 
 
 def _is_irreducible(m, p):
-    """Rabin irreducibility test for monic m over Z/pZ."""
+    """Ben-Or's test for monic m over Z/pZ: a reducible m of degree e has an
+    irreducible factor of some degree i <= e/2, and then x^(p^i) - x, the
+    product of the monic irreducibles of degree dividing i, shares it.  Most
+    candidates fail at a small i, so this stops long before e powerings."""
     e = len(m) - 1
     if e <= 0:
         return False
-    if e == 1:
-        return True
     x = [0, 1]
-    # x^(p^e) == x mod m
     t = x
-    for _ in range(e):
+    for _ in range(e // 2):
         t = _ppowmod(t, p, m, p)
-    if _paddmul(t, x, -1, p):
-        return False
-    # gcd(x^(p^(e/l)) - x, m) = 1 for every prime l | e
-    for ell in _prime_divisors(e):
-        t = x
-        for _ in range(e // ell):
-            t = _ppowmod(t, p, m, p)
         if len(_pgcd(_paddmul(t, x, -1, p), m, p)) != 1:
             return False
     return True

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from picardkit.cli import main
+from picardkit.cli import main, run
 from picardkit.galmod import size_table_from_profile
 from picardkit.upoly import mul
 
@@ -782,15 +783,15 @@ def _help_check(argv):
 
 
 def test_console_entry_point_help():
-    """The declared console script resolves to ``picardkit.cli:main``, and
+    """The declared console script resolves to ``picardkit.cli:run``, and
     what its generated wrapper runs prints the help and exits 0."""
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts["picardkit"] == "picardkit.cli:main"
+    assert scripts["picardkit"] == "picardkit.cli:run"
     ep = EntryPoint(name="picardkit", value=scripts["picardkit"], group="console_scripts")
-    assert ep.load() is main
+    assert ep.load() is run
     code = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
     _help_check([sys.executable, "-c", code, "--help"])
 
@@ -812,17 +813,27 @@ def test_installed_console_script_help():
 
 
 # what each subcommand imports: run it in a fresh interpreter, then read
-# sys.modules
+# sys.modules; also what it leaves behind for teardown, which the process
+# entry point skips: atexit handlers and live threads
 _MODULE_PROBE = """
-import json, sys
+import atexit, json, sys
 from picardkit.cli import main
 
 out, argv = sys.argv[1], sys.argv[2:]
+handlers = atexit._ncallbacks()
 code = main(argv)
+modules = sorted(sys.modules)
 kernel = sys.modules.get("picardkit.counting.kernel")
+logging = sys.modules.get("logging")
+import threading
 with open(out, "w") as fh:
-    json.dump({"code": code, "modules": sorted(sys.modules),
-               "backend": kernel.BACKEND if kernel else None}, fh)
+    json.dump({"code": code, "modules": modules,
+               "backend": kernel.BACKEND if kernel else None,
+               "new_atexit_handlers": atexit._ncallbacks() - handlers,
+               "logging_handlers": [type(ref()).__name__ for ref in logging._handlerList
+                                    if ref() not in (None, logging.lastResort)]
+                                   if logging else [],
+               "threads": threading.active_count()}, fh)
 """
 
 VARIETY_UNUSED = ["picardkit.galmod", "picardkit.lattice", "picardkit.dovetail",
@@ -943,6 +954,105 @@ def test_no_request_imports_argparse_openssl_or_fractions(tmp_path, command):
     result = _modules_after(tmp_path, *argv)
     unused = ["argparse", "gettext", "_hashlib", "fractions", "decimal"]
     assert _loaded(result["modules"], unused) == []
+
+
+@pytest.mark.parametrize("command", [
+    "count", "zeta", "betti", "tate-bound", "rank", "torsion", "galois-rank", "dovetail",
+])
+def test_no_request_leaves_work_for_interpreter_teardown(tmp_path, command):
+    # `run` ends the process with os._exit, which skips atexit handlers and
+    # joins no thread: a request must register none and leave none running.
+    # The one exception is logging's shutdown, which logging registers when
+    # ThreadPoolExecutor imports it; it flushes logging handlers, and no
+    # request makes one beyond the stderr fallback, which `run` flushes
+    argv = [*_request(tmp_path, command), "--no-timing"]
+    if command == "count":
+        argv += ["--threads", "2"]
+    result = _modules_after(tmp_path, *argv)
+    assert result["new_atexit_handlers"] == ("logging" in result["modules"])
+    assert result["logging_handlers"] == []
+    assert result["threads"] == 1
+
+
+def _entry_point_requests(tmp_path):
+    spec = quadric_spec(tmp_path)
+    composite = write_json(tmp_path / "f6.json", {"field": {"p": 6}, "ambientDim": 2})
+    return {
+        "cold-betti": ["betti", spec, "--cache-dir", "cache", "--no-timing"],
+        "input-error": ["betti", composite, "--no-timing"],
+        "usage-error": ["betti", "--no-timing"],
+        "help": ["betti", "--help"],
+        "dovetail": ["dovetail", "--demo", "--no-timing"],
+    }
+
+
+@pytest.mark.parametrize("name", ["cold-betti", "input-error", "usage-error", "help", "dovetail"])
+def test_entry_points_give_the_same_output(tmp_path, capsys, monkeypatch, name):
+    # each run starts in its own directory, so the relative cache is cold
+    argv = _entry_point_requests(tmp_path)[name]
+    outcomes = []
+    for module in ("picardkit.cli", "picardkit"):
+        cwd = tmp_path / module
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=source_env(), cwd=cwd,
+        )
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+    (tmp_path / "main").mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    outcomes.append(run_cli(capsys, *argv))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] == {"cold-betti": 0, "help": 0, "dovetail": 0}.get(name, 2)
+    assert (tmp_path / "main" / "cache").is_dir() == (name == "cold-betti")
+
+
+def _unwritable_stdout_run(argv, stdout, buffered, preexec_fn=None):
+    env = source_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "picardkit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=env, preexec_fn=preexec_fn,
+    )
+
+
+def _assert_one_unexpected_error(proc):
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("picardkit: unexpected error: ")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["dovetail", "--demo", "--no-timing"], ["--help"]])
+def test_full_stdout_exits_1_without_traceback(argv, buffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    with open("/dev/full", "w") as full:
+        _assert_one_unexpected_error(_unwritable_stdout_run(argv, full, buffered))
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["dovetail", "--demo", "--no-timing"], ["--help"]])
+def test_broken_pipe_exits_1_without_traceback(argv, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        _assert_one_unexpected_error(_unwritable_stdout_run(argv, write_end, buffered))
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_1_without_traceback(buffered):
+    # with descriptor 1 closed the interpreter sets sys.stdout to None
+    proc = _unwritable_stdout_run(
+        ["dovetail", "--demo", "--no-timing"], None, buffered, preexec_fn=lambda: os.close(1),
+    )
+    _assert_one_unexpected_error(proc)
 
 
 @pytest.mark.parametrize("argv", [

@@ -155,6 +155,54 @@ def test_parallel_determinism():
     assert lone == many
 
 
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    task at submit, so no thread starts."""
+
+    def __init__(self, max_workers, record):
+        record.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_worker_threads_capped_at_usable_cpus(monkeypatch, affinity):
+    import concurrent.futures
+    import os
+    import threading
+
+    workers = []
+    monkeypatch.setattr(
+        concurrent.futures, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, workers)
+    )
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:  # platforms without affinity masks fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    running = threading.active_count()
+    ideal = ideal_over(3, 1, 4, "x0*x3 - x1*x2")
+    lone = count_points(ideal, 3, threads=1)
+    assert workers == []
+    assert count_points(ideal, 3, threads=5000) == lone
+    assert workers and set(workers) == {3}
+    workers.clear()
+    assert count_points(ideal, 3, threads=2) == lone
+    assert workers and set(workers) == {2}
+    assert threading.active_count() == running
+
+
 def test_budget_error():
     ideal = ideal_over(5, 1, 4, "x0^4 + x1^4 + x2^4 + x3^4")
     with pytest.raises(BudgetExceededError):

@@ -6,8 +6,12 @@ import pytest
 from picardkit import upoly
 from picardkit.ffield import (
     FieldError,
+    _is_irreducible,
+    _paddmul,
     _pdivmod,
+    _pgcd,
     _pmul,
+    _ppowmod,
     _pxgcd,
     enumerate_field,
     extend,
@@ -38,6 +42,50 @@ def test_make_field_f9_first_in_order():
             break
     f = make_field(3, 2)
     assert f.modulus == first
+
+
+def _rabin_is_irreducible(m, p):
+    """Oracle: Rabin's test for monic m of degree e over Z/pZ, m divides
+    x^(p^e) - x and gcd(x^(p^(e/l)) - x, m) = 1 for every prime l | e."""
+    e = len(m) - 1
+    if e == 1:
+        return True
+    x = [0, 1]
+
+    def frobenius_power(k):
+        t = x
+        for _ in range(k):
+            t = _ppowmod(t, p, m, p)
+        return _paddmul(t, x, -1, p)
+
+    if frobenius_power(e):
+        return False
+    ells = [ell for ell in range(2, e + 1) if e % ell == 0 and all(ell % d for d in range(2, ell))]
+    return all(len(_pgcd(frobenius_power(e // ell), m, p)) == 1 for ell in ells)
+
+
+def _monic_in_order(p, e):
+    """The monic polynomials of degree e over Z/pZ in make_field's order:
+    the non-leading coefficients as base-p digits of 0, 1, 2, ..."""
+    for k in range(p**e):
+        yield [k // p**i % p for i in range(e)] + [1]
+
+
+def _prime_powers_with(limit, primes):
+    return [(p, e) for p in primes for e in range(1, limit.bit_length()) if p**e <= limit]
+
+
+@pytest.mark.parametrize("p,e", _prime_powers_with(2**8, (2, 3, 5, 7, 11, 13)))
+def test_ben_or_accepts_exactly_rabins_irreducibles(p, e):
+    for m in _monic_in_order(p, e):
+        assert _is_irreducible(m, p) == _rabin_is_irreducible(m, p), m
+
+
+@pytest.mark.parametrize("p,e", _prime_powers_with(2**16, (2, 3, 5, 7, 11, 13)))
+def test_make_field_modulus_is_rabins_first_irreducible(p, e):
+    # the modulus fixes every field, embedding, count and cache key
+    first = next(m for m in _monic_in_order(p, e) if _rabin_is_irreducible(m, p))
+    assert list(make_field(p, e).modulus) == first
 
 
 def test_make_field_rejects_composite():
