@@ -317,6 +317,43 @@ def test_dovetail_trace_stdout(capsys):
         assert "taskId" in rec
 
 
+# every event of the demo through round 10: (round, task, quanta, status[, result])
+DEMO_EVENTS = [
+    (1, 1, 1, "running"), (2, 1, 2, "running"), (2, 2, 1, "running"),
+    (3, 1, 4, "running"), (3, 2, 2, "running"), (3, 3, 1, "running"),
+    (4, 1, 2, "halted", 9), (4, 2, 4, "running"), (4, 3, 2, "running"), (4, 4, 1, "running"),
+    (5, 2, 8, "running"), (5, 3, 4, "running"), (5, 4, 2, "running"),
+    (6, 2, 16, "running"), (6, 3, 8, "running"), (6, 4, 4, "running"),
+    (7, 2, 32, "running"), (7, 3, 2, "halted", 17), (7, 4, 2, "halted", "planted"),
+    (8, 2, 64, "running"), (9, 2, 128, "running"), (10, 2, 256, "running"),
+]
+
+
+@pytest.mark.parametrize("rounds, total, results", [
+    (1, 1, {}),
+    (6, 62, {"1": 9}),
+    (10, 546, {"1": 9, "3": 17, "4": "planted"}),
+])
+def test_dovetail_demo_report_and_trace_are_pinned(capsys, rounds, total, results):
+    events = []
+    for ev in DEMO_EVENTS:
+        if ev[0] <= rounds:
+            rec = {"round": ev[0], "taskId": ev[1], "quanta": ev[2], "status": ev[3]}
+            events.append(rec | ({"result": ev[4]} if len(ev) > 4 else {}))
+    report = {
+        "command": "dovetail",
+        "dovetail": {"events": events, "results": results, "rounds": rounds, "totalQuanta": total},
+        "inputs": {"tasks": 4},
+        "schema": "picardkit-report/1",
+    }
+    code, out, _ = run_cli(capsys, "dovetail", "--demo", "--rounds", str(rounds), "--no-timing")
+    assert code == 0
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, "dovetail", "--demo", "--rounds", str(rounds), "--trace-file", "-")
+    assert code == 0
+    assert out == "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+
+
 def test_invalid_spec_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
