@@ -92,11 +92,8 @@ def _eval_budget(args):
 def _budget_descriptor(flags, args, ambient):
     budget = args.budget if args.budget is not None else flags.get("budget")
     if budget is not None:
-        try:
-            budget = int(budget)
-        except (TypeError, ValueError):
-            budget = 0
-        if budget < 2:
+        # a JSON integer: 3.7 and "4" are rejected, not truncated or parsed
+        if type(budget) is not int or budget < 2:
             raise CliError("budget must be an integer of at least 2", EXIT_INVALID_INPUT)
         return {"budget": budget}
     degree = flags.get("hypersurfaceDegree")
@@ -405,7 +402,7 @@ def cmd_torsion(args):
     obj = _load_json(args.table)
     try:
         table = galmod.SizeTable.from_json(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed size table: {exc}", EXIT_INVALID_INPUT) from None
     report = _report_base("torsion", {"ell": table.ell, "degree": args.degree})
     try:
@@ -431,12 +428,14 @@ def cmd_galois_rank(args):
     started = time.perf_counter()
     obj = _load_json(args.family)
     try:
-        t = int(obj["t"])
+        t = obj["t"]
+        if type(t) is not int:
+            raise ValueError(f"t must be an integer: {t!r}")
         modules = [galmod.FiniteLModule.from_json(m) for m in obj["modules"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed module family: {exc}", EXIT_INVALID_INPUT) from None
     except galmod.GalmodError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed module family: {exc}", EXIT_INVALID_INPUT) from None
     report = _report_base("galois-rank", {"t": t, "modules": len(modules)})
     try:
         bounds = galmod.rank_upper_bounds(
@@ -596,9 +595,8 @@ def run():
     code = main()
     # os._exit skips teardown (final gc, module clean-up, atexit), which no result
     # needs: files are written in `with` blocks (CountCache.put flushes first, and
-    # closing releases its flock), the ThreadPoolExecutor is joined by its `with`
-    # block, and picardkit registers no atexit handler (logging's, which
-    # concurrent.futures brings in, has no logging handler to flush)
+    # closing releases its flock), counting joins its worker threads before it
+    # returns, and no atexit handler is registered
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()

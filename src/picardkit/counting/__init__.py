@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 
 try:  # CPython's built-in sha256: hashlib would load OpenSSL at every start-up
     from _sha256 import sha256
@@ -204,14 +205,33 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
         if len(ranges) == 1:
             total += mod.count_chart(*args, *ranges[0])
         else:
-            # imported here: concurrent.futures pulls in logging, which a
-            # one-thread request never needs
-            from concurrent.futures import ThreadPoolExecutor
+            total += _count_in_threads(mod, args, ranges)
+    return total
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = [pool.submit(mod.count_chart, *args, lo, hi) for lo, hi in ranges]
-                # ordered reduction keeps the sum deterministic
-                total += sum(f.result() for f in futs)
+
+def _count_in_threads(mod, args, ranges):
+    """The sum of mod.count_chart(*args, lo, hi) over the ranges, one thread
+    per range, added in range order so the sum is deterministic.  A worker's
+    exception is raised again here.  `mod.count_chart` is looked up at call
+    time, so a wrapper installed on the backend module sees every call."""
+    out = [None] * len(ranges)
+
+    def work(k, lo, hi):
+        try:
+            out[k] = (mod.count_chart(*args, lo, hi), None)
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+            out[k] = (0, exc)
+
+    workers = [threading.Thread(target=work, args=(k, *r)) for k, r in enumerate(ranges)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
+    total = 0
+    for value, exc in out:
+        if exc is not None:
+            raise exc
+        total += value
     return total
 
 

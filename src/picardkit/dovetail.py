@@ -1,11 +1,9 @@
 """Deterministic fair interleaving of semidecision procedures.
 
-Countably many tasks run "in parallel" with task i getting an asymptotic
-2^-i share of the steps.  The share is realized by a doubling-round
-schedule: in round R, task i <= R receives 2^(R-i) quanta.  That structure
-is deterministic and testable, unlike wall-clock time slicing.  A strict
-day/night alternation of two tasks covers the paired-search pattern where
-one side is guaranteed to halt.
+A list of tasks runs "in parallel" with task i getting an asymptotic 2^-i
+share of the steps.  The share is realized by a doubling-round schedule: in
+round R, task i <= R receives 2^(R-i) quanta of one step each.  That
+structure is deterministic and testable, unlike wall-clock time slicing.
 """
 
 from __future__ import annotations
@@ -57,13 +55,6 @@ class IntegerSearchTask(Task):
         return "running", None
 
 
-class Schedule:
-    __slots__ = ("quantum",)
-
-    def __init__(self, quantum=1):
-        self.quantum = quantum  # step() calls per quantum
-
-
 class TraceEvent:
     __slots__ = ("round", "task_id", "quanta", "status", "result")
 
@@ -96,72 +87,31 @@ class RunResult:
         self.rounds = rounds
         self.total_quanta = total_quanta
 
-    def quanta_per_task(self):
-        out = {}
-        for ev in self.events:
-            out[ev.task_id] = out.get(ev.task_id, 0) + ev.quanta
-        return out
 
+def run_geometric(tasks, max_rounds):
+    """Drive tasks (task 1 first) under the doubling-round schedule for at
+    most `max_rounds` rounds, or until no task is running.
 
-def run_geometric(
-    tasks,
-    on_halt=None,
-    schedule=None,
-    max_rounds=None,
-    max_quanta=None,
-    task_source=None,
-):
-    """Drive tasks under the doubling-round schedule.
-
-    tasks: initial list (task 1 first).  task_source(i) may lazily provide
-    task number i (1-based) when the schedule first reaches it; return None
-    for "no such task".  on_halt(task_id, result) fires exactly once per
-    halted task, in schedule order; a truthy return stops the run.  A task
-    that raises is marked failed and isolated; the others continue.
-
+    A task that raises is marked failed and isolated; the others continue.
     Returns a RunResult whose event list is bit-reproducible for identical
     inputs.
     """
-    schedule = schedule or Schedule()
-    known = {i + 1: t for i, t in enumerate(tasks)}
-    exhausted_source = task_source is None
-    state = {}  # task_id -> "running" | "halted" | "failed"
-    for i in known:
-        state[i] = "running"
+    state = {i: "running" for i in range(1, len(tasks) + 1)}
     results = {}
     failures = {}
     events = []
     total_quanta = 0
     rounds = 0
-    stop = False
-
-    r = 0
-    while not stop:
-        r += 1
-        if max_rounds is not None and r > max_rounds:
-            break
-        progressed = False
-        for i in range(1, r + 1):
-            if i not in known and not exhausted_source:
-                t = task_source(i)
-                if t is None:
-                    exhausted_source = True
-                else:
-                    known[i] = t
-                    state[i] = "running"
-            task = known.get(i)
-            if task is None or state[i] != "running":
+    for r in range(1, max_rounds + 1):
+        rounds = r
+        for i in range(1, min(r, len(tasks)) + 1):
+            if state[i] != "running":
                 continue
-            share = 2 ** (r - i)
-            if max_quanta is not None:
-                share = min(share, max_quanta - total_quanta)
-                if share <= 0:
-                    stop = True
-                    break
+            task = tasks[i - 1]
             used = 0
             status = "running"
             result = None
-            for _ in range(share * schedule.quantum):
+            for _ in range(2 ** (r - i)):
                 used += 1
                 try:
                     st, payload = task.step()
@@ -173,27 +123,12 @@ def run_geometric(
                     status = "halted"
                     result = payload
                     break
-            quanta_used = -(-used // schedule.quantum) if used else 0
-            total_quanta += quanta_used
-            progressed = progressed or used > 0
-            events.append(
-                TraceEvent(round=r, task_id=i, quanta=quanta_used, status=status, result=result)
-            )
+            total_quanta += used
+            events.append(TraceEvent(r, i, used, status, result))
             state[i] = status
             if status == "halted":
                 results[i] = result
-                if on_halt is not None and on_halt(i, result):
-                    stop = True
-                    break
-            if max_quanta is not None and total_quanta >= max_quanta:
-                stop = True
-                break
-        rounds = r
-        if stop:
-            break
-        if exhausted_source and all(s != "running" for s in state.values()):
-            break
-        if not progressed and exhausted_source:
+        if all(s != "running" for s in state.values()):
             break
     return RunResult(
         events=events,
@@ -204,55 +139,7 @@ def run_geometric(
     )
 
 
-def day_night(task_day, task_night, cap=None, quantum=1):
-    """Strict alternation, day first, one quantum each, until one halts.
-
-    Returns ("day" | "night", result) for the first halter, or
-    ("undecided", None) when both are still running after `cap` quanta
-    apiece.  The caller guarantees at least one side halts, or sets a cap.
-    """
-    spent = 0
-    while cap is None or spent < cap:
-        spent += 1
-        for name, task in (("day", task_day), ("night", task_night)):
-            for _ in range(quantum):
-                st, payload = task.step()
-                if st == "halted":
-                    return name, payload
-    return "undecided", None
-
-
 def export_trace(events, fh):
     """Newline-delimited JSON trace of scheduler events."""
     for ev in events:
         fh.write(json.dumps(ev.to_json(), sort_keys=True) + "\n")
-
-
-def reference_halt_order(specs, quantum=1, max_rounds=64):
-    """Discrete-event oracle: halting order under the doubling-round rule.
-
-    specs: list of halt_after step counts (0 = never) for tasks 1..n.
-    Replays the arithmetic of the schedule without Task objects; used by
-    tests to cross-check run_geometric.
-    """
-    steps_done = [0] * len(specs)
-    halted = [False] * len(specs)
-    order = []
-    r = 0
-    while not all(h or s == 0 for h, s in zip(halted, [s for s in specs])) and r < max_rounds:
-        r += 1
-        for i in range(1, min(r, len(specs)) + 1):
-            idx = i - 1
-            if halted[idx] or specs[idx] == 0:
-                if specs[idx] == 0 and not halted[idx]:
-                    steps_done[idx] += 2 ** (r - i) * quantum
-                continue
-            budget = 2 ** (r - i) * quantum
-            remaining = specs[idx] - steps_done[idx]
-            if remaining <= budget:
-                steps_done[idx] = specs[idx]
-                halted[idx] = True
-                order.append(i)
-            else:
-                steps_done[idx] += budget
-    return order

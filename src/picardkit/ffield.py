@@ -248,11 +248,6 @@ class FieldDesc:
             idx = idx * self.p + c
         return idx
 
-    def elements(self):
-        """All q elements in the deterministic base-p integer order."""
-        for idx in range(self.q):
-            yield self.from_index(idx)
-
 
 class FieldElement:
     """An element of a FieldDesc, as a coefficient vector in the power basis."""
@@ -332,12 +327,6 @@ class FieldElement:
     def frobenius(self):
         """x -> x^p."""
         return self ** self.field.p
-
-    def to_int(self):
-        """Constant value, defined only for elements of the prime subfield."""
-        if any(self.coeffs[1:]):
-            raise FieldError("element is not in the prime subfield")
-        return self.coeffs[0]
 
 
 def poly_str(coeffs):
@@ -480,23 +469,3 @@ def _find_root(modulus, ext):
             return min(roots, key=ext.to_index)
         w = w * z
     raise FieldError("modulus has no root in the requested extension")
-
-
-def enumerate_field(field):
-    """All q elements, in the deterministic base-p integer order."""
-    return list(field.elements())
-
-
-def multiplicative_generator(field):
-    """First element (in enumeration order) of multiplicative order q - 1."""
-    q = field.q
-    if q == 2:
-        return field.one()
-    factors = _prime_divisors(q - 1)
-    for idx in range(1, q):
-        x = field.from_index(idx)
-        if not x:
-            continue
-        if all(bool(x ** ((q - 1) // f) - field.one()) for f in factors):
-            return x
-    raise FieldError("no multiplicative generator found")  # unreachable

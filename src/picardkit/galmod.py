@@ -1,6 +1,5 @@
 """Finite Galois modules over Z/l^n: invariants, rank bounds from fixed-point
-sizes, torsion recovery from cohomology size tables, and the small-modulus
-triviality criterion.
+sizes, and torsion recovery from cohomology size tables.
 
 Cohomology itself is never computed here: modules and size tables arrive as
 user-supplied data, and this module does the exact group theory on them.
@@ -25,16 +24,18 @@ class InconsistentTableError(GalmodError):
     pass
 
 
-def lprime(ell):
-    """l' = l for odd primes, 4 for l = 2: the modulus at which trivial
-    reduction forces trivial action."""
-    if not is_prime(ell):
-        raise GalmodError(f"{ell} is not prime")
-    return 4 if ell == 2 else ell
+def _ints(values, what):
+    """values, a list of JSON integers: 1.5, true and "1" are rejected, not
+    truncated."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise GalmodError(f"{what} must be integers: {values!r}")
+    return values
 
 
 def lprime_level(ell):
-    """The level n with l^n = l'."""
+    """The level n with l^n = l', where l' = l for odd primes and 4 for
+    l = 2: an action of finite order that is trivial mod l' is trivial
+    (Minkowski)."""
     return 2 if ell == 2 else 1
 
 
@@ -91,44 +92,14 @@ class FiniteLModule:
                         return False
         return True
 
-    def elements(self):
-        """All elements, as coordinate tuples (for brute-force oracles)."""
-        import itertools
-
-        return itertools.product(*(range(m) for m in self.moduli()))
-
-    def fixed_by_brute_force(self):
-        count = 0
-        mods = self.moduli()
-        k = len(mods)
-        for x in self.elements():
-            ok = True
-            for g in self.actions:
-                for i in range(k):
-                    if (sum(g[i][j] * x[j] for j in range(k)) - x[i]) % mods[i]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                count += 1
-        return count
-
-    def to_json(self):
-        return {
-            "ell": self.ell,
-            "n": self.n,
-            "invariantFactors": list(self.invariant_factors),
-            "actions": [[list(row) for row in g] for g in self.actions],
-        }
-
     @staticmethod
     def from_json(obj):
+        ell, n = _ints([obj["ell"], obj["n"]], "ell and n")
         return FiniteLModule(
-            ell=obj["ell"],
-            n=obj["n"],
-            invariant_factors=list(obj["invariantFactors"]),
-            actions=[[list(r) for r in g] for g in obj.get("actions", [])],
+            ell=ell,
+            n=n,
+            invariant_factors=_ints(obj["invariantFactors"], "invariantFactors"),
+            actions=[[_ints(r, "action rows") for r in g] for g in obj.get("actions", [])],
         )
 
 
@@ -286,8 +257,12 @@ class SizeTable:
 
     @staticmethod
     def from_json(obj):
-        entries = {(rec["i"], rec["n"]): rec["log_ell_size"] for rec in obj["sizes"]}
-        return SizeTable(ell=obj["ell"], betti=list(obj["betti"]), entries=entries)
+        entries = {}
+        for rec in obj["sizes"]:
+            i, n, size = _ints([rec["i"], rec["n"], rec["log_ell_size"]], "i, n and log_ell_size")
+            entries[(i, n)] = size
+        (ell,) = _ints([obj["ell"]], "ell")
+        return SizeTable(ell=ell, betti=_ints(obj["betti"], "betti"), entries=entries)
 
 
 class TorsionResult:
@@ -404,32 +379,3 @@ def size_table_from_profile(ell, betti, torsion, n_max):
         for n in range(1, n_max + 1):
             entries[(j, n)] = n * betti[j] + _t_of(tj, n) + _t_of(tj1, n)
     return SizeTable(ell=ell, betti=list(betti), entries=entries)
-
-
-def kummer_size_check(table, torsion):
-    """True iff every table entry matches the size identity forced by the
-    coefficient exact sequence: #H^j(Z/l^n) = l^(n b_j) * #(tors_j / l^n)
-    * #(tors_{j+1}[l^n])."""
-    for (j, n), val in table.entries.items():
-        tj = torsion[j] if j < len(torsion) else []
-        tj1 = torsion[j + 1] if j + 1 < len(torsion) else []
-        if val != n * table.betti[j] + _t_of(tj, n) + _t_of(tj1, n):
-            return False
-    return True
-
-
-def minkowski_trivial(m, ell):
-    """Is M congruent to the identity modulo l' (l odd) or 4 (l = 2)?
-
-    For M of finite multiplicative order, a True answer forces M to be the
-    identity; the caller-facing property tests exercise exactly that.
-    """
-    k = len(m)
-    if any(len(row) != k for row in m):
-        raise GalmodError("matrix is not square")
-    if det_bareiss(m) % ell == 0:
-        raise GalmodError("matrix is not invertible over Z_l")
-    lp = lprime(ell)
-    return all(
-        (m[i][j] - (1 if i == j else 0)) % lp == 0 for i in range(k) for j in range(k)
-    )

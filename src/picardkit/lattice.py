@@ -1,6 +1,6 @@
 """Integer lattice algorithms: Smith normal form, saturation, independence
 certificates, invariant ranks under a finite group, and the upper-meets-lower
-rank loop with checkpointing.
+rank bound with checkpointing (one certificate offered per `rank` request).
 
 All arithmetic is arbitrary-precision integer; SNF pivoting is
 deterministic (smallest nonzero absolute value, ties by lowest row then
@@ -327,34 +327,6 @@ def invariants_rank(lat):
     return lat.rank - q_rank(stacked)
 
 
-def generate_group(mats, bound=20000):
-    """All elements of the group generated by unimodular matrices (BFS)."""
-    if not mats:
-        return [identity(1)]
-    n = len(mats[0])
-    seen = {}
-    ident = identity(n)
-    frontier = [ident]
-    seen[_key(ident)] = ident
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in mats:
-                prod = mat_mul(m, g)
-                k = _key(prod)
-                if k not in seen:
-                    seen[k] = prod
-                    nxt.append(prod)
-                    if len(seen) > bound:
-                        raise LatticeError("group generation exceeded bound")
-        frontier = nxt
-    return list(seen.values())
-
-
-def _key(m):
-    return tuple(tuple(row) for row in m)
-
-
 def build_n(pairings, action_on_y, rho, relations=None):
     """Saturated model N of the cycle classes, with its induced action.
 
@@ -456,14 +428,6 @@ class AlgorithmB:
             self._save()
         if self.best == self.v_mu:
             self.halted = True
-        return self.status()
-
-    def run(self, certificates):
-        """Drive from an iterable; stops early when the bounds meet."""
-        for cert in certificates:
-            self.offer(cert)
-            if self.halted:
-                break
         return self.status()
 
     def status(self):

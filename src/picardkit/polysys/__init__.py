@@ -8,8 +8,8 @@ from .geometry import (
     proper_intersection_number,
     smoothness_check,
 )
-from .groebner import HomIdeal, groebner, ideal_sum, normal_form, order_key, s_polynomial
-from .multipoly import MultiPoly, PolyError, poly_from_str, poly_to_str
+from .groebner import HomIdeal, groebner, ideal_sum, normal_form, s_polynomial
+from .multipoly import MultiPoly, PolyError, order_key, poly_from_str, poly_to_str
 
 __all__ = [
     "HomIdeal",

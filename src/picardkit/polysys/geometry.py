@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .. import upoly
-from .groebner import HomIdeal, groebner, ideal_sum, leading, order_key
+from .groebner import HomIdeal, ideal_sum, leading
 from .multipoly import MultiPoly, PolyError
 
 
@@ -89,8 +89,7 @@ def hilbert_series_data(ideal):
     basis = ideal.basis()
     if ideal.nvars is None:
         raise PolyError("zero ideal with unknown ambient ring; use with_ambient")
-    key = order_key(ideal.term_order)
-    gens = _minimalize([leading(g, key)[0] for g in basis])
+    gens = _minimalize([leading(g)[0] for g in basis])
     memo = {}
     num = _hilbert_numerator(gens, ideal.nvars, memo)
     d = ideal.nvars
@@ -138,7 +137,7 @@ def smoothness_check(ideal):
             m = _poly_det(sub)
             if m:
                 minors.append(m)
-    sing = HomIdeal(list(gens) + minors, ideal.term_order, _skip_checks=True)
+    sing = HomIdeal(list(gens) + minors, _skip_checks=True)
     sing = sing.with_ambient(nvars, ideal.domain)
     sdim, _ = dimension_degree(sing)
     return sdim == -1
@@ -180,7 +179,7 @@ def proper_intersection_number(ambient, z, y):
         raise PolyError(
             f"cycles are not of complementary dimension: {dim_z} + {dim_y} != {dim_x}"
         )
-    total = ideal_sum(ambient, z, y, term_order=ambient.term_order)
+    total = ideal_sum(ambient, z, y)
     dim_t, deg_t = dimension_degree(total)
     if dim_t > 0:
         raise ImproperIntersectionError(

@@ -1,11 +1,11 @@
 """Buchberger's algorithm with normal pair selection and both skip criteria.
 
-Term orders: degrevlex (default) and lex.  Output bases are reduced (auto-
-reduced, monic leading coefficients), hence unique for the order.  No F4/F5:
-the ideals this package meets are small, and auditability wins.
+The term order is degrevlex (`order_key`).  Output bases are reduced
+(auto-reduced, monic leading coefficients), hence unique.  No F4/F5: the
+ideals this package meets are small, and auditability wins.
 
-Open pairs wait in a heap keyed by (key(lcm), (i, j)), so each step pops
-the next pair instead of scanning all of them.  The leading monomial and
+Open pairs wait in a heap keyed by (order_key(lcm), (i, j)), so each step
+pops the next pair instead of scanning all of them.  The leading monomial and
 coefficient of each basis element are computed once, when it joins the
 basis, and the pair keys, both criteria, every reduction (`normal_form`'s
 `leads`) and the final auto-reduction read them from one list.
@@ -15,15 +15,7 @@ from __future__ import annotations
 
 import heapq
 
-from .multipoly import MultiPoly, PolyError, dom_one
-
-
-def order_key(order):
-    if order == "degrevlex":
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    if order == "lex":
-        return lambda e: tuple(e)
-    raise PolyError(f"unknown term order {order!r}")
+from .multipoly import MultiPoly, PolyError, dom_one, order_key
 
 
 class HomIdeal:
@@ -33,7 +25,7 @@ class HomIdeal:
     list denotes the zero ideal.
     """
 
-    def __init__(self, generators, term_order="degrevlex", _skip_checks=False):
+    def __init__(self, generators, _skip_checks=False):
         gens = [g for g in generators if g]
         if gens:
             nv, dom = gens[0].nvars, gens[0].domain
@@ -46,14 +38,13 @@ class HomIdeal:
         else:
             self.nvars, self.domain = None, None
         self.generators = gens
-        self.term_order = term_order
         self.cached_basis = None
 
     def with_ambient(self, nvars, domain=None):
         """Give an empty ideal an explicit ambient ring."""
         if self.generators:
             return self
-        out = HomIdeal([], self.term_order)
+        out = HomIdeal([])
         out.nvars, out.domain = nvars, domain
         return out
 
@@ -63,8 +54,8 @@ class HomIdeal:
         return self.cached_basis
 
 
-def leading(p, key):
-    e = max(p.terms, key=key)
+def leading(p):
+    e = max(p.terms, key=order_key)
     return e, p.terms[e]
 
 
@@ -85,7 +76,7 @@ def _monomial_mul(p, exps, coeff):
     return out
 
 
-def normal_form(f, basis, key, leads=None):
+def normal_form(f, basis, leads=None):
     """Full remainder of f modulo basis (every term reduced).
 
     `leads`, when given, lists (leading monomial, coefficient) of each basis
@@ -94,11 +85,11 @@ def normal_form(f, basis, key, leads=None):
     if not basis:
         return f
     if leads is None:
-        leads = [leading(g, key) for g in basis]
+        leads = [leading(g) for g in basis]
     remainder = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=key)
+        e = max(work, key=order_key)
         c = work.pop(e)
         for g, (le, lc) in zip(basis, leads):
             if _divides(le, e):
@@ -122,9 +113,9 @@ def normal_form(f, basis, key, leads=None):
     return out
 
 
-def s_polynomial(f, g, key):
-    le_f, lc_f = leading(f, key)
-    le_g, lc_g = leading(g, key)
+def s_polynomial(f, g):
+    le_f, lc_f = leading(f)
+    le_g, lc_g = leading(g)
     l = _lcm(le_f, le_g)
     one = dom_one(f.domain)
     a = _monomial_mul(f, tuple(x - y for x, y in zip(l, le_f)), one / lc_f)
@@ -139,16 +130,15 @@ def groebner(ideal):
     ties to the smallest index pair, from the pair heap); pairs are skipped
     by the coprimality criterion and the chain criterion.
     """
-    key = order_key(ideal.term_order)
     G, leads, heap = [], [], []
 
     def add(g):
-        e, lc = leading(g, key)
+        e, lc = leading(g)
         g = g.scaled(dom_one(g.domain) / lc)
         n = len(G)
         for m, (le, _) in enumerate(leads):
             l = _lcm(le, e)
-            heapq.heappush(heap, (key(l), (m, n), l))
+            heapq.heappush(heap, (order_key(l), (m, n), l))
         G.append(g)
         leads.append((e, g.terms[e]))
 
@@ -177,13 +167,13 @@ def groebner(ideal):
                     break
         if skip:
             continue
-        s = normal_form(s_polynomial(G[i], G[j], key), G, key, leads)
+        s = normal_form(s_polynomial(G[i], G[j]), G, leads)
         if s:
             add(s)
-    return _reduce_basis(G, key, leads)
+    return _reduce_basis(G, leads)
 
 
-def _reduce_basis(G, key, leads):
+def _reduce_basis(G, leads):
     # drop elements whose leading monomial is divisible by another's
     keep = [
         i
@@ -196,14 +186,14 @@ def _reduce_basis(G, key, leads):
     # fully reduce each kept element against the others; no other kept
     # leading monomial divides its own, so the monic leading term survives
     reduced = []
-    for i in sorted(keep, key=lambda i: key(leads[i][0])):
+    for i in sorted(keep, key=lambda i: order_key(leads[i][0])):
         others = [k for k in keep if k != i]
-        reduced.append(normal_form(G[i], [G[k] for k in others], key, [leads[k] for k in others]))
+        reduced.append(normal_form(G[i], [G[k] for k in others], [leads[k] for k in others]))
     return reduced
 
 
-def ideal_sum(*ideals, term_order="degrevlex"):
+def ideal_sum(*ideals):
     gens = []
     for i in ideals:
         gens.extend(i.generators)
-    return HomIdeal(gens, term_order)
+    return HomIdeal(gens)

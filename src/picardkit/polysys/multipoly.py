@@ -76,10 +76,6 @@ class MultiPoly:
         return MultiPoly(nvars, domain)
 
     @staticmethod
-    def const(nvars, c, domain=None):
-        return MultiPoly(nvars, domain, {(0,) * nvars: c})
-
-    @staticmethod
     def monomial(nvars, exps, c=1, domain=None):
         return MultiPoly(nvars, domain, {tuple(exps): c})
 
@@ -90,9 +86,6 @@ class MultiPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
@@ -281,7 +274,8 @@ def poly_from_str(s, nvars, domain=None):
     return acc
 
 
-def _degrevlex_key(exps):
+def order_key(exps):
+    """Sort key of the degrevlex term order, the only one used."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
@@ -306,7 +300,7 @@ def poly_to_str(p):
     if p.is_zero():
         return "0"
     pieces = []
-    for exps in sorted(p.terms, key=_degrevlex_key, reverse=True):
+    for exps in sorted(p.terms, key=order_key, reverse=True):
         c = p.terms[exps]
         mono = "*".join(
             (f"x{i}" if e == 1 else f"x{i}^{e}") for i, e in enumerate(exps) if e

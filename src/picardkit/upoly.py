@@ -56,13 +56,6 @@ def mul(a, b):
     return trim(out)
 
 
-def mul_many(polys):
-    out = [1]
-    for p in polys:
-        out = mul(out, p)
-    return out
-
-
 def derivative(a):
     return trim([i * a[i] for i in range(1, len(a))])
 
@@ -257,11 +250,3 @@ def count_real_roots(p, lo=NEG_INF, hi=POS_INF):
     if deg(g) > 0 and any(not _sign_at(g, x) for x in finite):
         chain = sturm_chain(int_quotient(p, g))
     return sign_changes(chain, lo) - sign_changes(chain, hi)
-
-
-def is_totally_real(p):
-    """True iff every complex root of p is real (multiplicity ignored)."""
-    p = integral(p)
-    chain = sturm_chain(p)
-    distinct = deg(p) - deg(chain[-1])
-    return sign_changes(chain, NEG_INF) - sign_changes(chain, POS_INF) == distinct

@@ -272,11 +272,3 @@ def dim_v_mu(z, pieces, p):
             }
         )
     return TateBound(p=p, v_mu=total, per_factor=per_factor)
-
-
-def picard_upper_bound(z):
-    """Unconditional upper bound on the geometric Picard rank
-    (rank of divisor classes modulo torsion over the separable closure)."""
-    if z.dim is None or z.dim < 1:
-        raise ValueError("needs a variety of dimension at least 1")
-    return dim_v_mu(z, classify_weights(z, factor_zeta(z)), 1).v_mu

@@ -82,13 +82,12 @@ class ZetaFunction:
 class DegreeBudget:
     """Upper bound on the total Betti number, driving the count requirement."""
 
-    __slots__ = ("B", "source", "betti")
+    __slots__ = ("B", "betti")
 
-    def __init__(self, B, source, betti=None):
+    def __init__(self, B, betti=None):
         if B < 2:
             raise ZetaError("budget must be at least 2")
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "source", source)  # "user-config" | "hypersurface-formula"
         object.__setattr__(self, "betti", betti)  # predicted Betti vector when derivable
 
     def __setattr__(self, name, value=None):
@@ -130,7 +129,7 @@ def betti_budget(descriptor):
     No general effective bound is implemented; anything else is an error.
     """
     if descriptor.get("budget") is not None:
-        return DegreeBudget(B=int(descriptor["budget"]), source="user-config")
+        return DegreeBudget(B=descriptor["budget"])
     D = descriptor.get("hypersurface_degree")
     amb = descriptor.get("ambient_dim")
     if not D or not amb:
@@ -157,7 +156,7 @@ def betti_budget(descriptor):
             betti.append(1)
         else:
             betti.append(0)
-    return DegreeBudget(B=total, source="hypersurface-formula", betti=tuple(betti))
+    return DegreeBudget(B=total, betti=tuple(betti))
 
 
 def exp_series(counts, order):
@@ -235,13 +234,13 @@ def expand(z, n_max):
     return [int(a - b) for a, b in zip(s_den, s_num)]
 
 
-def functional_equation_check(z, dim=None):
+def functional_equation_check(z):
     """Does Z(1/(q^d T)) = ±q^(d*chi/2) T^chi Z(T) hold exactly?
 
     Returns (holds, sign); sign is None when d*chi is odd (only the squared
     identity is then checkable over the rationals).
     """
-    d = dim if dim is not None else z.dim
+    d = z.dim
     if d is None:
         raise ZetaError("functional equation needs the dimension")
     q = z.q

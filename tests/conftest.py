@@ -1,5 +1,6 @@
 """Shared test helpers: independent brute-force oracles, the Hilbert
-polynomial over Q (an oracle only tests use), the environment for
+polynomial over Q (an oracle only tests use), triviality of a matrix
+action mod l', the environment for
 subprocesses that run this checkout's source, and a report header with the
 counting backend and every picardkit module whose bytecode is stale or
 missing."""
@@ -14,8 +15,11 @@ from pathlib import Path
 import picardkit
 from picardkit import upoly
 from picardkit.exactla import rank
-from picardkit.ffield import enumerate_field, extend
+from picardkit.ffield import extend
+from picardkit.galmod import FiniteLModule, lprime_level
 from picardkit.polysys import hilbert_series_data
+
+from oracles import enumerate_field
 
 
 def brute_force_chart_count(ideal, n, j):
@@ -52,6 +56,15 @@ def brute_force_projective_count(ideal, n):
     return sum(brute_force_chart_count(ideal, n, j) for j in range(ideal.nvars))
 
 
+def trivial_mod_lprime(m, ell):
+    """Does the integer matrix m act trivially on (Z/l')^k, l' = l for odd
+    l and 4 for l = 2: the hypothesis rank_upper_bounds checks on the
+    module at level lprime_level(l)."""
+    level = lprime_level(ell)
+    mod = FiniteLModule(ell=ell, n=level, invariant_factors=[level] * len(m), actions=[m])
+    return mod.has_trivial_action()
+
+
 def graded_dimension(ideal, d):
     """dim over the base field of (S/I)_d, by exact rank of the span of
     degree-d multiples of the generators.  Independent of Groebner bases;
@@ -61,7 +74,7 @@ def graded_dimension(ideal, d):
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for g in ideal.generators:
-        dg = g.total_degree()
+        dg = max(sum(e) for e in g.terms)
         if dg > d:
             continue
         for m in _monomials_of_degree(nvars, d - dg):
@@ -148,7 +161,8 @@ def _to_rational(c, domain):
         return c
     # prime-field coefficients embed as integers; larger fields would need a
     # vector-space refinement, which the oracle tests do not require
-    return c.to_int()
+    assert not any(c.coeffs[1:]), "coefficient outside the prime field"
+    return c.coeffs[0]
 
 
 def _monomials_of_degree(nvars, d):

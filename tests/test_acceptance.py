@@ -13,16 +13,16 @@ import time
 
 import pytest
 
-from conftest import brute_force_projective_count
+from conftest import brute_force_projective_count, trivial_mod_lprime
+from oracles import generate_group, reference_halt_order
 from picardkit import counting
 from picardkit.cli import main
 from picardkit.counting import count_tower
-from picardkit.dovetail import PlantedTask, reference_halt_order, run_geometric
+from picardkit.dovetail import PlantedTask, run_geometric
 from picardkit.exactla import mat_mul
 from picardkit.ffield import make_field
 from picardkit.galmod import (
     FiniteLModule,
-    minkowski_trivial,
     rank_upper_bounds,
     size_table_from_profile,
     torsion_from_sizes,
@@ -34,7 +34,6 @@ from picardkit.lattice import (
     build_n,
     det_bareiss,
     diagonal_of,
-    generate_group,
     independence_certificate,
     invariants_rank,
     mat_inverse_int,
@@ -49,7 +48,6 @@ from picardkit.weil import (
     cyclotomic_multiplicity,
     dim_v_mu,
     factor_zeta,
-    picard_upper_bound,
 )
 from picardkit.zeta import ZetaFunction
 
@@ -189,7 +187,7 @@ def test_criterion_2_quadric_surfaces(tmp_path, capsys):
         assert report["zeta"]["den"] == mul(mul([1, -1], p2), [1, -(p**2)])
         z = ZetaFunction.from_json(report["zeta"])
         assert betti_numbers(z, pieces(z)) == [1, 0, 2, 0, 1]
-        assert picard_upper_bound(z) == 2
+        assert dim_v_mu(z, pieces(z), 1).v_mu == 2
 
         # rank pipeline, rational rulings: halts at 2, fixed rank 2
         X, ys, zs = _quadric_lines_split(p)
@@ -516,10 +514,10 @@ def test_criterion_6_minkowski_suite():
         assert order is not None
         if m == ident:
             for ell in (2, 3, 5):
-                assert minkowski_trivial(m, ell)
+                assert trivial_mod_lprime(m, ell)
             continue
         for ell in (2, 3, 5):
-            assert not minkowski_trivial(m, ell)
+            assert not trivial_mod_lprime(m, ell)
         tested += 1
     _announce(6, "Minkowski property suite (100 matrices)", check())
 
@@ -590,9 +588,9 @@ def test_criterion_7_lattice_suite():
 
 def test_criterion_8_dovetail_suite():
     check = _clock(60.0)
-    # fairness at round boundaries over 10^5 quanta
+    # fairness at round boundaries over 10^5 quanta (16 rounds)
     tasks = [PlantedTask(0) for _ in range(8)]
-    res = run_geometric(tasks, max_quanta=10**5)
+    res = run_geometric(tasks, max_rounds=16)
     assert res.total_quanta >= 10**5 - 1
     spent = {i: 0 for i in range(1, 9)}
     total = 0
@@ -618,12 +616,8 @@ def test_criterion_8_dovetail_suite():
     for _ in range(50):
         n = rng.randint(2, 6)
         specs = [rng.choice([0, rng.randint(1, 20)]) for _ in range(n)]
-        got = []
-        run_geometric(
-            [PlantedTask(s) for s in specs],
-            on_halt=lambda i, r: got.append(i) and False,
-            max_rounds=12,
-        )
+        res = run_geometric([PlantedTask(s) for s in specs], max_rounds=12)
+        got = [ev.task_id for ev in res.events if ev.status == "halted"]
         assert got == reference_halt_order(specs, max_rounds=12)
     _announce(8, "dovetail suite", check())
 
@@ -655,7 +649,7 @@ def test_criterion_9_quartic_k3_long(tmp_path, capsys):
     assert len(report["counts"]["values"]) == 10
     z = ZetaFunction.from_json(report["zeta"])
     assert betti_numbers(z, pieces(z)) == [1, 0, 22, 0, 1]
-    rho_bound = picard_upper_bound(z)
+    rho_bound = dim_v_mu(z, classify_weights(z, factor_zeta(z)), 1).v_mu
     assert 1 <= rho_bound <= 22
     print(f"\nACCEPTANCE 9 (quartic K3 over F_2): PASS  [{time.monotonic() - start:.1f}s, "
           f"picard upper bound {rho_bound}]")

@@ -383,6 +383,38 @@ def test_non_integer_variety_spec_is_invalid_input(tmp_path, capsys, field, ambi
     assert "must be integers" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t", 1.9), ("t", "0"), ("t", True), ("ell", 5.0), ("n", 1.5), ("n", "1"),
+    ("invariantFactors", [1, 1.0]), ("actions", [[[1, 0], [0, True]]]),
+    ("actions", [[[1, 0], [0, "1"]]]),
+])
+def test_non_integer_module_family_is_invalid_input(tmp_path, capsys, key, value):
+    # "t": 1.9 used to be truncated to 1 and reported with exit 0
+    module = {"ell": 5, "n": 1, "invariantFactors": [1, 1], "actions": [[[1, 0], [0, 1]]]}
+    family = {"t": 0, "modules": [module]}
+    (family if key == "t" else module)[key] = value
+    path = write_json(tmp_path / "family.json", family)
+    code, out, err = run_cli(capsys, "galois-rank", path, "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ell", 3.0), ("ell", "3"), ("betti", [1, 0, 5.0, 0, 1]), ("i", 2.0), ("n", "1"),
+    ("n", True), ("log_ell_size", 1.5),
+])
+def test_non_integer_size_table_is_invalid_input(tmp_path, capsys, key, value):
+    # "log_ell_size": 1.5 used to exit 5 as an inconsistent table
+    table = size_table_from_profile(3, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4).to_json()
+    (table if key in ("ell", "betti") else table["sizes"][0])[key] = value
+    path = write_json(tmp_path / "table.json", table)
+    code, out, err = run_cli(capsys, "torsion", path, "-i", "2", "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
 def test_nonexistent_file_exit_code(capsys):
     code, _, _ = run_cli(capsys, "zeta", "/nonexistent.json", "--no-timing")
     assert code == 2
@@ -734,10 +766,12 @@ def test_count_refuses_tables_beyond_memory(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flag_budget, cli_budget",
-    [(None, "1"), (None, "0"), (None, "-3"), (1, None), (0, None), ("x", None), (3, "1")],
+    [(None, "1"), (None, "0"), (None, "-3"), (1, None), (0, None), ("x", None), (3, "1"),
+     (3.7, None), (4.0, None), ("4", None), (True, None)],
 )
 def test_budget_below_two_is_invalid_input(tmp_path, capsys, flag_budget, cli_budget):
-    # a budget of 0 used to fall back to the hypersurface formula here
+    # a budget of 0 used to fall back to the hypersurface formula here; 3.7
+    # was truncated to 3 and "4" parsed, where the budget must be a JSON integer
     flags = {"hypersurfaceDegree": 2, "assumeSmooth": True}
     if flag_budget is not None:
         flags["budget"] = flag_budget
@@ -861,15 +895,11 @@ handlers = atexit._ncallbacks()
 code = main(argv)
 modules = sorted(sys.modules)
 kernel = sys.modules.get("picardkit.counting.kernel")
-logging = sys.modules.get("logging")
 import threading
 with open(out, "w") as fh:
     json.dump({"code": code, "modules": modules,
                "backend": kernel.BACKEND if kernel else None,
                "new_atexit_handlers": atexit._ncallbacks() - handlers,
-               "logging_handlers": [type(ref()).__name__ for ref in logging._handlerList
-                                    if ref() not in (None, logging.lastResort)]
-                                   if logging else [],
                "threads": threading.active_count()}, fh)
 """
 
@@ -999,15 +1029,15 @@ def test_no_request_imports_argparse_openssl_or_fractions(tmp_path, command):
 def test_no_request_leaves_work_for_interpreter_teardown(tmp_path, command):
     # `run` ends the process with os._exit, which skips atexit handlers and
     # joins no thread: a request must register none and leave none running.
-    # The one exception is logging's shutdown, which logging registers when
-    # ThreadPoolExecutor imports it; it flushes logging handlers, and no
-    # request makes one beyond the stderr fallback, which `run` flushes
+    # Counting threads are plain threading.Thread objects, so even
+    # `--threads 2` loads neither concurrent.futures nor logging, whose
+    # import registers an atexit handler
     argv = [*_request(tmp_path, command), "--no-timing"]
     if command == "count":
         argv += ["--threads", "2"]
     result = _modules_after(tmp_path, *argv)
-    assert result["new_atexit_handlers"] == ("logging" in result["modules"])
-    assert result["logging_handlers"] == []
+    assert result["new_atexit_handlers"] == 0
+    assert _loaded(result["modules"], ["concurrent", "logging"]) == []
     assert result["threads"] == 1
 
 

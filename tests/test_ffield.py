@@ -13,11 +13,11 @@ from picardkit.ffield import (
     _pmul,
     _ppowmod,
     _pxgcd,
-    enumerate_field,
     extend,
     make_field,
-    multiplicative_generator,
 )
+
+from oracles import enumerate_field
 
 
 def test_make_field_prime():
@@ -109,7 +109,7 @@ def test_inverse_f5():
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (2, 4), (5, 2)])
 def test_inverse_of_every_nonzero_element(p, e):
     f = make_field(p, e)
-    for x in list(f.elements())[1:]:
+    for x in enumerate_field(f)[1:]:
         assert x * x.inv() == f.one()
 
 
@@ -235,7 +235,7 @@ def test_extend_f4_to_f16_root_check():
 def _first_root_by_scan(base, ext):
     # the embedding's definition: the first root of the base modulus when
     # the whole extension is scanned in enumeration order
-    for x in ext.elements():
+    for x in enumerate_field(ext):
         acc = ext.zero()
         for c in reversed(base.modulus):
             acc = acc * x + ext.from_int(c)
@@ -288,14 +288,17 @@ def _prime_powers_up_to(limit):
 @pytest.mark.parametrize("p,e", _prime_powers_up_to(64))
 def test_multiplicative_generator_exists(p, e):
     f = make_field(p, e)
-    g = multiplicative_generator(f)
-    # exhaustive order computation
-    seen = set()
-    x = f.one()
-    for _ in range(f.q - 1):
-        x = x * g
-        seen.add(x.coeffs)
-    assert len(seen) == f.q - 1
+
+    def order(g):
+        # exhaustive order computation
+        seen = set()
+        x = f.one()
+        for _ in range(f.q - 1):
+            x = x * g
+            seen.add(x.coeffs)
+        return len(seen)
+
+    assert any(order(g) == f.q - 1 for g in enumerate_field(f)[1:])
 
 
 @pytest.mark.parametrize(
@@ -318,10 +321,10 @@ def test_embedding_is_ring_hom(p, e, n):
 def test_frobenius_fixes_exactly_prime_field(p, e):
     f = make_field(p, e)
     assert f.q <= 64
-    fixed = [x for x in f.elements() if x.frobenius() == x]
+    fixed = [x for x in enumerate_field(f) if x.frobenius() == x]
     assert len(fixed) == p
     for x in fixed:
-        x.to_int()  # in the prime subfield
+        assert not any(x.coeffs[1:])  # in the prime subfield
 
 
 def test_field_axiom_samples():

@@ -10,21 +10,23 @@ from picardkit.galmod import (
     SizeTable,
     TorsionResult,
     invariants,
-    kummer_size_check,
-    lprime,
-    minkowski_trivial,
+    lprime_level,
     rank_upper_bounds,
     size_table_from_profile,
     torsion_from_sizes,
 )
 
+from conftest import trivial_mod_lprime
+from oracles import fixed_by_brute_force, kummer_size_check
+
 
 def test_lprime():
-    assert lprime(3) == 3
-    assert lprime(2) == 4
-    assert lprime(5) == 5
+    # l' = l^lprime_level(l): l for odd primes, 4 for l = 2
+    assert 3 ** lprime_level(3) == 3
+    assert 2 ** lprime_level(2) == 4
+    assert 5 ** lprime_level(5) == 5
     with pytest.raises(GalmodError):
-        lprime(6)
+        FiniteLModule(ell=6, n=1, invariant_factors=[1])
 
 
 def test_invariants_trivial_action():
@@ -61,7 +63,7 @@ def test_invariants_matches_brute_force():
         mod = FiniteLModule(ell=ell, n=n, invariant_factors=[n] * k, actions=gens)
         assert ell**n <= 10**2 or (ell**n) ** k <= 10**4
         exponent, _ = invariants(mod)
-        assert ell**exponent == mod.fixed_by_brute_force()
+        assert ell**exponent == fixed_by_brute_force(mod)
 
 
 def test_invariants_mixed_factors_brute_force():
@@ -69,7 +71,7 @@ def test_invariants_mixed_factors_brute_force():
     g = [[1, 3], [1, 1]]  # respects e = (2, 1): entry (0,1) must be 0 mod 3
     mod = FiniteLModule(ell=3, n=2, invariant_factors=[2, 1], actions=[g])
     exponent, _ = invariants(mod)
-    assert 3**exponent == mod.fixed_by_brute_force()
+    assert 3**exponent == fixed_by_brute_force(mod)
 
 
 def test_module_validation():
@@ -229,13 +231,13 @@ def test_size_table_json_round_trip():
 def test_minkowski_identity():
     ident = [[1, 0], [0, 1]]
     for ell in (2, 3, 5):
-        assert minkowski_trivial(ident, ell)
+        assert trivial_mod_lprime(ident, ell)
 
 
 def test_minkowski_minus_identity_mod_4():
     m = [[-1, 0], [0, -1]]
-    assert not minkowski_trivial(m, 2)  # -1 != 1 mod 4
-    assert minkowski_trivial([[x % 3 + 3 * 0 for x in row] for row in m], 3) is False
+    assert not trivial_mod_lprime(m, 2)  # -1 != 1 mod 4
+    assert trivial_mod_lprime([[x % 3 + 3 * 0 for x in row] for row in m], 3) is False
 
 
 def test_minkowski_unipotent_has_infinite_order():
@@ -243,7 +245,7 @@ def test_minkowski_unipotent_has_infinite_order():
     # unbounded powers (so cannot be of finite order)
     e = [[0, 1], [0, 0]]
     m = [[1 + 3 * 0, 3], [0, 1]]  # I + 3E at l = 3
-    assert minkowski_trivial(m, 3)
+    assert trivial_mod_lprime(m, 3)
     power = [[1, 0], [0, 1]]
     seen_identity_again = False
     for _ in range(50):

