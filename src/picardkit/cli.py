@@ -17,8 +17,6 @@ Start-up is most of a warm request, so this module imports only the
 standard library; each subcommand imports the picardkit modules it uses.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys
@@ -118,11 +116,13 @@ def _budget_error(exc):
     return CliError(f"{exc} (largest completed n = {done})", EXIT_BUDGET)
 
 
-def _check_smooth(ideal, flags):
-    from .polysys import smoothness_check
-
-    if not flags.get("assumeSmooth") and not smoothness_check(ideal):
-        raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
+def _json_bool(obj, key):
+    """obj[key] as a JSON boolean, False when absent: "no", "false", 0 and 1
+    are rejected, not read by truthiness."""
+    value = obj.get(key, False)
+    if type(value) is not bool:
+        raise CliError(f"{key} must be true or false", EXIT_INVALID_INPUT)
+    return value
 
 
 def _zeta_pipeline(ideal, flags, args, report):
@@ -130,10 +130,11 @@ def _zeta_pipeline(ideal, flags, args, report):
     (z, factored) with factored as weil.factor_zeta gives it."""
     from . import weil, zeta as zeta_mod
     from .counting import BudgetExceededError, count_tower
-    from .polysys import dimension_degree
+    from .polysys import dimension_degree, smoothness_check
 
     ambient = ideal.nvars - 1
     desc = _budget_descriptor(flags, args, ambient)
+    assume_smooth = _json_bool(flags, "assumeSmooth")
     dim, degree = dimension_degree(ideal)
     if dim < 0:
         raise CliError("the ideal cuts out the empty scheme", EXIT_INVALID_INPUT)
@@ -144,7 +145,8 @@ def _zeta_pipeline(ideal, flags, args, report):
     ):
         raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
     report["variety"] = {"dim": dim, "degree": degree, "ambientDim": ambient}
-    _check_smooth(ideal, flags)
+    if not assume_smooth and not smoothness_check(ideal):
+        raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
     cache = _cache_from_args(args)
     q = ideal.domain.q
 
@@ -436,11 +438,10 @@ def cmd_galois_rank(args):
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed module family: {exc}", EXIT_INVALID_INPUT) from None
+    skip_check = _json_bool(obj, "skipHypothesisCheck")
     report = _report_base("galois-rank", {"t": t, "modules": len(modules)})
     try:
-        bounds = galmod.rank_upper_bounds(
-            modules, t, check_hypothesis=not obj.get("skipHypothesisCheck", False)
-        )
+        bounds = galmod.rank_upper_bounds(modules, t, check_hypothesis=not skip_check)
     except galmod.HypothesisViolationError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     report["rankBounds"] = {

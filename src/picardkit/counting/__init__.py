@@ -8,8 +8,6 @@ and an explicit work budget turns infeasible requests into errors rather
 than silent stalls.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

@@ -7,8 +7,6 @@ Concurrent invocations may share one file: each append, and each truncation
 of a corrupt tail, holds an exclusive flock on it.
 """
 
-from __future__ import annotations
-
 import fcntl
 import json
 import os

@@ -13,8 +13,6 @@ which keeps the per-slice univariate degree low; quadratic slices then admit
 closed-form root counts.
 """
 
-from __future__ import annotations
-
 from array import array
 
 

@@ -4,8 +4,6 @@ Set PICARDKIT_PURE=1 to force the pure-Python kernel.  Both backends share
 the same function contracts and produce identical counts.
 """
 
-from __future__ import annotations
-
 import os
 
 _impl = None

@@ -16,8 +16,6 @@ Index conventions inside the tables:
     zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0.
 """
 
-from __future__ import annotations
-
 from array import array
 
 from ..ffield import _pmulmod, _ppowmod, _prime_divisors

@@ -6,8 +6,6 @@ round R, task i <= R receives 2^(R-i) quanta of one step each.  That
 structure is deterministic and testable, unlike wall-clock time slicing.
 """
 
-from __future__ import annotations
-
 import json
 
 

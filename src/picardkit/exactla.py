@@ -7,8 +7,6 @@ fraction-free integer echelon; only `rref` and `solve` (the Pade route)
 work over Q, so only they import `fractions`.
 """
 
-from __future__ import annotations
-
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

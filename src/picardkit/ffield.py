@@ -12,8 +12,6 @@ q = p^e is represented as the canonical degree-(e*n) field together with an
 explicit embedding of the degree-e field.
 """
 
-from __future__ import annotations
-
 import itertools
 
 

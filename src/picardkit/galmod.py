@@ -5,8 +5,6 @@ Cohomology itself is never computed here: modules and size tables arrive as
 user-supplied data, and this module does the exact group theory on them.
 """
 
-from __future__ import annotations
-
 from .exactla import det_bareiss
 from .ffield import is_prime
 from .lattice import coords_in_hnf, diagonal_of, integer_kernel, snf

@@ -1,7 +1,9 @@
 """Integer polynomial factorization: Berlekamp mod p, Hensel lift, subset
 recombination.  Deterministic throughout (fixed prime choice, exhaustive
 splitting, lexicographic subset order); input degrees here stay around 24,
-where this classical route is cheap.
+where this classical route is cheap.  For a zeta side, `weil.factor_zeta`
+divides out the Tate-type factors Phi_m(q^(i/2) T) first, so Zassenhaus
+sees only the rest (a constant for the quartic K3's denominator).
 
 The monic end is factored: a polynomial whose constant term is smaller in
 absolute value than its leading coefficient is factored through its
@@ -14,8 +16,6 @@ integer remainder sequences (`upoly.int_gcd`).
 Arithmetic in Z/m[x] (mod p for Berlekamp, mod p^k for Hensel lifting) is
 `ffield`'s; arithmetic in Z[x] is `upoly`'s.
 """
-
-from __future__ import annotations
 
 from itertools import combinations
 from math import isqrt
@@ -285,13 +285,17 @@ def factor_int_poly(f):
             if mult % 2:
                 sign_total = -sign_total
         normalized.append((g, mult))
-    content *= sign_total
-    normalized.sort(key=lambda fm: (len(fm[0]), fm[0], fm[1]))
-    # exactness check: re-multiply
+    return checked_factorization(f, content * sign_total, normalized)
+
+
+def checked_factorization(f, content, factors):
+    """(content, factors) with the factors sorted, once content times the
+    product of factor^mult re-multiplies exactly to f (trimmed, integer)."""
+    factors = sorted(factors, key=lambda fm: (len(fm[0]), fm[0], fm[1]))
     check = [content]
-    for g, mult in normalized:
+    for g, mult in factors:
         for _ in range(mult):
             check = upoly.mul(check, g)
     if check != f:
         raise ArithmeticError("factorization self-check failed")
-    return content, normalized
+    return content, factors

@@ -7,8 +7,6 @@ deterministic (smallest nonzero absolute value, ties by lowest row then
 column) so outputs are reproducible.
 """
 
-from __future__ import annotations
-
 import json
 import os
 
@@ -402,7 +400,7 @@ class AlgorithmB:
     witness fails recheck, raises CertificateInvalidError.
     """
 
-    def __init__(self, v_mu, p=1, inputs_digest="", checkpoint_path=None):
+    def __init__(self, v_mu, p, inputs_digest, checkpoint_path):
         self.v_mu = v_mu
         self.p = p
         self.inputs_digest = inputs_digest

@@ -5,8 +5,6 @@ followed by a combinatorial recursion on monomial ideals, rather than
 through free resolutions; the two agree and this route is simpler to audit.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 
 from .. import upoly

@@ -5,13 +5,13 @@ The term order is degrevlex (`order_key`).  Output bases are reduced
 ideals this package meets are small, and auditability wins.
 
 Open pairs wait in a heap keyed by (order_key(lcm), (i, j)), so each step
-pops the next pair instead of scanning all of them.  The leading monomial and
-coefficient of each basis element are computed once, when it joins the
-basis, and the pair keys, both criteria, every reduction (`normal_form`'s
-`leads`) and the final auto-reduction read them from one list.
+pops the next pair instead of scanning all of them.  Each basis element is
+scaled to be monic when it joins the basis, the one inversion it costs, and
+its leading monomial is computed then; the pair keys, both criteria, every
+S-polynomial and reduction (`normal_form`'s `leads`) and the final
+auto-reduction read them from one list.  A monic basis needs no division:
+S-polynomials and reduction steps only shift, scale and subtract.
 """
-
-from __future__ import annotations
 
 import heapq
 
@@ -67,40 +67,27 @@ def _lcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
-def _monomial_mul(p, exps, coeff):
-    t = {}
-    for e, c in p.terms.items():
-        t[tuple(a + b for a, b in zip(e, exps))] = c * coeff
-    out = MultiPoly.__new__(MultiPoly)
-    out.nvars, out.domain, out.terms = p.nvars, p.domain, t
-    return out
+def normal_form(f, basis, leads):
+    """Full remainder of f modulo a monic basis (every term reduced).
 
-
-def normal_form(f, basis, leads=None):
-    """Full remainder of f modulo basis (every term reduced).
-
-    `leads`, when given, lists (leading monomial, coefficient) of each basis
-    element, as `groebner` keeps them; otherwise they are computed here.
+    Every basis element has leading coefficient one, as `groebner` keeps
+    them, so a reduction step subtracts c times a shifted element and
+    inverts nothing; `leads` lists each element's leading monomial.
     """
-    if not basis:
-        return f
-    if leads is None:
-        leads = [leading(g) for g in basis]
     remainder = {}
     work = dict(f.terms)
     while work:
         e = max(work, key=order_key)
         c = work.pop(e)
-        for g, (le, lc) in zip(basis, leads):
+        for g, le in zip(basis, leads):
             if _divides(le, e):
-                factor = c / lc
                 shift = tuple(a - b for a, b in zip(e, le))
                 for ge, gc in g.terms.items():
                     if ge == le:
                         continue
                     ne = tuple(a + b for a, b in zip(ge, shift))
                     s = work.get(ne, None)
-                    s = -factor * gc if s is None else s - factor * gc
+                    s = -(c * gc) if s is None else s - c * gc
                     if s:
                         work[ne] = s
                     elif ne in work:
@@ -113,14 +100,26 @@ def normal_form(f, basis, leads=None):
     return out
 
 
-def s_polynomial(f, g):
-    le_f, lc_f = leading(f)
-    le_g, lc_g = leading(g)
+def s_polynomial(f, g, le_f, le_g):
+    """S-polynomial of two monic polynomials with leading monomials le_f and
+    le_g: their shifts to the lcm, subtracted; the leading terms cancel."""
     l = _lcm(le_f, le_g)
-    one = dom_one(f.domain)
-    a = _monomial_mul(f, tuple(x - y for x, y in zip(l, le_f)), one / lc_f)
-    b = _monomial_mul(g, tuple(x - y for x, y in zip(l, le_g)), one / lc_g)
-    return a - b
+    sf = tuple(x - y for x, y in zip(l, le_f))
+    sg = tuple(x - y for x, y in zip(l, le_g))
+    t = {tuple(a + b for a, b in zip(e, sf)): c for e, c in f.terms.items() if e != le_f}
+    for e, c in g.terms.items():
+        if e == le_g:
+            continue
+        ne = tuple(a + b for a, b in zip(e, sg))
+        s = t.get(ne, None)
+        s = -c if s is None else s - c
+        if s:
+            t[ne] = s
+        elif ne in t:
+            del t[ne]
+    out = MultiPoly.__new__(MultiPoly)
+    out.nvars, out.domain, out.terms = f.nvars, f.domain, t
+    return out
 
 
 def groebner(ideal):
@@ -134,13 +133,15 @@ def groebner(ideal):
 
     def add(g):
         e, lc = leading(g)
-        g = g.scaled(dom_one(g.domain) / lc)
+        one = dom_one(g.domain)
+        if lc != one:
+            g = g.scaled(one / lc)
         n = len(G)
-        for m, (le, _) in enumerate(leads):
+        for m, le in enumerate(leads):
             l = _lcm(le, e)
             heapq.heappush(heap, (order_key(l), (m, n), l))
         G.append(g)
-        leads.append((e, g.terms[e]))
+        leads.append(e)
 
     for g in ideal.generators:
         if g:
@@ -149,14 +150,14 @@ def groebner(ideal):
     while heap:
         _, (i, j), l = heapq.heappop(heap)
         done.add((i, j))
-        le_i, le_j = leads[i][0], leads[j][0]
+        le_i, le_j = leads[i], leads[j]
         # coprimality criterion
         if all(a + b == c for a, b, c in zip(le_i, le_j, l)):
             continue
         # chain criterion: a third element divides the lcm and both side
         # pairs were already treated
         skip = False
-        for k, (le_k, _) in enumerate(leads):
+        for k, le_k in enumerate(leads):
             if k in (i, j):
                 continue
             if _divides(le_k, l):
@@ -167,7 +168,7 @@ def groebner(ideal):
                     break
         if skip:
             continue
-        s = normal_form(s_polynomial(G[i], G[j]), G, leads)
+        s = normal_form(s_polynomial(G[i], G[j], le_i, le_j), G, leads)
         if s:
             add(s)
     return _reduce_basis(G, leads)
@@ -177,16 +178,16 @@ def _reduce_basis(G, leads):
     # drop elements whose leading monomial is divisible by another's
     keep = [
         i
-        for i, (le_i, _) in enumerate(leads)
+        for i, le_i in enumerate(leads)
         if not any(
             j != i and _divides(le_j, le_i) and (le_j != le_i or j < i)
-            for j, (le_j, _) in enumerate(leads)
+            for j, le_j in enumerate(leads)
         )
     ]
     # fully reduce each kept element against the others; no other kept
     # leading monomial divides its own, so the monic leading term survives
     reduced = []
-    for i in sorted(keep, key=lambda i: order_key(leads[i][0])):
+    for i in sorted(keep, key=lambda i: order_key(leads[i])):
         others = [k for k in keep if k != i]
         reduced.append(normal_form(G[i], [G[k] for k in others], [leads[k] for k in others]))
     return reduced

@@ -6,8 +6,6 @@ a FieldDesc).  The plain-text grammar (EBNF in the README) covers terms like
 ``3*x0^2*x1 - x2^3`` and, over non-prime fields, generator powers ``g^2*x0``.
 """
 
-from __future__ import annotations
-
 import re
 
 from ..ffield import FieldDesc, FieldElement

@@ -8,8 +8,6 @@ rational polynomial enters through `integral`.  Everything here is exact;
 no floats anywhere, and no Fractions are made.
 """
 
-from __future__ import annotations
-
 from math import gcd as _intgcd
 from math import lcm as _intlcm
 
@@ -54,6 +52,14 @@ def mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return trim(out)
+
+
+def evaluate(a, x):
+    """a(x) at an integer x, by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
 
 
 def derivative(a):
@@ -233,20 +239,20 @@ def sign_changes(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(p, lo=NEG_INF, hi=POS_INF):
-    """Number of distinct real roots of p in the half-open interval (lo, hi].
+def count_real_roots(p, lo):
+    """Number of distinct real roots of p above lo: in (lo, +inf].
 
-    p must be nonzero (int or Fraction coefficients); multiplicities are
-    ignored.  The chain of p counts distinct roots wherever its last member
-    gcd(p, p') is nonzero; when a finite endpoint is a root of it, the chain
-    of the squarefree part is used instead.
+    p must be nonzero (int or Fraction coefficients); lo is NEG_INF or a
+    rational point; multiplicities are ignored.  The chain of p counts
+    distinct roots wherever its last member gcd(p, p') is nonzero; when a
+    finite lo is a root of it, the chain of the squarefree part is used
+    instead.
     """
     if not p:
         raise ValueError("zero polynomial")
     p = integral(p)
     chain = sturm_chain(p)
     g = chain[-1]
-    finite = [x for x in (lo, hi) if x is not NEG_INF and x is not POS_INF]
-    if deg(g) > 0 and any(not _sign_at(g, x) for x in finite):
+    if deg(g) > 0 and lo is not NEG_INF and not _sign_at(g, lo):
         chain = sturm_chain(int_quotient(p, g))
-    return sign_changes(chain, lo) - sign_changes(chain, hi)
+    return sign_changes(chain, lo) - sign_changes(chain, POS_INF)

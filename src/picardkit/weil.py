@@ -1,25 +1,24 @@
 """Weight classification of zeta factors and root-of-unity pole counts.
 
 The numerator and denominator of a zeta function are factored once
-(`factor_zeta`), and every irreducible factor is assigned the unique
-cohomological weight i with all reciprocal-root moduli q^(i/2).  The
-assignment is certified exactly: the candidate i is read off the leading
-coefficient, and the claim |alpha| = q^(i/2) for every root is verified
-in Z[x], with no floating point and no rational polynomial division.  The
-trace polynomial prod (y - (alpha + q^i/alpha)) comes from integer Newton
-power sums (of scaled alpha^k and alpha^-k); Sturm chains built from
-pseudo-remainders with positive multipliers (`upoly.sturm_chain`) then
-count its real roots and those of the squared traces beyond 4 q^i.
-Root-of-unity multiplicities divide by Phi_m in Z[x].  Betti numbers and
-dim V_mu read the classified factors.
+(`factor_zeta`: the Tate-type factors Phi_m(q^(i/2) T) by trial
+division, the rest by `intfactor`), and every irreducible factor is
+assigned the unique cohomological weight i with all reciprocal-root moduli
+q^(i/2).  The assignment is certified exactly: the candidate i is read off
+the leading coefficient, and the claim |alpha| = q^(i/2) for every root is
+verified in Z[x], with no floating point and no rational polynomial
+division.  The trace polynomial prod (y - (alpha + q^i/alpha)) comes from
+integer Newton power sums (of scaled alpha^k and alpha^-k); Sturm chains
+built from pseudo-remainders with positive multipliers (`upoly.sturm_chain`)
+then count its real roots and those of the squared traces beyond 4 q^i.
+Root-of-unity multiplicities divide by Phi_m in Z[x], through the same
+trial division.  Betti numbers and dim V_mu read the classified factors.
 """
 
-from __future__ import annotations
-
-from math import comb
+from math import comb, isqrt
 
 from . import upoly
-from .intfactor import factor_int_poly
+from .intfactor import checked_factorization, factor_int_poly
 
 
 class UnclassifiableFactorError(ValueError):
@@ -121,9 +120,32 @@ def certify_root_modulus(f, s2):
 
 
 def factor_zeta(z):
-    """{"num": (content, factors), "den": (content, factors)}: one
-    factor_int_poly result for each side of the zeta function."""
-    return {"num": factor_int_poly(z.num), "den": factor_int_poly(z.den)}
+    """{"num": (content, factors), "den": (content, factors)}: for each side
+    of the zeta function, what factor_int_poly gives for it.
+
+    The Tate-type factors come out first, by trial division: for each weight
+    i <= 2 dim of the side's parity (odd for the numerator, even for the
+    denominator) with q^i a square, c = q^(i/2), every Phi_m(c T) that
+    divides the side (`_divide_out_cyclotomic`); their reciprocal roots are
+    c times roots of unity.  Each is primitive and irreducible in Z[T], a
+    rescaling of an irreducible polynomial, so by unique factorization only
+    what remains needs factor_int_poly, and the factors, multiplicities,
+    content and order are the ones it gives for the whole side.
+    """
+    q, two_d = z.q, 2 * (z.dim or 0)
+    out = {}
+    for side, f, parity in (("num", z.num, 1), ("den", z.den, 0)):
+        f = upoly.trim(f)
+        rest, tate = f, []
+        for i in range(parity, two_d + 1, 2):
+            c = isqrt(q**i)
+            if c * c != q**i:
+                continue
+            rest, found = _divide_out_cyclotomic(rest, c)
+            tate += [(g, mult) for _, g, mult in found]
+        content, factors = factor_int_poly(rest)
+        out[side] = checked_factorization(f, content, tate + factors)
+    return out
 
 
 def _candidate_weight(factor, q, two_d):
@@ -211,6 +233,74 @@ def _euler_phi_table(limit):
     return phi
 
 
+_PHI = [0]
+
+
+def _cyclotomic_indices(d):
+    """[(m, phi(m))] for every m with phi(m) <= d, increasing in m: the
+    cyclotomic polynomials a polynomial of degree d can have as factors.
+    phi(m) >= sqrt(m) for m > 6, so m <= max(6, d^2)."""
+    limit = max(6, d * d)
+    if len(_PHI) <= limit:
+        _PHI[:] = _euler_phi_table(limit)
+    return [(m, _PHI[m]) for m in range(1, limit + 1) if _PHI[m] <= d]
+
+
+_VALUES = {}
+
+
+def _cyclotomic_values(x, limit):
+    """[Phi_m(x) for m = 0..limit] (entry 0 unused) at an integer x with
+    |x| >= 2, so that no entry is zero: a sieve on x^m - 1 = prod over
+    d | m of Phi_d(x), in integers, with no polynomial built."""
+    hit = _VALUES.get(x)
+    if hit is None or len(hit) <= limit:
+        hit = [0] + [x**m - 1 for m in range(1, limit + 1)]
+        for d in range(1, limit + 1):
+            for k in range(2 * d, limit + 1, d):
+                hit[k] //= hit[d]
+        _VALUES[x] = hit
+    return hit
+
+
+# integers t at which Phi_m(c t) is tested to divide f(t) before Z[T]
+# division; |c t| >= 2
+_TEST_POINTS = (2, 3)
+
+
+def _divide_out_cyclotomic(poly, c):
+    """Divide every Phi_m(c T) out of the nonzero integer polynomial poly
+    (c >= 1), by exact division in Z[T], as often as it divides.
+
+    Returns (quotient, [(m, g, multiplicity)]) with g = Phi_m(c T), negated
+    for m = 1 so that g(0) = 1.  Before each division, g(t) must divide
+    poly(t) at the `_TEST_POINTS`: a necessary test, in integers, which
+    builds Phi_m only for the m that pass it."""
+    d = upoly.deg(poly)
+    found = []
+    if d <= 0:
+        return poly, found
+    indices = _cyclotomic_indices(d)
+    tables = [_cyclotomic_values(c * t, indices[-1][0]) for t in _TEST_POINTS]
+    values = [upoly.evaluate(poly, t) for t in _TEST_POINTS]
+    for m, phi_m in indices:
+        at = [table[m] for table in tables]
+        g, mult = None, 0
+        while phi_m <= d and not any(v % a for v, a in zip(values, at)):
+            if g is None:
+                g = [a * c**k for k, a in enumerate(cyclotomic_polynomial(m))]
+                if m == 1:
+                    g, at = [-a for a in g], [-a for a in at]
+            quotient = upoly.int_quotient(poly, g)
+            if quotient is None:
+                break
+            poly, d, mult = quotient, d - phi_m, mult + 1
+            values = [v // a for v, a in zip(values, at)]
+        if mult:
+            found.append((m, g, mult))
+    return poly, found
+
+
 def cyclotomic_multiplicity(poly):
     """Total count, with multiplicity, of root-of-unity roots of a nonzero
     rational polynomial, with the per-index breakdown.
@@ -222,30 +312,9 @@ def cyclotomic_multiplicity(poly):
     poly = upoly.trim(poly)
     if not poly:
         raise ValueError("zero polynomial")
-    poly = upoly.integral(poly)
-    d = upoly.deg(poly)
-    if d == 0:
-        return 0, {}
-    limit = 2 * d * d + 1
-    phi = _euler_phi_table(limit)
-    breakdown = {}
-    total = 0
-    for m in range(1, limit + 1):
-        if phi[m] > d:
-            continue
-        cyc = cyclotomic_polynomial(m)
-        mult = 0
-        while True:
-            q = upoly.int_quotient(poly, cyc)  # Phi_m is monic: exact over Q
-            if q is None:
-                break
-            poly = q
-            mult += 1
-        if mult:
-            breakdown[m] = mult
-            total += mult * phi[m]
-            d = upoly.deg(poly)
-    return total, breakdown
+    _, found = _divide_out_cyclotomic(upoly.integral(poly), 1)
+    breakdown = {m: mult for m, _, mult in found}
+    return sum(mult * upoly.deg(g) for _, g, mult in found), breakdown
 
 
 def dim_v_mu(z, pieces, p):

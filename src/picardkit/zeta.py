@@ -10,8 +10,6 @@ series.  Everything is exact: the middle route stays in Z, and only the
 Pade route imports `fractions`; a float would be unsound.
 """
 
-from __future__ import annotations
-
 from . import upoly
 from .exactla import solve
 

@@ -364,7 +364,7 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
     cert = RankCertificate(
         "lower", rank, {"minor": [[pairings[i][j] for j in cols] for i in rows]}
     )
-    algo = AlgorithmB(v_mu=7)
+    algo = AlgorithmB(v_mu=7, p=1, inputs_digest="", checkpoint_path=None)
     assert algo.offer(cert) == "halted"
     assert algo.result() == 7
 

@@ -449,6 +449,54 @@ def test_singular_input_rejected(tmp_path, capsys):
     assert "smooth" in err
 
 
+NODAL_CUBIC_F5 = "x1^2*x2 - x0^3 - x0^2*x2"
+NON_BOOLEANS = ["false", "no", 0, 1]
+
+
+@pytest.mark.parametrize("value, message", [
+    (False, "fails the smoothness check"),
+    *((v, "assumeSmooth must be true or false") for v in NON_BOOLEANS),
+])
+def test_assume_smooth_must_be_a_json_boolean(tmp_path, capsys, value, message):
+    # "assumeSmooth": "no" used to skip the check by truthiness, and the
+    # nodal cubic was counted and exited 5
+    spec = write_json(
+        tmp_path / "nodal.json",
+        {"field": {"p": 5}, "ambientDim": 2, "generators": [NODAL_CUBIC_F5],
+         "flags": {"hypersurfaceDegree": 3, "assumeSmooth": value}},
+    )
+    code, out, err = run_cli(capsys, "betti", spec, "--cache-dir", str(tmp_path / "c"),
+                             "--eval-budget", "1", "--no-timing")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def _minus_one_family(tmp_path, **extra):
+    # the level-1 module over l = 3 on which Frobenius acts by -1 violates
+    # the hypothesis of the rank bound
+    family = {"t": 0, "modules": [
+        {"ell": 3, "n": 1, "invariantFactors": [1], "actions": [[[2]]]},
+    ], **extra}
+    return write_json(tmp_path / "family.json", family)
+
+
+def test_hypothesis_violation_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "galois-rank", _minus_one_family(tmp_path), "--no-timing")
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(capsys, "galois-rank",
+                           _minus_one_family(tmp_path, skipHypothesisCheck=True), "--no-timing")
+    assert code == 0 and json.loads(out)["rankBounds"]
+
+
+@pytest.mark.parametrize("value", NON_BOOLEANS)
+def test_skip_hypothesis_check_must_be_a_json_boolean(tmp_path, capsys, value):
+    # "skipHypothesisCheck": "false" used to skip the check by truthiness
+    path = _minus_one_family(tmp_path, skipHypothesisCheck=value)
+    code, out, err = run_cli(capsys, "galois-rank", path, "--no-timing")
+    assert (code, out) == (2, "")
+    assert "skipHypothesisCheck must be true or false" in err
+
+
 def test_threads_flag_deterministic(tmp_path, capsys):
     spec = quadric_spec(tmp_path, p=3)
     _, out1, _ = run_cli(capsys, "count", spec, "-n", "3", "--threads", "1", "--no-timing")
@@ -1016,10 +1064,11 @@ def test_no_request_imports_argparse_openssl_or_fractions(tmp_path, command):
     # argparse loads gettext and locale, hashlib OpenSSL's _hashlib, and
     # fractions decimal and numbers: start-up that no result needs.  Only
     # the Pade route (a spec or --budget with a Betti-sum budget) makes
-    # Fractions.
+    # Fractions.  src/ has no annotations to defer, so no module imports
+    # __future__ either.
     argv = ["--help"] if command == "--help" else [*_request(tmp_path, command), "--no-timing"]
     result = _modules_after(tmp_path, *argv)
-    unused = ["argparse", "gettext", "_hashlib", "fractions", "decimal"]
+    unused = ["argparse", "gettext", "_hashlib", "fractions", "decimal", "__future__"]
     assert _loaded(result["modules"], unused) == []
 
 

@@ -330,14 +330,14 @@ def test_build_n_class_map_injective_on_span():
 
 
 def test_algorithm_b_halts_when_bounds_meet():
-    algo = AlgorithmB(v_mu=1)
+    algo = AlgorithmB(v_mu=1, p=1, inputs_digest="", checkpoint_path=None)
     cert = RankCertificate("lower", 1, {"minor": [[1]]})
     assert algo.offer(cert) == "halted"
     assert algo.result() == 1
 
 
 def test_algorithm_b_monotone_and_rejects_overshoot():
-    algo = AlgorithmB(v_mu=2)
+    algo = AlgorithmB(v_mu=2, p=1, inputs_digest="", checkpoint_path=None)
     algo.offer(RankCertificate("lower", 1, {"minor": [[2]]}))
     assert algo.best == 1
     with pytest.raises(CertificateInvalidError):
@@ -348,17 +348,17 @@ def test_algorithm_b_monotone_and_rejects_overshoot():
 
 
 def test_algorithm_b_rejects_singular_witness():
-    algo = AlgorithmB(v_mu=2)
+    algo = AlgorithmB(v_mu=2, p=1, inputs_digest="", checkpoint_path=None)
     with pytest.raises(CertificateInvalidError):
         algo.offer(RankCertificate("lower", 2, {"minor": [[1, 1], [1, 1]]}))
 
 
 def test_algorithm_b_checkpoint_resume(tmp_path):
     path = str(tmp_path / "ckpt.json")
-    algo = AlgorithmB(v_mu=3, inputs_digest="abc", checkpoint_path=path)
+    algo = AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
     algo.offer(RankCertificate("lower", 2, {"minor": [[0, 1], [1, 0]]}))
     assert algo.status() == "running"
-    resumed = AlgorithmB(v_mu=3, inputs_digest="abc", checkpoint_path=path)
+    resumed = AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
     assert resumed.best == 2
     resumed.offer(RankCertificate("lower", 3, {"minor": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     assert resumed.status() == "halted"
@@ -367,13 +367,13 @@ def test_algorithm_b_checkpoint_resume(tmp_path):
 
 def test_algorithm_b_checkpoint_rejects_other_inputs(tmp_path):
     path = str(tmp_path / "ckpt.json")
-    algo = AlgorithmB(v_mu=3, inputs_digest="abc", checkpoint_path=path)
+    algo = AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
     algo.offer(RankCertificate("lower", 2, {"minor": [[0, 1], [1, 0]]}))
     with pytest.raises(LatticeError, match="different inputs"):
-        AlgorithmB(v_mu=3, inputs_digest="abd", checkpoint_path=path)
+        AlgorithmB(v_mu=3, p=1, inputs_digest="abd", checkpoint_path=path)
     # a bound above the upper one cannot come from this upper bound's run
     with pytest.raises(LatticeError, match="outside"):
-        AlgorithmB(v_mu=1, inputs_digest="abc", checkpoint_path=path)
+        AlgorithmB(v_mu=1, p=1, inputs_digest="abc", checkpoint_path=path)
     (tmp_path / "ckpt.json").write_text("{")
     with pytest.raises(LatticeError, match="unreadable"):
-        AlgorithmB(v_mu=3, inputs_digest="abc", checkpoint_path=path)
+        AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)

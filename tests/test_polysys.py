@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,11 +89,16 @@ def test_groebner_unit_ideal():
     assert basis[0] == q("1", 2)
 
 
+def _leads(basis):
+    return [leading(g)[0] for g in basis]
+
+
 def _buchberger_criterion_holds(basis):
+    leads = _leads(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j])
-            if normal_form(s, basis):
+            s = s_polynomial(basis[i], basis[j], leads[i], leads[j])
+            if normal_form(s, basis, leads):
                 return False
     return True
 
@@ -103,7 +109,7 @@ def test_groebner_buchberger_oracle():
     assert _buchberger_criterion_holds(basis)
     # each original generator reduces to zero against the basis
     for g in ideal.generators:
-        assert not normal_form(g, basis)
+        assert not normal_form(g, basis, _leads(basis))
 
 
 def test_groebner_idempotent():
@@ -169,7 +175,7 @@ def reference_groebner(ideal):
                     break
         if skip:
             continue
-        s = normal_form(s_polynomial(G[i], G[j]), G)
+        s = normal_form(s_polynomial(G[i], G[j], le_i, le_j), G, _leads(G))
         if s:
             _, lc = leading(s)
             s = s.scaled(dom_one(s.domain) / lc)
@@ -195,7 +201,7 @@ def _reference_reduce_basis(G):
     reduced = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others) if others else g
+        r = normal_form(g, others, _leads(others)) if others else g
         if r:
             _, lc = leading(r)
             reduced.append(r.scaled(dom_one(r.domain) / lc))
@@ -233,6 +239,42 @@ def test_groebner_matches_reference_on_random_ideals():
     for gens in _singular_locus_ideals(1303, 100):
         ideal = HomIdeal(gens)
         assert groebner(ideal) == reference_groebner(ideal), [poly_to_str(g) for g in gens]
+
+
+K3_F2 = "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"
+CUBIC_F4 = "x0^3 + x1^3 + x2^3 + g^2*x3^3"
+
+
+@pytest.mark.parametrize("p, e, text", [
+    (2, 1, K3_F2), (2, 2, CUBIC_F4), (5, 1, "x0^4 + x1^4 + x2^4 + x3^4"),
+])
+def test_groebner_inverts_at_most_once_per_added_element(monkeypatch, p, e, text):
+    # the basis is kept monic, so S-polynomials and reductions divide by no
+    # leading coefficient; only scaling an element to be monic as it joins
+    # the basis inverts (the K3's singular locus took 94 inversions before)
+    from picardkit.ffield import FieldElement
+    from picardkit.polysys import smoothness_check
+
+    # the module, which the package's `groebner` function shadows
+    groebner_module = sys.modules["picardkit.polysys.groebner"]
+
+    calls = {"inv": 0, "added": 0}
+    inv, lead = FieldElement.inv, groebner_module.leading
+
+    def counting_inv(self):
+        calls["inv"] += 1
+        return inv(self)
+
+    def counting_leading(g):
+        calls["added"] += 1  # groebner reads the leading term only in add
+        return lead(g)
+
+    monkeypatch.setattr(FieldElement, "inv", counting_inv)
+    monkeypatch.setattr(groebner_module, "leading", counting_leading)
+    field = make_field(p, e)
+    assert smoothness_check(HomIdeal([poly_from_str(text, 4, field)]))
+    assert calls["added"] > 0
+    assert calls["inv"] <= calls["added"]
 
 
 def test_homogeneity_enforced():

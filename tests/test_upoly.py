@@ -122,24 +122,30 @@ def test_squarefree_part():
     assert len(sturm_chain(mul([1, 1], [2, 1]))[-1]) == 1  # squarefree: constant
 
 
+def count_in(p, lo, hi):
+    """Distinct real roots of p in (lo, hi], from two counts above a point."""
+    above_hi = 0 if hi is POS_INF else count_real_roots(p, hi)
+    return count_real_roots(p, lo) - above_hi
+
+
 def test_sturm_known_roots():
     # roots at -2, 0, 3
     p = poly_from_roots([-2, 0, 3])
-    assert count_real_roots(p) == 3
-    assert count_real_roots(p, lo=Fraction(0)) == 1  # (0, +inf]: just 3
-    assert count_real_roots(p, lo=Fraction(-1), hi=Fraction(1)) == 1  # just 0
-    assert count_real_roots(p, lo=Fraction(-3), hi=Fraction(0)) == 2  # -2 and 0
+    assert count_real_roots(p, NEG_INF) == 3
+    assert count_real_roots(p, Fraction(0)) == 1  # (0, +inf]: just 3
+    assert count_in(p, Fraction(-1), Fraction(1)) == 1  # just 0
+    assert count_in(p, Fraction(-3), Fraction(0)) == 2  # -2 and 0
 
 
 def test_sturm_no_real_roots():
-    assert count_real_roots([1, 0, 1]) == 0  # x^2 + 1
+    assert count_real_roots([1, 0, 1], NEG_INF) == 0  # x^2 + 1
     # every distinct root of (x - 1)(x - 2)^2 is real
-    assert count_real_roots(poly_from_roots([1, 2, 2])) == 2
+    assert count_real_roots(poly_from_roots([1, 2, 2]), NEG_INF) == 2
 
 
 def test_sturm_multiplicities_ignored():
     p = mul(mul([1, 1], [1, 1]), [1, 1])  # (x+1)^3
-    assert count_real_roots(p) == 1
+    assert count_real_roots(p, NEG_INF) == 1
 
 
 def test_sturm_random_integer_roots():
@@ -147,12 +153,12 @@ def test_sturm_random_integer_roots():
     for _ in range(30):
         roots = sorted(rng.sample(range(-8, 9), rng.randint(1, 5)))
         p = poly_from_roots(roots)
-        assert count_real_roots(p) == len(roots)
+        assert count_real_roots(p, NEG_INF) == len(roots)
         lo = Fraction(rng.randint(-10, 10))
         hi = lo + rng.randint(0, 12)
         expected = sum(1 for r in roots if lo < r <= hi)
-        assert count_real_roots(p, lo=lo, hi=hi) == expected
-        assert count_real_roots(p, NEG_INF, POS_INF) == len(roots)
+        assert count_in(p, lo, hi) == expected
+        assert count_real_roots(p, lo) == sum(1 for r in roots if r > lo)
 
 
 def test_sturm_endpoints_at_multiple_roots():
@@ -168,10 +174,10 @@ def test_sturm_endpoints_at_multiple_roots():
                 1 for r in roots
                 if (lo is NEG_INF or r > lo) and (hi is POS_INF or r <= hi)
             )
-            assert count_real_roots(p, lo=lo, hi=hi) == expected, (lo, hi)
+            assert count_in(p, lo, hi) == expected, (lo, hi)
     # Fraction coefficients and non-primitive input count the same roots
-    assert count_real_roots([Fraction(c, 6) for c in p], lo=Fraction(1, 2)) == 1
-    assert count_real_roots([-4 * c for c in p], hi=Fraction(1, 2)) == 2
+    assert count_real_roots([Fraction(c, 6) for c in p], Fraction(1, 2)) == 1
+    assert count_in([-4 * c for c in p], NEG_INF, Fraction(1, 2)) == 2
 
 
 def test_sturm_chain_signs_match_fraction_chain():

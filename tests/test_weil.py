@@ -327,11 +327,79 @@ def _factor_map(poly):
     return content, {tuple(f): m for f, m in factors}
 
 
+# (1 - T)(1 - 2T)^2 (1 - 4T) Phi_4(2T) Phi_3(2T) Phi_5(2T) Phi_36(2T)
+K3_DEN_FACTORED = (1, [
+    ([1, -4], 1), ([1, -2], 2), ([1, -1], 1), ([1, 0, 4], 1), ([1, 2, 4], 1),
+    ([1, 2, 4, 8, 16], 1), ([1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096], 1),
+])
+
+
 def test_factor_k3_denominator_pinned():
-    assert factor_int_poly(K3_DEN) == (1, [
-        ([1, -4], 1), ([1, -2], 2), ([1, -1], 1), ([1, 0, 4], 1), ([1, 2, 4], 1),
-        ([1, 2, 4, 8, 16], 1), ([1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096], 1),
-    ])
+    assert factor_int_poly(K3_DEN) == K3_DEN_FACTORED
+
+
+def test_k3_denominator_needs_no_modular_factoring(monkeypatch):
+    # every factor is Tate-type, Phi_m(c T) with c = 1, 2 or 4, so trial
+    # division takes them all and Zassenhaus sees a constant
+    from picardkit import intfactor
+
+    def refuse(*args):
+        raise AssertionError("modular factoring reached")
+
+    monkeypatch.setattr(intfactor, "_berlekamp", refuse)
+    monkeypatch.setattr(intfactor, "_hensel_tree", refuse)
+    z = ZetaFunction(q=2, num=[1], den=K3_DEN, dim=2)
+    assert factor_zeta(z) == {"num": (1, []), "den": K3_DEN_FACTORED}
+
+
+def _tate_factor(m, c):
+    """Phi_m(c T) with constant term 1."""
+    g = [a * c**k for k, a in enumerate(cyclotomic_polynomial(m))]
+    return [-a for a in g] if m == 1 else g
+
+
+# irreducible over Z yet split modulo many primes, or not Tate-type at any
+# weight: 1 + T^4, 1 -+ 2T^2, 1 - 3T^2 and the Klein quartic's P_1 over F_2
+STUBBORN = [[1, 0, 0, 0, 1], [1, 0, 2], [1, 0, -2], [1, 0, -3], [1, 0, 0, 5, 0, 0, 8]]
+SMALL_M = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18]
+
+
+def test_factor_zeta_agrees_with_factor_int_poly_on_every_side(monkeypatch):
+    # sides built from Tate-type factors Phi_m(q^(i/2) T), Weil quadratics of
+    # weight i and stubborn factors, each placed on either side, so that
+    # Tate-type factors of the wrong parity reach Zassenhaus too
+    import picardkit.weil as weil
+
+    seen = []
+    monkeypatch.setattr(weil, "factor_int_poly",
+                        lambda f: seen.append(len(f)) or factor_int_poly(f))
+    rng = random.Random(4417)
+    reduced = 0
+    for _ in range(100):
+        q, dim = rng.choice([2, 3, 4, 5, 9]), rng.randint(1, 3)
+        sides = {"num": [1], "den": [1]}
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randint(0, 2 * dim)
+            c = isqrt(q**i)
+            kind = rng.choice(["tate", "tate", "weil", "stubborn"])
+            if kind == "tate" and c * c == q**i:
+                g = _tate_factor(rng.choice(SMALL_M), c)
+            elif kind == "stubborn":
+                g = rng.choice(STUBBORN)
+            else:
+                g = _weil_quadratic(rng, q**i, True)
+            side = rng.choice(["num", "den"])
+            for _ in range(rng.randint(1, 2)):
+                if len(sides[side]) + len(g) <= 26:
+                    sides[side] = mul(sides[side], g)
+        z = ZetaFunction(q=q, num=sides["num"], den=sides["den"], dim=dim)
+        seen.clear()
+        got = factor_zeta(z)
+        assert list(got) == ["num", "den"]
+        assert got == {side: factor_int_poly(f) for side, f in sides.items()}, (q, dim, sides)
+        reduced += sum(n < len(sides[side]) for n, side in zip(seen, ["num", "den"]))
+    # trial division took something off a good share of the 200 sides
+    assert reduced >= 50
 
 
 def _eisenstein(rng):
