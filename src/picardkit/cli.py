@@ -2,11 +2,12 @@
 
 Subcommands: count, zeta, betti, tate-bound, rank, torsion, galois-rank,
 dovetail.  stdout carries exactly one machine-readable JSON report (or an
-NDJSON trace for `dovetail --trace-file -`); progress heartbeats go to
-stderr.  Exit codes: 0 success, 2 invalid input, 3 budget exceeded,
-4 undecided / still running, 5 internal inconsistency in the inputs
-(no matching zeta function, unclassifiable factors, inconsistent tables),
-1 unexpected error.
+NDJSON trace for `dovetail --trace-file -`): each subcommand returns its
+report, and `main` alone adds its `timing` and writes it.  Progress
+heartbeats go to stderr.  Exit codes: 0 success, 2 invalid input, 3 budget
+exceeded, 4 undecided / still running, 5 internal inconsistency in the
+inputs (no matching zeta function, unclassifiable factors, inconsistent
+tables), 1 unexpected error.
 
 `run()` is the process entry point (`python -m picardkit`, `python -m
 picardkit.cli`, the `picardkit` script): the process exits right after
@@ -167,10 +168,6 @@ def _zeta_pipeline(ideal, flags, args, report):
                 # levels free) up to D counts, which fix every coefficient of
                 # the unknown factor; the sign is never guessed
                 if n_max >= budget.unknown_degree:
-                    report["zeta"] = {
-                        "ambiguous": True,
-                        "candidates": [c.to_json() for c in exc.candidates],
-                    }
                     raise CliError(str(exc), EXIT_UNDECIDED) from None
                 n_max += 1
     except BudgetExceededError as exc:
@@ -188,10 +185,10 @@ def _zeta_pipeline(ideal, flags, args, report):
     factored = weil.factor_zeta(z)
     report["zeta"]["factored"] = {
         side: {
-            "content": content,
-            "factors": [{"poly": f, "multiplicity": m} for f, m in factors],
+            "content": factored[side][0],
+            "factors": [{"poly": f, "multiplicity": m} for f, m in factored[side][1]],
         }
-        for side, (content, factors) in factored.items()
+        for side in ("num", "den")
     }
     return z, factored
 
@@ -200,22 +197,23 @@ def _report_base(command, inputs):
     return {"schema": SCHEMA, "command": command, "inputs": inputs}
 
 
-def _emit(report, args, started):
-    if not getattr(args, "no_timing", False):
-        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+def _spec_request(args):
+    """(ideal, flags, report base) of a command that reads one variety spec."""
+    from .counting import variety_hash
+
+    ideal, flags = _variety_from_spec(_load_json(args.spec))
+    return ideal, flags, _report_base(args.command, {"digest": variety_hash(ideal)})
 
 
 # -- subcommand drivers -------------------------------------------------------
+# each returns (report, exit code); the report is None when the command has
+# written stdout itself
 
 
 def cmd_count(args):
-    from .counting import BudgetExceededError, count_tower, variety_hash
+    from .counting import BudgetExceededError, count_tower
 
-    started = time.perf_counter()
-    ideal, flags = _variety_from_spec(_load_json(args.spec))
-    report = _report_base("count", {"digest": variety_hash(ideal)})
+    ideal, _, report = _spec_request(args)
     cache = _cache_from_args(args)
     try:
         series = count_tower(
@@ -226,44 +224,31 @@ def cmd_count(args):
         raise _budget_error(exc) from None
     _validate_counts(series)
     report["counts"] = {"q": series.q, "values": series.counts}
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_zeta(args):
-    from .counting import variety_hash
-
-    started = time.perf_counter()
-    ideal, flags = _variety_from_spec(_load_json(args.spec))
-    report = _report_base("zeta", {"digest": variety_hash(ideal)})
+    ideal, flags, report = _spec_request(args)
     _zeta_pipeline(ideal, flags, args, report)
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_betti(args):
     from . import weil
-    from .counting import variety_hash
 
-    started = time.perf_counter()
-    ideal, flags = _variety_from_spec(_load_json(args.spec))
-    report = _report_base("betti", {"digest": variety_hash(ideal)})
+    ideal, flags, report = _spec_request(args)
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         report["betti"] = weil.betti_numbers(z, weil.classify_weights(z, factored))
     except weil.UnclassifiableFactorError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_tate(args):
     from . import weil
-    from .counting import variety_hash
 
-    started = time.perf_counter()
-    ideal, flags = _variety_from_spec(_load_json(args.spec))
-    report = _report_base("tate-bound", {"digest": variety_hash(ideal)})
+    ideal, flags, report = _spec_request(args)
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         pieces = weil.classify_weights(z, factored)
@@ -272,8 +257,7 @@ def cmd_tate(args):
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
     bound = weil.dim_v_mu(z, pieces, args.p)
     report["tateBound"] = bound.to_json()
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _int_row(row):
@@ -307,7 +291,6 @@ def cmd_rank(args):
     from . import lattice, weil
     from .counting import sha256, variety_hash
 
-    started = time.perf_counter()
     spec = _load_json(args.spec)
     cycles = _load_json(args.cycles)
     ideal, flags = _variety_from_spec(spec)
@@ -393,14 +376,12 @@ def cmd_rank(args):
             raise CliError(str(exc), EXIT_INCONSISTENT) from None
         except lattice.LatticeError as exc:
             raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    _emit(report, args, started)
-    return EXIT_OK if algo.halted else EXIT_UNDECIDED
+    return report, EXIT_OK if algo.halted else EXIT_UNDECIDED
 
 
 def cmd_torsion(args):
     from . import galmod
 
-    started = time.perf_counter()
     obj = _load_json(args.table)
     try:
         table = galmod.SizeTable.from_json(obj)
@@ -420,14 +401,12 @@ def cmd_torsion(args):
     }
     if not res.exact:
         report["torsion"]["exponentAtLeast"] = res.exponent_at_least
-    _emit(report, args, started)
-    return EXIT_OK if res.exact else EXIT_UNDECIDED
+    return report, EXIT_OK if res.exact else EXIT_UNDECIDED
 
 
 def cmd_galois_rank(args):
     from . import galmod
 
-    started = time.perf_counter()
     obj = _load_json(args.family)
     try:
         t = obj["t"]
@@ -449,14 +428,12 @@ def cmd_galois_rank(args):
         "runningMin": bounds.running_min,
         "value": bounds.value,
     }
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_dovetail(args):
     from .dovetail import IntegerSearchTask, PlantedTask, export_trace, run_geometric
 
-    started = time.perf_counter()
     if not args.demo:
         raise CliError("only --demo mode is implemented", EXIT_INVALID_INPUT)
     tasks = [
@@ -475,12 +452,11 @@ def cmd_dovetail(args):
     }
     if args.trace_file == "-":
         export_trace(res.events, sys.stdout)
-        return EXIT_OK
+        return None, EXIT_OK
     if args.trace_file:
         with open(args.trace_file, "w", encoding="utf-8") as fh:
             export_trace(res.events, fh)
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -580,9 +556,20 @@ def parse_args(argv):
 
 
 def main(argv=None):
+    """Run one command and write its report, with `timing` unless
+    --no-timing; returns the exit code."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return args.fn(args) if args else EXIT_OK
+        if args is None:
+            return EXIT_OK
+        started = time.perf_counter()
+        report, code = args.fn(args)
+        if report is not None:
+            if not args.no_timing:
+                report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+            json.dump(report, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+        return code
     except CliError as exc:
         print(f"picardkit: {exc}", file=sys.stderr)
         return exc.code

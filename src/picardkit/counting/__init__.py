@@ -54,12 +54,11 @@ class BudgetExceededError(RuntimeError):
 class CountSeries:
     """Point counts N_1..N_m of one variety over a tower of extensions."""
 
-    __slots__ = ("q", "counts", "variety_hash", "ambient_dim")
+    __slots__ = ("q", "counts", "ambient_dim")
 
-    def __init__(self, q, counts, variety_hash="", ambient_dim=0):
+    def __init__(self, q, counts, ambient_dim=0):
         self.q = q
         self.counts = counts
-        self.variety_hash = variety_hash
         self.ambient_dim = ambient_dim
 
     def __len__(self):
@@ -249,9 +248,7 @@ def count_tower(
     vhash = variety_hash(ideal)
     q = ideal.domain.q
     counts = []
-    series = CountSeries(
-        q=q, counts=counts, variety_hash=vhash, ambient_dim=ideal.nvars - 1
-    )
+    series = CountSeries(q=q, counts=counts, ambient_dim=ideal.nvars - 1)
     for n in range(1, n_max + 1):
         hit = cache.get(vhash, n) if cache else None
         if hit is not None:

@@ -1,8 +1,9 @@
 """Append-only point-count cache.
 
-One JSON record per line: {"hash": ..., "n": ..., "count": ...}.  On load, a
-corrupt record after the last newline (an interrupted write) is truncated
-away and any other corrupt line is skipped, so no valid record is lost.
+One JSON record per line: {"hash": ..., "n": ..., "count": ...}, a string
+and two JSON integers.  On load, a corrupt record after the last newline (an
+interrupted write) is truncated away and any other corrupt line is skipped,
+so no valid record is lost and a skipped level is counted again.
 Concurrent invocations may share one file: each append, and each truncation
 of a corrupt tail, holds an exclusive flock on it.
 """
@@ -29,7 +30,11 @@ class CountCache:
                 continue
             try:
                 rec = json.loads(line)
-                self.records[(rec["hash"], rec["n"])] = rec["count"]
+                digest, n, count = rec["hash"], rec["n"], rec["count"]
+                # JSON integers only: a count of 5.0, "5" or true is corrupt
+                if not (type(digest) is str and type(n) is int and type(count) is int):
+                    raise ValueError("not a count record")
+                self.records[(digest, n)] = count
             except (ValueError, KeyError, TypeError):
                 if i == len(lines) - 1:
                     self._truncate_tail()

@@ -5,6 +5,7 @@ the same function contracts and produce identical counts.
 """
 
 import os
+from functools import cache
 
 _impl = None
 if not os.environ.get("PICARDKIT_PURE"):
@@ -21,22 +22,13 @@ def backend_module():
     return _impl
 
 
-_TABLE_CACHE = {}
-
-
+@cache
 def field_tables(field):
     """exp/log/Zech tables for a FieldDesc, cached per process."""
-    key = (field.p, field.e, field.modulus)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        hit = _impl.build_tables(field.p, field.e, field.modulus)
-        _TABLE_CACHE[key] = hit
-    return hit
+    return _impl.build_tables(field.p, field.e, field.modulus)
 
 
-_TRACE_CACHE = {}
-
-
+@cache
 def trace_mask(field):
     """Bitmask m with absolute trace(x) = parity(popcount(index(x) & m)).
 
@@ -45,10 +37,6 @@ def trace_mask(field):
     """
     if field.p != 2:
         return 0
-    key = (field.p, field.e, field.modulus)
-    hit = _TRACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     e = field.e
     beta = field.gen() if e > 1 else field.one()
     mask = 0
@@ -63,5 +51,4 @@ def trace_mask(field):
         if acc.coeffs[0]:
             mask |= 1 << i
         power = power * beta
-    _TRACE_CACHE[key] = mask
     return mask

@@ -13,6 +13,7 @@ explicit embedding of the degree-e field.
 """
 
 import itertools
+from functools import cache
 
 
 class FieldError(ValueError):
@@ -345,9 +346,7 @@ def poly_str(coeffs):
 # field construction
 
 
-_FIELD_CACHE = {}
-
-
+@cache
 def make_field(p, e):
     """The canonical F_{p^e}.
 
@@ -355,8 +354,6 @@ def make_field(p, e):
     coefficient vectors are enumerated as base-p integers 0, 1, 2, ...
     (constant coefficient = least significant digit).
     """
-    if (p, e) in _FIELD_CACHE:
-        return _FIELD_CACHE[(p, e)]
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
     if e < 1:
@@ -371,9 +368,7 @@ def make_field(p, e):
             coeffs.append(r)
         m = coeffs + [1]
         if _is_irreducible(m, p):
-            field = FieldDesc(p, e, m)
-            _FIELD_CACHE[(p, e)] = field
-            return field
+            return FieldDesc(p, e, m)
 
 
 class Embedding:
@@ -407,9 +402,7 @@ class Embedding:
         return acc
 
 
-_EMBED_CACHE = {}
-
-
+@cache
 def extend(base, n):
     """F_{q^n} for q = p^e, with the embedding of the degree-e base field.
 
@@ -419,9 +412,6 @@ def extend(base, n):
     F_{p^e} of the extension, so they are looked for there: O(p^e) field
     operations per extension instead of O(q^n).
     """
-    key = (base.p, base.e, base.modulus, n)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
     if n < 1:
         raise FieldError("extension degree must be positive")
     ext = make_field(base.p, base.e * n)
@@ -431,9 +421,7 @@ def extend(base, n):
         image = ext.gen()  # base is canonical, so identity embedding
     else:
         image = _find_root(base.modulus, ext)
-    emb = Embedding(base, ext, image)
-    _EMBED_CACHE[key] = emb
-    return emb
+    return Embedding(base, ext, image)
 
 
 def _find_root(modulus, ext):

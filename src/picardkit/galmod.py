@@ -162,11 +162,9 @@ def invariants(mod):
 class RankBounds:
     """Per-level upper bounds u_n and their running minimum."""
 
-    __slots__ = ("ell", "t", "per_level", "running_min", "value")
+    __slots__ = ("per_level", "running_min", "value")
 
-    def __init__(self, ell, t, per_level, running_min, value):
-        self.ell = ell
-        self.t = t
+    def __init__(self, per_level, running_min, value):
         self.per_level = per_level  # [(n, u_n)]
         self.running_min = running_min
         self.value = value
@@ -183,7 +181,7 @@ def rank_upper_bounds(family, t, check_hypothesis=True):
     the fixed rank is wanted without the provenance assumption.
     """
     if not family:
-        return RankBounds(ell=0, t=t, per_level=[], running_min=[], value=0)
+        return RankBounds(per_level=[], running_min=[], value=0)
     ell = family[0].ell
     for mod in family:
         if mod.ell != ell:
@@ -207,8 +205,6 @@ def rank_upper_bounds(family, t, check_hypothesis=True):
         best = u if best is None else min(best, u)
         running.append(best)
     return RankBounds(
-        ell=ell,
-        t=t,
         per_level=per_level,
         running_min=running,
         value=best if best is not None else 0,
@@ -271,11 +267,9 @@ class TorsionResult:
     `exponent_at_least` bounds the exponent from below.
     """
 
-    __slots__ = ("ell", "degree", "exact", "exponents", "r_by_level", "exponent_at_least")
+    __slots__ = ("exact", "exponents", "r_by_level", "exponent_at_least")
 
-    def __init__(self, ell, degree, exact, exponents, r_by_level, exponent_at_least=0):
-        self.ell = ell
-        self.degree = degree
+    def __init__(self, exact, exponents, r_by_level, exponent_at_least=0):
         self.exact = exact
         self.exponents = exponents
         self.r_by_level = r_by_level
@@ -335,8 +329,6 @@ def torsion_from_sizes(table, i):
             break
     if stable_n is None:
         return TorsionResult(
-            ell=table.ell,
-            degree=i,
             exact=False,
             exponents=None,
             r_by_level={},
@@ -353,8 +345,6 @@ def torsion_from_sizes(table, i):
             exponents.extend([n] * r)
     exponents.sort(reverse=True)
     return TorsionResult(
-        ell=table.ell,
-        degree=i,
         exact=True,
         exponents=exponents,
         r_by_level=r_by_level,

@@ -4,17 +4,18 @@ The numerator and denominator of a zeta function are factored once
 (`factor_zeta`: the Tate-type factors Phi_m(q^(i/2) T) by trial
 division, the rest by `intfactor`), and every irreducible factor is
 assigned the unique cohomological weight i with all reciprocal-root moduli
-q^(i/2).  The assignment is certified exactly: the candidate i is read off
-the leading coefficient, and the claim |alpha| = q^(i/2) for every root is
-verified in Z[x], with no floating point and no rational polynomial
-division.  The trace polynomial prod (y - (alpha + q^i/alpha)) comes from
-integer Newton power sums (of scaled alpha^k and alpha^-k); Sturm chains
-built from pseudo-remainders with positive multipliers (`upoly.sturm_chain`)
-then count its real roots and those of the squared traces beyond 4 q^i.
-Root-of-unity multiplicities divide by Phi_m in Z[x], through the same
-trial division.  Betti numbers and dim V_mu read the classified factors.
+q^(i/2).  The candidate i is read off the leading coefficient.  A Tate-type
+factor has those moduli by construction; for every other factor the claim
+|alpha| = q^(i/2) for every root is verified in Z[x], with no floating point
+and no rational polynomial division.  The trace polynomial
+prod (y - (alpha + q^i/alpha)) comes from integer Newton power sums (of
+scaled alpha^k and alpha^-k); Sturm chains built from pseudo-remainders with
+positive multipliers (`upoly.sturm_chain`) then count its real roots and
+those of the squared traces beyond 4 q^i.  Betti numbers and dim V_mu read
+the classified factors, and dim V_mu the index m that trial division found.
 """
 
+from functools import cache
 from math import comb, isqrt
 
 from . import upoly
@@ -27,12 +28,12 @@ class UnclassifiableFactorError(ValueError):
 
 class WeilFactor:
     """The weight-i piece of a zeta function: P_i with P_i(0) = 1, and its
-    irreducible factors with multiplicity."""
+    irreducible factors as (factor, multiplicity, m), where m is the index
+    of a Tate-type factor Phi_m(q^(i/2) T) and None for any other factor."""
 
-    __slots__ = ("weight", "poly", "factors")
+    __slots__ = ("poly", "factors")
 
-    def __init__(self, weight, poly, factors):
-        self.weight = weight
+    def __init__(self, poly, factors):
         self.poly = poly
         self.factors = factors
 
@@ -45,10 +46,10 @@ class TateBound:
 
     __slots__ = ("p", "v_mu", "per_factor")
 
-    def __init__(self, p, v_mu, per_factor=None):
+    def __init__(self, p, v_mu, per_factor):
         self.p = p
         self.v_mu = v_mu
-        self.per_factor = [] if per_factor is None else per_factor
+        self.per_factor = per_factor
 
     def to_json(self):
         return {"p": self.p, "vMu": self.v_mu, "perFactor": self.per_factor}
@@ -93,15 +94,11 @@ def certify_root_modulus(f, s2):
             else:
                 acc += term * m**j * down[k - 2 * j]
         sums.append(acc)
-    # elementary symmetric functions e_k of the m beta, all integers
-    e = [1]
-    for k in range(1, d + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1))
-        ek, rem = divmod(acc, k)
-        assert not rem, "trace power sums are not integral"
-        e.append(ek)
+    # prod (1 - m beta T) = sum c_k T^k, all integers
+    c = upoly.from_power_sums(sums)
+    assert c is not None, "trace power sums are not integral"
     # m^d prod (y - beta), index = degree
-    trace_poly = upoly.primitive([(-1) ** (d - i) * e[d - i] * m**i for i in range(d + 1)])[1]
+    trace_poly = upoly.primitive([c[d - i] * m**i for i in range(d + 1)])[1]
     chain = upoly.sturm_chain(trace_poly)
     g = chain[-1]
     sf = trace_poly if upoly.deg(g) == 0 else upoly.int_quotient(trace_poly, g)
@@ -120,8 +117,9 @@ def certify_root_modulus(f, s2):
 
 
 def factor_zeta(z):
-    """{"num": (content, factors), "den": (content, factors)}: for each side
-    of the zeta function, what factor_int_poly gives for it.
+    """{"num": (content, factors), "den": (content, factors), "tate": {g: m}}:
+    for each side of the zeta function, what factor_int_poly gives for it,
+    and the index m of each Tate-type factor g (as a tuple).
 
     The Tate-type factors come out first, by trial division: for each weight
     i <= 2 dim of the side's parity (odd for the numerator, even for the
@@ -133,7 +131,7 @@ def factor_zeta(z):
     content and order are the ones it gives for the whole side.
     """
     q, two_d = z.q, 2 * (z.dim or 0)
-    out = {}
+    out, index = {}, {}
     for side, f, parity in (("num", z.num, 1), ("den", z.den, 0)):
         f = upoly.trim(f)
         rest, tate = f, []
@@ -143,8 +141,10 @@ def factor_zeta(z):
                 continue
             rest, found = _divide_out_cyclotomic(rest, c)
             tate += [(g, mult) for _, g, mult in found]
+            index.update((tuple(g), m) for m, g, _ in found)
         content, factors = factor_int_poly(rest)
         out[side] = checked_factorization(f, content, tate + factors)
+    out["tate"] = index
     return out
 
 
@@ -161,13 +161,13 @@ def classify_weights(z, factored):
     """WeilFactor list P_0..P_2d for a zeta function that passed the
     functional-equation check, from its factorization `factored` (as
     factor_zeta returns it).  Denominator factors take even weights,
-    numerator factors odd ones; every irreducible factor is certified once.
-    Each factor has constant term 1: it divides num(0) = den(0) = 1, and
-    factor_int_poly makes it positive."""
+    numerator factors odd ones; every irreducible factor that is not
+    Tate-type is certified once.  Each factor has constant term 1: it
+    divides num(0) = den(0) = 1, and factor_int_poly makes it positive."""
     if z.dim is None:
         raise ValueError("weight classification needs the dimension")
     two_d = 2 * z.dim
-    pieces = [WeilFactor(weight=i, poly=[1], factors=[]) for i in range(two_d + 1)]
+    pieces = [WeilFactor(poly=[1], factors=[]) for _ in range(two_d + 1)]
     for side, parity in (("den", 0), ("num", 1)):
         for f, mult in factored[side][1]:
             i = _candidate_weight(f, z.q, two_d)
@@ -179,12 +179,14 @@ def classify_weights(z, factored):
                 raise UnclassifiableFactorError(
                     f"factor {f} has weight {i} on the wrong side of the zeta function"
                 )
-            if not certify_root_modulus(f, z.q**i):
+            # a Tate-type factor's roots have modulus q^(i/2) by construction
+            m = factored["tate"].get(tuple(f))
+            if m is None and not certify_root_modulus(f, z.q**i):
                 raise UnclassifiableFactorError(
                     f"roots of {f} are not certified at modulus q^({i}/2)"
                 )
             piece = pieces[i]
-            piece.factors.append((f, mult))
+            piece.factors.append((f, mult, m))
             for _ in range(mult):
                 piece.poly = upoly.mul(piece.poly, f)
     return pieces
@@ -203,24 +205,18 @@ def betti_numbers(z, pieces):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic multiplicity and the Tate-class bound
+# cyclotomic trial division and the Tate-class bound
 
 
-_CYCLO_CACHE = {1: [-1, 1]}
-
-
+@cache
 def cyclotomic_polynomial(m):
     """Phi_m as an integer coefficient list, by exact recursive division."""
-    hit = _CYCLO_CACHE.get(m)
-    if hit is not None:
-        return hit
     num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
             q = upoly.int_quotient(num, cyclotomic_polynomial(d))
             assert q is not None
             num = q
-    _CYCLO_CACHE[m] = num
     return num
 
 
@@ -301,43 +297,26 @@ def _divide_out_cyclotomic(poly, c):
     return poly, found
 
 
-def cyclotomic_multiplicity(poly):
-    """Total count, with multiplicity, of root-of-unity roots of a nonzero
-    rational polynomial, with the per-index breakdown.
-
-    Returns (total, {m: multiplicity of Phi_m}); the total is
-    sum multiplicity * phi(m), i.e. the number of roots that are roots of
-    unity counted with multiplicity.
-    """
-    poly = upoly.trim(poly)
-    if not poly:
-        raise ValueError("zero polynomial")
-    _, found = _divide_out_cyclotomic(upoly.integral(poly), 1)
-    breakdown = {m: mult for m, _, mult in found}
-    return sum(mult * upoly.deg(g) for _, g, mult in found), breakdown
-
-
 def dim_v_mu(z, pieces, p):
     """dim V_mu for codimension p: the number of zeta poles that are a root
-    of unity times q^-p, counted with multiplicity.  Sums, over the
-    irreducible factors of P_2p in the classify_weights pieces, the
-    multiplicity times the root-of-unity roots of P(T / q^p)."""
+    of unity times q^-p, counted with multiplicity.  Such a pole is a
+    reciprocal root q^p zeta of P_2p, whose irreducible factor is then
+    Phi_m(q^p T), which factor_zeta tags with its m: so the sum, over the
+    factors of P_2p in the classify_weights pieces, of the multiplicity
+    times the degree of each Tate-type factor."""
     if not 0 <= p <= (z.dim if z.dim is not None else 0):
         raise ValueError("codimension out of range")
     total = 0
     per_factor = []
-    for f, mult in pieces[2 * p].factors:
-        fd = upoly.deg(f)
-        # clear denominators of f(T / q^p)
-        fs = [f[k] * z.q ** (p * (fd - k)) for k in range(fd + 1)]
-        ftot, fbreak = cyclotomic_multiplicity(fs)
-        total += mult * ftot
+    for f, mult, m in pieces[2 * p].factors:
+        count = 0 if m is None else upoly.deg(f)
+        total += mult * count
         per_factor.append(
             {
                 "factor": [int(c) for c in f],
                 "multiplicity": mult,
-                "cyclotomic": {str(m): c for m, c in sorted(fbreak.items())},
-                "unit_root_count": ftot,
+                "cyclotomic": {} if m is None else {str(m): 1},
+                "unit_root_count": count,
             }
         )
     return TateBound(p=p, v_mu=total, per_factor=per_factor)

@@ -3,9 +3,11 @@ enumerations and replays that no command needs, kept beside the tests that
 use them."""
 
 import itertools
+from math import gcd
 
 from picardkit.exactla import identity, mat_mul
-from picardkit.upoly import mul
+from picardkit.upoly import deg, int_quotient, integral, mul, trim
+from picardkit.weil import cyclotomic_polynomial
 
 
 def enumerate_field(field):
@@ -20,6 +22,29 @@ def mul_many(polys):
     for p in polys:
         out = mul(out, p)
     return out
+
+
+def cyclotomic_multiplicity(poly):
+    """(total, {m: multiplicity of Phi_m}) for a nonzero rational
+    polynomial: how often each Phi_m divides it, by plain trial division in
+    Z[x] of every Phi_m of degree phi(m) <= its degree, and the number of
+    its roots that are roots of unity, with multiplicity."""
+    poly = trim(poly)
+    if not poly:
+        raise ValueError("zero polynomial")
+    poly = integral(poly)
+    d = deg(poly)
+    breakdown = {}
+    # phi(m) >= sqrt(m) for m > 6, so m <= max(6, d^2)
+    for m in range(1, max(6, d * d) + 1):
+        if sum(gcd(k, m) == 1 for k in range(1, m + 1)) > deg(poly):
+            continue
+        phi_m = cyclotomic_polynomial(m)
+        while (quotient := int_quotient(poly, phi_m)) is not None:
+            poly = quotient
+            breakdown[m] = breakdown.get(m, 0) + 1
+    total = sum(mult * deg(cyclotomic_polynomial(m)) for m, mult in breakdown.items())
+    return total, breakdown
 
 
 def generate_group(mats, bound=20000):

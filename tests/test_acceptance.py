@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import brute_force_projective_count, trivial_mod_lprime
-from oracles import generate_group, reference_halt_order
+from oracles import cyclotomic_multiplicity, generate_group, reference_halt_order
 from picardkit import counting
 from picardkit.cli import main
 from picardkit.counting import count_tower
@@ -45,7 +45,6 @@ from picardkit.upoly import mul
 from picardkit.weil import (
     betti_numbers,
     classify_weights,
-    cyclotomic_multiplicity,
     dim_v_mu,
     factor_zeta,
 )

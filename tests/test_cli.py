@@ -618,6 +618,38 @@ def test_hypersurface_degree_checked_before_counting(tmp_path, capsys, generator
     assert "hypersurfaceDegree" in err
 
 
+@pytest.mark.parametrize("bad", [5.0, "5", True])
+def test_cached_count_that_is_no_json_integer_is_counted_again(tmp_path, capsys, bad):
+    # a count of 5.0 used to be reported as 5.0 (and crash betti), "5" exited
+    # 1 and true exited 5; each record is corrupt and its level is recounted
+    from picardkit.counting import CountCache
+
+    spec = write_json(
+        tmp_path / "k3.json",
+        {"field": {"p": 2, "e": 1}, "ambientDim": 3, "generators": [K3_EQUATION],
+         "flags": {"hypersurfaceDegree": 4}},
+    )
+    cache_path = _fill_cache(tmp_path, spec, K3_COUNTS)
+    lines = Path(cache_path).read_text().splitlines()
+    first = json.loads(lines[0])
+    assert first["n"] == 1
+    lines[0] = json.dumps(dict(first, count=bad))
+    Path(cache_path).write_text("\n".join(lines) + "\n")
+
+    code, out, _ = run_cli(capsys, "count", spec, "-n", "3", "--cache-dir", cache_path,
+                           "--no-timing")
+    assert code == 0
+    values = json.loads(out)["counts"]["values"]
+    assert values == K3_COUNTS[:3]
+    assert all(type(v) is int for v in values)
+    # the recount was appended, so the next request reads all 11 levels
+    assert CountCache(cache_path).get(first["hash"], 1) == 5
+    code, out, _ = run_cli(capsys, "betti", spec, "--cache-dir", cache_path,
+                           "--eval-budget", "1", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 0, 22, 0, 1]
+
+
 def _fill_cache(tmp_path, spec_path, counts):
     """Cache file holding `counts` as N_1, N_2, ... for the spec's variety."""
     from picardkit.cli import _variety_from_spec
@@ -748,6 +780,26 @@ def test_tate_bound_klein_quartic_counts_four_levels(tmp_path, capsys):
     assert report["zeta"]["num"] == [1, 0, 0, 5, 0, 0, 8]
     assert report["betti"] == [1, 6, 1]
     assert report["tateBound"]["vMu"] == 1
+    assert report["tateBound"]["perFactor"] == [
+        {"factor": [1, -2], "multiplicity": 1, "cyclotomic": {"1": 1}, "unit_root_count": 1},
+    ]
+
+
+def test_tate_bound_cubic_threefold_codimension_two(tmp_path, capsys):
+    spec = cubic_threefold_spec(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "tate-bound", spec, "-p", "2",
+        "--cache-dir", _fill_cache(tmp_path, spec, CUBIC_THREEFOLD_COUNTS),
+        "--eval-budget", "1", "--no-timing",
+    )
+    assert code == 0
+    assert json.loads(out)["tateBound"] == {
+        "p": 2,
+        "vMu": 1,
+        "perFactor": [
+            {"factor": [1, -4], "multiplicity": 1, "cyclotomic": {"1": 1}, "unit_root_count": 1},
+        ],
+    }
 
 
 def point_set_spec(tmp_path, generator, degree):
@@ -880,6 +932,7 @@ def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypat
 
     factor_calls = _count_calls(monkeypatch, intfactor, "factor_int_poly")
     classify_calls = _count_calls(monkeypatch, weil, "classify_weights")
+    certify_calls = _count_calls(monkeypatch, weil, "certify_root_modulus")
     code, out, _ = run_cli(
         capsys, "tate-bound", spec, "-p", "1", "--cache-dir", cache_path,
         "--eval-budget", "1", "--no-timing",
@@ -888,8 +941,18 @@ def test_warm_tate_bound_factors_and_classifies_once(tmp_path, capsys, monkeypat
     report = json.loads(out)
     assert report["betti"] == [1, 0, 22, 0, 1]
     assert report["tateBound"]["vMu"] == 22
+    assert report["tateBound"]["perFactor"] == [
+        {"factor": f, "multiplicity": mult, "cyclotomic": {m: 1}, "unit_root_count": len(f) - 1}
+        for f, mult, m in [
+            ([1, -2], 2, "1"), ([1, 0, 4], 1, "4"), ([1, 2, 4], 1, "3"),
+            ([1, 2, 4, 8, 16], 1, "5"), ([1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096], 1, "36"),
+        ]
+    ]
     assert len(factor_calls) <= 2
     assert len(classify_calls) == 1
+    # only the two sign candidates of the middle factor are certified: every
+    # factor of the zeta function is Tate-type, found by trial division
+    assert len(certify_calls) <= 2
 
 
 def _help_check(argv):

@@ -13,14 +13,13 @@ from picardkit.weil import (
     betti_numbers,
     certify_root_modulus,
     classify_weights,
-    cyclotomic_multiplicity,
     cyclotomic_polynomial,
     dim_v_mu,
     factor_zeta,
 )
 from picardkit.zeta import DegreeBudget, ZetaFunction, betti_budget, reconstruct
 
-from oracles import mul_many
+from oracles import cyclotomic_multiplicity, mul_many
 
 
 def pieces(z):
@@ -168,6 +167,43 @@ def test_cyclotomic_multiplicity_rescaling_permutes():
     flipped = [c * (-1) ** k for k, c in enumerate(base)]  # T -> -T
     total2, _ = cyclotomic_multiplicity(flipped)
     assert total1 == total2 == 3
+
+
+def test_dim_v_mu_agrees_with_trial_division_oracle():
+    # zeta functions built from Tate-type factors Phi_m(q^(i/2) T) and Weil
+    # quadratics, each on its weight's side: for every codimension p, each
+    # factor of P_2p reports what plain trial division finds in f(T / q^p)
+    rng = random.Random(2718)
+    for _ in range(100):
+        q, dim = rng.choice([2, 3, 4, 5, 9]), rng.randint(1, 3)
+        sides = {"num": [1], "den": [1]}
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randint(0, 2 * dim)
+            c = isqrt(q**i)
+            if rng.random() < 0.6 and c * c == q**i:
+                g = _tate_factor(rng.choice(SMALL_M), c)
+            else:
+                g = _weil_quadratic(rng, q**i, True)
+            side = "num" if i % 2 else "den"
+            if len(sides[side]) + len(g) <= 26:
+                sides[side] = mul(sides[side], g)
+        z = ZetaFunction(q=q, num=sides["num"], den=sides["den"], dim=dim)
+        classified = pieces(z)
+        for p in range(dim + 1):
+            bound = dim_v_mu(z, classified, p)
+            expected, v_mu = [], 0
+            for f, mult, _ in classified[2 * p].factors:
+                fd = len(f) - 1
+                total, breakdown = cyclotomic_multiplicity(
+                    [f[k] * q ** (p * (fd - k)) for k in range(fd + 1)]
+                )
+                v_mu += mult * total
+                expected.append({
+                    "factor": f, "multiplicity": mult, "unit_root_count": total,
+                    "cyclotomic": {str(m): n for m, n in sorted(breakdown.items())},
+                })
+            assert bound.per_factor == expected, (q, dim, sides, p)
+            assert bound.v_mu == v_mu
 
 
 def test_dim_v_mu_projective_spaces():
@@ -349,13 +385,34 @@ def test_k3_denominator_needs_no_modular_factoring(monkeypatch):
     monkeypatch.setattr(intfactor, "_berlekamp", refuse)
     monkeypatch.setattr(intfactor, "_hensel_tree", refuse)
     z = ZetaFunction(q=2, num=[1], den=K3_DEN, dim=2)
-    assert factor_zeta(z) == {"num": (1, []), "den": K3_DEN_FACTORED}
+    got = factor_zeta(z)
+    assert (got["num"], got["den"]) == ((1, []), K3_DEN_FACTORED)
+    # each factor keeps the index m that trial division found it at
+    assert got["tate"] == {
+        (1, -4): 1, (1, -2): 1, (1, -1): 1, (1, 0, 4): 4, (1, 2, 4): 3,
+        (1, 2, 4, 8, 16): 5, tuple(K3_DEN_FACTORED[1][-1][0]): 36,
+    }
 
 
 def _tate_factor(m, c):
     """Phi_m(c T) with constant term 1."""
     g = [a * c**k for k, a in enumerate(cyclotomic_polynomial(m))]
     return [-a for a in g] if m == 1 else g
+
+
+def _tate_index(g, q, dim, parity):
+    """The m with g = Phi_m(c T) for some c = q^(i/2), i <= 2 dim of the
+    given parity, found by comparing g with every such Phi_m(c T) of its
+    degree; None when g is no such factor."""
+    d = len(g) - 1
+    for i in range(parity, 2 * dim + 1, 2):
+        c = isqrt(q**i)
+        if c * c != q**i:
+            continue
+        for m in range(1, max(6, d * d) + 1):
+            if len(cyclotomic_polynomial(m)) == len(g) and _tate_factor(m, c) == g:
+                return m
+    return None
 
 
 # irreducible over Z yet split modulo many primes, or not Tate-type at any
@@ -367,7 +424,8 @@ SMALL_M = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18]
 def test_factor_zeta_agrees_with_factor_int_poly_on_every_side(monkeypatch):
     # sides built from Tate-type factors Phi_m(q^(i/2) T), Weil quadratics of
     # weight i and stubborn factors, each placed on either side, so that
-    # Tate-type factors of the wrong parity reach Zassenhaus too
+    # Tate-type factors of the wrong parity reach Zassenhaus too; the factors
+    # that trial division takes keep their m, and no other factor has one
     import picardkit.weil as weil
 
     seen = []
@@ -378,12 +436,15 @@ def test_factor_zeta_agrees_with_factor_int_poly_on_every_side(monkeypatch):
     for _ in range(100):
         q, dim = rng.choice([2, 3, 4, 5, 9]), rng.randint(1, 3)
         sides = {"num": [1], "den": [1]}
+        planted = {}
         for _ in range(rng.randint(1, 6)):
             i = rng.randint(0, 2 * dim)
             c = isqrt(q**i)
             kind = rng.choice(["tate", "tate", "weil", "stubborn"])
+            m = None
             if kind == "tate" and c * c == q**i:
-                g = _tate_factor(rng.choice(SMALL_M), c)
+                m = rng.choice(SMALL_M)
+                g = _tate_factor(m, c)
             elif kind == "stubborn":
                 g = rng.choice(STUBBORN)
             else:
@@ -392,11 +453,22 @@ def test_factor_zeta_agrees_with_factor_int_poly_on_every_side(monkeypatch):
             for _ in range(rng.randint(1, 2)):
                 if len(sides[side]) + len(g) <= 26:
                     sides[side] = mul(sides[side], g)
+                    if m is not None and i % 2 == (side == "num"):
+                        planted[tuple(g)] = m
         z = ZetaFunction(q=q, num=sides["num"], den=sides["den"], dim=dim)
         seen.clear()
         got = factor_zeta(z)
-        assert list(got) == ["num", "den"]
-        assert got == {side: factor_int_poly(f) for side, f in sides.items()}, (q, dim, sides)
+        assert list(got) == ["num", "den", "tate"]
+        want = {side: factor_int_poly(f) for side, f in sides.items()}
+        assert (got["num"], got["den"]) == (want["num"], want["den"]), (q, dim, sides)
+        tags = {
+            tuple(g): m
+            for side, parity in (("num", 1), ("den", 0))
+            for g, _ in want[side][1]
+            if (m := _tate_index(g, q, dim, parity)) is not None
+        }
+        assert planted.items() <= tags.items()
+        assert got["tate"] == tags, (q, dim, sides)
         reduced += sum(n < len(sides[side]) for n, side in zip(seen, ["num", "den"]))
     # trial division took something off a good share of the 200 sides
     assert reduced >= 50
