@@ -60,8 +60,14 @@ def _variety_from_spec(obj):
         if any(type(x) is not int for x in (p, e, ambient)):
             # JSON integers only: 2.9, true and "2" are rejected, not truncated
             raise ValueError("field.p, field.e and ambientDim must be integers")
+        if ambient < 0:
+            raise ValueError("ambientDim must be at least 0")
         gens = obj.get("generators", [])
+        if not isinstance(gens, list) or any(type(g) is not str for g in gens):
+            raise ValueError(f"generators must be a list of strings: {gens!r}")
         flags = obj.get("flags", {})
+        if not isinstance(flags, dict):
+            raise ValueError(f"flags must be a JSON object: {flags!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed variety spec: {exc}", EXIT_INVALID_INPUT) from None
     try:
@@ -412,6 +418,8 @@ def cmd_galois_rank(args):
         t = obj["t"]
         if type(t) is not int:
             raise ValueError(f"t must be an integer: {t!r}")
+        if not isinstance(obj["modules"], list):
+            raise ValueError(f"modules must be a list: {obj['modules']!r}")
         modules = [galmod.FiniteLModule.from_json(m) for m in obj["modules"]]
     except galmod.GalmodError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None

@@ -256,6 +256,8 @@ class SizeTable:
             i, n, size = _ints([rec["i"], rec["n"], rec["log_ell_size"]], "i, n and log_ell_size")
             entries[(i, n)] = size
         (ell,) = _ints([obj["ell"]], "ell")
+        if not is_prime(ell):
+            raise GalmodError(f"{ell} is not prime")
         return SizeTable(ell=ell, betti=_ints(obj["betti"], "betti"), entries=entries)
 
 

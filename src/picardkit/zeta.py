@@ -5,13 +5,13 @@ the middle factor P_d is unknown, less the factor (1 - q^(d/2) T) of the
 hyperplane class when d is even: Newton's identities give its low half and
 the functional equation the rest, from about b_d / 2 counts.  Otherwise
 Z(T) = exp(sum N_n T^n / n) is recovered from 2B counts as a reduced
-rational function by exact linear algebra on the truncated exponential
-series.  Everything is exact: the middle route stays in Z, and only the
-Pade route imports `fractions`; a float would be unsound.
+rational function (a Pade approximant) by fraction-free linear algebra on
+the truncated exponential series, whose coefficients are integers when the
+counts are.  Both routes stay in Z; a float would be unsound.
 """
 
 from . import upoly
-from .exactla import solve
+from .exactla import det_bareiss, echelon
 
 
 class ZetaError(ValueError):
@@ -157,20 +157,6 @@ def betti_budget(descriptor):
     return DegreeBudget(B=total, betti=tuple(betti))
 
 
-def exp_series(counts, order):
-    """Taylor coefficients of exp(sum N_n T^n / n) through T^order."""
-    from fractions import Fraction
-
-    E = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j <= len(counts):
-                acc += counts[j - 1] * E[k - j]
-        E[k] = acc / k
-    return E
-
-
 def reconstruct(counts, budget, dim=None):
     """The zeta function matching the counts (a CountSeries, or anything
     with .q and .counts), from at least `budget.levels` of them.
@@ -188,25 +174,33 @@ def reconstruct(counts, budget, dim=None):
         return _reconstruct_middle(q, ns, budget)
     B = budget.B
     M = len(ns)
-    W = exp_series(ns, M)
+    W = upoly.from_power_sums([-N for N in ns])  # exp(sum N_n T^n / n) mod T^(M+1)
+    if W is None:
+        raise NonIntegerCoefficientsError("counts give non-integer coefficients")
 
     for dd in range(0, B + 1):
         dn = B - dd
-        ks = list(range(dn + 1, M + 1))
-        A = [[W[k - i] if k - i >= 0 else 0 for i in range(1, dd + 1)] for k in ks]
-        rhs = [-W[k] for k in ks]
-        sol = solve(A, rhs) if dd else ([] if not any(rhs) else None)
-        if sol is None:
+        # den_1..den_dd solve sum_i den_i W_(k-i) = -W_k for dn < k <= M: a
+        # pivot in the last column of [A | W_k] means no solution
+        rows = [
+            [W[k - i] if k - i >= 0 else 0 for i in range(1, dd + 1)] + [W[k]]
+            for k in range(dn + 1, M + 1)
+        ]
+        cols, pivot_rows = echelon(rows)
+        if dd in cols:
             continue
-        den = [1] + list(sol)
+        # Cramer's rule on the pivot minor, the other unknowns 0: den times
+        # the minor's determinant, which the reduction below divides out
+        minor = [[rows[r][c] for c in cols] for r in pivot_rows]
+        rhs = [-rows[r][dd] for r in pivot_rows]
+        den = [det_bareiss(minor)] + [0] * dd
+        for j, c in enumerate(cols):
+            den[c + 1] = det_bareiss([row[:j] + [b] + row[j + 1:] for row, b in zip(minor, rhs)])
         den = upoly.trim(den)
-        num = [
+        num = upoly.trim([
             sum(den[i] * W[k - i] for i in range(min(len(den), k + 1)))
             for k in range(dn + 1)
-        ]
-        num = upoly.trim(num)
-        if not num or num[0] != 1:
-            continue
+        ])
         # reduce in Z[x]; num(0) = den(0) = 1 fixes the scaling back
         num, den = upoly.integral(num), upoly.integral(den)
         g = upoly.int_gcd(num, den)

@@ -1,13 +1,16 @@
 """Reference oracles that tests compare picardkit against: brute-force
-enumerations and replays that no command needs, kept beside the tests that
-use them."""
+enumerations, replays and the exact rational (Gauss-Jordan) algebra that no
+command needs, kept beside the tests that use them."""
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
+from picardkit import upoly
 from picardkit.exactla import identity, mat_mul
 from picardkit.upoly import deg, int_quotient, integral, mul, trim
 from picardkit.weil import cyclotomic_polynomial
+from picardkit.zeta import NonIntegerCoefficientsError, NoSolutionError, ZetaFunction, expand
 
 
 def enumerate_field(field):
@@ -128,3 +131,117 @@ def reference_halt_order(specs, max_rounds=64):
             else:
                 steps_done[idx] += budget
     return order
+
+
+def rref(m):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Returns (matrix, pivot columns, pivot rows): pivot rows[k] is the index
+    in m of the row that became row k, so those rows of m are independent.
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    if not a or not a[0]:
+        return a, [], []
+    rows, cols = len(a), len(a[0])
+    row_ids = list(range(rows))
+    pivots = []
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        row_ids[r], row_ids[piv] = row_ids[piv], row_ids[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots, row_ids[:r]
+
+
+def solve(m, b):
+    """One solution of m x = b over Q, or None if inconsistent."""
+    if not m:
+        return [] if not any(b) else None
+    cols = len(m[0])
+    aug = [list(row) + [bb] for row, bb in zip(m, b)]
+    red, pivots, _ = rref(aug)
+    # inconsistent if a pivot lands in the augmented column
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        x[col] = red[r][-1]
+    return x
+
+
+def exp_series(counts, order):
+    """Taylor coefficients of exp(sum N_n T^n / n) through T^order."""
+    E = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            if j <= len(counts):
+                acc += counts[j - 1] * E[k - j]
+        E[k] = acc / k
+    return E
+
+
+def pade_over_q(q, ns, B, dim=None):
+    """The Pade route of `zeta.reconstruct` over Q: the Taylor series as
+    Fractions and each denominator degree decided and solved by
+    Gauss-Jordan, kept as the reference for the integer route."""
+    M = len(ns)
+    W = exp_series(ns, M)
+
+    for dd in range(0, B + 1):
+        dn = B - dd
+        ks = list(range(dn + 1, M + 1))
+        A = [[W[k - i] if k - i >= 0 else 0 for i in range(1, dd + 1)] for k in ks]
+        rhs = [-W[k] for k in ks]
+        sol = solve(A, rhs) if dd else ([] if not any(rhs) else None)
+        if sol is None:
+            continue
+        den = [1] + list(sol)
+        den = upoly.trim(den)
+        num = [
+            sum(den[i] * W[k - i] for i in range(min(len(den), k + 1)))
+            for k in range(dn + 1)
+        ]
+        num = upoly.trim(num)
+        if not num or num[0] != 1:
+            continue
+        # reduce in Z[x]; num(0) = den(0) = 1 fixes the scaling back
+        num, den = upoly.integral(num), upoly.integral(den)
+        g = upoly.int_gcd(num, den)
+        if upoly.deg(g) > 0:
+            num, den = upoly.int_quotient(num, g), upoly.int_quotient(den, g)
+        if any(c % num[0] for c in num) or any(c % den[0] for c in den):
+            raise NonIntegerCoefficientsError(
+                "matched rational function has non-integer coefficients"
+            )
+        num = [c // num[0] for c in num]
+        den = [c // den[0] for c in den]
+        z = ZetaFunction(q=q, num=num, den=den, dim=dim)
+        if expand(z, M) != ns:
+            raise NoSolutionError("re-expansion mismatch: counts are inconsistent")
+        return z
+    raise NoSolutionError("no rational function of the budgeted degree matches")
+
+
+def det_laplace(m):
+    """Determinant of a square matrix by cofactor expansion along the first
+    row: signed, with no pivoting or division to share a fault with."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * det_laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )

@@ -383,6 +383,27 @@ def test_non_integer_variety_spec_is_invalid_input(tmp_path, capsys, field, ambi
     assert "must be integers" in err
 
 
+@pytest.mark.parametrize("command", [["count", "-n", "2"], ["zeta"]])
+@pytest.mark.parametrize("key, value", [
+    ("flags", []), ("flags", "x"), ("generators", [1]), ("generators", "x0^2 + x1*x2"),
+    ("ambientDim", -1),
+])
+def test_malformed_variety_spec_is_invalid_input(tmp_path, capsys, command, key, value):
+    # list flags made `zeta` exit 1 and `count` 0, [1] as generators exit 1,
+    # a string of generators was parsed character by character, and
+    # ambientDim -1 was counted as [0, 0]
+    spec = {"field": {"p": 2}, "ambientDim": 3, "generators": ["x0*x3 + x1*x2"],
+            "flags": {"hypersurfaceDegree": 2}}
+    spec[key] = value
+    path = write_json(tmp_path / "spec.json", spec)
+    name, *rest = command
+    code, out, err = run_cli(capsys, name, path, *rest, "--cache-dir", str(tmp_path / "cache"),
+                             "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "malformed variety spec: " + key in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("t", 1.9), ("t", "0"), ("t", True), ("ell", 5.0), ("n", 1.5), ("n", "1"),
     ("invariantFactors", [1, 1.0]), ("actions", [[[1, 0], [0, True]]]),
@@ -413,6 +434,26 @@ def test_non_integer_size_table_is_invalid_input(tmp_path, capsys, key, value):
     assert code == 2
     assert out == ""
     assert "integer" in err
+
+
+@pytest.mark.parametrize("ell", [4, 1])
+def test_size_table_with_non_prime_ell_is_invalid_input(tmp_path, capsys, ell):
+    # such a table used to exit 0 with a report; FiniteLModule rejects it too
+    table = size_table_from_profile(ell, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4)
+    path = write_json(tmp_path / "table.json", table.to_json())
+    code, out, err = run_cli(capsys, "torsion", path, "-i", "2", "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert f"{ell} is not prime" in err
+
+
+def test_galois_rank_modules_must_be_a_list(tmp_path, capsys):
+    # an object used to be iterated by its keys and reported with value 0
+    path = write_json(tmp_path / "family.json", {"t": 0, "modules": {}})
+    code, out, err = run_cli(capsys, "galois-rank", path, "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "modules must be a list" in err
 
 
 def test_nonexistent_file_exit_code(capsys):
@@ -1122,14 +1163,23 @@ def test_no_request_imports_dataclasses_or_inspect(tmp_path, command):
 
 @pytest.mark.parametrize("command", [
     "count", "zeta", "betti", "tate-bound", "rank", "torsion", "galois-rank", "dovetail", "--help",
+    "pade-zeta", "pade-betti",
 ])
 def test_no_request_imports_argparse_openssl_or_fractions(tmp_path, command):
     # argparse loads gettext and locale, hashlib OpenSSL's _hashlib, and
-    # fractions decimal and numbers: start-up that no result needs.  Only
-    # the Pade route (a spec or --budget with a Betti-sum budget) makes
-    # Fractions.  src/ has no annotations to defer, so no module imports
+    # fractions decimal and numbers: start-up that no result needs.  The
+    # Pade route (a spec or --budget with a Betti-sum budget) stays in Z
+    # too.  src/ has no annotations to defer, so no module imports
     # __future__ either.
-    argv = ["--help"] if command == "--help" else [*_request(tmp_path, command), "--no-timing"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    if command == "--help":
+        argv = ["--help"]
+    elif command == "pade-zeta":
+        argv = ["zeta", p2_spec(tmp_path), *cache, "--no-timing"]
+    elif command == "pade-betti":
+        argv = ["betti", quadric_spec(tmp_path), "--budget", "4", *cache, "--no-timing"]
+    else:
+        argv = [*_request(tmp_path, command), "--no-timing"]
     result = _modules_after(tmp_path, *argv)
     unused = ["argparse", "gettext", "_hashlib", "fractions", "decimal", "__future__"]
     assert _loaded(result["modules"], unused) == []

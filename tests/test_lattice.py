@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from picardkit.exactla import det_bareiss, echelon, mat_mul, rank, rref
+from picardkit.exactla import det_bareiss, echelon, mat_mul, rank
 from picardkit.lattice import (
     AlgorithmB,
     CertificateInvalidError,
@@ -24,7 +24,7 @@ from picardkit.lattice import (
     snf,
 )
 
-from oracles import generate_group
+from oracles import det_laplace, generate_group, rref, solve
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -118,8 +118,6 @@ def test_saturate_idempotent_and_index():
 
 
 def _coords(basis, vector):
-    from picardkit.exactla import solve
-
     mat = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(len(vector))]
     sol = solve(mat, [Fraction(x) for x in vector])
     if sol is None or any(x.denominator != 1 for x in sol):
@@ -234,6 +232,33 @@ def test_independence_certificate_minor_is_nonsingular():
         if r:
             minor = [[m[i][j] for j in cols] for i in rows]
             assert det_bareiss(minor) == det != 0
+
+
+def test_det_bareiss_matches_signed_laplace_expansion():
+    # the sign matters (it reaches the rank checkpoint's witness), so the
+    # oracle is compared signed: permutation matrices of both parities, then
+    # random matrices up to 5x5 with a zero leading entry (a forced row
+    # swap), zero rows and columns, and low rank
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_bareiss([]) == 1
+    rng = random.Random(41)
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        m = rand_matrix(rng, n, n, -6, 6)
+        if trial % 2:
+            for i in range(rng.randint(1, n)):
+                m[i][i] = 0
+        if trial % 5 == 0:
+            m[rng.randrange(n)] = [0] * n
+        if trial % 7 == 0:
+            j = rng.randrange(n)
+            for row in m:
+                row[j] = 0
+        if trial % 11 == 0 and n > 1:
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+        assert det_bareiss(m) == det_laplace(m), m
 
 
 def test_glattice_validation():

@@ -1,9 +1,12 @@
+import random
+from collections import Counter
+
 import pytest
 
 from picardkit.counting import CountSeries, count_tower
 from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
-from picardkit.upoly import mul
+from picardkit.upoly import from_power_sums, mul, trim
 from picardkit.zeta import (
     AmbiguousSignError,
     DegreeBudget,
@@ -12,12 +15,15 @@ from picardkit.zeta import (
     NoConsistentSignError,
     NonIntegerCoefficientsError,
     NoSolutionError,
+    ZetaError,
     ZetaFunction,
     betti_budget,
     expand,
     functional_equation_check,
     reconstruct,
 )
+
+from oracles import pade_over_q
 
 
 def series(q, counts):
@@ -247,6 +253,50 @@ def test_reconstruct_middle_curves_match_pade(q, counts):
     z = reconstruct(series(q, counts), budget, dim=1)
     full = expand(z, 2 * budget.B)
     assert reconstruct(series(q, full), DegreeBudget(budget.B), dim=1) == z
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ZetaError as exc:
+        return type(exc)
+
+
+def test_pade_route_in_z_matches_gauss_jordan_over_q():
+    # the integer Pade route (echelon, then Cramer's rule on the pivot
+    # minor) gives the zeta function or the exception class that solving
+    # over Q gives, on counts whose series exp(sum N_n T^n / n) is integral:
+    # expansions of random num/den of total degree <= B, some with one count
+    # N_n, n > B, moved by a multiple of n (which multiplies the series by
+    # exp(c T^n), integral through T^(2B)), and sums of random closed-point
+    # numbers
+    rng = random.Random(1210)
+    outcomes = Counter()
+    for trial in range(500):
+        B, q = rng.randint(2, 9), rng.choice([2, 3, 4, 5, 7])
+        if trial % 3 == 2:
+            a = [rng.randint(0, 3) for _ in range(2 * B)]
+            counts = [sum(d * a[d - 1] for d in range(1, n + 1) if n % d == 0)
+                      for n in range(1, 2 * B + 1)]
+        else:
+            dn = rng.randint(0, B)
+            num, den = ([1] + [rng.randint(-6, 6) for _ in range(k)]
+                        for k in (dn, rng.randint(0, B - dn)))
+            counts = expand(ZetaFunction(q, trim(num), trim(den)), 2 * B)
+            if trial % 3 == 1:
+                n = rng.randint(B + 1, 2 * B)
+                counts[n - 1] += n * rng.choice([-2, -1, 1, 2])
+        assert from_power_sums([-N for N in counts]) is not None
+        got = _outcome(lambda: reconstruct(series(q, counts), DegreeBudget(B), dim=1))
+        assert got == _outcome(lambda: pade_over_q(q, counts, B, dim=1)), (q, counts, B)
+        outcomes[isinstance(got, ZetaFunction)] += 1
+    assert min(outcomes[True], outcomes[False]) > 100  # both outcomes are exercised
+
+
+def test_pade_route_rejects_a_non_integral_series():
+    # exp(T + 2 T^2 / 2) has T^2 coefficient 3/2: no integral zeta function
+    with pytest.raises(NonIntegerCoefficientsError):
+        reconstruct(series(2, [1, 2, 0, 0]), DegreeBudget(2))
 
 
 def test_reconstruct_middle_rejects_inconsistent_counts():
