@@ -372,7 +372,7 @@ def cmd_rank(args):
         report["rank"]["rankNumXsep"] = rho
         try:
             lat, class_map = lattice.build_n(pairings, action, rho, relations=relations)
-            report["rank"]["rankNumX"] = lattice.invariants_rank(lat)
+            report["rank"]["rankNumX"] = lattice.fixed_rank(lat)
             verdicts = [
                 {"name": name, "coords": class_map(vector)} for name, vector in candidates
             ]
@@ -421,6 +421,13 @@ def cmd_galois_rank(args):
         if not isinstance(obj["modules"], list):
             raise ValueError(f"modules must be a list: {obj['modules']!r}")
         modules = [galmod.FiniteLModule.from_json(m) for m in obj["modules"]]
+        if "ell" in obj:
+            ell = obj["ell"]
+            if type(ell) is not int:
+                raise ValueError(f"ell must be an integer: {ell!r}")
+            for mod in modules:
+                if mod.ell != ell:
+                    raise galmod.GalmodError(f"module ell {mod.ell} differs from family ell {ell}")
     except galmod.GalmodError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     except (KeyError, TypeError, ValueError) as exc:
@@ -429,7 +436,7 @@ def cmd_galois_rank(args):
     report = _report_base("galois-rank", {"t": t, "modules": len(modules)})
     try:
         bounds = galmod.rank_upper_bounds(modules, t, check_hypothesis=not skip_check)
-    except galmod.HypothesisViolationError as exc:
+    except galmod.GalmodError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     report["rankBounds"] = {
         "perLevel": [{"n": n, "u": u} for n, u in bounds.per_level],

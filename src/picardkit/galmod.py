@@ -1,5 +1,5 @@
-"""Finite Galois modules over Z/l^n: invariants, rank bounds from fixed-point
-sizes, and torsion recovery from cohomology size tables.
+"""Finite Galois modules over Z/l^n: the order of the fixed subgroup, rank
+bounds from it, and torsion recovery from cohomology size tables.
 
 Cohomology itself is never computed here: modules and size tables arrive as
 user-supplied data, and this module does the exact group theory on them.
@@ -7,7 +7,6 @@ user-supplied data, and this module does the exact group theory on them.
 
 from .exactla import det_bareiss
 from .ffield import is_prime
-from .lattice import coords_in_hnf, diagonal_of, integer_kernel, snf
 
 
 class GalmodError(ValueError):
@@ -55,6 +54,8 @@ class FiniteLModule:
         if not is_prime(self.ell):
             raise GalmodError(f"{self.ell} is not prime")
         e = list(self.invariant_factors)
+        if self.n < 1:
+            raise GalmodError(f"n must be at least 1: {self.n}")
         if any(x < 1 or x > self.n for x in e):
             raise GalmodError("invariant factor exponents must lie in [1, n]")
         if any(a < b for a, b in zip(e, e[1:])):
@@ -101,62 +102,29 @@ class FiniteLModule:
         )
 
 
-def invariants(mod):
-    """Exact order (as an l-exponent) and invariant factor exponents of the
-    fixed subgroup T^G.
+def fixed_exponent(mod):
+    """log_l #T^G, the l-exponent of the order of the fixed subgroup.
 
-    The fixed subgroup is the kernel of the stacked (g - 1) maps; it is
-    computed by lifting to an integer kernel over Z and reading the quotient
-    structure off a Smith normal form.
+    T^G is the kernel of x -> Ax into the sum of Z/m_r, for A the stacked
+    (g - 1) rows and m_r the modulus of row r (well defined, since every
+    action respects the relation lattice).  Its image is L / MZ^N for the
+    lattice L = AZ^k + MZ^N, M = diag(m_r), so #T^G = #T det L / det M, and
+    det L is the product of the pivots of a Hermite basis of L.
     """
-    k = mod.rank
-    if k == 0:
-        return 0, []
-    mods = mod.moduli()
-    if not mod.actions or mod.has_trivial_action():
-        exps = list(mod.invariant_factors)
-        return sum(exps), exps
-    rows = []
-    row_moduli = []
-    for g in mod.actions:
-        for i in range(k):
-            rows.append([g[i][j] - (1 if i == j else 0) for j in range(k)])
-            row_moduli.append(mods[i])
-    nrows = len(rows)
-    # S = {x in Z^k : stacked(x) = 0 row-wise mod the moduli}: project the
-    # integer kernel of [A | diag(m)].  diag(m) is nonsingular, so a kernel
-    # vector vanishing on the first k coordinates is zero: the k Hermite
-    # rows pivot in columns 0..k-1 and their projections stay echelon.
-    aug = [rows[r] + [row_moduli[r] if c == r else 0 for c in range(nrows)] for r in range(nrows)]
-    kernel = integer_kernel(aug)
-    basis = [v[:k] for v in kernel]
-    if len(basis) != k:
-        raise GalmodError("internal: fixed-point lattice has wrong rank")
-    # T^G = S / D Z^k: write the diagonal lattice in the S basis
-    coords = []
-    for i in range(k):
-        target = [mods[i] if j == i else 0 for j in range(k)]
-        c = coords_in_hnf(basis, target)
-        if c is None:
-            raise GalmodError("internal: relation lattice escapes the fixed lattice")
-        coords.append(c)
-    _, d, _ = snf(coords)
-    exps = []
-    for x in diagonal_of(d):
-        x = abs(x)
-        if x == 1:
-            continue
-        if x == 0:
-            raise GalmodError("internal: infinite quotient")
-        e = 0
-        while x % mod.ell == 0:
-            x //= mod.ell
-            e += 1
-        if x != 1:
-            raise GalmodError("internal: quotient order is not an l-power")
-        exps.append(e)
-    exps.sort(reverse=True)
-    return sum(exps), exps
+    from .lattice import hnf_rows  # here, so that torsion requests load no lattice
+
+    k, mods = mod.rank, mod.moduli()
+    row_mods = mods * len(mod.actions)
+    cols = [[(g[i][j] - (1 if i == j else 0)) % mods[i] for g in mod.actions for i in range(k)]
+            for j in range(k)]
+    cols += [[m if c == r else 0 for c in range(len(row_mods))] for r, m in enumerate(row_mods)]
+    exponent = sum(mod.invariant_factors) * (1 - len(mod.actions))  # v_l #T - v_l det M
+    for r, row in enumerate(hnf_rows(cols)):
+        pivot = row[r]
+        while pivot % mod.ell == 0:
+            pivot //= mod.ell
+            exponent += 1
+    return exponent
 
 
 class RankBounds:
@@ -173,42 +141,33 @@ class RankBounds:
 def rank_upper_bounds(family, t, check_hypothesis=True):
     """Upper bounds floor(log_l #T^G / (n - t)) over a module family.
 
-    family: FiniteLModule instances for levels n > t.  With
+    family: FiniteLModule instances over one prime, at least one at a level
+    n > t >= 0; modules at levels n <= t are skipped.  With
     check_hypothesis (the default), a supplied module at the l' level must
     carry the trivial action: under that hypothesis the minimum of the
     bounds is the rank of the fixed part of the underlying lattice.  Pass
     check_hypothesis=False for abstract planted families where the bound on
     the fixed rank is wanted without the provenance assumption.
     """
-    if not family:
-        return RankBounds(per_level=[], running_min=[], value=0)
-    ell = family[0].ell
-    for mod in family:
-        if mod.ell != ell:
-            raise GalmodError("family mixes primes")
+    if t < 0:
+        raise GalmodError(f"t must be at least 0: {t}")
+    if len({mod.ell for mod in family}) > 1:
+        raise GalmodError("family mixes primes")
     if check_hypothesis:
-        level0 = lprime_level(ell)
         for mod in family:
+            level0 = lprime_level(mod.ell)
             if mod.n == level0 and not mod.has_trivial_action():
                 raise HypothesisViolationError(
                     f"action on the level-{level0} module is not trivial"
                 )
-    per_level = []
-    for mod in sorted(family, key=lambda m: m.n):
-        if mod.n <= t:
-            continue
-        exponent, _ = invariants(mod)
-        per_level.append((mod.n, exponent // (mod.n - t)))
+    above = sorted((mod for mod in family if mod.n > t), key=lambda m: m.n)
+    if not above:
+        raise GalmodError(f"no module lies above level t = {t}")
+    per_level = [(mod.n, fixed_exponent(mod) // (mod.n - t)) for mod in above]
     running = []
-    best = None
     for _, u in per_level:
-        best = u if best is None else min(best, u)
-        running.append(best)
-    return RankBounds(
-        per_level=per_level,
-        running_min=running,
-        value=best if best is not None else 0,
-    )
+        running.append(min(running[-1], u) if running else u)
+    return RankBounds(per_level=per_level, running_min=running, value=running[-1])
 
 
 # ---------------------------------------------------------------------------

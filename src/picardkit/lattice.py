@@ -1,10 +1,11 @@
-"""Integer lattice algorithms: Smith normal form, saturation, independence
-certificates, invariant ranks under a finite group, and the upper-meets-lower
+"""Integer lattice algorithms: one Hermite elimination behind Hermite bases,
+integer kernels, saturation and unimodular inverses; independence
+certificates, fixed ranks under a finite group, and the upper-meets-lower
 rank bound with checkpointing (one certificate offered per `rank` request).
 
-All arithmetic is arbitrary-precision integer; SNF pivoting is
-deterministic (smallest nonzero absolute value, ties by lowest row then
-column) so outputs are reproducible.
+All arithmetic is arbitrary-precision integer; Hermite pivoting is
+deterministic (smallest nonzero absolute value, ties by lowest row) and the
+Hermite form of a lattice is canonical, so outputs are reproducible.
 """
 
 import json
@@ -30,7 +31,7 @@ class CertificateInvalidError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Hermite elimination
 
 
 def _hermite_rows_inplace(a, u=None):
@@ -72,129 +73,9 @@ def _hermite_rows_inplace(a, u=None):
         r += 1
 
 
-def _transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def _is_diagonal(a):
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if i != j and x:
-                return False
-    return True
-
-
-def snf(m):
-    """(U, D, V) with U*m*V = D diagonal, U and V unimodular, d_1 | d_2 | ...
-
-    Diagonalization alternates row and column Hermite passes with entry
-    reduction (naive smallest-pivot elimination suffers exponential entry
-    swell already at 8x8); the divisor chain is then enforced by local 2x2
-    gcd transforms.  Fully deterministic, hence reproducible.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(r) for r in m]
-    u = identity(rows)
-    v = identity(cols)
-    if rows == 0 or cols == 0:
-        return u, a, v
-
-    passes = 0
-    while not _is_diagonal(a):
-        _hermite_rows_inplace(a, u)
-        if _is_diagonal(a):
-            break
-        at = _transpose(a)
-        vt = _transpose(v)
-        _hermite_rows_inplace(at, vt)
-        a = _transpose(at)
-        v = _transpose(vt)
-        passes += 1
-        if passes > 200:
-            raise LatticeError("Smith reduction did not converge")
-
-    def col_op(i, j, c):  # col_i += c * col_j
-        for r in range(rows):
-            a[r][i] += c * a[r][j]
-        for r in range(cols):
-            v[r][i] += c * v[r][j]
-
-    def row_op(i, j, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def swap_diag(i, j):  # swap rows i,j and columns i,j
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    n = min(rows, cols)
-    # move zero diagonal entries behind the nonzero ones
-    for target in range(n):
-        if a[target][target] == 0:
-            src = next((k for k in range(target + 1, n) if a[k][k]), None)
-            if src is not None:
-                swap_diag(target, src)
-
-    for i in range(n):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    # enforce d_i | d_{i+1} by local gcd transforms on diagonal pairs
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 10000:
-            raise LatticeError("divisor chain normalization did not converge")
-        for i in range(n - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if y == 0 or (x and y % x == 0):
-                continue
-            changed = True
-            if x == 0:  # zero before nonzero
-                swap_diag(i, i + 1)
-                continue
-            # [[x,0],[0,y]] -> [[gcd,0],[0,lcm]]
-            row_op(i, i + 1, 1)  # row i becomes (x, y)
-            while a[i][i + 1]:
-                q = a[i][i] // a[i][i + 1]
-                if q:
-                    col_op(i, i + 1, -q)
-                swap_cols(i, i + 1)
-            # gcd divides the whole 2x2 block, so this clears exactly
-            if a[i + 1][i]:
-                q = a[i + 1][i] // a[i][i]
-                row_op(i + 1, i, -q)
-            for k in (i, i + 1):
-                if a[k][k] < 0:
-                    a[k] = [-z for z in a[k]]
-                    u[k] = [-z for z in u[k]]
-            if a[i][i + 1] or a[i + 1][i]:
-                raise LatticeError("internal: chain fix left off-diagonal entries")
-    return u, a, v
-
-
-def diagonal_of(d):
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 def hnf_rows(mat):
     """Row Hermite normal form: canonical basis of the row lattice with
-    positive pivots and entries above each pivot reduced modulo it.  Keeps
-    coefficient growth in check after SNF-derived bases."""
+    positive pivots and entries above each pivot reduced modulo it."""
     work = [list(r) for r in mat]
     _hermite_rows_inplace(work)
     return [row for row in work if any(row)]
@@ -219,15 +100,15 @@ def coords_in_hnf(basis, vector):
 
 def integer_kernel(m):
     """Basis (list of integer vectors) of {x : m x = 0}, automatically a
-    saturated sublattice of Z^cols; returned in Hermite normal form."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    _, d, v = snf(m)
-    r = sum(1 for x in diagonal_of(d) if x)
-    raw = [[v[i][j] for i in range(cols)] for j in range(r, cols)]
-    return hnf_rows(raw)
+    saturated sublattice of Z^cols; returned in Hermite normal form.
+
+    The unimodular transform u of the Hermite pass u m^T = h spans Z^cols,
+    and its rows that h sends to zero rows span the kernel.
+    """
+    h = [list(col) for col in zip(*m)]
+    u = identity(len(h))
+    _hermite_rows_inplace(h, u)
+    return hnf_rows([ui for hi, ui in zip(h, u) if not any(hi)])
 
 
 def saturate(span_rows, ambient_rank):
@@ -314,7 +195,7 @@ class GLattice:
                 raise RelationViolationError(f"relation {word} fails")
 
 
-def invariants_rank(lat):
+def fixed_rank(lat):
     """Rank of the fixed sublattice: corank of the stacked (g - 1) maps."""
     if not lat.action:
         return lat.rank

@@ -1,6 +1,7 @@
 """Reference oracles that tests compare picardkit against: brute-force
-enumerations, replays and the exact rational (Gauss-Jordan) algebra that no
-command needs, kept beside the tests that use them."""
+enumerations, replays, the exact rational (Gauss-Jordan) algebra and the
+Smith normal form that no command needs, kept beside the tests that use
+them."""
 
 import itertools
 from fractions import Fraction
@@ -8,6 +9,14 @@ from math import gcd
 
 from picardkit import upoly
 from picardkit.exactla import identity, mat_mul
+from picardkit.galmod import GalmodError
+from picardkit.lattice import (
+    LatticeError,
+    _hermite_rows_inplace,
+    coords_in_hnf,
+    hnf_rows,
+    integer_kernel,
+)
 from picardkit.upoly import deg, int_quotient, integral, mul, trim
 from picardkit.weil import cyclotomic_polynomial
 from picardkit.zeta import NonIntegerCoefficientsError, NoSolutionError, ZetaFunction, expand
@@ -245,3 +254,191 @@ def det_laplace(m):
         for j in range(len(m))
         if m[0][j]
     )
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)] if m else []
+
+
+def _is_diagonal(a):
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if i != j and x:
+                return False
+    return True
+
+
+def snf(m):
+    """(U, D, V) with U*m*V = D diagonal, U and V unimodular, d_1 | d_2 | ...
+
+    Diagonalization alternates row and column Hermite passes with entry
+    reduction (naive smallest-pivot elimination suffers exponential entry
+    swell already at 8x8); the divisor chain is then enforced by local 2x2
+    gcd transforms.  Fully deterministic, hence reproducible.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(r) for r in m]
+    u = identity(rows)
+    v = identity(cols)
+    if rows == 0 or cols == 0:
+        return u, a, v
+
+    passes = 0
+    while not _is_diagonal(a):
+        _hermite_rows_inplace(a, u)
+        if _is_diagonal(a):
+            break
+        at = _transpose(a)
+        vt = _transpose(v)
+        _hermite_rows_inplace(at, vt)
+        a = _transpose(at)
+        v = _transpose(vt)
+        passes += 1
+        if passes > 200:
+            raise LatticeError("Smith reduction did not converge")
+
+    def col_op(i, j, c):  # col_i += c * col_j
+        for r in range(rows):
+            a[r][i] += c * a[r][j]
+        for r in range(cols):
+            v[r][i] += c * v[r][j]
+
+    def row_op(i, j, c):
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def swap_diag(i, j):  # swap rows i,j and columns i,j
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    n = min(rows, cols)
+    # move zero diagonal entries behind the nonzero ones
+    for target in range(n):
+        if a[target][target] == 0:
+            src = next((k for k in range(target + 1, n) if a[k][k]), None)
+            if src is not None:
+                swap_diag(target, src)
+
+    for i in range(n):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+
+    # enforce d_i | d_{i+1} by local gcd transforms on diagonal pairs
+    changed = True
+    guard = 0
+    while changed:
+        changed = False
+        guard += 1
+        if guard > 10000:
+            raise LatticeError("divisor chain normalization did not converge")
+        for i in range(n - 1):
+            x, y = a[i][i], a[i + 1][i + 1]
+            if y == 0 or (x and y % x == 0):
+                continue
+            changed = True
+            if x == 0:  # zero before nonzero
+                swap_diag(i, i + 1)
+                continue
+            # [[x,0],[0,y]] -> [[gcd,0],[0,lcm]]
+            row_op(i, i + 1, 1)  # row i becomes (x, y)
+            while a[i][i + 1]:
+                q = a[i][i] // a[i][i + 1]
+                if q:
+                    col_op(i, i + 1, -q)
+                swap_cols(i, i + 1)
+            # gcd divides the whole 2x2 block, so this clears exactly
+            if a[i + 1][i]:
+                q = a[i + 1][i] // a[i][i]
+                row_op(i + 1, i, -q)
+            for k in (i, i + 1):
+                if a[k][k] < 0:
+                    a[k] = [-z for z in a[k]]
+                    u[k] = [-z for z in u[k]]
+            if a[i][i + 1] or a[i + 1][i]:
+                raise LatticeError("internal: chain fix left off-diagonal entries")
+    return u, a, v
+
+
+def diagonal_of(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def snf_kernel(m):
+    """Hermite basis of {x : m x = 0} read off the Smith form U m V = D: the
+    columns of V beyond the rank of D."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if rows == 0 or cols == 0:
+        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    _, d, v = snf(m)
+    r = sum(1 for x in diagonal_of(d) if x)
+    return hnf_rows([[v[i][j] for i in range(cols)] for j in range(r, cols)])
+
+
+def fixed_invariant_factors(mod):
+    """Invariant factor exponents of the fixed subgroup T^G of a
+    FiniteLModule, nonincreasing; their sum is log_l #T^G.
+
+    The fixed subgroup is the kernel of the stacked (g - 1) maps; it is
+    computed by lifting to an integer kernel over Z and reading the quotient
+    structure off a Smith normal form.
+    """
+    k = mod.rank
+    if k == 0:
+        return []
+    mods = mod.moduli()
+    if not mod.actions or mod.has_trivial_action():
+        return list(mod.invariant_factors)
+    rows = []
+    row_moduli = []
+    for g in mod.actions:
+        for i in range(k):
+            rows.append([g[i][j] - (1 if i == j else 0) for j in range(k)])
+            row_moduli.append(mods[i])
+    nrows = len(rows)
+    # S = {x in Z^k : stacked(x) = 0 row-wise mod the moduli}: project the
+    # integer kernel of [A | diag(m)].  diag(m) is nonsingular, so a kernel
+    # vector vanishing on the first k coordinates is zero: the k Hermite
+    # rows pivot in columns 0..k-1 and their projections stay echelon.
+    aug = [rows[r] + [row_moduli[r] if c == r else 0 for c in range(nrows)] for r in range(nrows)]
+    kernel = integer_kernel(aug)
+    basis = [v[:k] for v in kernel]
+    if len(basis) != k:
+        raise GalmodError("internal: fixed-point lattice has wrong rank")
+    # T^G = S / D Z^k: write the diagonal lattice in the S basis
+    coords = []
+    for i in range(k):
+        target = [mods[i] if j == i else 0 for j in range(k)]
+        c = coords_in_hnf(basis, target)
+        if c is None:
+            raise GalmodError("internal: relation lattice escapes the fixed lattice")
+        coords.append(c)
+    _, d, _ = snf(coords)
+    exps = []
+    for x in diagonal_of(d):
+        x = abs(x)
+        if x == 1:
+            continue
+        if x == 0:
+            raise GalmodError("internal: infinite quotient")
+        e = 0
+        while x % mod.ell == 0:
+            x //= mod.ell
+            e += 1
+        if x != 1:
+            raise GalmodError("internal: quotient order is not an l-power")
+        exps.append(e)
+    exps.sort(reverse=True)
+    return exps

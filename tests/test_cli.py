@@ -456,6 +456,29 @@ def test_galois_rank_modules_must_be_a_list(tmp_path, capsys):
     assert "modules must be a list" in err
 
 
+def _module(ell, n, factors, actions=()):
+    return {"ell": ell, "n": n, "invariantFactors": factors, "actions": list(actions)}
+
+
+@pytest.mark.parametrize("family, message", [
+    # each of these exited 0 with a report, the mixed primes 1
+    ({"t": 0, "modules": [_module(3, 1, [1]), _module(5, 1, [1])]}, "family mixes primes"),
+    ({"ell": 5, "t": 0, "modules": [_module(3, 1, [1])]}, "module ell 3 differs from family ell 5"),
+    ({"ell": 5.0, "t": 0, "modules": [_module(5, 1, [1])]}, "ell must be an integer"),
+    # the trivial action on (Z/9)^2 has fixed rank 2; t = -1 reported 1
+    ({"t": -1, "modules": [_module(3, 2, [2, 2], [[[1, 0], [0, 1]]])]}, "t must be at least 0"),
+    ({"t": 0, "modules": [_module(3, 0, []), _module(3, 1, [1])]}, "n must be at least 1"),
+    ({"t": 3, "modules": [_module(3, 2, [2]), _module(3, 3, [3])]}, "no module lies above"),
+    ({"t": 0, "modules": []}, "no module lies above"),
+], ids=["mixed-primes", "family-ell-differs", "family-ell-not-integer", "negative-t",
+        "module-n-0", "none-above-t", "no-modules"])
+def test_galois_rank_unsound_family_is_invalid_input(tmp_path, capsys, family, message):
+    path = write_json(tmp_path / "family.json", family)
+    code, out, err = run_cli(capsys, "galois-rank", path, "--no-timing")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_nonexistent_file_exit_code(capsys):
     code, _, _ = run_cli(capsys, "zeta", "/nonexistent.json", "--no-timing")
     assert code == 2
@@ -1115,10 +1138,12 @@ def _galmod_requests(tmp_path):
 
 
 def test_galmod_requests_import_no_counting(tmp_path):
-    for argv in _galmod_requests(tmp_path).values():
+    for command, argv in _galmod_requests(tmp_path).items():
         result = _modules_after(tmp_path, *argv, "--no-timing")
         assert "picardkit.galmod" in result["modules"]
         assert _loaded(result["modules"], GALMOD_UNUSED) == []
+        # only fixed_exponent uses a lattice helper, imported where it runs
+        assert ("picardkit.lattice" in result["modules"]) == (command == "galois-rank")
 
 
 def test_dovetail_demo_imports_only_dovetail(tmp_path):

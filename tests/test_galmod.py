@@ -9,7 +9,7 @@ from picardkit.galmod import (
     InconsistentTableError,
     SizeTable,
     TorsionResult,
-    invariants,
+    fixed_exponent,
     lprime_level,
     rank_upper_bounds,
     size_table_from_profile,
@@ -17,7 +17,7 @@ from picardkit.galmod import (
 )
 
 from conftest import trivial_mod_lprime
-from oracles import fixed_by_brute_force, kummer_size_check
+from oracles import fixed_by_brute_force, fixed_invariant_factors, kummer_size_check
 
 
 def test_lprime():
@@ -31,17 +31,15 @@ def test_lprime():
 
 def test_invariants_trivial_action():
     mod = FiniteLModule(ell=3, n=2, invariant_factors=[2, 2, 2])
-    exponent, factors = invariants(mod)
-    assert exponent == 6
-    assert factors == [2, 2, 2]
+    assert fixed_exponent(mod) == 6
+    assert fixed_invariant_factors(mod) == [2, 2, 2]
 
 
 def test_invariants_swap():
     swap = [[0, 1], [1, 0]]
     mod = FiniteLModule(ell=5, n=2, invariant_factors=[2, 2], actions=[swap])
-    exponent, factors = invariants(mod)
-    assert exponent == 2  # the diagonal copy Z/25
-    assert factors == [2]
+    assert fixed_exponent(mod) == 2  # the diagonal copy Z/25
+    assert fixed_invariant_factors(mod) == [2]
 
 
 def _random_unit_matrix(rng, k, ell, n):
@@ -62,16 +60,57 @@ def test_invariants_matches_brute_force():
         gens = [_random_unit_matrix(rng, k, ell, n) for _ in range(rng.randint(1, 2))]
         mod = FiniteLModule(ell=ell, n=n, invariant_factors=[n] * k, actions=gens)
         assert ell**n <= 10**2 or (ell**n) ** k <= 10**4
-        exponent, _ = invariants(mod)
+        exponent = fixed_exponent(mod)
         assert ell**exponent == fixed_by_brute_force(mod)
+        assert sum(fixed_invariant_factors(mod)) == exponent
 
 
 def test_invariants_mixed_factors_brute_force():
     # Z/9 + Z/3 with an action mixing the layers
     g = [[1, 3], [1, 1]]  # respects e = (2, 1): entry (0,1) must be 0 mod 3
     mod = FiniteLModule(ell=3, n=2, invariant_factors=[2, 1], actions=[g])
-    exponent, _ = invariants(mod)
-    assert 3**exponent == fixed_by_brute_force(mod)
+    assert 3 ** fixed_exponent(mod) == fixed_by_brute_force(mod)
+    assert sum(fixed_invariant_factors(mod)) == fixed_exponent(mod)
+
+
+def _random_module(rng):
+    """A module over l in {2, 3, 5} with mixed invariant factors and one or
+    two generators, small enough to enumerate."""
+    while True:
+        ell = rng.choice([2, 3, 5])
+        e = sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 3))), reverse=True)
+        if ell ** sum(e) <= 2000:
+            break
+    k, count = len(e), rng.randint(1, 2)
+    gens = []
+    while len(gens) < count:
+        # entry (i, j) divisible by l^max(0, e_i - e_j); half the time
+        # I + l^s X, which fixes more
+        x = [[ell ** max(0, e[i] - e[j]) * rng.randint(-ell ** e[i], ell ** e[i])
+              for j in range(k)] for i in range(k)]
+        if rng.random() < 0.5:
+            s = rng.randint(1, 2)
+            x = [[(1 if i == j else 0) + ell**s * x[i][j] for j in range(k)] for i in range(k)]
+        try:
+            FiniteLModule(ell=ell, n=e[0], invariant_factors=e, actions=[x])
+        except GalmodError:
+            continue
+        gens.append(x)
+    return FiniteLModule(ell=ell, n=e[0], invariant_factors=e, actions=gens)
+
+
+def test_fixed_exponent_matches_brute_force_and_invariant_factors():
+    rng = random.Random(386)
+    for _ in range(120):
+        mod = _random_module(rng)
+        exponent = fixed_exponent(mod)
+        assert mod.ell**exponent == fixed_by_brute_force(mod)
+        assert sum(fixed_invariant_factors(mod)) == exponent
+
+
+def test_fixed_exponent_without_generators_or_basis():
+    assert fixed_exponent(FiniteLModule(ell=2, n=3, invariant_factors=[3, 1])) == 4
+    assert fixed_exponent(FiniteLModule(ell=3, n=1, invariant_factors=[], actions=[[]])) == 0
 
 
 def test_module_validation():
@@ -83,6 +122,8 @@ def test_module_validation():
     with pytest.raises(GalmodError):
         # singular mod 3
         FiniteLModule(ell=3, n=1, invariant_factors=[1, 1], actions=[[[1, 1], [1, 1]]])
+    with pytest.raises(GalmodError, match="n must be at least 1"):
+        FiniteLModule(ell=3, n=0, invariant_factors=[])
 
 
 def planted_family(ell, n_max, r_trivial, swaps, torsion_exp, torsion_rank):
@@ -126,8 +167,7 @@ def test_rank_upper_bounds_planted_spec_example():
     bounds = rank_upper_bounds(family, t=0, check_hypothesis=False)
     assert bounds.value == 3
     assert all(u >= 3 for _, u in bounds.per_level)
-    exponent, _ = invariants(family[1])  # n = 2
-    assert exponent == 6  # 3^4 * 3^2
+    assert fixed_exponent(family[1]) == 6  # n = 2: 3^4 * 3^2
 
 
 def test_rank_upper_bounds_trivial_action():
@@ -147,7 +187,22 @@ def test_rank_upper_bounds_with_torsion():
 
 
 def test_rank_upper_bounds_empty_family():
-    assert rank_upper_bounds([], t=3).value == 0
+    # a bound of 0 drawn from no module would be unsound, so it is refused
+    with pytest.raises(GalmodError, match="no module lies above"):
+        rank_upper_bounds([], t=3)
+
+
+def test_rank_upper_bounds_refuses_unsound_families():
+    trivial = FiniteLModule(ell=3, n=2, invariant_factors=[2, 2], actions=[[[1, 0], [0, 1]]])
+    assert rank_upper_bounds([trivial], t=0).value == 2
+    # at t = -1 the bound floor(4 / 3) = 1 would undercut the fixed rank 2
+    with pytest.raises(GalmodError, match="t must be at least 0"):
+        rank_upper_bounds([trivial], t=-1)
+    with pytest.raises(GalmodError, match="no module lies above"):
+        rank_upper_bounds([trivial], t=2)
+    other = FiniteLModule(ell=5, n=1, invariant_factors=[1])
+    with pytest.raises(GalmodError, match="family mixes primes"):
+        rank_upper_bounds([trivial, other], t=0)
 
 
 def test_rank_upper_bounds_hypothesis_violation():

@@ -15,16 +15,15 @@ from picardkit.lattice import (
     RelationViolationError,
     build_n,
     coords_in_hnf,
-    diagonal_of,
+    fixed_rank,
     hnf_rows,
     independence_certificate,
-    invariants_rank,
+    integer_kernel,
     mat_inverse_int,
     saturate,
-    snf,
 )
 
-from oracles import det_laplace, generate_group, rref, solve
+from oracles import det_laplace, diagonal_of, generate_group, rref, snf, snf_kernel, solve
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -83,6 +82,41 @@ def test_snf_random_oracle():
             for x in diag:
                 prod *= x
             assert prod == abs(det_bareiss(m))
+
+
+def _kernel_case(rng, rows, cols):
+    """A random rows x cols matrix, often of lower rank, sometimes with a
+    zero row or column."""
+    rk = rng.randint(0, min(rows, cols))
+    if rk < min(rows, cols) and rng.random() < 0.7:
+        if rk:
+            m = mat_mul(rand_matrix(rng, rows, rk, -3, 3), rand_matrix(rng, rk, cols, -3, 3))
+        else:
+            m = [[0] * cols for _ in range(rows)]
+    else:
+        m = rand_matrix(rng, rows, cols)
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_integer_kernel_matches_snf_kernel():
+    assert integer_kernel([]) == snf_kernel([]) == []
+    assert integer_kernel([[], []]) == snf_kernel([[], []]) == []
+    assert integer_kernel([[0, 0]]) == snf_kernel([[0, 0]]) == [[1, 0], [0, 1]]
+    rng = random.Random(3000)
+    sizes = [(rng.randint(1, 8), rng.randint(1, 10)) for _ in range(400)]
+    sizes += [(n, n) for n in range(9, 28, 3)] + [(27, 27), (20, 27), (27, 20)]
+    for rows, cols in sizes:
+        m = _kernel_case(rng, rows, cols)
+        kernel = integer_kernel(m)
+        assert kernel == snf_kernel(m)
+        assert len(kernel) == cols - rank(m)
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m for x in kernel)
 
 
 def test_saturate_examples():
@@ -270,9 +304,9 @@ def test_glattice_validation():
 
 
 def test_invariants_rank_basic():
-    assert invariants_rank(GLattice(rank=3, action=[])) == 3
+    assert fixed_rank(GLattice(rank=3, action=[])) == 3
     swap = GLattice(rank=2, action=[[[0, 1], [1, 0]]], relations=[[1, 1]])
-    assert invariants_rank(swap) == 1
+    assert fixed_rank(swap) == 1
 
 
 def test_invariants_rank_trace_oracle():
@@ -287,7 +321,7 @@ def test_invariants_rank_trace_oracle():
         lat = GLattice(rank=4, action=gens)
         group = generate_group(gens)
         trace_sum = sum(sum(g[i][i] for i in range(4)) for g in group)
-        assert invariants_rank(lat) == Fraction(trace_sum, len(group))
+        assert fixed_rank(lat) == Fraction(trace_sum, len(group))
 
 
 def test_invariants_rank_random_conjugated_perms():
@@ -310,7 +344,7 @@ def test_invariants_rank_random_conjugated_perms():
         lat = GLattice(rank=n, action=[gc])
         group = generate_group([gc])
         trace_sum = sum(sum(h[i][i] for i in range(n)) for h in group)
-        assert invariants_rank(lat) == Fraction(trace_sum, len(group))
+        assert fixed_rank(lat) == Fraction(trace_sum, len(group))
         count += 1
 
 
@@ -325,7 +359,7 @@ def test_build_n_swap_quadric_shape():
     swap = [[0, 1], [1, 0]]
     lat, class_map = build_n(pairings, [swap], 2, relations=[[1, 1]])
     assert lat.rank == 2
-    assert invariants_rank(lat) == 1
+    assert fixed_rank(lat) == 1
     coords = class_map([1, 1])
     assert coords is not None
 
