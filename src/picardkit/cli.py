@@ -94,19 +94,29 @@ def _eval_budget(args):
     return DEFAULT_BUDGET if args.eval_budget is None else args.eval_budget
 
 
-def _budget_descriptor(flags, args, ambient):
+def _budget_descriptor(flags, args, ideal):
+    """The zeta.DegreeBudget record of a spec: a user budget B (`--budget`
+    or the `budget` flag), else the record of a smooth hypersurface of
+    degree `hypersurfaceDegree`; a spec with neither is invalid input."""
+    from .zeta import DegreeBudget, hypersurface_budget
+
     budget = args.budget if args.budget is not None else flags.get("budget")
     if budget is not None:
         # a JSON integer: 3.7 and "4" are rejected, not truncated or parsed
         if type(budget) is not int or budget < 2:
             raise CliError("budget must be an integer of at least 2", EXIT_INVALID_INPUT)
-        return {"budget": budget}
+        return DegreeBudget(budget)
     degree = flags.get("hypersurfaceDegree")
     if degree is None:
-        return {}
+        raise CliError(
+            "no budget: supply one, or a hypersurface degree plus ambient dimension",
+            EXIT_INVALID_INPUT,
+        )
     if type(degree) is not int or degree < 1:
         raise CliError("hypersurfaceDegree must be an integer of at least 1", EXIT_INVALID_INPUT)
-    return {"hypersurface_degree": degree, "ambient_dim": ambient}
+    if ideal.nvars < 2:  # P^0 holds no hypersurface
+        raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
+    return hypersurface_budget(degree, ideal.nvars - 1, ideal.domain.q)
 
 
 def _validate_counts(series, betti=None):
@@ -132,33 +142,35 @@ def _json_bool(obj, key):
     return value
 
 
-def _zeta_pipeline(ideal, flags, args, report):
+def _zeta_pipeline(ideal, flags, args, report, connected=False):
     """Counts, the zeta function and its factorization; returns
-    (z, factored) with factored as weil.factor_zeta gives it."""
+    (z, factored) with factored as weil.factor_zeta gives it.  With
+    `connected`, a record whose b_0 or b_2d is not 1 (a variety that is not
+    geometrically connected) is invalid input, found before counting."""
     from . import weil, zeta as zeta_mod
     from .counting import BudgetExceededError, count_tower
     from .polysys import dimension_degree, smoothness_check
 
     ambient = ideal.nvars - 1
-    desc = _budget_descriptor(flags, args, ambient)
+    budget = _budget_descriptor(flags, args, ideal)
     assume_smooth = _json_bool(flags, "assumeSmooth")
     dim, degree = dimension_degree(ideal)
     if dim < 0:
         raise CliError("the ideal cuts out the empty scheme", EXIT_INVALID_INPUT)
     if not 0 <= getattr(args, "p", 0) <= dim:
         raise CliError("codimension out of range", EXIT_INVALID_INPUT)
-    if "hypersurface_degree" in desc and (
-        len(ideal.generators) != 1 or (dim, degree) != (ambient - 1, desc["hypersurface_degree"])
+    if budget.betti is not None and (
+        len(ideal.generators) != 1 or (dim, degree) != (ambient - 1, flags["hypersurfaceDegree"])
     ):
         raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
     report["variety"] = {"dim": dim, "degree": degree, "ambientDim": ambient}
     if not assume_smooth and not smoothness_check(ideal):
         raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
+    if connected and budget.betti is not None and (budget.betti[0], budget.betti[-1]) != (1, 1):
+        raise CliError("b_0 and b_2d must equal 1", EXIT_INVALID_INPUT)
     cache = _cache_from_args(args)
-    q = ideal.domain.q
 
     try:
-        budget = zeta_mod.betti_budget(desc)
         n_max = budget.levels
         while True:
             counts = count_tower(
@@ -178,14 +190,12 @@ def _zeta_pipeline(ideal, flags, args, report):
                 n_max += 1
     except BudgetExceededError as exc:
         raise _budget_error(exc) from None
-    except zeta_mod.MissingBudgetError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     except zeta_mod.ZetaError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
     holds, sign = zeta_mod.functional_equation_check(z)
     if not holds:
         raise CliError("functional equation fails: corrupted counts", EXIT_INCONSISTENT)
-    report["counts"] = {"q": q, "values": counts.counts}
+    report["counts"] = {"q": ideal.domain.q, "values": counts.counts}
     report["zeta"] = z.to_json()
     report["zeta"]["functionalEquationSign"] = sign
     factored = weil.factor_zeta(z)
@@ -243,7 +253,7 @@ def cmd_betti(args):
     from . import weil
 
     ideal, flags, report = _spec_request(args)
-    z, factored = _zeta_pipeline(ideal, flags, args, report)
+    z, factored = _zeta_pipeline(ideal, flags, args, report, connected=True)
     try:
         report["betti"] = weil.betti_numbers(z, weil.classify_weights(z, factored))
     except weil.UnclassifiableFactorError as exc:
@@ -255,7 +265,7 @@ def cmd_tate(args):
     from . import weil
 
     ideal, flags, report = _spec_request(args)
-    z, factored = _zeta_pipeline(ideal, flags, args, report)
+    z, factored = _zeta_pipeline(ideal, flags, args, report, connected=True)
     try:
         pieces = weil.classify_weights(z, factored)
         report["betti"] = weil.betti_numbers(z, pieces)

@@ -81,8 +81,10 @@ class FiniteLModule:
     def moduli(self):
         return [self.ell**e for e in self.invariant_factors]
 
-    def has_trivial_action(self):
-        e = self.invariant_factors
+    def has_trivial_action(self, level):
+        """Does every action matrix act trivially on T / l^level T, whose
+        row i is read mod l^min(e_i, level)?  At level n that is T itself."""
+        e = [min(x, level) for x in self.invariant_factors]
         for g in self.actions:
             for i in range(len(e)):
                 for j in range(len(e)):
@@ -143,11 +145,12 @@ def rank_upper_bounds(family, t, check_hypothesis=True):
 
     family: FiniteLModule instances over one prime, at least one at a level
     n > t >= 0; modules at levels n <= t are skipped.  With
-    check_hypothesis (the default), a supplied module at the l' level must
-    carry the trivial action: under that hypothesis the minimum of the
-    bounds is the rank of the fixed part of the underlying lattice.  Pass
-    check_hypothesis=False for abstract planted families where the bound on
-    the fixed rank is wanted without the provenance assumption.
+    check_hypothesis (the default), every module at a level n at or above
+    the l' level must act trivially mod l': under that hypothesis the
+    minimum of the bounds is the rank of the fixed part of the underlying
+    lattice.  Pass check_hypothesis=False for abstract planted families
+    where the bound on the fixed rank is wanted without the provenance
+    assumption.
     """
     if t < 0:
         raise GalmodError(f"t must be at least 0: {t}")
@@ -156,9 +159,9 @@ def rank_upper_bounds(family, t, check_hypothesis=True):
     if check_hypothesis:
         for mod in family:
             level0 = lprime_level(mod.ell)
-            if mod.n == level0 and not mod.has_trivial_action():
+            if mod.n >= level0 and not mod.has_trivial_action(level0):
                 raise HypothesisViolationError(
-                    f"action on the level-{level0} module is not trivial"
+                    f"action on the level-{mod.n} module is not trivial mod {mod.ell**level0}"
                 )
     above = sorted((mod for mod in family if mod.n > t), key=lambda m: m.n)
     if not above:

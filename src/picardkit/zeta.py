@@ -1,13 +1,15 @@
 """Exact zeta functions from point counts.
 
-When the budget carries the Betti numbers of a smooth hypersurface, only
-the middle factor P_d is unknown, less the factor (1 - q^(d/2) T) of the
-hyperplane class when d is even: Newton's identities give its low half and
-the functional equation the rest, from about b_d / 2 counts.  Otherwise
-Z(T) = exp(sum N_n T^n / n) is recovered from 2B counts as a reduced
-rational function (a Pade approximant) by fraction-free linear algebra on
-the truncated exponential series, whose coefficients are integers when the
-counts are.  Both routes stay in Z; a float would be unsound.
+A `DegreeBudget` records what is known before any count.  When it carries
+the Betti numbers of a smooth hypersurface, only the middle factor P_d is
+unknown, less the record's known factor K(T) of P_d ((1 - q^(d/2) T) of
+the hyperplane class when d is even): Newton's identities give the low
+half of P_d / K and the functional equation the rest, from about
+(b_d - deg K) / 2 counts.  Otherwise Z(T) = exp(sum N_n T^n / n) is
+recovered from 2B counts as a reduced rational function (a Pade
+approximant) by fraction-free linear algebra on the truncated exponential
+series, whose coefficients are integers when the counts are.  Both routes
+stay in Z; a float would be unsound.
 """
 
 from . import upoly
@@ -78,15 +80,22 @@ class ZetaFunction:
 
 
 class DegreeBudget:
-    """Upper bound on the total Betti number, driving the count requirement."""
+    """What is known about Z before any count: the bound B on the total
+    Betti number and, for a variety whose cohomology outside degree d is
+    that of P^d, its Betti vector and a known factor K(T) of P_d (integer
+    coefficients, K(0) = 1) that counts need not fix.  For odd d, K must
+    satisfy the functional equation with sign +1, as P_d does."""
 
-    __slots__ = ("B", "betti")
+    __slots__ = ("B", "betti", "known")
 
-    def __init__(self, B, betti=None):
-        if B < 2:
+    def __init__(self, B, betti=None, known=(1,)):
+        if betti is None and B < 2:
             raise ZetaError("budget must be at least 2")
+        if known[0] != 1 or betti and upoly.deg(known) > betti[len(betti) // 2]:
+            raise ZetaError("the known factor K needs K(0) = 1 and degree at most b_d")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "betti", betti)  # predicted Betti vector when derivable
+        object.__setattr__(self, "known", tuple(known))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"DegreeBudget is immutable: cannot set {name!r}")
@@ -95,66 +104,40 @@ class DegreeBudget:
 
     @property
     def unknown_degree(self):
-        """Degree of the part of P_d that counts must fix: b_d, less the
-        factor (1 - q^(d/2) T) of the rational class h^(d/2) when d is even."""
+        """D = b_d - deg K: the degree of the part of P_d that counts must fix."""
         d = len(self.betti) // 2
-        b = self.betti[d]
-        return b - 1 if d % 2 == 0 and b else b
+        return self.betti[d] - upoly.deg(self.known)
 
     @property
     def levels(self):
-        """Counts `reconstruct` needs: b_d / 2 + 1 for odd d, whose sign is
-        +1.  For even d the sign is unknown, and an unknown factor of degree
-        D = `unknown_degree` needs D // 2 (at least 1); D counts fix every
-        coefficient when the sign stays ambiguous."""
+        """Counts `reconstruct` needs: D // 2 + 1 for odd d, whose sign is
+        +1.  For even d the sign is unknown and D // 2 (at least 1) are
+        needed; D counts fix every coefficient when the sign stays
+        ambiguous."""
         if self.betti is None:
             return 2 * self.B
-        d = len(self.betti) // 2
-        return self.betti[d] // 2 + 1 if d % 2 else max(self.unknown_degree // 2, 1)
+        D, d = self.unknown_degree, len(self.betti) // 2
+        return D // 2 + 1 if d % 2 else max(D // 2, 1)
 
 
-class MissingBudgetError(ZetaError):
-    pass
-
-
-def betti_budget(descriptor):
-    """DegreeBudget from variety metadata.
-
-    descriptor: a mapping with either
-      * "budget": a user-configured bound, or
-      * "hypersurface_degree" and "ambient_dim": a smooth hypersurface of
-        that degree in P^{ambient_dim}, whose Betti numbers are classical.
-    No general effective bound is implemented; anything else is an error.
-    """
-    if descriptor.get("budget") is not None:
-        return DegreeBudget(B=descriptor["budget"])
-    D = descriptor.get("hypersurface_degree")
-    amb = descriptor.get("ambient_dim")
-    if not D or not amb:
-        raise MissingBudgetError(
-            "no budget: supply one, or a hypersurface degree plus ambient dimension"
-        )
-    m = amb - 1  # dimension of the hypersurface
-    chi_num = (1 - D) ** (m + 2) - 1
-    assert chi_num % D == 0
-    chi = chi_num // D + (m + 2)
+def hypersurface_budget(degree, ambient, q):
+    """The record of a smooth hypersurface of that degree in P^ambient over
+    F_q: its classical Betti numbers and, for even dimension d with b_d >= 1,
+    the known factor (1 - q^(d/2) T) of P_d that the rational class h^(d/2)
+    gives."""
+    m = ambient - 1  # dimension of the hypersurface
+    chi_num = (1 - degree) ** (m + 2) - 1
+    assert chi_num % degree == 0
+    chi = chi_num // degree + (m + 2)
     if m % 2 == 0:
         b_mid = chi - m
         total = m + b_mid
     else:
         b_mid = (m + 1) - chi
         total = (m + 1) + b_mid
-    if b_mid < 0:
-        raise ZetaError("inconsistent hypersurface data")
-    betti = []
-    for i in range(2 * m + 1):
-        if i == m:
-            betti.append(b_mid)
-        elif i % 2 == 0:
-            betti.append(1)
-        else:
-            betti.append(0)
-    return DegreeBudget(B=total, betti=tuple(betti))
+    betti = tuple(b_mid if i == m else 1 - i % 2 for i in range(2 * m + 1))
+    known = [1, -(q ** (m // 2))] if m % 2 == 0 and b_mid else [1]
+    return DegreeBudget(B=total, betti=betti, known=known)
 
 
 def reconstruct(counts, budget, dim=None):
@@ -258,24 +241,24 @@ def _reconstruct_middle(q, ns, budget):
     """Zeta function of a d-fold whose cohomology outside degree d is that
     of P^d: Z = P_d^((-1)^(d+1)) / prod (1 - q^k T), k = 0..d, k != d/2.
 
-    For even d the rational class h^(d/2) gives P_d = (1 - q^(d/2) T) P'
-    (when b_d >= 1); otherwise P' = P_d.  Newton's identities on
-    s_n = (-1)^d (N_n - sum_k q^(kn)), k over the known exponents (those of
-    the poles, and d/2 when P' != P_d), give c_0..c_m of P', m =
-    min(#counts, D) with D = deg P'; c_k = sign * c_(D-k) * q^(d(2k-D)/2)
-    gives the rest.  The sign is +1 for odd d; for even d both are tried,
-    and two survivors (roots of P_d of modulus q^(d/2), every count
-    reproduced) raise AmbiguousSignError.
+    P_d = K P' with K the budget's known factor.  Newton's identities on
+    s_n = (-1)^d (N_n - sum_k q^(kn)) less the power sums of K give
+    c_0..c_m of P', m = min(#counts, D) with D = deg P';
+    c_k = sign * c_(D-k) * q^(d(2k-D)/2) gives the rest.  The sign is +1
+    for odd d; for even d both are tried, and two survivors (roots of P_d
+    of modulus q^(d/2), every count reproduced) raise AmbiguousSignError.
     """
     from .weil import certify_root_modulus
 
     d = len(budget.betti) // 2
     D = budget.unknown_degree
-    hyperplane = D < budget.betti[d]
     poles = [k for k in range(d + 1) if 2 * k != d]
-    known = poles + [d // 2] if hyperplane else poles
     m = min(len(ns), D)
-    s = [(-1) ** d * (ns[n - 1] - sum(q ** (k * n) for k in known)) for n in range(1, m + 1)]
+    known = upoly.power_sums(budget.known, m)
+    s = [
+        (-1) ** d * (ns[n - 1] - sum(q ** (k * n) for k in poles)) - known[n - 1]
+        for n in range(1, m + 1)
+    ]
     low = upoly.from_power_sums(s)
     if low is None:
         raise NonIntegerCoefficientsError("counts give non-integer coefficients")
@@ -293,8 +276,7 @@ def _reconstruct_middle(q, ns, budget):
             elif c[D - k] != mirror:
                 break
         else:
-            if hyperplane:
-                c = upoly.mul([1, -(q ** (d // 2))], c)
+            c = upoly.mul(budget.known, c)
             num, den = (c, outer) if d % 2 else ([1], upoly.mul(outer, c))
             z = ZetaFunction(q=q, num=num, den=den, dim=d)
             if certify_root_modulus(c, q**d) and expand(z, len(ns)) == ns:

@@ -62,7 +62,7 @@ def trivial_mod_lprime(m, ell):
     module at level lprime_level(l)."""
     level = lprime_level(ell)
     mod = FiniteLModule(ell=ell, n=level, invariant_factors=[level] * len(m), actions=[m])
-    return mod.has_trivial_action()
+    return mod.has_trivial_action(level)
 
 
 def graded_dimension(ideal, d):

@@ -399,7 +399,7 @@ def fixed_invariant_factors(mod):
     if k == 0:
         return []
     mods = mod.moduli()
-    if not mod.actions or mod.has_trivial_action():
+    if not mod.actions or mod.has_trivial_action(mod.n):
         return list(mod.invariant_factors)
     rows = []
     row_moduli = []

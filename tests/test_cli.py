@@ -552,6 +552,20 @@ def test_hypothesis_violation_exits_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["rankBounds"]
 
 
+@pytest.mark.parametrize("action, code", [([[0, 1], [1, 0]], 2), ([[1, 3], [0, 1]], 0)])
+def test_hypothesis_checked_mod_lprime_above_the_lprime_level(tmp_path, capsys, action, code):
+    # an n = 2 module over l = 3 fixes the action mod 3: the swap is not
+    # trivial there (it exited 0 with value 1), while [[1, 3], [0, 1]] is
+    family = {"t": 0, "modules": [_module(3, 2, [2, 2], [action])]}
+    got, out, err = run_cli(capsys, "galois-rank", write_json(tmp_path / "f.json", family),
+                            "--no-timing")
+    assert got == code
+    if code:
+        assert "not trivial mod 3" in err
+    else:
+        assert json.loads(out)["rankBounds"]["value"] == 1
+
+
 @pytest.mark.parametrize("value", NON_BOOLEANS)
 def test_skip_hypothesis_check_must_be_a_json_boolean(tmp_path, capsys, value):
     # "skipHypothesisCheck": "false" used to skip the check by truthiness
@@ -680,6 +694,16 @@ def test_hypersurface_degree_checked_before_counting(tmp_path, capsys, generator
     assert code == 2
     assert out == ""
     assert "hypersurfaceDegree" in err
+
+
+@pytest.mark.parametrize("generators", [[], ["x0"]])
+def test_hypersurface_degree_in_p0_is_invalid_input(tmp_path, capsys, generators):
+    # P^0 holds no hypersurface, so there are no Betti numbers to derive
+    spec = write_json(tmp_path / "p0.json", {"field": {"p": 2}, "ambientDim": 0,
+                      "generators": generators, "flags": {"hypersurfaceDegree": 1}})
+    code, out, err = run_cli(capsys, "zeta", spec, "--no-timing", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "hypersurfaceDegree does not match the ideal" in err
 
 
 @pytest.mark.parametrize("bad", [5.0, "5", True])
@@ -902,6 +926,62 @@ def test_zeta_four_points_deepens_one_level(tmp_path, capsys):
     report = json.loads(out)
     assert report["counts"]["values"] == [0, 0]
     assert (report["zeta"]["num"], report["zeta"]["den"]) == ([1], [1, 0, 0, 0, -1])
+
+
+@pytest.mark.parametrize("command", [["betti"], ["tate-bound", "-p", "0"]])
+def test_disconnected_hypersurface_rejected_before_counting(tmp_path, capsys, command):
+    # the record of two rational points says b_0 = 2: the variety is not
+    # geometrically connected, so there are no Betti numbers b_0 = b_2d = 1
+    # to report; an empty cache with a one-unit evaluation budget would exit
+    # 3 if anything were counted
+    spec = point_set_spec(tmp_path, "x0*x1", 2)
+    code, out, err = run_cli(
+        capsys, command[0], spec, *command[1:], "--cache-dir", str(tmp_path / "cache"),
+        "--eval-budget", "1", "--no-timing",
+    )
+    assert (code, out) == (2, "")
+    assert "b_0 and b_2d must equal 1" in err
+    # zeta and count take the same spec as before
+    code, out, _ = run_cli(capsys, "zeta", spec, "--cache-dir", str(tmp_path / "c"), "--no-timing")
+    assert code == 0
+    assert json.loads(out)["zeta"]["den"] == [1, -2, 1]
+    code, out, _ = run_cli(capsys, "count", spec, "-n", "2", "--no-timing",
+                           "--cache-dir", str(tmp_path / "c"))
+    assert (code, json.loads(out)["counts"]["values"]) == (0, [2, 2])
+
+
+def test_betti_of_one_rational_point(tmp_path, capsys):
+    # a hyperplane in P^1 has total Betti number 1, which is no reason to
+    # refuse it: Z = 1 / (1 - T) from one count
+    spec = point_set_spec(tmp_path, "x0", 1)
+    code, out, _ = run_cli(
+        capsys, "betti", spec, "--cache-dir", str(tmp_path / "cache"), "--no-timing"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["zeta"]["num"], report["zeta"]["den"]) == ([1], [1, -1])
+    assert report["betti"] == [1]
+
+
+@pytest.mark.parametrize("command", [["zeta"], ["betti"], ["tate-bound", "-p", "1"]])
+def test_missing_budget_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # neither a budget nor hypersurfaceDegree: rejected before the dimension
+    # and smoothness checks run
+    from picardkit import polysys
+
+    def fail(*_):
+        pytest.fail("the variety was examined before the missing budget was found")
+
+    monkeypatch.setattr(polysys, "dimension_degree", fail)
+    monkeypatch.setattr(polysys, "smoothness_check", fail)
+    spec = write_json(
+        tmp_path / "cubic.json",
+        {"field": {"p": 2}, "ambientDim": 2, "generators": ["x0^3 + x1^3 + x2^3"]},
+    )
+    code, out, err = run_cli(capsys, command[0], spec, *command[1:], "--no-timing",
+                             "--cache-dir", str(tmp_path / "cache"))
+    assert (code, out) == (2, "")
+    assert "no budget" in err
 
 
 def test_count_refuses_tables_beyond_memory(tmp_path, capsys, monkeypatch):

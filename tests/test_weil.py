@@ -17,7 +17,7 @@ from picardkit.weil import (
     dim_v_mu,
     factor_zeta,
 )
-from picardkit.zeta import DegreeBudget, ZetaFunction, betti_budget, reconstruct
+from picardkit.zeta import DegreeBudget, ZetaFunction, hypersurface_budget, reconstruct
 
 from oracles import cyclotomic_multiplicity, mul_many
 
@@ -114,7 +114,7 @@ def test_classify_weights_quadric():
 def reconstruct_surface_zeta():
     from picardkit.counting import CountSeries
 
-    budget = betti_budget({"hypersurface_degree": 2, "ambient_dim": 3})
+    budget = hypersurface_budget(2, 3, 2)
     return reconstruct(CountSeries(q=2, counts=[9]), budget, dim=2)
 
 

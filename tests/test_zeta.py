@@ -6,20 +6,19 @@ import pytest
 from picardkit.counting import CountSeries, count_tower
 from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
-from picardkit.upoly import from_power_sums, mul, trim
+from picardkit.upoly import from_power_sums, int_quotient, mul, trim
 from picardkit.zeta import (
     AmbiguousSignError,
     DegreeBudget,
     InsufficientCountsError,
-    MissingBudgetError,
     NoConsistentSignError,
     NonIntegerCoefficientsError,
     NoSolutionError,
     ZetaError,
     ZetaFunction,
-    betti_budget,
     expand,
     functional_equation_check,
+    hypersurface_budget,
     reconstruct,
 )
 
@@ -73,7 +72,7 @@ def test_reconstruct_needs_enough_counts():
 def test_middle_route_rejects_counts_with_non_integer_coefficients():
     # a plane cubic over F_2: s_1 = 3 - N_1 = 0 and s_2 = 5 - N_2 = 1 give
     # 2 c_2 = -1, so no integer P_1 matches
-    budget = betti_budget({"hypersurface_degree": 3, "ambient_dim": 2})
+    budget = hypersurface_budget(3, 2, 2)
     with pytest.raises(NonIntegerCoefficientsError):
         reconstruct(series(2, [3, 4]), budget, dim=1)
 
@@ -124,31 +123,34 @@ def test_functional_equation_detects_wrong():
 
 
 def test_betti_budget_user():
-    b = betti_budget({"budget": 4})
-    assert b.B == 4 and b.betti is None
+    b = DegreeBudget(4)
+    assert b.B == 4 and b.betti is None and b.known == (1,)
 
 
 def test_betti_budget_quartic_surface():
-    b = betti_budget({"hypersurface_degree": 4, "ambient_dim": 3})
+    b = hypersurface_budget(4, 3, 2)
     assert b.betti == (1, 0, 22, 0, 1)
+    assert b.known == (1, -2)  # the hyperplane class h
     assert b.B == 24
 
 
 def test_betti_budget_cubic_surface():
-    b = betti_budget({"hypersurface_degree": 3, "ambient_dim": 3})
+    b = hypersurface_budget(3, 3, 4)
     assert b.betti == (1, 0, 7, 0, 1)
+    assert b.known == (1, -4)
     assert b.B == 9
 
 
 def test_betti_budget_plane_cubic_curve():
-    b = betti_budget({"hypersurface_degree": 3, "ambient_dim": 2})
+    b = hypersurface_budget(3, 2, 2)
     assert b.betti == (1, 2, 1)
+    assert b.known == (1,)
     assert b.B == 4
 
 
 def test_degree_budget_is_immutable():
-    budget = betti_budget({"hypersurface_degree": 3, "ambient_dim": 3})
-    for name in ("B", "source", "betti"):
+    budget = hypersurface_budget(3, 3, 2)
+    for name in ("B", "source", "betti", "known"):
         with pytest.raises(AttributeError):
             setattr(budget, name, None)
     with pytest.raises(AttributeError):
@@ -157,11 +159,17 @@ def test_degree_budget_is_immutable():
 
 
 def test_betti_budget_missing():
-    with pytest.raises(MissingBudgetError):
-        betti_budget({})
+    # neither a budget nor a hypersurface degree: no record, invalid input
+    from types import SimpleNamespace
+
+    from picardkit.cli import CliError, _budget_descriptor
+
+    with pytest.raises(CliError) as err:
+        _budget_descriptor({}, SimpleNamespace(budget=None), None)
+    assert err.value.code == 2 and "no budget" in str(err.value)
 
 
-QUADRIC_SURFACE = betti_budget({"hypersurface_degree": 2, "ambient_dim": 3})
+QUADRIC_SURFACE = hypersurface_budget(2, 3, 2)
 
 
 def test_reconstruct_surface_quadric():
@@ -192,11 +200,11 @@ def test_levels_for_hypersurfaces(degree, ambient, levels):
     # even d: the unknown factor of P_d has degree D = b_d - 1 once
     # (1 - q^(d/2) T) is divided out, and needs D // 2 counts; odd d keeps
     # b_d / 2 + 1
-    assert betti_budget({"hypersurface_degree": degree, "ambient_dim": ambient}).levels == levels
+    assert hypersurface_budget(degree, ambient, 2).levels == levels
 
 
 # x0^2 + x0*x1 + x1^2 over F_2: two conjugate points, b_0 = 2
-POINT_PAIR = betti_budget({"hypersurface_degree": 2, "ambient_dim": 1})
+POINT_PAIR = hypersurface_budget(2, 1, 2)
 
 
 def test_reconstruct_point_pair_from_one_count():
@@ -209,7 +217,7 @@ def test_reconstruct_point_pair_from_one_count():
 
 
 # x0^4 + x0*x1^3 + x1^4 over F_2: four conjugate points, b_0 = 4
-POINT_QUARTET = betti_budget({"hypersurface_degree": 4, "ambient_dim": 1})
+POINT_QUARTET = hypersurface_budget(4, 1, 2)
 
 
 def test_reconstruct_four_conjugate_points_deepens_one_level():
@@ -234,10 +242,25 @@ K3_P2 = [
 def test_reconstruct_k3_from_ten_counts():
     # with 10 counts only one sign passes certification; the result is the
     # zeta function that all 11 counted levels give, N_11 included
-    budget = betti_budget({"hypersurface_degree": 4, "ambient_dim": 3})
+    budget = hypersurface_budget(4, 3, 2)
     z = reconstruct(series(2, K3_COUNTS), budget, dim=2)
     assert (z.num, z.den) == ([1], K3_P2)
     assert expand(z, 11) == K3_COUNTS + [4194305]
+
+
+def test_known_factor_of_degree_ten_needs_six_counts():
+    # a record that knows every factor of the K3's P_2 but the one of degree
+    # 12, taken from its zeta function, leaves D = 12: 6 counts instead of
+    # 10, and the same zeta function
+    p2 = int_quotient(K3_P2, mul([1, -1], [1, -4]))
+    known = int_quotient(p2, [1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096])
+    assert len(known) == 11
+    hyper = hypersurface_budget(4, 3, 2)
+    budget = DegreeBudget(hyper.B, hyper.betti, known)
+    assert (budget.unknown_degree, budget.levels, hyper.levels) == (12, 6, 10)
+    z = reconstruct(series(2, K3_COUNTS[:6]), budget, dim=2)
+    assert z == reconstruct(series(2, K3_COUNTS), hyper, dim=2)
+    assert (z.num, z.den) == ([1], K3_P2)
 
 
 @pytest.mark.parametrize(
@@ -248,7 +271,7 @@ def test_reconstruct_k3_from_ten_counts():
 def test_reconstruct_middle_curves_match_pade(q, counts):
     # the middle route needs b/2 + 1 counts; the Pade fit on 2B counts of
     # the same curve gives the same zeta function
-    budget = betti_budget({"hypersurface_degree": 3 if len(counts) == 2 else 4, "ambient_dim": 2})
+    budget = hypersurface_budget(3 if len(counts) == 2 else 4, 2, q)
     assert budget.levels == len(counts)
     z = reconstruct(series(q, counts), budget, dim=1)
     full = expand(z, 2 * budget.B)
@@ -300,7 +323,7 @@ def test_pade_route_rejects_a_non_integral_series():
 
 
 def test_reconstruct_middle_rejects_inconsistent_counts():
-    budget = betti_budget({"hypersurface_degree": 3, "ambient_dim": 2})
+    budget = hypersurface_budget(3, 2, 5)
     # N_2 = 29 gives c_2 = 6, but the functional equation needs c_2 = 5
     with pytest.raises(NoConsistentSignError):
         reconstruct(series(5, [9, 29]), budget, dim=1)
@@ -335,6 +358,6 @@ def test_klein_quartic_curve_end_to_end():
 
 def test_betti_budget_cubic_threefold():
     # classical: a smooth cubic hypersurface in P^4 has b_3 = 10
-    b = betti_budget({"hypersurface_degree": 3, "ambient_dim": 4})
+    b = hypersurface_budget(3, 4, 2)
     assert b.betti == (1, 0, 1, 10, 1, 0, 1)
     assert b.B == 14
