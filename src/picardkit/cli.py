@@ -311,13 +311,17 @@ def cmd_rank(args):
     cycles = _load_json(args.cycles)
     ideal, flags = _variety_from_spec(spec)
     try:
-        k = len(cycles["basisCycles"])
+        basis = cycles["basisCycles"]
+        if not isinstance(basis, list):
+            raise ValueError(f"basisCycles must be a list: {basis!r}")
+        k = len(basis)
         pairings = [_int_row(row) for row in cycles["pairings"]]
         candidates = [
             (cand.get("name", "?"), _int_row(cand["pairingVector"]))
             for cand in cycles.get("candidates", [])
         ]
         action, relations = _parse_action(cycles.get("action", {}), k)
+        lattice.GLattice(k, action)  # each generator invertible over Z, before counting
         if any(len(row) != k for row in pairings) or any(len(v) != k for _, v in candidates):
             raise ValueError(f"pairing vectors must have length {k}, one entry per basis cycle")
         names = cycles.get("cycleNames", [f"z{i}" for i in range(len(pairings))])
@@ -335,7 +339,7 @@ def cmd_rank(args):
     inputs = {"variety": digest, "cycles": cycles, "p": args.p}
     inputs_digest = sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
     try:
-        lattice.read_checkpoint(args.checkpoint, inputs_digest)
+        best = lattice.read_checkpoint(args.checkpoint, inputs_digest)
     except lattice.LatticeError as exc:
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     report = _report_base("rank", {"digest": digest})
@@ -347,41 +351,33 @@ def cmd_rank(args):
     report["tateBound"] = bound.to_json()
     v_mu = bound.v_mu
 
-    try:
-        algo = lattice.AlgorithmB(
-            v_mu=v_mu,
-            p=args.p,
-            inputs_digest=inputs_digest,
-            checkpoint_path=args.checkpoint,
-        )
-    except lattice.LatticeError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    try:
-        rank, rows, cols, det = lattice.independence_certificate(pairings)
-        cert = lattice.RankCertificate(
-            "lower",
-            rank,
-            {
+    if not 0 <= best <= v_mu:
+        raise CliError(f"checkpoint bound {best} is outside 0..{v_mu}", EXIT_INVALID_INPUT)
+    rank, rows, cols, det = lattice.independence_certificate(pairings)
+    if rank > v_mu:
+        raise CliError(f"lower bound {rank} exceeds the upper bound {v_mu}", EXIT_INCONSISTENT)
+    if rank > best:
+        best = rank
+        if args.checkpoint:
+            witness = {
                 "minor": [[pairings[i][j] for j in cols] for i in rows],
                 "rows": rows,
                 "cols": cols,
                 "det": det,
                 "labels": [names[i] for i in rows],
-            },
-        )
-        algo.offer(cert)
-    except lattice.CertificateInvalidError as exc:
-        raise CliError(str(exc), EXIT_INCONSISTENT) from None
+            }
+            lattice.write_checkpoint(args.checkpoint, inputs_digest, v_mu, args.p, best, witness)
+    # Algorithm B halts when the exhibited cycles' rank meets the upper bound
+    halted = best == v_mu
     report["rank"] = {
         "upperBound": v_mu,
-        "bestLower": algo.best,
-        "status": algo.status(),
+        "bestLower": best,
+        "status": "halted" if halted else "running",
     }
-    if algo.halted:
-        rho = algo.result()
-        report["rank"]["rankNumXsep"] = rho
+    if halted:
+        report["rank"]["rankNumXsep"] = v_mu
         try:
-            lat, class_map = lattice.build_n(pairings, action, rho, relations=relations)
+            lat, class_map = lattice.build_n(pairings, action, v_mu, relations=relations)
             report["rank"]["rankNumX"] = lattice.fixed_rank(lat)
             verdicts = [
                 {"name": name, "coords": class_map(vector)} for name, vector in candidates
@@ -392,7 +388,7 @@ def cmd_rank(args):
             raise CliError(str(exc), EXIT_INCONSISTENT) from None
         except lattice.LatticeError as exc:
             raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    return report, EXIT_OK if algo.halted else EXIT_UNDECIDED
+    return report, EXIT_OK if halted else EXIT_UNDECIDED
 
 
 def cmd_torsion(args):

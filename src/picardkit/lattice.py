@@ -1,7 +1,7 @@
 """Integer lattice algorithms: one Hermite elimination behind Hermite bases,
 integer kernels, saturation and unimodular inverses; independence
-certificates, fixed ranks under a finite group, and the upper-meets-lower
-rank bound with checkpointing (one certificate offered per `rank` request).
+certificates, fixed ranks under a finite group, and the checkpoint that
+carries a `rank` request's best lower bound to the next request.
 
 All arithmetic is arbitrary-precision integer; Hermite pivoting is
 deterministic (smallest nonzero absolute value, ties by lowest row) and the
@@ -23,10 +23,6 @@ class RankMismatchError(LatticeError):
 
 
 class RelationViolationError(LatticeError):
-    pass
-
-
-class CertificateInvalidError(LatticeError):
     pass
 
 
@@ -132,8 +128,9 @@ def saturate(span_rows, ambient_rank):
 def independence_certificate(m):
     """(rank over Q, row indices, column indices, minor determinant).
 
-    The returned index sets give one maximal nonsingular square minor; the
-    determinant is recomputed fraction-free as a recheck.
+    The returned index sets give one maximal nonsingular square minor; its
+    determinant is computed fraction-free from the minor itself, and a zero
+    one is refused.
     """
     cols, rows = echelon(m)
     rows = sorted(rows)
@@ -243,110 +240,42 @@ def build_n(pairings, action_on_y, rho, relations=None):
 
 
 # ---------------------------------------------------------------------------
-# certificates and the bounded search loop
-
-
-class RankCertificate:
-    """A lower or upper bound on a cycle-class rank, with its witness."""
-
-    __slots__ = ("kind", "value", "witness")
-
-    def __init__(self, kind, value, witness=None):
-        self.kind = kind  # "lower" | "upper"
-        self.value = value
-        self.witness = {} if witness is None else witness
-
-    def recheck(self):
-        """Re-verify a lower bound: the witness minor must be nonsingular
-        and of the claimed size."""
-        if self.kind != "lower":
-            return True
-        minor = self.witness.get("minor")
-        if minor is None:
-            return False
-        if len(minor) != self.value or any(len(r) != self.value for r in minor):
-            return False
-        return det_bareiss(minor) != 0
-
-    def to_json(self):
-        return {"kind": self.kind, "value": self.value, "witness": self.witness}
-
-
-class AlgorithmB:
-    """Maintains the best certified lower bound until it meets the upper one.
-
-    Termination is equivalent to the truth of the underlying conjecture for
-    the input, so the loop supports checkpoint/resume instead of promising
-    to halt.  Feeding a certificate above the upper bound, or one whose
-    witness fails recheck, raises CertificateInvalidError.
-    """
-
-    def __init__(self, v_mu, p, inputs_digest, checkpoint_path):
-        self.v_mu = v_mu
-        self.p = p
-        self.inputs_digest = inputs_digest
-        self.checkpoint_path = checkpoint_path
-        self.best, self.best_certificate = read_checkpoint(checkpoint_path, inputs_digest) or (0, None)
-        if not 0 <= self.best <= v_mu:
-            raise LatticeError(f"checkpoint bound {self.best} is outside 0..{v_mu}")
-        self.halted = self.best == v_mu
-
-    def offer(self, cert):
-        """Consume one certificate; returns the current status string."""
-        if cert.kind != "lower":
-            raise CertificateInvalidError("only lower-bound certificates are consumed")
-        if not cert.recheck():
-            raise CertificateInvalidError("witness minor failed recheck")
-        if cert.value > self.v_mu:
-            raise CertificateInvalidError(
-                f"lower bound {cert.value} exceeds the upper bound {self.v_mu}"
-            )
-        if cert.value > self.best:
-            self.best = cert.value
-            self.best_certificate = cert
-            self._save()
-        if self.best == self.v_mu:
-            self.halted = True
-        return self.status()
-
-    def status(self):
-        return "halted" if self.halted else "running"
-
-    def result(self):
-        return self.v_mu if self.halted else None
-
-    def _save(self):
-        if not self.checkpoint_path:
-            return
-        state = {
-            "vMu": self.v_mu,
-            "p": self.p,
-            "inputsDigest": self.inputs_digest,
-            "best": self.best,
-            "bestCertificate": self.best_certificate.to_json() if self.best_certificate else None,
-        }
-        with open(self.checkpoint_path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
+# the rank checkpoint
 
 
 def read_checkpoint(path, inputs_digest):
-    """(best, best certificate or None) from the AlgorithmB state saved at
-    `path`, or None when there is no such file.
+    """The best lower bound saved at `path` for inputs with this digest, 0
+    when there is no such file.
 
     Raises LatticeError when the file is unreadable or malformed, or was
     written for inputs with another digest.
     """
     if not path or not os.path.exists(path):
-        return None
+        return 0
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
-        digest, best, c = state.get("inputsDigest"), state["best"], state.get("bestCertificate")
-        cert = RankCertificate(c["kind"], c["value"], c["witness"]) if c else None
+        digest, best, cert = state.get("inputsDigest"), state["best"], state.get("bestCertificate")
+        for key in ("kind", "value", "witness") if cert else ():
+            cert[key]  # a saved certificate holds all three
     except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
         raise LatticeError(f"unreadable checkpoint {path}: {exc}") from None
     if digest != inputs_digest:
         raise LatticeError("checkpoint belongs to different inputs")
     if type(best) is not int:
         raise LatticeError(f"unreadable checkpoint {path}: best is not an integer")
-    return best, cert
+    return best
+
+
+def write_checkpoint(path, inputs_digest, v_mu, p, best, witness):
+    """Save lower bound `best` with its witness minor for the inputs with
+    this digest, against upper bound v_mu in codimension p."""
+    state = {
+        "vMu": v_mu,
+        "p": p,
+        "inputsDigest": inputs_digest,
+        "best": best,
+        "bestCertificate": {"kind": "lower", "value": best, "witness": witness},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh, sort_keys=True)

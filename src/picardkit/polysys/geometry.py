@@ -135,7 +135,7 @@ def smoothness_check(ideal):
             m = _poly_det(sub)
             if m:
                 minors.append(m)
-    sing = HomIdeal(list(gens) + minors, _skip_checks=True)
+    sing = HomIdeal(list(gens) + minors)  # Jacobian minors are homogeneous
     sing = sing.with_ambient(nvars, ideal.domain)
     sdim, _ = dimension_degree(sing)
     return sdim == -1

@@ -25,14 +25,14 @@ class HomIdeal:
     list denotes the zero ideal.
     """
 
-    def __init__(self, generators, _skip_checks=False):
+    def __init__(self, generators):
         gens = [g for g in generators if g]
         if gens:
             nv, dom = gens[0].nvars, gens[0].domain
             for g in gens:
                 if g.nvars != nv or g.domain != dom:
                     raise PolyError("generators over different rings")
-                if not _skip_checks and not g.is_homogeneous():
+                if not g.is_homogeneous():
                     raise PolyError("generator is not homogeneous")
             self.nvars, self.domain = nv, dom
         else:

@@ -62,15 +62,8 @@ class ZetaFunction:
     def euler_characteristic(self):
         return upoly.deg(self.den) - upoly.deg(self.num)
 
-    def expand(self, n_max):
-        return expand(self, n_max)
-
     def to_json(self):
         return {"q": self.q, "dim": self.dim, "num": self.num, "den": self.den}
-
-    @staticmethod
-    def from_json(obj):
-        return ZetaFunction(q=obj["q"], num=obj["num"], den=obj["den"], dim=obj.get("dim"))
 
     def __eq__(self, other):
         return (

@@ -1,6 +1,6 @@
 """Shared test helpers: independent brute-force oracles, the Hilbert
 polynomial over Q (an oracle only tests use), triviality of a matrix
-action mod l', the environment for
+action mod l', the zeta function a report describes, the environment for
 subprocesses that run this checkout's source, and a report header with the
 counting backend and every picardkit module whose bytecode is stale or
 missing."""
@@ -18,6 +18,7 @@ from picardkit.exactla import rank
 from picardkit.ffield import extend
 from picardkit.galmod import FiniteLModule, lprime_level
 from picardkit.polysys import hilbert_series_data
+from picardkit.zeta import ZetaFunction
 
 from oracles import enumerate_field
 
@@ -179,6 +180,12 @@ def _monomials_of_degree(nvars, d):
 
     rec([], d, nvars)
     return out
+
+
+def zeta_from_report(report):
+    """The ZetaFunction of a report's `zeta` block."""
+    z = report["zeta"]
+    return ZetaFunction(z["q"], z["num"], z["den"], z["dim"])
 
 
 def source_env():

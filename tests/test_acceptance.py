@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import brute_force_projective_count, trivial_mod_lprime
+from conftest import brute_force_projective_count, trivial_mod_lprime, zeta_from_report
 from oracles import cyclotomic_multiplicity, diagonal_of, generate_group, reference_halt_order, snf
 from picardkit import counting
 from picardkit.cli import main
@@ -28,9 +28,7 @@ from picardkit.galmod import (
     torsion_from_sizes,
 )
 from picardkit.lattice import (
-    AlgorithmB,
     GLattice,
-    RankCertificate,
     build_n,
     det_bareiss,
     fixed_rank,
@@ -46,7 +44,6 @@ from picardkit.weil import (
     dim_v_mu,
     factor_zeta,
 )
-from picardkit.zeta import ZetaFunction
 
 TIMED = counting.BACKEND != "pure"
 
@@ -114,7 +111,7 @@ def test_criterion_1_projective_spaces(tmp_path, capsys):
                 expected_den = mul(expected_den, [1, -(q**i)])
             assert report["zeta"]["num"] == [1]
             assert report["zeta"]["den"] == expected_den
-            z = ZetaFunction.from_json(report["zeta"])
+            z = zeta_from_report(report)
             expected_betti = [1 if i % 2 == 0 else 0 for i in range(2 * m + 1)]
             assert betti_numbers(z, pieces(z)) == expected_betti
             for p in range(m + 1):
@@ -182,7 +179,7 @@ def test_criterion_2_quadric_surfaces(tmp_path, capsys):
         assert code == 0
         p2 = mul([1, -p], [1, -p])
         assert report["zeta"]["den"] == mul(mul([1, -1], p2), [1, -(p**2)])
-        z = ZetaFunction.from_json(report["zeta"])
+        z = zeta_from_report(report)
         assert betti_numbers(z, pieces(z)) == [1, 0, 2, 0, 1]
         assert dim_v_mu(z, pieces(z), 1).v_mu == 2
 
@@ -278,7 +275,7 @@ def test_criterion_3_elliptic_curves(tmp_path, capsys):
         assert report["zeta"]["num"] == [1, -a, 5]
         assert report["zeta"]["den"] == mul([1, -1], [1, -5])
         assert report["zeta"]["functionalEquationSign"] in (1, -1)
-        z = ZetaFunction.from_json(report["zeta"])
+        z = zeta_from_report(report)
         # weight certification places both reciprocal roots at modulus sqrt 5
         assert betti_numbers(z, pieces(z)) == [1, 2, 1]
     _announce(3, "elliptic curves over F_5", check())
@@ -330,7 +327,7 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
     code, report = run_cli(capsys, "zeta", spec, "--no-timing")
     assert code == 0
     assert len(report["counts"]["values"]) <= 4  # n <= 4 suffices for b2 = 7
-    z = ZetaFunction.from_json(report["zeta"])
+    z = zeta_from_report(report)
     assert z.den == mul(mul([1, -1], P2_CUBIC), [1, -4])
     assert betti_numbers(z, pieces(z)) == [1, 0, 7, 0, 1]
 
@@ -358,14 +355,8 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
         7, [0, 1, 2, 5, 6, 9, 10], [0, 1, 2, 3, 4, 9, 10], -1
     )
 
-    cert = RankCertificate(
-        "lower", rank, {"minor": [[pairings[i][j] for j in cols] for i in rows]}
-    )
-    algo = AlgorithmB(v_mu=7, p=1, inputs_digest="", checkpoint_path=None)
-    assert algo.offer(cert) == "halted"
-    assert algo.result() == 7
-
-    # same chain end-to-end through the CLI rank pipeline
+    # same chain end-to-end through the CLI rank pipeline, whose checkpoint
+    # keeps that minor as the witness of the lower bound 7
     cycles = write_json(
         tmp_path,
         "cubic-cycles.json",
@@ -375,12 +366,18 @@ def test_criterion_4_cubic_surface(tmp_path, capsys):
             "action": {"generators": [], "relations": []},
         },
     )
+    ckpt = tmp_path / "state.json"
     code, report = run_cli(
-        capsys, "rank", "--zeta", spec, "--cycles", cycles, "--no-timing"
+        capsys, "rank", "--zeta", spec, "--cycles", cycles, "--checkpoint", str(ckpt),
+        "--no-timing",
     )
     assert code == 0
     assert report["rank"]["status"] == "halted"
     assert report["rank"]["rankNumXsep"] == 7
+    cert = json.loads(ckpt.read_text())["bestCertificate"]
+    assert (cert["kind"], cert["value"]) == ("lower", 7)
+    assert cert["witness"]["minor"] == [[pairings[i][j] for j in cols] for i in rows]
+    assert det_bareiss(cert["witness"]["minor"]) == cert["witness"]["det"] == det
     assert report["tateBound"]["vMu"] == 7
     _announce(4, "split-type cubic surface over F_2", check())
 
@@ -644,7 +641,7 @@ def test_criterion_9_quartic_k3_long(tmp_path, capsys):
     assert code == 0
     # (1 - 4T) divided out of P_2 leaves degree 21: 10 levels, not 11
     assert len(report["counts"]["values"]) == 10
-    z = ZetaFunction.from_json(report["zeta"])
+    z = zeta_from_report(report)
     assert betti_numbers(z, pieces(z)) == [1, 0, 22, 0, 1]
     rho_bound = dim_v_mu(z, classify_weights(z, factor_zeta(z)), 1).v_mu
     assert 1 <= rho_bound <= 22

@@ -13,7 +13,7 @@ from picardkit.cli import main, run
 from picardkit.galmod import size_table_from_profile
 from picardkit.upoly import mul
 
-from conftest import source_env
+from conftest import source_env, zeta_from_report
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +253,7 @@ def test_rank_checkpoint_resumes_only_its_own_inputs(tmp_path, capsys):
         "not json",
         '{"inputsDigest": "0000"}',
         "[1]",
+        '{"best": 1, "bestCertificate": {"kind": "lower"}}',
     ],
 )
 def test_bad_checkpoint_rejected_before_counting(tmp_path, capsys, state):
@@ -264,6 +265,74 @@ def test_bad_checkpoint_rejected_before_counting(tmp_path, capsys, state):
     assert (code, out) == (2, "")
     assert "checkpoint" in err
     assert ckpt.read_text() == state
+
+
+def test_checkpoint_bound_above_upper_bound_rejected(tmp_path, capsys):
+    # a bound above the upper one cannot come from these inputs' run; the
+    # upper bound is known only after counting, so the file is read first
+    # and checked against it then, and it is left as it was
+    ckpt = tmp_path / "state.json"
+    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert code == 4
+    state = json.loads(ckpt.read_text())
+    state["best"] = 99
+    ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert (code, out) == (2, "")
+    assert "checkpoint bound 99 is outside 0..2" in err
+    assert ckpt.read_bytes() == before
+
+
+def test_rank_reads_its_checkpoint_once(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    ckpt = tmp_path / "state.json"
+    _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    reads, real_open = [], builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(ckpt) and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert (code, reads) == (4, ["r"])
+
+
+def test_rank_checkpoint_bound_is_monotone(tmp_path, capsys):
+    # the cubic surface over F_2 has upper bound 7 at p = 1; one cycle of
+    # rank 1 against a saved bound of 3 reports 3 and leaves the file alone
+    ckpt = tmp_path / "state.json"
+    argv = [
+        "rank", "--zeta", cubic_f2_spec(tmp_path), "--checkpoint", str(ckpt),
+        "--cache-dir", str(tmp_path / "cache"), "--no-timing", "--cycles",
+        write_json(tmp_path / "c.json", {"basisCycles": ["a", "b"], "pairings": [[1, 0]]}),
+    ]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 4
+    state = json.loads(ckpt.read_text())
+    for saved, expected in [(3, 3), (0, 1)]:
+        state["best"] = saved
+        ckpt.write_text(json.dumps(state))
+        before = ckpt.read_bytes()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 4
+        assert json.loads(out)["rank"] == {"upperBound": 7, "bestLower": expected,
+                                           "status": "running"}
+        assert json.loads(ckpt.read_text())["best"] == expected
+        # a lower bound is written only when it is above the saved one
+        assert (ckpt.read_bytes() == before) == (saved >= 1)
+    # a lower bound above the upper one (7 classes, 1 at p = 2) is
+    # inconsistent, and no checkpoint is written for it
+    ckpt.unlink()
+    argv[-1] = write_json(tmp_path / "c.json", {"basisCycles": ["a", "b"],
+                                                "pairings": [[1, 0], [0, 1]]})
+    code, out, err = run_cli(capsys, *argv, "-p", "2")
+    assert (code, out) == (5, "")
+    assert "lower bound 2 exceeds the upper bound 1" in err
+    assert not ckpt.exists()
 
 
 def test_torsion_command(tmp_path, capsys):
@@ -658,6 +727,14 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
         {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]], "cycleNames": ["z"]},
         {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]], "cycleNames": ["z", 1]},
         {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]], "cycleNames": "zw"},
+        # the basis cycles are a list, not a string whose length stands for k
+        {"basisCycles": "ab", "pairings": [[1, 0]]},
+        # each action generator is invertible over Z, whether or not the
+        # bounds meet (only then is the action used)
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0]],
+         "action": {"generators": [[[2, 0], [0, 1]]]}},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
+         "action": {"generators": [[[2, 0], [0, 1]]]}},
     ],
 )
 def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
@@ -817,7 +894,7 @@ def test_zeta_cubic_threefold_from_six_counts(tmp_path, capsys):
     from picardkit.ffield import make_field
     from picardkit.polysys import HomIdeal, poly_from_str
     from picardkit.weil import betti_numbers, classify_weights, factor_zeta
-    from picardkit.zeta import ZetaFunction
+    from picardkit.zeta import expand
 
     spec = cubic_threefold_spec(tmp_path)
     cache = _fill_cache(tmp_path, spec, CUBIC_THREEFOLD_COUNTS)
@@ -831,9 +908,9 @@ def test_zeta_cubic_threefold_from_six_counts(tmp_path, capsys):
     for _ in range(5):
         p3 = mul(p3, [1, 0, 8])
     assert report["zeta"]["num"] == p3
-    z = ZetaFunction.from_json(report["zeta"])
+    z = zeta_from_report(report)
     assert betti_numbers(z, classify_weights(z, factor_zeta(z))) == [1, 0, 1, 10, 1, 0, 1]
-    assert z.expand(7)[6] == 2113665  # N_7, counted separately
+    assert expand(z, 7)[6] == 2113665  # N_7, counted separately
 
     ideal = HomIdeal([poly_from_str(CUBIC_THREEFOLD_F2, 5, make_field(2, 1))])
     assert CUBIC_THREEFOLD_COUNTS[:2] == [brute_force_projective_count(ideal, n) for n in (1, 2)]

@@ -6,7 +6,12 @@ Middle route: the Fermat cubic surface over F_2, y^2 z + y z^2 = x^3 over
 F_4, the Klein quartic, the cubic threefold over F_2 and the quartic K3 over
 F_2 (the last two read their counts from a cache filled through
 `CountCache.put`).  Pade route: the elliptic curve over F_5 with budget 4
-and P^2 over F_3 with budget 3."""
+and P^2 over F_3 with budget 3.
+
+`rank` requests pin their exit code, stderr and checkpoint bytes as well:
+the cubic surface with its 27 lines (halted), the quadric x0 x3 - x1 x2
+over F_3 with one ruling (running, then resumed from its checkpoint) and
+with both rulings at p = 2 (a lower bound above the upper one)."""
 
 import json
 from hashlib import sha256
@@ -73,3 +78,58 @@ def test_golden_report(tmp_path, capsys, name):
     got = main([argv[0], str(spec_path), *argv[1:], "--cache-dir", cache_path, "--no-timing"])
     out = capsys.readouterr().out
     assert (got, sha256(out.encode()).hexdigest()) == (code, digest), out
+
+
+# The diagonal cubic surface over F_2 with its 27 lines over F_4: row i holds
+# the intersection numbers of line 13 + i with lines 0..12 (the 14/13 block
+# of criterion 4), one digit per entry.
+LINES27 = ["1000100010101", "0100011000011", "0100011001001", "0011000100100",
+           "1000100010010", "1000010101000", "0010101000101", "0101000010010",
+           "0101000010101", "1000010100010", "0010101001000", "0010101000010",
+           "0101000011000", "1000010100101"]
+QUADRIC_F3 = _spec(3, 1, 3, ["x0*x3 - x1*x2"], hypersurfaceDegree=2)
+
+
+def _cycles(pairings):
+    return {"basisCycles": [f"Y{j}" for j in range(len(pairings[0]))], "pairings": pairings,
+            "action": {"generators": [], "relations": []}}
+
+
+CUBIC_LINES = _cycles([[int(c) for c in row] for row in LINES27])
+RULING = _cycles([[1, 0]])
+BOTH_RULINGS = _cycles([[1, 0], [0, 1]])
+
+# name: (spec, cycles, argv after the cycles, runs, exit code, sha256 of stdout,
+# stderr, sha256 of the checkpoint file or None when none is written); every
+# run of a case shares its checkpoint and count cache, and the last is pinned
+GOLDEN_RANK = {
+    "cubic-lines-halted": (FERMAT_CUBIC, CUBIC_LINES, [], 1, 0,
+        "5a34dcf82debd3ec0a0340a536f9cc3489b57e1bcf1ac99b5bd29cbb137fd064", "",
+        "a6640e834c3ab0e5ca073537e2ebdce10c89fda8891d72f9e6d9d6bc2a02e3f6"),
+    "quadric-running": (QUADRIC_F3, RULING, [], 1, 4,
+        "1b589032fb125f90ac3b27ca58d130fdc57701f3ae2f02ea6685a66a0d846b34", "",
+        "41ccb6addd5b679163527cff1dc23e99e1fbe386f39ca6ec639f42e7439e39c1"),
+    "quadric-resumed": (QUADRIC_F3, RULING, [], 2, 4,
+        "1b589032fb125f90ac3b27ca58d130fdc57701f3ae2f02ea6685a66a0d846b34", "",
+        "41ccb6addd5b679163527cff1dc23e99e1fbe386f39ca6ec639f42e7439e39c1"),
+    "quadric-overshoot": (QUADRIC_F3, BOTH_RULINGS, ["-p", "2"], 1, 5,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "picardkit: lower bound 2 exceeds the upper bound 1\n", None),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RANK))
+def test_golden_rank(tmp_path, capsys, name):
+    spec, cycles, argv, runs, code, digest, err, ckpt_digest = GOLDEN_RANK[name]
+    spec_path, cycles_path = tmp_path / "spec.json", tmp_path / "cycles.json"
+    spec_path.write_text(json.dumps(spec))
+    cycles_path.write_text(json.dumps(cycles))
+    ckpt = tmp_path / "state.json"
+    for _ in range(runs):
+        got = main(["rank", "--zeta", str(spec_path), "--cycles", str(cycles_path), *argv,
+                    "--checkpoint", str(ckpt), "--cache-dir", str(tmp_path / "counts.ndjson"),
+                    "--no-timing"])
+        out, got_err = capsys.readouterr()
+    saved = ckpt.read_bytes() if ckpt.exists() else None
+    assert (got, sha256(out.encode()).hexdigest(), got_err) == (code, digest, err), out
+    assert (saved and sha256(saved).hexdigest()) == ckpt_digest, saved

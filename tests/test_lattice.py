@@ -6,11 +6,8 @@ import pytest
 
 from picardkit.exactla import det_bareiss, echelon, mat_mul, rank
 from picardkit.lattice import (
-    AlgorithmB,
-    CertificateInvalidError,
     GLattice,
     LatticeError,
-    RankCertificate,
     RankMismatchError,
     RelationViolationError,
     build_n,
@@ -20,7 +17,9 @@ from picardkit.lattice import (
     independence_certificate,
     integer_kernel,
     mat_inverse_int,
+    read_checkpoint,
     saturate,
+    write_checkpoint,
 )
 
 from oracles import det_laplace, diagonal_of, generate_group, rref, snf, snf_kernel, solve
@@ -388,51 +387,31 @@ def test_build_n_class_map_injective_on_span():
             seen[c] = v
 
 
-def test_algorithm_b_halts_when_bounds_meet():
-    algo = AlgorithmB(v_mu=1, p=1, inputs_digest="", checkpoint_path=None)
-    cert = RankCertificate("lower", 1, {"minor": [[1]]})
-    assert algo.offer(cert) == "halted"
-    assert algo.result() == 1
-
-
-def test_algorithm_b_monotone_and_rejects_overshoot():
-    algo = AlgorithmB(v_mu=2, p=1, inputs_digest="", checkpoint_path=None)
-    algo.offer(RankCertificate("lower", 1, {"minor": [[2]]}))
-    assert algo.best == 1
-    with pytest.raises(CertificateInvalidError):
-        algo.offer(RankCertificate("lower", 3, {"minor": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
-    assert algo.status() == "running"
-    algo.offer(RankCertificate("lower", 2, {"minor": [[0, 1], [1, 0]]}))
-    assert algo.status() == "halted"
-
-
-def test_algorithm_b_rejects_singular_witness():
-    algo = AlgorithmB(v_mu=2, p=1, inputs_digest="", checkpoint_path=None)
-    with pytest.raises(CertificateInvalidError):
-        algo.offer(RankCertificate("lower", 2, {"minor": [[1, 1], [1, 1]]}))
+WITNESS = {"minor": [[0, 1], [1, 0]], "rows": [0, 1], "cols": [0, 1], "det": -1,
+           "labels": ["z0", "z1"]}
 
 
 def test_algorithm_b_checkpoint_resume(tmp_path):
     path = str(tmp_path / "ckpt.json")
-    algo = AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
-    algo.offer(RankCertificate("lower", 2, {"minor": [[0, 1], [1, 0]]}))
-    assert algo.status() == "running"
-    resumed = AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
-    assert resumed.best == 2
-    resumed.offer(RankCertificate("lower", 3, {"minor": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
-    assert resumed.status() == "halted"
-    assert resumed.result() == 3
+    assert read_checkpoint(None, "abc") == 0
+    assert read_checkpoint(path, "abc") == 0
+    write_checkpoint(path, "abc", 3, 1, 2, WITNESS)
+    assert read_checkpoint(path, "abc") == 2
+    # the bytes that earlier checkpoints hold, so those files still resume
+    assert (tmp_path / "ckpt.json").read_text() == (
+        '{"best": 2, "bestCertificate": {"kind": "lower", "value": 2, "witness": '
+        '{"cols": [0, 1], "det": -1, "labels": ["z0", "z1"], "minor": [[0, 1], [1, 0]], '
+        '"rows": [0, 1]}}, "inputsDigest": "abc", "p": 1, "vMu": 3}'
+    )
 
 
 def test_algorithm_b_checkpoint_rejects_other_inputs(tmp_path):
-    path = str(tmp_path / "ckpt.json")
-    algo = AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
-    algo.offer(RankCertificate("lower", 2, {"minor": [[0, 1], [1, 0]]}))
+    ckpt = tmp_path / "ckpt.json"
+    write_checkpoint(str(ckpt), "abc", 3, 1, 2, WITNESS)
     with pytest.raises(LatticeError, match="different inputs"):
-        AlgorithmB(v_mu=3, p=1, inputs_digest="abd", checkpoint_path=path)
-    # a bound above the upper one cannot come from this upper bound's run
-    with pytest.raises(LatticeError, match="outside"):
-        AlgorithmB(v_mu=1, p=1, inputs_digest="abc", checkpoint_path=path)
-    (tmp_path / "ckpt.json").write_text("{")
-    with pytest.raises(LatticeError, match="unreadable"):
-        AlgorithmB(v_mu=3, p=1, inputs_digest="abc", checkpoint_path=path)
+        read_checkpoint(str(ckpt), "abd")
+    for state in ["{", '{"inputsDigest": "abc", "best": "2"}', '{"inputsDigest": "abc"}',
+                  '{"inputsDigest": "abc", "best": 2, "bestCertificate": {"kind": "lower"}}']:
+        ckpt.write_text(state)
+        with pytest.raises(LatticeError, match="unreadable"):
+            read_checkpoint(str(ckpt), "abc")
