@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled counting kernel against the pure-Python fallback.
+"""Benchmark the counting paths: the chart path on the compiled kernel and
+on the pure-Python fallback, and, for a hypersurface whose variables fall
+into two or more blocks, the count over cyclotomic classes (also where
+`count_points` leaves a block of nvars - 1 variables to the charts, as for
+the elliptic curve over F_4).
 
-Runs identical chart workloads through both backends and prints a table
-with counts (which must agree) and timings: building the extension field
-with its embedding of the base field (`extend`, shared by both backends),
-the field tables and the chart counting.  Usage:
+Each case is counted by every path, and the counts #X(F_{q^n}) must agree.
+The table prints timings: building the extension field with its embedding
+of the base field (`extend`, shared by all paths), the field tables and the
+counting.  The class path reads the tables of the last kernel timed (the
+compiled one when it is built).  The pure kernel is skipped where the
+charts hold more than PURE_SLICES slices.  Usage:
 
     python scripts/bench_kernels.py [--heavy]
 """
@@ -12,9 +18,9 @@ the field tables and the chart counting.  Usage:
 import argparse
 import time
 
-from picardkit.counting import kernel_py
+from picardkit.counting import count_charts, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
-from picardkit.counting.kernel import trace_mask
+from picardkit.counting.classes import count_separable
 from picardkit.ffield import extend, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
@@ -25,15 +31,18 @@ except ImportError:
 
 
 CUBIC_THREEFOLD = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"  # charts with 3 prefix coordinates
+PURE_SLICES = 10**6
 
 # (label, p, e, nvars, generators, n): the variety over F_{p^e}, counted
-# over F_{p^(e*n)}
+# over F_{p^(e*n)}; all but the elliptic curves over F_5 and the quartic
+# over F_2 separate
 CASES = [
     ("quadric/F_3, n=3", 3, 1, 4, ["x0*x3 - x1*x2"], 3),
     ("cubic surface/F_2, n=4", 2, 1, 4, ["x0^3 + x1^3 + x2^3 + x3^3"], 4),
     ("elliptic curve/F_5, n=5", 5, 1, 3, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 5),
     ("elliptic curve/F_4, n=8", 2, 2, 3, ["x1^2*x2 + x1*x2^2 + x0^3"], 8),
     ("cubic threefold/F_2, n=5", 2, 1, 5, [CUBIC_THREEFOLD], 5),
+    ("Fermat quartic/F_3, n=8", 3, 1, 4, ["x0^4 + x1^4 + x2^4 + x3^4"], 8),
 ]
 
 HEAVY = [
@@ -51,33 +60,38 @@ def bench_case(label, p, e, nvars, gens, n, backends):
     t_extend = time.perf_counter() - t0
     ext = emb.ext
     charts = compile_charts(ideal, emb, ext.to_index)
-    tmask = trace_mask(ext)
+    slices = sum(ext.q**c.nprefix for c in charts if c.nfree and c.gen_terms)
     rows = []
+    tables = None
     for name, mod in backends:
+        if mod is kernel_py and slices > PURE_SLICES:
+            rows.append((name, None, None, None))
+            continue
         t0 = time.perf_counter()
         tables = mod.build_tables(ext.p, ext.e, ext.modulus)
         t_tables = time.perf_counter() - t0
-        total = 0
         t0 = time.perf_counter()
-        for chart in charts:
-            if chart.nfree == 0 or not chart.gen_terms:
-                continue
-            lo, hi = (0, 1) if chart.nprefix == 0 else (0, ext.q)
-            total += mod.count_chart(
-                ext.q, ext.p, tmask, *tables, chart.gen_terms, chart.nprefix, 1, lo, hi
-            )
-        t_count = time.perf_counter() - t0
-        rows.append((name, total, t_tables, t_count))
-    counts = {r[1] for r in rows}
-    assert len(counts) == 1, f"backends disagree on {label}: {rows}"
-    print(f"\n{label}  (count over affine charts: {rows[0][1]})")
-    print(f"  {'backend':<8} {'extend':>10} {'tables':>10} {'counting':>10} {'speedup':>9}")
-    base = rows[0][3]
-    for name, _, t_tables, t_count in rows:
+        total = count_charts(ideal, emb, charts, mod, tables, 1)
+        rows.append((name, total, t_tables, time.perf_counter() - t0))
+    blocks = separable_blocks(ideal)
+    if blocks:
+        if tables is None:
+            tables = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
+        t0 = time.perf_counter()
+        total = count_separable(blocks, nvars, emb, tables)
+        rows.append(("classes", total, None, time.perf_counter() - t0))
+    counts = {r[1] for r in rows if r[1] is not None}
+    assert len(counts) == 1, f"counting paths disagree on {label}: {rows}"
+    print(f"\n{label}  (#X = {counts.pop()}, {slices} chart slices)")
+    print(f"  {'path':<8} {'extend':>10} {'tables':>10} {'counting':>10} {'speedup':>9}")
+    base = next(r[3] for r in rows if r[3] is not None)
+    for name, total, t_tables, t_count in rows:
+        if total is None:
+            print(f"  {name:<8} {'skipped: more than PURE_SLICES slices':>42}")
+            continue
+        tables_col = f"{t_tables:>9.3f}s" if t_tables is not None else f"{'shared':>10}"
         speed = base / t_count if t_count else float("inf")
-        print(
-            f"  {name:<8} {t_extend:>9.3f}s {t_tables:>9.3f}s {t_count:>9.3f}s {speed:>8.1f}x"
-        )
+        print(f"  {name:<8} {t_extend:>9.3f}s {tables_col} {t_count:>9.3f}s {speed:>8.1f}x")
 
 
 def main():

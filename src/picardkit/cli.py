@@ -351,7 +351,7 @@ def cmd_rank(args):
     report["tateBound"] = bound.to_json()
     v_mu = bound.v_mu
 
-    if not 0 <= best <= v_mu:
+    if best > v_mu:  # read_checkpoint refused a negative bound
         raise CliError(f"checkpoint bound {best} is outside 0..{v_mu}", EXIT_INVALID_INPUT)
     rank, rows, cols, det = lattice.independence_certificate(pairings)
     if rank > v_mu:

@@ -3,9 +3,11 @@
 N_n = #X(F_{q^n}) is computed chart by chart; within a chart all but the
 innermost coordinate are enumerated, and the innermost is resolved by exact
 root counting of the univariate slice through its gcd with x^Q - x (closed
-forms for degrees 1 and 2).  A deterministic cost model estimates the work,
-and an explicit work budget turns infeasible requests into errors rather
-than silent stalls.
+forms for degrees 1 and 2).  A hypersurface whose variables fall into two or
+more blocks that no monomial mixes is counted instead over cyclotomic
+classes (`classes.count_separable`), one O(Q) pass per level.  A
+deterministic cost model estimates the work of either path, and an explicit
+work budget turns infeasible requests into errors rather than silent stalls.
 """
 
 import json
@@ -144,15 +146,55 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
+def separable_blocks(ideal):
+    """The blocks of the single generator f's variables, when there are at
+    least two: the connected components of "two variables share a
+    monomial", each as (variables, the terms of f in them).  [] when the
+    ideal has another number of generators or f has one block, which sends
+    counting to the charts.
+    """
+    if len(ideal.generators) != 1:
+        return []
+    (f,) = ideal.generators
+    owner = list(range(ideal.nvars))  # union-find over the variables
+
+    def root(v):
+        while owner[v] != v:
+            owner[v] = v = owner[owner[v]]
+        return v
+
+    for exps in f.terms:
+        support = [v for v, e in enumerate(exps) if e]
+        for v in support[1:]:
+            owner[root(v)] = root(support[0])
+    blocks = {}
+    for exps, c in f.terms.items():
+        v = next((v for v, e in enumerate(exps) if e), None)
+        if v is None:  # a constant term
+            return []
+        blocks.setdefault(root(v), []).append((exps, c))
+    if len(blocks) < 2:
+        return []
+    return [
+        (sorted({v for exps, _ in terms for v, e in enumerate(exps) if e}), terms)
+        for terms in blocks.values()
+    ]
+
+
+def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
-    `n` is the extension degree.
+    `n` is the extension degree.  `blocks` is `separable_blocks(ideal)`,
+    found here when the caller does not pass it.  The level is counted over
+    cyclotomic classes when there are blocks and none has more than
+    nvars - 2 variables, else chart by chart.
     Raises BudgetExceededError, before the field tables are built, when the
     three int64 tables of length Q = q^n (24 Q bytes) exceed physical memory,
-    or when the work estimate (Q units for the tables plus each chart's cost)
-    exceeds `budget`.  At most `threads` worker threads run, and never more
-    than `_usable_cpus()`; the count is the same for any number.
+    or when the work estimate exceeds `budget`.  The estimate is Q units for
+    the tables plus each chart's cost, or, over classes, plus
+    Q^(k-1) * terms for each block of k > 1 variables.  At most `threads`
+    worker threads count charts, and never more than `_usable_cpus()`; the
+    count is the same for any number.
     """
     dom = ideal.domain
     if dom is None:
@@ -171,19 +213,45 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
             f"{memory} bytes of physical memory"
         )
 
-    charts = compile_charts(ideal, emb, ext.to_index)
-    # the three field tables of length Q, then every chart but the origin
-    total_cost = Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree)
+    if blocks is None:
+        blocks = separable_blocks(ideal)
+    # over classes a block of k variables is evaluated at Q^(k-1) points in
+    # Python, where the charts resolve Q^(nvars-2) slices in the kernel; a
+    # block of nvars - 1 variables is counted faster by the charts
+    over_classes = blocks and all(len(v) <= ideal.nvars - 2 for v, _ in blocks)
+    if over_classes:
+        total_cost = Q + sum(
+            Q ** (len(variables) - 1) * len(terms)
+            for variables, terms in blocks
+            if len(variables) > 1
+        )
+    else:
+        charts = compile_charts(ideal, emb, ext.to_index)
+        # the three field tables of length Q, then every chart but the origin
+        total_cost = Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree)
     if total_cost > budget:
         raise BudgetExceededError(
             f"estimated work {total_cost} exceeds budget {budget} at n={n}"
         )
 
-    mod = backend_module()
-    exp, log, zech = field_tables(ext)
+    tables = field_tables(ext)
+    if over_classes:
+        from .classes import count_separable
+
+        return count_separable(blocks, ideal.nvars, emb, tables)
+    return count_charts(
+        ideal, emb, charts, backend_module(), tables, min(threads, _usable_cpus())
+    )
+
+
+def count_charts(ideal, emb, charts, mod, tables, threads):
+    """#X(F_Q) as the sum over the compiled charts, each counted by the
+    kernel module `mod` (the origin chart and charts with no generator left
+    in closed form), with the chart's prefix range split over `threads`
+    worker threads."""
+    ext = emb.ext
+    Q = ext.q
     tmask = trace_mask(ext)
-    p = ext.p
-    threads = min(threads, _usable_cpus())
     total = 0
     for chart in charts:
         if chart.nfree == 0:
@@ -198,7 +266,7 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
             step = max(1, -(-Q // threads))
             ranges = [(lo, min(lo + step, Q)) for lo in range(0, Q, step)]
         # the ninth argument, 1, selects gcd root counting, the only method
-        args = (Q, p, tmask, exp, log, zech, chart.gen_terms, chart.nprefix, 1)
+        args = (Q, ext.p, tmask, *tables, chart.gen_terms, chart.nprefix, 1)
         if len(ranges) == 1:
             total += mod.count_chart(*args, *ranges[0])
         else:
@@ -249,6 +317,7 @@ def count_tower(
     q = ideal.domain.q
     counts = []
     series = CountSeries(q=q, counts=counts, ambient_dim=ideal.nvars - 1)
+    blocks = None  # found at the first level that is counted, then kept
     for n in range(1, n_max + 1):
         hit = cache.get(vhash, n) if cache else None
         if hit is not None:
@@ -256,8 +325,10 @@ def count_tower(
             continue
         if progress:
             print(f"# counting n={n} (q^n={q**n})", file=sys.stderr, flush=True)
+        if blocks is None:
+            blocks = separable_blocks(ideal)
         try:
-            N = count_points(ideal, n, budget=budget, threads=threads)
+            N = count_points(ideal, n, budget=budget, threads=threads, blocks=blocks)
         except BudgetExceededError as err:
             raise BudgetExceededError(str(err), completed=series) from None
         counts.append(N)

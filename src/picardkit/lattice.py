@@ -247,8 +247,8 @@ def read_checkpoint(path, inputs_digest):
     """The best lower bound saved at `path` for inputs with this digest, 0
     when there is no such file.
 
-    Raises LatticeError when the file is unreadable or malformed, or was
-    written for inputs with another digest.
+    Raises LatticeError when the file is unreadable or malformed, holds a
+    negative bound, or was written for inputs with another digest.
     """
     if not path or not os.path.exists(path):
         return 0
@@ -264,6 +264,8 @@ def read_checkpoint(path, inputs_digest):
         raise LatticeError("checkpoint belongs to different inputs")
     if type(best) is not int:
         raise LatticeError(f"unreadable checkpoint {path}: best is not an integer")
+    if best < 0:
+        raise LatticeError(f"checkpoint bound {best} is negative")
     return best
 
 

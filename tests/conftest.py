@@ -1,19 +1,25 @@
 """Shared test helpers: independent brute-force oracles, the Hilbert
 polynomial over Q (an oracle only tests use), triviality of a matrix
 action mod l', the zeta function a report describes, the environment for
-subprocesses that run this checkout's source, and a report header with the
+subprocesses that run this checkout's source, a report header with the
 counting backend and every picardkit module whose bytecode is stale or
-missing."""
+missing, and the compiled kernel as a fixture."""
 
 import importlib.util
 import itertools
 import os
+import shlex
+import shutil
+import sysconfig
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+import pytest
+
 import picardkit
 from picardkit import upoly
+from picardkit.counting import kernel
 from picardkit.exactla import rank
 from picardkit.ffield import extend
 from picardkit.galmod import FiniteLModule, lprime_level
@@ -233,3 +239,33 @@ def pytest_terminal_summary(terminalreporter, config):
     if config.get_verbosity() < 0:
         for line in pytest_report_header(config):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def ckernel(tmp_path_factory):
+    """The compiled kernel: the in-place build of picardkit.counting._ckernel
+    when there is one, else _ckernel.c compiled into a temporary directory
+    with setuptools' build_ext.  Skips only when no C compiler is found."""
+    try:
+        from picardkit.counting import _ckernel
+
+        return _ckernel
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler found")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("ckernel")
+    source = Path(kernel.__file__).with_name("_ckernel.c")
+    cmd = build_ext(Distribution({"ext_modules": [Extension("_ckernel", [str(source)])]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location("_ckernel", cmd.get_ext_fullpath("_ckernel"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod

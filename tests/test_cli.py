@@ -52,6 +52,22 @@ def quadric_spec(tmp_path, p=2):
     )
 
 
+def joined_quadric_spec(tmp_path, p=2):
+    """A smooth quadric surface whose variables form one block (x0 x1 joins
+    the blocks {x0, x3} and {x1, x2}), so the charts count it, on worker
+    threads when --threads asks for them."""
+    eq = "x0*x3 + x1*x2 + x0*x1" if p == 2 else "x0*x3 - x1*x2 + x0*x1"
+    return write_json(
+        tmp_path / "joined-quadric.json",
+        {
+            "field": {"p": p, "e": 1},
+            "ambientDim": 3,
+            "generators": [eq],
+            "flags": {"hypersurfaceDegree": 2},
+        },
+    )
+
+
 def elliptic_spec(tmp_path):
     return write_json(
         tmp_path / "ell.json",
@@ -282,6 +298,29 @@ def test_checkpoint_bound_above_upper_bound_rejected(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "checkpoint bound 99 is outside 0..2" in err
     assert ckpt.read_bytes() == before
+
+
+def test_negative_checkpoint_bound_rejected_before_counting(tmp_path, capsys):
+    # no run can save a negative bound, so it is refused as the file is
+    # read: with the counts cached, and from an empty cache under a one-unit
+    # evaluation budget, which exits 3 as soon as anything is counted
+    ckpt = tmp_path / "state.json"
+    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert code == 4
+    state = json.loads(ckpt.read_text())
+    state["best"] = -1
+    ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+    for cached in (True, False):
+        if not cached:
+            shutil.rmtree(tmp_path / "cache")
+        code, out, err = _rank_with_checkpoint(
+            capsys, tmp_path, [[1, 0]], ckpt, "--eval-budget", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "checkpoint bound -1 is negative" in err
+        assert ckpt.read_bytes() == before
+    assert not (tmp_path / "cache").exists()
 
 
 def test_rank_reads_its_checkpoint_once(tmp_path, capsys, monkeypatch):
@@ -567,6 +606,30 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_fermat_quartic_f3_zeta(tmp_path, capsys):
+    # ten levels, up to F_{3^10}: over cyclotomic classes each is one pass
+    # over the field tables, where the charts exceed the default budget at
+    # n = 8
+    spec = write_json(
+        tmp_path / "fermat4.json",
+        {
+            "field": {"p": 3, "e": 1},
+            "ambientDim": 3,
+            "generators": ["x0^4 + x1^4 + x2^4 + x3^4"],
+            "flags": {"hypersurfaceDegree": 4},
+        },
+    )
+    code, out, _ = run_cli(capsys, "zeta", spec, "--cache-dir", str(tmp_path / "c"),
+                           "--no-timing")
+    assert code == 0
+    report = json.loads(out)
+    assert report["counts"]["values"][:7] == [16, 280, 784, 8344, 59536, 547480, 4787344]
+    factors = report["zeta"]["factored"]["den"]["factors"]
+    den = {tuple(f["poly"]): f["multiplicity"] for f in factors}
+    # P_2 = (1 - 3T)^12 (1 + 3T)^10 between 1 - T and 1 - 9T
+    assert den == {(1, -1): 1, (1, -3): 12, (1, 3): 10, (1, -9): 1}
+
+
 def test_singular_input_rejected(tmp_path, capsys):
     spec = write_json(
         tmp_path / "sing.json",
@@ -645,7 +708,7 @@ def test_skip_hypothesis_check_must_be_a_json_boolean(tmp_path, capsys, value):
 
 
 def test_threads_flag_deterministic(tmp_path, capsys):
-    spec = quadric_spec(tmp_path, p=3)
+    spec = joined_quadric_spec(tmp_path, p=3)
     _, out1, _ = run_cli(capsys, "count", spec, "-n", "3", "--threads", "1", "--no-timing")
     _, out4, _ = run_cli(capsys, "count", spec, "-n", "3", "--threads", "4", "--no-timing")
     assert out1 == out4
@@ -1277,6 +1340,21 @@ def test_warm_variety_request_imports_no_other_subsystem(tmp_path, capsys, comma
         assert "picardkit.counting.kernel_py" not in result["modules"]
 
 
+def test_classes_load_only_when_a_separable_level_is_counted(tmp_path, capsys):
+    # the quadric's blocks {x0, x3} and {x1, x2} send its levels to the
+    # cyclotomic classes; once they are cached, nothing loads that code
+    spec = quadric_spec(tmp_path)
+    cache = str(tmp_path / "cache")
+    cold = _modules_after(tmp_path, "betti", spec, "--cache-dir", cache, "--no-timing")
+    assert "picardkit.counting.classes" in cold["modules"]
+    warm = _modules_after(tmp_path, "betti", spec, "--cache-dir", cache, "--eval-budget", "1",
+                          "--no-timing")
+    assert "picardkit.counting.classes" not in warm["modules"]
+    chart = _modules_after(tmp_path, "betti", joined_quadric_spec(tmp_path), "--no-timing",
+                           "--cache-dir", str(tmp_path / "joined"))
+    assert "picardkit.counting.classes" not in chart["modules"]
+
+
 def test_pure_backend_forced_by_environment(tmp_path, capsys):
     result = _modules_after(tmp_path, "betti", *_warm_elliptic(tmp_path, capsys), pure=True)
     assert result["backend"] == "pure"
@@ -1378,7 +1456,7 @@ def test_no_request_leaves_work_for_interpreter_teardown(tmp_path, command):
     # import registers an atexit handler
     argv = [*_request(tmp_path, command), "--no-timing"]
     if command == "count":
-        argv += ["--threads", "2"]
+        argv = ["count", joined_quadric_spec(tmp_path), *argv[2:], "--threads", "2"]
     result = _modules_after(tmp_path, *argv)
     assert result["new_atexit_handlers"] == 0
     assert _loaded(result["modules"], ["concurrent", "logging"]) == []

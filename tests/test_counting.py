@@ -12,6 +12,7 @@ from picardkit.counting import (
     CountCache,
     count_points,
     count_tower,
+    separable_blocks,
     variety_hash,
 )
 from picardkit.counting.charts import compile_charts
@@ -151,7 +152,8 @@ def test_pure_kernel_matches_chart_oracle():
 
 
 def test_parallel_determinism():
-    ideal = ideal_over(3, 1, 4, "x0*x3 - x1*x2")
+    ideal = ideal_over(3, 1, 4, "x0*x3 - x1*x2 + x0*x1")  # one block: the charts count it
+    assert separable_blocks(ideal) == []
     lone = count_points(ideal, 2, threads=1)
     many = count_points(ideal, 2, threads=4)
     assert lone == many
@@ -191,7 +193,9 @@ def test_worker_threads_capped_at_usable_cpus(monkeypatch, affinity):
     else:  # platforms without affinity masks fall back to the CPU count
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    ideal = ideal_over(3, 1, 4, "x0*x3 - x1*x2")
+    # the x0*x1 term joins the quadric's two blocks, so the charts count it
+    ideal = ideal_over(3, 1, 4, "x0*x3 - x1*x2 + x0*x1")
+    assert separable_blocks(ideal) == []
     lone = count_points(ideal, 3, threads=1)
     assert workers == []
     assert count_points(ideal, 3, threads=5000) == lone
@@ -217,8 +221,10 @@ def test_worker_exception_is_raised_in_the_caller(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(backend_module(), "count_chart", boom)
+    ideal = ideal_over(3, 1, 4, "x0*x3 - x1*x2 + x0*x1")  # one block: the charts count it
+    assert separable_blocks(ideal) == []
     with pytest.raises(ArithmeticError, match="kernel failed"):
-        count_points(ideal_over(3, 1, 4, "x0*x3 - x1*x2"), 2, threads=2)
+        count_points(ideal, 2, threads=2)
 
 
 def test_budget_error():
@@ -253,7 +259,10 @@ def test_memory_check_refuses_tables_before_building(monkeypatch):
 
 
 def test_tower_budget_reports_completed():
-    ideal = ideal_over(5, 1, 4, "x0^4 + x1^4 + x2^4 + x3^4")
+    # a quartic whose variables do not separate: its chart estimate passes
+    # the budget at n = 1 and exceeds it further up
+    ideal = ideal_over(5, 1, 4, "x0^3*x1 + x1^3*x2 + x2^3*x3 + x3^3*x0")
+    assert separable_blocks(ideal) == []
     try:
         count_tower(ideal, 8, budget=10**6)
     except BudgetExceededError as err:

@@ -5,7 +5,8 @@ zeta function is found cannot change a report without failing here.
 Middle route: the Fermat cubic surface over F_2, y^2 z + y z^2 = x^3 over
 F_4, the Klein quartic, the cubic threefold over F_2 and the quartic K3 over
 F_2 (the last two read their counts from a cache filled through
-`CountCache.put`).  Pade route: the elliptic curve over F_5 with budget 4
+`CountCache.put`); the cubic threefold again from an empty cache, and the
+Fermat quartic over F_3, both counted over cyclotomic classes.  Pade route: the elliptic curve over F_5 with budget 4
 and P^2 over F_3 with budget 3.
 
 `rank` requests pin their exit code, stderr and checkpoint bytes as well:
@@ -31,6 +32,7 @@ FERMAT_CUBIC = _spec(2, 1, 3, ["x0^3 + x1^3 + x2^3 + x3^3"], hypersurfaceDegree=
 ELLIPTIC_F4 = _spec(2, 2, 2, ["x1^2*x2 + x1*x2^2 + x0^3"], hypersurfaceDegree=3)
 KLEIN = _spec(2, 1, 2, ["x0^3*x1 + x1^3*x2 + x2^3*x0"], hypersurfaceDegree=4)
 CUBIC_THREEFOLD = _spec(2, 1, 4, ["x0^3 + x1^3 + x2^3 + x3^3 + x4^3"], hypersurfaceDegree=3)
+FERMAT_QUARTIC_F3 = _spec(3, 1, 3, ["x0^4 + x1^4 + x2^4 + x3^4"], hypersurfaceDegree=4)
 K3 = _spec(2, 1, 3, ["x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"],
            hypersurfaceDegree=4)
 ELLIPTIC_F5 = _spec(5, 1, 2, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], hypersurfaceDegree=3)
@@ -54,6 +56,12 @@ GOLDEN = {
         "d225118714cde5a83da2388ae10cdd286611cb4dfae06927f9ad517fc394ae4a"),
     "cubic-threefold-zeta": (CUBIC_THREEFOLD, CUBIC_THREEFOLD_COUNTS, ["zeta"], 0,
         "50f898eeba8f5b38121428d7f3dec59aded63861903dbf44f94ace54d6b6452a"),
+    # counted over cyclotomic classes from an empty cache: the same report
+    "cubic-threefold-zeta-cold": (CUBIC_THREEFOLD, [], ["zeta"], 0,
+        "50f898eeba8f5b38121428d7f3dec59aded63861903dbf44f94ace54d6b6452a"),
+    # ten levels, up to F_{3^10}, over classes; P_2 = (1 - 3T)^12 (1 + 3T)^10
+    "fermat-quartic-f3-zeta": (FERMAT_QUARTIC_F3, [], ["zeta"], 0,
+        "35fbcc753568036785979b73965040dc9fc1e3ab0611ad144ef6335b6efaef33"),
     "k3-betti": (K3, K3_COUNTS, ["betti"], 0,
         "84cf32dbbba2baf2571d8ae7597ac1f33106f0d1f0c4eb8752159da8ce18c2c8"),
     "k3-tate": (K3, K3_COUNTS, ["tate-bound", "-p", "1"], 0,

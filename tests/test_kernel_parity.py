@@ -1,53 +1,20 @@
 """The compiled and pure kernels must agree bit for bit.
 
-Uses the in-place build of picardkit.counting._ckernel when there is one;
-otherwise compiles _ckernel.c into a temporary directory with setuptools'
-build_ext.  Skips only when no C compiler is found.
+The compiled kernel comes from the `ckernel` fixture in conftest.py, which
+skips only when no C compiler is found.
 """
 
-import importlib.util
-import shlex
-import shutil
-import sysconfig
 from array import array
-from pathlib import Path
 
 import pytest
 
-from picardkit.counting import count_points, kernel, kernel_py
+from picardkit.counting import count_points, kernel, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.kernel import trace_mask
 from picardkit.ffield import extend, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 from conftest import brute_force_chart_count
-
-
-@pytest.fixture(scope="module")
-def ckernel(tmp_path_factory):
-    try:
-        from picardkit.counting import _ckernel
-
-        return _ckernel
-    except ImportError:
-        pass
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler found")
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
-    out = tmp_path_factory.mktemp("ckernel")
-    source = Path(kernel.__file__).with_name("_ckernel.c")
-    cmd = build_ext(Distribution({"ext_modules": [Extension("_ckernel", [str(source)])]}))
-    cmd.build_lib = str(out)
-    cmd.build_temp = str(out / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location("_ckernel", cmd.get_ext_fullpath("_ckernel"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 4), (3, 2), (7, 1)])
@@ -112,7 +79,9 @@ def test_split_ranges_sum_to_whole(ckernel):
 def test_threads_agree_on_compiled_backend(ckernel, monkeypatch):
     monkeypatch.setattr(kernel, "_impl", ckernel)
     f = make_field(2, 1)
-    ideal = HomIdeal([poly_from_str("x0^3 + x1^3 + x2^3 + x3^3", 4, f)])
+    # no two blocks of variables, so the charts count it on worker threads
+    ideal = HomIdeal([poly_from_str("x0^2*x1 + x1^2*x2 + x2^2*x3 + x3^2*x0", 4, f)])
+    assert separable_blocks(ideal) == []
     lone = count_points(ideal, 4, threads=1)
     assert count_points(ideal, 4, threads=2) == lone
     monkeypatch.setattr(kernel, "_impl", kernel_py)
