@@ -46,84 +46,120 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_INVALID_INPUT) from None
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise CliError(f"bad JSON in {path}: {exc}", EXIT_INVALID_INPUT) from None
 
 
-def _variety_from_spec(obj):
-    from .ffield import FieldError, make_field
-    from .polysys import HomIdeal, PolyError, poly_from_str
-
+def _parsed(kind, parse, *args):
+    """The checked record parse(*args) returns.  Each input kind has one
+    parser: specs and cycles files here, size tables and module families in
+    galmod, checkpoints in lattice.  Malformed input exits 2 here alone,
+    before any work, as `malformed <kind>: <what is wrong>`."""
     try:
-        fieldspec = obj["field"]
-        p, e, ambient = fieldspec["p"], fieldspec.get("e", 1), obj["ambientDim"]
-        if any(type(x) is not int for x in (p, e, ambient)):
-            # JSON integers only: 2.9, true and "2" are rejected, not truncated
-            raise ValueError("field.p, field.e and ambientDim must be integers")
-        if ambient < 0:
-            raise ValueError("ambientDim must be at least 0")
-        gens = obj.get("generators", [])
-        if not isinstance(gens, list) or any(type(g) is not str for g in gens):
-            raise ValueError(f"generators must be a list of strings: {gens!r}")
-        flags = obj.get("flags", {})
-        if not isinstance(flags, dict):
-            raise ValueError(f"flags must be a JSON object: {flags!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed variety spec: {exc}", EXIT_INVALID_INPUT) from None
+        return parse(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed {kind}: {exc}", EXIT_INVALID_INPUT) from None
+
+
+def _variety_from_spec(obj, budget=None):
+    """(ideal, flags) of a variety spec, both checked, for every command.
+    All-zero generators give the zero ideal, as an empty list does.  flags
+    holds the user budget B (`budget`, the --budget value, else the flag),
+    `hypersurfaceDegree` and `assumeSmooth`.  A base field or ambient space
+    that level 1 could never be counted over exits 3 before it is built."""
+    from .counting import BudgetExceededError, check_base_field
+    from .ffield import make_field
+    from .polysys import HomIdeal, poly_from_str
+
+    fieldspec = obj["field"]
+    p, e, ambient = fieldspec["p"], fieldspec.get("e", 1), obj["ambientDim"]
+    # JSON integers and booleans: 2.9, true and "2" are rejected, not
+    # truncated or parsed, and "no", "false", 0 and 1 are not booleans
+    if any(type(x) is not int for x in (p, e, ambient)):
+        raise ValueError("field.p, field.e and ambientDim must be integers")
+    if ambient < 0:
+        raise ValueError("ambientDim must be at least 0")
+    gens = obj.get("generators", [])
+    if not isinstance(gens, list) or any(type(g) is not str for g in gens):
+        raise ValueError(f"generators must be a list of strings: {gens!r}")
+    flags = obj.get("flags", {})
+    if not isinstance(flags, dict):
+        raise ValueError(f"flags must be a JSON object: {flags!r}")
+    if budget is None:
+        budget = flags.get("budget")
+    if budget is not None and (type(budget) is not int or budget < 2):
+        raise ValueError("budget must be an integer of at least 2")
+    degree = flags.get("hypersurfaceDegree")
+    if degree is not None and (type(degree) is not int or degree < 1):
+        raise ValueError("hypersurfaceDegree must be an integer of at least 1")
+    assume_smooth = flags.get("assumeSmooth", False)
+    if type(assume_smooth) is not bool:
+        raise ValueError("assumeSmooth must be true or false")
     try:
-        field = make_field(p, e)
-        polys = [poly_from_str(g, ambient + 1, field) for g in gens]
-        ideal = HomIdeal(polys)
-        if not polys:
-            ideal = ideal.with_ambient(ambient + 1, field)
-    except (FieldError, PolyError) as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    return ideal, flags
+        check_base_field(p, e, ambient + 1)
+    except BudgetExceededError as exc:
+        raise _budget_error(exc) from None
+    field = make_field(p, e)
+    ideal = HomIdeal([poly_from_str(g, ambient + 1, field) for g in gens])
+    flags = SimpleNamespace(budget=budget, degree=degree, assume_smooth=assume_smooth)
+    return ideal.with_ambient(ambient + 1, field), flags
 
 
-def _cache_from_args(args):
-    from .counting.cache import CountCache, cache_file, default_cache
+def _cycles_from_json(obj):
+    """The checked record of a cycles file: `pairings` rows and candidates'
+    `pairingVector`s of one JSON integer per basis cycle; action generators
+    (permutations, or matrices that lattice.GLattice checks k x k and
+    invertible over Z) and relation words, verified on the basis cycles;
+    one name per pairings row; and the file's JSON, for the checkpoint."""
+    from .exactla import json_ints
+    from .lattice import GLattice
 
-    return CountCache(cache_file(args.cache_dir)) if args.cache_dir else default_cache()
+    basis = obj["basisCycles"]
+    if not isinstance(basis, list):
+        raise ValueError(f"basisCycles must be a list: {basis!r}")
+    k = len(basis)
+    pairings = [json_ints(row, "pairings rows") for row in obj["pairings"]]
+    candidates = [
+        (cand.get("name", "?"), json_ints(cand["pairingVector"], "pairingVector"))
+        for cand in obj.get("candidates", [])
+    ]
+    action = obj.get("action", {})
+    gens = []
+    for g in action.get("generators", []):
+        if g and isinstance(g[0], list):
+            gens.append([json_ints(row, "action matrix rows") for row in g])
+            continue
+        perm = json_ints(g, "permutation generators")
+        if sorted(perm) != list(range(k)):
+            raise ValueError("permutation generator is not a permutation")
+        gens.append([[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)])
+    relations = [json_ints(word, "relation words") for word in action.get("relations", [])]
+    if any(not 0 < abs(i) <= len(gens) for word in relations for i in word):
+        raise ValueError("relation words use signed 1-based generator indices")
+    GLattice(k, gens, relations)
+    if any(len(row) != k for row in pairings) or any(len(v) != k for _, v in candidates):
+        raise ValueError(f"pairing vectors must have length {k}, one entry per basis cycle")
+    names = obj.get("cycleNames", [f"z{i}" for i in range(len(pairings))])
+    if not isinstance(names, list) or [type(x) for x in names] != [str] * len(pairings):
+        raise ValueError("cycleNames must be a list of strings, one per pairings row")
+    return SimpleNamespace(contents=obj, pairings=pairings, candidates=candidates, action=gens,
+                           names=names)
 
 
-def _eval_budget(args):
-    """--eval-budget, or counting's default when it was not given."""
-    from .counting import DEFAULT_BUDGET
-
-    return DEFAULT_BUDGET if args.eval_budget is None else args.eval_budget
-
-
-def _budget_descriptor(flags, args, ideal):
-    """The zeta.DegreeBudget record of a spec: a user budget B (`--budget`
-    or the `budget` flag), else the record of a smooth hypersurface of
-    degree `hypersurfaceDegree`; a spec with neither is invalid input."""
+def _budget_descriptor(flags, ideal):
+    """The zeta.DegreeBudget record of a spec's checked flags: a user budget
+    B, else the record of a smooth hypersurface of degree
+    `hypersurfaceDegree`; a spec with neither is invalid input."""
     from .zeta import DegreeBudget, hypersurface_budget
 
-    budget = args.budget if args.budget is not None else flags.get("budget")
-    if budget is not None:
-        # a JSON integer: 3.7 and "4" are rejected, not truncated or parsed
-        if type(budget) is not int or budget < 2:
-            raise CliError("budget must be an integer of at least 2", EXIT_INVALID_INPUT)
-        return DegreeBudget(budget)
-    degree = flags.get("hypersurfaceDegree")
-    if degree is None:
-        raise CliError(
-            "no budget: supply one, or a hypersurface degree plus ambient dimension",
-            EXIT_INVALID_INPUT,
-        )
-    if type(degree) is not int or degree < 1:
-        raise CliError("hypersurfaceDegree must be an integer of at least 1", EXIT_INVALID_INPUT)
+    if flags.budget is not None:
+        return DegreeBudget(flags.budget)
+    if flags.degree is None:
+        raise CliError("no budget: supply one, or a hypersurface degree plus ambient dimension",
+                       EXIT_INVALID_INPUT)
     if ideal.nvars < 2:  # P^0 holds no hypersurface
         raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
-    return hypersurface_budget(degree, ideal.nvars - 1, ideal.domain.q)
-
-
-def _validate_counts(series, betti=None):
-    try:
-        series.validate(betti)
-    except ValueError as exc:
-        raise CliError(f"invalid counts: {exc}", EXIT_INCONSISTENT) from None
+    return hypersurface_budget(flags.degree, ideal.nvars - 1, ideal.domain.q)
 
 
 def _budget_error(exc):
@@ -133,13 +169,21 @@ def _budget_error(exc):
     return CliError(f"{exc} (largest completed n = {done})", EXIT_BUDGET)
 
 
-def _json_bool(obj, key):
-    """obj[key] as a JSON boolean, False when absent: "no", "false", 0 and 1
-    are rejected, not read by truthiness."""
-    value = obj.get(key, False)
-    if type(value) is not bool:
-        raise CliError(f"{key} must be true or false", EXIT_INVALID_INPUT)
-    return value
+def _counts(ideal, n, args, cache, betti=None):
+    """The CountSeries of levels 1..n, from `cache` and counting under the
+    request's limits, validated before use (exit 5 when it fails)."""
+    from .counting import DEFAULT_BUDGET, BudgetExceededError, count_tower
+
+    try:
+        series = count_tower(ideal, n, cache=cache, threads=args.threads, progress=args.progress,
+                             budget=args.eval_budget or DEFAULT_BUDGET)
+    except BudgetExceededError as exc:
+        raise _budget_error(exc) from None
+    try:
+        series.validate(betti)
+    except ValueError as exc:
+        raise CliError(f"invalid counts: {exc}", EXIT_INCONSISTENT) from None
+    return series
 
 
 def _zeta_pipeline(ideal, flags, args, report, connected=False):
@@ -148,36 +192,31 @@ def _zeta_pipeline(ideal, flags, args, report, connected=False):
     `connected`, a record whose b_0 or b_2d is not 1 (a variety that is not
     geometrically connected) is invalid input, found before counting."""
     from . import weil, zeta as zeta_mod
-    from .counting import BudgetExceededError, count_tower
+    from .counting import default_cache
     from .polysys import dimension_degree, smoothness_check
 
     ambient = ideal.nvars - 1
-    budget = _budget_descriptor(flags, args, ideal)
-    assume_smooth = _json_bool(flags, "assumeSmooth")
+    budget = _budget_descriptor(flags, ideal)
     dim, degree = dimension_degree(ideal)
     if dim < 0:
         raise CliError("the ideal cuts out the empty scheme", EXIT_INVALID_INPUT)
     if not 0 <= getattr(args, "p", 0) <= dim:
         raise CliError("codimension out of range", EXIT_INVALID_INPUT)
     if budget.betti is not None and (
-        len(ideal.generators) != 1 or (dim, degree) != (ambient - 1, flags["hypersurfaceDegree"])
+        len(ideal.generators) != 1 or (dim, degree) != (ambient - 1, flags.degree)
     ):
         raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
     report["variety"] = {"dim": dim, "degree": degree, "ambientDim": ambient}
-    if not assume_smooth and not smoothness_check(ideal):
+    if not flags.assume_smooth and not smoothness_check(ideal):
         raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
     if connected and budget.betti is not None and (budget.betti[0], budget.betti[-1]) != (1, 1):
         raise CliError("b_0 and b_2d must equal 1", EXIT_INVALID_INPUT)
-    cache = _cache_from_args(args)
+    cache = default_cache(args.cache_dir)
 
     try:
         n_max = budget.levels
         while True:
-            counts = count_tower(
-                ideal, n_max, cache=cache, budget=_eval_budget(args),
-                threads=args.threads, progress=args.progress,
-            )
-            _validate_counts(counts, budget.betti)
+            counts = _counts(ideal, n_max, args, cache, budget.betti)
             try:
                 z = zeta_mod.reconstruct(counts, budget, dim=dim)
                 break
@@ -188,8 +227,6 @@ def _zeta_pipeline(ideal, flags, args, report, connected=False):
                 if n_max >= budget.unknown_degree:
                     raise CliError(str(exc), EXIT_UNDECIDED) from None
                 n_max += 1
-    except BudgetExceededError as exc:
-        raise _budget_error(exc) from None
     except zeta_mod.ZetaError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
     holds, sign = zeta_mod.functional_equation_check(z)
@@ -217,28 +254,20 @@ def _spec_request(args):
     """(ideal, flags, report base) of a command that reads one variety spec."""
     from .counting import variety_hash
 
-    ideal, flags = _variety_from_spec(_load_json(args.spec))
+    ideal, flags = _parsed("variety spec", _variety_from_spec, _load_json(args.spec), args.budget)
     return ideal, flags, _report_base(args.command, {"digest": variety_hash(ideal)})
 
 
 # -- subcommand drivers -------------------------------------------------------
-# each returns (report, exit code); the report is None when the command has
-# written stdout itself
+# each reads only checked records and returns (report, exit code); the
+# report is None when the command has written stdout itself
 
 
 def cmd_count(args):
-    from .counting import BudgetExceededError, count_tower
+    from .counting import default_cache
 
     ideal, _, report = _spec_request(args)
-    cache = _cache_from_args(args)
-    try:
-        series = count_tower(
-            ideal, args.n, cache=cache, budget=_eval_budget(args),
-            threads=args.threads, progress=args.progress,
-        )
-    except BudgetExceededError as exc:
-        raise _budget_error(exc) from None
-    _validate_counts(series)
+    series = _counts(ideal, args.n, args, default_cache(args.cache_dir))
     report["counts"] = {"q": series.q, "values": series.counts}
     return report, EXIT_OK
 
@@ -250,18 +279,7 @@ def cmd_zeta(args):
 
 
 def cmd_betti(args):
-    from . import weil
-
-    ideal, flags, report = _spec_request(args)
-    z, factored = _zeta_pipeline(ideal, flags, args, report, connected=True)
-    try:
-        report["betti"] = weil.betti_numbers(z, weil.classify_weights(z, factored))
-    except weil.UnclassifiableFactorError as exc:
-        raise CliError(str(exc), EXIT_INCONSISTENT) from None
-    return report, EXIT_OK
-
-
-def cmd_tate(args):
+    """`betti`, and `tate-bound`, which adds the bound in codimension -p."""
     from . import weil
 
     ideal, flags, report = _spec_request(args)
@@ -271,78 +289,22 @@ def cmd_tate(args):
         report["betti"] = weil.betti_numbers(z, pieces)
     except weil.UnclassifiableFactorError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
-    bound = weil.dim_v_mu(z, pieces, args.p)
-    report["tateBound"] = bound.to_json()
+    if args.command == "tate-bound":
+        report["tateBound"] = weil.dim_v_mu(z, pieces, args.p).to_json()
     return report, EXIT_OK
-
-
-def _int_row(row):
-    """A list of JSON integers, as given: 1.5, true and "1" are rejected,
-    not truncated to 1."""
-    if not isinstance(row, list) or any(type(x) is not int for x in row):
-        raise ValueError(f"not a list of integers: {row!r}")
-    return row
-
-
-def _parse_action(obj, k):
-    gens = []
-    for g in obj.get("generators", []):
-        if g and isinstance(g[0], list):
-            mat = [_int_row(row) for row in g]
-            if len(mat) != k or any(len(row) != k for row in mat):
-                raise ValueError(f"action generator is not {k}x{k}")
-        else:
-            perm = _int_row(g)
-            if sorted(perm) != list(range(k)):
-                raise CliError("permutation generator is not a permutation", EXIT_INVALID_INPUT)
-            mat = [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
-        gens.append(mat)
-    relations = [_int_row(word) for word in obj.get("relations", [])]
-    if any(not 0 < abs(i) <= len(gens) for word in relations for i in word):
-        raise ValueError("relation words use signed 1-based generator indices")
-    return gens, relations
 
 
 def cmd_rank(args):
     from . import lattice, weil
-    from .counting import sha256, variety_hash
+    from .counting import sha256
 
-    spec = _load_json(args.spec)
-    cycles = _load_json(args.cycles)
-    ideal, flags = _variety_from_spec(spec)
-    try:
-        basis = cycles["basisCycles"]
-        if not isinstance(basis, list):
-            raise ValueError(f"basisCycles must be a list: {basis!r}")
-        k = len(basis)
-        pairings = [_int_row(row) for row in cycles["pairings"]]
-        candidates = [
-            (cand.get("name", "?"), _int_row(cand["pairingVector"]))
-            for cand in cycles.get("candidates", [])
-        ]
-        action, relations = _parse_action(cycles.get("action", {}), k)
-        lattice.GLattice(k, action)  # each generator invertible over Z, before counting
-        if any(len(row) != k for row in pairings) or any(len(v) != k for _, v in candidates):
-            raise ValueError(f"pairing vectors must have length {k}, one entry per basis cycle")
-        names = cycles.get("cycleNames", [f"z{i}" for i in range(len(pairings))])
-        if (
-            not isinstance(names, list)
-            or len(names) != len(pairings)
-            or any(not isinstance(name, str) for name in names)
-        ):
-            raise ValueError("cycleNames must be a list of strings, one per pairings row")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed cycles file: {exc}", EXIT_INVALID_INPUT) from None
-    digest = variety_hash(ideal)
+    ideal, flags, report = _spec_request(args)
+    cycles = _parsed("cycles file", _cycles_from_json, _load_json(args.cycles))
     # a checkpoint holds a bound for one variety, cycles file and codimension;
     # one written for other inputs is rejected before anything is counted
-    inputs = {"variety": digest, "cycles": cycles, "p": args.p}
+    inputs = {"variety": report["inputs"]["digest"], "cycles": cycles.contents, "p": args.p}
     inputs_digest = sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
-    try:
-        best = lattice.read_checkpoint(args.checkpoint, inputs_digest)
-    except lattice.LatticeError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    report = _report_base("rank", {"digest": digest})
+    best = _parsed("checkpoint", lattice.read_checkpoint, args.checkpoint, inputs_digest)
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         bound = weil.dim_v_mu(z, weil.classify_weights(z, factored), args.p)
@@ -353,35 +315,28 @@ def cmd_rank(args):
 
     if best > v_mu:  # read_checkpoint refused a negative bound
         raise CliError(f"checkpoint bound {best} is outside 0..{v_mu}", EXIT_INVALID_INPUT)
+    pairings = cycles.pairings
     rank, rows, cols, det = lattice.independence_certificate(pairings)
     if rank > v_mu:
         raise CliError(f"lower bound {rank} exceeds the upper bound {v_mu}", EXIT_INCONSISTENT)
     if rank > best:
         best = rank
         if args.checkpoint:
-            witness = {
-                "minor": [[pairings[i][j] for j in cols] for i in rows],
-                "rows": rows,
-                "cols": cols,
-                "det": det,
-                "labels": [names[i] for i in rows],
-            }
+            witness = {"minor": [[pairings[i][j] for j in cols] for i in rows], "rows": rows,
+                       "cols": cols, "det": det, "labels": [cycles.names[i] for i in rows]}
             lattice.write_checkpoint(args.checkpoint, inputs_digest, v_mu, args.p, best, witness)
     # Algorithm B halts when the exhibited cycles' rank meets the upper bound
     halted = best == v_mu
-    report["rank"] = {
-        "upperBound": v_mu,
-        "bestLower": best,
-        "status": "halted" if halted else "running",
-    }
+    report["rank"] = {"upperBound": v_mu, "bestLower": best,
+                      "status": "halted" if halted else "running"}
     if halted:
         report["rank"]["rankNumXsep"] = v_mu
         try:
-            lat, class_map = lattice.build_n(pairings, action, v_mu, relations=relations)
+            # the relations hold on the lattice model, since they hold on the basis cycles
+            lat, class_map = lattice.build_n(pairings, cycles.action, v_mu)
             report["rank"]["rankNumX"] = lattice.fixed_rank(lat)
-            verdicts = [
-                {"name": name, "coords": class_map(vector)} for name, vector in candidates
-            ]
+            verdicts = [{"name": name, "coords": class_map(vector)}
+                        for name, vector in cycles.candidates]
             if verdicts:
                 report["rank"]["candidates"] = verdicts
         except lattice.RankMismatchError as exc:
@@ -394,17 +349,13 @@ def cmd_rank(args):
 def cmd_torsion(args):
     from . import galmod
 
-    obj = _load_json(args.table)
-    try:
-        table = galmod.SizeTable.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed size table: {exc}", EXIT_INVALID_INPUT) from None
+    table = _parsed("size table", galmod.SizeTable.from_json, _load_json(args.table))
     report = _report_base("torsion", {"ell": table.ell, "degree": args.degree})
     try:
         res = galmod.torsion_from_sizes(table, args.degree)
     except galmod.InconsistentTableError as exc:
         raise CliError(str(exc), EXIT_INCONSISTENT) from None
-    except galmod.GalmodError as exc:
+    except galmod.GalmodError as exc:  # -i outside the table's degrees
         raise CliError(str(exc), EXIT_INVALID_INPUT) from None
     report["torsion"] = {
         "exact": res.exact,
@@ -419,31 +370,10 @@ def cmd_torsion(args):
 def cmd_galois_rank(args):
     from . import galmod
 
-    obj = _load_json(args.family)
-    try:
-        t = obj["t"]
-        if type(t) is not int:
-            raise ValueError(f"t must be an integer: {t!r}")
-        if not isinstance(obj["modules"], list):
-            raise ValueError(f"modules must be a list: {obj['modules']!r}")
-        modules = [galmod.FiniteLModule.from_json(m) for m in obj["modules"]]
-        if "ell" in obj:
-            ell = obj["ell"]
-            if type(ell) is not int:
-                raise ValueError(f"ell must be an integer: {ell!r}")
-            for mod in modules:
-                if mod.ell != ell:
-                    raise galmod.GalmodError(f"module ell {mod.ell} differs from family ell {ell}")
-    except galmod.GalmodError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed module family: {exc}", EXIT_INVALID_INPUT) from None
-    skip_check = _json_bool(obj, "skipHypothesisCheck")
+    family = _load_json(args.family)
+    modules, t, check = _parsed("module family", galmod.family_from_json, family)
     report = _report_base("galois-rank", {"t": t, "modules": len(modules)})
-    try:
-        bounds = galmod.rank_upper_bounds(modules, t, check_hypothesis=not skip_check)
-    except galmod.GalmodError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT) from None
+    bounds = galmod.rank_upper_bounds(modules, t, check_hypothesis=check)
     report["rankBounds"] = {
         "perLevel": [{"n": n, "u": u} for n, u in bounds.per_level],
         "runningMin": bounds.running_min,
@@ -501,7 +431,7 @@ COMMANDS = {  # name: (driver, help, positionals as (dest, help), options beside
               [("-n", "n", AT_LEAST_1, REQUIRED, "largest extension degree")]),
     "zeta": (cmd_zeta, "exact zeta function", SPEC, []),
     "betti": (cmd_betti, "Betti numbers from the zeta function", SPEC, []),
-    "tate-bound": (cmd_tate, "dim V_mu upper bound for codimension p", SPEC, [P_OPT]),
+    "tate-bound": (cmd_betti, "dim V_mu upper bound for codimension p", SPEC, [P_OPT]),
     "rank": (cmd_rank, "bounded rank pipeline from cycle data", [], [
         ("--zeta", "spec", str, REQUIRED, "variety spec JSON"),
         ("--cycles", "cycles", str, REQUIRED, "cycle pairing data JSON"),

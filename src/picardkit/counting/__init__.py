@@ -27,6 +27,7 @@ from .charts import compile_charts, evaluate_origin_chart
 from .kernel import BACKEND, backend_module, field_tables, trace_mask
 
 DEFAULT_BUDGET = 2**34
+MAX_DIGITS = 4300  # CPython's default limit on the digits of an int it prints
 
 __all__ = [
     "BACKEND",
@@ -82,11 +83,8 @@ class CountSeries:
                 if r * r > betti[d] ** 2 * self.q ** (n * d):
                     raise ValueError(f"N_{n} = {N} breaks the Weil bound")
         for n, N in enumerate(self.counts, start=1):
-            if self.ambient_dim:
-                qn = self.q**n
-                bound = (qn ** (self.ambient_dim + 1) - 1) // (qn - 1)
-                if N > bound:
-                    raise ValueError(f"N_{n} = {N} exceeds #P^{self.ambient_dim}")
+            if self.ambient_dim and N > _points_bound(self.q, n, self.ambient_dim + 1):
+                raise ValueError(f"N_{n} = {N} exceeds #P^{self.ambient_dim}")
         a = {}
         for n, N in enumerate(self.counts, start=1):
             s = sum(d * a[d] for d in range(1, n) if n % d == 0 and d in a)
@@ -181,17 +179,52 @@ def separable_blocks(ideal):
     ]
 
 
+def _points_bound(q, k, nvars, completed=None):
+    """#P^(nvars-1)(F_{q^k}), which bounds every count at level k.  Raises
+    BudgetExceededError when it or q^k has more than MAX_DIGITS digits:
+    such a level is never counted, since a report could not print it."""
+    # both are at least 2^((bit_length(q)-1) k max(nvars-1, 1)), and 2^14286 > 10^4300
+    if (q.bit_length() - 1) * k * max(nvars - 1, 1) <= 14_285:
+        Q = q**k
+        bound = (Q**nvars - 1) // (Q - 1)
+        if max(Q, bound) < 10**MAX_DIGITS:
+            return bound
+    raise BudgetExceededError(
+        f"q^n or #P^{nvars - 1}(F_(q^n)) has more than {MAX_DIGITS} digits at n={k}", completed
+    )
+
+
+def _check_tables(p, k, n):
+    """Raise BudgetExceededError when the three int64 tables of F_{p^k}
+    (24 p^k bytes), the field of level n, exceed physical memory."""
+    memory = physical_memory()
+    if k * (p.bit_length() - 1) >= memory.bit_length() or 24 * p**k > memory:
+        raise BudgetExceededError(
+            f"field tables at n={n} need more than the {memory} bytes of physical memory"
+        )
+
+
+def check_base_field(p, e, nvars):
+    """Raise BudgetExceededError, before F_{p^e} is built, when level 1
+    could not be counted over it; make_field refuses p < 2 and e < 1."""
+    if p >= 2 and e >= 1:
+        _check_tables(p, e, 1)
+        _points_bound(p**e, 1, nvars)
+
+
 def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
     `n` is the extension degree.  `blocks` is `separable_blocks(ideal)`,
-    found here when the caller does not pass it.  The level is counted over
-    cyclotomic classes when there are blocks and none has more than
-    nvars - 2 variables, else chart by chart.
-    Raises BudgetExceededError, before the field tables are built, when the
-    three int64 tables of length Q = q^n (24 Q bytes) exceed physical memory,
-    or when the work estimate exceeds `budget`.  The estimate is Q units for
-    the tables plus each chart's cost, or, over classes, plus
+    found here when the caller does not pass it.  The empty ideal is all of
+    P^(nvars-1), in closed form.  Other levels are counted over cyclotomic
+    classes when there are blocks and none has more than nvars - 2
+    variables, else chart by chart.
+    Raises BudgetExceededError for a level that `_points_bound` refuses,
+    or, before the field tables are built, when they exceed physical
+    memory (`_check_tables`) or the work estimate exceeds `budget`.  The
+    estimate is one unit per chart for the closed form; else Q = q^n units
+    for the tables plus each chart's cost or, over classes, plus
     Q^(k-1) * terms for each block of k > 1 variables.  At most `threads`
     worker threads count charts, and never more than `_usable_cpus()`; the
     count is the same for any number.
@@ -199,19 +232,12 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
     dom = ideal.domain
     if dom is None:
         raise ValueError("point counting requires a finite base field")
-    emb = extend(dom, n)
-    ext = emb.ext
-    Q = ext.q
-
+    bound = _points_bound(dom.q, n, ideal.nvars)
     if not ideal.generators:
-        # empty ideal: all of P^(nvars-1), counted in closed form
-        return sum(Q**i for i in range(ideal.nvars))
-    memory = physical_memory()
-    if 24 * Q > memory:
-        raise BudgetExceededError(
-            f"field tables at n={n} need {24 * Q} bytes, more than the "
-            f"{memory} bytes of physical memory"
-        )
+        _charge(ideal.nvars, budget, n)
+        return bound
+    _check_tables(dom.p, dom.e * n, n)
+    Q = dom.q**n
 
     if blocks is None:
         blocks = separable_blocks(ideal)
@@ -220,21 +246,19 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
     # block of nvars - 1 variables is counted faster by the charts
     over_classes = blocks and all(len(v) <= ideal.nvars - 2 for v, _ in blocks)
     if over_classes:
-        total_cost = Q + sum(
-            Q ** (len(variables) - 1) * len(terms)
-            for variables, terms in blocks
-            if len(variables) > 1
-        )
-    else:
-        charts = compile_charts(ideal, emb, ext.to_index)
+        _charge(Q + sum(Q ** (len(v) - 1) * len(t) for v, t in blocks if len(v) > 1), budget, n)
+    elif ideal.nvars > 1:
+        # chart 0 (x_0 = 1) keeps every term and resolves Q^(nvars-2) slices
+        # of at least 24 units each: when that alone passes the budget, no
+        # chart is compiled
+        _charge(Q + 24 * Q ** (ideal.nvars - 2), budget, n)
+    emb = extend(dom, n)
+    if not over_classes:
+        charts = compile_charts(ideal, emb, emb.ext.to_index)
         # the three field tables of length Q, then every chart but the origin
-        total_cost = Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree)
-    if total_cost > budget:
-        raise BudgetExceededError(
-            f"estimated work {total_cost} exceeds budget {budget} at n={n}"
-        )
+        _charge(Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree), budget, n)
 
-    tables = field_tables(ext)
+    tables = field_tables(emb.ext)
     if over_classes:
         from .classes import count_separable
 
@@ -242,6 +266,12 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
     return count_charts(
         ideal, emb, charts, backend_module(), tables, min(threads, _usable_cpus())
     )
+
+
+def _charge(work, budget, n):
+    # the estimate itself may be too long to print
+    if work > budget:
+        raise BudgetExceededError(f"estimated work exceeds budget {budget} at n={n}")
 
 
 def count_charts(ideal, emb, charts, mod, tables, threads):
@@ -311,12 +341,15 @@ def count_tower(
     """CountSeries for n = 1..n_max, consulting and filling the cache.
 
     On budget exhaustion raises BudgetExceededError carrying the completed
-    prefix of the series.
+    prefix of the series; a tower whose level n_max could not be printed
+    (`_points_bound`) is refused before any level is counted.
     """
     vhash = variety_hash(ideal)
     q = ideal.domain.q
     counts = []
     series = CountSeries(q=q, counts=counts, ambient_dim=ideal.nvars - 1)
+    if n_max > 0:  # a last level that could never be counted is refused first
+        _points_bound(q, n_max, ideal.nvars, series)
     blocks = None  # found at the first level that is counted, then kept
     for n in range(1, n_max + 1):
         hit = cache.get(vhash, n) if cache else None

@@ -70,16 +70,14 @@ class CountCache:
             fh.flush()
 
 
-def cache_file(path):
-    """The cache file a --cache-dir or PICARDKIT_CACHE value names: a
-    directory, or a path without an extension that is not a file, holds
-    counts.ndjson; any other path is the cache file itself."""
+def default_cache(path=None):
+    """The cache that `path` (a --cache-dir value) names, else the
+    PICARDKIT_CACHE environment variable, else None.  A directory, or a
+    path without an extension that is not a file, holds counts.ndjson; any
+    other path is the cache file itself."""
+    path = path or os.environ.get("PICARDKIT_CACHE")
+    if not path:
+        return None
     if os.path.isdir(path) or not (os.path.splitext(path)[1] or os.path.isfile(path)):
-        return os.path.join(path, "counts.ndjson")
-    return path
-
-
-def default_cache():
-    """Cache from the PICARDKIT_CACHE environment variable, if set."""
-    path = os.environ.get("PICARDKIT_CACHE")
-    return CountCache(cache_file(path)) if path else None
+        path = os.path.join(path, "counts.ndjson")
+    return CountCache(path)

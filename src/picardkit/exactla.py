@@ -8,6 +8,15 @@ rank over Q is computed without leaving Z.
 """
 
 
+def json_ints(values, what):
+    """values, a list of JSON integers, as given: 1.5, true and "1" are
+    rejected (ValueError), not truncated to 1.  Every input file's integer
+    rows pass through here."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise ValueError(f"{what} must be integers: {values!r}")
+    return values
+
+
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -25,12 +25,16 @@ class FieldError(ValueError):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24; above
+    that bound primality is not decided here (FieldError), unless a prime
+    below 41 divides n."""
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % small == 0:
             return n == small
+    if n >= 3317044064679887385961981:
+        raise FieldError("primality is decided only below 3.3 * 10**24")
     d = n - 1
     r = 0
     while d % 2 == 0:

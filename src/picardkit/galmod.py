@@ -3,9 +3,11 @@ bounds from it, and torsion recovery from cohomology size tables.
 
 Cohomology itself is never computed here: modules and size tables arrive as
 user-supplied data, and this module does the exact group theory on them.
+`SizeTable.from_json` and `family_from_json` are the parsers of the two
+input files: each returns a checked record or raises on malformed input.
 """
 
-from .exactla import det_bareiss
+from .exactla import det_bareiss, json_ints
 from .ffield import is_prime
 
 
@@ -19,14 +21,6 @@ class HypothesisViolationError(GalmodError):
 
 class InconsistentTableError(GalmodError):
     pass
-
-
-def _ints(values, what):
-    """values, a list of JSON integers: 1.5, true and "1" are rejected, not
-    truncated."""
-    if not isinstance(values, list) or any(type(x) is not int for x in values):
-        raise GalmodError(f"{what} must be integers: {values!r}")
-    return values
 
 
 def lprime_level(ell):
@@ -95,12 +89,12 @@ class FiniteLModule:
 
     @staticmethod
     def from_json(obj):
-        ell, n = _ints([obj["ell"], obj["n"]], "ell and n")
+        ell, n = json_ints([obj["ell"], obj["n"]], "ell and n")
         return FiniteLModule(
             ell=ell,
             n=n,
-            invariant_factors=_ints(obj["invariantFactors"], "invariantFactors"),
-            actions=[[_ints(r, "action rows") for r in g] for g in obj.get("actions", [])],
+            invariant_factors=json_ints(obj["invariantFactors"], "invariantFactors"),
+            actions=[[json_ints(r, "action rows") for r in g] for g in obj.get("actions", [])],
         )
 
 
@@ -140,18 +134,12 @@ class RankBounds:
         self.value = value
 
 
-def rank_upper_bounds(family, t, check_hypothesis=True):
-    """Upper bounds floor(log_l #T^G / (n - t)) over a module family.
-
-    family: FiniteLModule instances over one prime, at least one at a level
-    n > t >= 0; modules at levels n <= t are skipped.  With
-    check_hypothesis (the default), every module at a level n at or above
-    the l' level must act trivially mod l': under that hypothesis the
-    minimum of the bounds is the rank of the fixed part of the underlying
-    lattice.  Pass check_hypothesis=False for abstract planted families
-    where the bound on the fixed rank is wanted without the provenance
-    assumption.
-    """
+def check_family(family, t, check_hypothesis=True):
+    """Raise GalmodError unless the FiniteLModules of `family` give sound
+    rank_upper_bounds: one prime, t >= 0, a module at a level n > t and,
+    with `check_hypothesis`, every module at or above the l' level acting
+    trivially mod l', under which the minimum of the bounds is the rank of
+    the fixed part of the underlying lattice."""
     if t < 0:
         raise GalmodError(f"t must be at least 0: {t}")
     if len({mod.ell for mod in family}) > 1:
@@ -163,9 +151,44 @@ def rank_upper_bounds(family, t, check_hypothesis=True):
                 raise HypothesisViolationError(
                     f"action on the level-{mod.n} module is not trivial mod {mod.ell**level0}"
                 )
-    above = sorted((mod for mod in family if mod.n > t), key=lambda m: m.n)
-    if not above:
+    if all(mod.n <= t for mod in family):
         raise GalmodError(f"no module lies above level t = {t}")
+
+
+def family_from_json(obj):
+    """(modules, t, check_hypothesis) of a module family file, checked as
+    `check_family` checks them."""
+    t, modules = obj["t"], obj["modules"]
+    if type(t) is not int:
+        raise GalmodError(f"t must be an integer: {t!r}")
+    if not isinstance(modules, list):
+        raise GalmodError(f"modules must be a list: {modules!r}")
+    modules = [FiniteLModule.from_json(m) for m in modules]
+    if "ell" in obj:
+        ell = obj["ell"]
+        if type(ell) is not int:
+            raise GalmodError(f"ell must be an integer: {ell!r}")
+        for mod in modules:
+            if mod.ell != ell:
+                raise GalmodError(f"module ell {mod.ell} differs from family ell {ell}")
+    skip = obj.get("skipHypothesisCheck", False)
+    if type(skip) is not bool:  # "false", "no", 0 and 1 are not read by truthiness
+        raise GalmodError("skipHypothesisCheck must be true or false")
+    check_family(modules, t, not skip)
+    return modules, t, not skip
+
+
+def rank_upper_bounds(family, t, check_hypothesis=True):
+    """Upper bounds floor(log_l #T^G / (n - t)) over a module family.
+
+    family: FiniteLModule instances that, with t and check_hypothesis, pass
+    `check_family` (else GalmodError); modules at levels n <= t are
+    skipped.  Pass check_hypothesis=False for abstract planted families
+    where the bound on the fixed rank is wanted without the provenance
+    assumption.
+    """
+    check_family(family, t, check_hypothesis)
+    above = sorted((mod for mod in family if mod.n > t), key=lambda m: m.n)
     per_level = [(mod.n, fixed_exponent(mod) // (mod.n - t)) for mod in above]
     running = []
     for _, u in per_level:
@@ -215,12 +238,13 @@ class SizeTable:
     def from_json(obj):
         entries = {}
         for rec in obj["sizes"]:
-            i, n, size = _ints([rec["i"], rec["n"], rec["log_ell_size"]], "i, n and log_ell_size")
+            i, n, size = json_ints([rec["i"], rec["n"], rec["log_ell_size"]],
+                                   "i, n and log_ell_size")
             entries[(i, n)] = size
-        (ell,) = _ints([obj["ell"]], "ell")
+        (ell,) = json_ints([obj["ell"]], "ell")
         if not is_prime(ell):
             raise GalmodError(f"{ell} is not prime")
-        return SizeTable(ell=ell, betti=_ints(obj["betti"], "betti"), entries=entries)
+        return SizeTable(ell=ell, betti=json_ints(obj["betti"], "betti"), entries=entries)
 
 
 class TorsionResult:

@@ -148,12 +148,10 @@ def independence_certificate(m):
 def mat_inverse_int(m):
     """Exact inverse of a unimodular integer matrix.
 
-    The Hermite form of a square m is the identity exactly when m is
+    The Hermite form of m is the identity exactly when m is square and
     unimodular, and the row operations that reach it then multiply to m^-1.
     """
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise LatticeError("matrix is not square")
     a = [list(row) for row in m]
     u = identity(n)
     _hermite_rows_inplace(a, u)

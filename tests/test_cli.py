@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -1578,3 +1580,146 @@ def test_k3_digest_is_unchanged():
     )
     blob = b'{"cycles": {}, "p": 1, "variety": "6c2b"}'
     assert sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+
+# -- inputs the checked parsers and the counting limits used to get wrong ------
+
+
+def _empty_spec(tmp_path, ambient, **flags):
+    return write_json(tmp_path / f"p{ambient}.json", {"field": {"p": 2}, "ambientDim": ambient,
+                                                      "generators": [], "flags": flags})
+
+
+@pytest.mark.parametrize("generators", [["0"], ["x0 - x0"], ["2*x0"], ["0", "x1 - x1"]])
+@pytest.mark.parametrize("command", [["count", "-n", "3"], ["zeta"], ["betti"]])
+def test_all_zero_generators_give_the_zero_ideal(tmp_path, capsys, generators, command):
+    # these exited 1 with AttributeError: the parsed list was not empty, so
+    # the ideal, which drops zero polynomials, got no ambient ring
+    name, *rest = command
+    spec = write_json(tmp_path / "zero.json", {"field": {"p": 2}, "ambientDim": 2,
+                                               "generators": generators, "flags": {"budget": 3}})
+    got = run_cli(capsys, name, spec, *rest, "--no-timing", "--cache-dir", str(tmp_path / "a"))
+    empty = run_cli(capsys, name, p2_spec(tmp_path), *rest, "--no-timing",
+                    "--cache-dir", str(tmp_path / "b"))
+    assert got == empty and got[0] == 0
+    if name == "count":
+        assert json.loads(got[1])["counts"]["values"] == [7, 21, 73]
+
+
+def test_closed_form_is_charged_and_extends_no_field(tmp_path, capsys, monkeypatch):
+    # P^3 in closed form costs one unit per chart, 4 at every level; it used
+    # to find an irreducible polynomial of degree n first and charge nothing,
+    # so -n 200 under a budget of 1 ran 100 s and exited 0
+    from picardkit import counting
+
+    monkeypatch.setattr(counting, "extend", lambda *_: pytest.fail("a field was extended"))
+    spec = _empty_spec(tmp_path, 3)
+    code, out, _ = run_cli(capsys, "count", spec, "-n", "3", "--eval-budget", "4", "--no-timing",
+                           "--cache-dir", str(tmp_path / "c"))
+    assert (code, json.loads(out)["counts"]["values"]) == (0, [15, 85, 585])
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", spec, "-n", "200", "--eval-budget", "1",
+                             "--no-timing", "--cache-dir", str(tmp_path / "d"))
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - started < 1
+    assert "estimated work exceeds budget 1 at n=1 (largest completed n = 0)" in err
+
+
+def _longest_number(text):
+    return max((len(run) for run in re.findall(r"\d+", text)), default=0)
+
+
+@pytest.mark.parametrize("ambient, generators, argv", [
+    # every chart was compiled and summed first: 60 s, then exit 1 printing
+    # an estimate of more than 4,300 digits
+    (20000, ["x0"], ["count", "-n", "1", "--eval-budget", "1"]),
+    # P^14000 over F_2 can be printed, but chart 0 alone passes the budget
+    (14000, ["x0"], ["count", "-n", "1", "--eval-budget", "1"]),
+    (14000, ["x0"], ["zeta", "--eval-budget", "1"]),
+    # the closed form's count has more digits than json prints: exit 1
+    (20000, [], ["count", "-n", "1"]),
+    # the closed form's last level: refused before the first is counted
+    (3, [], ["count", "-n", "5000"]),
+])
+def test_huge_projective_space_exits_3_at_once(tmp_path, capsys, ambient, generators, argv):
+    spec = write_json(tmp_path / "big.json", {"field": {"p": 2}, "ambientDim": ambient,
+                                              "generators": generators,
+                                              "flags": {"hypersurfaceDegree": 1}})
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], spec, *argv[1:], "--no-timing",
+                             "--cache-dir", str(tmp_path / "c"))
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - started < 1
+    assert "largest completed n = 0" in err
+    assert _longest_number(err) < 30
+
+
+@pytest.mark.parametrize("field", [{"p": 1000003, "e": 20}, {"p": 2, "e": 1000},
+                                   {"p": 2**89 - 1}, {"p": 10**4000 + 1}])
+def test_base_field_beyond_memory_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                              field):
+    # F_{1000003^20} took hours to build, in search of its modulus
+    from picardkit import ffield
+
+    monkeypatch.setattr(ffield, "make_field", lambda *_: pytest.fail("the field was built"))
+    spec = write_json(tmp_path / "f.json", {"field": field, "ambientDim": 2, "generators": []})
+    code, out, err = run_cli(capsys, "count", spec, "-n", "1", "--no-timing",
+                             "--cache-dir", str(tmp_path / "c"))
+    assert (code, out) == (3, "")
+    assert "physical memory" in err
+
+
+@pytest.mark.parametrize("command", [["count", "-n", "1"], ["zeta"]])
+@pytest.mark.parametrize("flags, argv", [
+    ({"budget": 1}, []), ({"budget": "4"}, []), ({"hypersurfaceDegree": 2}, ["--budget", "1"]),
+    ({"budget": 4, "hypersurfaceDegree": 0}, []), ({"budget": 4, "hypersurfaceDegree": "2"}, []),
+    ({"budget": 4, "assumeSmooth": "no"}, []),
+])
+def test_every_command_checks_every_spec_flag(tmp_path, capsys, command, flags, argv):
+    # `count` took each of these, and `zeta` too when a budget was given:
+    # it checked hypersurfaceDegree only without one
+    spec = write_json(tmp_path / "conic.json", {"field": {"p": 2}, "ambientDim": 2,
+                                                "generators": ["x0*x2 + x1^2"], "flags": flags})
+    code, out, err = run_cli(capsys, *command[:1], spec, *command[1:], *argv, "--no-timing",
+                             "--eval-budget", "1", "--cache-dir", str(tmp_path / "c"))
+    assert (code, out) == (2, "")
+    assert "malformed variety spec: " in err and " must be " in err
+
+
+def test_relation_that_fails_on_the_basis_cycles_is_rejected_before_counting(tmp_path, capsys):
+    # the relation [1] says that the swap of the two rulings is the
+    # identity; this was found only once the bounds met, after counting
+    cycles = write_json(tmp_path / "cycles.json", {
+        "basisCycles": ["a", "b"], "pairings": [[0, 1], [1, 0]],
+        "action": {"generators": [[1, 0]], "relations": [[1]]}})
+    code, out, err = run_cli(capsys, "rank", "--zeta", quadric_spec(tmp_path, p=3),
+                             "--cycles", cycles, "--cache-dir", str(tmp_path / "c"),
+                             "--eval-budget", "1", "--no-timing")
+    assert (code, out) == (2, "")
+    assert "malformed cycles file: relation [1] fails" in err
+
+
+@pytest.mark.parametrize("command", ["torsion", "galois-rank"])
+def test_prime_beyond_the_proven_primality_range_is_invalid_input(tmp_path, capsys, command):
+    # Miller-Rabin with the first 12 prime bases decides primality only
+    # below 3.3 * 10^24; 2^89 - 1 was taken on trust, and a 4,000-digit l
+    # ran for seconds
+    ell = 2**89 - 1
+    if command == "torsion":
+        table = size_table_from_profile(ell, [1, 0, 1], [[], [], []], 2).to_json()
+        argv = ["torsion", write_json(tmp_path / "t.json", table), "-i", "0"]
+    else:
+        family = {"t": 0, "modules": [_module(ell, 1, [1])]}
+        argv = ["galois-rank", write_json(tmp_path / "f.json", family)]
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (code, out) == (2, "")
+    assert "primality is decided only below 3.3 * 10**24" in err
+
+
+def test_json_nested_beyond_the_decoder_is_bad_json(tmp_path, capsys):
+    # the decoder's RecursionError used to exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "torsion", str(path), "-i", "0", "--no-timing")
+    assert (code, out) == (2, "")
+    assert "bad JSON" in err

@@ -39,7 +39,7 @@ def reference_parser():
     p.add_argument("spec")
     p.add_argument("-p", type=int, default=1)
     _add_common(p)
-    p.set_defaults(fn=cli.cmd_tate)
+    p.set_defaults(fn=cli.cmd_betti)
     p = sub.add_parser("rank")
     p.add_argument("--zeta", dest="spec", required=True)
     p.add_argument("--cycles", required=True)

@@ -165,7 +165,7 @@ def test_betti_budget_missing():
     from picardkit.cli import CliError, _budget_descriptor
 
     with pytest.raises(CliError) as err:
-        _budget_descriptor({}, SimpleNamespace(budget=None), None)
+        _budget_descriptor(SimpleNamespace(budget=None, degree=None), None)
     assert err.value.code == 2 and "no budget" in str(err.value)
 
 
