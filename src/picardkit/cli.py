@@ -24,6 +24,8 @@ import sys
 import time
 from types import SimpleNamespace
 
+from . import DEFAULT_BUDGET
+
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_INVALID_INPUT = 2
@@ -100,9 +102,12 @@ def _variety_from_spec(obj, budget=None):
     except BudgetExceededError as exc:
         raise _budget_error(exc) from None
     field = make_field(p, e)
-    ideal = HomIdeal([poly_from_str(g, ambient + 1, field) for g in gens])
+    try:
+        ideal = HomIdeal([poly_from_str(g, ambient + 1, field) for g in gens], ambient + 1, field)
+    except ValueError as exc:  # PolyError, or an exponent of too many digits
+        raise ValueError(f"generators: {exc}") from None
     flags = SimpleNamespace(budget=budget, degree=degree, assume_smooth=assume_smooth)
-    return ideal.with_ambient(ambient + 1, field), flags
+    return ideal, flags
 
 
 def _cycles_from_json(obj):
@@ -172,7 +177,7 @@ def _budget_error(exc):
 def _counts(ideal, n, args, cache, betti=None):
     """The CountSeries of levels 1..n, from `cache` and counting under the
     request's limits, validated before use (exit 5 when it fails)."""
-    from .counting import DEFAULT_BUDGET, BudgetExceededError, count_tower
+    from .counting import BudgetExceededError, count_tower
 
     try:
         series = count_tower(ideal, n, cache=cache, threads=args.threads, progress=args.progress,
@@ -211,6 +216,12 @@ def _zeta_pipeline(ideal, flags, args, report, connected=False):
         raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
     if connected and budget.betti is not None and (budget.betti[0], budget.betti[-1]) != (1, 1):
         raise CliError("b_0 and b_2d must equal 1", EXIT_INVALID_INPUT)
+    # the Pade route's `upoly.from_power_sums` forms O(M^2) products of
+    # numbers of up to M N log2(q) bits from its M = 2B counts over P^N,
+    # charged one unit per bit of each product
+    M, eval_budget = budget.levels, args.eval_budget or DEFAULT_BUDGET
+    if budget.betti is None and M**3 * max(ambient, 1) * ideal.domain.q.bit_length() > eval_budget:
+        raise CliError(f"estimated reconstruction work exceeds budget {eval_budget}", EXIT_BUDGET)
     cache = default_cache(args.cache_dir)
 
     try:
@@ -383,7 +394,9 @@ def cmd_galois_rank(args):
 
 
 def cmd_dovetail(args):
-    from .dovetail import IntegerSearchTask, PlantedTask, export_trace, run_geometric
+    from .dovetail import (
+        IntegerSearchTask, PlantedTask, export_trace, run_geometric, worst_case_quanta,
+    )
 
     if not args.demo:
         raise CliError("only --demo mode is implemented", EXIT_INVALID_INPUT)
@@ -393,6 +406,12 @@ def cmd_dovetail(args):
         IntegerSearchTask(lambda m: m % 23 == 17),
         PlantedTask(9, "planted"),
     ]
+    # the schedule may spend DEFAULT_BUDGET quanta even if no task halts
+    # (round r alone gives task 1 2^(r-1)); --eval-budget caps counting
+    # work, so the warm `dovetail --demo --eval-budget 1` still runs
+    if (args.rounds > DEFAULT_BUDGET.bit_length()
+            or worst_case_quanta(len(tasks), args.rounds) > DEFAULT_BUDGET):
+        raise CliError(f"the schedule's worst-case quanta exceed {DEFAULT_BUDGET}", EXIT_BUDGET)
     res = run_geometric(tasks, max_rounds=args.rounds)
     report = _report_base("dovetail", {"tasks": len(tasks)})
     report["dovetail"] = {
@@ -422,7 +441,8 @@ COMMON = [
     ("--cache-dir", "cache_dir", str, None, "directory (or file) for the point-count cache"),
     ("--threads", "threads", AT_LEAST_1, 1, "worker threads for counting"),
     ("--budget", "budget", int, None, "override the Betti-sum budget B"),
-    ("--eval-budget", "eval_budget", AT_LEAST_1, None, "work budget per count, default 2^34"),
+    ("--eval-budget", "eval_budget", AT_LEAST_1, None,
+     "work budget per count and Pade reconstruction, default 2^34"),
     ("--no-timing", "no_timing", None, False, "omit timing for byte-stable output"),
     ("--progress", "progress", None, False, "heartbeat lines on stderr"),
 ]
@@ -493,9 +513,14 @@ def parse_args(argv):
             if value is None or value != "-" and value[:1] == "-" and not value[1:].isdecimal():
                 fail(f"argument {flag} expects a value")
         if kind is int or kind is AT_LEAST_1:
-            if not value.removeprefix("-").isdecimal() or kind is AT_LEAST_1 and int(value) < 1:
-                fail(f"argument {flag} expects {'an integer' if kind is int else kind}: {value!r}")
-            value = int(value)
+            try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                number = int(value) if value.removeprefix("-").isdecimal() else None
+            except ValueError:
+                number = None
+            if number is None or kind is AT_LEAST_1 and number < 1:
+                shown = value if len(value) <= 40 else value[:20] + "..."
+                fail(f"argument {flag} expects {'an integer' if kind is int else kind}: {shown!r}")
+            value = number
         setattr(args, dest, True if kind is None else value)
     if len(words) != len(positionals):
         fail(f"{name} takes {len(positionals)} positional argument(s), got {len(words)}")

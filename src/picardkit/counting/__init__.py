@@ -20,13 +20,13 @@ try:  # CPython's built-in sha256: hashlib would load OpenSSL at every start-up
 except ImportError:  # Python 3.12 renamed the module _sha2
     from hashlib import sha256
 
+from .. import DEFAULT_BUDGET
 from ..ffield import extend
 from ..polysys import poly_to_str
 from .cache import CountCache, default_cache
 from .charts import compile_charts, evaluate_origin_chart
 from .kernel import BACKEND, backend_module, field_tables, trace_mask
 
-DEFAULT_BUDGET = 2**34
 MAX_DIGITS = 4300  # CPython's default limit on the digits of an int it prints
 
 __all__ = [
@@ -212,13 +212,12 @@ def check_base_field(p, e, nvars):
         _points_bound(p**e, 1, nvars)
 
 
-def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
+def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
 
-    `n` is the extension degree.  `blocks` is `separable_blocks(ideal)`,
-    found here when the caller does not pass it.  The empty ideal is all of
-    P^(nvars-1), in closed form.  Other levels are counted over cyclotomic
-    classes when there are blocks and none has more than nvars - 2
+    `n` is the extension degree.  The empty ideal is all of P^(nvars-1),
+    in closed form.  Other levels are counted over cyclotomic classes when
+    `separable_blocks` finds blocks and none has more than nvars - 2
     variables, else chart by chart.
     Raises BudgetExceededError for a level that `_points_bound` refuses,
     or, before the field tables are built, when they exceed physical
@@ -230,17 +229,13 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, blocks=None):
     count is the same for any number.
     """
     dom = ideal.domain
-    if dom is None:
-        raise ValueError("point counting requires a finite base field")
     bound = _points_bound(dom.q, n, ideal.nvars)
     if not ideal.generators:
         _charge(ideal.nvars, budget, n)
         return bound
     _check_tables(dom.p, dom.e * n, n)
     Q = dom.q**n
-
-    if blocks is None:
-        blocks = separable_blocks(ideal)
+    blocks = separable_blocks(ideal)
     # over classes a block of k variables is evaluated at Q^(k-1) points in
     # Python, where the charts resolve Q^(nvars-2) slices in the kernel; a
     # block of nvars - 1 variables is counted faster by the charts
@@ -350,7 +345,6 @@ def count_tower(
     series = CountSeries(q=q, counts=counts, ambient_dim=ideal.nvars - 1)
     if n_max > 0:  # a last level that could never be counted is refused first
         _points_bound(q, n_max, ideal.nvars, series)
-    blocks = None  # found at the first level that is counted, then kept
     for n in range(1, n_max + 1):
         hit = cache.get(vhash, n) if cache else None
         if hit is not None:
@@ -358,10 +352,8 @@ def count_tower(
             continue
         if progress:
             print(f"# counting n={n} (q^n={q**n})", file=sys.stderr, flush=True)
-        if blocks is None:
-            blocks = separable_blocks(ideal)
         try:
-            N = count_points(ideal, n, budget=budget, threads=threads, blocks=blocks)
+            N = count_points(ideal, n, budget=budget, threads=threads)
         except BudgetExceededError as err:
             raise BudgetExceededError(str(err), completed=series) from None
         counts.append(N)

@@ -86,6 +86,13 @@ class RunResult:
         self.total_quanta = total_quanta
 
 
+def worst_case_quanta(ntasks, max_rounds):
+    """The quanta of `max_rounds` rounds in which none of `ntasks` tasks
+    halts: task i gets 2^(r-i) in each round r >= i, 2^(max_rounds-i+1) - 1
+    in all."""
+    return sum(2 ** (max_rounds - i + 1) - 1 for i in range(1, min(ntasks, max_rounds) + 1))
+
+
 def run_geometric(tasks, max_rounds):
     """Drive tasks (task 1 first) under the doubling-round schedule for at
     most `max_rounds` rounds, or until no task is running.

@@ -85,8 +85,6 @@ def hilbert_series_data(ideal):
     D = 0 with N = [] means the irrelevant/unit case (empty scheme).
     """
     basis = ideal.basis()
-    if ideal.nvars is None:
-        raise PolyError("zero ideal with unknown ambient ring; use with_ambient")
     gens = _minimalize([leading(g)[0] for g in basis])
     memo = {}
     num = _hilbert_numerator(gens, ideal.nvars, memo)
@@ -136,7 +134,6 @@ def smoothness_check(ideal):
             if m:
                 minors.append(m)
     sing = HomIdeal(list(gens) + minors)  # Jacobian minors are homogeneous
-    sing = sing.with_ambient(nvars, ideal.domain)
     sdim, _ = dimension_degree(sing)
     return sdim == -1
 
@@ -145,18 +142,13 @@ def _poly_det(m):
     n = len(m)
     if n == 1:
         return m[0][0]
-    acc = None
+    acc = MultiPoly.zero(m[0][0].nvars, m[0][0].domain)
     for j in range(n):
         if not m[0][j]:
             continue
         minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
         term = m[0][j] * _poly_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        first = next((x for row in m for x in row if isinstance(x, MultiPoly)), None)
-        return MultiPoly.zero(first.nvars, first.domain) if first else None
+        acc = acc - term if j % 2 else acc + term
     return acc
 
 

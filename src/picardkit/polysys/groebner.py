@@ -15,38 +15,30 @@ S-polynomials and reduction steps only shift, scale and subtract.
 
 import heapq
 
-from .multipoly import MultiPoly, PolyError, dom_one, order_key
+from .multipoly import MultiPoly, PolyError, order_key
 
 
 class HomIdeal:
     """A homogeneous ideal given by generators, with a cached Groebner basis.
 
-    The zero polynomial is silently dropped from the generator list; an empty
-    list denotes the zero ideal.
+    Its ring, `nvars` variables over `domain`, is that of the generators, or
+    the one given; the zero ideal needs it given.  Zero polynomials are
+    dropped from the generator list; an empty list denotes the zero ideal.
     """
 
-    def __init__(self, generators):
-        gens = [g for g in generators if g]
-        if gens:
-            nv, dom = gens[0].nvars, gens[0].domain
-            for g in gens:
-                if g.nvars != nv or g.domain != dom:
-                    raise PolyError("generators over different rings")
-                if not g.is_homogeneous():
-                    raise PolyError("generator is not homogeneous")
-            self.nvars, self.domain = nv, dom
-        else:
-            self.nvars, self.domain = None, None
-        self.generators = gens
+    def __init__(self, generators, nvars=None, domain=None):
+        if nvars is None and generators:
+            nvars, domain = generators[0].nvars, generators[0].domain
+        if nvars is None or domain is None:
+            raise PolyError("the zero ideal needs its ring: nvars and a domain")
+        for g in generators:
+            if g.nvars != nvars or g.domain != domain:
+                raise PolyError("generators over different rings")
+            if not g.is_homogeneous():
+                raise PolyError("generator is not homogeneous")
+        self.nvars, self.domain = nvars, domain
+        self.generators = [g for g in generators if g]
         self.cached_basis = None
-
-    def with_ambient(self, nvars, domain=None):
-        """Give an empty ideal an explicit ambient ring."""
-        if self.generators:
-            return self
-        out = HomIdeal([])
-        out.nvars, out.domain = nvars, domain
-        return out
 
     def basis(self):
         if self.cached_basis is None:
@@ -133,7 +125,7 @@ def groebner(ideal):
 
     def add(g):
         e, lc = leading(g)
-        one = dom_one(g.domain)
+        one = g.domain.one()
         if lc != one:
             g = g.scaled(one / lc)
         n = len(G)
@@ -194,7 +186,5 @@ def _reduce_basis(G, leads):
 
 
 def ideal_sum(*ideals):
-    gens = []
-    for i in ideals:
-        gens.extend(i.generators)
-    return HomIdeal(gens)
+    gens = [g for ideal in ideals for g in ideal.generators]
+    return HomIdeal(gens, ideals[0].nvars, ideals[0].domain)

@@ -1,44 +1,21 @@
-"""Multivariate polynomials over Q or a finite field, with a text grammar.
+"""Multivariate polynomials over a finite field, with a text grammar.
 
 Variables are x0..xN.  A polynomial is a map from exponent vectors to nonzero
-coefficients; coefficients are Fraction (domain None) or FieldElement (domain
-a FieldDesc).  The plain-text grammar (EBNF in the README) covers terms like
-``3*x0^2*x1 - x2^3`` and, over non-prime fields, generator powers ``g^2*x0``.
+FieldElement coefficients of its domain, a FieldDesc.  The plain-text grammar
+(EBNF in the README) covers terms like ``3*x0^2*x1 - x2^3`` and, over
+non-prime fields, generator powers ``g^2*x0``.
 """
 
 import re
 
-from ..ffield import FieldDesc, FieldElement
+from ..ffield import FieldElement
 
 
 class PolyError(ValueError):
     pass
 
 
-def _rational(c):
-    """c as a coefficient over Q; `fractions` is imported only when one is made."""
-    from fractions import Fraction
-
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    raise PolyError(f"bad rational coefficient {c!r}")
-
-
-def dom_zero(domain):
-    return _rational(0) if domain is None else domain.zero()
-
-
-def dom_one(domain):
-    return _rational(1) if domain is None else domain.one()
-
-
-def dom_from_int(domain, k):
-    return _rational(k) if domain is None else domain.from_int(k)
-
-
 def _coerce(domain, c):
-    if domain is None:
-        return _rational(c)
     if isinstance(c, FieldElement):
         if c.field != domain:
             raise PolyError("coefficient from a different field")
@@ -53,7 +30,7 @@ class MultiPoly:
 
     __slots__ = ("nvars", "domain", "terms")
 
-    def __init__(self, nvars, domain=None, terms=None):
+    def __init__(self, nvars, domain, terms=None):
         self.nvars = nvars
         self.domain = domain
         t = {}
@@ -70,17 +47,10 @@ class MultiPoly:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(nvars, domain=None):
+    def zero(nvars, domain):
         return MultiPoly(nvars, domain)
 
-    @staticmethod
-    def monomial(nvars, exps, c=1, domain=None):
-        return MultiPoly(nvars, domain, {tuple(exps): c})
-
     # -- structure ------------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -161,13 +131,12 @@ class MultiPoly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            k = dom_from_int(self.domain, e[i])
-            nc = c * k
+            nc = c * self.domain.from_int(e[i])
             if not nc:
                 continue
             ne = list(e)
             ne[i] -= 1
-            t[tuple(ne)] = t.get(tuple(ne), dom_zero(self.domain)) + nc
+            t[tuple(ne)] = t.get(tuple(ne), self.domain.zero()) + nc
         return MultiPoly(self.nvars, self.domain, t)
 
     def __repr__(self):
@@ -178,7 +147,7 @@ class MultiPoly:
 # text grammar
 
 
-_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]\w*|\^|\*|/|\+|-)")
+_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]\w*|\^|\*|\+|-)")
 
 
 def _tokenize(s):
@@ -195,7 +164,7 @@ def _tokenize(s):
     return out
 
 
-def poly_from_str(s, nvars, domain=None):
+def poly_from_str(s, nvars, domain):
     """Parse the plain-text grammar into a MultiPoly."""
     toks = _tokenize(s)
     if not toks:
@@ -206,6 +175,16 @@ def poly_from_str(s, nvars, domain=None):
     def peek():
         return toks[pos] if pos < len(toks) else None
 
+    def exponent():
+        """The exponent after a '^', else 1."""
+        nonlocal pos
+        if peek() != "^":
+            return 1
+        pos += 2
+        if pos > len(toks) or not toks[pos - 1].isdigit():
+            raise PolyError("bad exponent")
+        return int(toks[pos - 1])
+
     while pos < len(toks):
         sign = 1
         while peek() in ("+", "-"):
@@ -215,60 +194,32 @@ def poly_from_str(s, nvars, domain=None):
         if peek() is None:
             raise PolyError("dangling sign")
         # one term: product of factors separated by '*'
-        coeff = dom_one(domain)
+        coeff = domain.one()
         exps = [0] * nvars
-        expect_factor = True
-        while expect_factor:
+        while True:
             tok = peek()
             if tok is None:
                 raise PolyError("truncated term")
             pos += 1
             if tok.isdigit():
-                val = int(tok)
-                if peek() == "/":
-                    pos += 1
-                    den = toks[pos] if pos < len(toks) else None
-                    if den is None or not den.isdigit():
-                        raise PolyError("bad rational coefficient")
-                    pos += 1
-                    if domain is not None:
-                        raise PolyError("rational coefficients need domain Q")
-                    coeff = coeff * _rational(val) / int(den)
-                else:
-                    coeff = coeff * dom_from_int(domain, val)
+                coeff = coeff * domain.from_int(int(tok))
             elif tok == "g":
-                if domain is None or domain.e == 1:
+                if domain.e == 1:
                     raise PolyError("'g' needs a non-prime field domain")
-                k = 1
-                if peek() == "^":
-                    pos += 1
-                    if pos >= len(toks) or not toks[pos].isdigit():
-                        raise PolyError("bad exponent")
-                    k = int(toks[pos])
-                    pos += 1
-                coeff = coeff * domain.gen() ** k
+                coeff = coeff * domain.gen() ** exponent()
             elif tok.startswith("x") and tok[1:].isdigit():
                 i = int(tok[1:])
                 if i >= nvars:
                     raise PolyError(f"variable x{i} out of range (nvars={nvars})")
-                k = 1
-                if peek() == "^":
-                    pos += 1
-                    if pos >= len(toks) or not toks[pos].isdigit():
-                        raise PolyError("bad exponent")
-                    k = int(toks[pos])
-                    pos += 1
-                exps[i] += k
+                exps[i] += exponent()
             else:
                 raise PolyError(f"unexpected token {tok!r}")
-            if peek() == "*":
-                pos += 1
-                expect_factor = True
-            else:
-                expect_factor = False
+            if peek() != "*":
+                break
+            pos += 1
         if sign < 0:
             coeff = -coeff
-        acc = acc + MultiPoly.monomial(nvars, exps, coeff, domain)
+        acc = acc + MultiPoly(nvars, domain, {tuple(exps): coeff})
     return acc
 
 
@@ -277,10 +228,8 @@ def order_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _coeff_pieces(domain, c):
+def _coeff_pieces(c):
     """Break a coefficient into printable (string, is_one) atoms per term."""
-    if domain is None:
-        return [(str(c), c == 1)]
     out = []
     for j, cj in enumerate(c.coeffs):
         if not cj:
@@ -294,27 +243,12 @@ def _coeff_pieces(domain, c):
 
 
 def poly_to_str(p):
-    """Deterministic printer; inverse of poly_from_str up to normalization."""
-    if p.is_zero():
-        return "0"
+    """Deterministic printer; inverse of poly_from_str up to normalization.
+    Coefficients print as their power-basis digits, 0..p-1, so every term
+    is added."""
     pieces = []
     for exps in sorted(p.terms, key=order_key, reverse=True):
-        c = p.terms[exps]
-        mono = "*".join(
-            (f"x{i}" if e == 1 else f"x{i}^{e}") for i, e in enumerate(exps) if e
-        )
-        for cs, is_one in _coeff_pieces(p.domain, c):
-            neg = cs.startswith("-")
-            body = cs[1:] if neg else cs
-            if mono and (is_one or body == "1"):
-                text = mono
-            elif mono:
-                text = f"{body}*{mono}"
-            else:
-                text = body
-            pieces.append(("-" if neg else "+", text))
-    sign0, text0 = pieces[0]
-    s = ("-" if sign0 == "-" else "") + text0
-    for sign, text in pieces[1:]:
-        s += f" {sign} {text}"
-    return s
+        mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
+        for cs, is_one in _coeff_pieces(p.terms[exps]):
+            pieces.append(mono if mono and is_one else f"{cs}*{mono}" if mono else cs)
+    return " + ".join(pieces) or "0"

@@ -12,7 +12,7 @@ import shlex
 import shutil
 import sysconfig
 from fractions import Fraction
-from math import lcm
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -73,9 +73,9 @@ def trivial_mod_lprime(m, ell):
 
 
 def graded_dimension(ideal, d):
-    """dim over the base field of (S/I)_d, by exact rank of the span of
-    degree-d multiples of the generators.  Independent of Groebner bases;
-    used as a cross-check oracle."""
+    """dim over Q of (S/I)_d for the ideal's lift to Z (`_to_rational`), by
+    exact rank of the span of degree-d multiples of the generators.
+    Independent of Groebner bases; used as a cross-check oracle."""
     nvars = ideal.nvars
     monos = _monomials_of_degree(nvars, d)
     index = {m: i for i, m in enumerate(monos)}
@@ -89,10 +89,26 @@ def graded_dimension(ideal, d):
             for e, c in g.terms.items():
                 ee = tuple(a + b for a, b in zip(e, m))
                 row[index[ee]] = _to_rational(c, g.domain)
-            # rank over Q is unchanged by clearing each row's denominators
-            den = lcm(*(x.denominator for x in row))
-            rows.append([int(x * den) for x in row])
+            rows.append(row)
     return len(monos) - (rank(rows) if rows else 0)
+
+
+def series_dimension(ideal, d):
+    """dim over the base field of (S/I)_d, the coefficient of t^d in the
+    Hilbert series N(t) / (1-t)^D that `hilbert_series_data` finds from a
+    Groebner basis."""
+    num, D = hilbert_series_data(ideal)
+    if D == 0:
+        return num[d] if d < len(num) else 0
+    return sum(nj * comb(d - j + D - 1, D - 1) for j, nj in enumerate(num) if j <= d)
+
+
+def assert_hilbert_function_as_over_q(ideal, top=6):
+    """The ideal's Hilbert function over its prime field, from the Groebner
+    basis, equals that of its lift to Q (`graded_dimension`) in degrees
+    0..top: a test that moved from Q to F_p sees the same Hilbert data."""
+    for d in range(top + 1):
+        assert series_dimension(ideal, d) == graded_dimension(ideal, d), (ideal.generators, d)
 
 
 class HilbertPoly:
@@ -164,12 +180,13 @@ def hilbert_data(ideal):
 
 
 def _to_rational(c, domain):
-    if domain is None:
-        return c
-    # prime-field coefficients embed as integers; larger fields would need a
-    # vector-space refinement, which the oracle tests do not require
+    """A prime-field coefficient's balanced lift to Z, c - p above p / 2, so
+    that the small integers of a test ideal over a large F_p lift to
+    themselves; larger fields would need a vector-space refinement, which
+    the oracle tests do not require."""
     assert not any(c.coeffs[1:]), "coefficient outside the prime field"
-    return c.coeffs[0]
+    c = c.coeffs[0]
+    return c - domain.p if 2 * c > domain.p else c
 
 
 def _monomials_of_degree(nvars, d):

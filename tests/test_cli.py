@@ -464,6 +464,38 @@ def test_dovetail_demo_report_and_trace_are_pinned(capsys, rounds, total, result
     assert out == "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
 
 
+@pytest.mark.parametrize("rounds", ["60", "34", "9" * 4000])
+def test_dovetail_schedule_beyond_the_budget_exits_3_before_running(capsys, monkeypatch, rounds):
+    # task 2 of the demo never halts, so each round doubles the quanta:
+    # --rounds 24 took 1.6 s and --rounds 60 would never end.  34 rounds
+    # may spend 2^34 + 2^33 + 2^32 + 2^31 - 4 quanta, more than 2^34
+    from picardkit import dovetail
+
+    monkeypatch.setattr(dovetail, "run_geometric", lambda *_: pytest.fail("the schedule ran"))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "dovetail", "--demo", "--rounds", rounds, "--no-timing")
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - started < 1
+    assert "worst-case quanta exceed 17179869184" in err
+
+
+@pytest.mark.parametrize("budget, code", [(1915, 3), (1916, 0)])
+def test_dovetail_schedule_is_charged_its_worst_case(capsys, monkeypatch, budget, code):
+    # the demo's 10 rounds may spend 1,916 quanta if no task halts: 2^r - 1
+    # in each of rounds 1-4, then 15 * 2^(r-4); it spends 546
+    from picardkit import cli
+
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", budget)
+    assert run_cli(capsys, "dovetail", "--demo", "--no-timing")[0] == code
+
+
+def test_dovetail_demo_ignores_the_counting_budget(capsys):
+    # the warm benchmark sends every request with --eval-budget 1
+    code, out, _ = run_cli(capsys, "dovetail", "--demo", "--eval-budget", "1", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["dovetail"]["totalQuanta"] == 546
+
+
 def test_invalid_spec_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -496,12 +528,13 @@ def test_non_integer_variety_spec_is_invalid_input(tmp_path, capsys, field, ambi
 @pytest.mark.parametrize("command", [["count", "-n", "2"], ["zeta"]])
 @pytest.mark.parametrize("key, value", [
     ("flags", []), ("flags", "x"), ("generators", [1]), ("generators", "x0^2 + x1*x2"),
-    ("ambientDim", -1),
+    ("ambientDim", -1), ("generators", ["x0 + 1/2*x1"]),
 ])
 def test_malformed_variety_spec_is_invalid_input(tmp_path, capsys, command, key, value):
     # list flags made `zeta` exit 1 and `count` 0, [1] as generators exit 1,
     # a string of generators was parsed character by character, and
-    # ambientDim -1 was counted as [0, 0]
+    # ambientDim -1 was counted as [0, 0]; the grammar has no "/", since
+    # every coefficient lies in the spec's finite field
     spec = {"field": {"p": 2}, "ambientDim": 3, "generators": ["x0*x3 + x1*x2"],
             "flags": {"hypersurfaceDegree": 2}}
     spec[key] = value
@@ -1554,6 +1587,9 @@ def test_closed_stdout_exits_1_without_traceback(buffered):
     ["count", "SPEC", "-n", "2", "--eval-budget", "0"],
     ["betti", "SPEC", "--eval-budget", "-5"],
     ["dovetail", "--demo", "--rounds", "-3"],
+    # more digits than int() converts: exit 1 with a ValueError
+    ["dovetail", "--demo", "--rounds", "9" * 5000],
+    ["count", "SPEC", "-n", "9" * 5000],
 ])
 def test_numeric_option_below_one_exits_2_before_any_work(tmp_path, capsys, argv):
     cache = tmp_path / "cache"
@@ -1627,6 +1663,27 @@ def test_closed_form_is_charged_and_extends_no_field(tmp_path, capsys, monkeypat
 
 def _longest_number(text):
     return max((len(run) for run in re.findall(r"\d+", text)), default=0)
+
+
+def test_pade_reconstruction_is_charged_before_counting(tmp_path, capsys, monkeypatch):
+    # M = 2B counts over P^N cost M^3 N log2(q) units: 864 for B = 3 on P^2
+    # over F_2; B = 3000 counted 6,000 levels and ran past 30 s
+    from picardkit import counting
+
+    def run(budget, *argv):
+        spec = write_json(tmp_path / "p2.json", {"field": {"p": 2}, "ambientDim": 2,
+                                                 "generators": [], "flags": {"budget": budget}})
+        return run_cli(capsys, "zeta", spec, *argv, "--no-timing",
+                       "--cache-dir", str(tmp_path / f"c{budget}"))
+
+    assert run(3, "--eval-budget", "864")[0] == 0
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    started = time.perf_counter()
+    for budget, argv in [(3, ["--eval-budget", "863"]), (3000, [])]:
+        code, out, err = run(budget, *argv)
+        assert (code, out) == (3, "")
+        assert "estimated reconstruction work exceeds budget" in err
+    assert time.perf_counter() - started < 2
 
 
 @pytest.mark.parametrize("ambient, generators, argv", [

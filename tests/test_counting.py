@@ -26,11 +26,7 @@ from oracles import enumerate_field
 
 def ideal_over(p, e, nvars, *gens):
     f = make_field(p, e)
-    polys = [poly_from_str(g, nvars, f) for g in gens]
-    ideal = HomIdeal(polys)
-    if not polys:
-        ideal = ideal.with_ambient(nvars, f)
-    return ideal
+    return HomIdeal([poly_from_str(g, nvars, f) for g in gens], nvars, f)
 
 
 from conftest import (

@@ -2,7 +2,14 @@ import io
 import json
 import random
 
-from picardkit.dovetail import IntegerSearchTask, PlantedTask, Task, export_trace, run_geometric
+from picardkit.dovetail import (
+    IntegerSearchTask,
+    PlantedTask,
+    Task,
+    export_trace,
+    run_geometric,
+    worst_case_quanta,
+)
 
 from oracles import reference_halt_order
 
@@ -118,3 +125,10 @@ def test_trace_export_round_trips():
     for line in lines:
         rec = json.loads(line)
         assert {"round", "taskId", "quanta", "status"} <= set(rec)
+
+
+def test_worst_case_quanta_is_the_schedule_of_tasks_that_never_halt():
+    for ntasks in range(6):
+        for rounds in range(12):
+            res = run_geometric([PlantedTask(0) for _ in range(ntasks)], max_rounds=rounds)
+            assert worst_case_quanta(ntasks, rounds) == res.total_quanta, (ntasks, rounds)

@@ -1,5 +1,5 @@
-"""A seeded fuzzer over the five input kinds: variety specs, cycles files,
-size tables, module families and rank checkpoints.
+"""A seeded fuzzer over the six input kinds: variety specs, cycles files,
+size tables, module families, rank checkpoints and argv.
 
 Each case takes a valid input of its kind and changes it one to three
 times, or draws a random JSON value instead.  It writes the result and runs
@@ -7,6 +7,14 @@ one request in process through `cli.main`, with `--threads 1`, a small
 `--eval-budget` and a cache under tmp_path.  Every request must exit 0, 2,
 3, 4 or 5 within 2 s.  On exit 2, stdout must be empty and
 `counting.count_points` must never have been called.
+
+An argv case takes a valid request of one of the eight commands and changes
+its option values one to three times: integers of more digits than int()
+converts, negative and non-numeric values, `--opt=value` forms, missing
+values, dropped flags and unknown flags.  `--eval-budget` never leaves the
+request and never rises above the fuzzer's budget, `--threads` never parses
+to more than 4 and `--cache-dir` is never changed, so no draw asks for
+unbounded work, threads or files outside tmp_path.
 
 Rank requests read a spec, a cycles file and a checkpoint.  The checks that
 need the upper bound (a saved bound above it, the lattice model of the
@@ -28,7 +36,8 @@ from picardkit.cli import main
 from picardkit.galmod import size_table_from_profile
 
 SEED = 20261020
-CASES = {"spec": 900, "cycles": 400, "table": 300, "family": 300, "checkpoint": 200}
+CASES = {"spec": 900, "cycles": 400, "table": 300, "family": 300, "checkpoint": 200,
+         "argv": 400}
 EVAL_BUDGET = "4000"
 CASE_SECONDS = 2.0
 
@@ -74,6 +83,32 @@ ATOMS = [0, 1, -1, 2, 3, 4, 5, 7, 9, 64, 2**31, 10**20, 2**64 + 1, 10**40, -(10*
          1.5, 2.0, -0.0, True, False, None, "", "x", "1", "x0", "0", [], {}, [1], [[1]],
          {"p": 2}]
 POLY_CHARS = "x0123456789^*+-/g "
+
+# valid requests, before the options every argv case carries; names in
+# braces are paths under tmp_path: input files, and the checkpoint rank saves
+ARGVS = [
+    ["count", "{quadric}", "-n", "2"],
+    ["zeta", "{p2}"],
+    ["betti", "{quadric}"],
+    ["tate-bound", "{quadric}", "-p", "1"],
+    ["rank", "--zeta", "{quadric}", "--cycles", "{one_ruling}", "-p", "1",
+     "--checkpoint", "{state}"],
+    ["torsion", "{table}", "-i", "2"],
+    ["galois-rank", "{family}"],
+    ["dovetail", "--demo", "--rounds", "8"],
+]
+HUGE = "9" * 5000  # more digits than int() converts
+INTEGERS = ["0", "1", "2", "3", "-1", "-12", "64", "4000", "1" + "0" * 4299, HUGE, "-" + HUGE,
+            "x", "", "1.5", "2e3", "+5", "1_000", "0x10", "\u0663"]
+VALUES = {
+    "-n": INTEGERS, "-p": INTEGERS, "-i": INTEGERS, "--rounds": INTEGERS, "--budget": INTEGERS,
+    "--threads": ["0", "-1", "1", "2", "4", "x", "", "1.5", HUGE, "-" + HUGE],
+    "--eval-budget": ["0", "-1", "1", "16", "863", EVAL_BUDGET, "x", "", "1.5", HUGE,
+                      "-" + HUGE],
+}
+# no stray word is a value: after a flag that takes one, each is a usage error
+STRAYS = ["--frobnicate", "-z", "--no-timing=1", "--demo", "--progress", "-n", "-p", "--degree",
+          "--budget", "--rounds", "--help=1"]
 
 
 def random_json(rng, depth=0):
@@ -144,11 +179,39 @@ def draw(base, rng):
     return value
 
 
+def draw_argv(base, rng):
+    """base with one to three changes to its options."""
+    argv = list(base)
+    for _ in range(rng.randrange(1, 4)):
+        flags = [i for i, w in enumerate(argv) if w in VALUES]
+        valued = [i for i in flags
+                  if i + 1 < len(argv) and argv[i + 1] not in VALUES and argv[i + 1] not in STRAYS]
+        op = rng.randrange(7)
+        if op < 3 and valued:  # a new value
+            i = rng.choice(valued)
+            argv[i + 1] = rng.choice(VALUES[argv[i]])
+        elif op == 3 and valued:  # the --opt=value form
+            i = rng.choice(valued)
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        elif op == 4 and valued:  # a missing value
+            del argv[rng.choice(valued) + 1]
+        elif op == 5 and flags:  # a flag dropped, its value left
+            i = rng.choice(flags)
+            if argv[i] != "--eval-budget":
+                del argv[i]
+        else:  # an unknown or misplaced flag
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(STRAYS))
+    return argv
+
+
 def _timeout(signum, frame):
     raise TimeoutError(f"a case ran longer than {CASE_SECONDS} s")
 
 
 def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch):
+    # a relative path that a draw makes lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PICARDKIT_CACHE", raising=False)
     calls = []
     real_count_points = counting.count_points
 
@@ -177,6 +240,9 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
     assert request(rank_head + ["--cycles", one_ruling, "--checkpoint", str(checkpoint),
                                 "--cache-dir", warm, "--threads", "1"])[0] == 4
     saved = json.loads(checkpoint.read_text())
+    files = {"quadric": quadric, "one_ruling": one_ruling,
+             "p2": write("p2.json", SPECS[4]), "table": write("sizes.json", TABLE),
+             "family": write("family-0.json", FAMILIES[0])}
 
     rng = random.Random(SEED)
     previous = signal.signal(signal.SIGALRM, _timeout)
@@ -196,6 +262,11 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
                     obj = draw(saved, rng)
                     argv = rank_head + ["--cycles", one_ruling,
                                         "--checkpoint", write("state.json", obj)]
+                elif kind == "argv":
+                    files["state"] = str(tmp_path / f"state{case}.json")
+                    obj = rng.choice(ARGVS) + ["--threads", "1", "--eval-budget", EVAL_BUDGET]
+                    obj = draw_argv([w.format(**files) for w in obj], rng)
+                    argv = obj + ["--cache-dir", str(tmp_path / f"argv{case}")]
                 elif kind == "table":
                     obj = draw(TABLE, rng)
                     argv = ["torsion", write("table.json", obj), "-i", str(rng.randrange(-1, 6))]
@@ -208,7 +279,9 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
                     else:
                         argv += ["--eval-budget", "1",
                                  "--cache-dir", str(tmp_path / f"{kind}{case}")]
-                argv += ["--threads", "1", "--no-timing"]
+                if kind != "argv":
+                    argv += ["--threads", "1"]
+                argv += ["--no-timing"]
                 replay = f"kind {kind}, case {case}\ninput {json.dumps(obj)}\nargv {argv}"
                 del calls[:]
                 started = time.perf_counter()

@@ -76,3 +76,21 @@ def test_allowed_entries_still_exist():
     definitions, _ = _definitions()
     names = {_strip_package_init(q) for q, _ in definitions}
     assert sorted(set(ALLOWED) - names) == []
+
+
+def test_no_module_imports_fractions():
+    # every polynomial and ideal lives over a finite field, and the Pade
+    # route stays in Z: no src/ code makes a Fraction
+    _, trees = _definitions()
+    importing = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importing.append(module)
+    assert importing == []

@@ -1,6 +1,5 @@
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -17,18 +16,46 @@ from picardkit.polysys import (
     s_polynomial,
 )
 from picardkit.polysys.groebner import _divides, _lcm, leading
-from picardkit.polysys.multipoly import dom_one
+
+from conftest import assert_hilbert_function_as_over_q
+
+# the ideals below have small integer coefficients: over a large prime field
+# their Groebner bases and Hilbert data are those over Q, which
+# `test_hilbert_functions_are_those_over_q` checks
+F = make_field(32003, 1)
 
 
 def q(s, nvars):
-    return poly_from_str(s, nvars)
+    return poly_from_str(s, nvars, F)
 
 
 def test_parser_basic():
     p = q("3*x0^2*x1 - x2^3", 3)
-    assert p.terms == {(2, 1, 0): Fraction(3), (0, 0, 3): Fraction(-1)}
-    assert q("x0 + x0", 1).terms == {(1,): Fraction(2)}
-    assert q("1/2*x0 - 3/4", 1).terms == {(1,): Fraction(1, 2), (0,): Fraction(-3, 4)}
+    assert p.terms == {(2, 1, 0): F.from_int(3), (0, 0, 3): F.from_int(-1)}
+    assert q("x0 + x0", 1).terms == {(1,): F.from_int(2)}
+
+
+@pytest.mark.parametrize("text", ["1/2*x0 - 3/4", "x0 + 1/2*x1", "x0/x1"])
+def test_parser_rejects_rational_coefficients(text):
+    # every polynomial lives over a finite field, whose grammar has no "/"
+    with pytest.raises(PolyError, match="bad character"):
+        q(text, 2)
+
+
+def test_zero_ideal_needs_its_ring():
+    with pytest.raises(PolyError, match="ring"):
+        HomIdeal([])
+    zero = HomIdeal([], 3, F)
+    assert (zero.nvars, zero.domain, zero.generators) == (3, F, [])
+    # a zero polynomial carries its ring
+    assert HomIdeal([MultiPoly.zero(2, F)]).nvars == 2
+
+
+def test_ideal_ring_must_match_its_generators():
+    with pytest.raises(PolyError, match="different rings"):
+        HomIdeal([q("x0", 2)], 3, F)
+    with pytest.raises(PolyError, match="different rings"):
+        HomIdeal([q("x0", 2), poly_from_str("x0", 2, make_field(5, 1))])
 
 
 def test_parser_field_coefficients():
@@ -53,7 +80,7 @@ def test_parser_rejects_garbage():
     [
         ("3*x0^2*x1 - x2^3", 3),
         ("x0^4 + x1^4 + x2^4 + x3^4", 4),
-        ("-x0 + 2*x1 - 1/3*x2", 3),
+        ("-x0 + 2*x1 - 10668*x2", 3),  # 10668 = 1/3 in F_32003
         ("7", 1),
         ("x0*x3 - x1*x2", 4),
     ],
@@ -143,7 +170,7 @@ def reference_groebner(ideal):
     G = []
     for g in gens:
         _, lc = leading(g)
-        G.append(g.scaled(dom_one(g.domain) / lc))
+        G.append(g.scaled(g.domain.one() / lc))
 
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     done = set()
@@ -178,7 +205,7 @@ def reference_groebner(ideal):
         s = normal_form(s_polynomial(G[i], G[j], le_i, le_j), G, _leads(G))
         if s:
             _, lc = leading(s)
-            s = s.scaled(dom_one(s.domain) / lc)
+            s = s.scaled(s.domain.one() / lc)
             G.append(s)
             n = len(G) - 1
             for m in range(n):
@@ -204,7 +231,7 @@ def _reference_reduce_basis(G):
         r = normal_form(g, others, _leads(others)) if others else g
         if r:
             _, lc = leading(r)
-            reduced.append(r.scaled(dom_one(r.domain) / lc))
+            reduced.append(r.scaled(r.domain.one() / lc))
     reduced.sort(key=lambda p: order_key(leading(p)[0]))
     return reduced
 
@@ -283,5 +310,16 @@ def test_homogeneity_enforced():
 
 
 def test_zero_generator_dropped():
-    ideal = HomIdeal([q("x0", 2), MultiPoly.zero(2)])
+    ideal = HomIdeal([q("x0", 2), MultiPoly.zero(2, F)])
     assert len(ideal.generators) == 1
+
+
+@pytest.mark.parametrize("gens, nvars", [
+    (["x0"], 2),
+    (["1"], 2),
+    (["x0^2 - x1*x2", "x0*x1 - x2^2"], 3),
+    (["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"], 4),
+])
+def test_hilbert_functions_are_those_over_q(gens, nvars):
+    # the ideals of this file's Groebner tests, which were built over Q
+    assert_hilbert_function_as_over_q(HomIdeal([q(g, nvars) for g in gens]))
