@@ -6,10 +6,10 @@ into two or more blocks, the count over cyclotomic classes (also where
 the elliptic curve over F_4).
 
 Each case is counted by every path, and the counts #X(F_{q^n}) must agree.
-The table prints timings: building the extension field with its embedding
-of the base field (`extend`, shared by all paths), the field tables and the
-counting.  The class path reads the tables of the last kernel timed (the
-compiled one when it is built).  The pure kernel is skipped where the
+The table prints timings: the field tables of F_{q^n}, the embedding of the
+base field into them (`counting.kernel.embedding`) and the counting.  The
+class path reads the tables of the last kernel timed (the compiled one when
+it is built).  The pure kernel is skipped where the
 charts hold more than PURE_SLICES slices.  Usage:
 
     python scripts/bench_kernels.py [--heavy]
@@ -21,7 +21,8 @@ import time
 from picardkit.counting import count_charts, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.classes import count_separable
-from picardkit.ffield import extend, make_field
+from picardkit.counting.kernel import embedding
+from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 try:
@@ -55,43 +56,46 @@ HEAVY = [
 def bench_case(label, p, e, nvars, gens, n, backends):
     field = make_field(p, e)
     ideal = HomIdeal([poly_from_str(g, nvars, field) for g in gens])
-    t0 = time.perf_counter()
-    emb = extend(field, n)
-    t_extend = time.perf_counter() - t0
-    ext = emb.ext
-    charts = compile_charts(ideal, emb, ext.to_index)
+    ext = make_field(p, e * n)
+    charts = compile_charts(ideal)
     slices = sum(ext.q**c.nprefix for c in charts if c.nfree and c.gen_terms)
     rows = []
     tables = None
     for name, mod in backends:
         if mod is kernel_py and slices > PURE_SLICES:
-            rows.append((name, None, None, None))
+            rows.append((name, None, None, None, None))
             continue
         t0 = time.perf_counter()
         tables = mod.build_tables(ext.p, ext.e, ext.modulus)
         t_tables = time.perf_counter() - t0
         t0 = time.perf_counter()
-        total = count_charts(ideal, emb, charts, mod, tables, 1)
-        rows.append((name, total, t_tables, time.perf_counter() - t0))
+        image = embedding(field, tables)
+        t_embed = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        total = count_charts(charts, p, image, mod, tables, 1)
+        rows.append((name, total, t_embed, t_tables, time.perf_counter() - t0))
     blocks = separable_blocks(ideal)
     if blocks:
         if tables is None:
             tables = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
         t0 = time.perf_counter()
-        total = count_separable(blocks, nvars, emb, tables)
-        rows.append(("classes", total, None, time.perf_counter() - t0))
+        image = embedding(field, tables)
+        t_embed = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        total = count_separable(blocks, nvars, field, image, tables)
+        rows.append(("classes", total, t_embed, None, time.perf_counter() - t0))
     counts = {r[1] for r in rows if r[1] is not None}
     assert len(counts) == 1, f"counting paths disagree on {label}: {rows}"
     print(f"\n{label}  (#X = {counts.pop()}, {slices} chart slices)")
-    print(f"  {'path':<8} {'extend':>10} {'tables':>10} {'counting':>10} {'speedup':>9}")
-    base = next(r[3] for r in rows if r[3] is not None)
-    for name, total, t_tables, t_count in rows:
+    print(f"  {'path':<8} {'embedding':>10} {'tables':>10} {'counting':>10} {'speedup':>9}")
+    base = next(r[4] for r in rows if r[4] is not None)
+    for name, total, t_embed, t_tables, t_count in rows:
         if total is None:
             print(f"  {name:<8} {'skipped: more than PURE_SLICES slices':>42}")
             continue
         tables_col = f"{t_tables:>9.3f}s" if t_tables is not None else f"{'shared':>10}"
         speed = base / t_count if t_count else float("inf")
-        print(f"  {name:<8} {t_extend:>9.3f}s {tables_col} {t_count:>9.3f}s {speed:>8.1f}x")
+        print(f"  {name:<8} {t_embed:>9.4f}s {tables_col} {t_count:>9.3f}s {speed:>8.1f}x")
 
 
 def main():

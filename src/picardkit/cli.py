@@ -34,6 +34,8 @@ EXIT_UNDECIDED = 4
 EXIT_INCONSISTENT = 5
 
 SCHEMA = "picardkit-report/1"
+# the most quanta a dovetail schedule may spend, about 4 s at 0.12 us each
+DOVETAIL_QUANTA = 2**25
 
 
 class CliError(Exception):
@@ -406,12 +408,12 @@ def cmd_dovetail(args):
         IntegerSearchTask(lambda m: m % 23 == 17),
         PlantedTask(9, "planted"),
     ]
-    # the schedule may spend DEFAULT_BUDGET quanta even if no task halts
+    # the schedule may spend DOVETAIL_QUANTA quanta even if no task halts
     # (round r alone gives task 1 2^(r-1)); --eval-budget caps counting
     # work, so the warm `dovetail --demo --eval-budget 1` still runs
-    if (args.rounds > DEFAULT_BUDGET.bit_length()
-            or worst_case_quanta(len(tasks), args.rounds) > DEFAULT_BUDGET):
-        raise CliError(f"the schedule's worst-case quanta exceed {DEFAULT_BUDGET}", EXIT_BUDGET)
+    if (args.rounds > DOVETAIL_QUANTA.bit_length()
+            or worst_case_quanta(len(tasks), args.rounds) > DOVETAIL_QUANTA):
+        raise CliError(f"the schedule's worst-case quanta exceed {DOVETAIL_QUANTA}", EXIT_BUDGET)
     res = run_geometric(tasks, max_rounds=args.rounds)
     report = _report_base("dovetail", {"tasks": len(tasks)})
     report["dovetail"] = {

@@ -21,11 +21,11 @@ except ImportError:  # Python 3.12 renamed the module _sha2
     from hashlib import sha256
 
 from .. import DEFAULT_BUDGET
-from ..ffield import extend
+from ..ffield import make_field
 from ..polysys import poly_to_str
 from .cache import CountCache, default_cache
-from .charts import compile_charts, evaluate_origin_chart
-from .kernel import BACKEND, backend_module, field_tables, trace_mask
+from .charts import compile_charts
+from .kernel import BACKEND, backend_module, embedding, field_tables, trace_mask
 
 MAX_DIGITS = 4300  # CPython's default limit on the digits of an int it prints
 
@@ -247,19 +247,19 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
         # of at least 24 units each: when that alone passes the budget, no
         # chart is compiled
         _charge(Q + 24 * Q ** (ideal.nvars - 2), budget, n)
-    emb = extend(dom, n)
     if not over_classes:
-        charts = compile_charts(ideal, emb, emb.ext.to_index)
+        charts = compile_charts(ideal)
         # the three field tables of length Q, then every chart but the origin
         _charge(Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree), budget, n)
 
-    tables = field_tables(emb.ext)
+    tables = field_tables(make_field(dom.p, dom.e * n))
+    image = embedding(dom, tables)
     if over_classes:
         from .classes import count_separable
 
-        return count_separable(blocks, ideal.nvars, emb, tables)
+        return count_separable(blocks, ideal.nvars, dom, image, tables)
     return count_charts(
-        ideal, emb, charts, backend_module(), tables, min(threads, _usable_cpus())
+        charts, dom.p, image, backend_module(), tables, min(threads, _usable_cpus())
     )
 
 
@@ -269,21 +269,20 @@ def _charge(work, budget, n):
         raise BudgetExceededError(f"estimated work exceeds budget {budget} at n={n}")
 
 
-def count_charts(ideal, emb, charts, mod, tables, threads):
+def count_charts(charts, p, image, mod, tables, threads):
     """#X(F_Q) as the sum over the compiled charts, each counted by the
-    kernel module `mod` (the origin chart and charts with no generator left
-    in closed form), with the chart's prefix range split over `threads`
-    worker threads."""
-    ext = emb.ext
-    Q = ext.q
-    tmask = trace_mask(ext)
+    kernel module `mod` on F_Q's tables, with the coefficients sent to F_Q
+    by `image` (`kernel.embedding`).  The origin chart and charts with no
+    generator left are counted in closed form; the prefix range of the
+    others is split over `threads` worker threads."""
+    Q = len(tables[1])
+    tmask = trace_mask(p, tables)
     total = 0
     for chart in charts:
-        if chart.nfree == 0:
-            total += evaluate_origin_chart(ideal, emb, ext, chart.chart)
-            continue
         if not chart.gen_terms:
             total += Q**chart.nfree
+            continue
+        if chart.nfree == 0:  # a generator is nonzero at (0, ..., 0, 1)
             continue
         if chart.nprefix == 0 or threads <= 1:
             ranges = [(0, 1)] if chart.nprefix == 0 else [(0, Q)]
@@ -291,7 +290,7 @@ def count_charts(ideal, emb, charts, mod, tables, threads):
             step = max(1, -(-Q // threads))
             ranges = [(lo, min(lo + step, Q)) for lo in range(0, Q, step)]
         # the ninth argument, 1, selects gcd root counting, the only method
-        args = (Q, ext.p, tmask, *tables, chart.gen_terms, chart.nprefix, 1)
+        args = (Q, p, tmask, *tables, chart.terms_over(image), chart.nprefix, 1)
         if len(ranges) == 1:
             total += mod.count_chart(*args, *ranges[0])
         else:

@@ -3,8 +3,13 @@
 Chart j of P^N fixes x_0 = ... = x_{j-1} = 0, x_j = 1 and leaves
 x_{j+1}..x_N free, so every projective point is enumerated exactly once.
 Generators are compiled per chart into flat term records consumed by the
-counting kernels, with coefficients embedded into the extension field and
-encoded as table indices.
+counting kernels.  A record holds its coefficient as a base-field index, so
+one compilation serves every level; `CompiledChart.terms_over` sends the
+coefficients to the level's table indices just before a kernel call.
+
+The chart with no free variable is the point (0, ..., 0, 1), where only a
+generator's x_N^deg term survives: the point lies on X exactly when no
+generator survives there.
 
 Within a chart, one free variable is designated "inner": the kernels
 enumerate all others and resolve the inner one per slice.  The inner
@@ -38,25 +43,25 @@ class CompiledChart:
         stride = 2 + self.nprefix
         return sum(len(t) // stride for t in self.gen_terms)
 
+    def terms_over(self, image):
+        """gen_terms with each coefficient, a base-field index, replaced by
+        image[index], its index in the field of a level (`kernel.embedding`)."""
+        stride = 2 + self.nprefix
+        out = [array("q", terms) for terms in self.gen_terms]
+        for terms in out:
+            terms[::stride] = array("q", [image[c] for c in terms[::stride]])
+        return out
 
-def compile_charts(ideal, embedding, ext_index_of):
-    """Compile every chart of the ideal for counting over the extension.
 
-    ext_index_of maps an extension FieldElement to its table index.
+def compile_charts(ideal):
+    """Compile every chart of the ideal, coefficients as base-field indices.
+
     Generators identically zero on a chart are dropped there (they impose
     nothing); nonzero-constant restrictions are left to the kernels, which
     report zero points for such charts.
     """
     nvars = ideal.nvars
-    coeff_index = {}
-
-    def cidx(c):
-        key = c.coeffs
-        hit = coeff_index.get(key)
-        if hit is None:
-            hit = ext_index_of(embedding(c))
-            coeff_index[key] = hit
-        return hit
+    index_of = ideal.domain.to_index
 
     charts = []
     for j in range(nvars):
@@ -73,7 +78,8 @@ def compile_charts(ideal, embedding, ext_index_of):
             if terms:
                 survivors.append(terms)
         if nfree == 0:
-            charts.append(CompiledChart(chart=j, nfree=0, nprefix=0, gen_terms=[]))
+            gen_terms = [array("q", [index_of(c), 0]) for terms in survivors for _, c in terms]
+            charts.append(CompiledChart(chart=j, nfree=0, nprefix=0, gen_terms=gen_terms))
             continue
         # inner variable: smallest max-degree across generators, ties last
         maxdeg = {v: 0 for v in free_vars}
@@ -91,7 +97,7 @@ def compile_charts(ideal, embedding, ext_index_of):
         for terms in survivors:
             flat = array("q")
             for exps, c in terms:
-                rec = [cidx(c), exps[inner]]
+                rec = [index_of(c), exps[inner]]
                 rec.extend(exps[v] for v in prefix_vars)
                 flat.extend(rec)
             gen_terms.append(flat)
@@ -110,17 +116,3 @@ def compile_charts(ideal, embedding, ext_index_of):
             )
         )
     return charts
-
-
-def evaluate_origin_chart(ideal, embedding, ext, chart_j):
-    """Value test for the 0-free-variable chart (the point (0,..,0,1))."""
-    nvars = ideal.nvars
-    for g in ideal.generators:
-        acc = ext.zero()
-        for exps, c in g.terms.items():
-            if any(exps[i] for i in range(nvars - 1)):
-                continue
-            acc = acc + embedding(c)
-        if acc:
-            return 0
-    return 1

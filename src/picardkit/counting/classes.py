@@ -16,25 +16,27 @@ the class of a exactly g times.  A block of k > 1 variables is evaluated on
 the Q^(k-1) + ... + 1 points of P^(k-1)(F_Q); each point's nonzero
 multiples cover the elements of its value's class g times each.
 
-Field elements are handled by their discrete logs in the tables of
-`kernel.field_tables`, with -1 standing for zero.
+Elements of F_Q are handled by their discrete logs in its tables
+(`kernel.field_tables`), with -1 standing for zero; the coefficients of f
+reach them through `kernel.embedding`.
 """
 
 from itertools import product
 from math import gcd
 
+from .kernel import log_add
 
-def count_separable(blocks, nvars, emb, tables):
+
+def count_separable(blocks, nvars, base, image, tables):
     """#X(F_Q) for the hypersurface f = sum of the blocks' forms in P^(nvars-1).
 
     `blocks` is `separable_blocks(ideal)`: per block, its variables and the
-    generator's terms in them.  `emb` embeds the base field into F_Q, and
-    `tables` are F_Q's exp/log/Zech tables.  Variables in no block are
-    free: each multiplies the cone by Q.
+    generator's terms in them, over the field `base`.  `image` sends each
+    base-field index to its index in F_Q, whose tables are `tables`.
+    Variables in no block are free: each multiplies the cone by Q.
     """
     _, log, zech = tables
-    ext = emb.ext
-    Q = ext.q
+    Q = len(log)
     Qm1 = Q - 1
     degree = sum(blocks[0][1][0][0])
     g = gcd(degree, Qm1)
@@ -46,7 +48,7 @@ def count_separable(blocks, nvars, emb, tables):
     used = 0
     for variables, terms in blocks:
         used += len(variables)
-        logs = [(log[ext.to_index(emb(c))], [e[v] for v in variables]) for e, c in terms]
+        logs = [(log[image[base.to_index(c)]], [e[v] for v in variables]) for e, c in terms]
         block = _block_values(logs, len(variables), Qm1, g, zech)
         cone = block if cone is None else _convolve(cone, block, cyc, g, Qm1 // g, neg)
     return (cone[0] * Q ** (nvars - used) - 1) // Qm1
@@ -86,7 +88,7 @@ def _block_values(logs, k, Qm1, g, zech):
         if t == k - 1:  # the point (0, ..., 0, 1)
             value = -1
             for c, _ in live:
-                value = _add(value, c, zech, Qm1)
+                value = log_add(value, c, zech, Qm1)
             if value < 0:
                 zeros += 1
             else:
@@ -102,22 +104,12 @@ def _block_values(logs, k, Qm1, g, zech):
                             break
                         c += ei * x
                 else:
-                    coeffs[e[-1]] = _add(coeffs.get(e[-1], -1), c % Qm1, zech, Qm1)
+                    coeffs[e[-1]] = log_add(coeffs.get(e[-1], -1), c % Qm1, zech, Qm1)
             z, classes = _univariate_values(coeffs, Qm1, g, zech)
             zeros += z
             for i, m in enumerate(classes):
                 by_class[i] += m
     return 1 + Qm1 * zeros, [g * m for m in by_class]
-
-
-def _add(a, b, zech, Qm1):
-    """The log of g^a + g^b, logs -1 standing for zero."""
-    if a < 0:
-        return b
-    if b < 0:
-        return a
-    z = zech[(b - a) % Qm1]
-    return -1 if z < 0 else (a + z) % Qm1
 
 
 def _univariate_values(coeffs, Qm1, g, zech):

@@ -1,5 +1,5 @@
-"""Exact arithmetic in finite fields F_{p^e} and their extension towers, and
-the dense Z/m[x] arithmetic it rests on, which integer factoring shares.
+"""Exact arithmetic in finite fields F_{p^e}, and the dense Z/m[x]
+arithmetic it rests on, which integer factoring shares.
 
 A field is described by its characteristic p and a monic irreducible modulus
 of degree e over Z/pZ; elements are coefficient vectors in the power basis of
@@ -7,9 +7,10 @@ the modulus.  The modulus is always the *first* irreducible polynomial in a
 fixed enumeration order, so that a (p, e) pair pins down one canonical field
 and every downstream computation is reproducible.
 
-Extension towers are always rebuilt over the prime field: F_{q^n} for
-q = p^e is represented as the canonical degree-(e*n) field together with an
-explicit embedding of the degree-e field.
+Elements are objects only over a variety's base field F_q, where parsing,
+Groebner bases and smoothness need them.  A level F_{q^n} of the counting
+tower is the canonical degree-(e*n) field over the prime field, and counting
+handles its elements as table indices (`counting.kernel`).
 """
 
 import itertools
@@ -236,14 +237,7 @@ class FieldDesc:
             raise FieldError("prime field has no power-basis generator above constants")
         return self.element([0, 1])
 
-    # -- index <-> element (canonical base-p integer order) ------------------
-
-    def from_index(self, idx):
-        coeffs = []
-        for _ in range(self.e):
-            idx, r = divmod(idx, self.p)
-            coeffs.append(r)
-        return FieldElement(self, tuple(coeffs))
+    # -- element -> index (canonical base-p integer order) --------------------
 
     def to_index(self, x):
         idx = 0
@@ -327,10 +321,6 @@ class FieldElement:
         r += [0] * (f.e - len(r))
         return FieldElement(f, tuple(r))
 
-    def frobenius(self):
-        """x -> x^p."""
-        return self ** self.field.p
-
 
 def poly_str(coeffs):
     terms = []
@@ -374,88 +364,3 @@ def make_field(p, e):
         if _is_irreducible(m, p):
             return FieldDesc(p, e, m)
 
-
-class Embedding:
-    """Ring embedding of a base field into an extension field.
-
-    `gen_image` is the image of the base power-basis generator; constants map
-    to constants.  Immutable: `extend` shares one instance per tower level.
-    """
-
-    __slots__ = ("base", "ext", "gen_image")
-
-    def __init__(self, base, ext, gen_image):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "ext", ext)
-        object.__setattr__(self, "gen_image", gen_image)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Embedding is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __call__(self, x):
-        if x.field != self.base:
-            raise FieldError("element does not belong to the embedding's base field")
-        acc = self.ext.zero()
-        power = self.ext.one()
-        for c in x.coeffs:
-            if c:
-                acc = acc + self.ext.from_int(c) * power
-            power = power * self.gen_image
-        return acc
-
-
-@cache
-def extend(base, n):
-    """F_{q^n} for q = p^e, with the embedding of the degree-e base field.
-
-    The extension is the canonical degree-(e*n) field over the prime field;
-    the base generator is sent to its first root (in enumeration order) of
-    the base modulus inside the extension.  The roots lie in the subfield
-    F_{p^e} of the extension, so they are looked for there: O(p^e) field
-    operations per extension instead of O(q^n).
-    """
-    if n < 1:
-        raise FieldError("extension degree must be positive")
-    ext = make_field(base.p, base.e * n)
-    if base.e == 1:
-        image = ext.one()
-    elif n == 1:
-        image = ext.gen()  # base is canonical, so identity embedding
-    else:
-        image = _find_root(base.modulus, ext)
-    return Embedding(base, ext, image)
-
-
-def _find_root(modulus, ext):
-    # The e roots of the irreducible degree-e modulus are units of the
-    # subfield F_{p^e}, and y -> y^((Q-1)/(p^e-1)) maps the units of the
-    # extension onto that subfield's units.  Once such an image z generates
-    # them, the powers of z reach a root, and its Frobenius conjugates are
-    # the other roots.  The one of smallest index is the root a scan of the
-    # whole extension in enumeration order would meet first.
-    e = len(modulus) - 1
-    order = ext.p**e - 1
-    cofactor = (ext.q - 1) // order
-    small = [order // ell for ell in _prime_divisors(order)]
-    coeffs = [ext.from_int(c) for c in reversed(modulus)]
-    one = ext.one()
-    # the first y in enumeration order whose image has the full order p^e - 1
-    z = next(
-        z
-        for z in (ext.from_index(idx) ** cofactor for idx in range(1, ext.q))
-        if all(z**k != one for k in small)
-    )
-    w = z
-    for _ in range(order):
-        acc = ext.zero()
-        for c in coeffs:
-            acc = acc * w + c
-        if not acc:
-            roots = [w]
-            for _ in range(e - 1):
-                roots.append(roots[-1].frobenius())
-            return min(roots, key=ext.to_index)
-        w = w * z
-    raise FieldError("modulus has no root in the requested extension")

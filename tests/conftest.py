@@ -21,22 +21,20 @@ import picardkit
 from picardkit import upoly
 from picardkit.counting import kernel
 from picardkit.exactla import rank
-from picardkit.ffield import extend
 from picardkit.galmod import FiniteLModule, lprime_level
 from picardkit.polysys import hilbert_series_data
 from picardkit.zeta import ZetaFunction
 
-from oracles import enumerate_field
+from oracles import embedding_by_scan, enumerate_field
 
 
 def brute_force_chart_count(ideal, n, j):
     """Oracle: the points over F_{q^n} of chart j, where x_0 = ... = x_{j-1}
     = 0 and x_j = 1, found by evaluating every generator directly with
     FieldElement arithmetic.  Independent of the counting kernels."""
-    emb = extend(ideal.domain, n)
-    ext = emb.ext
+    ext, embed = embedding_by_scan(ideal.domain, n)
     elems = enumerate_field(ext)
-    gens = [{e: emb(c) for e, c in g.terms.items()} for g in ideal.generators]
+    gens = [{e: embed(c) for e, c in g.terms.items()} for g in ideal.generators]
     count = 0
     for tail in itertools.product(elems, repeat=ideal.nvars - 1 - j):
         pt = [ext.zero()] * j + [ext.one()] + list(tail)

@@ -464,11 +464,11 @@ def test_dovetail_demo_report_and_trace_are_pinned(capsys, rounds, total, result
     assert out == "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
 
 
-@pytest.mark.parametrize("rounds", ["60", "34", "9" * 4000])
+@pytest.mark.parametrize("rounds", ["60", "34", "25", "9" * 4000])
 def test_dovetail_schedule_beyond_the_budget_exits_3_before_running(capsys, monkeypatch, rounds):
     # task 2 of the demo never halts, so each round doubles the quanta:
-    # --rounds 24 took 1.6 s and --rounds 60 would never end.  34 rounds
-    # may spend 2^34 + 2^33 + 2^32 + 2^31 - 4 quanta, more than 2^34
+    # --rounds 24 took 1.0 s and --rounds 60 would never end.  25 rounds
+    # may spend 2^25 + 2^24 + 2^23 + 2^22 - 4 quanta, more than 2^25
     from picardkit import dovetail
 
     monkeypatch.setattr(dovetail, "run_geometric", lambda *_: pytest.fail("the schedule ran"))
@@ -476,7 +476,7 @@ def test_dovetail_schedule_beyond_the_budget_exits_3_before_running(capsys, monk
     code, out, err = run_cli(capsys, "dovetail", "--demo", "--rounds", rounds, "--no-timing")
     assert (code, out) == (3, "")
     assert time.perf_counter() - started < 1
-    assert "worst-case quanta exceed 17179869184" in err
+    assert "worst-case quanta exceed 33554432" in err
 
 
 @pytest.mark.parametrize("budget, code", [(1915, 3), (1916, 0)])
@@ -485,7 +485,7 @@ def test_dovetail_schedule_is_charged_its_worst_case(capsys, monkeypatch, budget
     # in each of rounds 1-4, then 15 * 2^(r-4); it spends 546
     from picardkit import cli
 
-    monkeypatch.setattr(cli, "DEFAULT_BUDGET", budget)
+    monkeypatch.setattr(cli, "DOVETAIL_QUANTA", budget)
     assert run_cli(capsys, "dovetail", "--demo", "--no-timing")[0] == code
 
 
@@ -1648,7 +1648,7 @@ def test_closed_form_is_charged_and_extends_no_field(tmp_path, capsys, monkeypat
     # so -n 200 under a budget of 1 ran 100 s and exited 0
     from picardkit import counting
 
-    monkeypatch.setattr(counting, "extend", lambda *_: pytest.fail("a field was extended"))
+    monkeypatch.setattr(counting, "make_field", lambda *_: pytest.fail("a field was extended"))
     spec = _empty_spec(tmp_path, 3)
     code, out, _ = run_cli(capsys, "count", spec, "-n", "3", "--eval-budget", "4", "--no-timing",
                            "--cache-dir", str(tmp_path / "c"))

@@ -10,15 +10,16 @@ import pytest
 from picardkit.counting import (
     BudgetExceededError,
     CountCache,
+    count_charts,
     count_points,
     count_tower,
     separable_blocks,
     variety_hash,
 )
 from picardkit.counting.charts import compile_charts
-from picardkit.counting.kernel import field_tables, trace_mask
+from picardkit.counting.kernel import embedding, field_tables, trace_mask
 from picardkit.counting import kernel_py
-from picardkit.ffield import extend, make_field
+from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 from oracles import enumerate_field
@@ -130,19 +131,16 @@ def test_pure_kernel_matches_chart_oracle():
     ]
     for ideal in cases:
         for n in (1, 2, 3):
-            emb = extend(ideal.domain, n)
-            ext = emb.ext
-            exp, log, zech = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
-            charts = [
-                c for c in compile_charts(ideal, emb, ext.to_index)
-                if c.nfree and c.gen_terms
-            ]
+            ext = make_field(ideal.domain.p, ideal.domain.e * n)
+            tables = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
+            image = embedding(ideal.domain, tables)
+            charts = [c for c in compile_charts(ideal) if c.nfree and c.gen_terms]
             assert charts
             for chart in charts:
                 hi = 1 if chart.nprefix == 0 else ext.q
                 got = kernel_py.count_chart(
-                    ext.q, ext.p, trace_mask(ext), exp, log, zech,
-                    chart.gen_terms, chart.nprefix, 1, 0, hi,
+                    ext.q, ext.p, trace_mask(ext.p, tables), *tables,
+                    chart.terms_over(image), chart.nprefix, 1, 0, hi,
                 )
                 assert got == brute_force_chart_count(ideal, n, chart.chart)
 
@@ -252,6 +250,71 @@ def test_memory_check_refuses_tables_before_building(monkeypatch):
     ideal = ideal_over(2, 1, 2, "x0^2 + x0*x1 + x1^2")
     with pytest.raises(BudgetExceededError, match="physical memory"):
         count_points(ideal, 33)
+
+
+@pytest.mark.parametrize("nvars,gen", [(2, "x0^2 + x0*x1 + x1^2"), (3, "x0^3 + x1^3 + x2^3")])
+def test_level_tables_are_freed_once_counted(monkeypatch, nvars, gen):
+    # on the charts and over classes: a cache of field tables would hold
+    # every level of a tower at once, past the per-level memory check
+    import weakref
+
+    build = field_tables
+    refs = []
+
+    def recording(field):
+        tables = build(field)
+        refs.append(weakref.ref(tables[0]))
+        return tables
+
+    monkeypatch.setattr("picardkit.counting.field_tables", recording)
+    ideal = ideal_over(2, 1, nvars, gen)
+    for n in (1, 2, 3):
+        count_points(ideal, n)
+        assert len(refs) == n and refs[-1]() is None
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_trace_mask_gives_the_absolute_trace(k):
+    # Tr(x) = x + x^2 + ... + x^(2^(k-1)) by FieldElement arithmetic, for
+    # every x in F_{2^k}
+    f = make_field(2, k)
+    mask = trace_mask(2, field_tables(f))
+    for idx, x in enumerate(enumerate_field(f)):
+        trace, power = x, x
+        for _ in range(k - 1):
+            power = power * power
+            trace = trace + power
+        assert trace in (f.zero(), f.one())
+        assert bin(idx & mask).count("1") % 2 == trace.coeffs[0]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (7, 2)])
+def test_trace_mask_is_zero_in_odd_characteristic(p, e):
+    assert trace_mask(p, field_tables(make_field(p, e))) == 0
+
+
+@pytest.mark.parametrize(
+    "p,e,nvars,gens,on_x",
+    [
+        (2, 2, 3, ["x0^2 + g*x1*x2"], 1),  # no x2^2 term
+        (2, 2, 3, ["x0^2 + x1*x2 + g*x2^2"], 0),
+        (3, 1, 4, ["x0*x3 - x1*x2", "x0^2 + x3^2"], 0),  # one generator of two has x3^2
+        (3, 2, 3, ["x1^2*x2 - x0^3 - g*x0*x2^2"], 1),
+        (2, 1, 3, ["1"], 0),  # a nonzero constant generator: no points at all
+        (2, 2, 3, ["x0^2 + x1*x2", "g"], 0),
+    ],
+)
+def test_origin_chart_matches_brute_force(p, e, nvars, gens, on_x):
+    # the last chart is the point (0, ..., 0, 1), on X when no generator
+    # keeps a term there
+    ideal = ideal_over(p, e, nvars, *gens)
+    origin = compile_charts(ideal)[-1]
+    for n in (1, 2):
+        tables = field_tables(make_field(p, e * n))
+        image = embedding(ideal.domain, tables)
+        got = count_charts([origin], p, image, kernel_py, tables, 1)
+        assert got == brute_force_chart_count(ideal, n, nvars - 1) == on_x
+        assert count_points(ideal, n) == brute_force_count(ideal, n)
 
 
 def test_tower_budget_reports_completed():

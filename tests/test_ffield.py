@@ -4,6 +4,7 @@ import random
 import pytest
 
 from picardkit import upoly
+from picardkit.counting.kernel import embedding, field_tables
 from picardkit.ffield import (
     FieldError,
     _is_irreducible,
@@ -13,11 +14,10 @@ from picardkit.ffield import (
     _pmul,
     _ppowmod,
     _pxgcd,
-    extend,
     make_field,
 )
 
-from oracles import enumerate_field
+from oracles import element_at, enumerate_field, first_root_by_scan
 
 
 def test_make_field_prime():
@@ -174,7 +174,7 @@ def test_frobenius_squared_is_identity_on_f9():
     rng = random.Random(9)
     elems = enumerate_field(f)
     for x in rng.sample(elems, 9) + rng.choices(elems, k=11):
-        assert x.frobenius().frobenius() == x
+        assert (x**3) ** 3 == x  # Frobenius x -> x^3, twice
 
 
 def test_enumerate_small():
@@ -193,55 +193,40 @@ def test_enumerate_f8_distinct():
     assert len({e.coeffs for e in es}) == 8
 
 
+# The embedding of a base field F_q into a level F_Q of the counting tower,
+# `counting.kernel.embedding`, on F_Q's tables, against FieldElement
+# arithmetic in F_Q.
+
+
+def _embedding(base, n):
+    """(F_{q^n}, the image of each base-field index as an F_{q^n} element)."""
+    ext = make_field(base.p, base.e * n)
+    image = embedding(base, field_tables(ext))
+    return ext, [element_at(ext, idx) for idx in image]
+
+
 def test_extend_trivial_cases():
     f2 = make_field(2, 1)
-    e1 = extend(f2, 1)
-    assert e1.ext == f2
-    assert e1(f2.one()) == f2.one()
-    e2 = extend(f2, 2)
-    assert e2.ext.q == 4
-    assert e2(f2.one()) == e2.ext.one()
-
-
-def test_embeddings_are_immutable():
-    # extend() hands every caller the one cached Embedding of a level, so a
-    # mutable one would leak a change into every later use of that level
-    emb = extend(make_field(2, 2), 2)
-    assert extend(make_field(2, 2), 2) is emb
-    for name in ("base", "ext", "gen_image"):
-        with pytest.raises(AttributeError):
-            setattr(emb, name, None)
-    with pytest.raises(AttributeError):
-        del emb.gen_image
-    assert emb.gen_image.field == emb.ext
+    ext, image = _embedding(f2, 1)
+    assert ext == f2
+    assert image == [f2.zero(), f2.one()]
+    ext, image = _embedding(f2, 2)
+    assert ext.q == 4
+    assert image[1] == ext.one()
 
 
 def test_extend_f4_to_f16_root_check():
     f4 = make_field(2, 2)
-    emb = extend(f4, 2)
-    f16 = emb.ext
+    f16, image = _embedding(f4, 2)
     assert f16.q == 16
-    # the image of the generator satisfies the F_4 modulus
-    beta = emb.gen_image
-    m = f4.modulus
+    # the image of the generator (index 2) satisfies the F_4 modulus
+    beta = image[2]
     acc = f16.zero()
     power = f16.one()
-    for c in m:
+    for c in f4.modulus:
         acc = acc + f16.from_int(c) * power
         power = power * beta
     assert not acc
-
-
-def _first_root_by_scan(base, ext):
-    # the embedding's definition: the first root of the base modulus when
-    # the whole extension is scanned in enumeration order
-    for x in enumerate_field(ext):
-        acc = ext.zero()
-        for c in reversed(base.modulus):
-            acc = acc * x + ext.from_int(c)
-        if not acc:
-            return x
-    raise AssertionError("the base modulus has no root in the extension")
 
 
 def _nonprime_extension_cases(limit):
@@ -259,16 +244,17 @@ def _nonprime_extension_cases(limit):
 
 @pytest.mark.parametrize("p,e,n", _nonprime_extension_cases(4096))
 def test_extend_gives_the_first_root_in_enumeration_order(p, e, n):
+    # the base generator, of index p, goes to the root of smallest index
     base = make_field(p, e)
-    emb = extend(base, n)
-    assert emb.gen_image == _first_root_by_scan(base, emb.ext)
+    ext, image = _embedding(base, n)
+    assert image[p] == first_root_by_scan(base, ext)
 
 
 @pytest.mark.parametrize("e,n,index", [(2, 7, 5106), (2, 8, 1842), (4, 4, 34988)])
 def test_extend_embedding_indices_are_frozen(e, n, index):
     # values of the full scan; counts, cache keys and reports depend on them
-    emb = extend(make_field(2, e), n)
-    assert emb.ext.to_index(emb.gen_image) == index
+    ext = make_field(2, e * n)
+    assert embedding(make_field(2, e), field_tables(ext))[2] == index
 
 
 def _prime_powers_up_to(limit):
@@ -308,9 +294,13 @@ def test_multiplicative_generator_exists(p, e):
 )
 def test_embedding_is_ring_hom(p, e, n):
     base = make_field(p, e)
-    emb = extend(base, n)
+    _, image = _embedding(base, n)
     elems = enumerate_field(base)
     assert base.q <= 16
+
+    def emb(x):
+        return image[base.to_index(x)]
+
     for a in elems:
         for b in elems:
             assert emb(a + b) == emb(a) + emb(b)
@@ -321,7 +311,7 @@ def test_embedding_is_ring_hom(p, e, n):
 def test_frobenius_fixes_exactly_prime_field(p, e):
     f = make_field(p, e)
     assert f.q <= 64
-    fixed = [x for x in enumerate_field(f) if x.frobenius() == x]
+    fixed = [x for x in enumerate_field(f) if x**p == x]
     assert len(fixed) == p
     for x in fixed:
         assert not any(x.coeffs[1:])  # in the prime subfield

@@ -10,8 +10,8 @@ import pytest
 
 from picardkit.counting import count_points, kernel, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
-from picardkit.counting.kernel import trace_mask
-from picardkit.ffield import extend, make_field
+from picardkit.counting.kernel import embedding, trace_mask
+from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 from conftest import brute_force_chart_count
@@ -41,31 +41,26 @@ def test_tables_identical(ckernel, p, e):
 def test_chart_counts_identical(ckernel, p, e, gens, nvars, n):
     f = make_field(p, e)
     ideal = HomIdeal([poly_from_str(g, nvars, f) for g in gens])
-    emb = extend(f, n)
-    ext = emb.ext
-    tmask = trace_mask(ext)
-    charts = compile_charts(ideal, emb, ext.to_index)
+    ext = make_field(p, e * n)
     tabs_py = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
     tabs_c = ckernel.build_tables(ext.p, ext.e, ext.modulus)
-    for chart in charts:
+    tmask = trace_mask(ext.p, tabs_py)
+    image = embedding(f, tabs_py)
+    for chart in compile_charts(ideal):
         if chart.nfree == 0 or not chart.gen_terms:
             continue
         hi = 1 if chart.nprefix == 0 else ext.q
-        a = kernel_py.count_chart(
-            ext.q, ext.p, tmask, *tabs_py, chart.gen_terms, chart.nprefix, 1, 0, hi
-        )
-        b = ckernel.count_chart(
-            ext.q, ext.p, tmask, *tabs_c, chart.gen_terms, chart.nprefix, 1, 0, hi
-        )
+        terms = chart.terms_over(image)
+        a = kernel_py.count_chart(ext.q, ext.p, tmask, *tabs_py, terms, chart.nprefix, 1, 0, hi)
+        b = ckernel.count_chart(ext.q, ext.p, tmask, *tabs_c, terms, chart.nprefix, 1, 0, hi)
         assert a == b == brute_force_chart_count(ideal, n, chart.chart)
 
 
 def test_split_ranges_sum_to_whole(ckernel):
     f = make_field(3, 1)
     ideal = HomIdeal([poly_from_str("x0*x3 - x1*x2", 4, f)])
-    emb = extend(f, 2)
-    ext = emb.ext
-    charts = compile_charts(ideal, emb, ext.to_index)
+    ext = make_field(3, 2)
+    charts = compile_charts(ideal)
     tabs = ckernel.build_tables(ext.p, ext.e, ext.modulus)
     chart = charts[0]
     args = (ext.q, ext.p, 0, *tabs, chart.gen_terms, chart.nprefix, 1)

@@ -18,6 +18,7 @@ from picardkit.polysys import (
 from picardkit.polysys.groebner import _divides, _lcm, leading
 
 from conftest import assert_hilbert_function_as_over_q
+from oracles import element_at
 
 # the ideals below have small integer coefficients: over a large prime field
 # their Groebner bases and Hilbert data are those over Q, which
@@ -242,7 +243,7 @@ def _random_form(rng, field, nvars, degree):
         exps = [0] * nvars
         for _ in range(degree):
             exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = field.from_index(rng.randrange(1, field.q))
+        terms[tuple(exps)] = element_at(field, rng.randrange(1, field.q))
     return MultiPoly(nvars, field, terms)
 
 

@@ -17,11 +17,12 @@ import pytest
 from picardkit.counting import count_charts, count_points, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.classes import count_separable
-from picardkit.counting.kernel import field_tables
-from picardkit.ffield import extend, make_field
+from picardkit.counting.kernel import embedding, field_tables
+from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, MultiPoly, poly_from_str
 
 from conftest import brute_force_projective_count
+from oracles import element_at
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
 # affine points of the ambient space each oracle is given at one level;
@@ -36,7 +37,7 @@ def _block_form(rng, field, nvars, variables, D):
     terms = {}
 
     def add(exps):
-        terms[tuple(exps)] = field.from_index(rng.randrange(1, field.q))
+        terms[tuple(exps)] = element_at(field, rng.randrange(1, field.q))
 
     if len(variables) == 1:
         exps = [0] * nvars
@@ -87,10 +88,10 @@ def _random_case(seed):
 
 
 def _chart_count(ideal, n, mod):
-    emb = extend(ideal.domain, n)
-    ext = emb.ext
-    charts = compile_charts(ideal, emb, ext.to_index)
-    return count_charts(ideal, emb, charts, mod, mod.build_tables(ext.p, ext.e, ext.modulus), 1)
+    dom = ideal.domain
+    ext = make_field(dom.p, dom.e * n)
+    tables = mod.build_tables(ext.p, ext.e, ext.modulus)
+    return count_charts(compile_charts(ideal), dom.p, embedding(dom, tables), mod, tables, 1)
 
 
 CASES = range(36)
@@ -106,8 +107,9 @@ def test_class_path_matches_brute_force_and_both_kernels(ckernel, seed):
     while (q**n) ** (ideal.nvars - 1) <= CHART_POINTS:
         # count_points leaves a block of nvars - 1 variables to the charts,
         # so the class path is called directly
-        emb = extend(ideal.domain, n)
-        got = count_separable(found, ideal.nvars, emb, field_tables(emb.ext))
+        dom = ideal.domain
+        tables = field_tables(make_field(dom.p, dom.e * n))
+        got = count_separable(found, ideal.nvars, dom, embedding(dom, tables), tables)
         assert got == count_points(ideal, n)
         assert got == _chart_count(ideal, n, kernel_py) == _chart_count(ideal, n, ckernel)
         if n == 1 or (q**n) ** (ideal.nvars - 1) <= BRUTE_FORCE_POINTS:
