@@ -25,7 +25,7 @@ from ..ffield import make_field
 from ..polysys import poly_to_str
 from .cache import CountCache, default_cache
 from .charts import compile_charts
-from .kernel import BACKEND, backend_module, embedding, field_tables, trace_mask
+from .kernel import BACKEND, MAX_DEG, backend_module, embedding, field_tables, trace_mask
 
 MAX_DIGITS = 4300  # CPython's default limit on the digits of an int it prints
 
@@ -221,7 +221,8 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     variables, else chart by chart.
     Raises BudgetExceededError for a level that `_points_bound` refuses,
     or, before the field tables are built, when they exceed physical
-    memory (`_check_tables`) or the work estimate exceeds `budget`.  The
+    memory (`_check_tables`), the work estimate exceeds `budget` or, on
+    the charts, an exponent of x_1..x_N is at least `kernel.MAX_DEG`.  The
     estimate is one unit per chart for the closed form; else Q = q^n units
     for the tables plus each chart's cost or, over classes, plus
     Q^(k-1) * terms for each block of k > 1 variables.  At most `threads`
@@ -248,6 +249,11 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
         # chart is compiled
         _charge(Q + 24 * Q ** (ideal.nvars - 2), budget, n)
     if not over_classes:
+        # x_0 is never free in a chart, so only x_1..x_N reach term records
+        if any(e >= MAX_DEG for g in ideal.generators for exps in g.terms for e in exps[1:]):
+            raise BudgetExceededError(
+                f"an exponent outside x0 is at least {MAX_DEG}, beyond a chart's records, at n={n}"
+            )
         charts = compile_charts(ideal)
         # the three field tables of length Q, then every chart but the origin
         _charge(Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree), budget, n)

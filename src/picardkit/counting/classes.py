@@ -74,10 +74,6 @@ def _cyclotomic_numbers(zech, g, neg):
 def _block_values(logs, k, Qm1, g, zech):
     """(#{f_j = 0}, #{f_j = v} for one v in each class) over F_Q^k, for the
     form with terms (log of coefficient, exponents)."""
-    if k == 1:
-        values = [0] * g
-        values[logs[0][0] % g] = g
-        return 1, values
     zeros = 0
     by_class = [0] * g
     # the points of P^(k-1) whose first nonzero coordinate, t, is 1; all

@@ -19,6 +19,8 @@ if not os.environ.get("PICARDKIT_PURE"):
 if _impl is None:
     from . import kernel_py as _impl
 BACKEND = _impl.BACKEND
+# a chart term record holds exponents below this bound: _ckernel.c's MAX_DEG
+MAX_DEG = 1 << 24
 
 
 def backend_module():

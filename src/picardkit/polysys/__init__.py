@@ -4,7 +4,6 @@ dimension and degree, smoothness, and proper intersection numbers."""
 from .geometry import (
     ImproperIntersectionError,
     dimension_degree,
-    hilbert_series_data,
     proper_intersection_number,
     smoothness_check,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "PolyError",
     "dimension_degree",
     "groebner",
-    "hilbert_series_data",
     "ideal_sum",
     "normal_form",
     "order_key",

@@ -6,8 +6,8 @@ through free resolutions; the two agree and this route is simpler to audit.
 """
 
 from itertools import combinations
+from math import comb
 
-from .. import upoly
 from .groebner import HomIdeal, ideal_sum, leading
 from .multipoly import MultiPoly, PolyError
 
@@ -31,81 +31,67 @@ def _minimalize(gens):
 def _hilbert_numerator(gens, nvars, memo):
     """Numerator N(t) of the Hilbert series N(t)/(1-t)^nvars of S/(gens).
 
-    gens: minimal monomial generators as exponent tuples.  Returns integer
-    coefficient list.
+    gens: minimal monomial generators as exponent tuples.  Returns N as
+    {exponent: coefficient}, with no zero coefficient.  The recursion
+    pivots on a power of a variable (Bigatti, J. Pure Appl. Algebra 119,
+    1997), so neither its cost nor its depth grows with an exponent.
     """
     key = frozenset(gens)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if not gens:
-        result = [1]
-    elif any(sum(g) == 0 for g in gens):
-        result = []
-    elif len(gens) == 1:
-        result = [1] + [0] * (sum(gens[0]) - 1) + [-1]
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if len(gens) == 1 or not mixed:
+        # one generator, or pure powers (the unit ideal among them): the
+        # product of (1 - t^d)
+        result = {0: 1}
+        for g in gens:
+            d = sum(g)
+            step = dict(result)
+            for e, c in result.items():
+                step[e + d] = step.get(e + d, 0) - c
+            result = {e: c for e, c in step.items() if c}
     else:
-        pures = [g for g in gens if sum(1 for e in g if e) == 1]
-        if len(pures) == len(gens):
-            # complete intersection of pure powers: product of (1 - t^d)
-            result = [1]
-            for g in gens:
-                d = sum(g)
-                factor = [1] + [0] * (d - 1) + [-1]
-                result = upoly.mul(result, factor)
-        else:
-            # pivot on the variable most shared among non-pure-power
-            # generators; restricting to those guarantees I + (x_j) != I
-            counts = [0] * nvars
-            for g in gens:
-                if sum(1 for e in g if e) == 1:
-                    continue
-                for i, e in enumerate(g):
-                    if e:
-                        counts[i] += 1
-            j = max(range(nvars), key=lambda i: (counts[i], -i))
-            # I + (x_j)
-            with_var = [g for g in gens if g[j] == 0]
-            pivot = tuple(1 if i == j else 0 for i in range(nvars))
-            sum_gens = _minimalize(with_var + [pivot])
-            # I : x_j
-            quo_gens = _minimalize(
-                [tuple(e - 1 if i == j and e else e for i, e in enumerate(g)) for g in gens]
-            )
-            a = _hilbert_numerator(sum_gens, nvars, memo)
-            b = _hilbert_numerator(quo_gens, nvars, memo)
-            result = upoly.add(a, [0] + b)
+        # pivot on x_j^a, x_j the variable most shared among non-pure-power
+        # generators and a its least positive exponent there.  Every
+        # minimal pure power of x_j is above a, so I + (x_j^a) != I:
+        # N(I) = N(I + (x_j^a)) + t^a N(I : x_j^a)
+        counts = [0] * nvars
+        for g in mixed:
+            for i, e in enumerate(g):
+                if e:
+                    counts[i] += 1
+        j = max(range(nvars), key=lambda i: (counts[i], -i))
+        a = min(g[j] for g in mixed if g[j])
+        pivot = tuple(a if i == j else 0 for i in range(nvars))
+        # x_j^a divides each generator it removes, and none that stays
+        # divides it, so the sum is minimal as it stands
+        sum_gens = [g for g in gens if g[j] < a] + [pivot]
+        quo_gens = _minimalize([g[:j] + (max(g[j] - a, 0),) + g[j + 1:] for g in gens])
+        result = dict(_hilbert_numerator(sum_gens, nvars, memo))
+        for e, c in _hilbert_numerator(quo_gens, nvars, memo).items():
+            result[e + a] = result.get(e + a, 0) + c
+        result = {e: c for e, c in result.items() if c}
     memo[key] = result
     return result
 
 
-def hilbert_series_data(ideal):
-    """(reduced numerator, D) with Hilbert series = N(t) / (1-t)^D, N(1) != 0.
-
-    D = 0 with N = [] means the irrelevant/unit case (empty scheme).
-    """
-    basis = ideal.basis()
-    gens = _minimalize([leading(g)[0] for g in basis])
-    memo = {}
-    num = _hilbert_numerator(gens, ideal.nvars, memo)
-    d = ideal.nvars
-    while num and sum(num) == 0:
-        num = upoly.int_quotient(num, [1, -1])
-        d -= 1
-    if not num:
-        return [], 0
-    return num, d
-
-
 def dimension_degree(ideal):
-    """(projective dimension, degree); (-1, None) for the empty scheme."""
-    num, d_series = hilbert_series_data(ideal)
-    if not num or d_series == 0:
-        return -1, None
-    dim = d_series - 1
-    degree = sum(num)
-    assert degree > 0
-    return dim, degree
+    """(projective dimension, degree); (-1, None) for the empty scheme.
+
+    With N(t) = (1-t)^k M(t), M(1) != 0, the series is M(t)/(1-t)^(nvars-k):
+    k is the order of N at t = 1, the first j with N^(j)(1) / j! =
+    sum c_e C(e, j) nonzero, and M(1) = (-1)^k times that sum.
+    """
+    gens = _minimalize([leading(g)[0] for g in ideal.basis()])
+    num = _hilbert_numerator(gens, ideal.nvars, {})
+    for k in range(ideal.nvars):
+        taylor = sum(c * comb(e, k) for e, c in num.items())
+        if taylor:
+            degree = -taylor if k % 2 else taylor
+            assert degree > 0
+            return ideal.nvars - k - 1, degree
+    return -1, None
 
 
 def smoothness_check(ideal):

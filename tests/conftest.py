@@ -22,10 +22,11 @@ from picardkit import upoly
 from picardkit.counting import kernel
 from picardkit.exactla import rank
 from picardkit.galmod import FiniteLModule, lprime_level
-from picardkit.polysys import hilbert_series_data
+from picardkit.polysys.geometry import _hilbert_numerator, _minimalize
+from picardkit.polysys.groebner import leading
 from picardkit.zeta import ZetaFunction
 
-from oracles import embedding_by_scan, enumerate_field
+from oracles import embedding_by_scan, enumerate_field, reduced_series
 
 
 def brute_force_chart_count(ideal, n, j):
@@ -89,6 +90,18 @@ def graded_dimension(ideal, d):
                 row[index[ee]] = _to_rational(c, g.domain)
             rows.append(row)
     return len(monos) - (rank(rows) if rows else 0)
+
+
+def hilbert_series_data(ideal):
+    """(N, D), N(1) != 0, with the Hilbert series N(t)/(1-t)^D of S/I: the
+    sparse numerator `polysys.geometry` computes from a Groebner basis,
+    written densely and reduced by `oracles.reduced_series`."""
+    gens = _minimalize([leading(g)[0] for g in ideal.basis()])
+    sparse = _hilbert_numerator(gens, ideal.nvars, {})
+    num = [0] * (max(sparse, default=-1) + 1)
+    for e, c in sparse.items():
+        num[e] = c
+    return reduced_series(num, ideal.nvars)
 
 
 def series_dimension(ideal, d):

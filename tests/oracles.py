@@ -1,7 +1,7 @@
 """Reference oracles that tests compare picardkit against: brute-force
-enumerations, replays, the exact rational (Gauss-Jordan) algebra and the
-Smith normal form that no command needs, kept beside the tests that use
-them."""
+enumerations, replays, the exact rational (Gauss-Jordan) algebra, the
+Smith normal form and the dense Hilbert numerator that no command needs,
+kept beside the tests that use them."""
 
 import itertools
 from fractions import Fraction
@@ -18,6 +18,8 @@ from picardkit.lattice import (
     hnf_rows,
     integer_kernel,
 )
+from picardkit.polysys.geometry import _minimalize
+from picardkit.polysys.groebner import leading
 from picardkit.upoly import deg, int_quotient, integral, mul, trim
 from picardkit.weil import cyclotomic_polynomial
 from picardkit.zeta import NonIntegerCoefficientsError, NoSolutionError, ZetaFunction, expand
@@ -479,3 +481,69 @@ def fixed_invariant_factors(mod):
         exps.append(e)
     exps.sort(reverse=True)
     return exps
+
+
+def dense_hilbert_numerator(gens, nvars, memo):
+    """Numerator N(t) of the Hilbert series N(t)/(1-t)^nvars of S/(gens),
+    for minimal monomial generators, as a dense coefficient list.  The
+    recursion pivots on x_j itself, N(I) = N(I + (x_j)) + t N(I : x_j), so
+    its length and depth grow with the exponents: the reference for the
+    sparse numerator of `polysys.geometry`."""
+    key = frozenset(gens)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if not gens:
+        result = [1]
+    elif any(sum(g) == 0 for g in gens):
+        result = []
+    elif len(gens) == 1:
+        result = [1] + [0] * (sum(gens[0]) - 1) + [-1]
+    else:
+        pures = [g for g in gens if sum(1 for e in g if e) == 1]
+        if len(pures) == len(gens):
+            result = mul_many([[1] + [0] * (sum(g) - 1) + [-1] for g in gens])
+        else:
+            # the variable most shared among non-pure-power generators
+            counts = [0] * nvars
+            for g in gens:
+                if sum(1 for e in g if e) == 1:
+                    continue
+                for i, e in enumerate(g):
+                    if e:
+                        counts[i] += 1
+            j = max(range(nvars), key=lambda i: (counts[i], -i))
+            pivot = tuple(1 if i == j else 0 for i in range(nvars))
+            sum_gens = _minimalize([g for g in gens if g[j] == 0] + [pivot])
+            quo_gens = _minimalize(
+                [tuple(e - 1 if i == j and e else e for i, e in enumerate(g)) for g in gens]
+            )
+            a = dense_hilbert_numerator(sum_gens, nvars, memo)
+            b = dense_hilbert_numerator(quo_gens, nvars, memo)
+            result = upoly.add(a, [0] + b)
+    memo[key] = result
+    return result
+
+
+def reduced_series(num, nvars):
+    """(N, D) with N(1) != 0 and the series num(t)/(1-t)^nvars equal to
+    N(t)/(1-t)^D, by dividing the dense numerator by 1 - t while it vanishes
+    at 1; ([], 0) for the zero numerator (the unit ideal)."""
+    d = nvars
+    while num and sum(num) == 0:
+        num = int_quotient(num, [1, -1])
+        d -= 1
+    if not num:
+        return [], 0
+    return num, d
+
+
+def dense_dimension_degree(ideal):
+    """(projective dimension, degree) of the ideal's scheme, (-1, None)
+    when it is empty, read from the reduced dense numerator: the reference
+    for `polysys.dimension_degree`."""
+    gens = _minimalize([leading(g)[0] for g in ideal.basis()])
+    num, d = reduced_series(dense_hilbert_numerator(gens, ideal.nvars, {}), ideal.nvars)
+    if not num or d == 0:
+        return -1, None
+    return d - 1, sum(num)

@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -15,14 +16,17 @@ from picardkit.polysys import (
     proper_intersection_number,
     smoothness_check,
 )
-from picardkit.polysys.geometry import _poly_det
+from picardkit.polysys import geometry
+from picardkit.polysys.geometry import _hilbert_numerator, _minimalize, _poly_det
 
 from conftest import (
+    _monomials_of_degree,
     assert_hilbert_function_as_over_q,
     graded_dimension,
     hilbert_data,
     hilbert_polynomial,
 )
+from oracles import dense_dimension_degree, dense_hilbert_numerator, element_at
 
 # the ideals below have small integer coefficients: over a large prime field
 # their Hilbert data is that over Q, which `ideal` checks for each of them
@@ -227,3 +231,83 @@ def test_hilbert_agreement_bound_against_graded_oracle():
             expected = graded_dimension(member, d)
             got = hp(d) if not hp.is_zero() else 0
             assert got == expected, (member.generators, d)
+
+
+def _random_monomial_ideal(rng):
+    """Minimal generators of a monomial ideal in 1-6 variables, exponents
+    up to 30, with pure powers among them."""
+    nvars = rng.randint(1, 6)
+    gens = []
+    for _ in range(rng.randint(0, 6)):
+        g = [0] * nvars
+        if rng.random() < 0.3:
+            g[rng.randrange(nvars)] = rng.randint(1, 30)
+        else:
+            for i in range(nvars):
+                if rng.random() < 0.5:
+                    g[i] = rng.randint(1, 30)
+        gens.append(tuple(g))
+    return _minimalize(gens), nvars
+
+
+def test_sparse_numerator_matches_the_dense_oracle():
+    # the power pivots give the numerator that the x_j pivots give, and
+    # dimension_degree reads the reduced series' dimension and degree
+    rng = random.Random(30)
+    for _ in range(3000):
+        gens, nvars = _random_monomial_ideal(rng)
+        sparse = _hilbert_numerator(gens, nvars, {})
+        assert all(sparse.values()), gens
+        dense = [0] * (max(sparse, default=-1) + 1)
+        for e, c in sparse.items():
+            dense[e] = c
+        assert dense == dense_hilbert_numerator(gens, nvars, {}), gens
+        monomials = HomIdeal([MultiPoly(nvars, F, {g: 1}) for g in gens], nvars, F)
+        assert dimension_degree(monomials) == dense_dimension_degree(monomials), gens
+
+
+def _random_form_over(rng, field, nvars, d):
+    terms = {m: element_at(field, rng.randrange(field.q)) for m in _monomials_of_degree(nvars, d)
+             if rng.random() < 0.4}
+    return MultiPoly(nvars, field, terms)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2)])
+def test_dimension_degree_and_smoothness_match_the_dense_oracle(monkeypatch, p, e):
+    field = make_field(p, e)
+    rng = random.Random(31 * p + e)
+    for _ in range(30):
+        nvars = rng.randint(2, 4)
+        gens = [_random_form_over(rng, field, nvars, rng.randint(1, 3))
+                for _ in range(rng.randint(1, nvars - 1))]
+        member = HomIdeal(gens, nvars, field)
+        got = dimension_degree(member), smoothness_check(member)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "dimension_degree", dense_dimension_degree)
+            expected = dense_dimension_degree(member), smoothness_check(member)
+        assert got == expected, [g.terms for g in gens]
+
+
+@pytest.mark.parametrize(
+    "exponents,nvars",
+    [((7,), 2), ((10**9,), 2), ((3, 5), 3), ((10**6, 10**9), 3), ((2, 3, 4), 5),
+     ((12345, 10**7, 2), 4), ((2**64,), 3)],
+)
+def test_pure_power_complete_intersection_has_degree_the_product(exponents, nvars):
+    gens = []
+    for i, a in enumerate(exponents):
+        g = [0] * nvars
+        g[i] = a
+        gens.append(MultiPoly(nvars, F, {tuple(g): 1}))
+    member = HomIdeal(gens, nvars, F)
+    assert dimension_degree(member) == (nvars - 1 - len(exponents), prod(exponents))
+
+
+@pytest.mark.parametrize("N", [1, 2, 1000, 10**6])
+def test_line_with_an_embedded_point_at_any_exponent(N):
+    # (x0^N x1, x1^2) in P^2 is the line x1 = 0 with an embedded point at
+    # (0:0:1): dimension 1, degree 1, at a cost that N does not raise
+    started = time.perf_counter()
+    member = HomIdeal([MultiPoly(3, F, {(N, 1, 0): 1}), MultiPoly(3, F, {(0, 2, 0): 1})])
+    assert dimension_degree(member) == (1, 1)
+    assert time.perf_counter() - started < 0.1

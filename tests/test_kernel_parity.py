@@ -5,6 +5,7 @@ skips only when no C compiler is found.
 """
 
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,12 @@ def test_threads_agree_on_compiled_backend(ckernel, monkeypatch):
     assert count_points(ideal, 4, threads=2) == lone
     monkeypatch.setattr(kernel, "_impl", kernel_py)
     assert count_points(ideal, 4, threads=1) == lone
+
+
+def test_max_deg_is_the_compiled_kernels_bound():
+    # count_points refuses chart exponents the compiled kernel would reject
+    source = Path(kernel.__file__).with_name("_ckernel.c").read_text()
+    assert f"#define MAX_DEG (1LL << {kernel.MAX_DEG.bit_length() - 1})" in source
 
 
 def test_rejects_buffers_that_are_not_int64(ckernel):
