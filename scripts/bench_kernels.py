@@ -10,7 +10,9 @@ The table prints timings: the field tables of F_{q^n}, the embedding of the
 base field into them (`counting.kernel.embedding`) and the counting.  The
 class path reads the tables of the last kernel timed (the compiled one when
 it is built).  The pure kernel is skipped where the
-charts hold more than PURE_SLICES slices.  Usage:
+charts hold more than PURE_SLICES slices.  Last come the compiled kernel's
+tables alone on the large levels of TABLES, after the search for their
+primitive modulus (`ffield.level_field`).  Usage:
 
     python scripts/bench_kernels.py [--heavy]
 """
@@ -22,7 +24,7 @@ from picardkit.counting import count_charts, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.classes import count_separable
 from picardkit.counting.kernel import embedding
-from picardkit.ffield import make_field
+from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 try:
@@ -46,6 +48,9 @@ CASES = [
     ("Fermat quartic/F_3, n=8", 3, 1, 4, ["x0^4 + x1^4 + x2^4 + x3^4"], 8),
 ]
 
+# (p, k): levels F_{p^k} whose tables alone are timed
+TABLES = [(5, 10), (2, 22), (3, 14)]
+
 HEAVY = [
     ("elliptic curve/F_5, n=7", 5, 1, 3, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 7),
     ("quartic/F_2, n=8", 2, 1, 4, ["x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"], 8),
@@ -56,7 +61,7 @@ HEAVY = [
 def bench_case(label, p, e, nvars, gens, n, backends):
     field = make_field(p, e)
     ideal = HomIdeal([poly_from_str(g, nvars, field) for g in gens])
-    ext = make_field(p, e * n)
+    ext = level_field(p, e * n)
     charts = compile_charts(ideal)
     slices = sum(ext.q**c.nprefix for c in charts if c.nfree and c.gen_terms)
     rows = []
@@ -98,6 +103,17 @@ def bench_case(label, p, e, nvars, gens, n, backends):
         print(f"  {name:<8} {t_embed:>9.4f}s {tables_col} {t_count:>9.3f}s {speed:>8.1f}x")
 
 
+def bench_tables(p, k):
+    t0 = time.perf_counter()
+    level_field.cache_clear()
+    level = level_field(p, k)
+    t_search = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    _ckernel.build_tables(p, k, level.modulus)
+    t_tables = time.perf_counter() - t0
+    print(f"  F_{{{p}^{k}}}  {t_search * 1e3:>8.2f} ms {t_tables:>9.3f}s")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--heavy", action="store_true", help="include larger cases")
@@ -109,6 +125,11 @@ def main():
         print("compiled kernel not built; benchmarking the pure backend only")
     for case in CASES + (HEAVY if args.heavy else []):
         bench_case(*case, backends)
+    if _ckernel is not None:
+        print("\ntables only, compiled kernel")
+        print(f"  {'level':<8} {'modulus':>11} {'tables':>10}")
+        for p, k in TABLES:
+            bench_tables(p, k)
 
 
 if __name__ == "__main__":

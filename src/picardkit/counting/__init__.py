@@ -21,7 +21,7 @@ except ImportError:  # Python 3.12 renamed the module _sha2
     from hashlib import sha256
 
 from .. import DEFAULT_BUDGET
-from ..ffield import make_field
+from ..ffield import level_field
 from ..polysys import poly_to_str
 from .cache import CountCache, default_cache
 from .charts import compile_charts
@@ -258,7 +258,7 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
         # the three field tables of length Q, then every chart but the origin
         _charge(Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree), budget, n)
 
-    tables = field_tables(make_field(dom.p, dom.e * n))
+    tables = field_tables(level_field(dom.p, dom.e * n))
     image = embedding(dom, tables)
     if over_classes:
         from .classes import count_separable

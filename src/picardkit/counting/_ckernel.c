@@ -48,53 +48,13 @@ static PyObject *new_array(i64 n, Py_buffer *view)
 }
 
 /* ------------------------------------------------------------------------
-   table construction: index arithmetic on base-p digit vectors */
-
-static i64 idx_mul(i64 a, i64 b, i64 p, i64 e, const i64 *mod, i64 *va, i64 *vb, i64 *vt)
-{
-    i64 i, j, k, c, idx = 0;
-    if (e == 1)
-        return a * b % p;
-    for (i = 0; i < e; i++, a /= p, b /= p)
-        va[i] = a % p, vb[i] = b % p;
-    memset(vt, 0, sizeof(i64) * 2 * e);
-    for (i = 0; i < e; i++)
-        if (va[i])
-            for (j = 0; j < e; j++)
-                vt[i + j] = (vt[i + j] + va[i] * vb[j]) % p;
-    for (k = 2 * e - 2; k >= e; k--) {
-        c = vt[k];
-        if (!c)
-            continue;
-        for (i = 0; i <= e; i++) {
-            i64 *t = &vt[k - e + i];
-            *t = (*t - c * mod[i]) % p;
-            if (*t < 0)
-                *t += p;
-        }
-        vt[k] = 0;
-    }
-    for (i = e - 1; i >= 0; i--)
-        idx = idx * p + vt[i];
-    return idx;
-}
-
-static i64 idx_pow(i64 a, i64 k, i64 p, i64 e, const i64 *mod, i64 *va, i64 *vb, i64 *vt)
-{
-    i64 r = 1;
-    for (; k; k >>= 1) {
-        if (k & 1)
-            r = idx_mul(r, a, p, e, mod, va, vb, vt);
-        a = idx_mul(a, a, p, e, mod, va, vb, vt);
-    }
-    return r;
-}
+   table construction: the powers of x, walked on base-p digit indices */
 
 static PyObject *build_tables(PyObject *self, PyObject *args)
 {
     /* q fits in a Py_ssize_t, so e < 64 */
-    i64 p, e, q = 1, i, n, d, nf = 0, factors[64], gen = 1, cand, cur;
-    i64 mod[64], va[64], vb[64], vt[128], *exp, *log, *zech, sizes[3];
+    i64 p, e, q = 1, lead = 1, i, k, pi, nt = 0, pos[64], pw[64], nm[64];
+    i64 v[64] = {1}, off = 0, top, cur, *exp, *log, *zech, sizes[3];
     PyObject *modulus, *seq, *arrs[3] = {NULL, NULL, NULL}, *out = NULL;
     Py_buffer views[3];
     int nv = 0;
@@ -108,6 +68,7 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
     for (i = 0; i < e; i++) {
         if (q > PY_SSIZE_T_MAX / 32 / p)
             return PyErr_NoMemory();
+        lead = q;
         q *= p;
     }
     if ((seq = PySequence_Fast(modulus, "modulus must be a sequence")) == NULL)
@@ -116,11 +77,14 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "modulus must have e + 1 coefficients");
         goto done;
     }
-    for (i = 0; i <= e; i++) {
-        i64 v = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (v == -1 && PyErr_Occurred())
+    /* x^e = -(m_0 + ... + m_{e-1} x^(e-1)): keep its nonzero terms, as
+       the digit position j, pw = p^j and the coefficient nm = -m_j */
+    for (i = 0, pi = 1; i < e; i++, pi *= p) {
+        i64 c = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (c == -1 && PyErr_Occurred())
             goto done;
-        mod[i] = (v % p + p) % p;
+        if ((c = (c % p + p) % p) != 0)
+            pos[nt] = i, pw[nt] = pi, nm[nt++] = p - c;
     }
     sizes[0] = q - 1, sizes[1] = q, sizes[2] = q - 1;
     for (; nv < 3; nv++)
@@ -128,31 +92,32 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
             goto done;
     exp = views[0].buf, log = views[1].buf, zech = views[2].buf;
 
-    for (n = q - 1, d = 2; d * d <= n; d++)
-        if (n % d == 0) {
-            factors[nf++] = d;
-            while (n % d == 0)
-                n /= d;
-        }
-    if (n > 1)
-        factors[nf++] = n;
-    /* the generator is the first index of multiplicative order q - 1 */
-    for (cand = 2; q > 2 && cand < q; cand++) {
-        for (i = 0; i < nf; i++)
-            if (idx_pow(cand, (q - 1) / factors[i], p, e, mod, va, vb, vt) == 1)
-                break;
-        if (i == nf) {
-            gen = cand;
-            break;
-        }
-    }
-
     for (i = 0; i < q; i++)
         log[i] = -1;
+    /* exp[i] is the index cur of x^i.  Its digit j is v[(off + j) mod e]:
+       times x shifts the digits up, so the slot of the top digit, one below
+       off, becomes digit 0, and subtracts top * m */
     for (i = 0, cur = 1; i < q - 1; i++) {
+        if (cur == 0 || log[cur] >= 0)
+            break;
         exp[i] = cur;
         log[cur] = i;
-        cur = idx_mul(cur, gen, p, e, mod, va, vb, vt);
+        off = off ? off - 1 : e - 1;
+        top = v[off];
+        v[off] = 0;
+        cur = (cur - top * lead) * p;
+        for (k = 0; top && k < nt; k++) {
+            i64 j = off + pos[k], d, t;
+            j -= j >= e ? e : 0;
+            d = v[j], t = d + top * nm[k] % p;
+            t -= t >= p ? p : 0;
+            v[j] = t;
+            cur += (t - d) * pw[k];
+        }
+    }
+    if (i < q - 1 || cur != 1) {
+        PyErr_SetString(PyExc_ValueError, "modulus is not primitive");
+        goto done;
     }
     /* adding one increments the constant digit mod p */
     for (i = 0; i < q - 1; i++) {

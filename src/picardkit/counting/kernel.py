@@ -3,12 +3,15 @@
 Set PICARDKIT_PURE=1 to force the pure-Python kernel.  Both backends share
 the same function contracts and produce identical counts.
 
-A level F_Q of the counting tower exists only as its exp/log/Zech tables:
-its elements are table indices, which base-field coefficients reach through
+A level F_Q of the counting tower exists only as its exp/log/Zech tables,
+the powers of x on the primitive modulus of `ffield.level_field`: its
+elements are table indices, which base-field coefficients reach through
 `embedding`.
 """
 
 import os
+
+from ..ffield import level_field
 
 _impl = None
 if not os.environ.get("PICARDKIT_PURE"):
@@ -28,9 +31,12 @@ def backend_module():
 
 
 def field_tables(field):
-    """exp/log/Zech tables for a FieldDesc, not cached: each level is
-    counted once, and a cache would hold every level's tables at once."""
-    return _impl.build_tables(field.p, field.e, field.modulus)
+    """exp/log/Zech tables of the level of order field.q, on the modulus of
+    `level_field(field.p, field.e)`: only p and e are read, so any
+    FieldDesc of that order gives the same tables.  Not cached: each level
+    is counted once, and a cache would hold every level's tables at once."""
+    level = level_field(field.p, field.e)
+    return _impl.build_tables(level.p, level.e, level.modulus)
 
 
 def log_add(a, b, zech, Qm1):
@@ -48,13 +54,16 @@ def embedding(base, tables):
     that `tables` describe.
 
     The base generator goes to the root of the base modulus of smallest
-    index.  The roots are units of the subfield of order q, the powers of
-    g^((Q-1)/(q-1)); the first one found there gives the others as its
-    conjugates x^(p^i), whose logs are its log times p^i.
+    index.  Only a prime base field maps by identity: the level's modulus
+    is primitive and a base field's is the first irreducible, so even at
+    level 1 (Q == q) the two may differ.  The roots are units of the
+    subfield of order q, the powers of g^((Q-1)/(q-1)); the first one found
+    there gives the others as its conjugates x^(p^i), whose logs are its
+    log times p^i.
     """
     exp, log, zech = tables
     p, q, Q = base.p, base.q, len(log)
-    if base.e == 1 or Q == q:
+    if base.e == 1:
         return range(q)
     Qm1 = Q - 1
     coeffs = [log[c] for c in reversed(base.modulus)]

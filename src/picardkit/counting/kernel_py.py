@@ -10,7 +10,8 @@ such slice leaves one univariate polynomial per generator; the slice's
 points are the distinct roots in F_Q of their gcd, counted in closed form
 for degrees 1 and 2 and through gcd(g, x^Q - x) beyond.
 
-Index conventions inside the tables:
+Index conventions inside the tables, g the class of x, which generates
+F_Q^* on the primitive modulus of the level (`ffield.level_field`):
     0 encodes the zero element, 1 encodes one;
     exp[i] = index of g^i, log[idx] = discrete log (log[0] = -1),
     zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0.
@@ -18,52 +19,38 @@ Index conventions inside the tables:
 
 from array import array
 
-from ..ffield import _pmulmod, _ppowmod, _prime_divisors
-
 BACKEND = "pure"
 
 
 def build_tables(p, e, modulus):
-    """exp/log/Zech tables for F_{p^e} with the given canonical modulus.
+    """exp/log/Zech tables for F_{p^e} on a primitive modulus, whose x
+    generates the multiplicative group: exp[i] is the index of x^i.
 
-    The generator is the first field element (in index order) of
-    multiplicative order p^e - 1, so tables are reproducible.
+    Each step multiplies by x: it shifts the digits up and subtracts
+    top * modulus, top the digit shifted out.  Raises ValueError("modulus
+    is not primitive") when the walk meets 0 or an index twice, or does
+    not return to 1 after p^e - 1 steps.
     """
     q = p**e
-    mod = list(modulus)
-
-    def idx_to_vec(idx):
-        v = []
-        for _ in range(e):
-            idx, r = divmod(idx, p)
-            v.append(r)
-        return v
-
-    def vec_to_idx(v):
-        idx = 0
-        for c in reversed(v):
-            idx = idx * p + c
-        return idx
-
-    def idx_mul(a, b):
-        return vec_to_idx(_pmulmod(idx_to_vec(a), idx_to_vec(b), mod, p))
-
-    factors = _prime_divisors(q - 1)
-    gen = 1
-    if q > 2:
-        for cand in range(2, q):
-            v = idx_to_vec(cand)
-            if all(_ppowmod(v, (q - 1) // f, mod, p) != [1] for f in factors):
-                gen = cand
-                break
-
+    lead = p ** (e - 1)
+    # x^e = -(m_0 + ... + m_{e-1} x^(e-1)): its nonzero terms as (p^j, -m_j)
+    terms = [(p**j, -c % p) for j, c in enumerate(modulus[:e]) if c % p]
     exp = array("q", [0] * (q - 1))
     log = array("q", [-1] * q)
     cur = 1
     for i in range(q - 1):
+        if cur == 0 or log[cur] >= 0:
+            raise ValueError("modulus is not primitive")
         exp[i] = cur
         log[cur] = i
-        cur = idx_mul(cur, gen)
+        top, low = divmod(cur, lead)
+        cur = low * p
+        if top:
+            for pw, c in terms:
+                d = cur // pw % p
+                cur += ((d + top * c) % p - d) * pw
+    if cur != 1:
+        raise ValueError("modulus is not primitive")
 
     zech = array("q", [0] * (q - 1))
     pm1 = p - 1

@@ -3,17 +3,19 @@ arithmetic it rests on, which integer factoring shares.
 
 A field is described by its characteristic p and a monic irreducible modulus
 of degree e over Z/pZ; elements are coefficient vectors in the power basis of
-the modulus.  The modulus is always the *first* irreducible polynomial in a
-fixed enumeration order, so that a (p, e) pair pins down one canonical field
-and every downstream computation is reproducible.
+the modulus.  The modulus is always the first of its kind in a fixed
+enumeration order, so that a (p, e) pair pins down one field and every
+downstream computation is reproducible: a variety's base field is
+`make_field(p, e)`, on the first irreducible modulus, which specs, variety
+hashes and cache keys read.
 
 Elements are objects only over a variety's base field F_q, where parsing,
 Groebner bases and smoothness need them.  A level F_{q^n} of the counting
-tower is the canonical degree-(e*n) field over the prime field, and counting
-handles its elements as table indices (`counting.kernel`).
+tower is `level_field(p, e*n)`, the degree-(e*n) field over the prime field
+on the first *primitive* modulus, so that x generates its multiplicative
+group; counting handles its elements as table indices (`counting.kernel`).
 """
 
-import itertools
 from functools import cache
 
 
@@ -112,7 +114,19 @@ def _pmod(a, m, p):
 
 
 def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
+    """a*b mod a monic m, reduced mod p once per coefficient."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    low = m[:-1]
+    for k in range(len(out) - len(low) - 1, -1, -1):
+        c = out.pop() % p
+        if c:
+            for i, mi in enumerate(low):
+                out[k + i] -= c * mi
+    return _trim([c % p for c in out])
 
 
 def _ppowmod(a, k, m, p):
@@ -187,7 +201,7 @@ def _prime_divisors(n):
 
 
 class FieldDesc:
-    """A finite field F_{p^e}, fixed by its canonical irreducible modulus.
+    """A finite field F_{p^e}, fixed by its irreducible modulus.
 
     Immutable; safe to share.  `modulus` holds the e+1 coefficients of the
     monic modulus, constant term first.
@@ -342,7 +356,7 @@ def poly_str(coeffs):
 
 @cache
 def make_field(p, e):
-    """The canonical F_{p^e}.
+    """F_{p^e} as a variety's base field.
 
     The modulus is the first monic irreducible of degree e when non-leading
     coefficient vectors are enumerated as base-p integers 0, 1, 2, ...
@@ -352,15 +366,37 @@ def make_field(p, e):
         raise FieldError(f"{p} is not prime")
     if e < 1:
         raise FieldError("extension degree must be positive")
-    for k in itertools.count():
-        if k >= p**e:
-            raise FieldError("no irreducible modulus found")  # unreachable
-        coeffs = []
-        kk = k
-        for _ in range(e):
-            kk, r = divmod(kk, p)
-            coeffs.append(r)
-        m = coeffs + [1]
+    for k in range(p**e):
+        m = [k // p**i % p for i in range(e)] + [1]
         if _is_irreducible(m, p):
             return FieldDesc(p, e, m)
+    raise FieldError("no irreducible modulus found")  # unreachable
 
+
+@cache
+def level_field(p, k):
+    """F_{p^k} on the first primitive modulus m, so that x generates
+    F_{p^k}^*.  The order: the constant coefficient c outermost, c = 1, ...,
+    p - 1, then the middle coefficients c_1..c_{k-1} as the base-p digits of
+    0, 1, 2, ... (c_1 least significant).  A c whose norm (-1)^k c is not a
+    primitive root mod p is skipped, since x^((p^k - 1)/r) is the norm to
+    the power (p - 1)/r for each prime r | p - 1.  Each other candidate
+    runs Ben-Or, then x^((p^k - 1)/r) != 1 for the other primes r | p^k - 1.
+    """
+    if not is_prime(p):
+        raise FieldError(f"{p} is not prime")
+    if k < 1:
+        raise FieldError("extension degree must be positive")
+    Q = p**k
+    small = _prime_divisors(p - 1)
+    rest = [r for r in _prime_divisors((Q - 1) // (p - 1)) if r not in small]
+    for c in range(1, p):
+        if any(pow((-1) ** k * c, (p - 1) // r, p) == 1 for r in small):
+            continue
+        for middle in range(p ** (k - 1)):
+            m = [c] + [middle // p**i % p for i in range(k - 1)] + [1]
+            if _is_irreducible(m, p) and all(
+                _ppowmod([0, 1], (Q - 1) // r, m, p) != [1] for r in rest
+            ):
+                return FieldDesc(p, k, m)
+    raise FieldError("no primitive modulus found")  # unreachable

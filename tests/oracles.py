@@ -9,7 +9,7 @@ from math import gcd
 
 from picardkit import upoly
 from picardkit.exactla import identity, mat_mul
-from picardkit.ffield import make_field
+from picardkit.ffield import level_field
 from picardkit.galmod import GalmodError
 from picardkit.lattice import (
     LatticeError,
@@ -42,7 +42,7 @@ def enumerate_field(field):
 
 def first_root_by_scan(base, ext):
     """The first root of the base field's modulus met when the extension
-    field is scanned in index order."""
+    field, a level of the tower (`level_field`), is scanned in index order."""
     for x in enumerate_field(ext):
         acc = ext.zero()
         for c in reversed(base.modulus):
@@ -55,7 +55,7 @@ def first_root_by_scan(base, ext):
 def embedding_by_scan(base, n):
     """(F_{q^n}, the map of base-field elements into it), the base
     generator sent to `first_root_by_scan`, by FieldElement arithmetic."""
-    ext = make_field(base.p, base.e * n)
+    ext = level_field(base.p, base.e * n)
     root = first_root_by_scan(base, ext)
 
     def embed(x):

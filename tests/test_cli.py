@@ -1648,7 +1648,7 @@ def test_closed_form_is_charged_and_extends_no_field(tmp_path, capsys, monkeypat
     # so -n 200 under a budget of 1 ran 100 s and exited 0
     from picardkit import counting
 
-    monkeypatch.setattr(counting, "make_field", lambda *_: pytest.fail("a field was extended"))
+    monkeypatch.setattr(counting, "level_field", lambda *_: pytest.fail("a field was extended"))
     spec = _empty_spec(tmp_path, 3)
     code, out, _ = run_cli(capsys, "count", spec, "-n", "3", "--eval-budget", "4", "--no-timing",
                            "--cache-dir", str(tmp_path / "c"))

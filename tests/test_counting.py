@@ -19,7 +19,7 @@ from picardkit.counting import (
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.kernel import embedding, field_tables, trace_mask
 from picardkit.counting import kernel_py
-from picardkit.ffield import make_field
+from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 from oracles import enumerate_field
@@ -39,7 +39,7 @@ from conftest import (
 
 def test_zech_tables_consistent_with_field_arithmetic():
     for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
-        f = make_field(p, e)
+        f = level_field(p, e)
         exp, log, zech = field_tables(f)
         elems = enumerate_field(f)
         q = f.q
@@ -131,7 +131,7 @@ def test_pure_kernel_matches_chart_oracle():
     ]
     for ideal in cases:
         for n in (1, 2, 3):
-            ext = make_field(ideal.domain.p, ideal.domain.e * n)
+            ext = level_field(ideal.domain.p, ideal.domain.e * n)
             tables = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
             image = embedding(ideal.domain, tables)
             charts = [c for c in compile_charts(ideal) if c.nfree and c.gen_terms]
@@ -277,7 +277,7 @@ def test_level_tables_are_freed_once_counted(monkeypatch, nvars, gen):
 def test_trace_mask_gives_the_absolute_trace(k):
     # Tr(x) = x + x^2 + ... + x^(2^(k-1)) by FieldElement arithmetic, for
     # every x in F_{2^k}
-    f = make_field(2, k)
+    f = level_field(2, k)
     mask = trace_mask(2, field_tables(f))
     for idx, x in enumerate(enumerate_field(f)):
         trace, power = x, x
@@ -290,7 +290,7 @@ def test_trace_mask_gives_the_absolute_trace(k):
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (7, 2)])
 def test_trace_mask_is_zero_in_odd_characteristic(p, e):
-    assert trace_mask(p, field_tables(make_field(p, e))) == 0
+    assert trace_mask(p, field_tables(level_field(p, e))) == 0
 
 
 @pytest.mark.parametrize(
@@ -310,7 +310,7 @@ def test_origin_chart_matches_brute_force(p, e, nvars, gens, on_x):
     ideal = ideal_over(p, e, nvars, *gens)
     origin = compile_charts(ideal)[-1]
     for n in (1, 2):
-        tables = field_tables(make_field(p, e * n))
+        tables = field_tables(level_field(p, e * n))
         image = embedding(ideal.domain, tables)
         got = count_charts([origin], p, image, kernel_py, tables, 1)
         assert got == brute_force_chart_count(ideal, n, nvars - 1) == on_x

@@ -6,6 +6,7 @@ import pytest
 from picardkit import upoly
 from picardkit.counting.kernel import embedding, field_tables
 from picardkit.ffield import (
+    FieldDesc,
     FieldError,
     _is_irreducible,
     _paddmul,
@@ -14,6 +15,7 @@ from picardkit.ffield import (
     _pmul,
     _ppowmod,
     _pxgcd,
+    level_field,
     make_field,
 )
 
@@ -86,6 +88,60 @@ def test_make_field_modulus_is_rabins_first_irreducible(p, e):
     # the modulus fixes every field, embedding, count and cache key
     first = next(m for m in _monic_in_order(p, e) if _rabin_is_irreducible(m, p))
     assert list(make_field(p, e).modulus) == first
+
+
+def _level_order(p, k):
+    """The monic polynomials of degree k over Z/pZ with a nonzero constant
+    term, in level_field's order: the constant coefficient outermost, then
+    the middle coefficients as base-p digits of 0, 1, 2, ..."""
+    for c in range(1, p):
+        for middle in range(p ** (k - 1)):
+            yield [c] + [middle // p**i % p for i in range(k - 1)] + [1]
+
+
+def _x_is_primitive(field):
+    """Oracle: has the class of x order q - 1 in Z/pZ[x]/(modulus), by its
+    powers under FieldElement arithmetic?  That order leaves q - 1 units,
+    so the modulus is irreducible too."""
+    x = field.element([0, 1]) if field.e > 1 else field.from_int(-field.modulus[0])
+    n = field.q - 1
+    primes, rest, d = [], n, 2
+    while rest > 1:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    return x**n == field.one() and all(x ** (n // r) != field.one() for r in primes)
+
+
+def _prime_powers_up_to(limit):
+    from picardkit.ffield import is_prime
+
+    out = []
+    for p in range(2, limit + 1):
+        if not is_prime(p):
+            continue
+        e = 1
+        while p**e <= limit:
+            out.append((p, e))
+            e += 1
+    return out
+
+
+@pytest.mark.parametrize("p,k", _prime_powers_up_to(4096))
+def test_level_field_modulus_is_the_first_primitive(p, k):
+    level = level_field(p, k)
+    assert _x_is_primitive(level)
+    first = next(m for m in _level_order(p, k) if _x_is_primitive(FieldDesc(p, k, m)))
+    assert list(level.modulus) == first
+
+
+def test_level_field_keeps_the_cold_levels_moduli():
+    # F_4, F_16 and F_64 have a primitive first irreducible, so the levels
+    # of the benchmark's cold requests over F_4 keep their modulus
+    for k in (2, 4, 6):
+        assert level_field(2, k) == make_field(2, k)
 
 
 def test_make_field_rejects_composite():
@@ -200,7 +256,7 @@ def test_enumerate_f8_distinct():
 
 def _embedding(base, n):
     """(F_{q^n}, the image of each base-field index as an F_{q^n} element)."""
-    ext = make_field(base.p, base.e * n)
+    ext = level_field(base.p, base.e * n)
     image = embedding(base, field_tables(ext))
     return ext, [element_at(ext, idx) for idx in image]
 
@@ -208,8 +264,8 @@ def _embedding(base, n):
 def test_extend_trivial_cases():
     f2 = make_field(2, 1)
     ext, image = _embedding(f2, 1)
-    assert ext == f2
-    assert image == [f2.zero(), f2.one()]
+    assert ext == level_field(2, 1) and ext.q == 2
+    assert image == [ext.zero(), ext.one()]
     ext, image = _embedding(f2, 2)
     assert ext.q == 4
     assert image[1] == ext.one()
@@ -250,25 +306,13 @@ def test_extend_gives_the_first_root_in_enumeration_order(p, e, n):
     assert image[p] == first_root_by_scan(base, ext)
 
 
-@pytest.mark.parametrize("e,n,index", [(2, 7, 5106), (2, 8, 1842), (4, 4, 34988)])
+@pytest.mark.parametrize("e,n,index", [(2, 7, 8648), (2, 8, 44234), (4, 4, 15374)])
 def test_extend_embedding_indices_are_frozen(e, n, index):
-    # values of the full scan; counts, cache keys and reports depend on them
-    ext = make_field(2, e * n)
+    # values of the full scan (`first_root_by_scan`) over the level field;
+    # they follow the level's modulus, where counts, cache keys and reports
+    # do not
+    ext = level_field(2, e * n)
     assert embedding(make_field(2, e), field_tables(ext))[2] == index
-
-
-def _prime_powers_up_to(limit):
-    from picardkit.ffield import is_prime
-
-    out = []
-    for p in range(2, limit + 1):
-        if not is_prime(p):
-            continue
-        e = 1
-        while p**e <= limit:
-            out.append((p, e))
-            e += 1
-    return out
 
 
 @pytest.mark.parametrize("p,e", _prime_powers_up_to(64))
@@ -290,13 +334,16 @@ def test_multiplicative_generator_exists(p, e):
 @pytest.mark.parametrize(
     "p,e,n",
     [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 2, 2), (5, 1, 2),
-     (7, 1, 2), (11, 1, 2), (13, 1, 2), (2, 3, 2), (2, 4, 2)],
+     (7, 1, 2), (11, 1, 2), (13, 1, 2), (2, 3, 2), (2, 4, 2),
+     # level 1 over a non-prime base: its modulus is primitive, the base's
+     # the first irreducible
+     (3, 2, 1), (5, 2, 1)],
 )
 def test_embedding_is_ring_hom(p, e, n):
     base = make_field(p, e)
     _, image = _embedding(base, n)
     elems = enumerate_field(base)
-    assert base.q <= 16
+    assert base.q <= 25
 
     def emb(x):
         return image[base.to_index(x)]

@@ -12,19 +12,38 @@ import pytest
 from picardkit.counting import count_points, kernel, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.kernel import embedding, trace_mask
-from picardkit.ffield import make_field
+from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
 from conftest import brute_force_chart_count
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 4), (3, 2), (7, 1)])
+@pytest.mark.parametrize(
+    "p,e",
+    [(2, 1), (3, 1), (2, 2), (5, 1), (2, 4), (3, 2), (7, 1), (2, 10), (3, 6), (5, 4), (13, 2)],
+)
 def test_tables_identical(ckernel, p, e):
-    f = make_field(p, e)
+    f = level_field(p, e)
     a = kernel_py.build_tables(f.p, f.e, f.modulus)
     b = ckernel.build_tables(f.p, f.e, f.modulus)
     for x, y in zip(a, b):
         assert list(x) == list(y)
+
+
+@pytest.mark.parametrize(
+    "p,modulus",
+    [
+        (3, make_field(3, 1).modulus),  # x = 0
+        (3, make_field(3, 2).modulus),  # x^2 + 1: irreducible, but x has order 4
+        (3, (2, 0, 1)),  # x^2 - 1 = (x - 1)(x + 1)
+        (2, (0, 1)),  # x = 0 over F_2: a one-step walk, refused by its end check
+    ],
+)
+@pytest.mark.parametrize("backend", ["pure", "c"])
+def test_tables_refuse_a_modulus_that_is_not_primitive(ckernel, backend, p, modulus):
+    mod = kernel_py if backend == "pure" else ckernel
+    with pytest.raises(ValueError, match="modulus is not primitive"):
+        mod.build_tables(p, len(modulus) - 1, modulus)
 
 
 @pytest.mark.parametrize(
@@ -37,12 +56,15 @@ def test_tables_identical(ckernel, p, e):
         (2, 1, ["x0^3 + x1^3 + x2^3 + x3^3"], 4, 2),
         # odd characteristic over a non-prime base: F_9 into F_81
         (3, 2, ["x1^2*x2 - x0^3 - g*x0*x2^2 - x2^3"], 3, 2),
+        # level 1 over F_25 and F_49, whose level modulus is not the base's
+        (5, 2, ["x1^2*x2 - x0^3 - g*x0*x2^2 - x2^3"], 3, 1),
+        (7, 2, ["x0^2 + g*x1^2 - x2^2"], 3, 1),
     ],
 )
 def test_chart_counts_identical(ckernel, p, e, gens, nvars, n):
     f = make_field(p, e)
     ideal = HomIdeal([poly_from_str(g, nvars, f) for g in gens])
-    ext = make_field(p, e * n)
+    ext = level_field(p, e * n)
     tabs_py = kernel_py.build_tables(ext.p, ext.e, ext.modulus)
     tabs_c = ckernel.build_tables(ext.p, ext.e, ext.modulus)
     tmask = trace_mask(ext.p, tabs_py)
@@ -60,7 +82,7 @@ def test_chart_counts_identical(ckernel, p, e, gens, nvars, n):
 def test_split_ranges_sum_to_whole(ckernel):
     f = make_field(3, 1)
     ideal = HomIdeal([poly_from_str("x0*x3 - x1*x2", 4, f)])
-    ext = make_field(3, 2)
+    ext = level_field(3, 2)
     charts = compile_charts(ideal)
     tabs = ckernel.build_tables(ext.p, ext.e, ext.modulus)
     chart = charts[0]

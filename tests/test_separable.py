@@ -18,7 +18,7 @@ from picardkit.counting import count_charts, count_points, kernel_py, separable_
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.classes import count_separable
 from picardkit.counting.kernel import embedding, field_tables
-from picardkit.ffield import make_field
+from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, MultiPoly, poly_from_str
 
 from conftest import brute_force_projective_count
@@ -89,7 +89,7 @@ def _random_case(seed):
 
 def _chart_count(ideal, n, mod):
     dom = ideal.domain
-    ext = make_field(dom.p, dom.e * n)
+    ext = level_field(dom.p, dom.e * n)
     tables = mod.build_tables(ext.p, ext.e, ext.modulus)
     return count_charts(compile_charts(ideal), dom.p, embedding(dom, tables), mod, tables, 1)
 
@@ -108,7 +108,7 @@ def test_class_path_matches_brute_force_and_both_kernels(ckernel, seed):
         # count_points leaves a block of nvars - 1 variables to the charts,
         # so the class path is called directly
         dom = ideal.domain
-        tables = field_tables(make_field(dom.p, dom.e * n))
+        tables = field_tables(level_field(dom.p, dom.e * n))
         got = count_separable(found, ideal.nvars, dom, embedding(dom, tables), tables)
         assert got == count_points(ideal, n)
         assert got == _chart_count(ideal, n, kernel_py) == _chart_count(ideal, n, ckernel)
