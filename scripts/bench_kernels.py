@@ -12,20 +12,26 @@ class path reads the tables of the last kernel timed (the compiled one when
 it is built).  The pure kernel is skipped where the
 charts hold more than PURE_SLICES slices.  Last come the compiled kernel's
 tables alone on the large levels of TABLES, after the search for their
-primitive modulus (`ffield.level_field`).  Usage:
+primitive modulus (`ffield.level_field`).
+
+The "request path" section comes first: in process, the median of
+REQUEST_RUNS runs of what every request on one of the benchmark's
+varieties does before counting (parse, `dimension_degree` and
+`smoothness_check`).  Usage:
 
     python scripts/bench_kernels.py [--heavy]
 """
 
 import argparse
+import statistics
 import time
 
-from picardkit.counting import count_charts, kernel_py, separable_blocks
+from picardkit.counting import BACKEND, count_charts, kernel_py, separable_blocks
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.classes import count_separable
 from picardkit.counting.kernel import embedding
 from picardkit.ffield import level_field, make_field
-from picardkit.polysys import HomIdeal, poly_from_str
+from picardkit.polysys import HomIdeal, dimension_degree, poly_from_str, smoothness_check
 
 try:
     from picardkit.counting import _ckernel
@@ -51,11 +57,36 @@ CASES = [
 # (p, k): levels F_{p^k} whose tables alone are timed
 TABLES = [(5, 10), (2, 22), (3, 14)]
 
+# (label, p, e, nvars, generator): the benchmark workloads' varieties
+REQUEST_PATH = [
+    ("K3/F_2", 2, 1, 4, "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"),
+    ("Klein quartic/F_2", 2, 1, 3, "x0^3*x1 + x1^3*x2 + x2^3*x0"),
+    ("elliptic curve/F_4", 2, 2, 3, "x1^2*x2 + x1*x2^2 + x0^3"),
+    ("cubic surface/F_4", 2, 2, 4, "x0^3 + x1^3 + x2^3 + g^2*x3^3"),
+]
+REQUEST_RUNS = 40
+
 HEAVY = [
     ("elliptic curve/F_5, n=7", 5, 1, 3, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 7),
     ("quartic/F_2, n=8", 2, 1, 4, ["x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"], 8),
     ("cubic threefold/F_2, n=6", 2, 1, 5, [CUBIC_THREEFOLD], 6),
 ]
+
+
+def bench_request_path():
+    print(f"request path, backend {BACKEND}: parse + dimension_degree + smoothness_check,"
+          f" median of {REQUEST_RUNS}")
+    for label, p, e, nvars, text in REQUEST_PATH:
+        field = make_field(p, e)
+        times = []
+        for _ in range(REQUEST_RUNS):
+            t0 = time.perf_counter()
+            ideal = HomIdeal([poly_from_str(text, nvars, field)])
+            dimension_degree(ideal)
+            smooth = smoothness_check(ideal)
+            times.append(time.perf_counter() - t0)
+        assert smooth, f"{label} fails the smoothness check"
+        print(f"  {label:<20} {statistics.median(times) * 1e3:>7.3f} ms")
 
 
 def bench_case(label, p, e, nvars, gens, n, backends):
@@ -87,7 +118,7 @@ def bench_case(label, p, e, nvars, gens, n, backends):
         image = embedding(field, tables)
         t_embed = time.perf_counter() - t0
         t0 = time.perf_counter()
-        total = count_separable(blocks, nvars, field, image, tables)
+        total = count_separable(blocks, nvars, image, tables)
         rows.append(("classes", total, t_embed, None, time.perf_counter() - t0))
     counts = {r[1] for r in rows if r[1] is not None}
     assert len(counts) == 1, f"counting paths disagree on {label}: {rows}"
@@ -118,6 +149,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--heavy", action="store_true", help="include larger cases")
     args = parser.parse_args()
+    bench_request_path()
     backends = [("pure", kernel_py)]
     if _ckernel is not None:
         backends.append(("c", _ckernel))

@@ -54,6 +54,24 @@ def _load_json(path):
         raise CliError(f"bad JSON in {path}: {exc}", EXIT_INVALID_INPUT) from None
 
 
+def _check_writable(path):
+    """Exit 2 before any work when the file at `path` could not be written:
+    its directory is missing or read-only, or the path is a directory or a
+    read-only file."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(directory, os.W_OK):
+        reason = f"directory {directory} is not writable"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif os.path.exists(path) and not os.access(path, os.W_OK):
+        reason = "it is not writable"
+    else:
+        return
+    raise CliError(f"cannot write {path}: {reason}", EXIT_INVALID_INPUT)
+
+
 def _parsed(kind, parse, *args):
     """The checked record parse(*args) returns.  Each input kind has one
     parser: specs and cycles files here, size tables and module families in
@@ -311,6 +329,8 @@ def cmd_rank(args):
     from . import lattice, weil
     from .counting import sha256
 
+    if args.checkpoint:
+        _check_writable(args.checkpoint)
     ideal, flags, report = _spec_request(args)
     cycles = _parsed("cycles file", _cycles_from_json, _load_json(args.cycles))
     # a checkpoint holds a bound for one variety, cycles file and codimension;
@@ -402,6 +422,8 @@ def cmd_dovetail(args):
 
     if not args.demo:
         raise CliError("only --demo mode is implemented", EXIT_INVALID_INPUT)
+    if args.trace_file and args.trace_file != "-":
+        _check_writable(args.trace_file)
     tasks = [
         IntegerSearchTask(lambda m: m * m % 91 == 81),
         PlantedTask(0),

@@ -263,7 +263,7 @@ def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
     if over_classes:
         from .classes import count_separable
 
-        return count_separable(blocks, ideal.nvars, dom, image, tables)
+        return count_separable(blocks, ideal.nvars, image, tables)
     return count_charts(
         charts, dom.p, image, backend_module(), tables, min(threads, _usable_cpus())
     )

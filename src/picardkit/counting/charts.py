@@ -61,8 +61,6 @@ def compile_charts(ideal):
     report zero points for such charts.
     """
     nvars = ideal.nvars
-    index_of = ideal.domain.to_index
-
     charts = []
     for j in range(nvars):
         nfree = nvars - 1 - j
@@ -78,7 +76,7 @@ def compile_charts(ideal):
             if terms:
                 survivors.append(terms)
         if nfree == 0:
-            gen_terms = [array("q", [index_of(c), 0]) for terms in survivors for _, c in terms]
+            gen_terms = [array("q", [c, 0]) for terms in survivors for _, c in terms]
             charts.append(CompiledChart(chart=j, nfree=0, nprefix=0, gen_terms=gen_terms))
             continue
         # inner variable: smallest max-degree across generators, ties last
@@ -97,7 +95,7 @@ def compile_charts(ideal):
         for terms in survivors:
             flat = array("q")
             for exps, c in terms:
-                rec = [index_of(c), exps[inner]]
+                rec = [c, exps[inner]]
                 rec.extend(exps[v] for v in prefix_vars)
                 flat.extend(rec)
             gen_terms.append(flat)

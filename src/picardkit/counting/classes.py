@@ -27,12 +27,13 @@ from math import gcd
 from .kernel import log_add
 
 
-def count_separable(blocks, nvars, base, image, tables):
+def count_separable(blocks, nvars, image, tables):
     """#X(F_Q) for the hypersurface f = sum of the blocks' forms in P^(nvars-1).
 
     `blocks` is `separable_blocks(ideal)`: per block, its variables and the
-    generator's terms in them, over the field `base`.  `image` sends each
-    base-field index to its index in F_Q, whose tables are `tables`.
+    generator's terms in them, coefficients as base-field indices.  `image`
+    sends each base-field index to its index in F_Q, whose tables are
+    `tables`.
     Variables in no block are free: each multiplies the cone by Q.
     """
     _, log, zech = tables
@@ -48,7 +49,7 @@ def count_separable(blocks, nvars, base, image, tables):
     used = 0
     for variables, terms in blocks:
         used += len(variables)
-        logs = [(log[image[base.to_index(c)]], [e[v] for v in variables]) for e, c in terms]
+        logs = [(log[image[c]], [e[v] for v in variables]) for e, c in terms]
         block = _block_values(logs, len(variables), Qm1, g, zech)
         cone = block if cone is None else _convolve(cone, block, cyc, g, Qm1 // g, neg)
     return (cone[0] * Q ** (nvars - used) - 1) // Qm1

@@ -2,18 +2,22 @@
 arithmetic it rests on, which integer factoring shares.
 
 A field is described by its characteristic p and a monic irreducible modulus
-of degree e over Z/pZ; elements are coefficient vectors in the power basis of
-the modulus.  The modulus is always the first of its kind in a fixed
+of degree e over Z/pZ.  An element is its index: the integer in range(q)
+whose base-p digits, least significant first, are its coefficients in the
+power basis of the modulus.  So 0 is zero, 1 is one, k < p is k mod p,
+and over e > 1, p is g, the class of x; `FieldDesc` does the arithmetic on
+indices.  The modulus is always the first of its kind in a fixed
 enumeration order, so that a (p, e) pair pins down one field and every
 downstream computation is reproducible: a variety's base field is
 `make_field(p, e)`, on the first irreducible modulus, which specs, variety
 hashes and cache keys read.
 
-Elements are objects only over a variety's base field F_q, where parsing,
-Groebner bases and smoothness need them.  A level F_{q^n} of the counting
-tower is `level_field(p, e*n)`, the degree-(e*n) field over the prime field
-on the first *primitive* modulus, so that x generates its multiplicative
-group; counting handles its elements as table indices (`counting.kernel`).
+Parsing, Groebner bases and smoothness compute in the base field F_q.  A
+level F_{q^n} of the counting tower is `level_field(p, e*n)`, the
+degree-(e*n) field over the prime field on the first *primitive* modulus,
+so that x generates its multiplicative group; counting handles its
+elements as table indices (`counting.kernel`), which `kernel.embedding`
+reaches from the base field's indices.
 """
 
 from functools import cache
@@ -197,7 +201,7 @@ def _prime_divisors(n):
 
 
 # ---------------------------------------------------------------------------
-# field descriptors and elements
+# field descriptors
 
 
 class FieldDesc:
@@ -227,127 +231,53 @@ class FieldDesc:
     def __repr__(self):
         return f"FieldDesc(p={self.p}, e={self.e})"
 
-    # -- element constructors ------------------------------------------------
+    # -- arithmetic on indices -------------------------------------------------
+    #
+    # An element is its index: the integer whose base-p digits, least
+    # significant first, are its coefficients in the power basis.
 
-    def element(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > self.e:
-            raise FieldError("coefficient vector longer than extension degree")
-        coeffs += [0] * (self.e - len(coeffs))
-        return FieldElement(self, tuple(c % self.p for c in coeffs))
+    def digits(self, a):
+        """The e coefficients of the element with index a, constant first."""
+        p = self.p
+        out = []
+        for _ in range(self.e):
+            a, r = divmod(a, p)
+            out.append(r)
+        return out
 
-    def zero(self):
-        return FieldElement(self, (0,) * self.e)
-
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, k):
-        return self.element([k % self.p] + [0] * (self.e - 1))
-
-    def gen(self):
-        """The power-basis generator (the class of x)."""
-        if self.e == 1:
-            raise FieldError("prime field has no power-basis generator above constants")
-        return self.element([0, 1])
-
-    # -- element -> index (canonical base-p integer order) --------------------
-
-    def to_index(self, x):
+    def index(self, coeffs):
+        """The index of the element with these coefficients, each reduced
+        mod p, constant first."""
         idx = 0
-        for c in reversed(x.coeffs):
-            idx = idx * self.p + c
+        for c in reversed(coeffs):
+            idx = idx * self.p + c % self.p
         return idx
 
+    def from_int(self, k):
+        return k % self.p
 
-class FieldElement:
-    """An element of a FieldDesc, as a coefficient vector in the power basis."""
+    def add(self, a, b):
+        return self.index([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
-    __slots__ = ("field", "coeffs")
+    def sub(self, a, b):
+        return self.index([x - y for x, y in zip(self.digits(a), self.digits(b))])
 
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
+    def neg(self, a):
+        return self.index([-x for x in self.digits(a)])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+    def mul(self, a, b):
+        return self.index(_pmulmod(self.digits(a), self.digits(b), self.modulus, self.p))
 
-    def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return f"<{poly_str(self.coeffs)} in F_{self.field.q}>"
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise FieldError("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        prod = _pmulmod(list(self.coeffs), list(other.coeffs), list(f.modulus), f.p)
-        prod += [0] * (f.e - len(prod))
-        return FieldElement(f, tuple(prod))
-
-    def inv(self):
+    def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
-        if not self:
-            raise ZeroDivisionError("inversion of zero field element")
-        f = self.field
-        _, s = _pxgcd(self.coeffs, f.modulus, f.p)
-        s += [0] * (f.e - len(s))
-        return FieldElement(f, tuple(s))
+        if not a:
+            raise ZeroDivisionError("inversion of the zero field element")
+        return self.index(_pxgcd(self.digits(a), self.modulus, self.p)[1])
 
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, k):
-        f = self.field
+    def pow(self, a, k):
         if k < 0:
-            return self.inv() ** (-k)
-        r = _ppowmod(list(self.coeffs), k, list(f.modulus), f.p)
-        r += [0] * (f.e - len(r))
-        return FieldElement(f, tuple(r))
-
-
-def poly_str(coeffs):
-    terms = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append(f"{c}*g" if c != 1 else "g")
-        else:
-            terms.append(f"{c}*g^{i}" if c != 1 else f"g^{i}")
-    return " + ".join(terms) if terms else "0"
+            a, k = self.inv(a), -k
+        return self.index(_ppowmod(self.digits(a), k, self.modulus, self.p))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Hermite form of a lattice is canonical, so outputs are reproducible.
 
 import json
 import os
+import tempfile
 
 from .exactla import det_bareiss, echelon, identity, mat_mul, rank as q_rank
 
@@ -269,7 +270,11 @@ def read_checkpoint(path, inputs_digest):
 
 def write_checkpoint(path, inputs_digest, v_mu, p, best, witness):
     """Save lower bound `best` with its witness minor for the inputs with
-    this digest, against upper bound v_mu in codimension p."""
+    this digest, against upper bound v_mu in codimension p.
+
+    The state goes to a temporary file in the same directory, which then
+    replaces `path` in one step: a write that fails part-way leaves the
+    previous checkpoint as it was."""
     state = {
         "vMu": v_mu,
         "p": p,
@@ -277,5 +282,13 @@ def write_checkpoint(path, inputs_digest, v_mu, p, best, witness):
         "best": best,
         "bestCertificate": {"kind": "lower", "value": best, "witness": witness},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(state, fh, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -66,6 +66,7 @@ def normal_form(f, basis, leads):
     them, so a reduction step subtracts c times a shifted element and
     inverts nothing; `leads` lists each element's leading monomial.
     """
+    mul, sub = f.domain.mul, f.domain.sub
     remainder = {}
     work = dict(f.terms)
     while work:
@@ -78,8 +79,7 @@ def normal_form(f, basis, leads):
                     if ge == le:
                         continue
                     ne = tuple(a + b for a, b in zip(ge, shift))
-                    s = work.get(ne, None)
-                    s = -(c * gc) if s is None else s - c * gc
+                    s = sub(work.get(ne, 0), mul(c, gc))
                     if s:
                         work[ne] = s
                     elif ne in work:
@@ -98,13 +98,13 @@ def s_polynomial(f, g, le_f, le_g):
     l = _lcm(le_f, le_g)
     sf = tuple(x - y for x, y in zip(l, le_f))
     sg = tuple(x - y for x, y in zip(l, le_g))
+    sub = f.domain.sub
     t = {tuple(a + b for a, b in zip(e, sf)): c for e, c in f.terms.items() if e != le_f}
     for e, c in g.terms.items():
         if e == le_g:
             continue
         ne = tuple(a + b for a, b in zip(e, sg))
-        s = t.get(ne, None)
-        s = -c if s is None else s - c
+        s = sub(t.get(ne, 0), c)
         if s:
             t[ne] = s
         elif ne in t:
@@ -125,9 +125,8 @@ def groebner(ideal):
 
     def add(g):
         e, lc = leading(g)
-        one = g.domain.one()
-        if lc != one:
-            g = g.scaled(one / lc)
+        if lc != 1:
+            g = g.scaled(g.domain.inv(lc))
         n = len(G)
         for m, le in enumerate(leads):
             l = _lcm(le, e)

@@ -1,14 +1,13 @@
 """Multivariate polynomials over a finite field, with a text grammar.
 
 Variables are x0..xN.  A polynomial is a map from exponent vectors to nonzero
-FieldElement coefficients of its domain, a FieldDesc.  The plain-text grammar
+coefficients in its domain, a FieldDesc; a coefficient is its index there
+(`ffield`), a nonzero int below q.  The plain-text grammar
 (EBNF in the README) covers terms like ``3*x0^2*x1 - x2^3`` and, over
 non-prime fields, generator powers ``g^2*x0``.
 """
 
 import re
-
-from ..ffield import FieldElement
 
 
 class PolyError(ValueError):
@@ -16,13 +15,9 @@ class PolyError(ValueError):
 
 
 def _coerce(domain, c):
-    if isinstance(c, FieldElement):
-        if c.field != domain:
-            raise PolyError("coefficient from a different field")
-        return c
-    if isinstance(c, int):
-        return domain.from_int(c)
-    raise PolyError(f"bad field coefficient {c!r}")
+    if type(c) is not int or not 0 <= c < domain.q:
+        raise PolyError(f"bad field coefficient {c!r}")
+    return c
 
 
 class MultiPoly:
@@ -78,10 +73,10 @@ class MultiPoly:
 
     def __add__(self, other):
         self._compat(other)
+        add = self.domain.add
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, None)
-            s = c if s is None else s + c
+            s = add(t.get(e, 0), c)
             if s:
                 t[e] = s
             elif e in t:
@@ -96,20 +91,19 @@ class MultiPoly:
     def __neg__(self):
         out = MultiPoly.__new__(MultiPoly)
         out.nvars, out.domain = self.nvars, self.domain
-        out.terms = {e: -c for e, c in self.terms.items()}
+        out.terms = {e: self.domain.neg(c) for e, c in self.terms.items()}
         return out
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scaled(other)
         self._compat(other)
+        add, mul = self.domain.add, self.domain.mul
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = t.get(e, None)
-                s = c if s is None else s + c
+                s = add(t.get(e, 0), mul(c1, c2))
                 if s:
                     t[e] = s
                 elif e in t:
@@ -122,22 +116,20 @@ class MultiPoly:
         c = _coerce(self.domain, c)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars, out.domain = self.nvars, self.domain
-        out.terms = {e: x * c for e, x in self.terms.items()} if c else {}
+        mul = self.domain.mul
+        out.terms = {e: mul(x, c) for e, x in self.terms.items()} if c else {}
         return out
 
     def partial(self, i):
         """Partial derivative with respect to x_i (exact, char-aware)."""
+        dom = self.domain
         t = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            nc = c * self.domain.from_int(e[i])
-            if not nc:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            t[tuple(ne)] = t.get(tuple(ne), self.domain.zero()) + nc
-        return MultiPoly(self.nvars, self.domain, t)
+            if e[i]:
+                ne = list(e)
+                ne[i] -= 1
+                t[tuple(ne)] = dom.mul(c, dom.from_int(e[i]))
+        return MultiPoly(self.nvars, dom, t)  # drops the terms that became 0
 
     def __repr__(self):
         return f"MultiPoly({poly_to_str(self)})"
@@ -194,7 +186,7 @@ def poly_from_str(s, nvars, domain):
         if peek() is None:
             raise PolyError("dangling sign")
         # one term: product of factors separated by '*'
-        coeff = domain.one()
+        coeff = 1
         exps = [0] * nvars
         while True:
             tok = peek()
@@ -202,11 +194,11 @@ def poly_from_str(s, nvars, domain):
                 raise PolyError("truncated term")
             pos += 1
             if tok.isdigit():
-                coeff = coeff * domain.from_int(int(tok))
+                coeff = domain.mul(coeff, domain.from_int(int(tok)))
             elif tok == "g":
                 if domain.e == 1:
                     raise PolyError("'g' needs a non-prime field domain")
-                coeff = coeff * domain.gen() ** exponent()
+                coeff = domain.mul(coeff, domain.pow(domain.p, exponent()))
             elif tok.startswith("x") and tok[1:].isdigit():
                 i = int(tok[1:])
                 if i >= nvars:
@@ -218,7 +210,7 @@ def poly_from_str(s, nvars, domain):
                 break
             pos += 1
         if sign < 0:
-            coeff = -coeff
+            coeff = domain.neg(coeff)
         acc = acc + MultiPoly(nvars, domain, {tuple(exps): coeff})
     return acc
 
@@ -228,10 +220,11 @@ def order_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _coeff_pieces(c):
-    """Break a coefficient into printable (string, is_one) atoms per term."""
+def _coeff_pieces(digits):
+    """Break a coefficient, by its digits, into printable (string, is_one)
+    atoms per term."""
     out = []
-    for j, cj in enumerate(c.coeffs):
+    for j, cj in enumerate(digits):
         if not cj:
             continue
         if j == 0:
@@ -249,6 +242,6 @@ def poly_to_str(p):
     pieces = []
     for exps in sorted(p.terms, key=order_key, reverse=True):
         mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
-        for cs, is_one in _coeff_pieces(p.terms[exps]):
+        for cs, is_one in _coeff_pieces(p.domain.digits(p.terms[exps])):
             pieces.append(mono if mono and is_one else f"{cs}*{mono}" if mono else cs)
     return " + ".join(pieces) or "0"

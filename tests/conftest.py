@@ -26,28 +26,27 @@ from picardkit.polysys.geometry import _hilbert_numerator, _minimalize
 from picardkit.polysys.groebner import leading
 from picardkit.zeta import ZetaFunction
 
-from oracles import embedding_by_scan, enumerate_field, reduced_series
+from oracles import embedding_by_scan, reduced_series
 
 
 def brute_force_chart_count(ideal, n, j):
     """Oracle: the points over F_{q^n} of chart j, where x_0 = ... = x_{j-1}
     = 0 and x_j = 1, found by evaluating every generator directly with
-    FieldElement arithmetic.  Independent of the counting kernels."""
+    `FieldDesc` arithmetic on indices.  Independent of the counting kernels."""
     ext, embed = embedding_by_scan(ideal.domain, n)
-    elems = enumerate_field(ext)
     gens = [{e: embed(c) for e, c in g.terms.items()} for g in ideal.generators]
     count = 0
-    for tail in itertools.product(elems, repeat=ideal.nvars - 1 - j):
-        pt = [ext.zero()] * j + [ext.one()] + list(tail)
+    for tail in itertools.product(range(ext.q), repeat=ideal.nvars - 1 - j):
+        pt = [0] * j + [1] + list(tail)
         ok = True
         for g in gens:
-            acc = ext.zero()
+            acc = 0
             for exps, c in g.items():
                 term = c
                 for x, e in zip(pt, exps):
                     for _ in range(e):
-                        term = term * x
-                acc = acc + term
+                        term = ext.mul(term, x)
+                acc = ext.add(acc, term)
             if acc:
                 ok = False
                 break
@@ -195,8 +194,8 @@ def _to_rational(c, domain):
     that the small integers of a test ideal over a large F_p lift to
     themselves; larger fields would need a vector-space refinement, which
     the oracle tests do not require."""
-    assert not any(c.coeffs[1:]), "coefficient outside the prime field"
-    c = c.coeffs[0]
+    c, *rest = domain.digits(c)
+    assert not any(rest), "coefficient outside the prime field"
     return c - domain.p if 2 * c > domain.p else c
 
 

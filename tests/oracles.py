@@ -25,43 +25,28 @@ from picardkit.weil import cyclotomic_polynomial
 from picardkit.zeta import NonIntegerCoefficientsError, NoSolutionError, ZetaFunction, expand
 
 
-def element_at(field, idx):
-    """The element of a FieldDesc with index idx: its coefficients are the
-    base-p digits of idx, constant term first (`FieldDesc.to_index`)."""
-    coeffs = []
-    for _ in range(field.e):
-        idx, r = divmod(idx, field.p)
-        coeffs.append(r)
-    return field.element(coeffs)
-
-
-def enumerate_field(field):
-    """All q elements of a FieldDesc, in index order."""
-    return [element_at(field, idx) for idx in range(field.q)]
-
-
 def first_root_by_scan(base, ext):
     """The first root of the base field's modulus met when the extension
     field, a level of the tower (`level_field`), is scanned in index order."""
-    for x in enumerate_field(ext):
-        acc = ext.zero()
+    for x in range(ext.q):
+        acc = 0
         for c in reversed(base.modulus):
-            acc = acc * x + ext.from_int(c)
+            acc = ext.add(ext.mul(acc, x), ext.from_int(c))
         if not acc:
             return x
     raise AssertionError("the base modulus has no root in the extension")
 
 
 def embedding_by_scan(base, n):
-    """(F_{q^n}, the map of base-field elements into it), the base
-    generator sent to `first_root_by_scan`, by FieldElement arithmetic."""
+    """(F_{q^n}, the map of base-field indices into it), the base generator
+    sent to `first_root_by_scan`, by `FieldDesc` arithmetic on indices."""
     ext = level_field(base.p, base.e * n)
     root = first_root_by_scan(base, ext)
 
     def embed(x):
-        acc = ext.zero()
-        for c in reversed(x.coeffs):
-            acc = acc * root + ext.from_int(c)
+        acc = 0
+        for c in reversed(base.digits(x)):
+            acc = ext.add(ext.mul(acc, root), ext.from_int(c))
         return acc
 
     return ext, embed

@@ -376,6 +376,49 @@ def test_rank_checkpoint_bound_is_monotone(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_unwritable_checkpoint_rejected_before_counting(tmp_path, capsys):
+    # an empty cache with a one-unit evaluation budget exits 3 as soon as
+    # anything is counted, so exit 2 shows that nothing was
+    for ckpt, reason in [(tmp_path / "missing" / "ck.json", "no directory"),
+                         (tmp_path, "it is a directory")]:
+        code, out, err = _rank_with_checkpoint(
+            capsys, tmp_path, [[1, 0]], ckpt, "--eval-budget", "1"
+        )
+        assert (code, out) == (2, "")
+        assert f"cannot write {ckpt}: {reason}" in err
+    assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, capsys, monkeypatch):
+    from picardkit import lattice
+
+    ckpt = tmp_path / "state.json"
+    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert code == 4
+    # a saved bound of 0 makes the next run write its bound of 1
+    state = json.loads(ckpt.read_text())
+    state["best"] = 0
+    ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:10])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    monkeypatch.undo()
+    assert (code, out) == (1, "")
+    assert "No space left on device" in err
+    assert ckpt.read_bytes() == before
+    assert lattice.read_checkpoint(str(ckpt), state["inputsDigest"]) == 0
+    # the temporary file is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "cache", "quadric.json", "state.json"
+    ]
+
+
 def test_torsion_command(tmp_path, capsys):
     table = size_table_from_profile(3, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4)
     path = write_json(tmp_path / "table.json", table.to_json())
@@ -425,6 +468,31 @@ def test_dovetail_trace_stdout(capsys):
     for line in out.strip().splitlines():
         rec = json.loads(line)
         assert "taskId" in rec
+
+
+def test_dovetail_unwritable_trace_file_rejected_before_scheduling(
+    tmp_path, capsys, monkeypatch
+):
+    from picardkit import dovetail
+
+    scheduled = []
+    monkeypatch.setattr(dovetail, "run_geometric", lambda *a, **k: scheduled.append(1))
+    trace = tmp_path / "missing" / "t.ndjson"
+    code, out, err = run_cli(
+        capsys, "dovetail", "--demo", "--trace-file", str(trace), "--eval-budget", "1"
+    )
+    assert (code, out) == (2, "")
+    assert f"cannot write {trace}: no directory" in err
+    assert not scheduled and not trace.parent.exists()
+
+
+def test_dovetail_trace_file_written(tmp_path, capsys):
+    trace = tmp_path / "t.ndjson"
+    code, out, _ = run_cli(capsys, "dovetail", "--demo", "--rounds", "6", "--trace-file",
+                           str(trace), "--no-timing")
+    assert code == 0
+    assert json.loads(out)["dovetail"]["events"]
+    assert all("taskId" in json.loads(line) for line in trace.read_text().splitlines())
 
 
 # every event of the demo through round 10: (round, task, quanta, status[, result])

@@ -19,7 +19,7 @@ from picardkit.ffield import (
     make_field,
 )
 
-from oracles import element_at, enumerate_field, first_root_by_scan
+from oracles import first_root_by_scan
 
 
 def test_make_field_prime():
@@ -101,9 +101,9 @@ def _level_order(p, k):
 
 def _x_is_primitive(field):
     """Oracle: has the class of x order q - 1 in Z/pZ[x]/(modulus), by its
-    powers under FieldElement arithmetic?  That order leaves q - 1 units,
-    so the modulus is irreducible too."""
-    x = field.element([0, 1]) if field.e > 1 else field.from_int(-field.modulus[0])
+    powers under `FieldDesc` arithmetic on indices?  That order leaves
+    q - 1 units, so the modulus is irreducible too."""
+    x = field.p if field.e > 1 else field.from_int(-field.modulus[0])
     n = field.q - 1
     primes, rest, d = [], n, 2
     while rest > 1:
@@ -112,7 +112,7 @@ def _x_is_primitive(field):
             while rest % d == 0:
                 rest //= d
         d += 1
-    return x**n == field.one() and all(x ** (n // r) != field.one() for r in primes)
+    return field.pow(x, n) == 1 and all(field.pow(x, n // r) != 1 for r in primes)
 
 
 def _prime_powers_up_to(limit):
@@ -144,6 +144,49 @@ def test_level_field_keeps_the_cold_levels_moduli():
         assert level_field(2, k) == make_field(2, k)
 
 
+@pytest.mark.parametrize("p,e", _prime_powers_with(2**8, (2, 3, 5, 7, 11, 13)))
+def test_index_arithmetic_matches_the_level_tables(p, e):
+    # the level's exp/log/Zech tables come from another algorithm than
+    # polynomial arithmetic mod the modulus, so they are an oracle for the
+    # arithmetic on indices: the embedding into them is a ring homomorphism
+    f = make_field(p, e)
+    exp, log, zech = tables = field_tables(f)
+    image = embedding(f, tables)
+    q = f.q
+    assert sorted(image) == list(range(q))
+
+    def table_mul(x, y):
+        return exp[(log[x] + log[y]) % (q - 1)] if x and y else 0
+
+    def table_add(x, y):
+        if not x or not y:
+            return x or y
+        z = zech[(log[y] - log[x]) % (q - 1)]  # x + y = x (1 + y/x)
+        return 0 if z < 0 else exp[(log[x] + z) % (q - 1)]
+
+    if q <= 64:
+        pairs = itertools.product(range(q), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert image[f.mul(a, b)] == table_mul(image[a], image[b])
+        assert image[f.add(a, b)] == table_add(image[a], image[b])
+        assert f.sub(a, b) == f.add(a, f.neg(b))
+    for a in range(q):
+        assert f.pow(a, q) == a
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+    for k in range(-2 * p, 2 * p):
+        assert f.from_int(k) == k % p
+    # g, the class of x, is a root of the modulus, by Horner's rule
+    g = f.p if e > 1 else f.from_int(-f.modulus[0])
+    acc = 0
+    for c in reversed(f.modulus):
+        acc = f.add(f.mul(acc, g), f.from_int(c))
+    assert acc == 0
+
+
 def test_make_field_rejects_composite():
     with pytest.raises(FieldError):
         make_field(6, 1)
@@ -151,22 +194,22 @@ def test_make_field_rejects_composite():
 
 def test_arithmetic_f4():
     f = make_field(2, 2)
-    x = f.gen()
-    assert x * x == f.element([1, 1])  # x^2 = x + 1
+    x = f.p  # the index of g
+    assert f.mul(x, x) == f.index([1, 1])  # x^2 = x + 1
 
 
 def test_inverse_f5():
     f = make_field(5, 1)
-    assert f.from_int(2).inv() == f.from_int(3)
+    assert f.inv(f.from_int(2)) == f.from_int(3)
     with pytest.raises(ZeroDivisionError):
-        f.zero().inv()
+        f.inv(0)
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (2, 4), (5, 2)])
 def test_inverse_of_every_nonzero_element(p, e):
     f = make_field(p, e)
-    for x in enumerate_field(f)[1:]:
-        assert x * x.inv() == f.one()
+    for x in range(1, f.q):
+        assert f.mul(x, f.inv(x)) == 1
 
 
 def _mod_poly(a, m):
@@ -228,47 +271,50 @@ def test_pdivmod_by_monic_divisor_mod_prime_power(p, k):
 def test_frobenius_squared_is_identity_on_f9():
     f = make_field(3, 2)
     rng = random.Random(9)
-    elems = enumerate_field(f)
+    elems = range(f.q)
     for x in rng.sample(elems, 9) + rng.choices(elems, k=11):
-        assert (x**3) ** 3 == x  # Frobenius x -> x^3, twice
+        assert f.pow(f.pow(x, 3), 3) == x  # Frobenius x -> x^3, twice
 
 
 def test_enumerate_small():
+    # the elements are range(q), each index the base-p digits of its
+    # coefficients, constant first
     f2 = make_field(2, 1)
-    assert [e.coeffs for e in enumerate_field(f2)] == [(0,), (1,)]
+    assert [f2.digits(x) for x in range(f2.q)] == [[0], [1]]
     f4 = make_field(2, 2)
-    es = enumerate_field(f4)
-    assert len(es) == 4
-    assert es[0] == f4.zero() and es[1] == f4.one()
+    assert [f4.digits(x) for x in range(f4.q)] == [[0, 0], [1, 0], [0, 1], [1, 1]]
+    assert [f4.index(f4.digits(x)) for x in range(f4.q)] == [0, 1, 2, 3]
+    # index reduces each coefficient mod p
+    assert f4.index([3, -1]) == f4.index([1, 1]) == 3
 
 
 def test_enumerate_f8_distinct():
     f = make_field(2, 3)
-    es = enumerate_field(f)
-    assert len(es) == 8
-    assert len({e.coeffs for e in es}) == 8
+    digits = [tuple(f.digits(x)) for x in range(f.q)]
+    assert len(digits) == 8
+    assert len(set(digits)) == 8
+    assert all(f.index(d) == x for x, d in enumerate(digits))
 
 
 # The embedding of a base field F_q into a level F_Q of the counting tower,
-# `counting.kernel.embedding`, on F_Q's tables, against FieldElement
-# arithmetic in F_Q.
+# `counting.kernel.embedding`, on F_Q's tables, against `FieldDesc`
+# arithmetic on indices in F_Q.
 
 
 def _embedding(base, n):
-    """(F_{q^n}, the image of each base-field index as an F_{q^n} element)."""
+    """(F_{q^n}, the index in F_{q^n} of each base-field index)."""
     ext = level_field(base.p, base.e * n)
-    image = embedding(base, field_tables(ext))
-    return ext, [element_at(ext, idx) for idx in image]
+    return ext, list(embedding(base, field_tables(ext)))
 
 
 def test_extend_trivial_cases():
     f2 = make_field(2, 1)
     ext, image = _embedding(f2, 1)
     assert ext == level_field(2, 1) and ext.q == 2
-    assert image == [ext.zero(), ext.one()]
+    assert image == [0, 1]
     ext, image = _embedding(f2, 2)
     assert ext.q == 4
-    assert image[1] == ext.one()
+    assert image[1] == 1
 
 
 def test_extend_f4_to_f16_root_check():
@@ -277,11 +323,11 @@ def test_extend_f4_to_f16_root_check():
     assert f16.q == 16
     # the image of the generator (index 2) satisfies the F_4 modulus
     beta = image[2]
-    acc = f16.zero()
-    power = f16.one()
+    acc = 0
+    power = 1
     for c in f4.modulus:
-        acc = acc + f16.from_int(c) * power
-        power = power * beta
+        acc = f16.add(acc, f16.mul(f16.from_int(c), power))
+        power = f16.mul(power, beta)
     assert not acc
 
 
@@ -322,13 +368,13 @@ def test_multiplicative_generator_exists(p, e):
     def order(g):
         # exhaustive order computation
         seen = set()
-        x = f.one()
+        x = 1
         for _ in range(f.q - 1):
-            x = x * g
-            seen.add(x.coeffs)
+            x = f.mul(x, g)
+            seen.add(x)
         return len(seen)
 
-    assert any(order(g) == f.q - 1 for g in enumerate_field(f)[1:])
+    assert any(order(g) == f.q - 1 for g in range(1, f.q))
 
 
 @pytest.mark.parametrize(
@@ -341,46 +387,43 @@ def test_multiplicative_generator_exists(p, e):
 )
 def test_embedding_is_ring_hom(p, e, n):
     base = make_field(p, e)
-    _, image = _embedding(base, n)
-    elems = enumerate_field(base)
+    ext, image = _embedding(base, n)
     assert base.q <= 25
 
-    def emb(x):
-        return image[base.to_index(x)]
-
-    for a in elems:
-        for b in elems:
-            assert emb(a + b) == emb(a) + emb(b)
-            assert emb(a * b) == emb(a) * emb(b)
+    for a in range(base.q):
+        for b in range(base.q):
+            assert image[base.add(a, b)] == ext.add(image[a], image[b])
+            assert image[base.mul(a, b)] == ext.mul(image[a], image[b])
 
 
 @pytest.mark.parametrize("p,e", _prime_powers_up_to(64))
 def test_frobenius_fixes_exactly_prime_field(p, e):
     f = make_field(p, e)
     assert f.q <= 64
-    fixed = [x for x in enumerate_field(f) if x**p == x]
+    fixed = [x for x in range(f.q) if f.pow(x, p) == x]
     assert len(fixed) == p
     for x in fixed:
-        assert not any(x.coeffs[1:])  # in the prime subfield
+        assert not any(f.digits(x)[1:])  # in the prime subfield
 
 
 def test_field_axiom_samples():
     f = make_field(3, 2)
     rng = random.Random(42)
-    es = enumerate_field(f)
+    es = range(f.q)
+    add, mul = f.add, f.mul
     for _ in range(50):
         a, b, c = rng.choice(es), rng.choice(es), rng.choice(es)
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
+        assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+        assert mul(a, b) == mul(b, a)
         if b:
-            assert (a / b) * b == a
-        assert a ** 5 == a * a * a * a * a
+            assert mul(mul(a, f.inv(b)), b) == a
+        assert f.pow(a, 5) == mul(mul(mul(mul(a, a), a), a), a)
 
 
 def test_pow_matches_repeated_multiplication():
     f = make_field(2, 4)
-    g = f.gen()
-    acc = f.one()
+    g = f.p  # the index of g
+    acc = 1
     for k in range(20):
-        assert g**k == acc
-        acc = acc * g
+        assert f.pow(g, k) == acc
+        acc = f.mul(acc, g)

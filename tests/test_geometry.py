@@ -26,7 +26,7 @@ from conftest import (
     hilbert_data,
     hilbert_polynomial,
 )
-from oracles import dense_dimension_degree, dense_hilbert_numerator, element_at
+from oracles import dense_dimension_degree, dense_hilbert_numerator
 
 # the ideals below have small integer coefficients: over a large prime field
 # their Hilbert data is that over Q, which `ideal` checks for each of them
@@ -152,7 +152,7 @@ def _random_form(rng, d):
         for b in range(d + 1 - a):
             c = rng.randint(-3, 3)
             if c:
-                terms[(a, b, d - a - b)] = c
+                terms[(a, b, d - a - b)] = F.from_int(c)
     if not terms:
         terms[(d, 0, 0)] = 1
     return MultiPoly(3, F, terms)
@@ -267,7 +267,7 @@ def test_sparse_numerator_matches_the_dense_oracle():
 
 
 def _random_form_over(rng, field, nvars, d):
-    terms = {m: element_at(field, rng.randrange(field.q)) for m in _monomials_of_degree(nvars, d)
+    terms = {m: rng.randrange(field.q) for m in _monomials_of_degree(nvars, d)
              if rng.random() < 0.4}
     return MultiPoly(nvars, field, terms)
 

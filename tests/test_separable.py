@@ -22,7 +22,6 @@ from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, MultiPoly, poly_from_str
 
 from conftest import brute_force_projective_count
-from oracles import element_at
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
 # affine points of the ambient space each oracle is given at one level;
@@ -37,7 +36,7 @@ def _block_form(rng, field, nvars, variables, D):
     terms = {}
 
     def add(exps):
-        terms[tuple(exps)] = element_at(field, rng.randrange(1, field.q))
+        terms[tuple(exps)] = rng.randrange(1, field.q)
 
     if len(variables) == 1:
         exps = [0] * nvars
@@ -109,7 +108,7 @@ def test_class_path_matches_brute_force_and_both_kernels(ckernel, seed):
         # so the class path is called directly
         dom = ideal.domain
         tables = field_tables(level_field(dom.p, dom.e * n))
-        got = count_separable(found, ideal.nvars, dom, embedding(dom, tables), tables)
+        got = count_separable(found, ideal.nvars, embedding(dom, tables), tables)
         assert got == count_points(ideal, n)
         assert got == _chart_count(ideal, n, kernel_py) == _chart_count(ideal, n, ckernel)
         if n == 1 or (q**n) ** (ideal.nvars - 1) <= BRUTE_FORCE_POINTS:
