@@ -17,7 +17,10 @@ primitive modulus (`ffield.level_field`).
 The "request path" section comes first: in process, the median of
 REQUEST_RUNS runs of what every request on one of the benchmark's
 varieties does before counting (parse, `dimension_degree` and
-`smoothness_check`).  Usage:
+`smoothness_check`).  The "refused towers" section follows: for each
+variety of REFUSED, the time until `count_tower`, on no cache and the
+levels of the smooth hypersurface's `zeta.hypersurface_budget`, raises
+BudgetExceededError, and the level it names.  Usage:
 
     python scripts/bench_kernels.py [--heavy]
 """
@@ -26,12 +29,20 @@ import argparse
 import statistics
 import time
 
-from picardkit.counting import BACKEND, count_charts, kernel_py, separable_blocks
+from picardkit.counting import (
+    BACKEND,
+    BudgetExceededError,
+    count_charts,
+    count_tower,
+    kernel_py,
+    separable_blocks,
+)
 from picardkit.counting.charts import compile_charts
 from picardkit.counting.classes import count_separable
 from picardkit.counting.kernel import embedding
 from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, dimension_degree, poly_from_str, smoothness_check
+from picardkit.zeta import hypersurface_budget
 
 try:
     from picardkit.counting import _ckernel
@@ -66,6 +77,15 @@ REQUEST_PATH = [
 ]
 REQUEST_RUNS = 40
 
+# (label, p, nvars, degree, generator): smooth hypersurfaces over F_p whose
+# towers the default budget refuses at n = 8
+REFUSED = [
+    ("Klein-type quartic/F_3", 3, 4, 4, "x0^3*x1 + x1^3*x2 + x2^3*x3 + x3^3*x0"),
+    ("K3/F_3", 3, 4, 4, "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"),
+    ("cubic fourfold/F_2", 2, 6, 3,
+     "x0^2*x1 + x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x0"),
+]
+
 HEAVY = [
     ("elliptic curve/F_5, n=7", 5, 1, 3, ["x1^2*x2 - x0^3 - x0*x2^2 - x2^3"], 7),
     ("quartic/F_2, n=8", 2, 1, 4, ["x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"], 8),
@@ -87,6 +107,20 @@ def bench_request_path():
             times.append(time.perf_counter() - t0)
         assert smooth, f"{label} fails the smoothness check"
         print(f"  {label:<20} {statistics.median(times) * 1e3:>7.3f} ms")
+
+
+def bench_refused():
+    print(f"\nrefused towers, backend {BACKEND}: time until count_tower refuses, no cache")
+    for label, p, nvars, degree, text in REFUSED:
+        ideal = HomIdeal([poly_from_str(text, nvars, make_field(p, 1))])
+        n_max = hypersurface_budget(degree, nvars - 1, p).levels
+        t0 = time.perf_counter()
+        try:
+            count_tower(ideal, n_max)
+        except BudgetExceededError as err:
+            print(f"  {label:<24} {(time.perf_counter() - t0) * 1e3:>10.2f} ms  {err}")
+        else:
+            raise AssertionError(f"{label}: the tower to n={n_max} was not refused")
 
 
 def bench_case(label, p, e, nvars, gens, n, backends):
@@ -150,6 +184,7 @@ def main():
     parser.add_argument("--heavy", action="store_true", help="include larger cases")
     args = parser.parse_args()
     bench_request_path()
+    bench_refused()
     backends = [("pure", kernel_py)]
     if _ckernel is not None:
         backends.append(("c", _ckernel))

@@ -189,9 +189,8 @@ def _budget_descriptor(flags, ideal):
 
 def _budget_error(exc):
     """Exit 3 for a counting.BudgetExceededError, saying which limit (work
-    or memory) the next level hit and how far the tower got."""
-    done = len(exc.completed.counts) if exc.completed else 0
-    return CliError(f"{exc} (largest completed n = {done})", EXIT_BUDGET)
+    or memory) a level hit and how many leading levels the cache holds."""
+    return CliError(f"{exc} (largest completed n = {exc.completed})", EXIT_BUDGET)
 
 
 def _counts(ideal, n, args, cache, betti=None):
@@ -204,6 +203,9 @@ def _counts(ideal, n, args, cache, betti=None):
                              budget=args.eval_budget or DEFAULT_BUDGET)
     except BudgetExceededError as exc:
         raise _budget_error(exc) from None
+    except OSError as exc:  # the cache file is the only file a tower writes
+        raise CliError(f"cannot write {cache.path}: {exc.strerror or exc}",
+                       EXIT_INVALID_INPUT) from None
     try:
         series.validate(betti)
     except ValueError as exc:

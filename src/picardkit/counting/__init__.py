@@ -38,20 +38,17 @@ __all__ = [
     "count_points",
     "count_tower",
     "default_cache",
+    "plan_level",
     "variety_hash",
 ]
 
 
 class BudgetExceededError(RuntimeError):
-    """Estimated work exceeds the configured evaluation budget.
+    """A level that cannot be counted (see `plan_level`).  `completed`,
+    set by `count_tower` (else 0), is the number of leading levels the
+    cache holds, so callers can report the largest finished n."""
 
-    Carries `completed`, the CountSeries of fully computed levels (possibly
-    empty), so callers can report the largest finished n.
-    """
-
-    def __init__(self, msg, completed=None):
-        super().__init__(msg)
-        self.completed = completed
+    completed = 0
 
 
 class CountSeries:
@@ -120,13 +117,8 @@ def _estimate_chart_cost(chart, Q):
         return 1
     build = max(chart.term_count(), 1) * max(chart.nprefix, 1)
     d_max = chart.max_last_deg()
-    if d_max <= 2:
-        # closed-form root counting per slice
-        gcd_cost = 24
-    else:
-        gcd_cost = (
-            (2 * (Q.bit_length() + 1)) * (d_max + 1) ** 2 + 4 * (d_max + 1) ** 2 + 16
-        )
+    # closed-form root counting per slice up to degree 2
+    gcd_cost = 24 if d_max <= 2 else (2 * Q.bit_length() + 6) * (d_max + 1) ** 2 + 16
     return Q**chart.nprefix * (build + gcd_cost)
 
 
@@ -179,7 +171,7 @@ def separable_blocks(ideal):
     ]
 
 
-def _points_bound(q, k, nvars, completed=None):
+def _points_bound(q, k, nvars):
     """#P^(nvars-1)(F_{q^k}), which bounds every count at level k.  Raises
     BudgetExceededError when it or q^k has more than MAX_DIGITS digits:
     such a level is never counted, since a report could not print it."""
@@ -190,7 +182,7 @@ def _points_bound(q, k, nvars, completed=None):
         if max(Q, bound) < 10**MAX_DIGITS:
             return bound
     raise BudgetExceededError(
-        f"q^n or #P^{nvars - 1}(F_(q^n)) has more than {MAX_DIGITS} digits at n={k}", completed
+        f"q^n or #P^{nvars - 1}(F_(q^n)) has more than {MAX_DIGITS} digits at n={k}"
     )
 
 
@@ -212,61 +204,67 @@ def check_base_field(p, e, nvars):
         _points_bound(p**e, 1, nvars)
 
 
-def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1):
-    """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q.
-
-    `n` is the extension degree.  The empty ideal is all of P^(nvars-1),
-    in closed form.  Other levels are counted over cyclotomic classes when
-    `separable_blocks` finds blocks and none has more than nvars - 2
-    variables, else chart by chart.
+def plan_level(ideal, n, budget=DEFAULT_BUDGET, charts=None):
+    """How level n of `ideal` is counted: ("closed", #P^(nvars-1)(F_{q^n}))
+    for the empty ideal; ("classes", blocks) when `separable_blocks` finds
+    blocks and none has more than nvars - 2 variables; else ("charts",
+    the charts), compiled here unless `charts` holds them.
     Raises BudgetExceededError for a level that `_points_bound` refuses,
-    or, before the field tables are built, when they exceed physical
-    memory (`_check_tables`), the work estimate exceeds `budget` or, on
-    the charts, an exponent of x_1..x_N is at least `kernel.MAX_DEG`.  The
-    estimate is one unit per chart for the closed form; else Q = q^n units
-    for the tables plus each chart's cost or, over classes, plus
-    Q^(k-1) * terms for each block of k > 1 variables.  At most `threads`
-    worker threads count charts, and never more than `_usable_cpus()`; the
-    count is the same for any number.
+    or, before any chart is compiled, when the level's field tables exceed
+    physical memory (`_check_tables`), the work estimate exceeds `budget`
+    or, on the charts, an exponent of x_1..x_N is at least `MAX_DEG`.
+    The estimate is one unit per chart for the closed form; else Q = q^n
+    units for the tables plus each chart's cost or, over classes, plus
+    Q^(k-1) * terms for each block of k > 1 variables.
     """
     dom = ideal.domain
     bound = _points_bound(dom.q, n, ideal.nvars)
     if not ideal.generators:
         _charge(ideal.nvars, budget, n)
-        return bound
+        return "closed", bound
     _check_tables(dom.p, dom.e * n, n)
     Q = dom.q**n
     blocks = separable_blocks(ideal)
     # over classes a block of k variables is evaluated at Q^(k-1) points in
     # Python, where the charts resolve Q^(nvars-2) slices in the kernel; a
     # block of nvars - 1 variables is counted faster by the charts
-    over_classes = blocks and all(len(v) <= ideal.nvars - 2 for v, _ in blocks)
-    if over_classes:
+    if blocks and all(len(v) <= ideal.nvars - 2 for v, _ in blocks):
         _charge(Q + sum(Q ** (len(v) - 1) * len(t) for v, t in blocks if len(v) > 1), budget, n)
-    elif ideal.nvars > 1:
+        return "classes", blocks
+    if ideal.nvars > 1:
         # chart 0 (x_0 = 1) keeps every term and resolves Q^(nvars-2) slices
         # of at least 24 units each: when that alone passes the budget, no
         # chart is compiled
         _charge(Q + 24 * Q ** (ideal.nvars - 2), budget, n)
-    if not over_classes:
-        # x_0 is never free in a chart, so only x_1..x_N reach term records
-        if any(e >= MAX_DEG for g in ideal.generators for exps in g.terms for e in exps[1:]):
-            raise BudgetExceededError(
-                f"an exponent outside x0 is at least {MAX_DEG}, beyond a chart's records, at n={n}"
-            )
+    # x_0 is never free in a chart, so only x_1..x_N reach term records
+    if any(e >= MAX_DEG for g in ideal.generators for exps in g.terms for e in exps[1:]):
+        raise BudgetExceededError(
+            f"an exponent outside x0 is at least {MAX_DEG}, beyond a chart's records, at n={n}"
+        )
+    if charts is None:
         charts = compile_charts(ideal)
-        # the three field tables of length Q, then every chart but the origin
-        _charge(Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree), budget, n)
+    # the three field tables of length Q, then every chart but the origin
+    _charge(Q + sum(_estimate_chart_cost(c, Q) for c in charts if c.nfree), budget, n)
+    return "charts", charts
 
+
+def count_points(ideal, n, budget=DEFAULT_BUDGET, threads=1, plan=None):
+    """Exact #X(F_{q^n}) for the projective scheme cut by `ideal` over F_q,
+    counted along `plan`, the level's `plan_level` (made here under
+    `budget` when None).  At most `threads` worker threads count charts,
+    and never more than `_usable_cpus()`; the count is the same for any
+    number."""
+    path, data = plan or plan_level(ideal, n, budget)
+    if path == "closed":
+        return data
+    dom = ideal.domain
     tables = field_tables(level_field(dom.p, dom.e * n))
     image = embedding(dom, tables)
-    if over_classes:
+    if path == "classes":
         from .classes import count_separable
 
-        return count_separable(blocks, ideal.nvars, image, tables)
-    return count_charts(
-        charts, dom.p, image, backend_module(), tables, min(threads, _usable_cpus())
-    )
+        return count_separable(data, ideal.nvars, image, tables)
+    return count_charts(data, dom.p, image, backend_module(), tables, min(threads, _usable_cpus()))
 
 
 def _charge(work, budget, n):
@@ -290,11 +288,9 @@ def count_charts(charts, p, image, mod, tables, threads):
             continue
         if chart.nfree == 0:  # a generator is nonzero at (0, ..., 0, 1)
             continue
-        if chart.nprefix == 0 or threads <= 1:
-            ranges = [(0, 1)] if chart.nprefix == 0 else [(0, Q)]
-        else:
-            step = max(1, -(-Q // threads))
-            ranges = [(lo, min(lo + step, Q)) for lo in range(0, Q, step)]
+        hi = Q if chart.nprefix else 1  # a chart without prefix is one slice
+        step = -(-hi // max(threads, 1))
+        ranges = [(lo, min(lo + step, hi)) for lo in range(0, hi, step)]
         # the ninth argument, 1, selects gcd root counting, the only method
         args = (Q, p, tmask, *tables, chart.terms_over(image), chart.nprefix, 1)
         if len(ranges) == 1:
@@ -322,46 +318,42 @@ def _count_in_threads(mod, args, ranges):
         t.start()
     for t in workers:
         t.join()
-    total = 0
-    for value, exc in out:
+    for _, exc in out:
         if exc is not None:
             raise exc
-        total += value
-    return total
+    return sum(value for value, _ in out)
 
 
-def count_tower(
-    ideal,
-    n_max,
-    cache=None,
-    budget=DEFAULT_BUDGET,
-    threads=1,
-    progress=None,
-):
+def count_tower(ideal, n_max, cache=None, budget=DEFAULT_BUDGET, threads=1, progress=None):
     """CountSeries for n = 1..n_max, consulting and filling the cache.
 
-    On budget exhaustion raises BudgetExceededError carrying the completed
-    prefix of the series; a tower whose level n_max could not be printed
-    (`_points_bound`) is refused before any level is counted.
+    Every level the cache lacks is planned (`plan_level`, the charts
+    compiled once) before any is counted: a tower that one level would
+    refuse, or whose level n_max could not be printed, raises
+    BudgetExceededError before its first count.  Then a cache file that
+    cannot be appended to raises OSError (`CountCache.check_writable`).
     """
     vhash = variety_hash(ideal)
     q = ideal.domain.q
-    counts = []
-    series = CountSeries(q=q, counts=counts, ambient_dim=ideal.nvars - 1)
-    if n_max > 0:  # a last level that could never be counted is refused first
-        _points_bound(q, n_max, ideal.nvars, series)
-    for n in range(1, n_max + 1):
-        hit = cache.get(vhash, n) if cache else None
-        if hit is not None:
-            counts.append(hit)
-            continue
+    plans, charts = {}, None
+    try:
+        if n_max > 0:  # before n_max cache lookups: a last level never printed
+            _points_bound(q, n_max, ideal.nvars)
+        counts = [cache.get(vhash, n) if cache else None for n in range(1, n_max + 1)]
+        for n, N in enumerate(counts, start=1):
+            if N is None:
+                path, data = plans[n] = plan_level(ideal, n, budget, charts)
+                charts = data if path == "charts" else None
+    except BudgetExceededError as err:
+        held = (k for k in range(n_max) if not cache or cache.get(vhash, k + 1) is None)
+        err.completed = next(held, n_max)
+        raise
+    if plans and cache:
+        cache.check_writable()
+    for n, plan in plans.items():
         if progress:
             print(f"# counting n={n} (q^n={q**n})", file=sys.stderr, flush=True)
-        try:
-            N = count_points(ideal, n, budget=budget, threads=threads)
-        except BudgetExceededError as err:
-            raise BudgetExceededError(str(err), completed=series) from None
-        counts.append(N)
+        counts[n - 1] = N = count_points(ideal, n, budget=budget, threads=threads, plan=plan)
         if cache:
             cache.put(vhash, n, N)
-    return series
+    return CountSeries(q=q, counts=counts, ambient_dim=ideal.nvars - 1)

@@ -53,8 +53,8 @@ static PyObject *new_array(i64 n, Py_buffer *view)
 static PyObject *build_tables(PyObject *self, PyObject *args)
 {
     /* q fits in a Py_ssize_t, so e < 64 */
-    i64 p, e, q = 1, lead = 1, i, k, pi, nt = 0, pos[64], pw[64], nm[64];
-    i64 v[64] = {1}, off = 0, top, cur, *exp, *log, *zech, sizes[3];
+    i64 p, e, q = 1, lead = 1, i, k, pi, nt = 0, pw[64], nm[64];
+    i64 top, cur, *exp, *log, *zech, sizes[3];
     PyObject *modulus, *seq, *arrs[3] = {NULL, NULL, NULL}, *out = NULL;
     Py_buffer views[3];
     int nv = 0;
@@ -78,13 +78,13 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
         goto done;
     }
     /* x^e = -(m_0 + ... + m_{e-1} x^(e-1)): keep its nonzero terms, as
-       the digit position j, pw = p^j and the coefficient nm = -m_j */
+       pw = p^j and the coefficient nm = -m_j */
     for (i = 0, pi = 1; i < e; i++, pi *= p) {
         i64 c = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
         if (c == -1 && PyErr_Occurred())
             goto done;
         if ((c = (c % p + p) % p) != 0)
-            pos[nt] = i, pw[nt] = pi, nm[nt++] = p - c;
+            pw[nt] = pi, nm[nt++] = p - c;
     }
     sizes[0] = q - 1, sizes[1] = q, sizes[2] = q - 1;
     for (; nv < 3; nv++)
@@ -94,25 +94,19 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
 
     for (i = 0; i < q; i++)
         log[i] = -1;
-    /* exp[i] is the index cur of x^i.  Its digit j is v[(off + j) mod e]:
-       times x shifts the digits up, so the slot of the top digit, one below
-       off, becomes digit 0, and subtracts top * m */
+    /* exp[i] is the index cur of x^i, walked as in kernel_py: times x
+       shifts the digits up and subtracts top * m, top the digit shifted
+       out, each digit d = cur / p^j % p read by division */
     for (i = 0, cur = 1; i < q - 1; i++) {
         if (cur == 0 || log[cur] >= 0)
             break;
         exp[i] = cur;
         log[cur] = i;
-        off = off ? off - 1 : e - 1;
-        top = v[off];
-        v[off] = 0;
+        top = cur / lead;
         cur = (cur - top * lead) * p;
         for (k = 0; top && k < nt; k++) {
-            i64 j = off + pos[k], d, t;
-            j -= j >= e ? e : 0;
-            d = v[j], t = d + top * nm[k] % p;
-            t -= t >= p ? p : 0;
-            v[j] = t;
-            cur += (t - d) * pw[k];
+            i64 d = cur / pw[k] % p;
+            cur += ((d + top * nm[k]) % p - d) * pw[k];
         }
     }
     if (i < q - 1 || cur != 1) {

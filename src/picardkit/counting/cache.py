@@ -52,6 +52,12 @@ class CountCache:
     def get(self, variety_hash, n):
         return self.records.get((variety_hash, n))
 
+    def check_writable(self):
+        """Raise OSError unless a record could be appended: the missing
+        directories are made and the file is opened for appending."""
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        open(self.path, "ab").close()
+
     def put(self, variety_hash, n, count):
         if (variety_hash, n) in self.records:
             return

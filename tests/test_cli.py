@@ -1229,7 +1229,8 @@ def test_missing_budget_exits_2_before_any_work(tmp_path, capsys, monkeypatch, c
 
 def test_count_refuses_tables_beyond_memory(tmp_path, capsys, monkeypatch):
     # with 2^8 table entries of memory, n = 9 on F_2 is refused (exit 3)
-    # before its field tables are built; levels 1..8 are counted
+    # before its field tables are built, and before any level is counted:
+    # levels 1..8 come from the cache that `-n 8` filled
     from picardkit import counting
 
     build = counting.field_tables
@@ -1242,13 +1243,90 @@ def test_count_refuses_tables_beyond_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(counting, "physical_memory", lambda: 24 * 2**8)
     monkeypatch.setattr(counting, "field_tables", guarded)
     spec = point_set_spec(tmp_path, "x0^2 + x0*x1 + x1^2", 2)
-    code, out, err = run_cli(
-        capsys, "count", spec, "-n", "33", "--cache-dir", str(tmp_path / "cache")
-    )
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "count", spec, "-n", "8", "--cache-dir", cache)[0] == 0
+    code, out, err = run_cli(capsys, "count", spec, "-n", "33", "--cache-dir", cache)
     assert code == 3
     assert out == ""
     assert "physical memory" in err
     assert "largest completed n = 8" in err
+
+
+DOOMED_TOWERS = [
+    # each exits 3 at n = 8 under the default budget; levels 1..7 used to
+    # be counted first, for 5 to 30 s
+    ({"field": {"p": 3}, "ambientDim": 3, "flags": {"hypersurfaceDegree": 4},
+      "generators": ["x0^3*x1 + x1^3*x2 + x2^3*x3 + x3^3*x0"]}, ["zeta"]),
+    ({"field": {"p": 3}, "ambientDim": 3, "flags": {"hypersurfaceDegree": 4},
+      "generators": ["x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3"]}, ["zeta"]),
+    ({"field": {"p": 2}, "ambientDim": 5, "flags": {"hypersurfaceDegree": 3},
+      "generators": ["x0^2*x1 + x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x0"]},
+     ["tate-bound", "-p", "2"]),
+]
+
+
+@pytest.mark.parametrize("spec, argv", DOOMED_TOWERS)
+def test_doomed_tower_exits_3_before_counting(tmp_path, capsys, monkeypatch, spec, argv):
+    from picardkit import counting
+
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    path = write_json(tmp_path / "spec.json", spec)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:], "--no-timing",
+                             "--cache-dir", str(tmp_path / "c"))
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - started < 1
+    assert "at n=8 (largest completed n = 0)" in err
+
+
+def test_refused_tower_reports_the_levels_the_cache_holds(tmp_path, capsys, monkeypatch):
+    # over classes the quadric's level n costs 3 * 2^n units: 384 at n = 7,
+    # 768 at n = 8
+    from picardkit import counting
+
+    spec, cache = quadric_spec(tmp_path), str(tmp_path / "c")
+    argv = ["--eval-budget", "500", "--no-timing", "--cache-dir", cache]
+    assert run_cli(capsys, "count", spec, "-n", "7", *argv)[0] == 0
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    code, out, err = run_cli(capsys, "count", spec, "-n", "8", *argv)
+    assert (code, out) == (3, "")
+    assert "budget 500 at n=8 (largest completed n = 7)" in err
+
+
+def _unwritable_cache(tmp_path):
+    """--cache-dir values whose cache file cannot be appended to."""
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "gone.ndjson").symlink_to(tmp_path / "nowhere" / "counts.ndjson")
+    return ["/dev/null/cache", str(tmp_path / "plain" / "cache"), str(tmp_path / "gone.ndjson")]
+
+
+def test_unwritable_cache_rejected_before_counting(tmp_path, capsys, monkeypatch):
+    # each exited 1 from CountCache.put, after level 1 was counted
+    from picardkit import counting
+
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    spec = quadric_spec(tmp_path)
+    for cache in _unwritable_cache(tmp_path):
+        code, out, err = run_cli(capsys, "count", spec, "-n", "2", "--cache-dir", cache)
+        assert (code, out) == (2, ""), cache
+        assert "cannot write " in err
+
+
+def test_read_only_cache_holding_every_level_serves_the_tower(tmp_path, capsys, monkeypatch):
+    from picardkit import counting
+
+    spec, store = quadric_spec(tmp_path), tmp_path / "ro"
+    argv = ["count", spec, "-n", "3", "--no-timing", "--cache-dir", str(store)]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (store / "counts.ndjson").chmod(0o444)
+    store.chmod(0o555)
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    monkeypatch.setattr(counting.CountCache, "check_writable", lambda _: pytest.fail("checked"))
+    try:
+        assert run_cli(capsys, *argv) == (0, first, "")
+    finally:
+        store.chmod(0o755)
 
 
 @pytest.mark.parametrize(

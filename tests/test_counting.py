@@ -313,18 +313,54 @@ def test_origin_chart_matches_brute_force(p, e, nvars, gens, on_x):
         assert count_points(ideal, n) == brute_force_count(ideal, n)
 
 
-def test_tower_budget_reports_completed():
+def test_tower_budget_reports_completed(monkeypatch):
     # a quartic whose variables do not separate: its chart estimate passes
-    # the budget at n = 1 and exceeds it further up
+    # the budget at n = 1 and exceeds it further up, so the tower is refused
+    # before level 1 is counted, with no level in a cache
+    from picardkit import counting
+
     ideal = ideal_over(5, 1, 4, "x0^3*x1 + x1^3*x2 + x2^3*x3 + x3^3*x0")
     assert separable_blocks(ideal) == []
-    try:
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    with pytest.raises(BudgetExceededError, match="at n=3") as err:
         count_tower(ideal, 8, budget=10**6)
-    except BudgetExceededError as err:
-        assert err.completed is not None
-        assert len(err.completed.counts) >= 1
-    else:
-        pytest.fail("expected a budget error")
+    assert err.value.completed == 0
+
+
+def test_tower_refusal_counts_the_leading_cached_levels(tmp_path):
+    # levels 1 and 2 of the quartic above fit the budget and are cached;
+    # n = 3 is refused before anything is counted
+    ideal = ideal_over(5, 1, 4, "x0^3*x1 + x1^3*x2 + x2^3*x3 + x3^3*x0")
+    cache = CountCache(str(tmp_path / "counts.ndjson"))
+    count_tower(ideal, 2, cache=cache, budget=10**6)
+    with pytest.raises(BudgetExceededError, match="at n=3") as err:
+        count_tower(ideal, 8, cache=cache, budget=10**6)
+    assert err.value.completed == 2
+    # a tower the cache holds is never planned, so no budget refuses it
+    held = [cache.get(variety_hash(ideal), n) for n in (1, 2)]
+    assert count_tower(ideal, 2, cache=cache, budget=1).counts == held
+
+
+@pytest.mark.parametrize("gen, compiled", [
+    # the K3 over F_2 takes the charts, compiled once for its four levels
+    ("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x0^3*x2 + x1*x3^3", 1),
+    # the Fermat cubic surface is counted over classes, with no chart
+    ("x0^3 + x1^3 + x2^3 + x3^3", 0),
+])
+def test_tower_compiles_its_charts_at_most_once(monkeypatch, gen, compiled):
+    from picardkit import counting
+
+    calls = []
+
+    def recording(ideal):
+        calls.append(ideal)
+        return compile_charts(ideal)
+
+    ideal = ideal_over(2, 1, 4, gen)
+    expected = [count_points(ideal, n) for n in range(1, 5)]
+    monkeypatch.setattr(counting, "compile_charts", recording)
+    assert count_tower(ideal, 4).counts == expected
+    assert len(calls) == compiled
 
 
 def test_cache_round_trip(tmp_path):
