@@ -213,13 +213,24 @@ def _counts(ideal, n, args, cache, betti=None):
     return series
 
 
+def _open_cache(args):
+    """The count cache that --cache-dir or PICARDKIT_CACHE names, or None;
+    exit 2 when its file exists but cannot be read."""
+    from .counting import default_cache
+
+    try:
+        return default_cache(args.cache_dir)
+    except OSError as exc:
+        raise CliError(f"cannot read {exc.filename}: {exc.strerror or exc}",
+                       EXIT_INVALID_INPUT) from None
+
+
 def _zeta_pipeline(ideal, flags, args, report, connected=False):
     """Counts, the zeta function and its factorization; returns
     (z, factored) with factored as weil.factor_zeta gives it.  With
     `connected`, a record whose b_0 or b_2d is not 1 (a variety that is not
     geometrically connected) is invalid input, found before counting."""
     from . import weil, zeta as zeta_mod
-    from .counting import default_cache
     from .polysys import dimension_degree, smoothness_check
 
     ambient = ideal.nvars - 1
@@ -234,6 +245,7 @@ def _zeta_pipeline(ideal, flags, args, report, connected=False):
     ):
         raise CliError("hypersurfaceDegree does not match the ideal", EXIT_INVALID_INPUT)
     report["variety"] = {"dim": dim, "degree": degree, "ambientDim": ambient}
+    cache = _open_cache(args)
     if not flags.assume_smooth and not smoothness_check(ideal):
         raise CliError("variety fails the smoothness check", EXIT_INVALID_INPUT)
     if connected and budget.betti is not None and (budget.betti[0], budget.betti[-1]) != (1, 1):
@@ -244,7 +256,6 @@ def _zeta_pipeline(ideal, flags, args, report, connected=False):
     M, eval_budget = budget.levels, args.eval_budget or DEFAULT_BUDGET
     if budget.betti is None and M**3 * max(ambient, 1) * ideal.domain.q.bit_length() > eval_budget:
         raise CliError(f"estimated reconstruction work exceeds budget {eval_budget}", EXIT_BUDGET)
-    cache = default_cache(args.cache_dir)
 
     try:
         n_max = budget.levels
@@ -297,10 +308,8 @@ def _spec_request(args):
 
 
 def cmd_count(args):
-    from .counting import default_cache
-
     ideal, _, report = _spec_request(args)
-    series = _counts(ideal, args.n, args, default_cache(args.cache_dir))
+    series = _counts(ideal, args.n, args, _open_cache(args))
     report["counts"] = {"q": series.q, "values": series.counts}
     return report, EXIT_OK
 

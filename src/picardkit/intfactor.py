@@ -5,13 +5,11 @@ where this classical route is cheap.  For a zeta side, `weil.factor_zeta`
 divides out the Tate-type factors Phi_m(q^(i/2) T) first, so Zassenhaus
 sees only the rest (a constant for the quartic K3's denominator).
 
-The monic end is factored: a polynomial whose constant term is smaller in
-absolute value than its leading coefficient is factored through its
-reverse, and the factors are reversed back.  Every zeta side has f(0) = 1,
-so its reverse is monic, where the substitution lc^(d-1) f(x / lc) that
-makes the other end monic would inflate the coefficients (lc = 2^24 for
-the quartic K3's denominator).  Gcds in the squarefree decomposition are
-integer remainder sequences (`upoly.int_gcd`).
+Only zeta sides and their factors come here, so f(0) = 1 and the reverse
+of f is monic: it is factored, and the factors are reversed back.  The
+substitution lc^(d-1) f(x / lc) that would make f itself monic inflates the
+coefficients (lc = 2^24 for the quartic K3's denominator).  Gcds in the
+squarefree decomposition are integer remainder sequences (`upoly.int_gcd`).
 
 Arithmetic in Z/m[x] (mod p for Berlekamp, mod p^k for Hensel lifting) is
 `ffield`'s; arithmetic in Z[x] is `upoly`'s.
@@ -226,8 +224,6 @@ def _squarefree_decomposition(f):
         g = upoly.int_gcd(b, d)
         if upoly.deg(g) > 0:
             out.append((g, i))
-        if upoly.deg(g) == 0:
-            g = [1] if not g else g
         b2 = upoly.int_quotient(b, g)
         c2 = upoly.int_quotient(d, g)
         d = upoly.sub(c2, upoly.derivative(b2))
@@ -237,55 +233,22 @@ def _squarefree_decomposition(f):
 
 
 def factor_int_poly(f):
-    """(content, [(irreducible primitive factor, multiplicity), ...]).
+    """[(irreducible factor, multiplicity), ...] of an integer polynomial
+    with f(0) = 1, such as a zeta side; [] for f = [1].
 
-    content * prod(factor^mult) reproduces the input exactly.  Factors with
-    nonzero constant term are normalized to positive constant term, others
-    to positive leading coefficient; the multiset is sorted.
+    The reverse of f is monic: its monic irreducible factors (Yun, then
+    Zassenhaus) are reversed back, so that each factor has constant term 1.
     """
-    f = upoly.trim([int(c) for c in f])
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    content, prim = upoly.primitive(f)
-    factors = []
-    # strip powers of T
-    k = 0
-    while prim and prim[0] == 0:
-        prim = prim[1:]
-        k += 1
-    if k:
-        factors.append(([0, 1], k))
-    if upoly.deg(prim) >= 1:
-        # factor the end with the smaller coefficient: the reverse of a zeta
-        # side (f(0) = 1) is monic, so the substitution below is trivial
-        flip = abs(prim[0]) < abs(prim[-1])
-        if flip:
-            prim = upoly.reverse(prim)
-        # make monic by the leading-coefficient substitution
-        lc = prim[-1]
-        if lc < 0:
-            content = -content
-            prim = [-c for c in prim]
-            lc = -lc
-        d = upoly.deg(prim)
-        monic = [prim[i] * lc ** (d - 1 - i) if i < d else 1 for i in range(d + 1)]
-        for sf, mult in _squarefree_decomposition(monic):
-            for g in _factor_monic_squarefree(sf):
-                # undo the substitution: g(lc*x), then primitive part
-                back = [g[i] * lc**i for i in range(len(g))]
-                _, back = upoly.primitive(back)
-                factors.append((upoly.reverse(back) if flip else back, mult))
-    # sign normalization: constant term positive when nonzero
-    normalized = []
-    sign_total = 1
-    for g, mult in factors:
-        ref = g[0] if g[0] else g[-1]
-        if ref < 0:
-            g = [-c for c in g]
-            if mult % 2:
-                sign_total = -sign_total
-        normalized.append((g, mult))
-    return checked_factorization(f, content * sign_total, normalized)
+    f = upoly.trim(f)
+    if not f or f[0] != 1:
+        raise ValueError("factoring needs f(0) = 1")
+    if len(f) == 1:
+        return []
+    return [
+        (upoly.reverse(g), mult)
+        for sf, mult in _squarefree_decomposition(upoly.reverse(f))
+        for g in _factor_monic_squarefree(sf)
+    ]
 
 
 def checked_factorization(f, content, factors):

@@ -1,15 +1,14 @@
 """Dense univariate polynomials over Z: arithmetic, exact division, gcd,
 Newton's identities and Sturm real-root counts.
 
-Polynomials are plain lists of coefficients, index = degree, with no trailing
-zeros; the zero polynomial is the empty list.  Division, gcd and Sturm
-chains stay in Z[x] (pseudo-remainders with a positive multiplier); a
-rational polynomial enters through `integral`.  Everything here is exact;
-no floats anywhere, and no Fractions are made.
+Polynomials are plain lists of integer coefficients, index = degree, with
+no trailing zeros; the zero polynomial is the empty list.  Division, gcd and
+Sturm chains stay in Z[x] (pseudo-remainders with a positive multiplier),
+and Sturm counts are taken at integer points.  Everything here is exact; no
+floats anywhere, and no Fractions.
 """
 
 from math import gcd as _intgcd
-from math import lcm as _intlcm
 
 
 def trim(c):
@@ -21,11 +20,6 @@ def trim(c):
 
 def deg(c):
     return len(c) - 1
-
-
-def add(a, b):
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def sub(a, b):
@@ -104,14 +98,6 @@ def primitive(a):
         return 0, []
     sign = 1 if a[-1] > 0 else -1
     return c * sign, [x // (c * sign) for x in a]
-
-
-def integral(a):
-    """The primitive integer polynomial with positive leading coefficient
-    that is a rational multiple of the nonzero polynomial a (int or
-    Fraction coefficients): the same roots, with multiplicity."""
-    den = _intlcm(*(c.denominator for c in a))
-    return primitive([int(c * den) for c in a])[1]
 
 
 def _shrink(a):
@@ -195,9 +181,7 @@ POS_INF = object()
 
 
 def _sign_at(p, x):
-    """Sign of p at x: +-infinity, or a rational point a/b (an int or a
-    Fraction), where the homogenized sum of p_i a^i b^(n-i) (b > 0) has the
-    sign of p(a/b)."""
+    """Sign of p at x: +-infinity, or an integer."""
     if not p:
         return 0
     if x is POS_INF:
@@ -205,11 +189,7 @@ def _sign_at(p, x):
     elif x is NEG_INF:
         c = p[-1] * (-1) ** deg(p)
     else:
-        a, b = x.numerator, x.denominator
-        c, bk = p[-1], 1
-        for coeff in reversed(p[:-1]):
-            bk *= b
-            c = c * a + coeff * bk
+        c = evaluate(p, x)
     return (c > 0) - (c < 0)
 
 
@@ -242,15 +222,14 @@ def sign_changes(chain, x):
 def count_real_roots(p, lo):
     """Number of distinct real roots of p above lo: in (lo, +inf].
 
-    p must be nonzero (int or Fraction coefficients); lo is NEG_INF or a
-    rational point; multiplicities are ignored.  The chain of p counts
-    distinct roots wherever its last member gcd(p, p') is nonzero; when a
-    finite lo is a root of it, the chain of the squarefree part is used
-    instead.
+    p must be nonzero; lo is NEG_INF or an integer; multiplicities are
+    ignored.  The chain of p counts distinct roots wherever its last member
+    gcd(p, p') is nonzero; when a finite lo is a root of it, the chain of
+    the squarefree part is used instead.
     """
     if not p:
         raise ValueError("zero polynomial")
-    p = integral(p)
+    p = primitive(p)[1]
     chain = sturm_chain(p)
     g = chain[-1]
     if deg(g) > 0 and lo is not NEG_INF and not _sign_at(g, lo):

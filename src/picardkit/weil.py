@@ -62,43 +62,41 @@ class TateBound:
 def certify_root_modulus(f, s2):
     """True iff every reciprocal root alpha of f satisfies |alpha|^2 = s2.
 
-    f is an integer (or rational) polynomial with f(0) != 0, taken as the
-    primitive integer polynomial with its roots; s2 a positive integer.
-    Exact and in Z: with u = f0 * alpha and v = lc / alpha (algebraic
-    integers), the integer power sums of the u and of the v give those of
-    m * beta, beta = alpha + s2/alpha and m = f0 * lc, and Newton's
-    identities (exact integer division) turn them into the integer trace
-    polynomial, a multiple of prod (y - beta); for a Weil polynomial its
-    primitive part is monic.  It must be totally real, with every
-    beta^2 <= 4*s2: Sturm counts on integer chains (`upoly.sturm_chain`).
+    f is an integer polynomial with f(0) = 1, such as a zeta side or a
+    factor of one; s2 a positive integer.  Exact and in Z: with
+    v = lc / alpha (alpha and v are algebraic integers), the integer power
+    sums of the alpha and of the v give those of lc * beta,
+    beta = alpha + s2/alpha, and Newton's identities (exact integer
+    division) turn them into the integer trace polynomial, a multiple of
+    prod (y - beta); for a Weil polynomial its primitive part is monic.
+    It must be totally real, with every beta^2 <= 4*s2: Sturm counts on
+    integer chains (`upoly.sturm_chain`).
     """
     f = upoly.trim(f)
-    if not f or not f[0]:
-        raise ValueError("certification needs f(0) != 0")
-    f = upoly.integral(f)
+    if not f or f[0] != 1:
+        raise ValueError("certification needs f(0) = 1")
     d = upoly.deg(f)
     if d == 0:
         return True
-    f0, lc = f[0], f[-1]
-    m = f0 * lc
-    up = [d] + upoly.power_sums([1] + [f[i] * f0 ** (i - 1) for i in range(1, d + 1)], d)
+    lc = f[-1]
+    up = [d] + upoly.power_sums(f, d)
     down = [d] + upoly.power_sums([1] + [f[d - i] * lc ** (i - 1) for i in range(1, d + 1)], d)
-    # N_k = sum over the roots of (m beta)^k = (lc u + s2 f0 v)^k
+    # N_k = sum over the roots of (lc beta)^k = (lc alpha + s2 v)^k
     sums = []
     for k in range(1, d + 1):
         acc = 0
         for j in range(k + 1):
-            term = comb(k, j) * lc**j * (s2 * f0) ** (k - j)
+            term = comb(k, j) * lc**j * s2 ** (k - j)
             if 2 * j >= k:
-                acc += term * m ** (k - j) * up[2 * j - k]
+                acc += term * lc ** (k - j) * up[2 * j - k]
             else:
-                acc += term * m**j * down[k - 2 * j]
+                acc += term * lc**j * down[k - 2 * j]
         sums.append(acc)
-    # prod (1 - m beta T) = sum c_k T^k, all integers
+    # prod (1 - lc beta T) = sum c_k T^k, all integers
     c = upoly.from_power_sums(sums)
     assert c is not None, "trace power sums are not integral"
-    # m^d prod (y - beta), index = degree
-    trace_poly = upoly.primitive([c[d - i] * m**i for i in range(d + 1)])[1]
+    # lc^d prod (y - beta), index = degree
+    trace_poly = upoly.primitive([c[d - i] * lc**i for i in range(d + 1)])[1]
     chain = upoly.sturm_chain(trace_poly)
     g = chain[-1]
     sf = trace_poly if upoly.deg(g) == 0 else upoly.int_quotient(trace_poly, g)
@@ -117,8 +115,9 @@ def certify_root_modulus(f, s2):
 
 
 def factor_zeta(z):
-    """{"num": (content, factors), "den": (content, factors), "tate": {g: m}}:
-    for each side of the zeta function, what factor_int_poly gives for it,
+    """{"num": (1, factors), "den": (1, factors), "tate": {g: m}}: for each
+    side of the zeta function, its irreducible factors with constant term 1
+    and their multiplicities, sorted (`checked_factorization`, content 1),
     and the index m of each Tate-type factor g (as a tuple).
 
     The Tate-type factors come out first, by trial division: for each weight
@@ -127,8 +126,8 @@ def factor_zeta(z):
     divides the side (`_divide_out_cyclotomic`); their reciprocal roots are
     c times roots of unity.  Each is primitive and irreducible in Z[T], a
     rescaling of an irreducible polynomial, so by unique factorization only
-    what remains needs factor_int_poly, and the factors, multiplicities,
-    content and order are the ones it gives for the whole side.
+    what remains needs factor_int_poly, and the factors and multiplicities
+    are the ones it gives for the whole side.
     """
     q, two_d = z.q, 2 * (z.dim or 0)
     out, index = {}, {}
@@ -142,8 +141,7 @@ def factor_zeta(z):
             rest, found = _divide_out_cyclotomic(rest, c)
             tate += [(g, mult) for _, g, mult in found]
             index.update((tuple(g), m) for m, g, _ in found)
-        content, factors = factor_int_poly(rest)
-        out[side] = checked_factorization(f, content, tate + factors)
+        out[side] = checked_factorization(f, 1, tate + factor_int_poly(rest))
     out["tate"] = index
     return out
 
@@ -162,8 +160,8 @@ def classify_weights(z, factored):
     functional-equation check, from its factorization `factored` (as
     factor_zeta returns it).  Denominator factors take even weights,
     numerator factors odd ones; every irreducible factor that is not
-    Tate-type is certified once.  Each factor has constant term 1: it
-    divides num(0) = den(0) = 1, and factor_int_poly makes it positive."""
+    Tate-type is certified once.  Each factor has constant term 1, as
+    factor_zeta gives it."""
     if z.dim is None:
         raise ValueError("weight classification needs the dimension")
     two_d = 2 * z.dim

@@ -178,7 +178,7 @@ def reconstruct(counts, budget, dim=None):
             for k in range(dn + 1)
         ])
         # reduce in Z[x]; num(0) = den(0) = 1 fixes the scaling back
-        num, den = upoly.integral(num), upoly.integral(den)
+        num, den = upoly.primitive(num)[1], upoly.primitive(den)[1]
         g = upoly.int_gcd(num, den)
         if upoly.deg(g) > 0:
             num, den = upoly.int_quotient(num, g), upoly.int_quotient(den, g)

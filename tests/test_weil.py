@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from picardkit.counting import count_tower
-from picardkit.intfactor import factor_int_poly
+from picardkit.intfactor import checked_factorization, factor_int_poly
 from picardkit.ffield import make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 from picardkit.upoly import int_quotient, mul
@@ -33,20 +33,20 @@ def z_projective(q, m):
     return ZetaFunction(q=q, num=[1], den=den, dim=m)
 
 
+def remultiply(factors):
+    """The product of factor^multiplicity."""
+    return mul_many([f for f, m in factors for _ in range(m)])
+
+
 def test_factor_1_minus_t_squared():
-    content, factors = factor_int_poly([1, 0, -1])
-    assert content == 1
-    assert factors == [([1, -1], 1), ([1, 1], 1)]
+    assert sorted(factor_int_poly([1, 0, -1])) == [([1, -1], 1), ([1, 1], 1)]
+    assert factor_int_poly([1]) == []
 
 
 def test_factor_with_multiplicities():
     poly = mul(mul([1, -2], [1, -2]), [1, -1])
-    content, factors = factor_int_poly(poly)
-    recon = [content]
-    for f, m in factors:
-        for _ in range(m):
-            recon = mul(recon, f)
-    assert recon == poly
+    factors = factor_int_poly(poly)
+    assert remultiply(factors) == poly
     assert sorted(m for _, m in factors) == [1, 2]
 
 
@@ -55,29 +55,19 @@ def test_factor_elliptic_numerator_by_remultiplication():
     ideal = HomIdeal([poly_from_str("x1^2*x2 - x0^3 - x0*x2^2 - x2^3", 3, f5)])
     counts = count_tower(ideal, 8)
     z = reconstruct(counts, DegreeBudget(4), dim=1)
-    content, factors = factor_int_poly(z.num)
-    recon = [content]
-    for f, m in factors:
-        for _ in range(m):
-            recon = mul(recon, f)
-    assert recon == z.num
+    assert remultiply(factor_int_poly(z.num)) == z.num
 
 
 def test_factor_random_products():
     rng = random.Random(5)
-    atoms = [[1, -1], [1, 1], [1, -2], [1, 0, 1], [1, 1, 1], [2, 1], [1, -1, 1]]
+    atoms = [[1, -1], [1, 1], [1, -2], [1, 0, 1], [1, 1, 1], [1, -1, 1]]
     for _ in range(25):
         chosen = rng.sample(atoms, rng.randint(1, 4))
-        poly = [rng.choice([1, 2, -1])]
+        poly = [1]
         for a in chosen:
             for _ in range(rng.randint(1, 2)):
                 poly = mul(poly, a)
-        content, factors = factor_int_poly(poly)
-        recon = [content]
-        for f, m in factors:
-            for _ in range(m):
-                recon = mul(recon, f)
-        assert recon == poly
+        assert remultiply(factor_int_poly(poly)) == poly
 
 
 def test_certify_root_modulus_basics():
@@ -255,19 +245,13 @@ def test_mixed_weight_factor_rejected():
 def test_factor_irreducible_despite_splitting_mod_every_prime():
     # x^4 + 1 splits modulo every prime yet is irreducible over Z: the
     # subset recombination must conclude irreducibility
-    content, factors = factor_int_poly([1, 0, 0, 0, 1])
-    assert content == 1
-    assert factors == [([1, 0, 0, 0, 1], 1)]
+    assert factor_int_poly([1, 0, 0, 0, 1]) == [([1, 0, 0, 0, 1], 1)]
 
 
 def test_factor_products_of_stubborn_factors():
-    poly = mul([1, 0, 0, 0, 1], mul([-2, 0, 1], [-3, 0, 1]))
-    content, factors = factor_int_poly(poly)
-    recon = [content]
-    for f, m in factors:
-        for _ in range(m):
-            recon = mul(recon, f)
-    assert recon == poly
+    poly = mul([1, 0, 0, 0, 1], mul([1, 0, -2], [1, 0, -3]))
+    factors = factor_int_poly(poly)
+    assert remultiply(factors) == poly
     assert len(factors) == 3
 
 
@@ -359,8 +343,7 @@ def test_certify_against_explicit_roots():
 
 
 def _factor_map(poly):
-    content, factors = factor_int_poly(poly)
-    return content, {tuple(f): m for f, m in factors}
+    return {tuple(f): m for f, m in factor_int_poly(poly)}
 
 
 # (1 - T)(1 - 2T)^2 (1 - 4T) Phi_4(2T) Phi_3(2T) Phi_5(2T) Phi_36(2T)
@@ -371,7 +354,7 @@ K3_DEN_FACTORED = (1, [
 
 
 def test_factor_k3_denominator_pinned():
-    assert factor_int_poly(K3_DEN) == K3_DEN_FACTORED
+    assert checked_factorization(K3_DEN, 1, factor_int_poly(K3_DEN)) == K3_DEN_FACTORED
 
 
 def test_k3_denominator_needs_no_modular_factoring(monkeypatch):
@@ -459,7 +442,7 @@ def test_factor_zeta_agrees_with_factor_int_poly_on_every_side(monkeypatch):
         seen.clear()
         got = factor_zeta(z)
         assert list(got) == ["num", "den", "tate"]
-        want = {side: factor_int_poly(f) for side, f in sides.items()}
+        want = {side: checked_factorization(f, 1, factor_int_poly(f)) for side, f in sides.items()}
         assert (got["num"], got["den"]) == (want["num"], want["den"]), (q, dim, sides)
         tags = {
             tuple(g): m
@@ -477,7 +460,7 @@ def test_factor_zeta_agrees_with_factor_int_poly_on_every_side(monkeypatch):
 def _eisenstein(rng):
     """A monic irreducible integer polynomial with a large constant term:
     Eisenstein at p, x^k + p*(...) with constant p * c > 0, p not dividing
-    c, so it is already normalized."""
+    c."""
     p = rng.choice([2, 3, 5])
     k = rng.randint(1, 3)
     c = rng.randint(1, 40)
@@ -487,30 +470,27 @@ def _eisenstein(rng):
 
 
 def test_factor_both_orientations_recover_planted_factors():
-    # products of Eisenstein polynomials (monic, large constant term) and
-    # their reverses (unit constant term, large leading coefficient, as a
-    # zeta side), repeated factors included
+    # products of reversed Eisenstein polynomials (unit constant term, large
+    # leading coefficient, as a zeta side), repeated factors included; the
+    # monic end that is factored is the product of the Eisenstein ones
     from picardkit.upoly import reverse
 
     rng = random.Random(31)
     for _ in range(20):
         planted = {}
         for _ in range(rng.randint(1, 4)):
-            g = _eisenstein(rng)
-            planted[tuple(g)] = planted.get(tuple(g), 0) + rng.randint(1, 2)
-        poly = [1]
-        for g, mult in planted.items():
-            for _ in range(mult):
-                poly = mul(poly, list(g))
-        assert _factor_map(poly) == (1, planted)
-        rev = reverse(poly)
-        assert rev[0] == 1 and abs(rev[-1]) > 1
-        mirrored = {tuple(reverse(list(g))): m for g, m in planted.items()}
-        assert _factor_map(rev) == (1, mirrored)
+            g = tuple(reverse(_eisenstein(rng)))
+            planted[g] = planted.get(g, 0) + rng.randint(1, 2)
+        poly = remultiply([(list(g), mult) for g, mult in planted.items()])
+        assert poly[0] == 1 and abs(poly[-1]) > 1
+        assert _factor_map(poly) == planted
 
 
-def test_factor_strips_powers_of_t():
-    assert factor_int_poly([0, 0, 1, -3]) == (1, [([0, 1], 2), ([1, -3], 1)])
-    assert factor_int_poly([0, -2, 0, 32]) == (-2, [([0, 1], 1), ([1, -4], 1), ([1, 4], 1)])
-    assert factor_int_poly(mul([0, 0, 0, 1], [1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096])) == (
-        1, [([0, 1], 3), ([1, 0, 0, 0, 0, 0, -64, 0, 0, 0, 0, 0, 4096], 1)])
+def test_factor_and_certify_refuse_constant_term_other_than_one():
+    # only f(0) = 1 is accepted: a power of T, a constant term of -1 and a
+    # non-unit constant term are refused by both
+    for f in ([0, 0, 1, -3], [0, -2, 0, 32], [-1, 2], [2, 0, 1], [], [0]):
+        with pytest.raises(ValueError):
+            factor_int_poly(f)
+        with pytest.raises(ValueError):
+            certify_root_modulus(f, 4)
