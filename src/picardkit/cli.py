@@ -75,8 +75,8 @@ def _check_writable(path):
 def _parsed(kind, parse, *args):
     """The checked record parse(*args) returns.  Each input kind has one
     parser: specs and cycles files here, size tables and module families in
-    galmod, checkpoints in lattice.  Malformed input exits 2 here alone,
-    before any work, as `malformed <kind>: <what is wrong>`."""
+    galmod.  Malformed input exits 2 here alone, before any work, as
+    `malformed <kind>: <what is wrong>`."""
     try:
         return parse(*args)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -135,9 +135,11 @@ def _cycles_from_json(obj):
     `pairingVector`s of one JSON integer per basis cycle; action generators
     (permutations, or matrices that lattice.GLattice checks k x k and
     invertible over Z) and relation words, verified on the basis cycles;
-    one name per pairings row; and the file's JSON, for the checkpoint."""
+    one name per pairings row; the file's JSON, for the checkpoint; and the
+    lattice model that lattice.build_n saturates from the pairings, which
+    the action must stabilize and every candidate must lie in."""
+    from . import lattice
     from .exactla import json_ints
-    from .lattice import GLattice
 
     basis = obj["basisCycles"]
     if not isinstance(basis, list):
@@ -161,14 +163,17 @@ def _cycles_from_json(obj):
     relations = [json_ints(word, "relation words") for word in action.get("relations", [])]
     if any(not 0 < abs(i) <= len(gens) for word in relations for i in word):
         raise ValueError("relation words use signed 1-based generator indices")
-    GLattice(k, gens, relations)
+    lattice.GLattice(k, gens, relations)
     if any(len(row) != k for row in pairings) or any(len(v) != k for _, v in candidates):
         raise ValueError(f"pairing vectors must have length {k}, one entry per basis cycle")
     names = obj.get("cycleNames", [f"z{i}" for i in range(len(pairings))])
     if not isinstance(names, list) or [type(x) for x in names] != [str] * len(pairings):
         raise ValueError("cycleNames must be a list of strings, one per pairings row")
-    return SimpleNamespace(contents=obj, pairings=pairings, candidates=candidates, action=gens,
-                           names=names)
+    # the relations hold on the lattice model, since they hold on the basis cycles
+    model, class_map = lattice.build_n(pairings, gens)
+    verdicts = [{"name": name, "coords": class_map(vector)} for name, vector in candidates]
+    return SimpleNamespace(contents=obj, pairings=pairings, names=names, model=model,
+                           verdicts=verdicts)
 
 
 def _budget_descriptor(flags, ideal):
@@ -344,11 +349,6 @@ def cmd_rank(args):
         _check_writable(args.checkpoint)
     ideal, flags, report = _spec_request(args)
     cycles = _parsed("cycles file", _cycles_from_json, _load_json(args.cycles))
-    # a checkpoint holds a bound for one variety, cycles file and codimension;
-    # one written for other inputs is rejected before anything is counted
-    inputs = {"variety": report["inputs"]["digest"], "cycles": cycles.contents, "p": args.p}
-    inputs_digest = sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
-    best = _parsed("checkpoint", lattice.read_checkpoint, args.checkpoint, inputs_digest)
     z, factored = _zeta_pipeline(ideal, flags, args, report)
     try:
         bound = weil.dim_v_mu(z, weil.classify_weights(z, factored), args.p)
@@ -357,36 +357,28 @@ def cmd_rank(args):
     report["tateBound"] = bound.to_json()
     v_mu = bound.v_mu
 
-    if best > v_mu:  # read_checkpoint refused a negative bound
-        raise CliError(f"checkpoint bound {best} is outside 0..{v_mu}", EXIT_INVALID_INPUT)
+    # the lower bound is the rank of this request's pairings, certified by
+    # one nonsingular minor
     pairings = cycles.pairings
     rank, rows, cols, det = lattice.independence_certificate(pairings)
     if rank > v_mu:
         raise CliError(f"lower bound {rank} exceeds the upper bound {v_mu}", EXIT_INCONSISTENT)
-    if rank > best:
-        best = rank
-        if args.checkpoint:
-            witness = {"minor": [[pairings[i][j] for j in cols] for i in rows], "rows": rows,
-                       "cols": cols, "det": det, "labels": [cycles.names[i] for i in rows]}
-            lattice.write_checkpoint(args.checkpoint, inputs_digest, v_mu, args.p, best, witness)
+    if rank and args.checkpoint:
+        # the certificate names its variety, cycles file and codimension
+        inputs = {"variety": report["inputs"]["digest"], "cycles": cycles.contents, "p": args.p}
+        inputs_digest = sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+        witness = {"minor": [[pairings[i][j] for j in cols] for i in rows], "rows": rows,
+                   "cols": cols, "det": det, "labels": [cycles.names[i] for i in rows]}
+        lattice.write_checkpoint(args.checkpoint, inputs_digest, v_mu, args.p, rank, witness)
     # Algorithm B halts when the exhibited cycles' rank meets the upper bound
-    halted = best == v_mu
-    report["rank"] = {"upperBound": v_mu, "bestLower": best,
+    halted = rank == v_mu
+    report["rank"] = {"upperBound": v_mu, "bestLower": rank,
                       "status": "halted" if halted else "running"}
     if halted:
         report["rank"]["rankNumXsep"] = v_mu
-        try:
-            # the relations hold on the lattice model, since they hold on the basis cycles
-            lat, class_map = lattice.build_n(pairings, cycles.action, v_mu)
-            report["rank"]["rankNumX"] = lattice.fixed_rank(lat)
-            verdicts = [{"name": name, "coords": class_map(vector)}
-                        for name, vector in cycles.candidates]
-            if verdicts:
-                report["rank"]["candidates"] = verdicts
-        except lattice.RankMismatchError as exc:
-            raise CliError(str(exc), EXIT_INCONSISTENT) from None
-        except lattice.LatticeError as exc:
-            raise CliError(str(exc), EXIT_INVALID_INPUT) from None
+        report["rank"]["rankNumX"] = lattice.fixed_rank(cycles.model)
+        if cycles.verdicts:
+            report["rank"]["candidates"] = cycles.verdicts
     return report, EXIT_OK if halted else EXIT_UNDECIDED
 
 
@@ -490,7 +482,8 @@ COMMANDS = {  # name: (driver, help, positionals as (dest, help), options beside
     "rank": (cmd_rank, "bounded rank pipeline from cycle data", [], [
         ("--zeta", "spec", str, REQUIRED, "variety spec JSON"),
         ("--cycles", "cycles", str, REQUIRED, "cycle pairing data JSON"),
-        P_OPT, ("--checkpoint", "checkpoint", str, None, "resumable state file")]),
+        P_OPT, ("--checkpoint", "checkpoint", str, None,
+                "file the lower-bound certificate is written to")]),
     "torsion": (cmd_torsion, "torsion recovery from a size table", [("table", "size table JSON")],
                 [("-i --degree", "degree", int, REQUIRED, "cohomological degree")]),
     "galois-rank": (cmd_galois_rank, "rank upper bounds from a module family",

@@ -275,8 +275,6 @@ class FieldDesc:
         return self.index(_pxgcd(self.digits(a), self.modulus, self.p)[1])
 
     def pow(self, a, k):
-        if k < 0:
-            a, k = self.inv(a), -k
         return self.index(_ppowmod(self.digits(a), k, self.modulus, self.p))
 
 

@@ -1,7 +1,7 @@
 """Integer lattice algorithms: one Hermite elimination behind Hermite bases,
 integer kernels, saturation and unimodular inverses; independence
-certificates, fixed ranks under a finite group, and the checkpoint that
-carries a `rank` request's best lower bound to the next request.
+certificates, fixed ranks under a finite group, and the checkpoint file
+that keeps a `rank` request's lower bound with its witness minor.
 
 All arithmetic is arbitrary-precision integer; Hermite pivoting is
 deterministic (smallest nonzero absolute value, ties by lowest row) and the
@@ -16,10 +16,6 @@ from .exactla import det_bareiss, echelon, identity, mat_mul, rank as q_rank
 
 
 class LatticeError(ValueError):
-    pass
-
-
-class RankMismatchError(LatticeError):
     pass
 
 
@@ -202,19 +198,16 @@ def fixed_rank(lat):
     return lat.rank - q_rank(stacked)
 
 
-def build_n(pairings, action_on_y, rho, relations=None):
+def build_n(pairings, action_on_y):
     """Saturated model N of the cycle classes, with its induced action.
 
     pairings: rows are the pairing vectors of candidate cycles against the
-    basis cycle set Y; action_on_y: matrices of the group on Y.  Requires
-    rank(pairings) == rho (the caller-asserted true rank).  Returns
+    basis cycle set Y; action_on_y: matrices of the group on Y.  Returns
     (GLattice, class_map) where class_map sends any further pairing vector
-    to its integer coordinates in N.
+    to its integer coordinates in N.  Raises LatticeError when the action
+    does not stabilize N.
     """
-    k = len(pairings[0])
-    r = q_rank(pairings)
-    if r != rho:
-        raise RankMismatchError(f"pairing rank {r} != asserted rank {rho}")
+    k = len(pairings[0]) if pairings else 0
     basis = saturate(pairings, k)
     induced = []
     for g in action_on_y:
@@ -227,7 +220,7 @@ def build_n(pairings, action_on_y, rho, relations=None):
                 raise LatticeError("action does not stabilize the lattice")
             mat.append(coords)
         induced.append(mat)
-    lat = GLattice(rank=len(basis), action=induced, relations=relations or [])
+    lat = GLattice(rank=len(basis), action=induced)
 
     def class_map(vector):
         coords = coords_in_hnf(basis, vector)
@@ -242,35 +235,10 @@ def build_n(pairings, action_on_y, rho, relations=None):
 # the rank checkpoint
 
 
-def read_checkpoint(path, inputs_digest):
-    """The best lower bound saved at `path` for inputs with this digest, 0
-    when there is no such file.
-
-    Raises LatticeError when the file is unreadable or malformed, holds a
-    negative bound, or was written for inputs with another digest.
-    """
-    if not path or not os.path.exists(path):
-        return 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            state = json.load(fh)
-        digest, best, cert = state.get("inputsDigest"), state["best"], state.get("bestCertificate")
-        for key in ("kind", "value", "witness") if cert else ():
-            cert[key]  # a saved certificate holds all three
-    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
-        raise LatticeError(f"unreadable checkpoint {path}: {exc}") from None
-    if digest != inputs_digest:
-        raise LatticeError("checkpoint belongs to different inputs")
-    if type(best) is not int:
-        raise LatticeError(f"unreadable checkpoint {path}: best is not an integer")
-    if best < 0:
-        raise LatticeError(f"checkpoint bound {best} is negative")
-    return best
-
-
 def write_checkpoint(path, inputs_digest, v_mu, p, best, witness):
     """Save lower bound `best` with its witness minor for the inputs with
-    this digest, against upper bound v_mu in codimension p.
+    this digest, against upper bound v_mu in codimension p.  No request
+    reads the file back: it is the certificate of this request's bound.
 
     The state goes to a temporary file in the same directory, which then
     replaces `path` in one step: a write that fails part-way leaves the

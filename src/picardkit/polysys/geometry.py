@@ -108,9 +108,8 @@ def smoothness_check(ideal):
     c = (nvars - 1) - dim
     if c == 0:
         return True  # the whole ambient projective space
+    # Krull: c <= len(gens), so c x c minors exist
     gens = ideal.generators
-    if len(gens) < c:
-        return False  # not enough equations for the minor criterion
     jac = [[g.partial(i) for i in range(nvars)] for g in gens]
     minors = []
     for rows in combinations(range(len(gens)), c):

@@ -95,8 +95,6 @@ class MultiPoly:
         return out
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return self.scaled(other)
         self._compat(other)
         add, mul = self.domain.add, self.domain.mul
         t = {}

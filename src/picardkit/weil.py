@@ -311,7 +311,7 @@ def dim_v_mu(z, pieces, p):
         total += mult * count
         per_factor.append(
             {
-                "factor": [int(c) for c in f],
+                "factor": f,
                 "multiplicity": mult,
                 "cyclotomic": {} if m is None else {str(m): 1},
                 "unit_root_count": count,

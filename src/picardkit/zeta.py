@@ -52,11 +52,9 @@ class ZetaFunction:
     def __init__(self, q, num, den, dim=None):
         if not num or not den or num[0] != 1 or den[0] != 1:
             raise ZetaError("numerator and denominator must have constant term 1")
-        if any(int(c) != c for c in num + den):
-            raise NonIntegerCoefficientsError("non-integer coefficients")
         self.q = q
-        self.num = [int(c) for c in num]
-        self.den = [int(c) for c in den]
+        self.num = num
+        self.den = den
         self.dim = dim
 
     def euler_characteristic(self):
@@ -199,7 +197,7 @@ def expand(z, n_max):
     """Counts N_1..N_n_max encoded by the zeta function (exact integers)."""
     s_den = upoly.power_sums(z.den, n_max)
     s_num = upoly.power_sums(z.num, n_max)
-    return [int(a - b) for a, b in zip(s_den, s_num)]
+    return [a - b for a, b in zip(s_den, s_num)]
 
 
 def functional_equation_check(z):

@@ -243,25 +243,32 @@ def _rank_with_checkpoint(capsys, tmp_path, pairings, ckpt, *extra):
     )
 
 
-def test_rank_checkpoint_resumes_only_its_own_inputs(tmp_path, capsys):
+def test_rank_never_reads_its_checkpoint(tmp_path, capsys, monkeypatch):
+    # the lower bound comes from this request's pairings alone: a file saved
+    # for other cycles (bound 2) or another codimension is replaced, not read
+    import builtins
+
     ckpt = tmp_path / "state.json"
     code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0], [0, 1]], ckpt)
     assert code == 0
-    # the state of other cycles must not stand in for this file's bound: at
-    # best 2 it would assert rank 2 against a pairing rank of 1
-    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-    assert (code, out) == (2, "")
-    assert "checkpoint belongs to different inputs" in err
-    # the same inputs resume
-    ckpt.unlink()
-    for _ in range(2):
-        code, out, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-        assert code == 4
-        assert json.loads(out)["rank"]["bestLower"] == 1
-    # the codimension is part of the inputs too
-    code, _, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt, "-p", "2")
-    assert code == 2
-    assert "checkpoint belongs to different inputs" in err
+    assert json.loads(ckpt.read_text())["best"] == 2
+    reads, real_open = [], builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(ckpt) and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    running = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt, "-p", "2")
+    monkeypatch.undo()
+    assert (code, json.loads(out)["rank"]["bestLower"], reads) == (4, 1, [])
+    # at p = 2 the upper bound is 1, which one ruling meets
+    assert running[0] == 0
+    assert json.loads(running[1])["rank"]["bestLower"] == 1
+    assert {k: v for k, v in json.loads(ckpt.read_text()).items() if k in ("best", "p")} == {
+        "best": 1, "p": 2}
 
 
 @pytest.mark.parametrize(
@@ -274,77 +281,23 @@ def test_rank_checkpoint_resumes_only_its_own_inputs(tmp_path, capsys):
         '{"best": 1, "bestCertificate": {"kind": "lower"}}',
     ],
 )
-def test_bad_checkpoint_rejected_before_counting(tmp_path, capsys, state):
-    # an empty cache with a one-unit evaluation budget exits 3 as soon as
-    # anything is counted
+def test_bad_checkpoint_is_replaced(tmp_path, capsys, state):
+    # neither a checkpoint of other inputs nor a file that is no checkpoint
+    # at all is read: the request reports as it does without one and writes
+    # the file it would
     ckpt = tmp_path / "state.json"
+    code, report, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
+    assert code == 4
+    saved = ckpt.read_bytes()
     ckpt.write_text(state)
-    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt, "--eval-budget", "1")
-    assert (code, out) == (2, "")
-    assert "checkpoint" in err
-    assert ckpt.read_text() == state
+    assert _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt) == (4, report, "")
+    assert ckpt.read_bytes() == saved
 
 
-def test_checkpoint_bound_above_upper_bound_rejected(tmp_path, capsys):
-    # a bound above the upper one cannot come from these inputs' run; the
-    # upper bound is known only after counting, so the file is read first
-    # and checked against it then, and it is left as it was
-    ckpt = tmp_path / "state.json"
-    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-    assert code == 4
-    state = json.loads(ckpt.read_text())
-    state["best"] = 99
-    ckpt.write_text(json.dumps(state))
-    before = ckpt.read_bytes()
-    code, out, err = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-    assert (code, out) == (2, "")
-    assert "checkpoint bound 99 is outside 0..2" in err
-    assert ckpt.read_bytes() == before
-
-
-def test_negative_checkpoint_bound_rejected_before_counting(tmp_path, capsys):
-    # no run can save a negative bound, so it is refused as the file is
-    # read: with the counts cached, and from an empty cache under a one-unit
-    # evaluation budget, which exits 3 as soon as anything is counted
-    ckpt = tmp_path / "state.json"
-    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-    assert code == 4
-    state = json.loads(ckpt.read_text())
-    state["best"] = -1
-    ckpt.write_text(json.dumps(state))
-    before = ckpt.read_bytes()
-    for cached in (True, False):
-        if not cached:
-            shutil.rmtree(tmp_path / "cache")
-        code, out, err = _rank_with_checkpoint(
-            capsys, tmp_path, [[1, 0]], ckpt, "--eval-budget", "1"
-        )
-        assert (code, out) == (2, "")
-        assert "checkpoint bound -1 is negative" in err
-        assert ckpt.read_bytes() == before
-    assert not (tmp_path / "cache").exists()
-
-
-def test_rank_reads_its_checkpoint_once(tmp_path, capsys, monkeypatch):
-    import builtins
-
-    ckpt = tmp_path / "state.json"
-    _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-    reads, real_open = [], builtins.open
-
-    def counting_open(file, mode="r", *args, **kwargs):
-        if str(file) == str(ckpt) and "r" in mode:
-            reads.append(mode)
-        return real_open(file, mode, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", counting_open)
-    code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
-    assert (code, reads) == (4, ["r"])
-
-
-def test_rank_checkpoint_bound_is_monotone(tmp_path, capsys):
+def test_rank_reports_the_bound_its_pairings_certify(tmp_path, capsys):
     # the cubic surface over F_2 has upper bound 7 at p = 1; one cycle of
-    # rank 1 against a saved bound of 3 reports 3 and leaves the file alone
+    # rank 1 reports 1 whatever bound a hand-edited file holds, also one
+    # above the upper bound or below 0, and writes its own bound over it
     ckpt = tmp_path / "state.json"
     argv = [
         "rank", "--zeta", cubic_f2_spec(tmp_path), "--checkpoint", str(ckpt),
@@ -353,18 +306,14 @@ def test_rank_checkpoint_bound_is_monotone(tmp_path, capsys):
     ]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 4
-    state = json.loads(ckpt.read_text())
-    for saved, expected in [(3, 3), (0, 1)]:
-        state["best"] = saved
-        ckpt.write_text(json.dumps(state))
-        before = ckpt.read_bytes()
+    saved = ckpt.read_bytes()
+    for edited in (3, 0, 99, -1):
+        ckpt.write_text(json.dumps(dict(json.loads(saved), best=edited)))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 4
-        assert json.loads(out)["rank"] == {"upperBound": 7, "bestLower": expected,
+        assert json.loads(out)["rank"] == {"upperBound": 7, "bestLower": 1,
                                            "status": "running"}
-        assert json.loads(ckpt.read_text())["best"] == expected
-        # a lower bound is written only when it is above the saved one
-        assert (ckpt.read_bytes() == before) == (saved >= 1)
+        assert ckpt.read_bytes() == saved
     # a lower bound above the upper one (7 classes, 1 at p = 2) is
     # inconsistent, and no checkpoint is written for it
     ckpt.unlink()
@@ -391,15 +340,11 @@ def test_unwritable_checkpoint_rejected_before_counting(tmp_path, capsys):
 
 
 def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, capsys, monkeypatch):
-    from picardkit import lattice
-
     ckpt = tmp_path / "state.json"
     code, _, _ = _rank_with_checkpoint(capsys, tmp_path, [[1, 0]], ckpt)
     assert code == 4
-    # a saved bound of 0 makes the next run write its bound of 1
-    state = json.loads(ckpt.read_text())
-    state["best"] = 0
-    ckpt.write_text(json.dumps(state))
+    # other bytes than the next run writes, to tell the two files apart
+    ckpt.write_text(json.dumps(dict(json.loads(ckpt.read_text()), best=0)))
     before = ckpt.read_bytes()
 
     def dump_then_fail(obj, fh, **kwargs):
@@ -412,7 +357,6 @@ def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, capsys, monkey
     assert (code, out) == (1, "")
     assert "No space left on device" in err
     assert ckpt.read_bytes() == before
-    assert lattice.read_checkpoint(str(ckpt), state["inputsDigest"]) == 0
     # the temporary file is gone
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "c.json", "cache", "quadric.json", "state.json"
@@ -460,6 +404,13 @@ def test_dovetail_demo(tmp_path, capsys):
     report = json.loads(out)
     assert report["dovetail"]["events"]
     assert report["dovetail"]["results"]
+
+
+def test_dovetail_without_demo_is_invalid_input(capsys):
+    # the demo tasks are the only ones `dovetail` runs
+    code, out, err = run_cli(capsys, "dovetail", "--rounds", "8", "--no-timing")
+    assert (code, out) == (2, "")
+    assert "only --demo mode is implemented" in err
 
 
 def test_dovetail_trace_stdout(capsys):
@@ -896,11 +847,17 @@ def test_codimension_out_of_range_rejected_before_counting(tmp_path, capsys, com
         # the basis cycles are a list, not a string whose length stands for k
         {"basisCycles": "ab", "pairings": [[1, 0]]},
         # each action generator is invertible over Z, whether or not the
-        # bounds meet (only then is the action used)
+        # bounds meet
         {"basisCycles": ["a", "b"], "pairings": [[1, 0]],
          "action": {"generators": [[[2, 0], [0, 1]]]}},
         {"basisCycles": ["a", "b"], "pairings": [[1, 0], [0, 1]],
          "action": {"generators": [[[2, 0], [0, 1]]]}},
+        # one cycle spans a lattice that the swap moves and that the other
+        # basis cycle lies outside: a request whose bounds did not meet
+        # exited 4 on these, and one whose bounds met exited 2 after counting
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0]], "action": {"generators": [[1, 0]]}},
+        {"basisCycles": ["a", "b"], "pairings": [[1, 0]],
+         "candidates": [{"pairingVector": [0, 1]}]},
     ],
 )
 def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
@@ -912,6 +869,7 @@ def test_malformed_cycles_rejected_before_counting(tmp_path, capsys, cycles):
     )
     assert code == 2
     assert "malformed cycles file" in err
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize(

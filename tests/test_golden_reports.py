@@ -11,8 +11,9 @@ and P^2 over F_3 with budget 3.
 
 `rank` requests pin their exit code, stderr and checkpoint bytes as well:
 the cubic surface with its 27 lines (halted), the quadric x0 x3 - x1 x2
-over F_3 with one ruling (running, then resumed from its checkpoint) and
-with both rulings at p = 2 (a lower bound above the upper one)."""
+over F_3 with one ruling (running, then run again over the checkpoint it
+wrote, which changes nothing) and with both rulings at p = 2 (a lower bound
+above the upper one)."""
 
 import json
 from hashlib import sha256

@@ -1,5 +1,5 @@
-"""A seeded fuzzer over the six input kinds: variety specs, cycles files,
-size tables, module families, rank checkpoints and argv.
+"""A seeded fuzzer over the five input kinds: variety specs, cycles files,
+size tables, module families and argv.
 
 Each case takes a valid input of its kind and changes it one to three
 times, or draws a random JSON value instead.  It writes the result and runs
@@ -16,11 +16,14 @@ request and never rises above the fuzzer's budget, `--threads` never parses
 to more than 4 and `--cache-dir` is never changed, so no draw asks for
 unbounded work, threads or files outside tmp_path.
 
-Rank requests read a spec, a cycles file and a checkpoint.  The checks that
-need the upper bound (a saved bound above it, the lattice model of the
-cycles) come after the zeta step.  So every other rank case runs against a
-cache that holds the quadric's counts, and the rest run from an empty cache
-under `--eval-budget 1`, where anything counted exits 3.
+Rank requests read a spec and a cycles file, and write the checkpoint.
+Every check of a cycles file, its lattice model included, comes before
+counting; only the comparison of the lower bound with the upper one needs
+the zeta step.  So every other cycles case runs against a cache that holds
+the quadric's counts, and the rest run from an empty cache under
+`--eval-budget 1`, where anything counted exits 3.  About one cycles case
+in four passes every other check, but its action moves the lattice its pairings
+span or a candidate lies outside that lattice: it must exit 2.
 
 A failing case prints its kind, input JSON and argv, so that it can be run
 again verbatim.  The seed and the case counts are fixed.
@@ -36,8 +39,7 @@ from picardkit.cli import main
 from picardkit.galmod import size_table_from_profile
 
 SEED = 20261020
-CASES = {"spec": 900, "cycles": 400, "table": 300, "family": 300, "checkpoint": 200,
-         "argv": 400}
+CASES = {"spec": 900, "cycles": 600, "table": 300, "family": 300, "argv": 400}
 EVAL_BUDGET = "4000"
 CASE_SECONDS = 2.0
 
@@ -62,7 +64,7 @@ CYCLES = {"basisCycles": ["A", "B"], "pairings": [[0, 1], [1, 0]],
           "action": {"generators": [[1, 0]], "relations": [[1, 1]]},
           "candidates": [{"name": "hyperplane", "pairingVector": [1, 1]}],
           "cycleNames": ["C", "D"]}
-# one ruling: lower bound 1 below the upper bound 2, so `rank` saves it
+# one ruling: lower bound 1 below the upper bound 2
 ONE_RULING = {"basisCycles": ["A", "B"], "pairings": [[1, 0]]}
 TABLE = size_table_from_profile(3, [1, 0, 5, 0, 1], [[], [], [2, 1], [], []], 4).to_json()
 FAMILIES = [
@@ -77,8 +79,7 @@ KEYS = ["field", "p", "e", "ambientDim", "generators", "flags", "budget",
         "hypersurfaceDegree", "assumeSmooth", "basisCycles", "pairings", "action",
         "relations", "candidates", "pairingVector", "cycleNames", "name", "ell", "betti",
         "sizes", "i", "n", "log_ell_size", "t", "modules", "invariantFactors", "actions",
-        "skipHypothesisCheck", "best", "inputsDigest", "bestCertificate", "kind", "value",
-        "witness", "vMu"]
+        "skipHypothesisCheck"]
 ATOMS = [0, 1, -1, 2, 3, 4, 5, 7, 9, 64, 2**31, 10**20, 2**64 + 1, 10**40, -(10**9),
          1.5, 2.0, -0.0, True, False, None, "", "x", "1", "x0", "0", [], {}, [1], [[1]],
          {"p": 2}]
@@ -179,6 +180,38 @@ def draw(base, rng):
     return value
 
 
+def off_lattice(rng):
+    """A cycles file that passes every check but the lattice model's.  Its
+    pairings span the coordinate lattice of a proper subset S of the k basis
+    cycles.  Then either an action generator moves some cycle of S off it (a
+    permutation that does not map S to itself, or the shear sending e_i to
+    e_i - e_j for i in S and j not in S), or a candidate pairs with a cycle
+    outside S."""
+    k = rng.randint(2, 4)
+    span = sorted(rng.sample(range(k), rng.randint(1, k - 1)))
+    rest = [j for j in range(k) if j not in span]
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    pairings = [[rng.choice([-2, -1, 1, 3]) * x for x in units[i]] for i in span]
+    pairings += [[rng.randint(-2, 2) if j in span else 0 for j in range(k)]
+                 for _ in range(rng.randrange(2))]
+    obj = {"basisCycles": [f"Y{j}" for j in range(k)], "pairings": pairings}
+    roll = rng.randrange(3)
+    if roll == 0:
+        perm = list(range(k))
+        while sorted(perm[i] for i in span) == span:
+            rng.shuffle(perm)
+        obj["action"] = {"generators": [perm]}
+    elif roll == 1:
+        shear = [list(row) for row in units]
+        shear[rng.choice(span)][rng.choice(rest)] = 1
+        obj["action"] = {"generators": [shear]}
+    else:
+        vector = [rng.randint(-2, 2) for _ in range(k)]
+        vector[rng.choice(rest)] = rng.choice([-1, 1, 2])
+        obj["candidates"] = [{"name": "off", "pairingVector": vector}]
+    return obj
+
+
 def draw_argv(base, rng):
     """base with one to three changes to its options."""
     argv = list(base)
@@ -230,16 +263,13 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
         code = main(argv)
         return code, capsys.readouterr()
 
-    # the quadric's counts in the warm cache, and a checkpoint saved for
-    # one ruling against them
+    # the quadric's counts in the warm cache
     warm = str(tmp_path / "warm")
     quadric = write("quadric.json", QUADRIC_F3)
     one_ruling = write("one-ruling.json", ONE_RULING)
-    checkpoint = tmp_path / "checkpoint.json"
     rank_head = ["rank", "--zeta", quadric]
-    assert request(rank_head + ["--cycles", one_ruling, "--checkpoint", str(checkpoint),
-                                "--cache-dir", warm, "--threads", "1"])[0] == 4
-    saved = json.loads(checkpoint.read_text())
+    assert request(rank_head + ["--cycles", one_ruling, "--cache-dir", warm,
+                                "--threads", "1"])[0] == 4
     files = {"quadric": quadric, "one_ruling": one_ruling,
              "p2": write("p2.json", SPECS[4]), "table": write("sizes.json", TABLE),
              "family": write("family-0.json", FAMILIES[0])}
@@ -256,12 +286,9 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
                     argv = [name, path, *rest, "--eval-budget", EVAL_BUDGET,
                             "--cache-dir", str(tmp_path / f"cache{case}")]
                 elif kind == "cycles":
-                    obj = draw(CYCLES, rng)
+                    planted = rng.random() < 0.25
+                    obj = off_lattice(rng) if planted else draw(CYCLES, rng)
                     argv = rank_head + ["--cycles", write("cycles.json", obj)]
-                elif kind == "checkpoint":
-                    obj = draw(saved, rng)
-                    argv = rank_head + ["--cycles", one_ruling,
-                                        "--checkpoint", write("state.json", obj)]
                 elif kind == "argv":
                     files["state"] = str(tmp_path / f"state{case}.json")
                     obj = rng.choice(ARGVS) + ["--threads", "1", "--eval-budget", EVAL_BUDGET]
@@ -273,7 +300,7 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
                 else:
                     obj = draw(rng.choice(FAMILIES), rng)
                     argv = ["galois-rank", write("family.json", obj)]
-                if kind in ("cycles", "checkpoint"):
+                if kind == "cycles":
                     if case % 2 == 0:
                         argv += ["--cache-dir", warm]
                     else:
@@ -292,6 +319,8 @@ def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys, monkeypatch)
                     signal.setitimer(signal.ITIMER_REAL, 0)
                 elapsed = time.perf_counter() - started
                 assert code in (0, 2, 3, 4, 5), f"{replay}\nexit {code}: {captured.err}"
+                if kind == "cycles" and planted:
+                    assert code == 2, f"{replay}\nexit {code}: {captured.err}"
                 assert elapsed < CASE_SECONDS, f"{replay}\ntook {elapsed:.2f} s"
                 if code == 2:
                     assert captured.out == "", replay

@@ -15,7 +15,7 @@ from picardkit.counting.kernel import embedding, trace_mask
 from picardkit.ffield import level_field, make_field
 from picardkit.polysys import HomIdeal, poly_from_str
 
-from conftest import brute_force_chart_count
+from conftest import brute_force_chart_count, brute_force_projective_count
 
 
 @pytest.mark.parametrize(
@@ -77,6 +77,27 @@ def test_chart_counts_identical(ckernel, p, e, gens, nvars, n):
         a = kernel_py.count_chart(ext.q, ext.p, tmask, *tabs_py, terms, chart.nprefix, 1, 0, hi)
         b = ckernel.count_chart(ext.q, ext.p, tmask, *tabs_c, terms, chart.nprefix, 1, 0, hi)
         assert a == b == brute_force_chart_count(ideal, n, chart.chart)
+
+
+def test_two_generators_agree_through_the_slice_gcd(ckernel, monkeypatch):
+    # a complete intersection of two quadrics in P^3 over F_3 whose
+    # generators both hold x3, the slice variable: slices then carry two
+    # polynomials, whose gcd the kernels take before counting roots (with
+    # x2 and x3 swapped, the first generator holds no x3 and the loop never
+    # runs)
+    f = make_field(3, 1)
+    ideal = HomIdeal([poly_from_str(g, 4, f)
+                      for g in ["x0^2 + x1^2 - x3^2", "x0*x1 - x2^2 + x2*x3"]])
+    gcds, pgcd = [], kernel_py._Ops.pgcd
+    monkeypatch.setattr(kernel_py._Ops, "pgcd",
+                        lambda ops, a, b: gcds.append(1) or pgcd(ops, a, b))
+    counts = []
+    for impl in (kernel_py, ckernel):
+        monkeypatch.setattr(kernel, "_impl", impl)
+        counts.append([count_points(ideal, n) for n in (1, 2, 3)])
+    assert counts == [[8, 18, 56]] * 2
+    assert gcds
+    assert brute_force_projective_count(ideal, 1) == 8
 
 
 def test_split_ranges_sum_to_whole(ckernel):

@@ -8,7 +8,6 @@ from picardkit.exactla import det_bareiss, echelon, mat_mul, rank
 from picardkit.lattice import (
     GLattice,
     LatticeError,
-    RankMismatchError,
     RelationViolationError,
     build_n,
     coords_in_hnf,
@@ -17,7 +16,6 @@ from picardkit.lattice import (
     independence_certificate,
     integer_kernel,
     mat_inverse_int,
-    read_checkpoint,
     saturate,
     write_checkpoint,
 )
@@ -348,7 +346,7 @@ def test_invariants_rank_random_conjugated_perms():
 
 
 def test_build_n_trivial():
-    lat, class_map = build_n([[1, 0], [0, 1]], [], 2)
+    lat, class_map = build_n([[1, 0], [0, 1]], [])
     assert lat.rank == 2
     assert class_map([3, 4]) is not None
 
@@ -356,7 +354,7 @@ def test_build_n_trivial():
 def test_build_n_swap_quadric_shape():
     pairings = [[0, 1], [1, 0]]
     swap = [[0, 1], [1, 0]]
-    lat, class_map = build_n(pairings, [swap], 2, relations=[[1, 1]])
+    lat, class_map = build_n(pairings, [swap])
     assert lat.rank == 2
     assert fixed_rank(lat) == 1
     coords = class_map([1, 1])
@@ -364,20 +362,30 @@ def test_build_n_swap_quadric_shape():
 
 
 def test_build_n_duplicate_row_same_lattice():
-    lat1, _ = build_n([[2, 0], [0, 3]], [], 2)
-    lat2, _ = build_n([[2, 0], [0, 3], [2, 0]], [], 2)
+    lat1, _ = build_n([[2, 0], [0, 3]], [])
+    lat2, _ = build_n([[2, 0], [0, 3], [2, 0]], [])
     assert lat1.rank == lat2.rank == 2
 
 
-def test_build_n_rank_mismatch():
-    with pytest.raises(RankMismatchError):
-        build_n([[1, 1], [2, 2]], [], 2)
+def test_build_n_refuses_what_leaves_the_lattice():
+    # one ruling of the quadric: the swap moves it to the other ruling,
+    # which lies outside its saturation
+    swap = [[0, 1], [1, 0]]
+    with pytest.raises(LatticeError, match="does not stabilize"):
+        build_n([[1, 0]], [swap])
+    lat, class_map = build_n([[2, 0]], [])
+    assert (lat.rank, class_map([3, 0])) == (1, [3])
+    with pytest.raises(LatticeError, match="does not lie in the lattice model"):
+        class_map([0, 1])
+    # no pairings span the zero lattice, which every action stabilizes
+    lat, class_map = build_n([], [swap])
+    assert (lat.rank, lat.action, fixed_rank(lat), class_map([0, 0])) == (0, [[]], 0, [])
 
 
 def test_build_n_class_map_injective_on_span():
     # full row rank: distinct integer vectors in the span get distinct coords
     pairings = [[2, 1, 0], [0, 1, 1]]
-    lat, class_map = build_n(pairings, [], 2)
+    lat, class_map = build_n(pairings, [])
     seen = {}
     for a in range(-2, 3):
         for b in range(-2, 3):
@@ -391,27 +399,12 @@ WITNESS = {"minor": [[0, 1], [1, 0]], "rows": [0, 1], "cols": [0, 1], "det": -1,
            "labels": ["z0", "z1"]}
 
 
-def test_algorithm_b_checkpoint_resume(tmp_path):
+def test_algorithm_b_checkpoint_bytes(tmp_path):
     path = str(tmp_path / "ckpt.json")
-    assert read_checkpoint(None, "abc") == 0
-    assert read_checkpoint(path, "abc") == 0
     write_checkpoint(path, "abc", 3, 1, 2, WITNESS)
-    assert read_checkpoint(path, "abc") == 2
-    # the bytes that earlier checkpoints hold, so those files still resume
+    # the bytes that earlier checkpoints hold
     assert (tmp_path / "ckpt.json").read_text() == (
         '{"best": 2, "bestCertificate": {"kind": "lower", "value": 2, "witness": '
         '{"cols": [0, 1], "det": -1, "labels": ["z0", "z1"], "minor": [[0, 1], [1, 0]], '
         '"rows": [0, 1]}}, "inputsDigest": "abc", "p": 1, "vMu": 3}'
     )
-
-
-def test_algorithm_b_checkpoint_rejects_other_inputs(tmp_path):
-    ckpt = tmp_path / "ckpt.json"
-    write_checkpoint(str(ckpt), "abc", 3, 1, 2, WITNESS)
-    with pytest.raises(LatticeError, match="different inputs"):
-        read_checkpoint(str(ckpt), "abd")
-    for state in ["{", '{"inputsDigest": "abc", "best": "2"}', '{"inputsDigest": "abc"}',
-                  '{"inputsDigest": "abc", "best": 2, "bestCertificate": {"kind": "lower"}}']:
-        ckpt.write_text(state)
-        with pytest.raises(LatticeError, match="unreadable"):
-            read_checkpoint(str(ckpt), "abc")

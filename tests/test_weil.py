@@ -233,6 +233,16 @@ def test_reducible_scheme_zeta_rejected():
         betti_numbers(z, pieces(z))
 
 
+def test_factor_of_uncertified_roots_rejected():
+    # 1 + 5T + 2T^2 has leading coefficient q, so weight 1 on the numerator
+    # side, but its reciprocal roots (-5 +- sqrt 17) / 2 are real and of
+    # different moduli, neither sqrt 2
+    z = ZetaFunction(q=2, num=[1, 5, 2], den=[1, -3, 2], dim=1)
+    with pytest.raises(UnclassifiableFactorError) as info:
+        pieces(z)
+    assert str(info.value) == "roots of [1, 5, 2] are not certified at modulus q^(1/2)"
+
+
 def test_mixed_weight_factor_rejected():
     # a denominator factor whose roots straddle two moduli cannot be
     # certified at any single weight
